@@ -87,6 +87,10 @@ func TestDocsRequiredCrossLinks(t *testing.T) {
 			"## 9. Packed 2-bit sequences and word-at-a-time kernels",
 			"seq.Packed", "MismatchCount", "FuzzPackedRoundTrip",
 			"BENCH_kernels.json",
+			// ... and local assembly's mer index: lazy per-size tables, the
+			// case-exact long key, and what stays uncharged.
+			"### Local assembly's mer index", "case bit",
+			"TestMerIndexMatchesReference", "FuzzExtendContig", "mer_walk",
 			// The serving-layer documentation: the design notes own the
 			// admission policy, the lifecycle state machine and the
 			// cancellation/abort wiring.

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"sync"
 
 	"mhmgo/internal/dht"
 	"mhmgo/internal/dist"
@@ -112,10 +113,24 @@ func (t ThresholdOptions) THQFor(depth uint32) uint32 {
 	return dyn
 }
 
-// Graph is the distributed de Bruijn graph.
+// Graph is the distributed de Bruijn graph. Every rank holds the same
+// pointer; a Graph must not be copied.
 type Graph struct {
 	K       int
 	Entries *dht.Map[seq.Kmer, Entry]
+
+	// vertices memoizes Entries.Len() for Traverse's default step bound.
+	// Len scans every stripe of every partition, so P ranks each calling it
+	// is O(P²) host work; the first rank to need it counts for all (the
+	// table is complete, and not mutated, by the time a traversal starts).
+	vertices     int
+	verticesOnce sync.Once
+}
+
+// vertexCount returns the number of vertices as of the first traversal.
+func (g *Graph) vertexCount() int {
+	g.verticesOnce.Do(func() { g.vertices = g.Entries.Len() })
+	return g.vertices
 }
 
 func kmerHash(k seq.Kmer) uint64 { return k.Hash() }
@@ -251,7 +266,7 @@ type TraverseOptions struct {
 func Traverse(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
-		maxSteps = g.Entries.Len() + 1
+		maxSteps = g.vertexCount() + 1
 	}
 	type vertex struct {
 		km seq.Kmer

@@ -17,6 +17,8 @@
 package localasm
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 
 	"mhmgo/internal/aligner"
@@ -75,6 +77,36 @@ func DefaultOptions(k int) Options {
 	}
 }
 
+// normalized fills unset fields with their defaults and bounds the mer sizes
+// by what the mer index can key (maxMerBases, beyond any DefaultOptions(k)
+// for k <= seq.MaxK).
+func (opts Options) normalized() Options {
+	if opts.K <= 0 {
+		opts.K = 31
+	}
+	if opts.ShiftStep <= 0 {
+		opts.ShiftStep = 4
+	}
+	if opts.MinMer <= 4 {
+		opts.MinMer = 5
+	}
+	if opts.MaxMer <= opts.MinMer {
+		opts.MaxMer = opts.MinMer + 8
+	}
+	opts.MaxMer = min(opts.MaxMer, maxMerBases)
+	opts.MinMer = min(opts.MinMer, opts.MaxMer)
+	if opts.MaxExtension <= 0 {
+		opts.MaxExtension = 300
+	}
+	if opts.MinSupport <= 0 {
+		opts.MinSupport = 2
+	}
+	if opts.BlockSize <= 0 {
+		opts.BlockSize = 4
+	}
+	return opts
+}
+
 // Result reports the outcome of local assembly. The extended contigs are
 // written back into the distributed contig set in place (each owner updates
 // its own shard); only the scalar summaries are all-reduced.
@@ -111,27 +143,7 @@ func (e extRecord) WireSize() int { return 8 + len(e.Seq) }
 // Reads must be distributed in whole pairs (use pgas.PairBlockRange) so that
 // a read's mate is available on the same rank for recruitment.
 func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alignments []aligner.Alignment, opts Options) Result {
-	if opts.K <= 0 {
-		opts.K = 31
-	}
-	if opts.ShiftStep <= 0 {
-		opts.ShiftStep = 4
-	}
-	if opts.MinMer <= 4 {
-		opts.MinMer = 5
-	}
-	if opts.MaxMer <= opts.MinMer {
-		opts.MaxMer = opts.MinMer + 8
-	}
-	if opts.MaxExtension <= 0 {
-		opts.MaxExtension = 300
-	}
-	if opts.MinSupport <= 0 {
-		opts.MinSupport = 2
-	}
-	if opts.BlockSize <= 0 {
-		opts.BlockSize = 4
-	}
+	opts = opts.normalized()
 	creader := cs.NewReader(r, 1<<16)
 
 	// Step 1: recruitment. A read is useful for a contig if it aligns near
@@ -209,6 +221,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	}
 
 	var exts []extRecord
+	scratch := NewScratch()
 	extendedBases := 0
 	touched := 0
 	steals := 0
@@ -243,8 +256,8 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		// source-rank order, but the walk must not depend on any arrival
 		// order at all. Sort a copy — the bundle is shared.
 		rds = append([][]byte(nil), rds...)
-		sort.Slice(rds, func(i, j int) bool { return string(rds[i]) < string(rds[j]) })
-		newSeq, added := extendContig(r, c.Seq, rds, opts)
+		slices.SortFunc(rds, bytes.Compare)
+		newSeq, added := extendContig(r, c.Seq, rds, opts, scratch)
 		if added > 0 {
 			exts = append(exts, extRecord{ID: id, Seq: newSeq})
 			extendedBases += added
@@ -317,138 +330,56 @@ func libraryWindows(opts Options) []int {
 	return out
 }
 
+// Scratch holds the per-rank buffers local assembly reuses across contigs:
+// the mer index (symbol stream and per-size tables) and the two walk buffers.
+// Everything is cleared, not reallocated, per contig, so extending a contig
+// allocates only the extended sequence it returns. One Scratch serves one Run;
+// it is exported (with NewScratch and ExtendKernel) so the repository-level
+// kernel benchmark can drive the extension kernel directly.
+type Scratch struct {
+	index       merIndex
+	right, left []byte // walk buffers: tail symbols, then the added bases
+}
+
+// NewScratch returns an empty Scratch.
+func NewScratch() *Scratch { return &Scratch{} }
+
 // extendContig mer-walks both ends of a contig using the recruited reads and
 // returns the (possibly longer) sequence and the number of bases added.
-func extendContig(r *pgas.Rank, contigSeq []byte, reads [][]byte, opts Options) ([]byte, int) {
-	table := buildMerTable(reads, opts.MinMer, opts.MaxMer)
+func extendContig(r *pgas.Rank, contigSeq []byte, reads [][]byte, opts Options, s *Scratch) ([]byte, int) {
 	r.Compute(float64(len(reads) * 8))
+	return ExtendKernel(contigSeq, reads, opts, s)
+}
 
-	// Extend to the right.
-	right := walk(contigSeq, table, opts)
-	// Extend to the left: walk the reverse complement's right end.
-	rc := seq.ReverseComplement(contigSeq)
-	left := walk(rc, table, opts)
-
-	if len(right) == 0 && len(left) == 0 {
+// ExtendKernel is extendContig without the simulated-clock charge: the host
+// work of one contig, for the kernel benchmarks and the equivalence tests.
+func ExtendKernel(contigSeq []byte, reads [][]byte, opts Options, s *Scratch) ([]byte, int) {
+	tail, right, left := s.walkEnds(contigSeq, reads, opts.normalized())
+	added := len(right) - tail + len(left) - tail
+	if added == 0 {
 		return contigSeq, 0
 	}
-	newSeq := make([]byte, 0, len(contigSeq)+len(left)+len(right))
-	newSeq = append(newSeq, seq.ReverseComplement(left)...)
+	newSeq := make([]byte, 0, len(contigSeq)+added)
+	// The left walk ran on the reverse complement, so its bases come back
+	// complemented, last added first.
+	for i := len(left) - 1; i >= tail; i-- {
+		newSeq = append(newSeq, seq.BaseToChar(seq.ComplementCode(left[i])))
+	}
 	newSeq = append(newSeq, contigSeq...)
-	newSeq = append(newSeq, right...)
-	return newSeq, len(left) + len(right)
+	for _, code := range right[tail:] {
+		newSeq = append(newSeq, seq.BaseToChar(code))
+	}
+	return newSeq, added
 }
 
-// merTable counts, for every observed mer of every size in [minMer, maxMer],
-// how many times each base follows it in the recruited reads (both strands).
-type merTable map[string]*[4]int
-
-func buildMerTable(reads [][]byte, minMer, maxMer int) merTable {
-	t := make(merTable)
-	add := func(s []byte) {
-		for m := minMer; m <= maxMer; m += 1 {
-			for i := 0; i+m < len(s); i++ {
-				code, ok := seq.CharToBase(s[i+m])
-				if !ok {
-					continue
-				}
-				window := s[i : i+m]
-				if !seq.ValidBases(window) {
-					continue
-				}
-				key := string(window)
-				counts, exists := t[key]
-				if !exists {
-					counts = &[4]int{}
-					t[key] = counts
-				}
-				counts[code]++
-			}
-		}
-	}
-	for _, rd := range reads {
-		add(rd)
-		add(seq.ReverseComplement(rd))
-	}
-	return t
-}
-
-// walkState classifies one extension attempt.
-type walkState int
-
-const (
-	stateExtend walkState = iota
-	stateFork
-	stateDeadEnd
-)
-
-// nextBase inspects the mer table for the unique supported continuation of
-// the current mer.
-func nextBase(t merTable, mer []byte, minSupport int) (byte, walkState) {
-	counts, ok := t[string(mer)]
-	if !ok {
-		return 0, stateDeadEnd
-	}
-	best, second, bestCode := 0, 0, -1
-	total := 0
-	for code, c := range counts {
-		total += c
-		if c > best {
-			second = best
-			best = c
-			bestCode = code
-		} else if c > second {
-			second = c
-		}
-	}
-	if total == 0 || best < minSupport {
-		return 0, stateDeadEnd
-	}
-	if second >= minSupport {
-		return 0, stateFork
-	}
-	return byte(bestCode), stateExtend
-}
-
-// walk extends the right end of s by mer-walking with dynamic mer-size
-// shifting: upshift on forks, downshift on dead ends; terminate on a fork
-// after a downshift, a dead end after an upshift, or the extension cap.
-func walk(s []byte, t merTable, opts Options) []byte {
-	cur := append([]byte(nil), s...)
-	var added []byte
-	m := opts.K
-	if m > opts.MaxMer {
-		m = opts.MaxMer
-	}
-	if m < opts.MinMer {
-		m = opts.MinMer
-	}
-	lastShift := 0 // +1 upshift, -1 downshift, 0 none
-	for len(added) < opts.MaxExtension {
-		if len(cur) < m {
-			break
-		}
-		mer := cur[len(cur)-m:]
-		code, state := nextBase(t, mer, opts.MinSupport)
-		switch state {
-		case stateExtend:
-			base := seq.BaseToChar(code)
-			cur = append(cur, base)
-			added = append(added, base)
-			lastShift = 0
-		case stateFork:
-			if lastShift == -1 || m+opts.ShiftStep > opts.MaxMer {
-				return added
-			}
-			m += opts.ShiftStep
-			lastShift = 1
-		case stateDeadEnd:
-			if lastShift == 1 || m-opts.ShiftStep < opts.MinMer {
-				return added
-			}
-			m -= opts.ShiftStep
-			lastShift = -1
-		}
-	}
-	return added
+// walkEnds indexes the reads and walks both contig ends. It returns the two
+// walk buffers — the contig's last (right) and reverse-complemented first
+// (left) tail symbols followed by the 2-bit codes of the bases each walk
+// added. The buffers are the scratch's own and valid until the next call.
+func (s *Scratch) walkEnds(contigSeq []byte, reads [][]byte, opts Options) (tail int, right, left []byte) {
+	s.index.reset(reads)
+	tail = min(len(contigSeq), opts.MaxMer)
+	s.right = s.index.walk(appendSyms(s.right[:0], contigSeq, tail, false), opts)
+	s.left = s.index.walk(appendSyms(s.left[:0], contigSeq, tail, true), opts)
+	return tail, s.right, s.left
 }

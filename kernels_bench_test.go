@@ -1,8 +1,8 @@
 // Per-kernel benchmark harness: one benchmark per hot inner loop (alignment
-// extension, de Bruijn graph walking, k-mer observation extraction), each
-// comparing the packed 2-bit kernel against the ASCII byte-loop baseline it
-// replaced. Timing is hand-rolled over a fixed iteration count rather than
-// driven by b.N, so the CI bench-smoke run (`-benchtime 1x`) still produces
+// extension, de Bruijn graph walking, k-mer observation extraction, local
+// assembly's mer walk), each comparing the packed kernel against the ASCII
+// baseline it replaced. Timing is hand-rolled over a fixed iteration count
+// rather than driven by b.N, so the CI bench-smoke run (`-benchtime 1x`) still produces
 // real numbers; the measured ns/op, B/op and allocs/op land in
 // BENCH_kernels.json so the kernel-level perf trajectory has a
 // machine-readable data point per CI run. This root package is the only
@@ -13,6 +13,7 @@
 package mhmgo_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -24,6 +25,7 @@ import (
 	"mhmgo/internal/aligner"
 	"mhmgo/internal/dbg"
 	"mhmgo/internal/kmeranalysis"
+	"mhmgo/internal/localasm"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
 )
@@ -57,7 +59,7 @@ func measureKernel(iters int, fn func()) kernelCost {
 }
 
 // reportKernel merges one kernel's comparison into BENCH_kernels.json
-// (read-modify-write: the three kernel benchmarks run sequentially inside
+// (read-modify-write: the kernel benchmarks run sequentially inside
 // this package's test binary) and mirrors the headline numbers as custom
 // benchmark metrics.
 func reportKernel(b *testing.B, key string, packed, ascii kernelCost) {
@@ -201,4 +203,98 @@ func BenchmarkKernelKmerExtract(b *testing.B) {
 		})
 		reportKernel(b, "kmer_extract", packed, ascii)
 	}
+}
+
+// BenchmarkKernelMerWalk measures local assembly's per-contig kernel: one op
+// indexes a 200-read x 100-base bundle and mer-walks both ends of a 300-base
+// contig at k = 33. The mer index builds a packed-key table only for the mer
+// sizes the walks visit, into a scratch reused across contigs; the baseline
+// is the string-keyed table of all 21 sizes it replaced (stringMerWalk, a
+// copy of the oracle in internal/localasm's tests, which this package cannot
+// import). In BENCH_kernels.json the index is the "packed" side and the
+// string table the "ascii" side.
+func BenchmarkKernelMerWalk(b *testing.B) {
+	r := rand.New(rand.NewSource(33))
+	locus := kernelRandBases(r, 700)
+	var reads [][]byte
+	for i := 0; i < 200; i++ {
+		start := i * (len(locus) - 100) / 199
+		rd := locus[start : start+100]
+		if i%2 == 1 {
+			rd = seq.ReverseComplement(rd)
+		}
+		reads = append(reads, rd)
+	}
+	contig := locus[200:500]
+	opts := localasm.DefaultOptions(33)
+	s := localasm.NewScratch()
+	got, _ := localasm.ExtendKernel(contig, reads, opts, s)
+	if want := stringMerWalk(contig, reads, opts); !bytes.Equal(got, want) || len(got) < 650 {
+		b.Fatalf("mer index and string baseline disagree (or the fixture no longer extends): %d vs %d bases", len(got), len(want))
+	}
+	for i := 0; i < b.N; i++ {
+		index := measureKernel(200, func() { localasm.ExtendKernel(contig, reads, opts, s) })
+		baseline := measureKernel(5, func() { stringMerWalk(contig, reads, opts) })
+		reportKernel(b, "mer_walk", index, baseline)
+	}
+}
+
+// stringMerWalk extends a contig the way local assembly did before the mer
+// index: count followers under a string key for every mer size in [MinMer,
+// MaxMer] at every offset of both strands of every read, then walk both ends.
+func stringMerWalk(contig []byte, reads [][]byte, opts localasm.Options) []byte {
+	table := make(map[string]*[4]int)
+	for _, rd := range reads {
+		for _, s := range [][]byte{rd, seq.ReverseComplement(rd)} {
+			for m := opts.MinMer; m <= opts.MaxMer; m++ {
+				for i := 0; i+m < len(s); i++ {
+					code, ok := seq.CharToBase(s[i+m])
+					if !ok || !seq.ValidBases(s[i:i+m]) {
+						continue
+					}
+					counts := table[string(s[i:i+m])]
+					if counts == nil {
+						counts = &[4]int{}
+						table[string(s[i:i+m])] = counts
+					}
+					counts[code]++
+				}
+			}
+		}
+	}
+	walk := func(s []byte) []byte {
+		cur := append([]byte(nil), s...)
+		m, lastShift := opts.K, 0
+		for len(cur)-len(s) < opts.MaxExtension && len(cur) >= m {
+			best, second, bestCode := 0, 0, 0
+			if counts := table[string(cur[len(cur)-m:])]; counts != nil {
+				for code, c := range counts {
+					if c > best {
+						best, second, bestCode = c, best, code
+					} else if c > second {
+						second = c
+					}
+				}
+			}
+			switch {
+			case best < opts.MinSupport: // dead end: downshift
+				if lastShift == 1 || m-opts.ShiftStep < opts.MinMer {
+					return cur[len(s):]
+				}
+				m, lastShift = m-opts.ShiftStep, -1
+			case second >= opts.MinSupport: // fork: upshift
+				if lastShift == -1 || m+opts.ShiftStep > opts.MaxMer {
+					return cur[len(s):]
+				}
+				m, lastShift = m+opts.ShiftStep, 1
+			default:
+				cur, lastShift = append(cur, seq.BaseToChar(byte(bestCode))), 0
+			}
+		}
+		return cur[len(s):]
+	}
+	right := walk(contig)
+	left := walk(seq.ReverseComplement(contig))
+	out := append(seq.ReverseComplement(left), contig...)
+	return append(out, right...)
 }
