@@ -27,42 +27,6 @@ import (
 // completed stage.
 var ErrFaultInjected = errors.New("core: injected fault")
 
-// Stage indices in pipeline order. A checkpoint step is identified by
-// (iteration, stage index); steps are totally ordered lexicographically.
-// Scaffolding runs once after the k loop and is recorded under the final
-// iteration's index.
-const (
-	stageIdxKmerAnalysis = iota
-	stageIdxKmerMerge
-	stageIdxDBGTraversal
-	stageIdxContigRefine
-	stageIdxAlignment
-	stageIdxLocalAssembly
-	stageIdxScaffolding
-)
-
-// stageNames maps a stage index to the stage name constant used in timing
-// breakdowns and manifest step records.
-var stageNames = [...]string{
-	StageKmerAnalysis,
-	StageKmerMerge,
-	StageDBGTraversal,
-	StageContigRefine,
-	StageAlignment,
-	StageLocalAssembly,
-	StageScaffolding,
-}
-
-// stageIndexOf resolves a stage name back to its pipeline index.
-func stageIndexOf(name string) (int, bool) {
-	for i, n := range stageNames {
-		if n == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // configHash returns the hex SHA-256 of a canonical encoding of every
 // configuration field that influences pipeline output or simulated timing.
 // The checkpoint/fault-injection knobs (CheckpointDir, ResumeFrom,
@@ -161,17 +125,25 @@ func inputHash(reads []seq.Read) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// rankState is the complete per-rank pipeline state at a stage boundary:
-// everything runPipeline needs to re-enter the loop at the next stage with
-// bit-identical behavior, including the simulated clock and resident-bytes
-// meter (identical across ranks at a boundary thanks to the stage-end
-// barrier, and required for the sim-seconds equality guarantee).
+// rankState is a rank's carried pipeline state — the one representation the
+// stage bodies mutate, the checkpoint shards serialize and a resume restores
+// whole. At a stage boundary it is everything runPipeline needs to re-enter
+// the schedule at the next step with bit-identical behavior, including the
+// simulated clock and resident-bytes meter (identical across ranks at a
+// boundary thanks to the stage-end barrier, and required for the sim-seconds
+// equality guarantee).
 type rankState struct {
+	// Boundary header, stamped by atBoundary: a checkpoint step is
+	// identified by (iteration, stage index), totally ordered
+	// lexicographically.
 	ranks, rank int
 	it, stage   int
 	clock       float64
 	resident    uint64
 
+	// reads is the rank's current (possibly localized) read set;
+	// shippedReadBytes the resident bytes charged for it, released when the
+	// next localization round replaces it.
 	reads            []seq.Read
 	readOffset       int
 	shippedReadBytes int
@@ -182,30 +154,60 @@ type rankState struct {
 	localAsmBases  int
 	cacheHitRate   float64
 
-	// aligns is the rank's lastAligns slice, serialized only at boundaries
-	// where a later stage still consumes it (local assembly in the same
-	// iteration, or read localization at the iteration end).
+	// aligns is the latest alignment stage's output, serialized only at
+	// boundaries where a later step still consumes it (hasAligns; see
+	// stage.alignsLive).
 	hasAligns bool
 	aligns    []aligner.Alignment
 
-	// contigs is the rank's shard of the live contig set, when one exists.
+	// cset is the live distributed contig set and kmers the live k-mer counts
+	// table (live only between k-mer analysis and graph construction). Both
+	// are machine-wide structures, so a shard carries this rank's part —
+	// contigs, and counts sorted by k-mer for a deterministic byte stream
+	// (the table's iteration order is not) — and loadResume reassembles them.
+	cset       *dbg.ContigSet
+	kmers      *dht.Map[seq.Kmer, seq.KmerCount]
 	hasContigs bool
 	contigs    []dbg.Contig
+	hasCounts  bool
+	counts     []seq.KmerCount
 
-	// counts is the rank's partition of the k-mer counts table (live only
-	// between k-mer analysis and graph construction), sorted by k-mer for a
-	// deterministic byte stream — the table's iteration order is not.
-	hasCounts bool
-	counts    []seq.KmerCount
+	// Scaffolding output, present once the scaffolding stage ran.
+	// scaffold.Scaffolds is non-empty on rank 0 only (the emitted final
+	// list); scaffold.Local is the rank's own shard.
+	hasScaffold bool
+	scaffold    scaffold.Result
+	rounds      []RoundStats
 
-	// Scaffolding output, present only at the scaffolding boundary.
-	// scaffolds is non-empty on rank 0 only (the emitted final list);
-	// scaffoldLocal is the rank's own shard.
-	hasScaffold   bool
-	scaffolds     []scaffold.Scaffold
-	scaffoldLocal []scaffold.Scaffold
-	scafCounters  [8]int
-	rounds        []RoundStats
+	// emitted is the final contig list (rank 0 only); not part of a shard —
+	// it is produced after the last checkpoint.
+	emitted []dbg.Contig
+}
+
+// atBoundary returns the state as the checkpoint after step (it, stage)
+// records it: the carried fields under that step's header, with this rank's
+// shards of the live distributed structures attached.
+func (st *rankState) atBoundary(r *pgas.Rank, it, stage int, alignsLive bool) *rankState {
+	b := *st
+	b.ranks, b.rank, b.it, b.stage = r.NRanks(), r.ID(), it, stage
+	b.clock, b.resident = r.Clock(), r.Resident()
+	b.hasAligns = alignsLive
+	b.hasContigs, b.contigs = st.cset != nil, nil
+	if b.hasContigs {
+		b.contigs = st.cset.Local(r)
+	}
+	b.hasCounts, b.counts = st.kmers != nil, nil
+	if b.hasCounts {
+		b.counts = collectCounts(st.kmers, r.ID())
+	}
+	return &b
+}
+
+// scaffoldCounters lists a scaffold.Result's counters in their shard order
+// (wire-visible, so frozen).
+func scaffoldCounters(sr *scaffold.Result) [8]*int {
+	return [8]*int{&sr.SplintLinks, &sr.SpanLinks, &sr.AcceptedLinks, &sr.RepeatsSuspended,
+		&sr.Components, &sr.RRNAHits, &sr.GapsTotal, &sr.GapsClosed}
 }
 
 // rankStateMagic versions the per-rank shard format. v2 widened the read
@@ -259,16 +261,16 @@ func encodeRankState(st *rankState) []byte {
 	}
 	e.Bool(st.hasScaffold)
 	if st.hasScaffold {
-		e.Int(len(st.scaffolds))
-		for _, s := range st.scaffolds {
+		e.Int(len(st.scaffold.Scaffolds))
+		for _, s := range st.scaffold.Scaffolds {
 			e.Scaffold(s)
 		}
-		e.Int(len(st.scaffoldLocal))
-		for _, s := range st.scaffoldLocal {
+		e.Int(len(st.scaffold.Local))
+		for _, s := range st.scaffold.Local {
 			e.Scaffold(s)
 		}
-		for _, v := range st.scafCounters {
-			e.Int(v)
+		for _, c := range scaffoldCounters(&st.scaffold) {
+			e.Int(*c)
 		}
 		e.Int(len(st.rounds))
 		for _, rs := range st.rounds {
@@ -307,7 +309,7 @@ func decodeRankState(data []byte) (*rankState, error) {
 	if st.stage, err = d.Int(); err != nil {
 		return nil, err
 	}
-	if st.stage < 0 || st.stage >= len(stageNames) {
+	if st.stage < 0 || st.stage >= len(stages) {
 		return nil, fmt.Errorf("stage index %d out of range", st.stage)
 	}
 	if st.clock, err = d.F64(); err != nil {
@@ -396,14 +398,14 @@ func decodeRankState(data []byte) (*rankState, error) {
 		return nil, err
 	}
 	if st.hasScaffold {
-		if st.scaffolds, err = decodeScaffolds(d); err != nil {
+		if st.scaffold.Scaffolds, err = decodeScaffolds(d); err != nil {
 			return nil, err
 		}
-		if st.scaffoldLocal, err = decodeScaffolds(d); err != nil {
+		if st.scaffold.Local, err = decodeScaffolds(d); err != nil {
 			return nil, err
 		}
-		for i := range st.scafCounters {
-			if st.scafCounters[i], err = d.Int(); err != nil {
+		for _, c := range scaffoldCounters(&st.scaffold) {
+			if *c, err = d.Int(); err != nil {
 				return nil, err
 			}
 		}
@@ -555,14 +557,12 @@ func (w *ckptWriter) firstErr() error {
 }
 
 // resumeState is the decoded and validated restart point loadResume builds
-// before the SPMD region starts: the per-rank states plus the shared
-// distributed structures, reconstructed charge-free (their simulated cost
-// lives in the restored rank clocks).
+// before the SPMD region starts: the per-rank states, each carrying the
+// shared distributed structures, reconstructed charge-free (their simulated
+// cost lives in the restored rank clocks).
 type resumeState struct {
 	it, stage int
 	states    []rankState
-	cset      *dbg.ContigSet
-	counts    *dht.Map[seq.Kmer, seq.KmerCount]
 	man       *checkpoint.Manifest
 }
 
@@ -581,7 +581,7 @@ func loadResume(dir string, reads []seq.Read, cfg Config, ks []int, machine *pga
 		return nil, fmt.Errorf("core: checkpoint %s records no completed steps to resume from", dir)
 	}
 	last := man.Steps[len(man.Steps)-1]
-	stage, ok := stageIndexOf(last.Stage)
+	stage, ok := stageByName(last.Stage)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown stage %q", checkpoint.ErrBadManifest, last.Stage)
 	}
@@ -602,10 +602,6 @@ func loadResume(dir string, reads []seq.Read, cfg Config, ks []int, machine *pga
 		rs.states[p] = *st
 	}
 
-	mode := dist.Distributed
-	if cfg.GatherToAll {
-		mode = dist.Replicated
-	}
 	if rs.states[0].hasContigs {
 		shards := make([][]dbg.Contig, cfg.Ranks)
 		id := 0
@@ -622,7 +618,10 @@ func loadResume(dir string, reads []seq.Read, cfg Config, ks []int, machine *pga
 				id++
 			}
 		}
-		rs.cset = dist.RestoreSet(shards, dbg.Contig.WireSize, mode)
+		cset := dist.RestoreSet(shards, dbg.Contig.WireSize, cfg.distMode())
+		for p := range rs.states {
+			rs.states[p].cset = cset
+		}
 	}
 	if rs.states[0].hasCounts {
 		cm := kmeranalysis.NewCountsMap(machine)
@@ -635,7 +634,9 @@ func loadResume(dir string, reads []seq.Read, cfg Config, ks []int, machine *pga
 				cm.Restore(p, kc.Kmer, kc)
 			}
 		}
-		rs.counts = cm
+		for p := range rs.states {
+			rs.states[p].kmers = cm
+		}
 	}
 	return rs, nil
 }

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -401,12 +405,143 @@ func TestResumeRefused(t *testing.T) {
 	}
 }
 
+// TestScheduleMatchesManifestAndProgress pins the stage table against what a
+// run actually does: the (iteration, stage) sequence enumerated from the
+// table's scheduled predicates must equal both the manifest's step sequence
+// of a checkpointed run and the Config.Progress event sequence, for every
+// configuration axis that changes the schedule.
+func TestScheduleMatchesManifestAndProgress(t *testing.T) {
+	reads := ckptReads(t)
+	_, twoLib := twoLibraryCommunity(t)
+	cases := []struct {
+		name  string
+		reads []seq.Read
+		cfg   Config
+		// want, when set, is the literal schedule: it guards the table itself,
+		// which the enumeration below takes on trust.
+		want string
+	}{
+		{name: "default", reads: reads, cfg: testConfig(3),
+			want: "0:kmer_analysis 0:dbg_traversal 0:contig_refine 0:alignment 0:local_assembly " +
+				"1:kmer_analysis 1:kmer_merge 1:dbg_traversal 1:contig_refine 1:alignment 1:local_assembly 1:scaffolding"},
+		{name: "no local assembly", reads: reads, cfg: func() Config { c := testConfig(3); c.LocalAssembly = false; return c }()},
+		{name: "no scaffolding", reads: reads, cfg: func() Config { c := testConfig(3); c.Scaffolding = false; return c }()},
+		{name: "single k", reads: reads, cfg: func() Config { c := testConfig(3); c.KMax = c.KMin; return c }(),
+			want: "0:kmer_analysis 0:dbg_traversal 0:contig_refine 0:alignment 0:local_assembly 0:scaffolding"},
+		{name: "two libraries", reads: twoLib, cfg: twoLibraryConfig(3)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			norm := tc.cfg.withDefaults()
+			nIter := len(norm.KValues())
+			var table []string
+			for it := 0; it < nIter; it++ {
+				for _, sg := range stages {
+					if sg.scheduled(norm, it, nIter) {
+						table = append(table, fmt.Sprintf("%d:%s", it, sg.name))
+					}
+				}
+			}
+			if tc.want != "" && strings.Join(table, " ") != tc.want {
+				t.Errorf("table schedule = %v, want %s", table, tc.want)
+			}
+
+			cfg := tc.cfg
+			cfg.CheckpointDir = t.TempDir()
+			var events []string
+			cfg.Progress = func(ev ProgressEvent) {
+				events = append(events, fmt.Sprintf("%d:%s", ev.Iteration, ev.Stage))
+			}
+			if _, err := Assemble(tc.reads, cfg); err != nil {
+				t.Fatal(err)
+			}
+			man, err := checkpoint.Load(cfg.CheckpointDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var steps []string
+			for _, s := range man.Steps {
+				steps = append(steps, fmt.Sprintf("%d:%s", s.Iteration, s.Stage))
+			}
+			if !slices.Equal(steps, table) {
+				t.Errorf("manifest steps = %v, table schedule = %v", steps, table)
+			}
+			if !slices.Equal(events, table) {
+				t.Errorf("progress events = %v, table schedule = %v", events, table)
+			}
+		})
+	}
+}
+
+// TestRankStateShardPin pins the shard wire format: a fixed, fully populated
+// rank state must encode to the SHA-256 captured at the commit before the
+// stage-table refactor (PR 13's tree), so "shard bytes unchanged" — which
+// cross-commit resume depends on — is checked, not promised. A deliberate
+// format change bumps rankStateMagic and re-captures the literal.
+func TestRankStateShardPin(t *testing.T) {
+	st := rankState{
+		ranks: 5, rank: 3, it: 2, stage: stageIdx(t, StageScaffolding),
+		clock: 0.3141592653589793, resident: 987654321,
+		reads: []seq.Read{
+			{ID: "p7/1", Seq: []byte("ACGTTGCAAC"), Qual: []byte("IIIIHHHH##"), LibID: 1, SampleID: 2},
+			{ID: "p7/2", Seq: []byte("GGTTAACCGN"), Qual: []byte("##HHHHIIII"), LibID: 1, SampleID: 2},
+			{ID: "solo", Seq: []byte("TTTT"), Qual: []byte{}}, // the decoder yields empty, not nil
+		},
+		readOffset: 14, shippedReadBytes: 212,
+		distinctKmers: 4242, heavyHitterMax: 1 << 40, alignedFrac: 0.9375, localAsmBases: 77, cacheHitRate: 0.625,
+		hasAligns: true,
+		aligns: []aligner.Alignment{
+			{ReadIdx: 14, ReadID: "p7/1", LibID: 1, ContigID: 9, ContigLen: 120, ContigPos: -3, Reverse: true, Matches: 9, Mismatch: 1, AlignLen: 10},
+			{ReadIdx: 15, ReadID: "p7/2", LibID: 1, ContigID: 10, ContigLen: 64, ContigPos: 17, Matches: 10, AlignLen: 10},
+		},
+		hasContigs: true,
+		contigs: []dbg.Contig{
+			{ID: 9, Seq: []byte("ACGTACGTACGTAAACCC"), Depth: 6.5},
+			{ID: 10, Seq: []byte("TTGACCA"), Depth: 1.25},
+		},
+		hasCounts: true,
+		counts: []seq.KmerCount{
+			{Kmer: seq.MustKmer("ACGTACGTACGTACGTACGTA"), Count: 7, Left: seq.ExtCounts{1, 2, 3, 4}, Right: seq.ExtCounts{4, 3, 2, 1}},
+			{Kmer: seq.MustKmer("CCGTACGTACGTACGTACGTA"), Count: 2},
+		},
+		hasScaffold: true,
+		scaffold: scaffold.Result{
+			Scaffolds: []scaffold.Scaffold{
+				{ID: 0, Seq: []byte("ACGTNNNNACGT"), ContigIDs: []int{10, 9}, Gaps: 1, GapsClosed: 0},
+				{ID: 1, Seq: []byte("GGGG"), ContigIDs: []int{3}},
+			},
+			Local: []scaffold.Scaffold{
+				{ID: 1, Seq: []byte("GGGG"), ContigIDs: []int{3}, Gaps: 2, GapsClosed: 2},
+			},
+			SplintLinks: 11, SpanLinks: 22, AcceptedLinks: 33, RepeatsSuspended: 44,
+			Components: 55, RRNAHits: 66, GapsTotal: 77, GapsClosed: 88,
+		},
+		rounds: []RoundStats{
+			{Library: "pe", LibIndex: 1, InsertSize: 300, InputContigs: 40, Scaffolds: 12, AcceptedLinks: 9},
+			{Library: "mp", LibIndex: 0, InsertSize: 1500, InputContigs: 12, Scaffolds: 5, AcceptedLinks: 4},
+		},
+	}
+	data := encodeRankState(&st)
+	const wantLen, wantSHA = 978, "207eaec24442441748ea8a886d13fa4d5140e3358378c973c8674bd9a49eeb75"
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantSHA {
+		t.Errorf("shard = %d bytes, sha256 %s; want %d bytes, sha256 %s", len(data), got, wantLen, wantSHA)
+	}
+	dec, err := decodeRankState(data)
+	if err != nil {
+		t.Fatalf("pinned shard failed to decode: %v", err)
+	}
+	if !reflect.DeepEqual(*dec, st) {
+		t.Errorf("decoded state differs from the encoded one:\n got %+v\nwant %+v", *dec, st)
+	}
+}
+
 // FuzzRankStateDecode drives the per-rank shard decoder over arbitrary
 // bytes: it must never panic, and any input it accepts must re-encode to
 // exactly the accepted bytes (the format is canonical).
 func FuzzRankStateDecode(f *testing.F) {
 	full := rankState{
-		ranks: 3, rank: 1, it: 1, stage: stageIdxAlignment,
+		ranks: 3, rank: 1, it: 1, stage: stageIdx(f, StageAlignment),
 		clock: 12.375, resident: 4096,
 		reads: []seq.Read{
 			{ID: "pair1/1", Seq: []byte("ACGTACGTA"), Qual: []byte("IIIIIIIII"), LibID: 0, SampleID: 1},
@@ -414,15 +549,15 @@ func FuzzRankStateDecode(f *testing.F) {
 		},
 		readOffset: 2, shippedReadBytes: 96,
 		distinctKmers: 123, heavyHitterMax: 17, alignedFrac: 0.875, localAsmBases: 40, cacheHitRate: 0.5,
-		hasAligns: true,
-		aligns: []aligner.Alignment{{ReadIdx: 2, ReadID: "pair1/1", ContigID: 0, ContigLen: 30, Matches: 9, AlignLen: 9}},
+		hasAligns:  true,
+		aligns:     []aligner.Alignment{{ReadIdx: 2, ReadID: "pair1/1", ContigID: 0, ContigLen: 30, Matches: 9, AlignLen: 9}},
 		hasContigs: true,
-		contigs: []dbg.Contig{{ID: 0, Seq: []byte("ACGTACGTACGT"), Depth: 2.5}},
+		contigs:    []dbg.Contig{{ID: 0, Seq: []byte("ACGTACGTACGT"), Depth: 2.5}},
 	}
 	f.Add(encodeRankState(&full))
 
 	counts := rankState{
-		ranks: 1, rank: 0, it: 0, stage: stageIdxKmerAnalysis,
+		ranks: 1, rank: 0, it: 0, stage: stageIdx(f, StageKmerAnalysis),
 		clock: 1.5, resident: 128,
 		reads:     []seq.Read{{ID: "r", Seq: []byte("ACGT"), SampleID: 3}},
 		hasCounts: true,
@@ -431,13 +566,16 @@ func FuzzRankStateDecode(f *testing.F) {
 	f.Add(encodeRankState(&counts))
 
 	scaf := rankState{
-		ranks: 2, rank: 0, it: 1, stage: stageIdxScaffolding,
+		ranks: 2, rank: 0, it: 1, stage: stageIdx(f, StageScaffolding),
 		clock: 99.25, resident: 1 << 20,
 		reads:       []seq.Read{{ID: "r", Seq: []byte("ACGT")}},
 		hasScaffold: true,
-		scaffolds:   []scaffold.Scaffold{{ID: 0, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{1, 0}, Gaps: 1}},
-		scafCounters: [8]int{1, 2, 3, 4, 5, 6, 7, 8},
-		rounds:       []RoundStats{{Library: "pe", InsertSize: 220, InputContigs: 4, Scaffolds: 2, AcceptedLinks: 3}},
+		scaffold: scaffold.Result{
+			Scaffolds:   []scaffold.Scaffold{{ID: 0, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{1, 0}, Gaps: 1}},
+			SplintLinks: 1, SpanLinks: 2, AcceptedLinks: 3, RepeatsSuspended: 4,
+			Components: 5, RRNAHits: 6, GapsTotal: 7, GapsClosed: 8,
+		},
+		rounds: []RoundStats{{Library: "pe", InsertSize: 220, InputContigs: 4, Scaffolds: 2, AcceptedLinks: 3}},
 	}
 	f.Add(encodeRankState(&scaf))
 	f.Add([]byte{})

@@ -7,13 +7,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mhmgo/internal/aligner"
 	"mhmgo/internal/cgraph"
 	"mhmgo/internal/checkpoint"
 	"mhmgo/internal/dbg"
-	"mhmgo/internal/dht"
 	"mhmgo/internal/dist"
 	"mhmgo/internal/hmm"
 	"mhmgo/internal/kmeranalysis"
@@ -128,18 +128,20 @@ type Config struct {
 	ResumeFrom    string
 
 	// Progress, when non-nil, receives one event after every completed
-	// pipeline stage (and scaffolding round), emitted by rank 0's goroutine
-	// immediately after the stage-end barrier. The callback runs outside
-	// simulated time — it charges nothing and cannot perturb results — but it
-	// executes synchronously on the SPMD critical path, so it should return
-	// quickly (hand the event to a channel or buffer, don't block on I/O).
+	// pipeline stage — scaffolding is one stage, so it reports once however
+	// many library rounds it ran — emitted by rank 0's goroutine immediately
+	// after the stage-end barrier. The callback runs outside simulated time —
+	// it charges nothing and cannot perturb results — but it executes
+	// synchronously on the SPMD critical path, so it should return quickly
+	// (hand the event to a channel or buffer, don't block on I/O).
 	// Progress is an observation hook, not a simulation parameter: it is
 	// excluded from the checkpoint configuration hash.
 	Progress func(ProgressEvent)
 
 	// Fault injection (testing). FailAfterStage kills the run (Assemble
 	// returns ErrFaultInjected) immediately after the named stage of
-	// iteration FailAtIteration completed and its checkpoint was written.
+	// iteration FailAtIteration completed and its checkpoint was written; a
+	// pair that names no step of the run's schedule is refused up front.
 	// FailAtBarrier > 0 kills the run abruptly in the middle of rank 0's n-th
 	// barrier entry — mid-collective, the worst possible moment. Neither knob
 	// participates in the configuration hash: a resume with the fault cleared
@@ -392,10 +394,8 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 		return nil, fmt.Errorf("core: %d libraries exceed the 256 the uint8 LibID tag can address", len(cfg.Libraries))
 	}
 
-	if cfg.FailAfterStage != "" {
-		if _, ok := stageIndexOf(cfg.FailAfterStage); !ok {
-			return nil, fmt.Errorf("core: FailAfterStage names unknown stage %q", cfg.FailAfterStage)
-		}
+	if err := validateFault(cfg, len(ks)); err != nil {
+		return nil, err
 	}
 
 	machine := pgas.NewMachine(pgas.Config{Ranks: cfg.Ranks, RanksPerNode: cfg.RanksPerNode, Cost: cfg.Cost, CostSet: cfg.CostSet, Workers: cfg.Workers})
@@ -432,9 +432,15 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 	}
 
 	stopWatch := machine.AbortOnCancel(ctx)
-	perRank := make([]rankOutput, cfg.Ranks)
+	// Rank 0's view is the run's outcome: the replicated fields are identical
+	// on every rank and the final emit lands on rank 0 only.
+	var out *rankState
+	var killed bool
 	runRes := machine.Run(func(r *pgas.Rank) {
-		perRank[r.ID()] = runPipeline(r, reads, cfg, ks, ck)
+		st, k := runPipeline(r, reads, cfg, ks, ck)
+		if r.ID() == 0 {
+			out, killed = st, k
+		}
 	})
 	stopWatch()
 	if runRes.Err != nil {
@@ -445,7 +451,7 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 			return nil, fmt.Errorf("core: checkpoint write failed: %w", err)
 		}
 	}
-	if perRank[0].failed {
+	if killed {
 		return nil, fmt.Errorf("%w: killed after stage %s of iteration %d",
 			ErrFaultInjected, cfg.FailAfterStage, cfg.FailAtIteration)
 	}
@@ -460,13 +466,10 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 	res.Stages = runRes.Stages
 	res.Stats = runRes.Stats
 
-	// Merge the per-rank outputs recorded by rank 0 (identical on all ranks
-	// for the replicated fields).
-	out := perRank[0]
-	res.Contigs = out.contigs
-	res.Scaffolds = out.scaffolds
-	res.ScaffoldSummary = out.scaffoldResult
-	res.ScaffoldRounds = out.scaffoldRounds
+	res.Contigs = out.emitted
+	res.Scaffolds = out.scaffold.Scaffolds
+	res.ScaffoldSummary = out.scaffold
+	res.ScaffoldRounds = out.rounds
 	res.DistinctKmers = out.distinctKmers
 	res.HeavyHitterMax = out.heavyHitterMax
 	res.AlignedReadFrac = out.alignedFrac
@@ -477,407 +480,350 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 	return res, nil
 }
 
-// rankOutput carries the results each rank computed out of the SPMD region.
-type rankOutput struct {
-	contigs        []dbg.Contig
-	scaffolds      []scaffold.Scaffold
-	scaffoldResult scaffold.Result
-	scaffoldRounds []RoundStats
-	distinctKmers  int
-	heavyHitterMax int64
-	alignedFrac    float64
-	localAsmBases  int
-	cacheHitRate   float64
-	// failed marks a run killed by Config.FailAfterStage; identical on all
-	// ranks (the kill condition is a pure function of the stage schedule).
-	failed bool
+// stage is one entry of the pipeline's schedule. The table below is the only
+// place the stages and their order are declared: a stage's position in it is
+// its checkpoint index — written into every shard header, so the order is
+// frozen — and its name is what timing breakdowns, progress events and
+// manifest steps carry.
+type stage struct {
+	name string
+	// scheduled reports whether the stage runs in iteration it of a run with
+	// nIter k-iterations. It is a pure function of the configuration, so the
+	// whole schedule is known before the run starts.
+	scheduled func(cfg Config, it, nIter int) bool
+	// alignsLive reports whether a later step still consumes the alignments
+	// once this stage has completed; only then does a checkpoint at its
+	// boundary serialize them. Nil means never.
+	alignsLive func(cfg Config, it, nIter int) bool
+	// run is the stage body. It mutates the rank's carried state and charges
+	// all of its work inside the window the driver opened for it.
+	run func(r *pgas.Rank, cfg Config, k int, st *rankState)
 }
 
-// accumulateScaffoldResult folds one round's counters into the assembly-wide
-// scaffold summary (counters are summed over rounds; the final round's
-// scaffold list is attached by the caller).
-func accumulateScaffoldResult(total *scaffold.Result, round scaffold.Result) {
-	total.SplintLinks += round.SplintLinks
-	total.SpanLinks += round.SpanLinks
-	total.AcceptedLinks += round.AcceptedLinks
-	total.RepeatsSuspended += round.RepeatsSuspended
-	total.Components += round.Components
-	total.RRNAHits += round.RRNAHits
-	total.GapsTotal += round.GapsTotal
-	total.GapsClosed += round.GapsClosed
-	total.Scaffolds = round.Scaffolds
-	total.Local = round.Local
+// stages is Algorithm 1's six stages per k followed by Algorithm 3's
+// scaffolding, which runs once and is recorded under the final iteration.
+var stages = []stage{
+	{name: StageKmerAnalysis, scheduled: everyIteration, run: runKmerAnalysis},
+	{name: StageKmerMerge, scheduled: func(_ Config, it, _ int) bool { return it > 0 }, run: runKmerMerge},
+	{name: StageDBGTraversal, scheduled: everyIteration, run: runDBGTraversal},
+	{name: StageContigRefine, scheduled: everyIteration, run: runContigRefine},
+	{name: StageAlignment, scheduled: everyIteration, run: runAlignment,
+		alignsLive: func(cfg Config, it, nIter int) bool { return cfg.LocalAssembly || localizes(cfg, it, nIter) }},
+	{name: StageLocalAssembly, scheduled: func(cfg Config, _, _ int) bool { return cfg.LocalAssembly }, run: runLocalAssembly,
+		alignsLive: localizes},
+	{name: StageScaffolding, scheduled: func(cfg Config, it, nIter int) bool { return cfg.Scaffolding && it == nIter-1 }, run: runScaffolding},
 }
 
-// runPipeline is the SPMD body executed by every rank. ck carries the run's
-// checkpoint/restart context (a zero-value ckptRun when neither is active):
-// stages at or before the resume point are skipped — their effects live in
-// the restored state — and when a checkpoint writer is attached, every
-// completed stage deposits the rank's full surviving state.
-func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ckptRun) rankOutput {
-	var out rankOutput
+func everyIteration(Config, int, int) bool { return true }
 
-	mode := dist.Distributed
-	if cfg.GatherToAll {
-		mode = dist.Replicated
+// localizes reports whether the reads are redistributed to their contigs'
+// owners at the end of iteration it (Section II-I): after every iteration but
+// the last.
+func localizes(cfg Config, it, nIter int) bool { return cfg.ReadLocalization && it < nIter-1 }
+
+// stageByName resolves a stage name to its index in the table.
+func stageByName(name string) (int, bool) {
+	i := slices.IndexFunc(stages, func(sg stage) bool { return sg.name == name })
+	return i, i >= 0
+}
+
+// validateFault rejects a (FailAtIteration, FailAfterStage) pair that names
+// no step of the run's schedule: such a fault never fires, and the run would
+// complete as if none had been requested.
+func validateFault(cfg Config, nIter int) error {
+	if cfg.FailAfterStage == "" {
+		return nil
 	}
+	si, ok := stageByName(cfg.FailAfterStage)
+	if !ok {
+		return fmt.Errorf("core: FailAfterStage names unknown stage %q", cfg.FailAfterStage)
+	}
+	var valid []int
+	for it := 0; it < nIter; it++ {
+		if stages[si].scheduled(cfg, it, nIter) {
+			valid = append(valid, it)
+		}
+	}
+	if slices.Contains(valid, cfg.FailAtIteration) {
+		return nil
+	}
+	if len(valid) == 0 {
+		return fmt.Errorf("core: FailAfterStage %q can never fire: the stage is not on this configuration's schedule", cfg.FailAfterStage)
+	}
+	return fmt.Errorf("core: FailAfterStage %q can never fire at FailAtIteration %d: the stage runs in iterations %v",
+		cfg.FailAfterStage, cfg.FailAtIteration, valid)
+}
 
-	// Initial block distribution of the reads, in whole pairs.
-	lo, hi := r.PairBlockRange(len(allReads))
-	myReads := allReads[lo:hi]
-	readOffset := lo
+// distMode is the ownership mode of the pipeline's record collections.
+func (c Config) distMode() dist.Mode {
+	if c.GatherToAll {
+		return dist.Replicated
+	}
+	return dist.Distributed
+}
 
-	var cset *dbg.ContigSet
-	var counts *dht.Map[seq.Kmer, seq.KmerCount]
-	var lastAligns []aligner.Alignment
-	// Resident bytes charged for the current localized read set; released
-	// when the next localization round replaces it.
-	shippedReadBytes := 0
+// alignerOptions is the read-to-contig aligner set-up shared by the alignment
+// stage and the scaffolding rounds.
+func alignerOptions(cfg Config, k int) aligner.Options {
+	opts := aligner.DefaultOptions(min(k, 31))
+	opts.UseCache = cfg.SoftwareCache
+	return opts
+}
 
+// runPipeline is the SPMD body executed by every rank: it walks the stage
+// table once per k and returns the rank's final state, plus whether the
+// injected fault killed the run (identical on all ranks — the kill condition
+// is a pure function of the schedule). ck carries the run's checkpoint/restart
+// context (a zero-value ckptRun when neither is active).
+func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ckptRun) (st *rankState, killed bool) {
 	if ck.resume != nil {
-		// Re-enter the pipeline at the stage after the resume point. The
+		// Re-enter the schedule at the step after the resume point. The
 		// restored clock and resident meter are the exact bit patterns the
 		// uninterrupted run carried at this boundary, so everything simulated
 		// from here on reproduces it identically.
-		st := &ck.resume.states[r.ID()]
-		myReads = st.reads
-		readOffset = st.readOffset
-		shippedReadBytes = st.shippedReadBytes
-		out.distinctKmers = st.distinctKmers
-		out.heavyHitterMax = st.heavyHitterMax
-		out.alignedFrac = st.alignedFrac
-		out.localAsmBases = st.localAsmBases
-		out.cacheHitRate = st.cacheHitRate
-		if st.hasAligns {
-			lastAligns = st.aligns
-		}
-		cset = ck.resume.cset
-		counts = ck.resume.counts
-		if st.hasScaffold {
-			out.scaffolds = st.scaffolds
-			c := st.scafCounters
-			out.scaffoldResult = scaffold.Result{
-				Scaffolds:        st.scaffolds,
-				Local:            st.scaffoldLocal,
-				SplintLinks:      c[0],
-				SpanLinks:        c[1],
-				AcceptedLinks:    c[2],
-				RepeatsSuspended: c[3],
-				Components:       c[4],
-				RRNAHits:         c[5],
-				GapsTotal:        c[6],
-				GapsClosed:       c[7],
-			}
-			out.scaffoldRounds = st.rounds
-		}
+		st = &ck.resume.states[r.ID()]
 		r.RestoreState(st.clock, st.resident)
+	} else {
+		// Initial block distribution of the reads, in whole pairs.
+		lo, hi := r.PairBlockRange(len(allReads))
+		st = &rankState{reads: allReads[lo:hi], readOffset: lo}
 	}
+	nIter := len(ks)
 
-	// ckpt deposits this rank's state after stage (it, stage) completed and
-	// reports whether the injected fault fires here. It runs between the
-	// stage-end barrier and the next collective, using only out-of-band Go
-	// synchronization: checkpoint I/O must never advance the simulated
-	// clocks, or a checkpointed run would diverge from an uncheckpointed one.
-	ckpt := func(it, stage, k int) (failNow bool) {
+	// step runs stage si of iteration it and reports whether the injected
+	// fault fires at its boundary. Steps the schedule omits, and steps at or
+	// before the resume point — their effects live in the restored state —
+	// are skipped. The checkpoint deposit sits between the stage-end barrier
+	// and the next collective and uses only out-of-band Go synchronization:
+	// checkpoint I/O must never advance the simulated clocks, or a
+	// checkpointed run would diverge from an uncheckpointed one.
+	step := func(it, si int) bool {
+		sg := &stages[si]
+		if !sg.scheduled(cfg, it, nIter) || ck.done(it, si) {
+			return false
+		}
+		k := ks[it]
+		t0 := r.StageStart()
+		sg.run(r, cfg, k, st)
+		r.StageEnd(sg.name, t0)
+		reportProgress(r, cfg, sg.name, it, k)
 		if ck.writer != nil {
-			st := rankState{
-				ranks:            r.NRanks(),
-				rank:             r.ID(),
-				it:               it,
-				stage:            stage,
-				clock:            r.Clock(),
-				resident:         r.Resident(),
-				reads:            myReads,
-				readOffset:       readOffset,
-				shippedReadBytes: shippedReadBytes,
-				distinctKmers:    out.distinctKmers,
-				heavyHitterMax:   out.heavyHitterMax,
-				alignedFrac:      out.alignedFrac,
-				localAsmBases:    out.localAsmBases,
-				cacheHitRate:     out.cacheHitRate,
-			}
-			// Alignments are serialized only at boundaries where a later
-			// stage still consumes them: local assembly in the same
-			// iteration, or read localization at the iteration end.
-			switch stage {
-			case stageIdxAlignment:
-				st.hasAligns = cfg.LocalAssembly || (cfg.ReadLocalization && it < len(ks)-1)
-			case stageIdxLocalAssembly:
-				st.hasAligns = cfg.ReadLocalization && it < len(ks)-1
-			}
-			if st.hasAligns {
-				st.aligns = lastAligns
-			}
-			if cset != nil {
-				st.hasContigs = true
-				st.contigs = cset.Local(r)
-			}
-			if counts != nil {
-				st.hasCounts = true
-				st.counts = collectCounts(counts, r.ID())
-			}
-			if stage == stageIdxScaffolding {
-				st.hasScaffold = true
-				st.scaffolds = out.scaffolds
-				st.scaffoldLocal = out.scaffoldResult.Local
-				sr := &out.scaffoldResult
-				st.scafCounters = [8]int{
-					sr.SplintLinks, sr.SpanLinks, sr.AcceptedLinks, sr.RepeatsSuspended,
-					sr.Components, sr.RRNAHits, sr.GapsTotal, sr.GapsClosed,
-				}
-				st.rounds = out.scaffoldRounds
-			}
-			ck.writer.record(r, it, stageNames[stage], k, encodeRankState(&st))
+			alignsLive := sg.alignsLive != nil && sg.alignsLive(cfg, it, nIter)
+			ck.writer.record(r, it, sg.name, k, encodeRankState(st.atBoundary(r, it, si, alignsLive)))
 		}
-		if cfg.FailAfterStage == stageNames[stage] && cfg.FailAtIteration == it {
-			out.failed = true
-			return true
-		}
-		return false
+		return cfg.FailAfterStage == sg.name && cfg.FailAtIteration == it
 	}
 
-	for it, k := range ks {
-		// Stage 1: k-mer analysis.
-		if !ck.done(it, stageIdxKmerAnalysis) {
-			st := r.StageStart()
-			kopts := kmeranalysis.DefaultOptions(k)
-			kopts.MinCount = cfg.MinKmerCount
-			kopts.UseBloom = cfg.UseBloom
-			kopts.Aggregate = cfg.Aggregate
-			kares := kmeranalysis.Run(r, myReads, kopts, nil)
-			counts = kares.Counts
-			out.distinctKmers = kares.DistinctKmers
-			if len(kares.HeavyHitters) > 0 && kares.HeavyHitters[0].Count > out.heavyHitterMax {
-				out.heavyHitterMax = kares.HeavyHitters[0].Count
-			}
-			r.StageEnd(StageKmerAnalysis, st)
-			reportProgress(r, cfg, StageKmerAnalysis, it, k)
-			if ckpt(it, stageIdxKmerAnalysis, k) {
-				return out
+	// Algorithm 1's stages for every k, then Algorithm 3's scaffolding (the
+	// table's last entry) once. Read localization and the MinContigLen filter
+	// run between stage windows — their charges belong to no stage and they
+	// are not checkpointed — so the driver owns them, not the table.
+	scaffolding := len(stages) - 1
+	for it := range ks {
+		for si := 0; si < scaffolding; si++ {
+			if step(it, si) {
+				return st, true
 			}
 		}
-
-		// Stage 1b: merge the previous iteration's contig k-mers (Section
-		// II-H) so low-coverage organisms keep their assembled regions. The
-		// contigs are owner-distributed, so each rank merges its own shard.
-		if it > 0 && cset != nil && !ck.done(it, stageIdxKmerMerge) {
-			st := r.StageStart()
-			var seqs [][]byte
-			cset.ForEachLocal(r, func(_ int, c dbg.Contig) { seqs = append(seqs, c.Seq) })
-			kmeranalysis.MergeContigKmers(r, counts, seqs, k, cfg.MinKmerCount+1)
-			r.StageEnd(StageKmerMerge, st)
-			reportProgress(r, cfg, StageKmerMerge, it, k)
-			if ckpt(it, stageIdxKmerMerge, k) {
-				return out
-			}
-		}
-
-		// Stage 2: de Bruijn graph construction and traversal. The emitted
-		// contigs are routed to their content-hash owners and renumbered
-		// with an exclusive scan; the previous iteration's set is released.
-		if !ck.done(it, stageIdxDBGTraversal) {
-			st := r.StageStart()
-			topts := dbg.ThresholdOptions{TBase: cfg.TBase, ErrorRate: cfg.ErrorRate, GlobalTHQ: cfg.GlobalTHQ, MinCount: 1}
-			graph := dbg.Build(r, counts, k, topts)
-			local := dbg.Traverse(r, graph, dbg.TraverseOptions{})
-			next := dbg.DistributeContigs(r, local, mode)
-			if cset != nil {
-				cset.Release(r)
-			}
-			cset = next
-			// The counts table is consumed by graph construction; the next
-			// iteration builds a fresh one, so it leaves the checkpoint state.
-			counts = nil
-			r.StageEnd(StageDBGTraversal, st)
-			reportProgress(r, cfg, StageDBGTraversal, it, k)
-			if ckpt(it, stageIdxDBGTraversal, k) {
-				return out
-			}
-		}
-
-		// Stages 3-4: bubble merging, hair removal, iterative pruning,
-		// chain compaction (all on the distributed set).
-		if !ck.done(it, stageIdxContigRefine) {
-			st := r.StageStart()
-			copts := cgraph.DefaultOptions(k)
-			copts.MergeBubbles = cfg.BubbleMerging
-			copts.RemoveHair = cfg.HairRemoval
-			copts.Prune = cfg.Pruning
-			copts.Compact = cfg.Compaction
-			copts.Aggregate = cfg.Aggregate
-			refined := cgraph.Refine(r, cset, copts)
-			cset = refined.Set
-			r.StageEnd(StageContigRefine, st)
-			reportProgress(r, cfg, StageContigRefine, it, k)
-			if ckpt(it, stageIdxContigRefine, k) {
-				return out
-			}
-		}
-
-		// Stage 5: read-to-contig alignment.
-		if !ck.done(it, stageIdxAlignment) {
-			st := r.StageStart()
-			aopts := aligner.DefaultOptions(minInt(k, 31))
-			aopts.UseCache = cfg.SoftwareCache
-			idx := aligner.BuildIndex(r, cset, aopts)
-			aligns, astats := aligner.AlignReads(r, idx, myReads, readOffset, aopts)
-			lastAligns = aligns
-			alignedLocal := int64(astats.ReadsAligned)
-			totalLocal := int64(astats.ReadsTotal)
-			alignedAll := pgas.AllReduce(r, alignedLocal, pgas.ReduceSum)
-			totalAll := pgas.AllReduce(r, totalLocal, pgas.ReduceSum)
-			if totalAll > 0 {
-				out.alignedFrac = float64(alignedAll) / float64(totalAll)
-			}
-			out.cacheHitRate = astats.CacheHitRate
-			r.StageEnd(StageAlignment, st)
-			reportProgress(r, cfg, StageAlignment, it, k)
-			if ckpt(it, stageIdxAlignment, k) {
-				return out
-			}
-		}
-
-		// Stage 6: local assembly (mer-walking with work sharing); the
-		// extensions are applied owner-side in place.
-		if cfg.LocalAssembly && !ck.done(it, stageIdxLocalAssembly) {
-			st := r.StageStart()
-			lopts := localasm.DefaultOptions(k)
-			lopts.WorkStealing = cfg.WorkStealing
-			lopts.Libraries = cfg.Libraries
-			lres := localasm.Run(r, cset, myReads, readOffset, lastAligns, lopts)
-			out.localAsmBases = lres.ExtendedBases
-			r.StageEnd(StageLocalAssembly, st)
-			reportProgress(r, cfg, StageLocalAssembly, it, k)
-			if ckpt(it, stageIdxLocalAssembly, k) {
-				return out
-			}
-		}
-
-		// Read localization (Section II-I): after the first iteration the
-		// reads are redistributed so reads aligned to a contig live on the
-		// rank that owns the contig. Not a checkpointed stage: a resume into
-		// the next iteration carries the localized reads in its restored
-		// state, and a resume at this iteration's last stage replays the
+		// Read localization (Section II-I): the reads are redistributed so
+		// reads aligned to a contig live on the rank that owns the contig. A
+		// resume into the next iteration carries the localized reads in its
+		// restored state; a resume at this iteration's last stage replays the
 		// exchange deterministically from the restored alignments.
-		if cfg.ReadLocalization && it < len(ks)-1 && !ck.done(it+1, stageIdxKmerAnalysis) {
+		if localizes(cfg, it, nIter) && !ck.done(it+1, 0) { // 0: the next iteration's first step
 			// The previous round's shipped reads are superseded by this
 			// exchange: return their resident charge before re-charging.
-			r.ReleaseResident(shippedReadBytes)
-			myReads, readOffset, shippedReadBytes = localizePairs(r, cset, myReads, readOffset, lastAligns)
-			lastAligns = nil
+			r.ReleaseResident(st.shippedReadBytes)
+			st.reads, st.readOffset, st.shippedReadBytes = localizePairs(r, st.cset, st.reads, st.readOffset, st.aligns)
+			st.aligns = nil
 		}
 	}
-
-	finalIt := len(ks) - 1
-
 	// Drop short contigs shard-locally and re-densify the IDs. Skipped on a
 	// resume past the scaffolding checkpoint: the restored set is already
 	// filtered (the scaffolding stage consumed it).
-	if cfg.MinContigLen > 0 && !ck.done(finalIt, stageIdxScaffolding) {
-		cset.FilterLocal(r, func(c dbg.Contig) bool { return len(c.Seq) >= cfg.MinContigLen })
-		dbg.RenumberContigs(r, cset)
+	if cfg.MinContigLen > 0 && !ck.done(nIter-1, scaffolding) {
+		st.cset.FilterLocal(r, func(c dbg.Contig) bool { return len(c.Seq) >= cfg.MinContigLen })
+		dbg.RenumberContigs(r, st.cset)
 	}
+	if step(nIter-1, scaffolding) {
+		return st, true
+	}
+	emitFinal(r, st)
+	return st, false
+}
 
-	// Scaffolding (Algorithm 3), one round per library in ascending
-	// insert-size order. Each round aligns its own library's reads (by the
-	// LibID tag) against the current contig set; an intermediate round's
-	// scaffolds are spliced back in as the next round's contigs
-	// (content-hash deduplicated, canonically owned), so longer-insert
-	// libraries link the structures the shorter ones built.
-	// With one library the loop degenerates to exactly the legacy
-	// single-round flow.
-	if cfg.Scaffolding && !ck.done(finalIt, stageIdxScaffolding) {
-		st := r.StageStart()
-		finalK := ks[len(ks)-1]
-		order := scaffoldOrder(cfg.Libraries)
-		for ri, li := range order {
-			lib := cfg.Libraries[li]
-			inputContigs := cset.GlobalLen(r)
-			aopts := aligner.DefaultOptions(minInt(finalK, 31))
-			aopts.UseCache = cfg.SoftwareCache
-			if len(order) > 1 {
-				// Align only this round's library: the other libraries'
-				// alignments would be discarded, and alignment is
-				// independent per read, so the restriction changes charged
-				// work but never output.
-				roundLib := uint8(li)
-				aopts.OnlyLib = &roundLib
-			}
-			idx := aligner.BuildIndex(r, cset, aopts)
-			aligns, _ := aligner.AlignReads(r, idx, myReads, readOffset, aopts)
-			sopts := scaffold.DefaultOptions(finalK, lib.InsertSize)
-			if lib.InsertStd > 0 {
-				sopts.InsertStd = lib.InsertStd
-			}
-			sopts.Aggregate = cfg.Aggregate
-			sopts.UseComponents = cfg.UseComponents
-			sopts.RRNAProfile = cfg.RRNAProfile
-			last := ri == len(order)-1
-			sopts.SkipEmit = !last
-			sres := scaffold.Run(r, cset, myReads, readOffset, aligns, sopts)
-			nScaffolds := pgas.AllReduce(r, len(sres.Local), pgas.ReduceSum)
-			out.scaffoldRounds = append(out.scaffoldRounds, RoundStats{
-				Library:       lib.Name,
-				LibIndex:      li,
-				InsertSize:    lib.InsertSize,
-				InputContigs:  inputContigs,
-				Scaffolds:     nScaffolds,
-				AcceptedLinks: sres.AcceptedLinks,
-			})
-			accumulateScaffoldResult(&out.scaffoldResult, sres)
-			if last {
-				out.scaffolds = sres.Scaffolds
-				break
-			}
-			// Splice this round's scaffolds back in as the next round's
-			// contigs. The scaffold sequences are fresh buffers independent
-			// of the old set's storage, so the replaced set's resident bytes
-			// are returned before the exchange materializes the new one —
-			// the peak meter never holds both contig generations at once.
-			local := make([]dbg.Contig, 0, len(sres.Local))
-			for _, s := range sres.Local {
-				local = append(local, dbg.Contig{Seq: s.Seq})
-			}
-			cset.Release(r)
-			cset = dbg.DistributeContigs(r, local, mode)
-		}
-		r.StageEnd(StageScaffolding, st)
-		reportProgress(r, cfg, StageScaffolding, finalIt, ks[finalIt])
-		if ckpt(finalIt, stageIdxScaffolding, ks[finalIt]) {
-			return out
-		}
+// runKmerAnalysis counts the iteration's k-mers into a fresh table.
+func runKmerAnalysis(r *pgas.Rank, cfg Config, k int, st *rankState) {
+	kopts := kmeranalysis.DefaultOptions(k)
+	kopts.MinCount = cfg.MinKmerCount
+	kopts.UseBloom = cfg.UseBloom
+	kopts.Aggregate = cfg.Aggregate
+	kares := kmeranalysis.Run(r, st.reads, kopts, nil)
+	st.kmers = kares.Counts
+	st.distinctKmers = kares.DistinctKmers
+	if len(kares.HeavyHitters) > 0 && kares.HeavyHitters[0].Count > st.heavyHitterMax {
+		st.heavyHitterMax = kares.HeavyHitters[0].Count
 	}
+}
 
-	// Final output: one rank-ordered emit onto rank 0, which sorts into the
-	// deterministic global order and renumbers. The scaffolds recorded the
-	// distributed set's internal IDs, so their member lists are remapped to
-	// the emitted numbering — Scaffold.ContigIDs must keep indexing
-	// Result.Contigs. Every other rank reports nil.
-	emitted := cset.Emit(r)
-	if emitted != nil {
-		order := make([]int, len(emitted))
-		for i := range order {
-			order[i] = i
-		}
-		sortContigOrder(emitted, order)
-		idMap := make(map[int]int, len(emitted))
-		sorted := make([]dbg.Contig, len(emitted))
-		for newID, oldIdx := range order {
-			c := emitted[oldIdx]
-			idMap[c.ID] = newID
-			c.ID = newID
-			sorted[newID] = c
-		}
-		for si := range out.scaffolds {
-			ids := out.scaffolds[si].ContigIDs
-			for i, id := range ids {
-				ids[i] = idMap[id]
-			}
-		}
-		out.contigs = sorted
-		r.Compute(float64(len(sorted)))
+// runKmerMerge merges the previous iteration's contig k-mers (Section II-H)
+// so low-coverage organisms keep their assembled regions. The contigs are
+// owner-distributed, so each rank merges its own shard.
+func runKmerMerge(r *pgas.Rank, cfg Config, k int, st *rankState) {
+	var seqs [][]byte
+	st.cset.ForEachLocal(r, func(_ int, c dbg.Contig) { seqs = append(seqs, c.Seq) })
+	kmeranalysis.MergeContigKmers(r, st.kmers, seqs, k, cfg.MinKmerCount+1)
+}
+
+// runDBGTraversal builds and traverses the de Bruijn graph. The emitted
+// contigs are routed to their content-hash owners and renumbered with an
+// exclusive scan; the previous iteration's set is released.
+func runDBGTraversal(r *pgas.Rank, cfg Config, k int, st *rankState) {
+	topts := dbg.ThresholdOptions{TBase: cfg.TBase, ErrorRate: cfg.ErrorRate, GlobalTHQ: cfg.GlobalTHQ, MinCount: 1}
+	graph := dbg.Build(r, st.kmers, k, topts)
+	local := dbg.Traverse(r, graph, dbg.TraverseOptions{})
+	next := dbg.DistributeContigs(r, local, cfg.distMode())
+	if st.cset != nil {
+		st.cset.Release(r)
 	}
-	return out
+	st.cset = next
+	// The counts table is consumed by graph construction; the next iteration
+	// builds a fresh one, so it leaves the checkpoint state.
+	st.kmers = nil
+}
+
+// runContigRefine runs bubble merging, hair removal, iterative pruning and
+// chain compaction, all on the distributed set.
+func runContigRefine(r *pgas.Rank, cfg Config, k int, st *rankState) {
+	copts := cgraph.DefaultOptions(k)
+	copts.MergeBubbles = cfg.BubbleMerging
+	copts.RemoveHair = cfg.HairRemoval
+	copts.Prune = cfg.Pruning
+	copts.Compact = cfg.Compaction
+	copts.Aggregate = cfg.Aggregate
+	st.cset = cgraph.Refine(r, st.cset, copts).Set
+}
+
+// runAlignment aligns the rank's reads to the contig set.
+func runAlignment(r *pgas.Rank, cfg Config, k int, st *rankState) {
+	aopts := alignerOptions(cfg, k)
+	idx := aligner.BuildIndex(r, st.cset, aopts)
+	aligns, astats := aligner.AlignReads(r, idx, st.reads, st.readOffset, aopts)
+	st.aligns = aligns
+	alignedAll := pgas.AllReduce(r, int64(astats.ReadsAligned), pgas.ReduceSum)
+	totalAll := pgas.AllReduce(r, int64(astats.ReadsTotal), pgas.ReduceSum)
+	if totalAll > 0 {
+		st.alignedFrac = float64(alignedAll) / float64(totalAll)
+	}
+	st.cacheHitRate = astats.CacheHitRate
+}
+
+// runLocalAssembly extends contigs by mer-walking with work sharing; the
+// extensions are applied owner-side in place.
+func runLocalAssembly(r *pgas.Rank, cfg Config, k int, st *rankState) {
+	lopts := localasm.DefaultOptions(k)
+	lopts.WorkStealing = cfg.WorkStealing
+	lopts.Libraries = cfg.Libraries
+	st.localAsmBases = localasm.Run(r, st.cset, st.reads, st.readOffset, st.aligns, lopts).ExtendedBases
+}
+
+// runScaffolding is Algorithm 3, one round per library in ascending
+// insert-size order. Each round aligns its own library's reads (by the LibID
+// tag) against the current contig set; an intermediate round's scaffolds are
+// spliced back in as the next round's contigs (content-hash deduplicated,
+// canonically owned), so longer-insert libraries link the structures the
+// shorter ones built. With one library the loop degenerates to exactly the
+// legacy single-round flow.
+func runScaffolding(r *pgas.Rank, cfg Config, k int, st *rankState) {
+	st.hasScaffold = true
+	order := scaffoldOrder(cfg.Libraries)
+	for ri, li := range order {
+		lib := cfg.Libraries[li]
+		inputContigs := st.cset.GlobalLen(r)
+		aopts := alignerOptions(cfg, k)
+		if len(order) > 1 {
+			// Align only this round's library: the other libraries'
+			// alignments would be discarded, and alignment is independent
+			// per read, so the restriction changes charged work but never
+			// output.
+			roundLib := uint8(li)
+			aopts.OnlyLib = &roundLib
+		}
+		idx := aligner.BuildIndex(r, st.cset, aopts)
+		aligns, _ := aligner.AlignReads(r, idx, st.reads, st.readOffset, aopts)
+		sopts := scaffold.DefaultOptions(k, lib.InsertSize)
+		if lib.InsertStd > 0 {
+			sopts.InsertStd = lib.InsertStd
+		}
+		sopts.Aggregate = cfg.Aggregate
+		sopts.UseComponents = cfg.UseComponents
+		sopts.RRNAProfile = cfg.RRNAProfile
+		last := ri == len(order)-1
+		sopts.SkipEmit = !last
+		sres := scaffold.Run(r, st.cset, st.reads, st.readOffset, aligns, sopts)
+		nScaffolds := pgas.AllReduce(r, len(sres.Local), pgas.ReduceSum)
+		st.rounds = append(st.rounds, RoundStats{
+			Library:       lib.Name,
+			LibIndex:      li,
+			InsertSize:    lib.InsertSize,
+			InputContigs:  inputContigs,
+			Scaffolds:     nScaffolds,
+			AcceptedLinks: sres.AcceptedLinks,
+		})
+		// Counters are summed over rounds; the scaffold lists are the latest
+		// round's (the final round's is the assembly's output).
+		total, round := scaffoldCounters(&st.scaffold), scaffoldCounters(&sres)
+		for i := range total {
+			*total[i] += *round[i]
+		}
+		st.scaffold.Scaffolds, st.scaffold.Local = sres.Scaffolds, sres.Local
+		if last {
+			break
+		}
+		// Splice this round's scaffolds back in as the next round's
+		// contigs. The scaffold sequences are fresh buffers independent of
+		// the old set's storage, so the replaced set's resident bytes are
+		// returned before the exchange materializes the new one — the peak
+		// meter never holds both contig generations at once.
+		local := make([]dbg.Contig, 0, len(sres.Local))
+		for _, s := range sres.Local {
+			local = append(local, dbg.Contig{Seq: s.Seq})
+		}
+		st.cset.Release(r)
+		st.cset = dbg.DistributeContigs(r, local, cfg.distMode())
+	}
+}
+
+// emitFinal produces the assembly's output: one rank-ordered emit onto rank
+// 0, which sorts into the deterministic global order and renumbers. The
+// scaffolds recorded the distributed set's internal IDs, so their member
+// lists are remapped to the emitted numbering — Scaffold.ContigIDs must keep
+// indexing Result.Contigs. Every other rank reports nil.
+func emitFinal(r *pgas.Rank, st *rankState) {
+	emitted := st.cset.Emit(r)
+	if emitted == nil {
+		return
+	}
+	order := make([]int, len(emitted))
+	for i := range order {
+		order[i] = i
+	}
+	sortContigOrder(emitted, order)
+	idMap := make(map[int]int, len(emitted))
+	sorted := make([]dbg.Contig, len(emitted))
+	for newID, oldIdx := range order {
+		c := emitted[oldIdx]
+		idMap[c.ID] = newID
+		c.ID = newID
+		sorted[newID] = c
+	}
+	for _, s := range st.scaffold.Scaffolds {
+		for i, id := range s.ContigIDs {
+			s.ContigIDs[i] = idMap[id]
+		}
+	}
+	st.emitted = sorted
+	r.Compute(float64(len(sorted)))
 }
 
 // reportProgress delivers a stage-completion event to the Progress hook.
@@ -963,10 +909,3 @@ type pairMsg struct {
 
 // WireSize returns the wire bytes of one shipped pair.
 func (pm pairMsg) WireSize() int { return pm.R1.WireSize() + pm.R2.WireSize() + 8 }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

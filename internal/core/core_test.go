@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"mhmgo/internal/eval"
@@ -41,6 +43,16 @@ func testConfig(ranks int) Config {
 	return cfg
 }
 
+// stageIdx returns a stage's index in the stage table.
+func stageIdx(t testing.TB, name string) int {
+	t.Helper()
+	i, ok := stageByName(name)
+	if !ok {
+		t.Fatalf("stage %q is not in the stage table", name)
+	}
+	return i
+}
+
 func TestKValues(t *testing.T) {
 	cfg := Config{KMin: 21, KMax: 55, KStep: 12}
 	ks := cfg.KValues()
@@ -70,6 +82,43 @@ func TestAssembleErrors(t *testing.T) {
 	cfg.KMin, cfg.KMax = 200, 300
 	if _, err := Assemble([]seq.Read{{ID: "r", Seq: []byte("ACGT")}}, cfg); err == nil {
 		t.Error("k out of range should fail")
+	}
+
+	// A fault that names no step of the run's schedule can never fire; it
+	// must be refused up front, not accepted and silently ignored.
+	reads := []seq.Read{{ID: "r", Seq: []byte("ACGT")}}
+	faults := []struct {
+		name    string
+		stage   string
+		it      int
+		mutate  func(*Config)
+		wantMsg string
+	}{
+		{name: "unknown stage", stage: "polishing", wantMsg: "unknown stage"},
+		{name: "kmer_merge in iteration 0", stage: StageKmerMerge, wantMsg: "runs in iterations [1]"},
+		{name: "scaffolding before the final iteration", stage: StageScaffolding, wantMsg: "runs in iterations [1]"},
+		{name: "iteration past the last k", stage: StageAlignment, it: 7, wantMsg: "runs in iterations [0 1]"},
+		{name: "negative iteration", stage: StageAlignment, it: -1, wantMsg: "runs in iterations [0 1]"},
+		{name: "local assembly disabled", stage: StageLocalAssembly,
+			mutate: func(c *Config) { c.LocalAssembly = false }, wantMsg: "not on this configuration's schedule"},
+		{name: "scaffolding disabled", stage: StageScaffolding, it: 1,
+			mutate: func(c *Config) { c.Scaffolding = false }, wantMsg: "not on this configuration's schedule"},
+	}
+	for _, tc := range faults {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(2)
+			cfg.FailAfterStage, cfg.FailAtIteration = tc.stage, tc.it
+			if tc.mutate != nil {
+				tc.mutate(&cfg)
+			}
+			_, err := Assemble(reads, cfg)
+			if err == nil || errors.Is(err, ErrFaultInjected) {
+				t.Fatalf("Assemble = %v, want a validation error", err)
+			}
+			if !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Errorf("error = %v, want message containing %q", err, tc.wantMsg)
+			}
+		})
 	}
 }
 

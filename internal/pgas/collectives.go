@@ -34,7 +34,6 @@
 package pgas
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -114,11 +113,11 @@ func (ib *exchInbox) put(src int, payload any, bytes int) {
 }
 
 // drainInbox consumes every batch deposited for this rank in ascending
-// source-rank order, replaying the dense exchange's accounting: inbound
-// bytes for batches from other ranks, and the full received footprint
-// (including the rank's own loop-back batch) against the resident meter.
-// Must be called between the exchange's entry barrier (all deposits
-// delivered) and its exit barrier (mailbox array reusable).
+// source-rank order and accounts it: inbound bytes for batches from other
+// ranks, and the full received footprint (including the rank's own loop-back
+// batch) against the resident meter. Must be called between the exchange's
+// entry barrier (all deposits delivered) and its exit barrier (mailbox array
+// reusable).
 func (r *Rank) drainInbox(fn func(src int, payload any, bytes int)) {
 	ib := &r.machine.inboxes[r.id]
 	ib.mu.Lock()
@@ -474,75 +473,21 @@ func Broadcast[T any](r *Rank, x T) T {
 	return out
 }
 
-// AllToAll exchanges one slice per destination rank. outgoing must have
-// exactly NRanks entries; entry d is delivered to rank d. The returned slice
-// has NRanks entries where entry s is the slice this rank received from rank
-// s. A personalized exchange has no tree shortcut — every pair must move its
-// own data — so costs are charged per non-empty destination batch
-// (aggregated messages), and received batches are accounted to
-// BytesReceived. Callers that do not need the dense [][]T view should prefer
-// ExchangeFunc, which never materializes O(P) per-rank scratch.
-func AllToAll[T any](r *Rank, outgoing [][]T, bytesPerItem int) [][]T {
-	return allToAll(r, outgoing, func(batch []T) int { return len(batch) * bytesPerItem })
-}
-
-// AllToAllV is AllToAll for items with variable wire sizes: sizeOf reports
-// the wire bytes of one item, and each non-empty destination batch is charged
-// its actual payload bytes.
-func AllToAllV[T any](r *Rank, outgoing [][]T, sizeOf func(T) int) [][]T {
-	return allToAll(r, outgoing, func(batch []T) int {
-		total := 0
-		for _, it := range batch {
-			total += sizeOf(it)
-		}
-		return total
-	})
-}
-
-func allToAll[T any](r *Rank, outgoing [][]T, batchBytes func([]T) int) [][]T {
-	m := r.machine
-	if len(outgoing) != m.cfg.Ranks {
-		panic(fmt.Sprintf("pgas: AllToAll outgoing has %d entries, want %d", len(outgoing), m.cfg.Ranks))
-	}
-	// The dense exchange deposits every batch — empty and nil included — so
-	// incoming[s] is exactly what rank s put in outgoing (historical
-	// contract some callers rely on). Sparse patterns should use
-	// ExchangeFunc, which skips empties.
-	for dest, batch := range outgoing {
-		b := batchBytes(batch)
-		m.inboxes[dest].put(r.id, batch, b)
-		if len(batch) > 0 && dest != r.id {
-			r.ChargeSend(dest, b, 1)
-		}
-	}
-	r.Barrier()
-	incoming := make([][]T, m.cfg.Ranks)
-	r.drainInbox(func(src int, payload any, bytes int) {
-		incoming[src] = payload.([]T)
-	})
-	// The three-phase structure (deposit / drain / reset) of the historical
-	// dense exchange is kept: all exchange-based code was calibrated
-	// against its three barriers, and ExchangeFunc matches it so converting
-	// a call site never moves the simulated clock.
-	r.Barrier()
-	r.Barrier()
-	return incoming
-}
-
-// ExchangeFunc is the sparse personalized exchange: it routes items to the
-// destination ranks chosen by destOf (reduced into [0, NRanks)) and returns
-// the items this rank received, concatenated in ascending source-rank order
-// with each source's items in that source's original order — exactly the
-// order the dense AllToAllV-then-flatten idiom produced. sizeOf reports one
-// item's wire bytes.
+// ExchangeFunc is the personalized exchange (upc_all_to_all): it routes items
+// to the destination ranks chosen by destOf (reduced into [0, NRanks)) and
+// returns the items this rank received, concatenated in ascending source-rank
+// order with each source's items in that source's original order. sizeOf
+// reports one item's wire bytes.
 //
-// Unlike AllToAll it never materializes O(P) scratch on the caller: grouping
-// is a stable sort of the item indices by destination, each batch is a
-// subslice of one routed copy, and only non-empty batches are deposited, so
-// a rank talking to d destinations costs O(items + d), independent of P.
-// Charging is identical to the dense exchange: one aggregated send per
-// non-empty destination batch in ascending destination order, received
-// batches accounted to BytesReceived and the resident meter, three barriers.
+// It never materializes O(P) scratch on the caller: grouping is a stable sort
+// of the item indices by destination, each batch is a subslice of one routed
+// copy, and only non-empty batches are deposited, so a rank talking to d
+// destinations costs O(items + d), independent of P. A personalized exchange
+// has no tree shortcut — every pair must move its own data — so it is charged
+// one aggregated send per non-empty destination batch, in ascending
+// destination order; received batches are accounted to BytesReceived and the
+// resident meter. The epoch is three barriers (deposit / drain / reset): every
+// exchange-based stage was calibrated against that count.
 func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, sizeOf func(T) int) []T {
 	m := r.machine
 	p := m.cfg.Ranks
@@ -581,7 +526,6 @@ func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, siz
 	r.drainInbox(func(src int, payload any, bytes int) {
 		merged = append(merged, payload.([]T)...)
 	})
-	// Match the dense exchange's three-barrier epoch; see allToAll.
 	r.Barrier()
 	r.Barrier()
 	return merged

@@ -219,7 +219,7 @@ func TestZeroCostModel(t *testing.T) {
 // shows up here as an explicit diff — update the constants deliberately.
 //
 // The sequence (per rank): one scalar Gather, one GatherV of (ID+1)*10
-// 100-byte items, one int64 AllReduce, one Broadcast, one AllToAll of 2
+// 100-byte items, one int64 AllReduce, one Broadcast, one ExchangeFunc of 2
 // 24-byte items per destination.
 func TestCollectivesGolden(t *testing.T) {
 	m := NewMachine(Config{Ranks: 8, RanksPerNode: 4})
@@ -229,11 +229,11 @@ func TestCollectivesGolden(t *testing.T) {
 		GatherV(r, items, 100)
 		AllReduce(r, int64(r.ID()), ReduceSum)
 		Broadcast(r, r.ID())
-		out := make([][]int, r.NRanks())
-		for d := range out {
-			out[d] = []int{r.ID(), d}
+		var pairs []int
+		for d := 0; d < r.NRanks(); d++ {
+			pairs = append(pairs, r.ID(), d)
 		}
-		AllToAll(r, out, 24)
+		ExchangeFunc(r, pairs, func(i int, _ int) int { return i / 2 }, func(int) int { return 24 })
 	})
 
 	t.Logf("SimSeconds=%.17g Stats=%+v", res.SimSeconds, res.Stats)
@@ -245,14 +245,14 @@ func TestCollectivesGolden(t *testing.T) {
 		t.Errorf("SimSeconds = %.17g, want %v", res.SimSeconds, wantSim)
 	}
 	want := CommStats{
-		Messages:          135,    // 3 tree rounds x 8 ranks x 3 all-gather-style collectives + 7 broadcast + 56 all-to-all
-		OffNodeMessages:   60,     // 1 off-node round per rank per tree collective + 4 broadcast hops + 32 all-to-all
+		Messages:          135,    // 3 tree rounds x 8 ranks x 3 all-gather-style collectives + 7 broadcast + 56 exchange
+		OffNodeMessages:   60,     // 1 off-node round per rank per tree collective + 4 broadcast hops + 32 exchange
 		BytesSent:         255384, // dominated by the GatherV forwarding of 36000 payload bytes
 		BytesReceived:     255384, // every sent byte is received by its partner
 		OffNodeBytes:      145888,
-		RemotePuts:        56,    // AllToAll charges per-destination batches as puts
-		Barriers:          88,    // 2 per tree collective x 4 + 3 for AllToAll, x 8 ranks
-		PeakResidentBytes: 36384, // 36000 GatherV payload + 8x48 all-to-all batches materialized
+		RemotePuts:        56,    // ExchangeFunc charges per-destination batches as puts
+		Barriers:          88,    // 2 per tree collective x 4 + 3 for ExchangeFunc, x 8 ranks
+		PeakResidentBytes: 36384, // 36000 GatherV payload + 8x48 exchange batches materialized
 	}
 	got := res.Stats
 	got.ComputeOps = 0 // no compute charged in this sequence; keep the comparison total

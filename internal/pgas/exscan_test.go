@@ -60,28 +60,29 @@ func TestExScanChargedLikeAllReduce(t *testing.T) {
 	}
 }
 
-// TestAllToAllV: variable-size batches are delivered like AllToAll and
-// charged their actual payload bytes.
-func TestAllToAllV(t *testing.T) {
+// TestExchangeFuncVariableSizes: variable-size items are delivered in source
+// order and charged their actual payload bytes.
+func TestExchangeFuncVariableSizes(t *testing.T) {
 	const p = 4
 	m := NewMachine(Config{Ranks: p, RanksPerNode: p})
 	res := m.Run(func(r *Rank) {
-		out := make([][]string, p)
+		// Rank r sends d+1 strings of length r+1 to destination d.
+		var items []string
+		var dests []int
 		for d := 0; d < p; d++ {
-			// Rank r sends d+1 strings of length r+1 to destination d.
 			for i := 0; i <= d; i++ {
-				out[d] = append(out[d], string(make([]byte, r.ID()+1)))
+				items = append(items, string(make([]byte, r.ID()+1)))
+				dests = append(dests, d)
 			}
 		}
-		in := AllToAllV(r, out, func(s string) int { return len(s) })
-		for src, batch := range in {
-			if len(batch) != r.ID()+1 {
-				t.Errorf("rank %d: got %d items from %d, want %d", r.ID(), len(batch), src, r.ID()+1)
-			}
-			for _, s := range batch {
-				if len(s) != src+1 {
-					t.Errorf("rank %d: item from %d has len %d, want %d", r.ID(), src, len(s), src+1)
-				}
+		in := ExchangeFunc(r, items, func(i int, _ string) int { return dests[i] },
+			func(s string) int { return len(s) })
+		if len(in) != p*(r.ID()+1) {
+			t.Fatalf("rank %d: got %d items, want %d", r.ID(), len(in), p*(r.ID()+1))
+		}
+		for i, s := range in {
+			if src := i / (r.ID() + 1); len(s) != src+1 {
+				t.Errorf("rank %d: item %d (from %d) has len %d, want %d", r.ID(), i, src, len(s), src+1)
 			}
 		}
 	})
@@ -120,14 +121,11 @@ func TestResidentTracking(t *testing.T) {
 		if got := r.Resident(); got != 0 {
 			t.Errorf("rank %d: resident after release = %d, want 0", r.ID(), got)
 		}
-		// An all-to-all only materializes what the rank actually receives.
-		out := make([][]byte, p)
-		for d := range out {
-			out[d] = make([]byte, 10)
-		}
-		AllToAll(r, out, 1)
+		// An exchange only materializes what the rank actually receives: 10
+		// one-byte items from each rank, its own loop-back batch included.
+		ExchangeFunc(r, make([]byte, p*10), func(i int, _ byte) int { return i / 10 }, func(byte) int { return 1 })
 		if got := r.Resident(); got != p*10 {
-			t.Errorf("rank %d: resident after all-to-all = %d, want %d", r.ID(), got, p*10)
+			t.Errorf("rank %d: resident after exchange = %d, want %d", r.ID(), got, p*10)
 		}
 		// Over-release clamps at zero instead of underflowing.
 		r.ReleaseResident(1 << 30)

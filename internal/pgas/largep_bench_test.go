@@ -24,9 +24,7 @@ func BenchmarkCollectivesP256(b *testing.B) {
 			ExScan(r, 1, ReduceSum)
 			Gather(r, r.ID())
 			GatherV(r, []int{r.ID(), r.ID() + 1}, 8)
-			out := make([][]int, p)
-			out[(r.ID()+1)%p] = []int{r.ID()}
-			AllToAll(r, out, 8)
+			ExchangeFunc(r, []int{r.ID()}, func(int, int) int { return r.ID() + 1 }, func(int) int { return 8 })
 		})
 	}
 }

@@ -3,6 +3,7 @@ package pgas
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,49 +196,48 @@ func TestGather(t *testing.T) {
 	})
 }
 
-func TestAllToAll(t *testing.T) {
+// TestExchangeFunc: every item reaches the rank destOf names, and a rank's
+// inbound items arrive in ascending source-rank order with each source's
+// items in that source's original order — even when the sender interleaves
+// its destinations.
+func TestExchangeFunc(t *testing.T) {
 	const p = 6
+	type msg struct{ dest, val int }
 	m := NewMachine(Config{Ranks: p, RanksPerNode: 3})
 	m.Run(func(r *Rank) {
-		// Rank s sends to rank d the value s*100+d, repeated d+1 times.
-		out := make([][]int, p)
-		for d := 0; d < p; d++ {
-			for i := 0; i <= d; i++ {
-				out[d] = append(out[d], r.ID()*100+d)
+		// Rank s sends d+1 items to rank d, item i carrying s*100+d*10+i,
+		// emitted round-robin over the destinations.
+		var items []msg
+		for i := 0; i < p; i++ {
+			for d := i; d < p; d++ {
+				items = append(items, msg{dest: d, val: r.ID()*100 + d*10 + i})
 			}
 		}
-		in := AllToAll(r, out, 8)
+		in := ExchangeFunc(r, items, func(_ int, it msg) int { return it.dest }, func(msg) int { return 8 })
+		var want []msg
 		for s := 0; s < p; s++ {
-			if len(in[s]) != r.ID()+1 {
-				t.Errorf("rank %d: from %d got %d items, want %d", r.ID(), s, len(in[s]), r.ID()+1)
+			for i := 0; i <= r.ID(); i++ {
+				want = append(want, msg{dest: r.ID(), val: s*100 + r.ID()*10 + i})
 			}
-			for _, v := range in[s] {
-				if v != s*100+r.ID() {
-					t.Errorf("rank %d: from %d got value %d", r.ID(), s, v)
-				}
-			}
+		}
+		if !slices.Equal(in, want) {
+			t.Errorf("rank %d: received %v, want %v", r.ID(), in, want)
 		}
 	})
 }
 
-func TestAllToAllRepeated(t *testing.T) {
-	// Repeated exchanges must not leak data between rounds.
+func TestExchangeFuncRepeated(t *testing.T) {
+	// Repeated exchanges must not leak data between rounds. The destination
+	// is left unreduced: rank p-1's r.ID()+1 wraps to rank 0.
 	const p = 4
 	m := NewMachine(Config{Ranks: p})
 	m.Run(func(r *Rank) {
 		for round := 0; round < 10; round++ {
-			out := make([][]int, p)
-			out[(r.ID()+1)%p] = []int{round*1000 + r.ID()}
-			in := AllToAll(r, out, 8)
+			in := ExchangeFunc(r, []int{round*1000 + r.ID()},
+				func(int, int) int { return r.ID() + 1 }, func(int) int { return 8 })
 			src := (r.ID() + p - 1) % p
-			for s := 0; s < p; s++ {
-				if s == src {
-					if len(in[s]) != 1 || in[s][0] != round*1000+src {
-						t.Errorf("round %d rank %d: wrong data from %d: %v", round, r.ID(), s, in[s])
-					}
-				} else if len(in[s]) != 0 {
-					t.Errorf("round %d rank %d: unexpected data from %d: %v", round, r.ID(), s, in[s])
-				}
+			if len(in) != 1 || in[0] != round*1000+src {
+				t.Errorf("round %d rank %d: received %v, want exactly rank %d's item", round, r.ID(), in, src)
 			}
 		}
 	})
