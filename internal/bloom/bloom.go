@@ -3,17 +3,11 @@
 // k-mer is inserted into the counting hash table only after it has been seen
 // at least twice, which the filter detects probabilistically.
 //
-// A Distributed filter partitions the bit array by owner rank so that the
-// filter for a rank's k-mers lives with that rank (the same partitioning the
-// distributed histogram uses), keeping all filter probes local after the
-// k-mers have been routed to their owners.
+// Every rank keeps its own filter for the k-mers it owns and probes it only
+// after the k-mers have been routed to their owners, so all probes are local.
 package bloom
 
-import (
-	"math"
-
-	"mhmgo/internal/pgas"
-)
+import "math"
 
 // Filter is a standard Bloom filter with double hashing.
 type Filter struct {
@@ -46,8 +40,8 @@ func New(nbits uint64, hashes int) *Filter {
 	if hashes < 1 {
 		hashes = 1
 	}
-	if hashes > 16 {
-		hashes = 16
+	if hashes > maxHashes {
+		hashes = maxHashes
 	}
 	return &Filter{
 		bits:   make([]uint64, (nbits+63)/64),
@@ -56,15 +50,19 @@ func New(nbits uint64, hashes int) *Filter {
 	}
 }
 
+// maxHashes bounds the number of hash functions of a filter.
+const maxHashes = 16
+
 // indices derives the probe positions from a single 64-bit hash using the
-// Kirsch–Mitzenmacher double-hashing construction.
-func (f *Filter) indices(h uint64) []uint64 {
+// Kirsch–Mitzenmacher double-hashing construction. The first f.hashes
+// elements of the returned array (by value: a probe allocates nothing) are
+// the positions.
+func (f *Filter) indices(h uint64) (idx [maxHashes]uint64) {
 	h1 := h
 	h2 := h*0x9e3779b97f4a7c15 + 0x7f4a7c159e3779b9
 	if h2 == 0 {
 		h2 = 0x9e3779b97f4a7c15
 	}
-	idx := make([]uint64, f.hashes)
 	for i := 0; i < f.hashes; i++ {
 		idx[i] = (h1 + uint64(i)*h2) % f.nbits
 	}
@@ -73,7 +71,8 @@ func (f *Filter) indices(h uint64) []uint64 {
 
 // Add inserts a pre-hashed key.
 func (f *Filter) Add(h uint64) {
-	for _, i := range f.indices(h) {
+	idx := f.indices(h)
+	for _, i := range idx[:f.hashes] {
 		f.bits[i/64] |= 1 << (i % 64)
 	}
 	f.entries++
@@ -82,7 +81,8 @@ func (f *Filter) Add(h uint64) {
 // Test reports whether a pre-hashed key might be present. False positives
 // are possible; false negatives are not.
 func (f *Filter) Test(h uint64) bool {
-	for _, i := range f.indices(h) {
+	idx := f.indices(h)
+	for _, i := range idx[:f.hashes] {
 		if f.bits[i/64]&(1<<(i%64)) == 0 {
 			return false
 		}
@@ -93,7 +93,8 @@ func (f *Filter) Test(h uint64) bool {
 // TestAndAdd reports whether the key was (probably) present and inserts it.
 func (f *Filter) TestAndAdd(h uint64) bool {
 	present := true
-	for _, i := range f.indices(h) {
+	idx := f.indices(h)
+	for _, i := range idx[:f.hashes] {
 		word, bit := i/64, uint64(1)<<(i%64)
 		if f.bits[word]&bit == 0 {
 			present = false
@@ -126,27 +127,3 @@ func popcount(x uint64) int {
 	}
 	return n
 }
-
-// Distributed is a per-rank-partitioned Bloom filter: rank i owns an
-// independent filter for the keys that hash to it. Probes must be performed
-// by the owning rank (after routing), so they are purely local.
-type Distributed struct {
-	filters []*Filter
-}
-
-// NewDistributed creates one filter per rank, each sized for expectedPerRank
-// entries.
-func NewDistributed(m *pgas.Machine, expectedPerRank uint64, fpRate float64) *Distributed {
-	d := &Distributed{filters: make([]*Filter, m.Ranks())}
-	for i := range d.filters {
-		d.filters[i] = NewWithEstimates(expectedPerRank, fpRate)
-	}
-	return d
-}
-
-// Local returns the filter owned by the calling rank.
-func (d *Distributed) Local(r *pgas.Rank) *Filter { return d.filters[r.ID()] }
-
-// LocalByID returns the filter owned by the given rank (for tests and
-// post-run inspection).
-func (d *Distributed) LocalByID(rank int) *Filter { return d.filters[rank] }

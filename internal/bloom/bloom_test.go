@@ -3,8 +3,6 @@ package bloom
 import (
 	"math/rand"
 	"testing"
-
-	"mhmgo/internal/pgas"
 )
 
 func TestFilterNoFalseNegatives(t *testing.T) {
@@ -80,25 +78,6 @@ func TestNewClampsParameters(t *testing.T) {
 	f.Add(7)
 	if !f.Test(7) {
 		t.Error("degenerate filter should still work")
-	}
-}
-
-func TestDistributed(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 4})
-	d := NewDistributed(m, 1000, 0.01)
-	m.Run(func(r *pgas.Rank) {
-		f := d.Local(r)
-		key := uint64(r.ID()*1000 + 7)
-		if f.TestAndAdd(key) {
-			t.Errorf("rank %d: fresh key reported present", r.ID())
-		}
-		if !f.Test(key) {
-			t.Errorf("rank %d: key lost", r.ID())
-		}
-	})
-	// Filters are independent per rank.
-	if d.LocalByID(0).Test(1007) && d.LocalByID(0).Test(2007) && d.LocalByID(0).Test(3007) {
-		t.Error("rank 0 filter appears to contain other ranks' keys (suspicious)")
 	}
 }
 

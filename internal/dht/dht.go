@@ -32,10 +32,10 @@ package dht
 import (
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
+	"mhmgo/internal/hashtab"
 	"mhmgo/internal/pgas"
 )
 
@@ -54,27 +54,24 @@ type Map[K comparable, V any] struct {
 	stripeShift uint
 	stripeCount int
 
-	parts []partition[K, V]
+	// stripes holds every rank's partition in one rank-major array: rank i
+	// owns stripes[i*stripeCount : (i+1)*stripeCount].
+	stripes []stripe[K, V]
 
 	// frozen flips the whole map into the read-only phase: reads skip the
-	// stripe locks and mutations panic. The stripe maps themselves are the
+	// stripe locks and mutations panic. The stripe tables themselves are the
 	// immutable snapshot — no data is copied.
 	frozen atomic.Bool
 }
 
-// partition is one rank's share of the map: an array of independently locked
-// stripes.
-type partition[K comparable, V any] struct {
-	stripes []stripe[K, V]
-}
-
-// stripe is one lock's worth of a partition. The padding keeps hot stripe
-// locks on distinct cache lines so striping actually removes contention
-// instead of moving it into false sharing.
+// stripe is one lock's worth of a partition: a hashtab.Table probed with the
+// hash that already chose the owner and the stripe. An empty stripe holds no
+// slots. The padding rounds a stripe up to a cache line so hot stripe locks
+// do not false-share and striping actually removes contention.
 type stripe[K comparable, V any] struct {
 	mu   sync.Mutex
-	data map[K]V
-	_    [48]byte
+	data hashtab.Table[K, V]
+	_    [24]byte
 }
 
 // options collects the constructor options of a Map.
@@ -135,13 +132,7 @@ func NewMap[K comparable, V any](m *pgas.Machine, hash func(K) uint64, entryByte
 		stripeCount: stripes,
 		stripeShift: uint(64 - bits.Len(uint(stripes-1))),
 	}
-	dm.parts = make([]partition[K, V], m.Ranks())
-	for i := range dm.parts {
-		dm.parts[i].stripes = make([]stripe[K, V], stripes)
-		for s := range dm.parts[i].stripes {
-			dm.parts[i].stripes[s].data = make(map[K]V)
-		}
-	}
+	dm.stripes = make([]stripe[K, V], m.Ranks()*stripes)
 	return dm
 }
 
@@ -156,9 +147,7 @@ func NewMapCollective[K comparable, V any](r *pgas.Rank, hash func(K) uint64, en
 }
 
 // Owner returns the rank that owns the given key.
-func (m *Map[K, V]) Owner(key K) int {
-	return int(m.hash(key) % uint64(m.machine.Ranks()))
-}
+func (m *Map[K, V]) Owner(key K) int { return m.ownerOf(m.hash(key)) }
 
 // Stripes returns the number of lock stripes per rank partition.
 func (m *Map[K, V]) Stripes() int { return m.stripeCount }
@@ -166,103 +155,116 @@ func (m *Map[K, V]) Stripes() int { return m.stripeCount }
 // EntryBytes returns the configured approximate entry size.
 func (m *Map[K, V]) EntryBytes() int { return m.entryBytes }
 
-// ownerAndStripe splits one hash evaluation into the owner rank (low bits)
-// and the stripe within that rank's partition (high bits).
-func (m *Map[K, V]) ownerAndStripe(key K) (owner int, stripe uint64) {
-	h := m.hash(key)
-	return int(h % uint64(m.machine.Ranks())), h >> m.stripeShift
+// ownerOf returns the owner rank of a key hash (its low bits).
+func (m *Map[K, V]) ownerOf(h uint64) int { return int(h % uint64(m.machine.Ranks())) }
+
+// stripeAt returns the stripe of rank's partition that holds the keys hashing
+// to h (its high bits). One hash evaluation serves owner, stripe and probe.
+func (m *Map[K, V]) stripeAt(rank int, h uint64) *stripe[K, V] {
+	return &m.stripes[rank*m.stripeCount+int(h>>m.stripeShift)]
 }
 
-func (m *Map[K, V]) stripeOf(key K) uint64 { return m.hash(key) >> m.stripeShift }
+// partition returns the stripes owned by rank.
+func (m *Map[K, V]) partition(rank int) []stripe[K, V] {
+	return m.stripes[rank*m.stripeCount : (rank+1)*m.stripeCount]
+}
 
-// readPart reads key from a partition: lock-free while the map is frozen
-// (concurrent Go map reads are safe and mutators panic), under the stripe
-// lock otherwise.
-func (m *Map[K, V]) readPart(p *partition[K, V], si uint64, key K) (V, bool) {
-	s := &p.stripes[si]
+// read reads key from its owner's partition: lock-free while the map is
+// frozen (a table with no writer is safe to read concurrently, and mutators
+// panic), under the stripe lock otherwise.
+func (m *Map[K, V]) read(owner int, h uint64, key K) (V, bool) {
+	s := m.stripeAt(owner, h)
 	if m.frozen.Load() {
-		v, ok := s.data[key]
-		return v, ok
+		return s.data.Get(h, key)
 	}
 	s.mu.Lock()
-	v, ok := s.data[key]
+	v, ok := s.data.Get(h, key)
 	s.mu.Unlock()
 	return v, ok
 }
 
 // Len returns the total number of entries across all partitions. It must not
 // be called concurrently with updates.
-func (m *Map[K, V]) Len() int {
+func (m *Map[K, V]) Len() int { return m.lenOf(m.stripes) }
+
+// LocalLen returns the number of entries owned by the given rank.
+func (m *Map[K, V]) LocalLen(rank int) int { return m.lenOf(m.partition(rank)) }
+
+func (m *Map[K, V]) lenOf(stripes []stripe[K, V]) int {
 	total := 0
-	for i := range m.parts {
-		total += m.partLen(&m.parts[i])
-	}
+	m.scan(stripes, func(s *stripe[K, V]) { total += s.data.Len() })
 	return total
 }
 
-// LocalLen returns the number of entries owned by the given rank.
-func (m *Map[K, V]) LocalLen(rank int) int { return m.partLen(&m.parts[rank]) }
-
-func (m *Map[K, V]) partLen(p *partition[K, V]) int {
+// scan visits stripes in order, holding each stripe's lock during its visit
+// unless the map is frozen.
+func (m *Map[K, V]) scan(stripes []stripe[K, V], visit func(*stripe[K, V])) {
 	frozen := m.frozen.Load()
-	total := 0
-	for s := range p.stripes {
+	for i := range stripes {
+		s := &stripes[i]
 		if !frozen {
-			p.stripes[s].mu.Lock()
+			s.mu.Lock()
 		}
-		total += len(p.stripes[s].data)
+		visit(s)
 		if !frozen {
-			p.stripes[s].mu.Unlock()
+			s.mu.Unlock()
 		}
 	}
-	return total
 }
 
 // Lookup reads the entry for key from outside an SPMD region (no cost is
 // charged). It is intended for coordinators, evaluation code and tests that
 // inspect the table after a parallel phase has completed.
 func (m *Map[K, V]) Lookup(key K) (V, bool) {
-	owner, si := m.ownerAndStripe(key)
-	return m.readPart(&m.parts[owner], si, key)
+	h := m.hash(key)
+	return m.read(m.ownerOf(h), h, key)
 }
 
 // Get performs a one-sided read of the entry for key, charging the
 // appropriate communication cost to the calling rank.
 func (m *Map[K, V]) Get(r *pgas.Rank, key K) (V, bool) {
-	owner, si := m.ownerAndStripe(key)
+	h := m.hash(key)
+	owner := m.ownerOf(h)
 	if owner == r.ID() {
 		r.Compute(1)
 	} else {
 		r.ChargeGet(owner, m.entryBytes, 1)
 	}
-	return m.readPart(&m.parts[owner], si, key)
+	return m.read(owner, h, key)
 }
 
 // Put performs a one-sided write of the entry for key.
 func (m *Map[K, V]) Put(r *pgas.Rank, key K, val V) {
-	owner, si := m.ownerAndStripe(key)
+	h := m.hash(key)
+	owner := m.ownerOf(h)
 	if owner == r.ID() {
 		r.Compute(1)
 	} else {
 		r.ChargeSend(owner, m.entryBytes, 1)
 	}
-	s := m.mutableStripe(&m.parts[owner], si)
+	m.put(owner, h, key, val)
+}
+
+// put stores an entry into rank's partition, charging nothing.
+func (m *Map[K, V]) put(rank int, h uint64, key K, val V) {
+	s := m.mutableStripe(rank, h)
 	s.mu.Lock()
-	s.data[key] = val
+	s.data.Put(h, key, val)
 	s.mu.Unlock()
 }
 
 // Delete removes the entry for key, if present.
 func (m *Map[K, V]) Delete(r *pgas.Rank, key K) {
-	owner, si := m.ownerAndStripe(key)
+	h := m.hash(key)
+	owner := m.ownerOf(h)
 	if owner == r.ID() {
 		r.Compute(1)
 	} else {
 		r.ChargeSend(owner, 8, 1)
 	}
-	s := m.mutableStripe(&m.parts[owner], si)
+	s := m.mutableStripe(owner, h)
 	s.mu.Lock()
-	delete(s.data, key)
+	s.data.Delete(h, key)
 	s.mu.Unlock()
 }
 
@@ -272,32 +274,37 @@ func (m *Map[K, V]) Delete(r *pgas.Rank, key K) {
 // value, whether to store it, and an arbitrary result passed back to the
 // caller. The cost of a remote atomic is charged to the calling rank.
 func Mutate[K comparable, V any, R any](m *Map[K, V], r *pgas.Rank, key K, f func(v V, found bool) (V, bool, R)) R {
-	owner, si := m.ownerAndStripe(key)
+	h := m.hash(key)
+	owner := m.ownerOf(h)
 	if owner == r.ID() {
 		r.Compute(2)
 	} else {
 		r.ChargeGet(owner, m.entryBytes, 1)
 	}
-	s := m.mutableStripe(&m.parts[owner], si)
+	var res R
+	s := m.mutableStripe(owner, h)
 	s.mu.Lock()
-	cur, ok := s.data[key]
-	nv, store, res := f(cur, ok)
-	if store {
-		s.data[key] = nv
-	}
+	s.data.Update(h, key, func(v *V, found bool) bool {
+		nv, store, out := f(*v, found)
+		if store {
+			*v = nv
+		}
+		res = out
+		return store
+	})
 	s.mu.Unlock()
 	return res
 }
 
-// ForEachLocal iterates over the entries owned by the calling rank. The
-// callback must not call back into the same Map. Iteration order is
-// unspecified. One unit of compute is charged per entry.
+// ForEachLocal iterates over the entries owned by the calling rank, in stripe
+// and then slot order. The callback must not call back into the same Map.
+// One unit of compute is charged per entry.
 func (m *Map[K, V]) ForEachLocal(r *pgas.Rank, f func(K, V)) {
-	p := &m.parts[r.ID()]
+	part := m.partition(r.ID())
 	if m.frozen.Load() {
 		n := 0
-		for si := range p.stripes {
-			for k, v := range p.stripes[si].data {
+		for si := range part {
+			for k, v := range part[si].data.All() {
 				n++
 				f(k, v)
 			}
@@ -305,19 +312,15 @@ func (m *Map[K, V]) ForEachLocal(r *pgas.Rank, f func(K, V)) {
 		r.Compute(float64(n))
 		return
 	}
-	var keys []K
-	var vals []V
-	for si := range p.stripes {
-		s := &p.stripes[si]
-		s.mu.Lock()
-		keys = slices.Grow(keys, len(s.data))
-		vals = slices.Grow(vals, len(s.data))
-		for k, v := range s.data {
+	n := m.lenOf(part)
+	keys := make([]K, 0, n)
+	vals := make([]V, 0, n)
+	m.scan(part, func(s *stripe[K, V]) {
+		for k, v := range s.data.All() {
 			keys = append(keys, k)
 			vals = append(vals, v)
 		}
-		s.mu.Unlock()
-	}
+	})
 	r.Compute(float64(len(keys)))
 	for i := range keys {
 		f(keys[i], vals[i])
@@ -325,48 +328,44 @@ func (m *Map[K, V]) ForEachLocal(r *pgas.Rank, f func(K, V)) {
 }
 
 // UpdateLocal applies f to the entry for key, which must be owned by the
-// calling rank (use case 4: local reads & writes after routing).
-func (m *Map[K, V]) UpdateLocal(r *pgas.Rank, key K, f func(v V, found bool) V) {
-	s := m.mutableStripe(&m.parts[r.ID()], m.stripeOf(key))
+// calling rank (use case 4: local reads & writes after routing), with one
+// probe under one stripe lock. f gets a pointer to the stored value when the
+// key is present and edits it in place; otherwise it gets a zero value, which
+// is stored only if f returns true — so a caller can decline to admit a key
+// (the k-mer analysis Bloom prefilter) without a separate lookup. One unit
+// of compute is charged when an entry was updated or stored.
+func (m *Map[K, V]) UpdateLocal(r *pgas.Rank, key K, f func(v *V, found bool) bool) {
+	h := m.hash(key)
+	s := m.mutableStripe(r.ID(), h)
 	s.mu.Lock()
-	cur, ok := s.data[key]
-	s.data[key] = f(cur, ok)
+	stored := s.data.Update(h, key, f)
 	s.mu.Unlock()
-	r.Compute(1)
+	if stored {
+		r.Compute(1)
+	}
 }
 
 // SetLocal stores a value into the calling rank's partition directly (the key
 // must hash to this rank; this is not checked to keep the hot path cheap).
 func (m *Map[K, V]) SetLocal(r *pgas.Rank, key K, val V) {
-	s := m.mutableStripe(&m.parts[r.ID()], m.stripeOf(key))
-	s.mu.Lock()
-	s.data[key] = val
-	s.mu.Unlock()
+	m.put(r.ID(), m.hash(key), key, val)
 	r.Compute(1)
 }
 
 // RangeLocal iterates over the entries owned by the given rank without
 // charging the cost model — the per-partition counterpart of Lookup, for
 // coordinators and the checkpoint writer, which must observe the table
-// without perturbing the simulated clocks. Iteration order is unspecified;
-// callers needing determinism must collect and sort. The callback must not
-// call back into the same Map. Safe to call concurrently for distinct ranks;
-// must not race with mutations of the same partition.
+// without perturbing the simulated clocks. Iteration is in stripe and then
+// slot order, which depends on the insertion history; callers needing an
+// order that does not must collect and sort. The callback must not call back
+// into the same Map. Safe to call concurrently for distinct ranks; must not
+// race with mutations of the same partition.
 func (m *Map[K, V]) RangeLocal(rank int, f func(K, V)) {
-	frozen := m.frozen.Load()
-	p := &m.parts[rank]
-	for si := range p.stripes {
-		s := &p.stripes[si]
-		if !frozen {
-			s.mu.Lock()
-		}
-		for k, v := range s.data {
+	m.scan(m.partition(rank), func(s *stripe[K, V]) {
+		for k, v := range s.data.All() {
 			f(k, v)
 		}
-		if !frozen {
-			s.mu.Unlock()
-		}
-	}
+	})
 }
 
 // Restore stores an entry directly into the given rank's partition without
@@ -375,48 +374,35 @@ func (m *Map[K, V]) RangeLocal(rank int, f func(K, V)) {
 // the restored rank clocks, so re-materializing the entries must be free.
 // The key must hash to rank (not checked, mirroring SetLocal).
 func (m *Map[K, V]) Restore(rank int, key K, val V) {
-	s := m.mutableStripe(&m.parts[rank], m.stripeOf(key))
-	s.mu.Lock()
-	s.data[key] = val
-	s.mu.Unlock()
+	m.put(rank, m.hash(key), key, val)
 }
 
 // Snapshot returns a copy of all entries in the map. It is intended for the
 // end of a parallel phase (after a barrier) and for tests.
 func (m *Map[K, V]) Snapshot() map[K]V {
-	frozen := m.frozen.Load()
 	out := make(map[K]V, m.Len())
-	for i := range m.parts {
-		p := &m.parts[i]
-		for si := range p.stripes {
-			s := &p.stripes[si]
-			if !frozen {
-				s.mu.Lock()
-			}
-			for k, v := range s.data {
-				out[k] = v
-			}
-			if !frozen {
-				s.mu.Unlock()
-			}
+	m.scan(m.stripes, func(s *stripe[K, V]) {
+		for k, v := range s.data.All() {
+			out[k] = v
 		}
-	}
+	})
 	return out
 }
 
-// mutableStripe returns the stripe for writing, enforcing the read-only
-// phase discipline: mutating a frozen map is a bug in the calling phase.
-func (m *Map[K, V]) mutableStripe(p *partition[K, V], si uint64) *stripe[K, V] {
+// mutableStripe returns the stripe of rank's partition for writing keys that
+// hash to h, enforcing the read-only phase discipline: mutating a frozen map
+// is a bug in the calling phase.
+func (m *Map[K, V]) mutableStripe(rank int, h uint64) *stripe[K, V] {
 	if m.frozen.Load() {
 		panic("dht: mutation of a frozen map (call Thaw before the next write phase)")
 	}
-	return &p.stripes[si]
+	return m.stripeAt(rank, h)
 }
 
 // Freeze atomically switches the map into the lock-free read-only phase (use
 // case 3, "Global Read-Only"): all subsequent reads (Get, Lookup,
 // CachedReader.Get, ForEachLocal, Snapshot) skip the stripe locks, and
-// mutations panic until Thaw is called. The stripe maps themselves serve as
+// mutations panic until Thaw is called. The stripe tables themselves serve as
 // the immutable snapshot — nothing is copied, so freezing the pipeline's
 // largest tables costs neither time nor memory.
 //

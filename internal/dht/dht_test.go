@@ -281,11 +281,12 @@ func TestForEachLocalAndUpdateLocal(t *testing.T) {
 		var localKeys []int
 		dm.ForEachLocal(r, func(k, v int) { localKeys = append(localKeys, k) })
 		for _, k := range localKeys {
-			dm.UpdateLocal(r, k, func(v int, found bool) int {
+			dm.UpdateLocal(r, k, func(v *int, found bool) bool {
 				if !found {
 					t.Errorf("local key %d vanished", k)
 				}
-				return v * 2
+				*v *= 2
+				return true
 			})
 		}
 		r.Barrier()
@@ -298,6 +299,58 @@ func TestForEachLocalAndUpdateLocal(t *testing.T) {
 		if v != 2 {
 			t.Errorf("key %d = %d, want 2", k, v)
 		}
+	}
+}
+
+// TestUpdateLocalDecline checks the admit-or-decline contract k-mer analysis
+// builds its Bloom prefilter on: a declined absent key is neither stored nor
+// charged, an admitted one is stored with what the callback wrote, and a
+// present key is edited in place whatever the callback returns.
+func TestUpdateLocalDecline(t *testing.T) {
+	m := pgas.NewMachine(pgas.Config{Ranks: 2})
+	dm := NewMap[int, int](m, intHash, 16)
+	res := m.Run(func(r *pgas.Rank) {
+		var mine []int
+		for k := 0; len(mine) < 50; k++ {
+			if dm.Owner(k) == r.ID() {
+				mine = append(mine, k)
+			}
+		}
+		for i, k := range mine {
+			admit := i%2 == 0
+			dm.UpdateLocal(r, k, func(v *int, found bool) bool {
+				if found || *v != 0 {
+					t.Errorf("fresh key %d: found=%v v=%d", k, found, *v)
+				}
+				*v = 7 // scribbled even when declining: must not leak into the table
+				return admit
+			})
+		}
+		for i, k := range mine {
+			dm.UpdateLocal(r, k, func(v *int, found bool) bool {
+				if found != (i%2 == 0) {
+					t.Errorf("key %d: found=%v after admit=%v", k, found, i%2 == 0)
+				}
+				if found {
+					*v += 1
+				} else if *v != 0 {
+					t.Errorf("declined key %d left %d behind", k, *v)
+				}
+				return false
+			})
+		}
+	})
+	if got := dm.Len(); got != 50 {
+		t.Fatalf("len = %d, want the 50 admitted keys", got)
+	}
+	for k, v := range dm.Snapshot() {
+		if v != 8 {
+			t.Errorf("key %d = %d, want 8", k, v)
+		}
+	}
+	// 25 stores and 25 in-place edits per rank, one unit each.
+	if got := res.Stats.ComputeOps; got != 100 {
+		t.Errorf("compute ops = %v, want 100 (declined updates are free)", got)
 	}
 }
 
@@ -354,6 +407,56 @@ func TestCachedReader(t *testing.T) {
 	}
 }
 
+// TestCachedReaderBudgets drives one reader past maxEntries with present and
+// with absent remote keys, interleaved, and pins the hit/miss sequence totals
+// against the numbers the two-builtin-map reader produced (captured at
+// commit ec37817 with this same test body): positive and
+// negative entries each have their own maxEntries budget, entries are never
+// evicted, and once a budget is spent later keys of that kind always miss.
+// aligner.cache_hit_rate, pgas.cache_hit_rate and the simulated clock all
+// follow from this sequence.
+func TestCachedReaderBudgets(t *testing.T) {
+	const maxEntries = 64
+	m := pgas.NewMachine(pgas.Config{Ranks: 4, RanksPerNode: 2})
+	dm := NewMap[int, int](m, intHash, 16)
+	m.Run(func(r *pgas.Rank) {
+		if r.ID() == 0 {
+			for k := 0; k < 1000; k++ {
+				dm.Put(r, k, k+1)
+			}
+		}
+	})
+	var hits, misses [4]uint64
+	res := m.Run(func(r *pgas.Rank) {
+		dm.Freeze()
+		c := dm.NewCachedReader(r, maxEntries, true)
+		for pass := 0; pass < 3; pass++ {
+			// 300 present keys (0..299) and 300 absent ones (5000..5299),
+			// interleaved; ~3/4 of each are remote, well past both budgets.
+			for i := 0; i < 300; i++ {
+				if v, ok := c.Get(i); !ok || v != i+1 {
+					t.Errorf("rank %d: Get(%d) = (%d,%v)", r.ID(), i, v, ok)
+				}
+				if v, ok := c.Get(5000 + i); ok || v != 0 {
+					t.Errorf("rank %d: Get(%d) = (%d,%v), want absent", r.ID(), 5000+i, v, ok)
+				}
+			}
+		}
+		hits[r.ID()], misses[r.ID()] = c.Stats()
+	})
+	wantHits := [4]uint64{703, 727, 742, 652}
+	wantMisses := [4]uint64{1097, 1073, 1058, 1148}
+	if hits != wantHits || misses != wantMisses {
+		t.Errorf("hits %v misses %v, want %v and %v", hits, misses, wantHits, wantMisses)
+	}
+	if res.Stats.CacheHits != 2824 || res.Stats.CacheMisses != 4376 {
+		t.Errorf("machine cache hits/misses = %d/%d, want 2824/4376", res.Stats.CacheHits, res.Stats.CacheMisses)
+	}
+	if res.SimSeconds != 0.0020278896000000073 {
+		t.Errorf("simulated seconds = %v, want 0.0020278896000000073", res.SimSeconds)
+	}
+}
+
 func TestRoute(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 4})
 	totalReceived := int64(0)
@@ -373,6 +476,34 @@ func TestRoute(t *testing.T) {
 	})
 	if totalReceived != 400 {
 		t.Errorf("total routed items = %d, want 400", totalReceived)
+	}
+}
+
+// TestNewMapAllocations: at P = 4096 a map has 32,768 stripes, most of them
+// empty forever on small inputs. Creating the map must cost a constant number
+// of objects — not one per stripe, not even one per rank — and an empty
+// stripe must hold no slots.
+func TestNewMapAllocations(t *testing.T) {
+	const p, stripes = 4096, 8
+	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 32})
+	var dm *Map[int, int]
+	allocs := testing.AllocsPerRun(3, func() {
+		dm = NewMap[int, int](m, intHash, 16, WithStripes(stripes))
+	})
+	if allocs > 4 {
+		t.Errorf("NewMap at P=%d allocated %v objects, want a handful", p, allocs)
+	}
+	if len(dm.stripes) != p*stripes {
+		t.Fatalf("%d stripes, want %d", len(dm.stripes), p*stripes)
+	}
+	dm.Restore(dm.Owner(7), 7, 70)
+	for k, want := range map[int]int{7: 70, 8: 0} {
+		if v, ok := dm.Lookup(k); v != want || ok != (want != 0) {
+			t.Errorf("Lookup(%d) = (%d,%v)", k, v, ok)
+		}
+	}
+	if got := dm.Len(); got != 1 {
+		t.Errorf("Len() = %d, want 1", got)
 	}
 }
 
@@ -409,7 +540,7 @@ func TestOwnerStripeIndependence(t *testing.T) {
 			continue
 		}
 		n++
-		perStripe[dm.stripeOf(k)]++
+		perStripe[intHash(k)>>dm.stripeShift]++
 	}
 	if len(perStripe) != 16 {
 		t.Fatalf("hot-rank keys landed on %d stripes, want all 16", len(perStripe))

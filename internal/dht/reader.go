@@ -1,6 +1,9 @@
 package dht
 
-import "mhmgo/internal/pgas"
+import (
+	"mhmgo/internal/hashtab"
+	"mhmgo/internal/pgas"
+)
 
 // CachedReader implements the "Global Read-Only" phase: a per-rank software
 // cache in front of Get. The cache must only be used while the map is not
@@ -10,19 +13,30 @@ import "mhmgo/internal/pgas"
 // additionally switches the underlying map to lock-free reads from an
 // immutable snapshot, removing all lock traffic from the read hot path.
 type CachedReader[K comparable, V any] struct {
-	m          *Map[K, V]
-	r          *pgas.Rank
-	cache      map[K]V
-	negCache   map[K]struct{}
+	m *Map[K, V]
+	r *pgas.Rank
+	// cache holds remote entries and remote absences ("negative" entries) in
+	// one table probed with the map's own key hash. Entries are never
+	// evicted; each kind has its own maxEntries budget, so a flood of one
+	// kind cannot change which lookups of the other kind hit.
+	cache      hashtab.Table[K, cached[V]]
+	positives  int
+	negatives  int
 	maxEntries int
 	enabled    bool
 	hits       uint64
 	misses     uint64
 }
 
-// NewCachedReader creates a software cache of at most maxEntries entries in
-// front of the map for the calling rank. enabled=false bypasses the cache
-// (used for the read-localization ablation).
+// cached is one software-cache entry: what the owner answered for a key.
+type cached[V any] struct {
+	val   V
+	found bool
+}
+
+// NewCachedReader creates a software cache of at most maxEntries entries and
+// maxEntries known absences in front of the map for the calling rank.
+// enabled=false bypasses the cache (used for the read-localization ablation).
 func (m *Map[K, V]) NewCachedReader(r *pgas.Rank, maxEntries int, enabled bool) *CachedReader[K, V] {
 	if maxEntries <= 0 {
 		maxEntries = 1 << 16
@@ -30,8 +44,6 @@ func (m *Map[K, V]) NewCachedReader(r *pgas.Rank, maxEntries int, enabled bool) 
 	return &CachedReader[K, V]{
 		m:          m,
 		r:          r,
-		cache:      make(map[K]V),
-		negCache:   make(map[K]struct{}),
 		maxEntries: maxEntries,
 		enabled:    enabled,
 	}
@@ -47,35 +59,31 @@ func (c *CachedReader[K, V]) Freeze() { c.m.Freeze() }
 // Get reads the entry for key, serving it from the software cache when
 // possible. Entries owned by the calling rank are always "hits".
 func (c *CachedReader[K, V]) Get(key K) (V, bool) {
-	owner, si := c.m.ownerAndStripe(key)
+	h := c.m.hash(key)
+	owner := c.m.ownerOf(h)
 	if owner == c.r.ID() {
 		c.hits++
 		c.r.ChargeCacheHit()
-		return c.m.readPart(&c.m.parts[owner], si, key)
+		return c.m.read(owner, h, key)
 	}
 	if c.enabled {
-		if v, ok := c.cache[key]; ok {
+		if e, ok := c.cache.Get(h, key); ok {
 			c.hits++
 			c.r.ChargeCacheHit()
-			return v, true
-		}
-		if _, ok := c.negCache[key]; ok {
-			c.hits++
-			c.r.ChargeCacheHit()
-			var zero V
-			return zero, false
+			return e.val, e.found
 		}
 	}
 	c.misses++
 	c.r.ChargeCacheMiss(owner, c.m.entryBytes)
-	v, ok := c.m.readPart(&c.m.parts[owner], si, key)
+	v, ok := c.m.read(owner, h, key)
 	if c.enabled {
+		budget := &c.negatives
 		if ok {
-			if len(c.cache) < c.maxEntries {
-				c.cache[key] = v
-			}
-		} else if len(c.negCache) < c.maxEntries {
-			c.negCache[key] = struct{}{}
+			budget = &c.positives
+		}
+		if *budget < c.maxEntries {
+			*budget++
+			c.cache.Put(h, key, cached[V]{val: v, found: ok})
 		}
 	}
 	return v, ok

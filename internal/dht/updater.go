@@ -2,13 +2,13 @@ package dht
 
 import "mhmgo/internal/pgas"
 
-// kvPair is the unit buffered by an Updater. The stripe index is computed
-// once at Update time (the key is hashed anyway to find its owner) so that
-// flushes can group a batch by stripe without re-hashing.
+// kvPair is the unit buffered by an Updater. The key's hash is computed once
+// at Update time (to find its owner) and kept, so that a flush can group a
+// batch by stripe and probe the stripe tables without re-hashing.
 type kvPair[K comparable, V any] struct {
-	key    K
-	val    V
-	stripe uint32
+	key  K
+	val  V
+	hash uint64
 }
 
 // Updater implements the "Global Update-Only" phase: commutative updates are
@@ -57,12 +57,9 @@ func (m *Map[K, V]) NewUpdater(r *pgas.Rank, combine func(existing V, update V, 
 
 // Update buffers one commutative update for key.
 func (u *Updater[K, V]) Update(key K, val V) {
-	dest, si := u.m.ownerAndStripe(key)
-	batch := append(u.batches[dest], kvPair[K, V]{
-		key:    key,
-		val:    val,
-		stripe: uint32(si),
-	})
+	h := u.m.hash(key)
+	dest := u.m.ownerOf(h)
+	batch := append(u.batches[dest], kvPair[K, V]{key: key, val: val, hash: h})
 	u.batches[dest] = batch
 	u.pending++
 	if !u.aggregate || len(batch) >= u.batchSize {
@@ -107,15 +104,10 @@ func (u *Updater[K, V]) flushDest(dest int) {
 		u.r.ChargeSend(dest, len(batch)*u.m.entryBytes, len(batch))
 	}
 
-	p := &u.m.parts[dest]
-	if u.m.stripeCount == 1 {
-		u.applyStripe(p, 0, batch)
-		return
-	}
-	if len(batch) == 1 {
-		// Common with aggregate=false (every update is its own flush): skip
-		// the grouping pass.
-		u.applyStripe(p, uint64(batch[0].stripe), batch)
+	if u.m.stripeCount == 1 || len(batch) == 1 {
+		// One stripe, or (common with aggregate=false, where every update is
+		// its own flush) one update: skip the grouping pass.
+		u.applyStripe(dest, batch)
 		return
 	}
 	// Group the batch by stripe so each lock is taken once per flush. Only
@@ -123,23 +115,29 @@ func (u *Updater[K, V]) flushDest(dest int) {
 	// bookkeeping proportional to the batch, not the stripe count.
 	u.touched = u.touched[:0]
 	for _, kv := range batch {
-		if len(u.byStripe[kv.stripe]) == 0 {
-			u.touched = append(u.touched, kv.stripe)
+		si := uint32(kv.hash >> u.m.stripeShift)
+		if len(u.byStripe[si]) == 0 {
+			u.touched = append(u.touched, si)
 		}
-		u.byStripe[kv.stripe] = append(u.byStripe[kv.stripe], kv)
+		u.byStripe[si] = append(u.byStripe[si], kv)
 	}
 	for _, si := range u.touched {
-		u.applyStripe(p, uint64(si), u.byStripe[si])
+		u.applyStripe(dest, u.byStripe[si])
 		u.byStripe[si] = u.byStripe[si][:0]
 	}
 }
 
-func (u *Updater[K, V]) applyStripe(p *partition[K, V], si uint64, kvs []kvPair[K, V]) {
-	s := u.m.mutableStripe(p, si)
+// applyStripe folds kvs, which all hash to one stripe of dest's partition,
+// into that stripe under one lock acquisition.
+func (u *Updater[K, V]) applyStripe(dest int, kvs []kvPair[K, V]) {
+	s := u.m.mutableStripe(dest, kvs[0].hash)
 	s.mu.Lock()
-	for _, kv := range kvs {
-		cur, ok := s.data[kv.key]
-		s.data[kv.key] = u.combine(cur, kv.val, ok)
+	for i := range kvs {
+		kv := &kvs[i]
+		s.data.Update(kv.hash, kv.key, func(v *V, found bool) bool {
+			*v = u.combine(*v, kv.val, found)
+			return true
+		})
 	}
 	s.mu.Unlock()
 }

@@ -1,14 +1,13 @@
-// Package histo provides the distributed histogram machinery used by k-mer
-// analysis: a Misra–Gries streaming "heavy hitter" counter (the paper's
-// specialized treatment of k-mers that occur millions of times in highly
-// abundant organisms) and a generic distributed counting histogram built on
-// owner-partitioned local hash tables (hash-table use case 4).
+// Package histo provides the Misra–Gries streaming "heavy hitter" counter
+// used by k-mer analysis: the paper's specialized treatment of k-mers that
+// occur millions of times in highly abundant organisms.
 package histo
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"mhmgo/internal/pgas"
+	"mhmgo/internal/hashtab"
 )
 
 // HeavyHitters is a Misra–Gries summary: it tracks at most capacity
@@ -16,16 +15,18 @@ import (
 // total/capacity is present in the summary.
 type HeavyHitters[K comparable] struct {
 	capacity int
-	counts   map[K]int64
+	hash     func(K) uint64
+	counts   hashtab.Table[K, int64]
 	total    int64
 }
 
-// NewHeavyHitters creates a summary with the given candidate capacity.
-func NewHeavyHitters[K comparable](capacity int) *HeavyHitters[K] {
+// NewHeavyHitters creates a summary with the given candidate capacity. hash
+// must be a deterministic, well-mixed hash of the key.
+func NewHeavyHitters[K comparable](capacity int, hash func(K) uint64) *HeavyHitters[K] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &HeavyHitters[K]{capacity: capacity, counts: make(map[K]int64, capacity+1)}
+	return &HeavyHitters[K]{capacity: capacity, hash: hash}
 }
 
 // Add records n occurrences of key.
@@ -34,43 +35,34 @@ func (h *HeavyHitters[K]) Add(key K, n int64) {
 		return
 	}
 	h.total += n
-	if c, ok := h.counts[key]; ok {
-		h.counts[key] = c + n
-		return
-	}
-	if len(h.counts) < h.capacity {
-		h.counts[key] = n
+	kh := h.hash(key)
+	full := h.counts.Len() >= h.capacity
+	if h.counts.Update(kh, key, func(c *int64, found bool) bool {
+		if !found && full {
+			return false
+		}
+		*c += n
+		return true
+	}) {
 		return
 	}
 	// Decrement every counter by the smaller of n and the minimum counter,
 	// the standard Misra–Gries eviction step generalized to weighted updates.
 	dec := n
-	for _, c := range h.counts {
-		if c < dec {
-			dec = c
-		}
+	for _, c := range h.counts.All() {
+		dec = min(dec, c)
 	}
-	for k, c := range h.counts {
-		if c <= dec {
-			delete(h.counts, k)
-		} else {
-			h.counts[k] = c - dec
-		}
-	}
-	if rem := n - dec; rem > 0 && len(h.counts) < h.capacity {
-		h.counts[key] = rem
+	h.counts.DeleteFunc(func(_ K, c *int64) bool {
+		*c -= dec
+		return *c <= 0
+	})
+	if rem := n - dec; rem > 0 && h.counts.Len() < h.capacity {
+		h.counts.Put(kh, key, rem)
 	}
 }
 
 // Total returns the total weight added so far.
 func (h *HeavyHitters[K]) Total() int64 { return h.total }
-
-// Candidate reports whether key is currently a heavy-hitter candidate and
-// its (under-)estimated count.
-func (h *HeavyHitters[K]) Candidate(key K) (int64, bool) {
-	c, ok := h.counts[key]
-	return c, ok
-}
 
 // Item is a heavy-hitter candidate and its estimated count.
 type Item[K comparable] struct {
@@ -79,126 +71,14 @@ type Item[K comparable] struct {
 }
 
 // Items returns the candidates sorted by descending estimated count.
+// Candidates with equal counts keep their slot order, which depends only on
+// the stream fed to Add, so two summaries of the same stream return the same
+// slice.
 func (h *HeavyHitters[K]) Items() []Item[K] {
-	items := make([]Item[K], 0, len(h.counts))
-	for k, c := range h.counts {
+	items := make([]Item[K], 0, h.counts.Len())
+	for k, c := range h.counts.All() {
 		items = append(items, Item[K]{Key: k, Count: c})
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].Count > items[j].Count })
+	slices.SortStableFunc(items, func(a, b Item[K]) int { return cmp.Compare(b.Count, a.Count) })
 	return items
-}
-
-// TopK returns at most k candidates with the largest estimated counts.
-func (h *HeavyHitters[K]) TopK(k int) []Item[K] {
-	items := h.Items()
-	if len(items) > k {
-		items = items[:k]
-	}
-	return items
-}
-
-// Merge folds another summary into this one (used to combine per-rank
-// summaries after a gather).
-func (h *HeavyHitters[K]) Merge(other *HeavyHitters[K]) {
-	for k, c := range other.counts {
-		h.Add(k, c)
-	}
-	// Adding via Add double-counts the total (Add already accumulated the
-	// candidates' weights), so recompute the total explicitly.
-	h.total = h.total - otherCandidateWeight(other) + other.total
-}
-
-func otherCandidateWeight[K comparable](o *HeavyHitters[K]) int64 {
-	var w int64
-	for _, c := range o.counts {
-		w += c
-	}
-	return w
-}
-
-// Distributed is a distributed counting histogram: every rank owns a local
-// map of counts for the keys that hash to it. Counts are contributed with an
-// all-to-all exchange of (key, weight) pairs, mirroring the k-mer analysis
-// communication pattern.
-type Distributed[K comparable] struct {
-	machine *pgas.Machine
-	hash    func(K) uint64
-	local   []map[K]int64
-}
-
-// NewDistributed creates a distributed histogram on the machine.
-func NewDistributed[K comparable](m *pgas.Machine, hash func(K) uint64) *Distributed[K] {
-	d := &Distributed[K]{machine: m, hash: hash, local: make([]map[K]int64, m.Ranks())}
-	for i := range d.local {
-		d.local[i] = make(map[K]int64)
-	}
-	return d
-}
-
-// weighted is a (key, weight) pair exchanged between ranks.
-type weighted[K comparable] struct {
-	Key K
-	N   int64
-}
-
-// Owner returns the rank owning a key.
-func (d *Distributed[K]) Owner(key K) int {
-	return int(d.hash(key) % uint64(d.machine.Ranks()))
-}
-
-// AddAll routes each rank's local (key, weight) observations to the keys'
-// owner ranks with one aggregated all-to-all exchange and folds them into the
-// owners' local count tables. Collective: every rank must call it.
-func (d *Distributed[K]) AddAll(r *pgas.Rank, keys []K, weights []int64) {
-	obs := make([]weighted[K], len(keys))
-	for i, k := range keys {
-		var w int64 = 1
-		if weights != nil {
-			w = weights[i]
-		}
-		obs[i] = weighted[K]{Key: k, N: w}
-	}
-	r.Compute(float64(len(keys)))
-	merged := pgas.ExchangeFunc(r, obs,
-		func(_ int, kv weighted[K]) int { return d.Owner(kv.Key) },
-		func(weighted[K]) int { return 24 })
-	mine := d.local[r.ID()]
-	for _, kv := range merged {
-		mine[kv.Key] += kv.N
-	}
-	n := len(merged)
-	r.Compute(float64(n))
-	// The exchanged pairs are folded into the count table; return the
-	// transient payload's resident charge to the meter.
-	r.ReleaseResident(n * 24)
-}
-
-// LocalCounts returns the count table owned by the calling rank.
-func (d *Distributed[K]) LocalCounts(r *pgas.Rank) map[K]int64 { return d.local[r.ID()] }
-
-// Count returns the global count of a key. It must be called after the
-// contributing phase has completed (e.g. after a barrier).
-func (d *Distributed[K]) Count(key K) int64 {
-	return d.local[d.Owner(key)][key]
-}
-
-// Totals returns the merged counts across all ranks (for tests and small
-// problems; large tables should be consumed shard by shard).
-func (d *Distributed[K]) Totals() map[K]int64 {
-	out := make(map[K]int64)
-	for _, m := range d.local {
-		for k, v := range m {
-			out[k] += v
-		}
-	}
-	return out
-}
-
-// NumDistinct returns the number of distinct keys across all ranks.
-func (d *Distributed[K]) NumDistinct() int {
-	n := 0
-	for _, m := range d.local {
-		n += len(m)
-	}
-	return n
 }

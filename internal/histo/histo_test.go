@@ -2,9 +2,8 @@ package histo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"mhmgo/internal/pgas"
 )
 
 func strHash(s string) uint64 {
@@ -16,8 +15,20 @@ func strHash(s string) uint64 {
 	return h
 }
 
+func intHash(k int) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
+
+// candidate returns key's estimated count in the summary.
+func candidate[K comparable](hh *HeavyHitters[K], key K) (int64, bool) {
+	for _, it := range hh.Items() {
+		if it.Key == key {
+			return it.Count, true
+		}
+	}
+	return 0, false
+}
+
 func TestHeavyHittersFindsFrequentKeys(t *testing.T) {
-	hh := NewHeavyHitters[string](10)
+	hh := NewHeavyHitters(10, strHash)
 	r := rand.New(rand.NewSource(5))
 	// One key takes ~30% of a large stream, everything else is noise.
 	const n = 100000
@@ -28,7 +39,7 @@ func TestHeavyHittersFindsFrequentKeys(t *testing.T) {
 			hh.Add(randKey(r), 1)
 		}
 	}
-	c, ok := hh.Candidate("heavy")
+	c, ok := candidate(hh, "heavy")
 	if !ok {
 		t.Fatal("heavy key not retained as candidate")
 	}
@@ -38,9 +49,8 @@ func TestHeavyHittersFindsFrequentKeys(t *testing.T) {
 	if hh.Total() != n {
 		t.Errorf("total = %d, want %d", hh.Total(), n)
 	}
-	top := hh.TopK(1)
-	if len(top) != 1 || top[0].Key != "heavy" {
-		t.Errorf("TopK(1) = %+v, want the heavy key", top)
+	if top := hh.Items(); len(top) == 0 || top[0].Key != "heavy" {
+		t.Errorf("Items() = %+v, want the heavy key first", top)
 	}
 }
 
@@ -55,7 +65,7 @@ func randKey(r *rand.Rand) string {
 func TestHeavyHittersGuarantee(t *testing.T) {
 	// Misra-Gries guarantee: any key with frequency > total/capacity must be
 	// among the candidates.
-	hh := NewHeavyHitters[int](20)
+	hh := NewHeavyHitters(20, intHash)
 	const total = 20000
 	// Keys 0..4 each take 10% of the stream; the rest is spread thin.
 	for i := 0; i < total; i++ {
@@ -67,18 +77,18 @@ func TestHeavyHittersGuarantee(t *testing.T) {
 		}
 	}
 	for k := 0; k < 5; k++ {
-		if _, ok := hh.Candidate(k); !ok {
+		if _, ok := candidate(hh, k); !ok {
 			t.Errorf("frequent key %d missing from candidates", k)
 		}
 	}
 }
 
 func TestHeavyHittersWeightedAndEdgeCases(t *testing.T) {
-	hh := NewHeavyHitters[string](2)
+	hh := NewHeavyHitters(2, strHash)
 	hh.Add("a", 100)
 	hh.Add("b", 10)
 	hh.Add("c", 1) // forces an eviction pass
-	if _, ok := hh.Candidate("a"); !ok {
+	if _, ok := candidate(hh, "a"); !ok {
 		t.Error("dominant key evicted")
 	}
 	hh.Add("zero", 0)
@@ -86,96 +96,98 @@ func TestHeavyHittersWeightedAndEdgeCases(t *testing.T) {
 	if hh.Total() != 111 {
 		t.Errorf("total = %d, want 111 (non-positive weights ignored)", hh.Total())
 	}
-	empty := NewHeavyHitters[string](0)
+	empty := NewHeavyHitters(0, strHash)
 	empty.Add("x", 1)
 	if empty.Total() != 1 {
 		t.Error("capacity clamp failed")
 	}
 }
 
-func TestHeavyHittersMerge(t *testing.T) {
-	a := NewHeavyHitters[string](10)
-	b := NewHeavyHitters[string](10)
-	for i := 0; i < 1000; i++ {
-		a.Add("x", 1)
-		b.Add("y", 1)
+// mapSketch is the summary as it was written over a builtin map; the table-
+// backed one must hold exactly the same candidates with the same counts.
+type mapSketch struct {
+	capacity int
+	counts   map[int]int64
+}
+
+func (h *mapSketch) add(key int, n int64) {
+	if c, ok := h.counts[key]; ok {
+		h.counts[key] = c + n
+		return
 	}
-	b.Add("x", 500)
-	a.Merge(b)
-	if a.Total() != 2500 {
-		t.Errorf("merged total = %d, want 2500", a.Total())
+	if len(h.counts) < h.capacity {
+		h.counts[key] = n
+		return
 	}
-	cx, _ := a.Candidate("x")
-	cy, _ := a.Candidate("y")
-	if cx < 1000 || cy < 500 {
-		t.Errorf("merged candidates wrong: x=%d y=%d", cx, cy)
+	dec := n
+	for _, c := range h.counts {
+		dec = min(dec, c)
+	}
+	for k, c := range h.counts {
+		if c <= dec {
+			delete(h.counts, k)
+		} else {
+			h.counts[k] = c - dec
+		}
+	}
+	if rem := n - dec; rem > 0 && len(h.counts) < h.capacity {
+		h.counts[key] = rem
 	}
 }
 
-func TestDistributedHistogramCounts(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 4})
-	d := NewDistributed[string](m, strHash)
-	m.Run(func(r *pgas.Rank) {
-		// Every rank observes the same three keys with rank-dependent weights.
-		keys := []string{"aaa", "bbb", "ccc", "aaa"}
-		weights := []int64{1, 2, 3, int64(r.ID())}
-		d.AddAll(r, keys, weights)
-	})
-	totals := d.Totals()
-	if totals["aaa"] != 4*1+0+1+2+3 {
-		t.Errorf("aaa = %d, want 10", totals["aaa"])
-	}
-	if totals["bbb"] != 8 || totals["ccc"] != 12 {
-		t.Errorf("bbb=%d ccc=%d, want 8/12", totals["bbb"], totals["ccc"])
-	}
-	if d.NumDistinct() != 3 {
-		t.Errorf("NumDistinct = %d, want 3", d.NumDistinct())
-	}
-	if d.Count("bbb") != 8 {
-		t.Errorf("Count(bbb) = %d", d.Count("bbb"))
-	}
-	// Each key must live on exactly one rank.
-	found := 0
-	for rank := 0; rank < 4; rank++ {
-		m2 := d.local[rank]
-		if _, ok := m2["aaa"]; ok {
-			found++
-		}
-	}
-	if found != 1 {
-		t.Errorf("key aaa present on %d ranks, want 1", found)
-	}
-}
-
-func TestDistributedHistogramUnitWeights(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 3})
-	d := NewDistributed[int](m, func(k int) uint64 { return uint64(k) * 2654435761 })
-	m.Run(func(r *pgas.Rank) {
-		keys := make([]int, 300)
-		for i := range keys {
-			keys[i] = i % 30
-		}
-		d.AddAll(r, keys, nil)
-	})
-	totals := d.Totals()
-	for k := 0; k < 30; k++ {
-		if totals[k] != 30 {
-			t.Errorf("key %d count = %d, want 30", k, totals[k])
-		}
-	}
-}
-
-func TestDistributedHistogramLocalCounts(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 2})
-	d := NewDistributed[string](m, strHash)
-	m.Run(func(r *pgas.Rank) {
-		d.AddAll(r, []string{"k1", "k2"}, nil)
-		r.Barrier()
-		local := d.LocalCounts(r)
-		for k := range local {
-			if d.Owner(k) != r.ID() {
-				t.Errorf("rank %d holds key %q owned by rank %d", r.ID(), k, d.Owner(k))
+func TestHeavyHittersMatchesMapSketch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, capacity := range []int{1, 3, 16, 64} {
+		hh := NewHeavyHitters(capacity, intHash)
+		ref := &mapSketch{capacity: capacity, counts: map[int]int64{}}
+		for i := 0; i < 20000; i++ {
+			key := rng.Intn(8)
+			if rng.Intn(3) > 0 {
+				key = rng.Intn(5000)
 			}
+			n := int64(1)
+			if rng.Intn(10) == 0 {
+				n = int64(1 + rng.Intn(40))
+			}
+			hh.Add(key, n)
+			ref.add(key, n)
 		}
-	})
+		got := map[int]int64{}
+		for _, it := range hh.Items() {
+			got[it.Key] = it.Count
+		}
+		if !reflect.DeepEqual(got, ref.counts) {
+			t.Errorf("capacity %d: candidates %v, want %v", capacity, got, ref.counts)
+		}
+	}
+}
+
+// TestHeavyHittersItemsDeterministic pins the tie order: a stream that leaves
+// many equal-count candidates must list them identically from two summaries
+// (over a builtin map the order changed from run to run; see -count=20 in CI).
+func TestHeavyHittersItemsDeterministic(t *testing.T) {
+	feed := func() []Item[int] {
+		hh := NewHeavyHitters(64, intHash)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 5000; i++ {
+			hh.Add(rng.Intn(400), 1)
+		}
+		return hh.Items()
+	}
+	a, b := feed(), feed()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same stream, different Items():\n%v\n%v", a, b)
+	}
+	ties := 0
+	for i := 1; i < len(a); i++ {
+		if a[i].Count > a[i-1].Count {
+			t.Fatalf("Items() not sorted by descending count: %v", a)
+		}
+		if a[i].Count == a[i-1].Count {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("stream produced no equal-count candidates; the test checks nothing")
+	}
 }

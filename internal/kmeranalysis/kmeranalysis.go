@@ -132,28 +132,32 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 
 	// Phase 1: extract observations from local reads and route them to the
 	// owners of their canonical k-mers with one aggregated exchange.
-	var local []Observation
+	// A read of n bases yields at most n-k+1 observations (fewer around
+	// non-ACGT bases), so the per-rank buffer is sized once.
+	maxObs := 0
+	for _, read := range reads {
+		maxObs += max(0, len(read.Seq)-opts.K+1)
+	}
+	local := make([]Observation, 0, maxObs)
 	var codes []byte
-	var totalLocal int64
 	var hh *histo.HeavyHitters[seq.Kmer]
 	if opts.HeavyHitterCapacity > 0 {
-		hh = histo.NewHeavyHitters[seq.Kmer](opts.HeavyHitterCapacity)
+		hh = histo.NewHeavyHitters(opts.HeavyHitterCapacity, kmerHash)
 	}
 	for _, read := range reads {
-		// Append-style extraction grows one per-rank buffer instead of
+		// Append-style extraction fills the one per-rank buffer instead of
 		// allocating (and then copying) a fresh observation slice per read,
 		// and reuses one codes scratch across the whole read set.
 		start := len(local)
 		local, codes = AppendObservations(local, codes, read, opts)
-		obs := local[start:]
-		totalLocal += int64(len(obs))
 		if hh != nil {
-			for _, o := range obs {
+			for _, o := range local[start:] {
 				hh.Add(o.Kmer, 1)
 			}
 		}
 		r.Compute(float64(len(read.Seq)))
 	}
+	totalLocal := int64(len(local))
 
 	// Phases 1b+2, streamed: the observations are routed to their owners and
 	// folded into the purely local table (use case 4) in bounded chunks —
@@ -199,32 +203,28 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 			}
 		}
 		routed := dht.Route(r, part, func(o Observation) int { return counts.Owner(o.Kmer) }, observationWireSize)
-		for _, o := range routed {
-			insert := true
-			bonus := uint32(0)
+		for i := range routed {
+			o := &routed[i]
 			if filter != nil {
-				h := o.Kmer.Hash()
-				if _, exists := counts.Get(r, o.Kmer); !exists {
-					if !filter.TestAndAdd(h) {
-						// First sighting: remember it in the filter only.
-						insert = false
-					} else {
-						// Second sighting: credit the occurrence the filter absorbed.
-						bonus = 1
-					}
-				}
+				// The owner's lookup that decides whether the Bloom filter is
+				// consulted; the update below charges the write, if any.
+				r.Compute(1)
 			}
-			if !insert {
-				continue
-			}
-			o := o
-			counts.UpdateLocal(r, o.Kmer, func(cur seq.KmerCount, found bool) seq.KmerCount {
+			counts.UpdateLocal(r, o.Kmer, func(kc *seq.KmerCount, found bool) bool {
 				if !found {
-					cur = seq.KmerCount{Kmer: o.Kmer}
-					cur.Count += bonus
+					absorbed := uint32(0)
+					if filter != nil {
+						if !filter.TestAndAdd(o.Kmer.Hash()) {
+							// First sighting: remember it in the filter only.
+							return false
+						}
+						// Second sighting: credit the occurrence the filter absorbed.
+						absorbed = 1
+					}
+					*kc = seq.KmerCount{Kmer: o.Kmer, Count: absorbed}
 				}
-				cur.Observe(o.Left, o.Right, o.HasLeft, o.HasRight, o.WasRC)
-				return cur
+				kc.Observe(o.Left, o.Right, o.HasLeft, o.HasRight, o.WasRC)
+				return true
 			})
 		}
 		// This round's observations are folded into the counts table; the
@@ -267,7 +267,7 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 		})
 		res.HeavyHitters = pgas.ReduceAll(r, items, opts.HeavyHitterCapacity*heavyHitterWireSize,
 			func(contribs [][]histo.Item[seq.Kmer]) []histo.Item[seq.Kmer] {
-				merged := histo.NewHeavyHitters[seq.Kmer](opts.HeavyHitterCapacity)
+				merged := histo.NewHeavyHitters(opts.HeavyHitterCapacity, kmerHash)
 				for _, batch := range contribs {
 					for _, it := range batch {
 						merged.Add(it.Key, it.Count)

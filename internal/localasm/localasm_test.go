@@ -182,6 +182,41 @@ func TestWalkRespectsMaxExtension(t *testing.T) {
 	}
 }
 
+// TestMerTableFirstAllocation: a table's first contig sizes it from the
+// stream length (floored at minTableSlots), later contigs keep that storage,
+// and a bundle with more distinct mers than the guess still grows it.
+func TestMerTableFirstAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	read := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "ACGT"[rng.Intn(4)]
+		}
+		return b
+	}
+	var ix merIndex
+	ix.reset([][]byte{read(40)})
+	if got := len(ix.table(21).slots); got != minTableSlots {
+		t.Errorf("82-symbol stream: %d slots, want the floor %d", got, minTableSlots)
+	}
+	// 20 random 1,000-base reads: a 40,040-symbol stream of distinct mers.
+	var big [][]byte
+	for i := 0; i < 20; i++ {
+		big = append(big, read(1000))
+	}
+	ix.reset(big)
+	if tb := ix.table(23); 2*tb.n > len(tb.slots) || len(tb.slots) < 1<<15 {
+		t.Errorf("new table: %d mers in %d slots, want a first allocation of 32768 grown to fit", tb.n, len(tb.slots))
+	}
+	if tb := ix.table(21); 2*tb.n > len(tb.slots) || tb.n < 39000 {
+		t.Errorf("reused table: %d mers in %d slots after growth", tb.n, len(tb.slots))
+	}
+	ix.reset([][]byte{read(40)})
+	if got := len(ix.table(21).slots); got < 1<<15 {
+		t.Errorf("table shrank to %d slots on a small contig", got)
+	}
+}
+
 func TestDefaultOptionsSane(t *testing.T) {
 	opts := DefaultOptions(31)
 	if opts.MinMer >= opts.MaxMer || opts.MaxExtension <= 0 || !opts.WorkStealing {

@@ -88,16 +88,22 @@ type merTable struct {
 	epoch uint64    // merIndex.gen of the contig this table was built for
 }
 
-// A table starts small — at P in the thousands most ranks index a handful
-// of reads — and quadruples, so a 200-read bundle settles in three steps.
+// minTableSlots is the smallest table: at P in the thousands most ranks
+// index a handful of reads.
 const minTableSlots = 1 << 8
 
 // reset empties the table for the contig of generation gen, keeping the slot
-// storage the previous contigs grew.
-func (t *merTable) reset(gen uint64) {
+// storage the previous contigs grew. The first contig to use the table sizes
+// it from its symbol stream: the bundles big enough to matter are deep ones,
+// whose mers repeat (a 20,000-symbol stream holds about 0.17 distinct mers
+// per symbol), so half the stream length keeps them under half load in this
+// one allocation instead of three quadruplings; a shallow bundle (up to 0.86
+// per symbol) is small and quadruples once more.
+func (t *merTable) reset(gen uint64, streamLen int) {
 	if t.slots == nil {
-		t.slots = make([]merSlot, minTableSlots)
-		t.shift = uint(64 - bits.TrailingZeros(minTableSlots))
+		n := max(minTableSlots, 1<<bits.Len(uint(streamLen/2)))
+		t.slots = make([]merSlot, n)
+		t.shift = uint(64 - bits.TrailingZeros(uint(n)))
 	}
 	t.epoch, t.n = gen, 0
 }
@@ -188,7 +194,7 @@ func (ix *merIndex) table(m int) *merTable {
 	if t.epoch == ix.gen {
 		return t
 	}
-	t.reset(ix.gen)
+	t.reset(ix.gen, len(ix.stream))
 	mask := merMask(m)
 	var key merKey
 	run := 0 // valid symbols in a row before the current one

@@ -88,12 +88,23 @@ type collSlot struct {
 }
 
 // exchBatch is one batch deposited into an exchange mailbox: the sending
-// rank, the batch payload (a []T boxed as any) and its wire bytes as
-// computed by the sender's size function.
+// rank, the batch's bounds within the destination-sorted keys that sender
+// published (see exchOutbox), and its wire bytes as computed by the sender's
+// size function. It holds no pointer, so a deposit allocates nothing.
 type exchBatch struct {
-	src     int
-	payload any
-	bytes   int
+	src    int
+	lo, hi int
+	bytes  int
+}
+
+// exchOutbox is what a sender publishes in its gather-buffer slot for the
+// duration of one exchange: its items, untouched, and its packed keys sorted
+// by destination. The receiver of batch [lo, hi) gathers
+// items[uint32(keys[j])] for j in that range, so the sender never builds a
+// routed copy.
+type exchOutbox[T any] struct {
+	items []T
+	keys  []uint64
 }
 
 // exchInbox is one destination rank's mailbox. Senders append under the
@@ -106,22 +117,29 @@ type exchInbox struct {
 	_       [24]byte
 }
 
-func (ib *exchInbox) put(src int, payload any, bytes int) {
+func (ib *exchInbox) put(b exchBatch) {
 	ib.mu.Lock()
-	ib.batches = append(ib.batches, exchBatch{src: src, payload: payload, bytes: bytes})
+	ib.batches = append(ib.batches, b)
 	ib.mu.Unlock()
 }
 
-// drainInbox consumes every batch deposited for this rank in ascending
-// source-rank order and accounts it: inbound bytes for batches from other
-// ranks, and the full received footprint (including the rank's own loop-back
-// batch) against the resident meter. Must be called between the exchange's
-// entry barrier (all deposits delivered) and its exit barrier (mailbox array
-// reusable).
-func (r *Rank) drainInbox(fn func(src int, payload any, bytes int)) {
+// radixMinKeys is the exchange size below which a comparison sort beats the
+// radix passes' fixed cost of clearing and scanning 256 counters each — at
+// P = 4096 most ranks route a handful of items, or none, per exchange.
+const radixMinKeys = 32
+
+// takeInbox empties this rank's mailbox and returns every batch deposited
+// there in ascending source-rank order, accounting them: inbound bytes for
+// batches from other ranks, and the full received footprint (including the
+// rank's own loop-back batch) against the resident meter. Must be called
+// after the exchange's entry barrier (all deposits delivered). The returned
+// slice is the mailbox's own array, recycled by the next exchange's deposits:
+// it is valid until this rank leaves the exchange's exit barrier.
+func (r *Rank) takeInbox() []exchBatch {
 	ib := &r.machine.inboxes[r.id]
 	ib.mu.Lock()
 	batches := ib.batches
+	ib.batches = batches[:0]
 	ib.mu.Unlock()
 	// Deposits arrive in whatever order the senders ran; src values are
 	// distinct (at most one batch per sender), so an unstable generic sort
@@ -129,19 +147,52 @@ func (r *Rank) drainInbox(fn func(src int, payload any, bytes int)) {
 	// reflection overhead — this runs once per rank per exchange.
 	slices.SortFunc(batches, func(a, b exchBatch) int { return a.src - b.src })
 	resident := 0
-	for i := range batches {
-		b := batches[i]
-		batches[i] = exchBatch{} // drop the payload reference: the array is recycled
+	for _, b := range batches {
 		resident += b.bytes
 		if b.src != r.id {
 			r.stats.BytesReceived += uint64(b.bytes)
 		}
-		fn(b.src, b.payload, b.bytes)
 	}
-	ib.mu.Lock()
-	ib.batches = batches[:0]
-	ib.mu.Unlock()
 	r.ChargeResident(resident)
+	return batches
+}
+
+// sortExchKeys orders an exchange's packed keys (dest<<32 | item index, built
+// in item order) by destination with a byte-wise LSD radix sort over the
+// bytes a destination below p occupies: O(len(keys)) with no per-rank O(P)
+// scratch, closure-free, and stable by construction, so each destination's
+// items keep their original order. The two key buffers are per-rank scratch
+// reused by every exchange.
+func (r *Rank) sortExchKeys(keys []uint64, p int) []uint64 {
+	if len(keys) < radixMinKeys {
+		// The keys are distinct and carry the item index in their low bits,
+		// so plain ascending order is the same stable grouping.
+		slices.Sort(keys)
+		r.exchKeys = keys
+		return keys
+	}
+	tmp := slices.Grow(r.exchTmp[:0], len(keys))[:len(keys)]
+	for shift := uint(32); (p-1)>>(shift-32) > 0; shift += 8 {
+		var next [256]int
+		for _, k := range keys {
+			next[byte(k>>shift)]++
+		}
+		// Only the digits a destination below p can have are ever counted.
+		digits := min(256, (p-1)>>(shift-32)+1)
+		pos := 0
+		for b, c := range next[:digits] {
+			next[b] = pos
+			pos += c
+		}
+		for _, k := range keys {
+			b := byte(k >> shift)
+			tmp[next[b]] = k
+			next[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	r.exchKeys, r.exchTmp = keys, tmp
+	return keys
 }
 
 // ceilLog2 returns ceil(log2(n)) — the number of rounds of a binomial-tree
@@ -479,54 +530,64 @@ func Broadcast[T any](r *Rank, x T) T {
 // order with each source's items in that source's original order. sizeOf
 // reports one item's wire bytes.
 //
-// It never materializes O(P) scratch on the caller: grouping is a stable sort
-// of the item indices by destination, each batch is a subslice of one routed
-// copy, and only non-empty batches are deposited, so a rank talking to d
-// destinations costs O(items + d), independent of P. A personalized exchange
-// has no tree shortcut — every pair must move its own data — so it is charged
-// one aggregated send per non-empty destination batch, in ascending
-// destination order; received batches are accounted to BytesReceived and the
-// resident meter. The epoch is three barriers (deposit / drain / reset): every
-// exchange-based stage was calibrated against that count.
+// It never materializes O(P) scratch on the caller: grouping is a radix sort
+// of packed (destination, index) keys held in per-rank scratch, each batch is
+// a range of those keys that the receiver gathers straight from the sender's
+// items, and only non-empty batches are deposited, so a rank talking to d
+// destinations costs O(items + d), independent of P. A
+// personalized exchange has no tree shortcut — every pair must move its own
+// data — so it is charged one aggregated send per non-empty destination
+// batch, in ascending destination order; received batches are accounted to
+// BytesReceived and the resident meter. The epoch is three barriers (deposit /
+// drain / reset): every exchange-based stage was calibrated against that
+// count. One call routes fewer than 2^32 items.
 func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, sizeOf func(T) int) []T {
 	m := r.machine
 	p := m.cfg.Ranks
 	n := len(items)
-	dests := make([]int, n)
-	order := make([]int, n)
+	keys := slices.Grow(r.exchKeys[:0], n)[:n]
 	for i, item := range items {
 		d := destOf(i, item) % p
 		if d < 0 {
 			d += p
 		}
-		dests[i] = d
-		order[i] = i
+		keys[i] = uint64(d)<<32 | uint64(i)
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return dests[a] - dests[b] })
-	routed := make([]T, n)
-	for j, idx := range order {
-		routed[j] = items[idx]
-	}
+	keys = r.sortExchKeys(keys, p)
+	m.gatherBuf[r.id].payload = exchOutbox[T]{items: items, keys: keys}
 	for start := 0; start < n; {
-		d := dests[order[start]]
+		d := int(keys[start] >> 32)
 		end := start
 		bytes := 0
-		for end < n && dests[order[end]] == d {
-			bytes += sizeOf(routed[end])
+		for end < n && int(keys[end]>>32) == d {
+			bytes += sizeOf(items[uint32(keys[end])])
 			end++
 		}
-		m.inboxes[d].put(r.id, routed[start:end:end], bytes)
+		m.inboxes[d].put(exchBatch{src: r.id, lo: start, hi: end, bytes: bytes})
 		if d != r.id {
 			r.ChargeSend(d, bytes, 1)
 		}
 		start = end
 	}
 	r.Barrier()
+	batches := r.takeInbox()
+	total := 0
+	for _, b := range batches {
+		total += b.hi - b.lo
+	}
 	var merged []T
-	r.drainInbox(func(src int, payload any, bytes int) {
-		merged = append(merged, payload.([]T)...)
-	})
+	if total > 0 {
+		merged = make([]T, 0, total)
+		for _, b := range batches {
+			out := m.gatherBuf[b.src].payload.(exchOutbox[T])
+			for _, key := range out.keys[b.lo:b.hi] {
+				merged = append(merged, out.items[uint32(key)])
+			}
+		}
+	}
 	r.Barrier()
+	// Every receiver has gathered its batches: unpin the caller's items.
+	m.gatherBuf[r.id] = collSlot{}
 	r.Barrier()
 	return merged
 }

@@ -448,6 +448,10 @@ type Rank struct {
 	// goroutine.
 	token   *parkToken
 	hasSlot bool
+
+	// Key buffers of ExchangeFunc's destination grouping, kept across
+	// exchanges (see sortExchKeys).
+	exchKeys, exchTmp []uint64
 }
 
 // ID returns the rank index in [0, NRanks).

@@ -226,6 +226,71 @@ func TestExchangeFunc(t *testing.T) {
 	})
 }
 
+// TestExchangeFuncTwoByteDestinations routes to destinations on both sides of
+// 256, where grouping takes two radix passes (the 42 items per rank are past
+// radixMinKeys; TestExchangeFunc's 21 take the comparison sort): every
+// receiver must still see ascending sources and, within a source, the
+// sender's original order.
+func TestExchangeFuncTwoByteDestinations(t *testing.T) {
+	const p, perDest = 300, 6
+	dests := []int{299, 0, 256, 255, 1, 257, 44}
+	type msg struct{ src, dest, seq int }
+	m := NewMachine(Config{Ranks: p, RanksPerNode: 4})
+	m.Run(func(r *Rank) {
+		// Round-robin over the destinations, so each one's items interleave
+		// with all the others' in the input.
+		var items []msg
+		for i := 0; i < perDest; i++ {
+			for _, d := range dests {
+				items = append(items, msg{src: r.ID(), dest: d, seq: i})
+			}
+		}
+		in := ExchangeFunc(r, items, func(_ int, it msg) int { return it.dest }, func(msg) int { return 8 })
+		var want []msg
+		if slices.Contains(dests, r.ID()) {
+			for s := 0; s < p; s++ {
+				for i := 0; i < perDest; i++ {
+					want = append(want, msg{src: s, dest: r.ID(), seq: i})
+				}
+			}
+		}
+		if !slices.Equal(in, want) {
+			t.Errorf("rank %d: received %d items out of order or misrouted", r.ID(), len(in))
+		}
+	})
+}
+
+// TestExchangeFuncReusesScratch: the destination grouping works in per-rank
+// key buffers that a steady-state round neither reallocates nor re-sizes, so
+// all an exchange allocates is the merged result and the boxed outbox that
+// publishes the sender's items: nothing per item, nothing per destination.
+func TestExchangeFuncReusesScratch(t *testing.T) {
+	const p, n = 8, 512
+	items := make([]int, n)
+	round := func(r *Rank) {
+		ExchangeFunc(r, items, func(i int, _ int) int { return r.ID() + i }, func(int) int { return 8 })
+	}
+	NewMachine(Config{Ranks: p}).Run(func(r *Rank) {
+		round(r)
+		keys, tmp := &r.exchKeys[:1][0], &r.exchTmp[:1][0]
+		for i := 0; i < 6; i++ {
+			round(r)
+		}
+		// The one radix pass of a round swaps the two buffers; an even number
+		// of rounds swaps them back.
+		if &r.exchKeys[:1][0] != keys || &r.exchTmp[:1][0] != tmp || cap(r.exchKeys) < n {
+			t.Errorf("rank %d: exchange key scratch was reallocated", r.ID())
+		}
+	})
+	// With one rank nothing else allocates concurrently, so the count is exact.
+	NewMachine(Config{Ranks: 1}).Run(func(r *Rank) {
+		round(r)
+		if got := testing.AllocsPerRun(20, func() { round(r) }); got > 2 {
+			t.Errorf("steady-state exchange round: %v allocations, want 2", got)
+		}
+	})
+}
+
 func TestExchangeFuncRepeated(t *testing.T) {
 	// Repeated exchanges must not leak data between rounds. The destination
 	// is left unreduced: rank p-1's r.ID()+1 wraps to rank 0.
