@@ -80,13 +80,11 @@ func TestDocsRequiredCrossLinks(t *testing.T) {
 			// execution-vs-simulation separation and the O(P) collective
 			// rules.
 			"### Pooled scheduler", "Config.Workers", "bit-identical",
-			"BENCH_wallclock.json",
 			// The packed-kernel documentation: the design notes own the
 			// representation, the word-at-a-time tricks and the
 			// bit-identity rule.
 			"## 9. Packed 2-bit sequences and word-at-a-time kernels",
 			"seq.Packed", "MismatchCount", "FuzzPackedRoundTrip",
-			"BENCH_kernels.json",
 			// ... and local assembly's mer index: lazy per-size tables, the
 			// case-exact long key, and what stays uncharged.
 			"### Local assembly's mer index", "case bit",
@@ -104,26 +102,24 @@ func TestDocsRequiredCrossLinks(t *testing.T) {
 			"## 11. Multi-sample co-assembly",
 			"SampleID", "TestSingleSampleShorthandEquivalence",
 			"MinKmerCount", "AbundanceReport", "ErrInputMismatch",
-			"TestCoassemblyRecoversLowAbundance", "FuzzSampleConfigNormalize",
-			"BENCH_coassembly.json"},
+			"TestCoassemblyRecoversLowAbundance", "FuzzSampleConfigNormalize"},
 		"TUTORIAL.md": {"## 6. Surviving a mid-run kill",
 			"-fail-after-stage", "manifest head", "DESIGN.md) §8",
-			// The tutorial owns the practical guidance on -workers and the
-			// wall-clock trajectory file.
-			"-workers", "BENCH_wallclock.json", "max_feasible_ranks",
-			// ... and on the per-kernel trajectory file and the pprof
-			// flags.
-			"### Reading `BENCH_kernels.json` and profiling a run",
-			"packed_ns_per_op", "speedup_x", "-cpuprofile", "-memprofile",
+			// The tutorial owns the walkthrough of the one benchmark — its
+			// end-to-end and per-layer tables, traces and compare mode —
+			// and the practical guidance on -workers and the pprof flags.
+			"go run ./benchmark", "BENCHMARK.json", "-trace", "-compare",
+			"-workers", "-cpuprofile", "-memprofile",
 			// The tutorial owns the serving walkthrough: submit, stream,
-			// fetch, and the load generator.
+			// fetch, and the load workload.
 			"## 8. Serving assemblies", "mhmserve", "/v1/jobs",
-			"DESIGN.md) §10", "BENCH_serve.json",
+			"DESIGN.md) §10", "serve_2t",
 			// The tutorial owns the co-assembly walkthrough: simulate the
 			// time series, co-assemble the union, recover the abundances.
 			"## 9. Multi-sample co-assembly", "-samples", "-sample-drift",
-			"-sample-reads", "DESIGN.md) §11", "examples/coassembly",
-			"BENCH_coassembly.json"},
+			"-sample-reads", "DESIGN.md) §11", "examples/coassembly"},
+		// The README leads readers to the one benchmark and its contract.
+		"README.md": {"go run ./benchmark", "BENCHMARK.json"},
 	}
 	for doc, wants := range sections {
 		data, err := os.ReadFile(doc)
@@ -136,6 +132,20 @@ func TestDocsRequiredCrossLinks(t *testing.T) {
 				t.Errorf("%s must keep the checkpoint/restart documentation (missing %q)", doc, want)
 			}
 		}
+	}
+}
+
+// TestDocsOneBenchmarkSystem guards against a second measurement system growing
+// back beside BENCHMARK.json + benchmark/: no BENCH_*.json snapshot may sit in
+// the repository root (CI's `git diff --exit-code` after the benchmark bitrot
+// smoke catches a benchmark that writes into any tracked file).
+func TestDocsOneBenchmarkSystem(t *testing.T) {
+	stale, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stale) != 0 {
+		t.Errorf("%v: benchmark numbers belong to BENCHMARK.json metrics or test assertions, not to snapshot files", stale)
 	}
 }
 

@@ -32,6 +32,13 @@ func extendFixture(seed int64) (readSeq []byte, contig dbg.Contig, opts Options)
 	return readSeq, contig, opts
 }
 
+// extendKernelASCII is the oracle and baseline of the packed kernel: the
+// byte-at-a-time extension with no scratch, so a per-base ASCII comparison
+// loop and a fresh reverse-complement allocation per reverse-strand candidate.
+func extendKernelASCII(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, reverse bool, opts Options) (Alignment, bool) {
+	return extendBytes(readSeq, contig, hit, seedOff, reverse, opts, nil)
+}
+
 // TestExtendPackedMatchesASCII drives the packed and byte extension kernels
 // over random reads, contigs, hits and orientations — including reads with
 // ambiguous bases, which must take the byte path — and requires identical
@@ -51,7 +58,7 @@ func TestExtendPackedMatchesASCII(t *testing.T) {
 		reverse := r.Intn(2) == 1
 		s.BeginRead(readSeq)
 		got, gotOK := ExtendKernel(readSeq, contig, hit, seedOff, reverse, opts, s)
-		want, wantOK := ExtendKernelASCII(readSeq, contig, hit, seedOff, reverse, opts)
+		want, wantOK := extendKernelASCII(readSeq, contig, hit, seedOff, reverse, opts)
 		if got != want || gotOK != wantOK {
 			t.Fatalf("trial %d (reverse=%v, len(read)=%d): packed %+v ok=%v, ascii %+v ok=%v",
 				trial, reverse, len(readSeq), got, gotOK, want, wantOK)
@@ -93,8 +100,8 @@ func BenchmarkKernelAlignExtend(b *testing.B) {
 	b.Run("ascii", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ExtendKernelASCII(readSeq, contig, hitF, 16, false, opts)
-			ExtendKernelASCII(readSeq, contig, hitR, 16, true, opts)
+			extendKernelASCII(readSeq, contig, hitF, 16, false, opts)
+			extendKernelASCII(readSeq, contig, hitR, 16, true, opts)
 		}
 	})
 }
@@ -124,8 +131,8 @@ func TestExtendPackedSpeedup(t *testing.T) {
 		})
 		ascii := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ExtendKernelASCII(readSeq, contig, hitF, 16, false, opts)
-				ExtendKernelASCII(readSeq, contig, hitR, 16, true, opts)
+				extendKernelASCII(readSeq, contig, hitF, 16, false, opts)
+				extendKernelASCII(readSeq, contig, hitR, 16, true, opts)
 			}
 		})
 		ratio := float64(ascii.NsPerOp()) / float64(packed.NsPerOp())

@@ -3,8 +3,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"mhmgo/internal/aligner"
+	"mhmgo/internal/dbg"
+	"mhmgo/internal/dist"
+	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
 	"mhmgo/internal/sim"
 )
@@ -144,5 +149,74 @@ func TestDistributedOwnershipEquivalentAndLean(t *testing.T) {
 	if float64(gatherPeak) < 4*float64(distPeak) {
 		t.Errorf("distributed ownership should cut the worst rank's peak resident bytes >=4x at P=%d: %d vs %d",
 			p, gatherPeak, distPeak)
+	}
+}
+
+// TestLocalizePairsShipsPairsToContigOwner: after read localization every
+// pair with an aligned mate sits on the rank owning that contig, unaligned
+// pairs stay where they were, mates stay adjacent, no read is lost and the
+// new offsets tile the global read numbering.
+func TestLocalizePairsShipsPairsToContigOwner(t *testing.T) {
+	contigs := []dbg.Contig{
+		{Seq: []byte("ACGTTGCAAGCTTACGGATCCGTAAACTGGTCCATTGGCAACGGTATTCCAGGAATTCACAGG")},
+		{Seq: []byte("TTGGCCAATCGGATTACCGGTTAAGGCCTTGACCGGTATGCCAGTTGGAACCTT")},
+	}
+	// Pairs named after the contig both mates come from, plus one pair that
+	// aligns nowhere.
+	var reads []seq.Read
+	for ci, c := range contigs {
+		for i := 0; i+44 <= len(c.Seq); i += 4 {
+			id := fmt.Sprintf("c%d", ci)
+			reads = append(reads, seq.Read{ID: id, Seq: c.Seq[i : i+40]}, seq.Read{ID: id, Seq: c.Seq[i+4 : i+44]})
+		}
+	}
+	junk := []byte(strings.Repeat("ACAC", 12))
+	reads = append(reads, seq.Read{ID: "junk", Seq: junk}, seq.Read{ID: "junk", Seq: junk})
+
+	const ranks = 4
+	var held [ranks][]seq.Read
+	var offsets [ranks]int
+	var contigHome [2]int
+	junkHome := 0
+	pgas.NewMachine(pgas.Config{Ranks: ranks}).Run(func(r *pgas.Rank) {
+		clo, chi := r.BlockRange(len(contigs))
+		cset := dbg.DistributeContigs(r, contigs[clo:chi], dist.Distributed)
+		opts := aligner.DefaultOptions(15)
+		idx := aligner.BuildIndex(r, cset, opts)
+		plo, phi := r.BlockRange(len(reads) / 2)
+		local := reads[2*plo : 2*phi]
+		if phi == len(reads)/2 {
+			junkHome = r.ID()
+		}
+		aligns, _ := aligner.AlignReads(r, idx, local, 2*plo, opts)
+		held[r.ID()], offsets[r.ID()], _ = localizePairs(r, cset, local, 2*plo, aligns)
+		for _, c := range cset.Local(r) {
+			for ci := range contigs {
+				if bytes.Equal(c.Seq, contigs[ci].Seq) {
+					contigHome[ci] = r.ID() // each contig has one owner: no two ranks write one element
+				}
+			}
+		}
+	})
+	owner := map[string]int{"c0": contigHome[0], "c1": contigHome[1], "junk": junkHome}
+
+	total, next := 0, 0
+	for rank, got := range held {
+		if offsets[rank] != next {
+			t.Errorf("rank %d: read offset %d, want %d", rank, offsets[rank], next)
+		}
+		next += len(got)
+		total += len(got)
+		for i, rd := range got {
+			if want := owner[rd.ID]; rank != want {
+				t.Errorf("rank %d holds a %s read; its pair belongs on rank %d", rank, rd.ID, want)
+			}
+			if i%2 == 1 && got[i-1].ID != rd.ID {
+				t.Errorf("rank %d: mates %q and %q split", rank, got[i-1].ID, rd.ID)
+			}
+		}
+	}
+	if total != len(reads) {
+		t.Errorf("localization lost or duplicated reads: %d held, %d in", total, len(reads))
 	}
 }

@@ -249,9 +249,6 @@ func (g *Graph) isPathStart(r *pgas.Rank, cur oriented, e Entry) bool {
 type TraverseOptions struct {
 	// MinContigLen drops contigs shorter than this many bases (0 keeps all).
 	MinContigLen int
-	// MaxSteps bounds a single walk as a safeguard against cycles; 0 means
-	// the total number of graph vertices.
-	MaxSteps int
 }
 
 // Traverse generates contigs from the graph. Collective: every rank walks
@@ -264,10 +261,9 @@ type TraverseOptions struct {
 // into the clock in a run-to-run-varying order would drift the simulated
 // seconds by floating-point rounding.
 func Traverse(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = g.vertexCount() + 1
-	}
+	// No simple path visits more vertices than the graph has: the bound
+	// stops a walk that entered a cycle not through its start vertex.
+	maxSteps := g.vertexCount() + 1
 	type vertex struct {
 		km seq.Kmer
 		e  Entry
@@ -344,59 +340,6 @@ func (g *Graph) walk(r *pgas.Rank, start oriented, e Entry, maxSteps int, ws *Wa
 		r.Compute(1)
 	}
 }
-
-// walkASCII is the historical walk — one ASCII byte appended per step into a
-// freshly allocated slice — kept as the baseline the packed walk is
-// benchmarked and equivalence-tested against.
-func (g *Graph) walkASCII(r *pgas.Rank, start oriented, e Entry, maxSteps int) ([]byte, []uint32) {
-	obs := start.observedKmer()
-	contigSeq := append([]byte(nil), obs.Bytes()...)
-	counts := []uint32{e.Count}
-	cur, ce := start, e
-	for steps := 0; steps < maxSteps; steps++ {
-		next, ne, code, ok := g.successor(r, cur, ce)
-		if !ok {
-			break
-		}
-		if next.key == start.key {
-			break
-		}
-		contigSeq = append(contigSeq, seq.BaseToChar(code))
-		counts = append(counts, ne.Count)
-		cur, ce = next, ne
-		r.Compute(1)
-	}
-	return contigSeq, counts
-}
-
-// WalkKernel exposes one graph walk for the repository-level per-kernel
-// benchmarks and the packed-vs-ASCII equivalence tests: it walks from the
-// canonical k-mer km in the given orientation into the scratch and returns
-// the walked length in bases (0 if km is not a vertex). Traverse reaches the
-// same code with its path-start and emit-once filters around it.
-func (g *Graph) WalkKernel(r *pgas.Rank, km seq.Kmer, forward bool, maxSteps int, ws *WalkScratch) int {
-	e, ok := g.Entries.Get(r, km)
-	if !ok {
-		return 0
-	}
-	g.walk(r, oriented{key: km, forward: forward}, e, maxSteps, ws)
-	return ws.seq.Len()
-}
-
-// WalkKernelASCII is the ASCII-baseline counterpart of WalkKernel.
-func (g *Graph) WalkKernelASCII(r *pgas.Rank, km seq.Kmer, forward bool, maxSteps int) ([]byte, []uint32) {
-	e, ok := g.Entries.Get(r, km)
-	if !ok {
-		return nil, nil
-	}
-	return g.walkASCII(r, oriented{key: km, forward: forward}, e, maxSteps)
-}
-
-// Unpack exposes the scratch's walked sequence as ASCII, appended to dst.
-func (ws *WalkScratch) Unpack(dst []byte) []byte { return ws.seq.AppendUnpack(dst) }
-
-// Counts returns the scratch's per-vertex depth counts for the last walk.
-func (ws *WalkScratch) Counts() []uint32 { return ws.counts }
 
 // ContigSet is the distributed contig collection the pipeline passes between
 // stages: contigs partitioned by content over the ranks, with dense global

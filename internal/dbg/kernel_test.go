@@ -10,9 +10,16 @@ import (
 	"mhmgo/internal/seq"
 )
 
+// fixtureVertex is one vertex of the fixture graph: its canonical k-mer and
+// the entry a walk from it starts with.
+type fixtureVertex struct {
+	km seq.Kmer
+	e  Entry
+}
+
 // walkFixtureGraph builds a single-rank graph over reads covering a random
-// genome, returning the machine, graph and the sorted vertex list.
-func walkFixtureGraph(t testing.TB, genomeLen, k int) (*pgas.Machine, *Graph, []seq.Kmer) {
+// genome, returning the machine, graph and the vertex list.
+func walkFixtureGraph(t testing.TB, genomeLen, k int) (*pgas.Machine, *Graph, []fixtureVertex) {
 	r := rand.New(rand.NewSource(51))
 	var sb strings.Builder
 	for i := 0; i < genomeLen; i++ {
@@ -23,18 +30,41 @@ func walkFixtureGraph(t testing.TB, genomeLen, k int) (*pgas.Machine, *Graph, []
 	opts := kmeranalysis.DefaultOptions(k)
 	opts.UseBloom = false
 	var g *Graph
-	var vertices []seq.Kmer
+	var vertices []fixtureVertex
 	m.Run(func(rk *pgas.Rank) {
 		res := kmeranalysis.Run(rk, reads, opts, nil)
 		g = Build(rk, res.Counts, k, DefaultThresholds())
-		g.Entries.ForEachLocal(rk, func(km seq.Kmer, _ Entry) {
-			vertices = append(vertices, km)
+		g.Entries.ForEachLocal(rk, func(km seq.Kmer, e Entry) {
+			vertices = append(vertices, fixtureVertex{km: km, e: e})
 		})
 	})
 	if len(vertices) == 0 {
 		t.Fatal("fixture graph has no vertices")
 	}
 	return m, g, vertices
+}
+
+// walkASCII is the oracle and baseline of the packed walk: one ASCII byte
+// appended per step into a freshly allocated slice.
+func (g *Graph) walkASCII(r *pgas.Rank, start oriented, e Entry, maxSteps int) ([]byte, []uint32) {
+	obs := start.observedKmer()
+	contigSeq := append([]byte(nil), obs.Bytes()...)
+	counts := []uint32{e.Count}
+	cur, ce := start, e
+	for steps := 0; steps < maxSteps; steps++ {
+		next, ne, code, ok := g.successor(r, cur, ce)
+		if !ok {
+			break
+		}
+		if next.key == start.key {
+			break
+		}
+		contigSeq = append(contigSeq, seq.BaseToChar(code))
+		counts = append(counts, ne.Count)
+		cur, ce = next, ne
+		r.Compute(1)
+	}
+	return contigSeq, counts
 }
 
 // TestWalkPackedMatchesASCII walks every vertex of a fixture graph in both
@@ -45,15 +75,17 @@ func TestWalkPackedMatchesASCII(t *testing.T) {
 	ws := NewWalkScratch()
 	m.Run(func(rk *pgas.Rank) {
 		maxSteps := g.Entries.Len() + 1
-		for _, km := range vertices {
+		for _, v := range vertices {
+			km := v.km
 			for _, forward := range []bool{true, false} {
-				n := g.WalkKernel(rk, km, forward, maxSteps, ws)
-				wantSeq, wantCounts := g.WalkKernelASCII(rk, km, forward, maxSteps)
-				if got := string(ws.Unpack(nil)); got != string(wantSeq) || n != len(wantSeq) {
+				start := oriented{key: km, forward: forward}
+				g.walk(rk, start, v.e, maxSteps, ws)
+				wantSeq, wantCounts := g.walkASCII(rk, start, v.e, maxSteps)
+				if got, n := string(ws.seq.AppendUnpack(nil)), ws.seq.Len(); got != string(wantSeq) || n != len(wantSeq) {
 					t.Fatalf("walk from %s forward=%v:\n got %s (n=%d)\nwant %s",
 						km.String(), forward, got, n, wantSeq)
 				}
-				gotCounts := ws.Counts()
+				gotCounts := ws.counts
 				if len(gotCounts) != len(wantCounts) {
 					t.Fatalf("walk from %s: %d counts, want %d", km.String(), len(gotCounts), len(wantCounts))
 				}
@@ -86,15 +118,17 @@ func BenchmarkKernelDBGWalk(b *testing.B) {
 			if maxSteps == 0 {
 				maxSteps = g.Entries.Len() + 1
 			}
-			g.WalkKernel(rk, vertices[0], true, maxSteps, ws) // warm the buffers
+			v0 := vertices[0]
+			g.walk(rk, oriented{key: v0.km, forward: true}, v0.e, maxSteps, ws) // warm the buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.WalkKernel(rk, vertices[i%len(vertices)], i%2 == 0, maxSteps, ws)
+				v := vertices[i%len(vertices)]
+				g.walk(rk, oriented{key: v.km, forward: i%2 == 0}, v.e, maxSteps, ws)
 			}
 			b.StopTimer()
 			allocs := testing.AllocsPerRun(100, func() {
-				g.WalkKernel(rk, vertices[0], true, maxSteps, ws)
+				g.walk(rk, oriented{key: v0.km, forward: true}, v0.e, maxSteps, ws)
 			})
 			if allocs != 0 {
 				b.Fatalf("packed walk with warm scratch: %v allocs/op, want 0", allocs)
@@ -109,7 +143,8 @@ func BenchmarkKernelDBGWalk(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.WalkKernelASCII(rk, vertices[i%len(vertices)], i%2 == 0, maxSteps)
+				v := vertices[i%len(vertices)]
+				g.walkASCII(rk, oriented{key: v.km, forward: i%2 == 0}, v.e, maxSteps)
 			}
 		})
 	})

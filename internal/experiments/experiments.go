@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section on the simulated substrate. Each experiment is a
 // function that runs the necessary assemblies and returns a printable
-// result; cmd/mhmbench and the repository-level benchmarks are thin wrappers
-// around these functions.
+// result; cmd/mhmbench is a thin wrapper around these functions.
 //
 // The datasets are scaled-down analogues of the paper's (see DESIGN.md);
 // absolute numbers therefore differ from the paper, but the qualitative

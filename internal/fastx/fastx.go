@@ -50,7 +50,8 @@ func DetectFormat(firstLine string) Format {
 }
 
 // Reader parses FASTA or FASTQ records from an io.Reader, detecting the
-// format from the first record.
+// format from the first record. Sequence lines may hold letters only; any
+// other byte is an error naming its line.
 type Reader struct {
 	br     *bufio.Reader
 	format Format
@@ -117,6 +118,19 @@ func splitHeader(header string) (id, desc string) {
 	return id, desc
 }
 
+// checkSeqLine rejects a sequence line holding anything but letters. IUPAC
+// codes, N and soft-masked lower case are legal; a '>' or '@' is not, because
+// the writer's line wrap can put it first on a line, where it reads back as
+// the header of a record that was never there.
+func (r *Reader) checkSeqLine(line string) error {
+	for i := 0; i < len(line); i++ {
+		if c := line[i] | 0x20; c < 'a' || c > 'z' {
+			return fmt.Errorf("fastx: line %d: byte %q at column %d is not a sequence letter", r.line, line[i], i+1)
+		}
+	}
+	return nil
+}
+
 func (r *Reader) nextFASTA(header string) (Record, error) {
 	if !strings.HasPrefix(header, ">") {
 		return Record{}, fmt.Errorf("fastx: line %d: expected FASTA header, got %q", r.line, header)
@@ -133,8 +147,12 @@ func (r *Reader) nextFASTA(header string) (Record, error) {
 		}
 		if peek[0] == '\n' || peek[0] == '\r' {
 			// Skip blank lines between sequence lines or before the next header.
-			if _, err := r.br.ReadByte(); err != nil {
+			b, err := r.br.ReadByte()
+			if err != nil {
 				return Record{}, err
+			}
+			if b == '\n' {
+				r.line++
 			}
 			continue
 		}
@@ -146,6 +164,9 @@ func (r *Reader) nextFASTA(header string) (Record, error) {
 			if err == io.EOF {
 				break
 			}
+			return Record{}, err
+		}
+		if err := r.checkSeqLine(line); err != nil {
 			return Record{}, err
 		}
 		rec.Seq = append(rec.Seq, []byte(line)...)
@@ -164,6 +185,9 @@ func (r *Reader) nextFASTQ(header string) (Record, error) {
 	seqLine, err := r.readLine()
 	if err != nil {
 		return Record{}, fmt.Errorf("fastx: truncated FASTQ record %q: %v", id, err)
+	}
+	if err := r.checkSeqLine(seqLine); err != nil {
+		return Record{}, err
 	}
 	plus, err := r.readLine()
 	if err != nil || !strings.HasPrefix(plus, "+") {

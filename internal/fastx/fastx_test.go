@@ -73,6 +73,29 @@ func TestReadFASTQErrors(t *testing.T) {
 	}
 }
 
+// TestSequenceLinesHoldOnlyLetters: IUPAC codes, N and lower case parse; any
+// other byte in a FASTA or FASTQ sequence line is refused with the number of
+// the line it is on, blank lines counted.
+func TestSequenceLinesHoldOnlyLetters(t *testing.T) {
+	if recs, err := ReadAll(strings.NewReader(">x\nACGTNacgtnRYKMSWBDHV\n")); err != nil || len(recs) != 1 {
+		t.Errorf("IUPAC and soft-masked letters must parse: %v", err)
+	}
+	cases := []struct{ in, wantLine string }{
+		{">a\nACGT\n\n\nAC>GT\n", "line 5"},
+		{">a\r\nACGT\r\n\r\nAC GT\r\n", "line 4"},
+		{">a\nAC-GT\n", "line 2"},
+		{">a\nACGT\n@b\n", "line 3"},
+		{"@r1\nACGT\n+\nIIII\n@r2\nAC*T\n+\nIIII\n", "line 6"},
+		{"@r1\nAC\x00T\n+\nIIII\n", "line 2"},
+	}
+	for _, c := range cases {
+		_, err := ReadAll(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.wantLine+":") {
+			t.Errorf("input %q: error %v, want one naming %s", c.in, err, c.wantLine)
+		}
+	}
+}
+
 func TestWriteReadRoundTripFASTA(t *testing.T) {
 	recs := []Record{
 		{ID: "a", Desc: "desc", Seq: []byte(strings.Repeat("ACGT", 50))},

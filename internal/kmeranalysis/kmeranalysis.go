@@ -47,11 +47,6 @@ type Options struct {
 	// QualThreshold ignores extension observations whose base quality is
 	// below this Phred score (0 disables quality filtering).
 	QualThreshold int
-	// TableStripes is the number of lock stripes per rank partition of the
-	// counts table (rounded up to a power of two); 0 selects
-	// dht.DefaultStripes. Stripe count 1 reproduces the historical
-	// one-lock-per-rank table for contention ablations.
-	TableStripes int
 }
 
 // DefaultOptions returns the options used by the pipeline.
@@ -84,8 +79,9 @@ type Result struct {
 }
 
 // Observation is one k-mer occurrence shipped to its owner rank. It is
-// exported (with AppendObservations) for the repository-level per-kernel
-// benchmarks; the pipeline produces and consumes it internally.
+// exported (with AppendObservations) for the benchmark program's
+// kmeranalysis.extract_ns_per_read probe; the pipeline produces and consumes
+// it internally.
 type Observation struct {
 	Kmer     seq.Kmer
 	Left     byte
@@ -126,8 +122,7 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 		opts.BatchSize = 1024
 	}
 	if counts == nil {
-		counts = dht.NewMapCollective[seq.Kmer, seq.KmerCount](r, kmerHash, 40,
-			dht.WithStripes(opts.TableStripes))
+		counts = dht.NewMapCollective[seq.Kmer, seq.KmerCount](r, kmerHash, 40)
 	}
 
 	// Phase 1: extract observations from local reads and route them to the
@@ -357,42 +352,6 @@ func AppendObservations(dst []Observation, codes []byte, read seq.Read, opts Opt
 		out = append(out, o)
 	}
 	return out, codes
-}
-
-// AppendObservationsByteLoop is the historical extraction — a fresh k-mer
-// iterator per read and an ASCII decode per neighbour lookup — kept as the
-// baseline AppendObservations is benchmarked and equivalence-tested against.
-func AppendObservationsByteLoop(dst []Observation, read seq.Read, opts Options) []Observation {
-	k := opts.K
-	if len(read.Seq) < k {
-		return dst
-	}
-	out := dst
-	it := seq.NewKmerIter(read.Seq, k)
-	for {
-		km, off, ok := it.Next()
-		if !ok {
-			break
-		}
-		var o Observation
-		canon, wasRC := km.Canonical()
-		o.Kmer = canon
-		o.WasRC = wasRC
-		if off > 0 {
-			if code, valid := seq.CharToBase(read.Seq[off-1]); valid && qualOK(read, off-1, opts.QualThreshold) {
-				o.Left = code
-				o.HasLeft = true
-			}
-		}
-		if off+k < len(read.Seq) {
-			if code, valid := seq.CharToBase(read.Seq[off+k]); valid && qualOK(read, off+k, opts.QualThreshold) {
-				o.Right = code
-				o.HasRight = true
-			}
-		}
-		out = append(out, o)
-	}
-	return out
 }
 
 // qualOK reports whether the base at position i passes the quality filter.

@@ -333,9 +333,7 @@ func libraryWindows(opts Options) []int {
 // Scratch holds the per-rank buffers local assembly reuses across contigs:
 // the mer index (symbol stream and per-size tables) and the two walk buffers.
 // Everything is cleared, not reallocated, per contig, so extending a contig
-// allocates only the extended sequence it returns. One Scratch serves one Run;
-// it is exported (with NewScratch and ExtendKernel) so the repository-level
-// kernel benchmark can drive the extension kernel directly.
+// allocates only the extended sequence it returns. One Scratch serves one Run.
 type Scratch struct {
 	index       merIndex
 	right, left []byte // walk buffers: tail symbols, then the added bases
