@@ -58,19 +58,10 @@ func (a Alignment) Identity() float64 {
 type Options struct {
 	// SeedLen is the seed k-mer length.
 	SeedLen int
-	// SeedStride is the distance between consecutive seeds taken from a read.
-	SeedStride int
 	// MinIdentity is the minimum identity for an alignment to be reported.
 	MinIdentity float64
-	// MinAlignLen is the minimum number of aligned bases.
-	MinAlignLen int
 	// UseCache enables the per-rank software seed cache.
 	UseCache bool
-	// CacheEntries bounds the software cache size.
-	CacheEntries int
-	// MaxHitsPerSeed skips seeds that occur in more than this many contig
-	// positions (repeat seeds), 0 means no limit.
-	MaxHitsPerSeed int
 	// OnlyLib, when non-nil, aligns only the reads whose LibID matches:
 	// the round-based scaffolder aligns one library per round against that
 	// round's contig set and skips the others' reads entirely (their
@@ -80,17 +71,21 @@ type Options struct {
 	OnlyLib *uint8
 }
 
+const (
+	// seedStride is the distance between consecutive seeds taken from a read.
+	seedStride = 8
+	// minAlignLen is the minimum number of aligned bases.
+	minAlignLen = 20
+	// cacheEntries bounds the software cache size.
+	cacheEntries = 1 << 17
+	// maxHitsPerSeed skips seeds that occur in more than this many contig
+	// positions (repeat seeds).
+	maxHitsPerSeed = 32
+)
+
 // DefaultOptions returns the aligner defaults for the given seed length.
 func DefaultOptions(seedLen int) Options {
-	return Options{
-		SeedLen:        seedLen,
-		SeedStride:     8,
-		MinIdentity:    0.9,
-		MinAlignLen:    20,
-		UseCache:       true,
-		CacheEntries:   1 << 17,
-		MaxHitsPerSeed: 32,
-	}
+	return Options{SeedLen: seedLen, MinIdentity: 0.9, UseCache: true}
 }
 
 // Index is the distributed seed index over a distributed contig set. Neither
@@ -103,8 +98,6 @@ type Index struct {
 	Contigs *dbg.ContigSet
 }
 
-func kmerHash(k seq.Kmer) uint64 { return k.Hash() }
-
 // BuildIndex constructs the distributed seed index. Collective: each rank
 // indexes its own shard of the contig set using the aggregated update-only
 // phase.
@@ -113,7 +106,7 @@ func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 		opts.SeedLen = 31
 	}
 	idx := &Index{SeedLen: opts.SeedLen, Contigs: contigs}
-	idx.Seeds = dht.NewMapCollective[seq.Kmer, []SeedHit](r, kmerHash, 24)
+	idx.Seeds = dht.NewMapCollective[seq.Kmer, []SeedHit](r, seq.Kmer.Hash, 24)
 	combine := func(existing, update []SeedHit, found bool) []SeedHit {
 		return append(existing, update...)
 	}
@@ -159,22 +152,16 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 	if opts.SeedLen <= 0 {
 		opts.SeedLen = idx.SeedLen
 	}
-	if opts.SeedStride <= 0 {
-		opts.SeedStride = 8
-	}
 	if opts.MinIdentity <= 0 {
 		opts.MinIdentity = 0.9
 	}
-	if opts.MinAlignLen <= 0 {
-		opts.MinAlignLen = 20
-	}
-	reader := idx.Seeds.NewCachedReader(r, opts.CacheEntries, opts.UseCache)
+	reader := idx.Seeds.NewCachedReader(r, cacheEntries, opts.UseCache)
 	// Remote contig sequences are fetched through the same software-caching
 	// discipline as the seeds (merAligner caches contigs too); with read
 	// localization most fetches are owner-local and free.
 	contigCache := 0
 	if opts.UseCache {
-		contigCache = opts.CacheEntries
+		contigCache = cacheEntries
 	}
 	creader := idx.Contigs.NewReader(r, contigCache)
 	var out []Alignment
@@ -297,13 +284,13 @@ func alignOne(r *pgas.Rank, idx *Index, reader *dht.CachedReader[seq.Kmer, []See
 		if off < nextSeedAt {
 			continue
 		}
-		nextSeedAt = off + opts.SeedStride
+		nextSeedAt = off + seedStride
 		canon, readRC := km.Canonical()
 		hits, ok := reader.Get(canon)
 		if !ok {
 			continue
 		}
-		if opts.MaxHitsPerSeed > 0 && len(hits) > opts.MaxHitsPerSeed {
+		if len(hits) > maxHitsPerSeed {
 			continue
 		}
 		// The hit list accumulates in DHT flush-arrival order, which varies
@@ -435,7 +422,7 @@ func extendPacked(readLen int, cp seq.Packed, contig dbg.Contig, hit SeedHit, se
 		Mismatch:  mismatches,
 		AlignLen:  alignLen,
 	}
-	if alignLen < opts.MinAlignLen || a.Identity() < opts.MinIdentity {
+	if alignLen < minAlignLen || a.Identity() < opts.MinIdentity {
 		return a, false
 	}
 	return a, true
@@ -485,7 +472,7 @@ func extendBytes(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, re
 		Mismatch:  mismatches,
 		AlignLen:  alignLen,
 	}
-	if alignLen < opts.MinAlignLen || a.Identity() < opts.MinIdentity {
+	if alignLen < minAlignLen || a.Identity() < opts.MinIdentity {
 		return a, false
 	}
 	return a, true

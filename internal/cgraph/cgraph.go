@@ -26,22 +26,13 @@ import (
 type Options struct {
 	// K is the k-mer length the contigs were assembled with.
 	K int
-	// RemoveHair enables removal of dead-end tips shorter than HairMaxLen
-	// (default 2k).
+	// RemoveHair enables removal of dead-end tips shorter than hairMaxLen.
 	RemoveHair bool
-	HairMaxLen int
-	// MergeBubbles enables merging of equal-length bubble arms (keeping the
-	// deeper arm). BubbleLenTolerance is the allowed relative length
-	// difference between the two arms of a bubble (0 = identical lengths).
-	MergeBubbles       bool
-	BubbleLenTolerance float64
-	// Prune enables Algorithm 2 (iterative depth-based pruning) with the
-	// geometric threshold growth factor Alpha and the relative-depth factor
-	// Beta.
-	Prune          bool
-	PruneAlpha     float64
-	PruneBeta      float64
-	MaxPruneRounds int
+	// MergeBubbles enables merging of bubble arms of nearly equal length
+	// (keeping the deeper arm).
+	MergeBubbles bool
+	// Prune enables Algorithm 2 (iterative depth-based pruning).
+	Prune bool
 	// Compact merges chains of contigs connected by unambiguous junctions.
 	Compact bool
 	// Aggregate controls DHT update aggregation (for ablations).
@@ -50,20 +41,22 @@ type Options struct {
 
 // DefaultOptions returns the refinement configuration used by the pipeline.
 func DefaultOptions(k int) Options {
-	return Options{
-		K:                  k,
-		RemoveHair:         true,
-		HairMaxLen:         2 * k,
-		MergeBubbles:       true,
-		BubbleLenTolerance: 0.02,
-		Prune:              true,
-		PruneAlpha:         0.2,
-		PruneBeta:          0.5,
-		MaxPruneRounds:     20,
-		Compact:            true,
-		Aggregate:          true,
-	}
+	return Options{K: k, RemoveHair: true, MergeBubbles: true, Prune: true, Compact: true, Aggregate: true}
 }
+
+const (
+	// bubbleLenTolerance is the allowed relative length difference between
+	// the two arms of a bubble (0 = identical lengths).
+	bubbleLenTolerance = 0.02
+	// pruneAlpha is Algorithm 2's geometric threshold growth factor and
+	// pruneBeta its relative-depth factor; maxPruneRounds bounds its rounds.
+	pruneAlpha     = 0.2
+	pruneBeta      = 0.5
+	maxPruneRounds = 20
+)
+
+// hairMaxLen is the length below which a dead-end tip is hair: 2k.
+func hairMaxLen(k int) int { return 2 * k }
 
 // Result reports what refinement did. Set is the refined distributed contig
 // set (the input set is consumed: filtered in place, or released when
@@ -109,8 +102,6 @@ func junctionKey(c dbg.Contig, k int, end byte) (seq.Kmer, bool) {
 	canon, _ := km.Canonical()
 	return canon, true
 }
-
-func kmerHash(k seq.Kmer) uint64 { return k.Hash() }
 
 // aliveMask tracks contig liveness in per-owner shards: each rank mutates
 // only the flags of the contigs it owns, and reading a remote flag is
@@ -161,7 +152,7 @@ type graph struct {
 // keep (nil keeps all) in a distributed junction index (Global Update-Only
 // phase with aggregation), frozen for lock-free reads.
 func buildJunctionIndex(r *pgas.Rank, cs *dbg.ContigSet, k int, aggregate bool, keep func(i int) bool) *dht.Map[seq.Kmer, []endRef] {
-	idx := dht.NewMapCollective[seq.Kmer, []endRef](r, kmerHash, 32)
+	idx := dht.NewMapCollective[seq.Kmer, []endRef](r, seq.Kmer.Hash, 32)
 	combine := func(existing, update []endRef, found bool) []endRef {
 		return append(existing, update...)
 	}
@@ -251,19 +242,6 @@ func (g *graph) applyRemovals(r *pgas.Rank, proposals []int) int {
 // same counts, and Result.Set is the refined (filtered or compacted,
 // renumbered) set.
 func Refine(r *pgas.Rank, cs *dbg.ContigSet, opts Options) Result {
-	if opts.HairMaxLen <= 0 {
-		opts.HairMaxLen = 2 * opts.K
-	}
-	if opts.PruneAlpha <= 0 {
-		opts.PruneAlpha = 0.2
-	}
-	if opts.PruneBeta <= 0 {
-		opts.PruneBeta = 0.5
-	}
-	if opts.MaxPruneRounds <= 0 {
-		opts.MaxPruneRounds = 20
-	}
-
 	g := &graph{
 		k:       opts.K,
 		cs:      cs,
@@ -275,10 +253,10 @@ func Refine(r *pgas.Rank, cs *dbg.ContigSet, opts Options) Result {
 	var res Result
 
 	if opts.MergeBubbles {
-		res.BubblesMerged = g.mergeBubbles(r, opts)
+		res.BubblesMerged = g.mergeBubbles(r)
 	}
 	if opts.RemoveHair {
-		res.HairRemoved = g.removeHair(r, opts)
+		res.HairRemoved = g.removeHair(r)
 	}
 	if opts.Prune {
 		res.Pruned, res.PruneRounds = g.prune(r, opts)
@@ -320,7 +298,7 @@ func proposeLoser(c, oc dbg.Contig) int {
 
 // mergeBubbles finds pairs of alive contigs that share both junctions and
 // have nearly equal lengths (SNP bubbles) and removes the shallower arm.
-func (g *graph) mergeBubbles(r *pgas.Rank, opts Options) int {
+func (g *graph) mergeBubbles(r *pgas.Rank) int {
 	reader := g.junction.NewCachedReader(r, 1<<16, true)
 	var removals []int
 	aliveShard := g.alive.shards[r.ID()]
@@ -346,7 +324,7 @@ func (g *graph) mergeBubbles(r *pgas.Rank, opts Options) int {
 				continue
 			}
 			oc := g.creader.Get(other)
-			if !similarLength(len(c.Seq), len(oc.Seq), opts.BubbleLenTolerance) {
+			if !similarLength(len(c.Seq), len(oc.Seq), bubbleLenTolerance) {
 				continue
 			}
 			removals = append(removals, proposeLoser(c, oc))
@@ -368,15 +346,15 @@ func similarLength(a, b int, tol float64) bool {
 	return float64(big-small) <= tol*float64(big)
 }
 
-// removeHair removes dead-end tips: contigs shorter than HairMaxLen that are
+// removeHair removes dead-end tips: contigs shorter than hairMaxLen that are
 // attached to the rest of the graph at exactly one end and dangle freely at
 // the other, where the attachment point has an alternative continuation.
-func (g *graph) removeHair(r *pgas.Rank, opts Options) int {
+func (g *graph) removeHair(r *pgas.Rank) int {
 	reader := g.junction.NewCachedReader(r, 1<<16, true)
 	var removals []int
 	aliveShard := g.alive.shards[r.ID()]
 	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
-		if !aliveShard[i] || len(c.Seq) >= opts.HairMaxLen {
+		if !aliveShard[i] || len(c.Seq) >= hairMaxLen(g.k) {
 			return
 		}
 		left, right := g.neighborsOf(r, reader, c)
@@ -423,10 +401,10 @@ func (g *graph) prune(r *pgas.Rank, opts Options) (removedTotal, rounds int) {
 			maxDepth = c.Depth
 		}
 	})
-	maxDepth = r.AllReduceFloat64(maxDepth, pgas.ReduceMax)
+	maxDepth = pgas.AllReduce(r, maxDepth, pgas.ReduceMax)
 	tau := 1.0
 	aliveShard := g.alive.shards[r.ID()]
-	for round := 0; round < opts.MaxPruneRounds && tau < maxDepth; round++ {
+	for round := 0; round < maxPruneRounds && tau < maxDepth; round++ {
 		var removals []int
 		g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
 			if !aliveShard[i] || len(c.Seq) > 2*opts.K {
@@ -438,7 +416,7 @@ func (g *graph) prune(r *pgas.Rank, opts Options) (removedTotal, rounds int) {
 				return
 			}
 			limit := tau
-			if b := opts.PruneBeta * neighborDepth; b < limit {
+			if b := pruneBeta * neighborDepth; b < limit {
 				limit = b
 			}
 			if c.Depth <= limit {
@@ -454,7 +432,7 @@ func (g *graph) prune(r *pgas.Rank, opts Options) (removedTotal, rounds int) {
 			// every rank agrees.
 			break
 		}
-		tau *= 1 + opts.PruneAlpha
+		tau *= 1 + pruneAlpha
 	}
 	return removedTotal, rounds
 }

@@ -272,7 +272,7 @@ func TestRefineRankIndependence(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	opts := DefaultOptions(21)
-	if opts.HairMaxLen != 42 || !opts.Prune || !opts.MergeBubbles || !opts.Compact {
+	if hairMaxLen(opts.K) != 42 || !opts.Prune || !opts.MergeBubbles || !opts.Compact {
 		t.Errorf("unexpected defaults: %+v", opts)
 	}
 }

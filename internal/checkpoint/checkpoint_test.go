@@ -1,9 +1,11 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,10 +59,10 @@ func TestManifestValidateForMismatches(t *testing.T) {
 	m := New("cfg", "input", 3)
 	m.AppendStep(0, "kmer_analysis", 21, []string{"a", "b", "c"})
 	cases := []struct {
-		name                  string
-		cfgHash, inHash       string
-		ranks                 int
-		want                  error
+		name            string
+		cfgHash, inHash string
+		ranks           int
+		want            error
 	}{
 		{"config", "other", "input", 3, ErrConfigMismatch},
 		{"input", "cfg", "other", 3, ErrInputMismatch},
@@ -166,88 +168,118 @@ func TestShardReadWrite(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip pins the typed codecs: every record decodes back to
-// itself, and the encoded size is never below the pgas reflective lower
-// bound, so checkpoint bytes can stand in for wire bytes in cost arguments.
+// recordCase is one row of the codec table, its record type erased.
+type recordCase struct {
+	name string
+	// seed is the sample's encoding.
+	seed []byte
+	// check makes TestCodecRoundTrip's assertions over the sample.
+	check func(t *testing.T)
+	// recode walks one record off d and returns its re-encoding.
+	recode func(d *Dec) []byte
+}
+
+func record[T any](name string, fields func(*Codec, *T), sample T) recordCase {
+	encode := func(v *T) []byte {
+		var e Enc
+		fields(e.Codec(), v)
+		return e.Bytes()
+	}
+	recode := func(d *Dec) []byte {
+		var v T
+		fields(d.Codec(), &v)
+		return encode(&v)
+	}
+	seed := encode(&sample)
+	return recordCase{name: name, seed: seed, recode: recode, check: func(t *testing.T) {
+		d := NewDec(seed)
+		var got T
+		fields(d.Codec(), &got)
+		if err := d.Done(); err != nil {
+			t.Fatalf("decoding the sample: %v", err)
+		}
+		if !reflect.DeepEqual(got, sample) {
+			t.Errorf("round trip: got %+v want %+v", got, sample)
+		}
+		if re := encode(&got); !bytes.Equal(re, seed) {
+			t.Errorf("re-encoding differs from the %d bytes consumed", len(seed))
+		}
+		for cut := range seed {
+			d := NewDec(seed[:cut])
+			recode(d)
+			if d.Err() == nil {
+				t.Errorf("decoded successfully from %d of %d bytes", cut, len(seed))
+			}
+		}
+		if min := pgas.WireSizeOf(sample); len(seed) < min {
+			t.Errorf("encoded in %d bytes < reflective bound %d", len(seed), min)
+		}
+
+		// Slice's allocation bound is the encoded size of the zero record: a
+		// count of n passes over exactly n zero records and is refused, as a
+		// count and so before any allocation, over one byte fewer.
+		zeros := make([]T, 3)
+		var e Enc
+		Slice(e.Codec(), &zeros, fields)
+		if want := 8 + len(zeros)*len(encode(new(T))); len(e.Bytes()) != want {
+			t.Fatalf("%d zero records encode in %d bytes, want %d", len(zeros), len(e.Bytes()), want)
+		}
+		for missing := 0; missing <= 1; missing++ {
+			d := NewDec(e.Bytes()[:len(e.Bytes())-missing])
+			var xs []T
+			Slice(d.Codec(), &xs, fields)
+			refused := d.Err() != nil && strings.Contains(d.Err().Error(), "implausible element count")
+			if refused != (missing == 1) {
+				t.Errorf("with %d bytes missing the count was refused = %v (%v)", missing, refused, d.Err())
+			}
+		}
+	}}
+}
+
+// records is the codec table: every record type a shard carries, with a
+// sample value. TestCodecRoundTrip and FuzzDecRecords both run over it.
+var records = []recordCase{
+	record("read", ReadFields,
+		seq.Read{ID: "pair1/1", Seq: []byte("ACGTACGTA"), Qual: []byte("IIIIIIIII"), LibID: 2, SampleID: 3}),
+	record("alignment", AlignmentFields,
+		aligner.Alignment{ReadIdx: 12, ReadID: "pair1/1", LibID: 1, ContigID: 3,
+			ContigLen: 500, ContigPos: -4, Reverse: true, Matches: 70, Mismatch: 2, AlignLen: 72}),
+	record("contig", ContigFields,
+		dbg.Contig{ID: 7, Seq: []byte("ACGTTT"), Depth: 3.25}),
+	record("scaffold", ScaffoldFields,
+		scaffold.Scaffold{ID: 2, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{4, 9}, Gaps: 1, GapsClosed: 1}),
+	record("k-mer count", KmerCountFields,
+		seq.KmerCount{Kmer: seq.MustKmer("ACGTACGTACGTACGTACGTA"), Count: 9,
+			Left: seq.ExtCounts{1, 0, 2, 0}, Right: seq.ExtCounts{0, 5, 0, 1}}),
+	record("read slice", func(c *Codec, xs *[]seq.Read) { Slice(c, xs, ReadFields) },
+		[]seq.Read{{ID: "r/1", Seq: []byte("ACGT"), Qual: []byte{}}, {Seq: []byte("TTGCA"), Qual: []byte("IIIII"), SampleID: 1}}),
+}
+
+// TestCodecRoundTrip pins the field lists: every record decodes back to
+// itself and re-encodes to the bytes it was decoded from, every proper prefix
+// of its encoding is an error, the encoded size is never below the pgas
+// reflective lower bound (so checkpoint bytes can stand in for wire bytes in
+// cost arguments), and the bound Slice allocates under is the encoded size of
+// the zero record. internal/core runs the same assertions over its own two
+// lists (TestRankStateRecords).
 func TestCodecRoundTrip(t *testing.T) {
-	rd := seq.Read{ID: "pair1/1", Seq: []byte("ACGTACGTA"), Qual: []byte("IIIIIIIII"), LibID: 2, SampleID: 3}
-	var e1 Enc
-	e1.Read(rd)
-	if got, min := len(e1.Bytes()), pgas.WireSizeOf(rd); got < min {
-		t.Errorf("encoded read %d bytes < reflective bound %d", got, min)
+	for _, rc := range records {
+		t.Run(rc.name, rc.check)
 	}
-	d := NewDec(e1.Bytes())
-	rd2, err := d.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd2.ID != rd.ID || string(rd2.Seq) != string(rd.Seq) || string(rd2.Qual) != string(rd.Qual) || rd2.LibID != rd.LibID || rd2.SampleID != rd.SampleID {
-		t.Errorf("read round trip: got %+v want %+v", rd2, rd)
-	}
-	if err := d.Done(); err != nil {
-		t.Error(err)
-	}
+}
 
-	c := dbg.Contig{ID: 7, Seq: []byte("ACGTTT"), Depth: 3.25}
-	var e2 Enc
-	e2.Contig(c)
-	if got, min := len(e2.Bytes()), pgas.WireSizeOf(c); got < min {
-		t.Errorf("encoded contig %d bytes < reflective bound %d", got, min)
-	}
-	c2, err := NewDec(e2.Bytes()).Contig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.ID != c.ID || string(c2.Seq) != string(c.Seq) || c2.Depth != c.Depth {
-		t.Errorf("contig round trip: got %+v want %+v", c2, c)
-	}
-
-	a := aligner.Alignment{ReadIdx: 12, ReadID: "pair1/1", LibID: 1, ContigID: 3,
-		ContigLen: 500, ContigPos: -4, Reverse: true, Matches: 70, Mismatch: 2, AlignLen: 72}
-	var e3 Enc
-	e3.Alignment(a)
-	if got, min := len(e3.Bytes()), pgas.WireSizeOf(a); got < min {
-		t.Errorf("encoded alignment %d bytes < reflective bound %d", got, min)
-	}
-	a2, err := NewDec(e3.Bytes()).Alignment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2 != a {
-		t.Errorf("alignment round trip: got %+v want %+v", a2, a)
-	}
-
-	s := scaffold.Scaffold{ID: 2, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{4, 9}, Gaps: 1, GapsClosed: 1}
-	var e4 Enc
-	e4.Scaffold(s)
-	if got, min := len(e4.Bytes()), pgas.WireSizeOf(s); got < min {
-		t.Errorf("encoded scaffold %d bytes < reflective bound %d", got, min)
-	}
-	s2, err := NewDec(e4.Bytes()).Scaffold()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.ID != s.ID || string(s2.Seq) != string(s.Seq) || len(s2.ContigIDs) != 2 ||
-		s2.ContigIDs[0] != 4 || s2.ContigIDs[1] != 9 || s2.Gaps != 1 || s2.GapsClosed != 1 {
-		t.Errorf("scaffold round trip: got %+v want %+v", s2, s)
-	}
-
-	kc := seq.KmerCount{Kmer: seq.MustKmer("ACGTACGTACGTACGTACGTA"), Count: 9,
-		Left: seq.ExtCounts{1, 0, 2, 0}, Right: seq.ExtCounts{0, 5, 0, 1}}
-	var e5 Enc
-	e5.KmerCount(kc)
-	if got := len(e5.Bytes()); got != KmerCountBytes {
-		t.Errorf("encoded k-mer count %d bytes, want fixed %d", got, KmerCountBytes)
-	}
-	if got, min := len(e5.Bytes()), pgas.WireSizeOf(kc); got < min {
-		t.Errorf("encoded k-mer count %d bytes < reflective bound %d", got, min)
-	}
-	kc2, err := NewDec(e5.Bytes()).KmerCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kc2 != kc {
-		t.Errorf("k-mer count round trip: got %+v want %+v", kc2, kc)
+// TestHashSlice pins HashSlice to the encoding it claims to stream.
+func TestHashSlice(t *testing.T) {
+	for _, reads := range [][]seq.Read{
+		nil,
+		{{ID: "r/1", Seq: []byte("ACGT")}},
+		{{Seq: []byte("ACGT"), Qual: []byte("IIII"), LibID: 1}, {ID: "x", Seq: []byte("T"), Qual: []byte{}, SampleID: 7}},
+	} {
+		var e Enc
+		Slice(e.Codec(), &reads, ReadFields)
+		if got, want := HashSlice(reads, ReadFields), HashBytes(e.Bytes()); got != want {
+			t.Errorf("HashSlice of %d reads = %s, hash of their encoding = %s", len(reads), got, want)
+		}
 	}
 }
 
@@ -258,40 +290,41 @@ func TestDecRejectsMalformed(t *testing.T) {
 	e.Str("hello")
 	enc := e.Bytes()
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := NewDec(enc[:cut]).Str(); err == nil {
+		if d := NewDec(enc[:cut]); d.Str() != "" || d.Err() == nil {
 			t.Errorf("Str decoded successfully from %d of %d bytes", cut, len(enc))
 		}
 	}
 
 	var eb Enc
 	eb.U8(2)
-	if _, err := NewDec(eb.Bytes()).Bool(); err == nil {
+	if d := NewDec(eb.Bytes()); d.Bool() || d.Err() == nil {
 		t.Error("bool byte 2 accepted")
 	}
 
 	var ec Enc
 	ec.Int(1 << 40) // plausible-looking huge element count
-	if _, err := NewDec(ec.Bytes()).Count(8); err == nil {
+	if d := NewDec(ec.Bytes()); d.Count(8) != 0 || d.Err() == nil {
 		t.Error("implausible count accepted")
 	}
 	var en Enc
 	en.Int(-1)
-	if _, err := NewDec(en.Bytes()).Count(8); err == nil {
+	if d := NewDec(en.Bytes()); d.Count(8) != 0 || d.Err() == nil {
 		t.Error("negative count accepted")
 	}
 
 	// A k-mer with bits set outside the masked region can never be produced
 	// by the encoder and must be rejected.
-	kc := seq.KmerCount{Kmer: seq.Kmer{Hi: ^uint64(0), Lo: ^uint64(0), K: 21}, Count: 1}
-	var ek Enc
-	ek.KmerCount(kc)
-	if _, err := NewDec(ek.Bytes()).KmerCount(); err == nil {
+	recodeKmerCount := func(kc seq.KmerCount) error {
+		var e Enc
+		KmerCountFields(e.Codec(), &kc)
+		d := NewDec(e.Bytes())
+		KmerCountFields(d.Codec(), &kc)
+		return d.Err()
+	}
+	if recodeKmerCount(seq.KmerCount{Kmer: seq.Kmer{Hi: ^uint64(0), Lo: ^uint64(0), K: 21}, Count: 1}) == nil {
 		t.Error("k-mer with dirty packing bits accepted")
 	}
-	kc.Kmer = seq.Kmer{K: 200}
-	var ek2 Enc
-	ek2.KmerCount(kc)
-	if _, err := NewDec(ek2.Bytes()).KmerCount(); err == nil {
+	if recodeKmerCount(seq.KmerCount{Kmer: seq.Kmer{K: 200}, Count: 1}) == nil {
 		t.Error("k-mer length 200 accepted")
 	}
 
@@ -304,6 +337,43 @@ func TestDecRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestDecLatchesFirstError pins the latch the record walks rely on: after a
+// failed read every primitive returns its zero value without consuming
+// anything, Count returns 0 (so no loop spins and nothing is allocated), and
+// Err and Done keep reporting the first failure.
+func TestDecLatchesFirstError(t *testing.T) {
+	var e Enc
+	e.U8(7) // an invalid bool
+	e.Int(2)
+	e.Str("live bytes a failed decoder must not hand out")
+	d := NewDec(e.Bytes())
+	if d.Bool() || d.Err() == nil {
+		t.Fatal("bool byte 7 accepted")
+	}
+	first, left := d.Err(), d.Remaining()
+	if left == 0 {
+		t.Fatal("nothing left to not consume")
+	}
+	if d.U8() != 0 || d.U32() != 0 || d.U64() != 0 || d.I64() != 0 || d.Int() != 0 || d.F64() != 0 ||
+		d.Bool() || d.Blob() != nil || d.Str() != "" || d.Count(1) != 0 {
+		t.Error("a failed decoder returned a non-zero value")
+	}
+	if _, err := d.Read(); err != first {
+		t.Errorf("Read on a failed decoder = %v, want the first error", err)
+	}
+	var xs []int
+	Slice(d.Codec(), &xs, (*Codec).Int)
+	if xs != nil {
+		t.Errorf("Slice allocated %d elements on a failed decoder", len(xs))
+	}
+	if d.Remaining() != left {
+		t.Errorf("a failed decoder consumed %d bytes", left-d.Remaining())
+	}
+	if d.Err() != first || d.Done() != first {
+		t.Errorf("Err = %v, Done = %v, want the first error %v", d.Err(), d.Done(), first)
+	}
+}
+
 // TestDecodedSlicesDoNotAlias pins the capped-slice guarantee: appending to
 // one decoded blob must not overwrite the next record's bytes.
 func TestDecodedSlicesDoNotAlias(t *testing.T) {
@@ -311,14 +381,11 @@ func TestDecodedSlicesDoNotAlias(t *testing.T) {
 	e.Blob([]byte("AAAA"))
 	e.Blob([]byte("CCCC"))
 	d := NewDec(e.Bytes())
-	b1, err := d.Blob()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b1 := d.Blob()
 	b1 = append(b1, 'X', 'X', 'X', 'X')
 	_ = b1
-	b2, err := d.Blob()
-	if err != nil {
+	b2 := d.Blob()
+	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if string(b2) != "CCCC" {

@@ -9,218 +9,90 @@ import (
 	"mhmgo/internal/seq"
 )
 
-// Typed encoders/decoders for the pipeline record types a checkpoint shard
-// carries. Field order is part of the format; every decoder validates the
-// structural invariants of its type (k-mer length bounds, quality length,
+// The field lists of the pipeline record types a checkpoint shard carries.
+// Field order is part of the format; every list ends by checking the
+// structural invariants of its type (quality length, k-mer length bounds,
 // masked packing bits) so a corrupted shard is rejected instead of smuggling
 // an impossible value into the resumed pipeline.
 
-// Read encodes a sequencing read.
-func (e *Enc) Read(r seq.Read) {
-	e.Str(r.ID)
-	e.Blob(r.Seq)
-	e.Blob(r.Qual)
-	e.U8(r.LibID)
-	e.U8(r.SampleID)
+// ReadFields is the wire layout of a sequencing read.
+func ReadFields(c *Codec, r *seq.Read) {
+	c.Str(&r.ID)
+	c.Blob(&r.Seq)
+	c.Blob(&r.Qual)
+	c.U8(&r.LibID)
+	c.U8(&r.SampleID)
+	c.Check(r.Validate)
 }
+
+// Read encodes a sequencing read.
+func (e *Enc) Read(r seq.Read) { ReadFields(e.Codec(), &r) }
 
 // Read decodes a sequencing read.
-func (d *Dec) Read() (seq.Read, error) {
-	var r seq.Read
-	var err error
-	if r.ID, err = d.Str(); err != nil {
-		return r, err
-	}
-	if r.Seq, err = d.Blob(); err != nil {
-		return r, err
-	}
-	if r.Qual, err = d.Blob(); err != nil {
-		return r, err
-	}
-	if r.LibID, err = d.U8(); err != nil {
-		return r, err
-	}
-	if r.SampleID, err = d.U8(); err != nil {
-		return r, err
-	}
-	if err = r.Validate(); err != nil {
-		return r, fmt.Errorf("checkpoint: %w", err)
-	}
-	return r, nil
+func (d *Dec) Read() (r seq.Read, err error) {
+	ReadFields(d.Codec(), &r)
+	return r, d.err
 }
 
-// Contig encodes a contig.
-func (e *Enc) Contig(c dbg.Contig) {
-	e.Int(c.ID)
-	e.Blob(c.Seq)
-	e.F64(c.Depth)
-}
-
-// Contig decodes a contig.
-func (d *Dec) Contig() (dbg.Contig, error) {
-	var c dbg.Contig
-	var err error
-	if c.ID, err = d.Int(); err != nil {
-		return c, err
-	}
-	if c.Seq, err = d.Blob(); err != nil {
-		return c, err
-	}
-	if c.Depth, err = d.F64(); err != nil {
-		return c, err
-	}
-	if len(c.Seq) == 0 {
-		return c, fmt.Errorf("checkpoint: contig %d has empty sequence", c.ID)
-	}
-	return c, nil
-}
-
-// Alignment encodes a read-to-contig alignment.
-func (e *Enc) Alignment(a aligner.Alignment) {
-	e.Int(a.ReadIdx)
-	e.Str(a.ReadID)
-	e.U8(a.LibID)
-	e.Int(a.ContigID)
-	e.Int(a.ContigLen)
-	e.Int(a.ContigPos)
-	e.Bool(a.Reverse)
-	e.Int(a.Matches)
-	e.Int(a.Mismatch)
-	e.Int(a.AlignLen)
-}
-
-// Alignment decodes a read-to-contig alignment.
-func (d *Dec) Alignment() (aligner.Alignment, error) {
-	var a aligner.Alignment
-	var err error
-	if a.ReadIdx, err = d.Int(); err != nil {
-		return a, err
-	}
-	if a.ReadID, err = d.Str(); err != nil {
-		return a, err
-	}
-	if a.LibID, err = d.U8(); err != nil {
-		return a, err
-	}
-	if a.ContigID, err = d.Int(); err != nil {
-		return a, err
-	}
-	if a.ContigLen, err = d.Int(); err != nil {
-		return a, err
-	}
-	if a.ContigPos, err = d.Int(); err != nil {
-		return a, err
-	}
-	if a.Reverse, err = d.Bool(); err != nil {
-		return a, err
-	}
-	if a.Matches, err = d.Int(); err != nil {
-		return a, err
-	}
-	if a.Mismatch, err = d.Int(); err != nil {
-		return a, err
-	}
-	if a.AlignLen, err = d.Int(); err != nil {
-		return a, err
-	}
-	return a, nil
-}
-
-// Scaffold encodes a scaffold.
-func (e *Enc) Scaffold(s scaffold.Scaffold) {
-	e.Int(s.ID)
-	e.Blob(s.Seq)
-	e.Int(len(s.ContigIDs))
-	for _, id := range s.ContigIDs {
-		e.Int(id)
-	}
-	e.Int(s.Gaps)
-	e.Int(s.GapsClosed)
-}
-
-// Scaffold decodes a scaffold.
-func (d *Dec) Scaffold() (scaffold.Scaffold, error) {
-	var s scaffold.Scaffold
-	var err error
-	if s.ID, err = d.Int(); err != nil {
-		return s, err
-	}
-	if s.Seq, err = d.Blob(); err != nil {
-		return s, err
-	}
-	n, err := d.Count(8)
-	if err != nil {
-		return s, err
-	}
-	if n > 0 {
-		s.ContigIDs = make([]int, n)
-		for i := range s.ContigIDs {
-			if s.ContigIDs[i], err = d.Int(); err != nil {
-				return s, err
-			}
+// ContigFields is the wire layout of a contig.
+func ContigFields(c *Codec, ct *dbg.Contig) {
+	c.Int(&ct.ID)
+	c.Blob(&ct.Seq)
+	c.F64(&ct.Depth)
+	c.Check(func() error {
+		if len(ct.Seq) == 0 {
+			return fmt.Errorf("contig %d has empty sequence", ct.ID)
 		}
-	}
-	if s.Gaps, err = d.Int(); err != nil {
-		return s, err
-	}
-	if s.GapsClosed, err = d.Int(); err != nil {
-		return s, err
-	}
-	return s, nil
+		return nil
+	})
 }
 
-// KmerCount encodes one k-mer analysis record (the packed canonical k-mer,
-// its count and the per-side extension observations).
-func (e *Enc) KmerCount(kc seq.KmerCount) {
-	e.U64(kc.Kmer.Hi)
-	e.U64(kc.Kmer.Lo)
-	e.U8(kc.Kmer.K)
-	e.U32(kc.Count)
-	for _, v := range kc.Left {
-		e.U32(v)
-	}
-	for _, v := range kc.Right {
-		e.U32(v)
-	}
+// AlignmentFields is the wire layout of a read-to-contig alignment.
+func AlignmentFields(c *Codec, a *aligner.Alignment) {
+	c.Int(&a.ReadIdx)
+	c.Str(&a.ReadID)
+	c.U8(&a.LibID)
+	c.Int(&a.ContigID)
+	c.Int(&a.ContigLen)
+	c.Int(&a.ContigPos)
+	c.Bool(&a.Reverse)
+	c.Int(&a.Matches)
+	c.Int(&a.Mismatch)
+	c.Int(&a.AlignLen)
 }
 
-// KmerCountBytes is the fixed encoded size of one KmerCount record.
-const KmerCountBytes = 8 + 8 + 1 + 4 + 4*4 + 4*4
+// ScaffoldFields is the wire layout of a scaffold.
+func ScaffoldFields(c *Codec, s *scaffold.Scaffold) {
+	c.Int(&s.ID)
+	c.Blob(&s.Seq)
+	Slice(c, &s.ContigIDs, (*Codec).Int)
+	c.Int(&s.Gaps)
+	c.Int(&s.GapsClosed)
+}
 
-// KmerCount decodes one k-mer analysis record, rejecting k-mers whose length
-// is out of range or whose packing carries bits outside the masked region —
-// such a value could never have been produced by the encoder.
-func (d *Dec) KmerCount() (seq.KmerCount, error) {
-	var kc seq.KmerCount
-	var err error
-	if kc.Kmer.Hi, err = d.U64(); err != nil {
-		return kc, err
-	}
-	if kc.Kmer.Lo, err = d.U64(); err != nil {
-		return kc, err
-	}
-	if kc.Kmer.K, err = d.U8(); err != nil {
-		return kc, err
-	}
-	if kc.Count, err = d.U32(); err != nil {
-		return kc, err
-	}
+// KmerCountFields is the wire layout of one k-mer analysis record (the packed
+// canonical k-mer, its count and the per-side extension observations). It
+// rejects k-mers whose length is out of range or whose packing carries bits
+// outside the masked region — such a value could never have been encoded.
+func KmerCountFields(c *Codec, kc *seq.KmerCount) {
+	c.U64(&kc.Kmer.Hi)
+	c.U64(&kc.Kmer.Lo)
+	c.U8(&kc.Kmer.K)
+	c.U32(&kc.Count)
 	for i := range kc.Left {
-		if kc.Left[i], err = d.U32(); err != nil {
-			return kc, err
-		}
+		c.U32(&kc.Left[i])
 	}
 	for i := range kc.Right {
-		if kc.Right[i], err = d.U32(); err != nil {
-			return kc, err
+		c.U32(&kc.Right[i])
+	}
+	c.Check(func() error {
+		k := int(kc.Kmer.K)
+		if k < 1 || k > seq.MaxK {
+			return fmt.Errorf("k-mer length %d out of range [1,%d]", k, seq.MaxK)
 		}
-	}
-	k := int(kc.Kmer.K)
-	if k < 1 || k > seq.MaxK {
-		return kc, fmt.Errorf("checkpoint: k-mer length %d out of range [1,%d]", k, seq.MaxK)
-	}
-	if rt, err := seq.KmerFromBytes(kc.Kmer.Bytes(), k); err != nil || rt != kc.Kmer {
-		return kc, fmt.Errorf("checkpoint: k-mer packing carries bits outside the k=%d mask", k)
-	}
-	return kc, nil
+		if rt, err := seq.KmerFromBytes(kc.Kmer.Bytes(), k); err != nil || rt != kc.Kmer {
+			return fmt.Errorf("k-mer packing carries bits outside the k=%d mask", k)
+		}
+		return nil
+	})
 }

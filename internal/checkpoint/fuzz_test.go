@@ -1,36 +1,10 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
-
-	"mhmgo/internal/aligner"
-	"mhmgo/internal/dbg"
-	"mhmgo/internal/scaffold"
-	"mhmgo/internal/seq"
 )
-
-func mustRead() seq.Read {
-	return seq.Read{ID: "pair1/1", Seq: []byte("ACGTACGTA"), Qual: []byte("IIIIIIIII"), LibID: 1, SampleID: 2}
-}
-
-func mustAlignment() aligner.Alignment {
-	return aligner.Alignment{ReadIdx: 12, ReadID: "pair1/1", LibID: 1, ContigID: 3,
-		ContigLen: 500, ContigPos: -4, Reverse: true, Matches: 70, Mismatch: 2, AlignLen: 72}
-}
-
-func mustContig() dbg.Contig {
-	return dbg.Contig{ID: 7, Seq: []byte("ACGTTT"), Depth: 3.25}
-}
-
-func mustScaffold() scaffold.Scaffold {
-	return scaffold.Scaffold{ID: 2, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{4, 9}, Gaps: 1, GapsClosed: 1}
-}
-
-func mustKmerCount() seq.KmerCount {
-	return seq.KmerCount{Kmer: seq.MustKmer("ACGTACGTACGTACGTACGTA"), Count: 9,
-		Left: seq.ExtCounts{1, 0, 2, 0}, Right: seq.ExtCounts{0, 5, 0, 1}}
-}
 
 // FuzzManifestParse feeds arbitrary bytes through manifest parsing and chain
 // verification: both must reject malformed input with an error — never panic
@@ -73,70 +47,22 @@ func FuzzManifestParse(f *testing.F) {
 	})
 }
 
-// FuzzDecRecords drives the typed record decoders over arbitrary bytes: they
-// must either return an error or produce a value whose re-encoding is
+// FuzzDecRecords drives every field list of the codec table over arbitrary
+// bytes: it must either fail or produce a value whose re-encoding is
 // byte-identical to what was consumed (the format is canonical).
 func FuzzDecRecords(f *testing.F) {
-	var seedRead Enc
-	seedRead.Read(mustRead())
-	f.Add(uint8(0), seedRead.Bytes())
-	var seedAln Enc
-	seedAln.Alignment(mustAlignment())
-	f.Add(uint8(1), seedAln.Bytes())
-	var seedContig Enc
-	seedContig.Contig(mustContig())
-	f.Add(uint8(2), seedContig.Bytes())
-	var seedScaf Enc
-	seedScaf.Scaffold(mustScaffold())
-	f.Add(uint8(3), seedScaf.Bytes())
-	var seedKC Enc
-	seedKC.KmerCount(mustKmerCount())
-	f.Add(uint8(4), seedKC.Bytes())
-
+	for i, rc := range records {
+		f.Add(uint8(i), rc.seed)
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		rc := records[int(kind)%len(records)]
 		d := NewDec(data)
-		var re Enc
-		var err error
-		switch kind % 5 {
-		case 0:
-			var v = d
-			r, e := v.Read()
-			if e == nil {
-				re.Read(r)
-			}
-			err = e
-		case 1:
-			a, e := d.Alignment()
-			if e == nil {
-				re.Alignment(a)
-			}
-			err = e
-		case 2:
-			c, e := d.Contig()
-			if e == nil {
-				re.Contig(c)
-			}
-			err = e
-		case 3:
-			s, e := d.Scaffold()
-			if e == nil {
-				re.Scaffold(s)
-			}
-			err = e
-		case 4:
-			kc, e := d.KmerCount()
-			if e == nil {
-				re.KmerCount(kc)
-			}
-			err = e
-		}
-		if err != nil {
+		re := rc.recode(d)
+		if d.Err() != nil {
 			return
 		}
-		consumed := len(data) - d.Remaining()
-		if got := re.Bytes(); string(got) != string(data[:consumed]) {
-			t.Fatalf("kind %d: re-encode differs from consumed bytes (%d vs %d bytes)",
-				kind%5, len(got), consumed)
+		if consumed := data[:len(data)-d.Remaining()]; !bytes.Equal(re, consumed) {
+			t.Fatalf("%s: re-encode differs from consumed bytes (%d vs %d bytes)", rc.name, len(re), len(consumed))
 		}
 	})
 }

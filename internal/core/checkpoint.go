@@ -1,9 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -99,30 +96,15 @@ func ConfigHash(cfg Config) string {
 	return configHash(cfg, cfg.KValues())
 }
 
-// inputHash returns the hex SHA-256 over the full input read set, with
-// length framing so field boundaries cannot alias. The hash covers the
-// per-read library AND sample tags: two read sets that differ only in which
-// sample their reads belong to are different co-assembly inputs, and a
-// checkpoint written before the sample axis existed fails the manifest's
-// input check (ErrInputMismatch) instead of resuming with mis-attributed
-// reads.
+// inputHash returns the hex SHA-256 over the full input read set in its
+// shard encoding, whose length framing keeps field boundaries from aliasing.
+// The hash covers the per-read library AND sample tags: two read sets that
+// differ only in which sample their reads belong to are different co-assembly
+// inputs, and a checkpoint written before the sample axis existed fails the
+// manifest's input check (ErrInputMismatch) instead of resuming with
+// mis-attributed reads.
 func inputHash(reads []seq.Read) string {
-	h := sha256.New()
-	var lenBuf [8]byte
-	frame := func(b []byte) {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(b)))
-		h.Write(lenBuf[:])
-		h.Write(b)
-	}
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(reads)))
-	h.Write(lenBuf[:])
-	for i := range reads {
-		frame([]byte(reads[i].ID))
-		frame(reads[i].Seq)
-		frame(reads[i].Qual)
-		h.Write([]byte{reads[i].LibID, reads[i].SampleID})
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return checkpoint.HashSlice(reads, checkpoint.ReadFields)
 }
 
 // rankState is a rank's carried pipeline state — the one representation the
@@ -217,71 +199,71 @@ func scaffoldCounters(sr *scaffold.Result) [8]*int {
 // of every read record.
 const rankStateMagic = "mhm-rank-state-v2"
 
+// fields is the shard layout of a rankState: the one list encodeRankState
+// and decodeRankState both walk. Decoding refuses a foreign magic and a stage
+// index outside the table where it meets them.
+func (st *rankState) fields(c *checkpoint.Codec) {
+	magic := rankStateMagic
+	c.Str(&magic)
+	c.Check(func() error {
+		if magic != rankStateMagic {
+			return fmt.Errorf("bad rank-state magic %q", magic)
+		}
+		return nil
+	})
+	c.Int(&st.ranks)
+	c.Int(&st.rank)
+	c.Int(&st.it)
+	c.Int(&st.stage)
+	c.Check(func() error {
+		if st.stage < 0 || st.stage >= len(stages) {
+			return fmt.Errorf("stage index %d out of range", st.stage)
+		}
+		return nil
+	})
+	c.F64(&st.clock)
+	c.U64(&st.resident)
+	c.Int(&st.readOffset)
+	c.Int(&st.shippedReadBytes)
+	checkpoint.Slice(c, &st.reads, checkpoint.ReadFields)
+	c.Int(&st.distinctKmers)
+	c.I64(&st.heavyHitterMax)
+	c.F64(&st.alignedFrac)
+	c.Int(&st.localAsmBases)
+	c.F64(&st.cacheHitRate)
+	if c.Bool(&st.hasAligns) {
+		checkpoint.Slice(c, &st.aligns, checkpoint.AlignmentFields)
+	}
+	if c.Bool(&st.hasContigs) {
+		checkpoint.Slice(c, &st.contigs, checkpoint.ContigFields)
+	}
+	if c.Bool(&st.hasCounts) {
+		checkpoint.Slice(c, &st.counts, checkpoint.KmerCountFields)
+	}
+	if c.Bool(&st.hasScaffold) {
+		checkpoint.Slice(c, &st.scaffold.Scaffolds, checkpoint.ScaffoldFields)
+		checkpoint.Slice(c, &st.scaffold.Local, checkpoint.ScaffoldFields)
+		for _, n := range scaffoldCounters(&st.scaffold) {
+			c.Int(n)
+		}
+		checkpoint.Slice(c, &st.rounds, roundStatsFields)
+	}
+}
+
+// roundStatsFields is the shard layout of one scaffolding round's summary.
+func roundStatsFields(c *checkpoint.Codec, rs *RoundStats) {
+	c.Str(&rs.Library)
+	c.Int(&rs.LibIndex)
+	c.Int(&rs.InsertSize)
+	c.Int(&rs.InputContigs)
+	c.Int(&rs.Scaffolds)
+	c.Int(&rs.AcceptedLinks)
+}
+
 // encodeRankState serializes a rankState into the checkpoint wire format.
 func encodeRankState(st *rankState) []byte {
 	var e checkpoint.Enc
-	e.Str(rankStateMagic)
-	e.Int(st.ranks)
-	e.Int(st.rank)
-	e.Int(st.it)
-	e.Int(st.stage)
-	e.F64(st.clock)
-	e.U64(st.resident)
-	e.Int(st.readOffset)
-	e.Int(st.shippedReadBytes)
-	e.Int(len(st.reads))
-	for _, rd := range st.reads {
-		e.Read(rd)
-	}
-	e.Int(st.distinctKmers)
-	e.I64(st.heavyHitterMax)
-	e.F64(st.alignedFrac)
-	e.Int(st.localAsmBases)
-	e.F64(st.cacheHitRate)
-	e.Bool(st.hasAligns)
-	if st.hasAligns {
-		e.Int(len(st.aligns))
-		for _, a := range st.aligns {
-			e.Alignment(a)
-		}
-	}
-	e.Bool(st.hasContigs)
-	if st.hasContigs {
-		e.Int(len(st.contigs))
-		for _, c := range st.contigs {
-			e.Contig(c)
-		}
-	}
-	e.Bool(st.hasCounts)
-	if st.hasCounts {
-		e.Int(len(st.counts))
-		for _, kc := range st.counts {
-			e.KmerCount(kc)
-		}
-	}
-	e.Bool(st.hasScaffold)
-	if st.hasScaffold {
-		e.Int(len(st.scaffold.Scaffolds))
-		for _, s := range st.scaffold.Scaffolds {
-			e.Scaffold(s)
-		}
-		e.Int(len(st.scaffold.Local))
-		for _, s := range st.scaffold.Local {
-			e.Scaffold(s)
-		}
-		for _, c := range scaffoldCounters(&st.scaffold) {
-			e.Int(*c)
-		}
-		e.Int(len(st.rounds))
-		for _, rs := range st.rounds {
-			e.Str(rs.Library)
-			e.Int(rs.LibIndex)
-			e.Int(rs.InsertSize)
-			e.Int(rs.InputContigs)
-			e.Int(rs.Scaffolds)
-			e.Int(rs.AcceptedLinks)
-		}
-	}
+	st.fields(e.Codec())
 	return e.Bytes()
 }
 
@@ -289,174 +271,12 @@ func encodeRankState(st *rankState) []byte {
 // never panics on corrupted or truncated input.
 func decodeRankState(data []byte) (*rankState, error) {
 	d := checkpoint.NewDec(data)
-	magic, err := d.Str()
-	if err != nil {
-		return nil, err
-	}
-	if magic != rankStateMagic {
-		return nil, fmt.Errorf("bad rank-state magic %q", magic)
-	}
 	st := &rankState{}
-	if st.ranks, err = d.Int(); err != nil {
-		return nil, err
-	}
-	if st.rank, err = d.Int(); err != nil {
-		return nil, err
-	}
-	if st.it, err = d.Int(); err != nil {
-		return nil, err
-	}
-	if st.stage, err = d.Int(); err != nil {
-		return nil, err
-	}
-	if st.stage < 0 || st.stage >= len(stages) {
-		return nil, fmt.Errorf("stage index %d out of range", st.stage)
-	}
-	if st.clock, err = d.F64(); err != nil {
-		return nil, err
-	}
-	if st.resident, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if st.readOffset, err = d.Int(); err != nil {
-		return nil, err
-	}
-	if st.shippedReadBytes, err = d.Int(); err != nil {
-		return nil, err
-	}
-	nReads, err := d.Count(25)
-	if err != nil {
-		return nil, err
-	}
-	st.reads = make([]seq.Read, nReads)
-	for i := range st.reads {
-		if st.reads[i], err = d.Read(); err != nil {
-			return nil, err
-		}
-	}
-	if st.distinctKmers, err = d.Int(); err != nil {
-		return nil, err
-	}
-	if st.heavyHitterMax, err = d.I64(); err != nil {
-		return nil, err
-	}
-	if st.alignedFrac, err = d.F64(); err != nil {
-		return nil, err
-	}
-	if st.localAsmBases, err = d.Int(); err != nil {
-		return nil, err
-	}
-	if st.cacheHitRate, err = d.F64(); err != nil {
-		return nil, err
-	}
-	if st.hasAligns, err = d.Bool(); err != nil {
-		return nil, err
-	}
-	if st.hasAligns {
-		n, err := d.Count(66)
-		if err != nil {
-			return nil, err
-		}
-		st.aligns = make([]aligner.Alignment, n)
-		for i := range st.aligns {
-			if st.aligns[i], err = d.Alignment(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if st.hasContigs, err = d.Bool(); err != nil {
-		return nil, err
-	}
-	if st.hasContigs {
-		n, err := d.Count(24)
-		if err != nil {
-			return nil, err
-		}
-		st.contigs = make([]dbg.Contig, n)
-		for i := range st.contigs {
-			if st.contigs[i], err = d.Contig(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if st.hasCounts, err = d.Bool(); err != nil {
-		return nil, err
-	}
-	if st.hasCounts {
-		n, err := d.Count(checkpoint.KmerCountBytes)
-		if err != nil {
-			return nil, err
-		}
-		st.counts = make([]seq.KmerCount, n)
-		for i := range st.counts {
-			if st.counts[i], err = d.KmerCount(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if st.hasScaffold, err = d.Bool(); err != nil {
-		return nil, err
-	}
-	if st.hasScaffold {
-		if st.scaffold.Scaffolds, err = decodeScaffolds(d); err != nil {
-			return nil, err
-		}
-		if st.scaffold.Local, err = decodeScaffolds(d); err != nil {
-			return nil, err
-		}
-		for _, c := range scaffoldCounters(&st.scaffold) {
-			if *c, err = d.Int(); err != nil {
-				return nil, err
-			}
-		}
-		n, err := d.Count(48)
-		if err != nil {
-			return nil, err
-		}
-		st.rounds = make([]RoundStats, n)
-		for i := range st.rounds {
-			rs := &st.rounds[i]
-			if rs.Library, err = d.Str(); err != nil {
-				return nil, err
-			}
-			if rs.LibIndex, err = d.Int(); err != nil {
-				return nil, err
-			}
-			if rs.InsertSize, err = d.Int(); err != nil {
-				return nil, err
-			}
-			if rs.InputContigs, err = d.Int(); err != nil {
-				return nil, err
-			}
-			if rs.Scaffolds, err = d.Int(); err != nil {
-				return nil, err
-			}
-			if rs.AcceptedLinks, err = d.Int(); err != nil {
-				return nil, err
-			}
-		}
-	}
+	st.fields(d.Codec())
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-func decodeScaffolds(d *checkpoint.Dec) ([]scaffold.Scaffold, error) {
-	n, err := d.Count(40)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]scaffold.Scaffold, n)
-	for i := range out {
-		if out[i], err = d.Scaffold(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // ckptWriter coordinates checkpoint writes across the rank goroutines. Every

@@ -17,6 +17,7 @@ import (
 	"mhmgo/internal/aligner"
 	"mhmgo/internal/checkpoint"
 	"mhmgo/internal/dbg"
+	"mhmgo/internal/pgas"
 	"mhmgo/internal/scaffold"
 	"mhmgo/internal/seq"
 )
@@ -405,6 +406,44 @@ func TestResumeRefused(t *testing.T) {
 	}
 }
 
+// TestResumedFaultValidated pins fault validation against the resume point:
+// a fault at or before the checkpoint's last step is on the schedule but is
+// skipped, so it must be refused like any other fault that can never fire —
+// not accepted and the run completed — while a fault past it still fires.
+func TestResumedFaultValidated(t *testing.T) {
+	reads := ckptReads(t)
+	cfg := testConfig(3)
+	dir := t.TempDir()
+	kcfg := cfg
+	kcfg.CheckpointDir, kcfg.FailAfterStage = dir, StageAlignment
+	if _, err := Assemble(reads, kcfg); !errors.Is(err, ErrFaultInjected) {
+		t.Fatalf("killed run returned %v, want ErrFaultInjected", err)
+	}
+	cases := []struct {
+		name    string
+		stage   string
+		it      int
+		refused bool
+	}{
+		{"before the resume point", StageDBGTraversal, 0, true},
+		{"at the resume point", StageAlignment, 0, true},
+		{"after the resume point", StageAlignment, 1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rcfg := cfg
+			rcfg.ResumeFrom, rcfg.FailAfterStage, rcfg.FailAtIteration = dir, tc.stage, tc.it
+			_, err := Assemble(reads, rcfg)
+			if refused := err != nil && strings.Contains(err.Error(), "can never fire"); refused != tc.refused {
+				t.Errorf("resume = %v, want refused = %v", err, tc.refused)
+			}
+			if fired := errors.Is(err, ErrFaultInjected); fired == tc.refused {
+				t.Errorf("resume = %v, want fault fired = %v", err, !tc.refused)
+			}
+		})
+	}
+}
+
 // TestScheduleMatchesManifestAndProgress pins the stage table against what a
 // run actually does: the (iteration, stage) sequence enumerated from the
 // table's scheduled predicates must equal both the manifest's step sequence
@@ -473,13 +512,10 @@ func TestScheduleMatchesManifestAndProgress(t *testing.T) {
 	}
 }
 
-// TestRankStateShardPin pins the shard wire format: a fixed, fully populated
-// rank state must encode to the SHA-256 captured at the commit before the
-// stage-table refactor (PR 13's tree), so "shard bytes unchanged" — which
-// cross-commit resume depends on — is checked, not promised. A deliberate
-// format change bumps rankStateMagic and re-captures the literal.
-func TestRankStateShardPin(t *testing.T) {
-	st := rankState{
+// fullRankState returns a fixed rank state with every optional section
+// present and no empty slice.
+func fullRankState(t testing.TB) rankState {
+	return rankState{
 		ranks: 5, rank: 3, it: 2, stage: stageIdx(t, StageScaffolding),
 		clock: 0.3141592653589793, resident: 987654321,
 		reads: []seq.Read{
@@ -521,6 +557,15 @@ func TestRankStateShardPin(t *testing.T) {
 			{Library: "mp", LibIndex: 0, InsertSize: 1500, InputContigs: 12, Scaffolds: 5, AcceptedLinks: 4},
 		},
 	}
+}
+
+// TestRankStateShardPin pins the shard wire format: a fixed, fully populated
+// rank state must encode to the SHA-256 captured at the commit before the
+// stage-table refactor (PR 13's tree), so "shard bytes unchanged" — which
+// cross-commit resume depends on — is checked, not promised. A deliberate
+// format change bumps rankStateMagic and re-captures the literal.
+func TestRankStateShardPin(t *testing.T) {
+	st := fullRankState(t)
 	data := encodeRankState(&st)
 	const wantLen, wantSHA = 978, "207eaec24442441748ea8a886d13fa4d5140e3358378c973c8674bd9a49eeb75"
 	sum := sha256.Sum256(data)
@@ -533,6 +578,90 @@ func TestRankStateShardPin(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*dec, st) {
 		t.Errorf("decoded state differs from the encoded one:\n got %+v\nwant %+v", *dec, st)
+	}
+}
+
+// checkRecord makes the assertions of internal/checkpoint's TestCodecRoundTrip
+// (whose helper a test in another package cannot reach) over one of this
+// package's field lists: round trip, canonical re-encoding, an error at every
+// proper prefix, encoded size at or above the reflective wire size, and a
+// Slice allocation bound equal to the encoded size of the zero record.
+func checkRecord[T any](t *testing.T, fields func(*checkpoint.Codec, *T), sample T) {
+	encode := func(v *T) []byte {
+		var e checkpoint.Enc
+		fields(e.Codec(), v)
+		return e.Bytes()
+	}
+	enc := encode(&sample)
+	d := checkpoint.NewDec(enc)
+	var got T
+	fields(d.Codec(), &got)
+	if err := d.Done(); err != nil {
+		t.Fatalf("decoding the sample: %v", err)
+	}
+	if !reflect.DeepEqual(got, sample) {
+		t.Errorf("round trip: got %+v want %+v", got, sample)
+	}
+	if re := encode(&got); !bytes.Equal(re, enc) {
+		t.Errorf("re-encoding differs from the %d bytes consumed", len(enc))
+	}
+	for cut := range enc {
+		d := checkpoint.NewDec(enc[:cut])
+		fields(d.Codec(), new(T))
+		if d.Err() == nil {
+			t.Errorf("decoded successfully from %d of %d bytes", cut, len(enc))
+		}
+	}
+	if min := pgas.WireSizeOf(sample); len(enc) < min {
+		t.Errorf("encoded in %d bytes < reflective bound %d", len(enc), min)
+	}
+
+	zeros := make([]T, 3)
+	var e checkpoint.Enc
+	checkpoint.Slice(e.Codec(), &zeros, fields)
+	if want := 8 + len(zeros)*len(encode(new(T))); len(e.Bytes()) != want {
+		t.Fatalf("%d zero records encode in %d bytes, want %d", len(zeros), len(e.Bytes()), want)
+	}
+	for missing := 0; missing <= 1; missing++ {
+		d := checkpoint.NewDec(e.Bytes()[:len(e.Bytes())-missing])
+		var xs []T
+		checkpoint.Slice(d.Codec(), &xs, fields)
+		refused := d.Err() != nil && strings.Contains(d.Err().Error(), "implausible element count")
+		if refused != (missing == 1) {
+			t.Errorf("with %d bytes missing the count was refused = %v (%v)", missing, refused, d.Err())
+		}
+	}
+}
+
+// TestRankStateRecords runs the codec table's assertions over the two field
+// lists this package owns.
+func TestRankStateRecords(t *testing.T) {
+	t.Run("round stats", func(t *testing.T) {
+		checkRecord(t, roundStatsFields,
+			RoundStats{Library: "pe", LibIndex: 1, InsertSize: 300, InputContigs: 40, Scaffolds: 12, AcceptedLinks: 9})
+	})
+	t.Run("rank state", func(t *testing.T) {
+		checkRecord(t, func(c *checkpoint.Codec, st *rankState) { st.fields(c) }, fullRankState(t))
+	})
+}
+
+// TestManifestHeadPin pins a whole checkpointed run: the manifest head chains
+// the config hash, the input hash and the hash of every rank's shard at every
+// step, so this one constant — captured by running this body at the commit
+// before the field lists replaced the mirrored encoders and decoders — moves
+// if configHash, inputHash or any shard byte of any stage does.
+// TestRankStateShardPin pins one synthetic state; this pins what a run writes.
+// A deliberate format change (ROADMAP item 3's golden bump) re-captures it.
+func TestManifestHeadPin(t *testing.T) {
+	cfg := testConfig(3)
+	cfg.CheckpointDir = t.TempDir()
+	res, err := Assemble(ckptReads(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "7609ad3d43a50fd298dfcddff014f77640121f1d68991850182d2d5d1a3877a5"
+	if res.ManifestHead != want {
+		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}
 }
 

@@ -310,16 +310,15 @@ type Result struct {
 	// Stats aggregates communication statistics over all ranks.
 	Stats pgas.CommStats
 	// Per-stage substatistics.
-	TotalReads       int
-	DistinctKmers    int
-	HeavyHitterMax   int64
-	AlignedReadFrac  float64
-	LocalAsmBases    int
-	ScaffoldSummary  scaffold.Result
-	ContigStats      dbg.Stats
-	ScaffoldStats    scaffold.Stats
-	CacheHitRate     float64
-	ReadsLocalizedTo int
+	TotalReads      int
+	DistinctKmers   int
+	HeavyHitterMax  int64
+	AlignedReadFrac float64
+	LocalAsmBases   int
+	ScaffoldSummary scaffold.Result
+	ContigStats     dbg.Stats
+	ScaffoldStats   scaffold.Stats
+	CacheHitRate    float64
 	// ScaffoldRounds records one entry per scaffolding round, in execution
 	// order (ascending library insert size). A single-library assembly has
 	// exactly one round.
@@ -412,6 +411,12 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 			return nil, err
 		}
 		ck.resume = rs
+		// validateFault knows only the schedule; a step at or before the
+		// resume point is on it but is skipped, so its fault would never fire.
+		if si, ok := stageByName(cfg.FailAfterStage); ok && ck.done(cfg.FailAtIteration, si) {
+			return nil, fmt.Errorf("core: FailAfterStage %q can never fire at FailAtIteration %d: the checkpoint in %s already covers the run through stage %s of iteration %d",
+				cfg.FailAfterStage, cfg.FailAtIteration, cfg.ResumeFrom, stages[rs.stage].name, rs.it)
+		}
 	}
 	if cfg.CheckpointDir != "" {
 		man := checkpoint.New(configHash(cfg, ks), inputHash(reads), cfg.Ranks)

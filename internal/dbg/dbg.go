@@ -133,11 +133,9 @@ func (g *Graph) vertexCount() int {
 	return g.vertices
 }
 
-func kmerHash(k seq.Kmer) uint64 { return k.Hash() }
-
 // NewGraph creates an empty graph for k-mers of length k.
 func NewGraph(m *pgas.Machine, k int) *Graph {
-	return &Graph{K: k, Entries: dht.NewMap[seq.Kmer, Entry](m, kmerHash, 24)}
+	return &Graph{K: k, Entries: dht.NewMap[seq.Kmer, Entry](m, seq.Kmer.Hash, 24)}
 }
 
 // Build classifies the k-mer counts into graph entries. It is collective:

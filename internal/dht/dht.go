@@ -152,9 +152,6 @@ func (m *Map[K, V]) Owner(key K) int { return m.ownerOf(m.hash(key)) }
 // Stripes returns the number of lock stripes per rank partition.
 func (m *Map[K, V]) Stripes() int { return m.stripeCount }
 
-// EntryBytes returns the configured approximate entry size.
-func (m *Map[K, V]) EntryBytes() int { return m.entryBytes }
-
 // ownerOf returns the owner rank of a key hash (its low bits).
 func (m *Map[K, V]) ownerOf(h uint64) int { return int(h % uint64(m.machine.Ranks())) }
 

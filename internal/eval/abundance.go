@@ -95,7 +95,7 @@ func (idx *asmIndex) localize(rd []byte, opts Options) int {
 		nextAt = off + opts.SeedStride
 		canon, _ := km.Canonical()
 		hs := idx.hits[canon]
-		if len(hs) == 0 || len(hs) > opts.MaxSeedHits {
+		if len(hs) == 0 || len(hs) > maxSeedHits {
 			continue
 		}
 		for _, si := range hs {

@@ -31,37 +31,33 @@ type Options struct {
 	SeedLen int
 	// SeedStride is the sampling stride along each assembly sequence.
 	SeedStride int
-	// MinBlockLen is the minimum aligned block length that contributes to
-	// coverage and misassembly analysis.
-	MinBlockLen int
-	// MaxSeedHits skips seeds occurring in more than this many reference
-	// positions.
-	MaxSeedHits int
-	// DiagTolerance groups seed hits whose diagonal differs by at most this
-	// many bases into one aligned block.
-	DiagTolerance int
 	// LengthThresholds are the "length >= X" rows of Table I (scaled).
 	LengthThresholds []int
 	// RRNAProfile counts assembled ribosomal regions when non-nil.
 	RRNAProfile   *hmm.Profile
 	RRNAThreshold float64
-	// MisassemblyMinFraction: a sequence is misassembled if no single genome
-	// explains at least this fraction of its aligned bases.
-	MisassemblyMinFraction float64
 }
+
+const (
+	// minBlockLen is the minimum aligned block length that contributes to
+	// coverage and misassembly analysis.
+	minBlockLen = 100
+	// maxSeedHits skips seeds occurring in more than this many reference
+	// positions.
+	maxSeedHits = 8
+	// diagTolerance groups seed hits whose diagonal differs by at most this
+	// many bases into one aligned block.
+	diagTolerance = 30
+)
 
 // DefaultOptions returns evaluation defaults scaled to the simulator's
 // genome sizes.
 func DefaultOptions() Options {
 	return Options{
-		SeedLen:                21,
-		SeedStride:             8,
-		MinBlockLen:            100,
-		MaxSeedHits:            8,
-		DiagTolerance:          30,
-		LengthThresholds:       []int{1000, 2500, 5000},
-		RRNAThreshold:          0.5,
-		MisassemblyMinFraction: 0.9,
+		SeedLen:          21,
+		SeedStride:       8,
+		LengthThresholds: []int{1000, 2500, 5000},
+		RRNAThreshold:    0.5,
 	}
 }
 
@@ -157,7 +153,7 @@ func alignBlocks(s []byte, idx *refIndex, opts Options) []block {
 		nextAt = off + opts.SeedStride
 		canon, rc := km.Canonical()
 		hits := idx.hits[canon]
-		if len(hits) == 0 || len(hits) > opts.MaxSeedHits {
+		if len(hits) == 0 || len(hits) > maxSeedHits {
 			continue
 		}
 		for _, h := range hits {
@@ -191,13 +187,13 @@ func alignBlocks(s []byte, idx *refIndex, opts Options) []block {
 	cur := block{Genome: -1}
 	curDiag := 0
 	flush := func() {
-		if cur.Genome >= 0 && cur.seqLen() >= opts.MinBlockLen {
+		if cur.Genome >= 0 && cur.seqLen() >= minBlockLen {
 			blocks = append(blocks, cur)
 		}
 		cur = block{Genome: -1}
 	}
 	for _, a := range anchors {
-		if cur.Genome == a.genome && cur.Reverse == a.reverse && abs(a.diag-curDiag) <= opts.DiagTolerance && a.seqPos <= cur.SeqEnd+opts.DiagTolerance+opts.SeedStride {
+		if cur.Genome == a.genome && cur.Reverse == a.reverse && abs(a.diag-curDiag) <= diagTolerance && a.seqPos <= cur.SeqEnd+diagTolerance+opts.SeedStride {
 			if a.seqPos+opts.SeedLen > cur.SeqEnd {
 				cur.SeqEnd = a.seqPos + opts.SeedLen
 			}
@@ -329,9 +325,9 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 				}
 			}
 			_ = totalAligned
-			if foreignUncovered >= 2*opts.MinBlockLen {
+			if foreignUncovered >= 2*minBlockLen {
 				rep.Misassemblies++
-			} else if sameGenomeInconsistent(blocks, bestGenome, opts) {
+			} else if sameGenomeInconsistent(blocks, bestGenome) {
 				rep.Misassemblies++
 			}
 		}
@@ -372,13 +368,13 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 // sameGenomeInconsistent reports whether two large blocks of the chosen
 // genome imply a rearrangement: opposite orientations or alignment diagonals
 // that are too far apart to be a mere indel or unclosed gap.
-func sameGenomeInconsistent(blocks []block, genome int, opts Options) bool {
+func sameGenomeInconsistent(blocks []block, genome int) bool {
 	const slack = 1000
 	for i := 0; i < len(blocks); i++ {
 		for j := i + 1; j < len(blocks); j++ {
 			a, b := blocks[i], blocks[j]
 			if a.Genome != genome || b.Genome != genome ||
-				a.seqLen() < 2*opts.MinBlockLen || b.seqLen() < 2*opts.MinBlockLen {
+				a.seqLen() < 2*minBlockLen || b.seqLen() < 2*minBlockLen {
 				continue
 			}
 			if a.Reverse != b.Reverse {

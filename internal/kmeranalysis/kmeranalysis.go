@@ -30,20 +30,12 @@ type Options struct {
 	// UseBloom enables the Bloom-filter prefilter that keeps k-mers seen
 	// only once out of the counting table.
 	UseBloom bool
-	// BloomFPRate is the target false positive rate of the prefilter.
-	BloomFPRate float64
 	// HeavyHitterCapacity is the number of Misra–Gries candidate slots per
 	// rank; 0 disables heavy-hitter tracking.
 	HeavyHitterCapacity int
-	// BatchSize is the per-destination aggregation batch size; Aggregate
-	// false disables batching (one message per k-mer, for ablations).
-	BatchSize int
+	// Aggregate false charges one message per k-mer instead of one per
+	// destination and exchange round (for ablations).
 	Aggregate bool
-	// StreamChunk bounds how many observations a rank routes per exchange
-	// round: the observation stream is processed in passes (as the real
-	// system does for memory), so no rank ever materializes its full
-	// inbound observation stream at once. 0 selects the default.
-	StreamChunk int
 	// QualThreshold ignores extension observations whose base quality is
 	// below this Phred score (0 disables quality filtering).
 	QualThreshold int
@@ -55,14 +47,21 @@ func DefaultOptions(k int) Options {
 		K:                   k,
 		MinCount:            2,
 		UseBloom:            true,
-		BloomFPRate:         0.01,
 		HeavyHitterCapacity: 64,
-		BatchSize:           1024,
 		Aggregate:           true,
-		StreamChunk:         1024,
 		QualThreshold:       5,
 	}
 }
+
+const (
+	// bloomFPRate is the target false positive rate of the prefilter.
+	bloomFPRate = 0.01
+	// streamChunk bounds how many observations a rank routes per exchange
+	// round: the observation stream is processed in passes (as the real
+	// system does for memory), so no rank ever materializes its full
+	// inbound observation stream at once.
+	streamChunk = 1024
+)
 
 // Result is the outcome of a k-mer analysis pass.
 type Result struct {
@@ -99,12 +98,9 @@ const observationWireSize = 22
 // the packed k-mer (two words plus k) and its count.
 const heavyHitterWireSize = 25
 
-// kmerHash adapts seq.Kmer.Hash for the dht package.
-func kmerHash(k seq.Kmer) uint64 { return k.Hash() }
-
 // NewCountsMap creates the distributed k-mer counts table.
 func NewCountsMap(m *pgas.Machine, opts ...dht.Option) *dht.Map[seq.Kmer, seq.KmerCount] {
-	return dht.NewMap[seq.Kmer, seq.KmerCount](m, kmerHash, 40, opts...)
+	return dht.NewMap[seq.Kmer, seq.KmerCount](m, seq.Kmer.Hash, 40, opts...)
 }
 
 // Run performs k-mer analysis over the calling rank's block of reads. It is
@@ -118,11 +114,8 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	if opts.MinCount == 0 {
 		opts.MinCount = 2
 	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 1024
-	}
 	if counts == nil {
-		counts = dht.NewMapCollective[seq.Kmer, seq.KmerCount](r, kmerHash, 40)
+		counts = dht.NewMapCollective[seq.Kmer, seq.KmerCount](r, seq.Kmer.Hash, 40)
 	}
 
 	// Phase 1: extract observations from local reads and route them to the
@@ -137,7 +130,7 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	var codes []byte
 	var hh *histo.HeavyHitters[seq.Kmer]
 	if opts.HeavyHitterCapacity > 0 {
-		hh = histo.NewHeavyHitters(opts.HeavyHitterCapacity, kmerHash)
+		hh = histo.NewHeavyHitters(opts.HeavyHitterCapacity, seq.Kmer.Hash)
 	}
 	for _, read := range reads {
 		// Append-style extraction fills the one per-rank buffer instead of
@@ -171,20 +164,12 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 		if expected < 1024 {
 			expected = 1024
 		}
-		fp := opts.BloomFPRate
-		if fp <= 0 {
-			fp = 0.01
-		}
-		filter = bloom.NewWithEstimates(expected, fp)
+		filter = bloom.NewWithEstimates(expected, bloomFPRate)
 	}
-	chunk := opts.StreamChunk
-	if chunk <= 0 {
-		chunk = 4096
-	}
-	rounds := pgas.AllReduce(r, (len(local)+chunk-1)/chunk, pgas.ReduceMax)
+	rounds := pgas.AllReduce(r, (len(local)+streamChunk-1)/streamChunk, pgas.ReduceMax)
 	for ci := 0; ci < rounds; ci++ {
-		lo := min(ci*chunk, len(local))
-		hi := min(lo+chunk, len(local))
+		lo := min(ci*streamChunk, len(local))
+		hi := min(lo+streamChunk, len(local))
 		part := local[lo:hi]
 		if !opts.Aggregate {
 			// Unaggregated ablation: each observation is charged as its own
@@ -262,7 +247,7 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 		})
 		res.HeavyHitters = pgas.ReduceAll(r, items, opts.HeavyHitterCapacity*heavyHitterWireSize,
 			func(contribs [][]histo.Item[seq.Kmer]) []histo.Item[seq.Kmer] {
-				merged := histo.NewHeavyHitters(opts.HeavyHitterCapacity, kmerHash)
+				merged := histo.NewHeavyHitters(opts.HeavyHitterCapacity, seq.Kmer.Hash)
 				for _, batch := range contribs {
 					for _, it := range batch {
 						merged.Add(it.Key, it.Count)

@@ -32,9 +32,6 @@ import (
 type Options struct {
 	// K is the base mer size used for walking (usually the pipeline's k).
 	K int
-	// ShiftStep is how much the mer size is shifted up or down (L in the
-	// paper) when a fork or dead end is hit.
-	ShiftStep int
 	// MinMer and MaxMer bound the dynamic mer size.
 	MinMer, MaxMer int
 	// MaxExtension bounds how many bases a contig end may be extended.
@@ -43,37 +40,40 @@ type Options struct {
 	// extension base (lower than the global k-mer analysis threshold, as the
 	// paper allows uncontested extensions of lower quality).
 	MinSupport int
-	// EndWindow recruits reads aligned within this many bases of a contig
-	// end (plus projected mates).
-	EndWindow int
 	// Libraries, when non-empty, widens the recruitment window per library:
-	// a read from library L is recruited within EndWindow +
+	// a read from library L is recruited within endWindow +
 	// (L.InsertSize - minInsert)/2 of a contig end, where minInsert is the
 	// smallest insert size across the libraries. A long-insert read whose
 	// mate lies far beyond the contig end is still useful for extension and
 	// gap closing, so its recruitment radius scales with the library's
-	// geometry; with zero or one library the window is exactly EndWindow
+	// geometry; with zero or one library the window is exactly endWindow
 	// (the legacy behavior).
 	Libraries []seq.Library
 	// WorkStealing enables the dynamic work-stealing scheduler; when false
 	// contigs are statically block-partitioned (ablation mode).
 	WorkStealing bool
-	// BlockSize is the number of contigs claimed per steal.
-	BlockSize int
 }
+
+const (
+	// shiftStep is how much the mer size is shifted up or down (L in the
+	// paper) when a fork or dead end is hit.
+	shiftStep = 4
+	// endWindow recruits reads aligned within this many bases of a contig
+	// end (plus projected mates).
+	endWindow = 200
+	// blockSize is the number of contigs claimed per steal.
+	blockSize = 4
+)
 
 // DefaultOptions returns the local assembly defaults for mer size k.
 func DefaultOptions(k int) Options {
 	return Options{
 		K:            k,
-		ShiftStep:    4,
 		MinMer:       k - 8,
 		MaxMer:       k + 12,
 		MaxExtension: 300,
 		MinSupport:   2,
-		EndWindow:    200,
 		WorkStealing: true,
-		BlockSize:    4,
 	}
 }
 
@@ -83,9 +83,6 @@ func DefaultOptions(k int) Options {
 func (opts Options) normalized() Options {
 	if opts.K <= 0 {
 		opts.K = 31
-	}
-	if opts.ShiftStep <= 0 {
-		opts.ShiftStep = 4
 	}
 	if opts.MinMer <= 4 {
 		opts.MinMer = 5
@@ -100,9 +97,6 @@ func (opts Options) normalized() Options {
 	}
 	if opts.MinSupport <= 0 {
 		opts.MinSupport = 2
-	}
-	if opts.BlockSize <= 0 {
-		opts.BlockSize = 4
 	}
 	return opts
 }
@@ -151,13 +145,13 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	// extend past the end. Recruits are routed to the contig's owner rank
 	// with one aggregated exchange (use case 4, "Local Reads & Writes") —
 	// the owner-routed replacement of the old replicated read pool.
-	// Per-library recruitment radius: EndWindow plus half the library's
+	// Per-library recruitment radius: endWindow plus half the library's
 	// insert-size excess over the shortest library (zero for single-library
 	// inputs, so legacy behavior is bit-preserved).
 	libWindow := libraryWindows(opts)
 	var recs []recruit
 	for _, a := range alignments {
-		w := opts.EndWindow
+		w := endWindow
 		if int(a.LibID) < len(libWindow) {
 			w = libWindow[a.LibID]
 		}
@@ -266,12 +260,12 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	}
 
 	if opts.WorkStealing {
-		for start := r.ID() * opts.BlockSize; start < n; start += r.NRanks() * opts.BlockSize {
+		for start := r.ID() * blockSize; start < n; start += r.NRanks() * blockSize {
 			// One remote atomic per claimed block, exactly as the dynamic
 			// counter would charge.
-			r.AtomicFetchAdd(counterHandle, int64(opts.BlockSize))
+			r.AtomicFetchAdd(counterHandle, int64(blockSize))
 			steals++
-			end := start + opts.BlockSize
+			end := start + blockSize
 			if end > n {
 				end = n
 			}
@@ -308,7 +302,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 
 // libraryWindows returns the per-library recruitment window (indexed by
 // LibID), or nil when no library list was provided (every read then uses
-// opts.EndWindow).
+// endWindow).
 func libraryWindows(opts Options) []int {
 	if len(opts.Libraries) == 0 {
 		return nil
@@ -325,7 +319,7 @@ func libraryWindows(opts Options) []int {
 		if extra < 0 {
 			extra = 0
 		}
-		out[i] = opts.EndWindow + extra
+		out[i] = endWindow + extra
 	}
 	return out
 }

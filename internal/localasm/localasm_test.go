@@ -311,16 +311,16 @@ func refWalk(s []byte, t refMerTable, opts Options) []byte {
 			added = append(added, base)
 			lastShift = 0
 		case stateFork:
-			if lastShift == -1 || m+opts.ShiftStep > opts.MaxMer {
+			if lastShift == -1 || m+shiftStep > opts.MaxMer {
 				return added
 			}
-			m += opts.ShiftStep
+			m += shiftStep
 			lastShift = 1
 		case stateDeadEnd:
-			if lastShift == 1 || m-opts.ShiftStep < opts.MinMer {
+			if lastShift == 1 || m-shiftStep < opts.MinMer {
 				return added
 			}
-			m -= opts.ShiftStep
+			m -= shiftStep
 			lastShift = -1
 		}
 	}
@@ -459,7 +459,7 @@ func TestMerIndexMatchesReference(t *testing.T) {
 			if m > 64 {
 				longMers++
 			}
-			if (m-tr.opts.K)%tr.opts.ShiftStep != 0 {
+			if (m-tr.opts.K)%shiftStep != 0 {
 				t.Fatalf("trial %d: built the size-%d table, off the k=%d lattice", trial, m, tr.opts.K)
 			}
 		}

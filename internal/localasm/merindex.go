@@ -154,8 +154,8 @@ func (t *merTable) lookup(k *merKey) seq.ExtCounts {
 // merIndex is one contig's mer index: the recruited reads decoded once into
 // a symbol stream, and one follower-count table per mer size, built the
 // first time a walk asks for that size. A walk starts at k and shifts by
-// ShiftStep only at forks and dead ends, so it visits a handful of the sizes
-// on the k ± j·ShiftStep lattice and never any size off it; the tables of
+// shiftStep only at forks and dead ends, so it visits a handful of the sizes
+// on the k ± j·shiftStep lattice and never any size off it; the tables of
 // unvisited sizes are never built.
 type merIndex struct {
 	// stream holds, for every read, its forward symbols and then its
@@ -287,16 +287,16 @@ func (ix *merIndex) walk(buf []byte, opts Options) []byte {
 			valid++
 			lastShift = 0
 		case stateFork:
-			if lastShift == -1 || m+opts.ShiftStep > opts.MaxMer {
+			if lastShift == -1 || m+shiftStep > opts.MaxMer {
 				return buf
 			}
-			m += opts.ShiftStep
+			m += shiftStep
 			lastShift, rekey = 1, true
 		case stateDeadEnd:
-			if lastShift == 1 || m-opts.ShiftStep < opts.MinMer {
+			if lastShift == 1 || m-shiftStep < opts.MinMer {
 				return buf
 			}
-			m -= opts.ShiftStep
+			m -= shiftStep
 			lastShift, rekey = -1, true
 		}
 	}

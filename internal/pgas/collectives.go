@@ -395,17 +395,6 @@ func ExScan[T Number](r *Rank, x T, op ReduceOp) T {
 	return out
 }
 
-// AllReduceFloat64 combines one float64 value per rank.
-func (r *Rank) AllReduceFloat64(x float64, op ReduceOp) float64 {
-	return AllReduce(r, x, op)
-}
-
-// AllReduceInt64 combines one int64 value per rank. The reduction is native
-// int64 arithmetic and therefore exact for the full int64 range.
-func (r *Rank) AllReduceInt64(x int64, op ReduceOp) int64 {
-	return AllReduce(r, x, op)
-}
-
 // ReduceAll combines one arbitrary mergeable value per rank — a streaming
 // summary, a sketch — and returns fold(contributions in rank order) on every
 // rank. It is charged like AllReduce of a payload of the given wire bytes

@@ -15,18 +15,18 @@ func TestAllReduceInt64Exact(t *testing.T) {
 		// Max of MaxInt64-1 must round-trip exactly: float64(MaxInt64-1)
 		// rounds up to 2^63, which overflows the conversion back.
 		big := int64(math.MaxInt64) - 1
-		if got := r.AllReduceInt64(big, ReduceMax); got != big {
+		if got := AllReduce(r, big, ReduceMax); got != big {
 			t.Errorf("rank %d: max(MaxInt64-1) = %d, want %d", r.ID(), got, big)
 		}
 		// Sums above 2^53 must keep their low bits: each rank contributes
 		// 2^53+ID, and the +ID tail is exactly what float64 would drop.
 		x := int64(1)<<53 + int64(r.ID())
 		want := int64(p)*(1<<53) + p*(p-1)/2
-		if got := r.AllReduceInt64(x, ReduceSum); got != want {
+		if got := AllReduce(r, x, ReduceSum); got != want {
 			t.Errorf("rank %d: sum = %d, want %d", r.ID(), got, want)
 		}
 		// Min across the full negative range.
-		if got := r.AllReduceInt64(int64(math.MinInt64)+int64(r.ID()), ReduceMin); got != math.MinInt64 {
+		if got := AllReduce(r, int64(math.MinInt64)+int64(r.ID()), ReduceMin); got != math.MinInt64 {
 			t.Errorf("rank %d: min = %d, want MinInt64", r.ID(), got)
 		}
 	})

@@ -460,9 +460,6 @@ func (r *Rank) ID() int { return r.id }
 // NRanks returns the number of ranks in the machine.
 func (r *Rank) NRanks() int { return r.machine.cfg.Ranks }
 
-// Node returns the virtual node hosting this rank.
-func (r *Rank) Node() int { return r.node }
-
 // Nodes returns the number of virtual nodes in the machine.
 func (r *Rank) Nodes() int { return r.machine.Nodes() }
 

@@ -169,15 +169,15 @@ func TestAtomicFetchAdd(t *testing.T) {
 func TestAllReduce(t *testing.T) {
 	m := NewMachine(Config{Ranks: 5})
 	m.Run(func(r *Rank) {
-		sum := r.AllReduceFloat64(float64(r.ID()+1), ReduceSum)
+		sum := AllReduce(r, float64(r.ID()+1), ReduceSum)
 		if sum != 15 {
 			t.Errorf("rank %d: sum = %v, want 15", r.ID(), sum)
 		}
-		max := r.AllReduceFloat64(float64(r.ID()), ReduceMax)
+		max := AllReduce(r, float64(r.ID()), ReduceMax)
 		if max != 4 {
 			t.Errorf("rank %d: max = %v, want 4", r.ID(), max)
 		}
-		minV := r.AllReduceInt64(int64(r.ID()+10), ReduceMin)
+		minV := AllReduce(r, int64(r.ID()+10), ReduceMin)
 		if minV != 10 {
 			t.Errorf("rank %d: min = %v, want 10", r.ID(), minV)
 		}

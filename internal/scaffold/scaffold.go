@@ -50,18 +50,12 @@ type Options struct {
 	// MinLinkSupport is the number of read pairs (or splinting reads) needed
 	// to accept a link between two contig ends.
 	MinLinkSupport int
-	// LongContigThreshold classifies contigs as "long"/confident traversal
-	// seeds.
-	LongContigThreshold int
-	// RRNAProfile, when non-nil, marks contigs matching the profile as HMM
-	// hits whose ends stay extendable despite competing links.
-	RRNAProfile   *hmm.Profile
-	RRNAThreshold float64
+	// RRNAProfile, when non-nil, marks contigs matching the profile (at
+	// rrnaThreshold) as HMM hits whose ends stay extendable despite competing
+	// links.
+	RRNAProfile *hmm.Profile
 	// CloseGaps enables gap closing (otherwise gaps are filled with Ns).
 	CloseGaps bool
-	// MinGapOverlap is the minimum exact overlap between neighbouring contig
-	// ends for a gap to be spliced closed.
-	MinGapOverlap int
 	// Aggregate controls DHT update aggregation (for ablations).
 	Aggregate bool
 	// UseComponents partitions traversal by connected components (the
@@ -81,18 +75,27 @@ type Options struct {
 // insert size.
 func DefaultOptions(k, insertSize int) Options {
 	return Options{
-		K:                   k,
-		InsertSize:          insertSize,
-		InsertStd:           insertSize / 10,
-		MinLinkSupport:      2,
-		LongContigThreshold: 3 * insertSize / 2,
-		RRNAThreshold:       0.5,
-		CloseGaps:           true,
-		MinGapOverlap:       k - 1,
-		Aggregate:           true,
-		UseComponents:       true,
+		K:              k,
+		InsertSize:     insertSize,
+		InsertStd:      insertSize / 10,
+		MinLinkSupport: 2,
+		CloseGaps:      true,
+		Aggregate:      true,
+		UseComponents:  true,
 	}
 }
+
+// rrnaThreshold is the normalized profile score at which a contig counts as
+// an rRNA hit.
+const rrnaThreshold = 0.5
+
+// longContigThreshold classifies contigs as "long"/confident traversal
+// seeds: one and a half inserts.
+func longContigThreshold(insertSize int) int { return 3 * insertSize / 2 }
+
+// minGapOverlap is the minimum exact overlap between neighbouring contig
+// ends for a gap to be spliced closed: k-1.
+func minGapOverlap(k int) int { return k - 1 }
 
 // Scaffold is an ordered, oriented chain of contigs with its final sequence.
 type Scaffold struct {
@@ -218,12 +221,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	if opts.MinLinkSupport <= 0 {
 		opts.MinLinkSupport = 2
 	}
-	if opts.LongContigThreshold <= 0 {
-		opts.LongContigThreshold = 3 * opts.InsertSize / 2
-	}
-	if opts.MinGapOverlap <= 0 {
-		opts.MinGapOverlap = 15
-	}
 
 	mode := cs.Mode()
 	creader := cs.NewReader(r, 1<<16)
@@ -315,7 +312,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	hmmHitLocal := make(map[int]bool)
 	if opts.RRNAProfile != nil {
 		cs.ForEachLocal(r, func(_ int, c dbg.Contig) {
-			if opts.RRNAProfile.IsHit(c.Seq, opts.RRNAThreshold) {
+			if opts.RRNAProfile.IsHit(c.Seq, rrnaThreshold) {
 				hmmHitLocal[c.ID] = true
 			}
 			r.Compute(float64(len(c.Seq)))
@@ -676,7 +673,7 @@ func (t *traverser) pickLink(contigID int, end byte, used map[int]bool) (linkInf
 		// targets include a clearly better (long) contig.
 		long := candidates[:0]
 		for _, l := range candidates {
-			if len(t.creader.Get(l.Other).Seq) >= t.opts.LongContigThreshold {
+			if len(t.creader.Get(l.Other).Seq) >= longContigThreshold(t.opts.InsertSize) {
 				long = append(long, l)
 			}
 		}
@@ -716,7 +713,7 @@ func buildScaffolds(r *pgas.Rank, creader *dist.Reader[dbg.Contig], chains [][]p
 			}
 			gaps++
 			if opts.CloseGaps {
-				if joined, ok := spliceOverlap(sb, s, opts.MinGapOverlap, opts.InsertSize); ok {
+				if joined, ok := spliceOverlap(sb, s, minGapOverlap(opts.K), opts.InsertSize); ok {
 					sb = joined
 					closed++
 					r.Compute(float64(opts.InsertSize))

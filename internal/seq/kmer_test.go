@@ -296,7 +296,10 @@ func TestAppendCanonicalKmers(t *testing.T) {
 		t.Fatalf("append did not preserve prefix: len=%d", len(both))
 	}
 	// Invalid inputs leave dst unchanged, matching KmersOf's guards.
-	for _, bad := range []struct{ s []byte; k int }{
+	for _, bad := range []struct {
+		s []byte
+		k int
+	}{
 		{[]byte("ACG"), 5}, {s, 0}, {s, -1}, {s, MaxK + 1},
 	} {
 		if out := AppendCanonicalKmers(prefix[:1], bad.s, bad.k); len(out) != 1 {
