@@ -1,6 +1,7 @@
 // Command mhmbench regenerates the tables and figures of the paper's
 // evaluation section on the simulated substrate. Each experiment prints a
-// table whose shape can be compared against the paper (see EXPERIMENTS.md).
+// table whose shape can be compared against the paper (PAPER.md's "The
+// evaluation" table maps each figure and table to its driver).
 package main
 
 import (

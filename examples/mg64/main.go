@@ -1,47 +1,16 @@
 // MG64 demonstrates the paper's Table I quality evaluation: assemble an
-// MG64-like synthetic community (64 genomes, skewed abundances) with
-// MetaHipMer-Go and the baseline assembler proxies, and print a
-// Table-I-style comparison of genome fraction, misassemblies, rRNA recovery
-// and N50.
+// MG64-like synthetic community (skewed abundances) with MetaHipMer-Go and
+// the baseline assembler proxies, and print a Table-I-style comparison of
+// genome fraction, misassemblies, rRNA recovery and N50. It prints the same
+// table as `go run ./cmd/mhmbench -exp table1`.
 package main
 
 import (
 	"fmt"
 
-	"mhmgo/internal/baseline"
-	"mhmgo/internal/eval"
-	"mhmgo/internal/hmm"
-	"mhmgo/internal/sim"
+	"mhmgo/internal/experiments"
 )
 
 func main() {
-	// A scaled-down MG64: 64 genomes with skewed abundances.
-	comm := sim.MG64LikeCommunity(0.25, 42)
-	reads := sim.SimulateReads(comm, sim.ReadConfig{
-		ReadLen: 100, InsertSize: 280, InsertStd: 25, ErrorRate: 0.01, Coverage: 10, Seed: 43,
-	})
-	profile := hmm.BuildProfile([][]byte{comm.RRNAMarker}, 0.9)
-	fmt.Printf("MG64-like community: %d genomes, %d bases, %d reads\n",
-		len(comm.Genomes), comm.TotalBases(), len(reads))
-
-	eopts := eval.DefaultOptions()
-	eopts.LengthThresholds = []int{1000, 2000, 2500}
-	eopts.RRNAProfile = profile
-
-	var reports []eval.Report
-	for _, assembler := range baseline.All() {
-		res, err := baseline.Run(assembler, reads, baseline.RunOptions{
-			Ranks: 8, RanksPerNode: 4, InsertSize: 280, RRNAProfile: profile,
-		})
-		if err != nil {
-			fmt.Printf("%s failed: %v\n", assembler.Name, err)
-			continue
-		}
-		rep := eval.Evaluate(assembler.Name, res.FinalSequences(), comm, eopts)
-		rep.RuntimeSimSecs = res.SimSeconds
-		reports = append(reports, rep)
-		fmt.Printf("%-12s done: %d sequences, simulated %.2fs\n", assembler.Name, rep.NumSeqs, res.SimSeconds)
-	}
-	fmt.Println()
-	fmt.Print(eval.FormatTable(reports, eopts.LengthThresholds))
+	fmt.Print(experiments.Table1Quality(experiments.DefaultScale()).Format())
 }

@@ -2,52 +2,16 @@
 // pipeline with and without the read-localization optimization (Section
 // II-I — redistribute reads onto the ranks owning the contigs they align
 // to) and show its effect on the simulated time of the k-mer analysis and
-// alignment stages as node counts grow.
+// alignment stages as node counts grow. It prints the same table as
+// `go run ./cmd/mhmbench -exp fig3`.
 package main
 
 import (
 	"fmt"
 
-	"mhmgo/internal/core"
-	"mhmgo/internal/sim"
+	"mhmgo/internal/experiments"
 )
 
 func main() {
-	comm := sim.MG64LikeCommunity(0.2, 11)
-	reads := sim.SimulateReads(comm, sim.ReadConfig{
-		ReadLen: 100, InsertSize: 280, InsertStd: 25, ErrorRate: 0.01, Coverage: 10, Seed: 12,
-	})
-	fmt.Printf("dataset: %d genomes, %d reads\n", len(comm.Genomes), len(reads))
-
-	const ranksPerNode = 4
-	fmt.Println("Nodes  align(on)  align(off)  speedup   kmer(on)  kmer(off)")
-	for _, nodes := range []int{2, 4, 8} {
-		stage := func(localize bool) (alignSecs, kmerSecs float64) {
-			cfg := core.DefaultConfig(nodes * ranksPerNode)
-			cfg.RanksPerNode = ranksPerNode
-			cfg.ReadLocalization = localize
-			cfg.Scaffolding = false
-			res, err := core.Assemble(reads, cfg)
-			if err != nil {
-				return 0, 0
-			}
-			for _, st := range res.Stages {
-				switch st.Name {
-				case core.StageAlignment:
-					alignSecs = st.Seconds
-				case core.StageKmerAnalysis:
-					kmerSecs = st.Seconds
-				}
-			}
-			return alignSecs, kmerSecs
-		}
-		alignOn, kmerOn := stage(true)
-		alignOff, kmerOff := stage(false)
-		speedup := 0.0
-		if alignOn > 0 {
-			speedup = alignOff / alignOn
-		}
-		fmt.Printf("%-6d %-10.4f %-11.4f %-8.2fx %-9.4f %-9.4f\n",
-			nodes, alignOn, alignOff, speedup, kmerOn, kmerOff)
-	}
+	fmt.Print(experiments.Fig3ReadLocalization(experiments.DefaultScale()).Format())
 }

@@ -1,7 +1,8 @@
 // Wetlands_scaling demonstrates the paper's Figures 4 and 5: assemble a
 // fixed, uneven (soil-like) community on increasing virtual node counts and
 // print the strong-scaling curve (speedup and efficiency in simulated
-// seconds) plus the per-stage runtime breakdown.
+// seconds) plus the per-stage runtime breakdown. Without arguments it prints
+// the same tables as `go run ./cmd/mhmbench -exp fig4`.
 //
 // By default it sweeps 2, 4, 8 and 16 nodes (8–64 ranks at 4 ranks per
 // node). Pass node counts as arguments to sweep other machine sizes — the
@@ -15,53 +16,21 @@ import (
 	"os"
 	"strconv"
 
-	"mhmgo/internal/core"
-	"mhmgo/internal/pgas"
-	"mhmgo/internal/sim"
+	"mhmgo/internal/experiments"
 )
 
 func main() {
-	nodeCounts := []int{2, 4, 8, 16}
+	scale := experiments.DefaultScale()
 	if args := os.Args[1:]; len(args) > 0 {
-		nodeCounts = nodeCounts[:0]
+		scale.NodeCounts = nil
 		for _, a := range args {
 			n, err := strconv.Atoi(a)
 			if err != nil || n < 1 {
 				fmt.Fprintf(os.Stderr, "usage: wetlands_scaling [node counts...]; bad node count %q\n", a)
 				os.Exit(2)
 			}
-			nodeCounts = append(nodeCounts, n)
+			scale.NodeCounts = append(scale.NodeCounts, n)
 		}
 	}
-
-	comm := sim.WetlandsLikeCommunity(48, 0.5, 7)
-	reads := sim.SimulateReads(comm, sim.ReadConfig{
-		ReadLen: 100, InsertSize: 280, InsertStd: 25, ErrorRate: 0.01, Coverage: 12, Seed: 8,
-	})
-	fmt.Printf("Wetlands-like subset: %d organisms, %d bases, %d reads\n",
-		len(comm.Genomes), comm.TotalBases(), len(reads))
-
-	const ranksPerNode = 4
-	var baseline float64
-	fmt.Println("Nodes  Ranks  SimSeconds  Speedup  Efficiency")
-	for _, nodes := range nodeCounts {
-		cfg := core.DefaultConfig(nodes * ranksPerNode)
-		cfg.RanksPerNode = ranksPerNode
-		res, err := core.Assemble(reads, cfg)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		if baseline == 0 {
-			baseline = res.SimSeconds * float64(nodes) // first point is the reference
-		}
-		speedup := baseline / res.SimSeconds
-		eff := speedup / float64(nodes)
-		fmt.Printf("%-6d %-6d %-11.4f %-8.2f %.2f\n", nodes, nodes*ranksPerNode, res.SimSeconds, speedup, eff)
-		fmt.Print("       stages:")
-		for _, st := range pgas.SortStages(res.Stages) {
-			fmt.Printf(" %s=%.3fs", st.Name, st.Seconds)
-		}
-		fmt.Println()
-	}
+	fmt.Print(experiments.Fig4StrongScaling(scale).Format())
 }

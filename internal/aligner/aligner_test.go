@@ -27,8 +27,9 @@ func distributeTestContigs(r *pgas.Rank, contigs []dbg.Contig) (*dbg.ContigSet, 
 	cs := dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed)
 	ids := map[string]int{}
 	n := cs.GlobalLen(r)
+	rd := cs.NewReader(r, 0)
 	for id := 0; id < n; id++ {
-		c := cs.GetByID(r, id)
+		c := rd.Get(id)
 		ids[string(c.Seq)] = id
 	}
 	return cs, ids

@@ -104,9 +104,8 @@ func junctionKey(c dbg.Contig, k int, end byte) (seq.Kmer, bool) {
 }
 
 // aliveMask tracks contig liveness in per-owner shards: each rank mutates
-// only the flags of the contigs it owns, and reading a remote flag is
-// charged as a one-byte one-sided get (free in Replicated mode, where the
-// legacy pipeline kept the mask on every rank).
+// only the flags of the contigs it owns, and reading any flag, local or
+// remote, costs one compute op and no message (see get).
 type aliveMask struct {
 	shards [][]bool
 }
@@ -221,7 +220,7 @@ func (g *graph) meanNeighborDepth(refs []endRef) float64 {
 func (g *graph) applyRemovals(r *pgas.Rank, proposals []int) int {
 	mine := dist.Exchange(r, proposals,
 		func(id int) int { owner, _ := g.cs.Locate(id); return owner },
-		func(int) int { return removalWireSize }, g.cs.Mode())
+		func(int) int { return removalWireSize })
 	n := 0
 	shard := g.alive.shards[r.ID()]
 	for _, id := range mine {

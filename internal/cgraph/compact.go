@@ -2,6 +2,7 @@ package cgraph
 
 import (
 	"mhmgo/internal/dbg"
+	"mhmgo/internal/dist"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
 )
@@ -42,7 +43,7 @@ func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 				keep = append(keep, c)
 			}
 		})
-		return dbg.DistributeContigs(r, keep, g.cs.Mode()), 0
+		return dbg.DistributeContigs(r, keep, dist.Distributed), 0
 	}
 
 	// Index the junctions of the survivors only, so chain walks need no
@@ -149,7 +150,7 @@ func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 	// palindromic chain emitted from both ends (possibly on two different
 	// ranks) collides on one owner and is deduplicated there, then
 	// ExScan-renumbered. No gather, no world sort.
-	out := dbg.DistributeContigs(r, localOut, g.cs.Mode())
+	out := dbg.DistributeContigs(r, localOut, dist.Distributed)
 	totalMerged := pgas.AllReduce(r, mergedCount, pgas.ReduceSum)
 	return out, totalMerged
 }

@@ -73,7 +73,7 @@ func configHash(cfg Config, ks []int) string {
 	e.Bool(cfg.ReadLocalization)
 	e.Bool(cfg.WorkStealing)
 	e.Bool(cfg.UseComponents)
-	e.Bool(cfg.GatherToAll)
+	e.Bool(false) // reserved: a retired field's byte, kept so older checkpoints still match
 	e.Bool(cfg.BubbleMerging)
 	e.Bool(cfg.HairRemoval)
 	e.Bool(cfg.Pruning)
@@ -438,7 +438,7 @@ func loadResume(dir string, reads []seq.Read, cfg Config, ks []int, machine *pga
 				id++
 			}
 		}
-		cset := dist.RestoreSet(shards, dbg.Contig.WireSize, cfg.distMode())
+		cset := dist.RestoreSet(shards, dbg.Contig.WireSize)
 		for p := range rs.states {
 			rs.states[p].cset = cset
 		}

@@ -665,6 +665,17 @@ func TestManifestHeadPin(t *testing.T) {
 	}
 }
 
+// TestConfigHashPin: the identity of a default configuration, captured at
+// ed1df1b. With TestManifestHeadPin it is the proof that a checkpoint written
+// before a Config field was retired (its byte is still written, as false)
+// resumes after.
+func TestConfigHashPin(t *testing.T) {
+	const want = "4dbcf73c0a2ffd6f5fe5381ae4506edb9c5900efd9a7db7ff9221e02de3b17cf"
+	if got := ConfigHash(DefaultConfig(8)); got != want {
+		t.Errorf("ConfigHash(DefaultConfig(8)) = %s, want %s", got, want)
+	}
+}
+
 // FuzzRankStateDecode drives the per-rank shard decoder over arbitrary
 // bytes: it must never panic, and any input it accepts must re-encode to
 // exactly the accepted bytes (the format is canonical).

@@ -87,14 +87,6 @@ type Config struct {
 	ReadLocalization bool
 	WorkStealing     bool
 	UseComponents    bool
-	// GatherToAll reverts the pipeline's record collections (contigs,
-	// alignments, extensions, links, scaffolds) to the legacy gather-to-all
-	// pattern: every collection is charged — and its memory footprint
-	// accounted — as if materialized on every rank. Results are bit-identical
-	// to the distributed-ownership default; only cost and peak resident
-	// bytes differ. This is the baseline of the distributed-ownership
-	// ablation.
-	GatherToAll bool
 
 	// Pipeline stage toggles.
 	BubbleMerging bool
@@ -559,14 +551,6 @@ func validateFault(cfg Config, nIter int) error {
 		cfg.FailAfterStage, cfg.FailAtIteration, valid)
 }
 
-// distMode is the ownership mode of the pipeline's record collections.
-func (c Config) distMode() dist.Mode {
-	if c.GatherToAll {
-		return dist.Replicated
-	}
-	return dist.Distributed
-}
-
 // alignerOptions is the read-to-contig aligner set-up shared by the alignment
 // stage and the scaffolding rounds.
 func alignerOptions(cfg Config, k int) aligner.Options {
@@ -687,7 +671,7 @@ func runDBGTraversal(r *pgas.Rank, cfg Config, k int, st *rankState) {
 	topts := dbg.ThresholdOptions{TBase: cfg.TBase, ErrorRate: cfg.ErrorRate, GlobalTHQ: cfg.GlobalTHQ, MinCount: 1}
 	graph := dbg.Build(r, st.kmers, k, topts)
 	local := dbg.Traverse(r, graph, dbg.TraverseOptions{})
-	next := dbg.DistributeContigs(r, local, cfg.distMode())
+	next := dbg.DistributeContigs(r, local, dist.Distributed)
 	if st.cset != nil {
 		st.cset.Release(r)
 	}
@@ -795,7 +779,7 @@ func runScaffolding(r *pgas.Rank, cfg Config, k int, st *rankState) {
 			local = append(local, dbg.Contig{Seq: s.Seq})
 		}
 		st.cset.Release(r)
-		st.cset = dbg.DistributeContigs(r, local, cfg.distMode())
+		st.cset = dbg.DistributeContigs(r, local, dist.Distributed)
 	}
 }
 

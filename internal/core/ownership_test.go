@@ -63,20 +63,17 @@ func TestPipelineDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestDistributedOwnershipEquivalentAndLean is the acceptance test of the
-// distributed-ownership refactor:
+// TestDistributedOwnershipLean is the acceptance test of distributed
+// ownership:
 //
-//  1. At P in {1, 3, 8}, the distributed pipeline's scaffold output is
-//     byte-identical to the gather-to-all baseline's (Config.GatherToAll),
-//     which preserves the legacy communication/memory pattern.
-//  2. At P=64, the worst rank's peak resident collective bytes shrink by at
-//     least 4x when gather-to-all is replaced by distributed ownership.
-func TestDistributedOwnershipEquivalentAndLean(t *testing.T) {
+//  1. At P in {1, 3, 8}, scaffold member IDs index Result.Contigs and every
+//     scaffold begins with its first member contig.
+//  2. At P=64, the worst rank's peak resident collective bytes are pinned,
+//     and stay at least 4x below what the gather-to-all pattern cost.
+func TestDistributedOwnershipLean(t *testing.T) {
 	_, reads := smallCommunity(t, 2, 12)
-	run := func(ranks int, gatherToAll bool) *Result {
-		cfg := testConfig(ranks)
-		cfg.GatherToAll = gatherToAll
-		res, err := Assemble(reads, cfg)
+	run := func(ranks int) *Result {
+		res, err := Assemble(reads, testConfig(ranks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,25 +81,21 @@ func TestDistributedOwnershipEquivalentAndLean(t *testing.T) {
 	}
 
 	for _, ranks := range []int{1, 3, 8} {
-		distRes := run(ranks, false)
-		gatherRes := run(ranks, true)
-		if d, g := outputFingerprint(distRes), outputFingerprint(gatherRes); d != g {
-			t.Errorf("P=%d: distributed output differs from the gather-to-all baseline", ranks)
-		}
-		if len(distRes.Scaffolds) == 0 {
+		res := run(ranks)
+		if len(res.Scaffolds) == 0 {
 			t.Fatalf("P=%d: no scaffolds produced", ranks)
 		}
 		// Scaffold member IDs must index Result.Contigs (the emitted,
 		// re-sorted numbering), not the pipeline-internal shard numbering:
 		// each scaffold starts with its first member contig verbatim (in
 		// one orientation or the other).
-		for _, sc := range distRes.Scaffolds {
+		for _, sc := range res.Scaffolds {
 			for _, id := range sc.ContigIDs {
-				if id < 0 || id >= len(distRes.Contigs) {
-					t.Fatalf("P=%d: scaffold %d references contig %d of %d", ranks, sc.ID, id, len(distRes.Contigs))
+				if id < 0 || id >= len(res.Contigs) {
+					t.Fatalf("P=%d: scaffold %d references contig %d of %d", ranks, sc.ID, id, len(res.Contigs))
 				}
 			}
-			first := distRes.Contigs[sc.ContigIDs[0]].Seq
+			first := res.Contigs[sc.ContigIDs[0]].Seq
 			if len(sc.Seq) < len(first) {
 				t.Fatalf("P=%d: scaffold %d shorter than its first member contig", ranks, sc.ID)
 			}
@@ -115,10 +108,9 @@ func TestDistributedOwnershipEquivalentAndLean(t *testing.T) {
 
 	// The memory assertion runs on a wider, flatter community: with P=64 far
 	// above the contig count of a two-genome toy, ownership (and the reads
-	// localized to it) cannot spread, and the shared localization spike
-	// floors both modes. Two dozen small genomes give the owner function
-	// enough granularity for the footprint gap to be about ownership, not
-	// about running 64 ranks on 4 contigs.
+	// localized to it) cannot spread. Two dozen small genomes give the owner
+	// function enough granularity for the footprint to be about ownership,
+	// not about running 64 ranks on 4 contigs.
 	comm64 := sim.GenerateCommunity(sim.CommunityConfig{
 		NumGenomes:     24,
 		MeanGenomeLen:  2000,
@@ -133,22 +125,22 @@ func TestDistributedOwnershipEquivalentAndLean(t *testing.T) {
 		ErrorRate: 0.005, Coverage: 8, Seed: 72,
 	})
 
-	const p = 64
-	distRes := run(p, false)
-	gatherRes := run(p, true)
-	if d, g := outputFingerprint(distRes), outputFingerprint(gatherRes); d != g {
-		t.Errorf("P=%d: distributed output differs from the gather-to-all baseline", p)
+	const (
+		p = 64
+		// The meter is deterministic, so the peak is pinned exactly.
+		wantPeak = 114929
+		// What the same input peaked at, at commit ed1df1b, with every
+		// pipeline collection charged as a gather-to-all — the last commit
+		// that could still run that pattern (as a Config switch, since
+		// deleted) and whose version of this test measured both.
+		gatherToAllPeak = 614723
+	)
+	got := run(p).Stats.PeakResidentBytes
+	if got != wantPeak {
+		t.Errorf("P=%d peak resident bytes = %d, want %d", p, got, wantPeak)
 	}
-	distPeak := distRes.Stats.PeakResidentBytes
-	gatherPeak := gatherRes.Stats.PeakResidentBytes
-	t.Logf("P=%d peak resident bytes: gather-to-all=%d distributed=%d (%.1fx)",
-		p, gatherPeak, distPeak, float64(gatherPeak)/float64(distPeak))
-	if distPeak == 0 || gatherPeak == 0 {
-		t.Fatal("peak resident tracking recorded nothing")
-	}
-	if float64(gatherPeak) < 4*float64(distPeak) {
-		t.Errorf("distributed ownership should cut the worst rank's peak resident bytes >=4x at P=%d: %d vs %d",
-			p, gatherPeak, distPeak)
+	if 4*got > gatherToAllPeak {
+		t.Errorf("P=%d peak resident bytes %d exceed a quarter of the recorded gather-to-all peak %d", p, got, gatherToAllPeak)
 	}
 }
 

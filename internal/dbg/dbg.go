@@ -272,7 +272,7 @@ func Traverse(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
 	})
 	sort.Slice(local, func(i, j int) bool { return local[i].km.Less(local[j].km) })
 	var out []Contig
-	ws := NewWalkScratch()
+	ws := &walkScratch{}
 	for _, v := range local {
 		km, e := v.km, v.e
 		for _, forward := range []bool{true, false} {
@@ -300,23 +300,20 @@ func Traverse(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
 	return out
 }
 
-// WalkScratch holds the reusable walk buffers: the packed path sequence and
+// walkScratch holds the reusable walk buffers: the packed path sequence and
 // the per-vertex depth counts. One scratch serves a whole Traverse — a walk
 // appends 2-bit codes into it and unpacks to ASCII only for the paths that
 // are actually emitted, so walking is allocation-free in steady state (the
 // walked-from-both-ends and too-short paths that used to build and discard a
 // byte slice each now cost nothing).
-type WalkScratch struct {
+type walkScratch struct {
 	seq    seq.Packed
 	counts []uint32
 }
 
-// NewWalkScratch returns an empty scratch ready for walking.
-func NewWalkScratch() *WalkScratch { return &WalkScratch{} }
-
 // walk extends a path from the starting oriented k-mer until it hits a fork,
 // dead end, missing vertex or the step bound, filling the scratch buffers.
-func (g *Graph) walk(r *pgas.Rank, start oriented, e Entry, maxSteps int, ws *WalkScratch) {
+func (g *Graph) walk(r *pgas.Rank, start oriented, e Entry, maxSteps int, ws *walkScratch) {
 	ws.seq.Reset()
 	ws.counts = ws.counts[:0]
 	obs := start.observedKmer()
@@ -383,15 +380,17 @@ func ContigLess(a, b Contig) bool {
 // The final shards are sorted and densely renumbered with an exclusive
 // prefix scan. This replaces the old gather-to-all +
 // sort-the-world-on-every-rank GatherContigs. Collective.
-func DistributeContigs(r *pgas.Rank, local []Contig, mode dist.Mode) *ContigSet {
-	home := dist.New(r, local, ContigOwner, Contig.WireSize, mode)
+//
+// The last parameter is ignored: frozen benchmark/chain.go passes it (ROADMAP 3(b)).
+func DistributeContigs(r *pgas.Rank, local []Contig, _ dist.Mode) *ContigSet {
+	home := dist.New(r, local, ContigOwner, Contig.WireSize, dist.Distributed)
 	home.SortLocal(r, ContigLess)
 	home.DedupLocal(r, func(a, b Contig) bool { return string(a.Seq) == string(b.Seq) })
 	deduped := append([]Contig(nil), home.Local(r)...)
 	home.Release(r)
 	s := dist.NewIndexed(r, deduped,
 		func(src, i int, _ Contig) int { return i + src },
-		Contig.WireSize, mode)
+		Contig.WireSize)
 	s.SortLocal(r, ContigLess)
 	s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
 	return s

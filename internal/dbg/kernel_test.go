@@ -72,7 +72,7 @@ func (g *Graph) walkASCII(r *pgas.Rank, start oriented, e Entry, maxSteps int) (
 // sequences and depth counts.
 func TestWalkPackedMatchesASCII(t *testing.T) {
 	m, g, vertices := walkFixtureGraph(t, 600, 21)
-	ws := NewWalkScratch()
+	ws := &walkScratch{}
 	m.Run(func(rk *pgas.Rank) {
 		maxSteps := g.Entries.Len() + 1
 		for _, v := range vertices {
@@ -113,7 +113,7 @@ func BenchmarkKernelDBGWalk(b *testing.B) {
 	m, g, vertices := walkFixtureGraph(b, 600, 21)
 	maxSteps := 0
 	b.Run("packed", func(b *testing.B) {
-		ws := NewWalkScratch()
+		ws := &walkScratch{}
 		m.Run(func(rk *pgas.Rank) {
 			if maxSteps == 0 {
 				maxSteps = g.Entries.Len() + 1

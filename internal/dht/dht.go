@@ -74,22 +74,6 @@ type stripe[K comparable, V any] struct {
 	_    [24]byte
 }
 
-// options collects the constructor options of a Map.
-type options struct {
-	stripes int
-}
-
-// Option configures a Map at construction time.
-type Option func(*options)
-
-// WithStripes sets the number of lock stripes per rank partition. n is
-// rounded up to a power of two; n <= 0 selects DefaultStripes. Stripe count 1
-// reproduces the historical one-lock-per-rank layout (used by the contention
-// ablation and benchmarks).
-func WithStripes(n int) Option {
-	return func(o *options) { o.stripes = n }
-}
-
 // DefaultStripes returns the default stripe count per partition:
 // max(8, GOMAXPROCS) rounded up to a power of two, so that on any machine the
 // goroutines of all ranks can simultaneously hold distinct stripe locks of a
@@ -111,18 +95,18 @@ func ceilPow2(n int) int {
 
 // NewMap creates a distributed map on the given machine. hash must be a
 // deterministic, well-mixed hash of the key; entryBytes is the approximate
-// wire size of one entry, used by the communication cost model.
-func NewMap[K comparable, V any](m *pgas.Machine, hash func(K) uint64, entryBytes int, opts ...Option) *Map[K, V] {
+// wire size of one entry, used by the communication cost model. Every
+// partition gets DefaultStripes lock stripes.
+func NewMap[K comparable, V any](m *pgas.Machine, hash func(K) uint64, entryBytes int) *Map[K, V] {
+	return newMapStripes[K, V](m, hash, entryBytes, DefaultStripes())
+}
+
+// newMapStripes is NewMap with an explicit stripe count per partition,
+// rounded up to a power of two; tests vary it, down to the one-lock-per-rank
+// layout of stripe count 1.
+func newMapStripes[K comparable, V any](m *pgas.Machine, hash func(K) uint64, entryBytes, stripes int) *Map[K, V] {
 	if entryBytes <= 0 {
 		entryBytes = 16
-	}
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	stripes := o.stripes
-	if stripes <= 0 {
-		stripes = DefaultStripes()
 	}
 	stripes = ceilPow2(stripes)
 	dm := &Map[K, V]{
@@ -138,10 +122,10 @@ func NewMap[K comparable, V any](m *pgas.Machine, hash func(K) uint64, entryByte
 
 // NewMapCollective creates a distributed map from inside an SPMD region:
 // rank 0 allocates the map and every rank receives the same instance.
-func NewMapCollective[K comparable, V any](r *pgas.Rank, hash func(K) uint64, entryBytes int, opts ...Option) *Map[K, V] {
+func NewMapCollective[K comparable, V any](r *pgas.Rank, hash func(K) uint64, entryBytes int) *Map[K, V] {
 	var dm *Map[K, V]
 	if r.ID() == 0 {
-		dm = NewMap[K, V](r.Machine(), hash, entryBytes, opts...)
+		dm = NewMap[K, V](r.Machine(), hash, entryBytes)
 	}
 	return pgas.Broadcast(r, dm)
 }

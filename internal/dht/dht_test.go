@@ -488,7 +488,7 @@ func TestNewMapAllocations(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 32})
 	var dm *Map[int, int]
 	allocs := testing.AllocsPerRun(3, func() {
-		dm = NewMap[int, int](m, intHash, 16, WithStripes(stripes))
+		dm = newMapStripes[int, int](m, intHash, 16, stripes)
 	})
 	if allocs > 4 {
 		t.Errorf("NewMap at P=%d allocated %v objects, want a handful", p, allocs)
@@ -513,9 +513,9 @@ func TestStripeConfiguration(t *testing.T) {
 		{1, 1}, {2, 2}, {3, 4}, {7, 8}, {8, 8}, {9, 16}, {63, 64},
 	}
 	for _, c := range cases {
-		dm := NewMap[int, int](m, intHash, 16, WithStripes(c.in))
+		dm := newMapStripes[int, int](m, intHash, 16, c.in)
 		if dm.Stripes() != c.want {
-			t.Errorf("WithStripes(%d) -> %d stripes, want %d", c.in, dm.Stripes(), c.want)
+			t.Errorf("newMapStripes(%d) -> %d stripes, want %d", c.in, dm.Stripes(), c.want)
 		}
 	}
 	dm := NewMap[int, int](m, intHash, 16)
@@ -532,7 +532,7 @@ func TestOwnerStripeIndependence(t *testing.T) {
 	// the stripes (high bits): a hot rank's traffic is divided stripeCount
 	// ways instead of serializing on one lock.
 	m := pgas.NewMachine(pgas.Config{Ranks: 8})
-	dm := NewMap[int, int](m, intHash, 16, WithStripes(16))
+	dm := newMapStripes[int, int](m, intHash, 16, 16)
 	perStripe := make(map[uint64]int)
 	n := 0
 	for k := 0; n < 4000; k++ {
@@ -554,7 +554,7 @@ func TestOwnerStripeIndependence(t *testing.T) {
 
 func TestFreezeThaw(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 4})
-	dm := NewMap[int, int](m, intHash, 16, WithStripes(4))
+	dm := newMapStripes[int, int](m, intHash, 16, 4)
 	m.Run(func(r *pgas.Rank) {
 		lo, hi := r.BlockRange(400)
 		for k := lo; k < hi; k++ {
@@ -642,9 +642,9 @@ func TestSingleOwnerStress(t *testing.T) {
 		nKeys   = 64
 		perRank = 2000
 	)
-	for _, stripes := range []int{1, 4, 0} {
+	for _, stripes := range []int{1, 4, DefaultStripes()} {
 		m := pgas.NewMachine(pgas.Config{Ranks: ranks})
-		dm := NewMap[int, int](m, intHash, 16, WithStripes(stripes))
+		dm := newMapStripes[int, int](m, intHash, 16, stripes)
 		keys := hotRankKeys(dm, nKeys)
 		add := func(e, v int, ok bool) int { return e + v }
 		m.Run(func(r *pgas.Rank) {
@@ -709,7 +709,7 @@ func TestStripingContentionSpeedup(t *testing.T) {
 		best := 0.0
 		for attempt := 0; attempt < 3; attempt++ {
 			m := pgas.NewMachine(pgas.Config{Ranks: ranks})
-			dm := NewMap[int, int](m, intHash, 16, WithStripes(stripes))
+			dm := newMapStripes[int, int](m, intHash, 16, stripes)
 			keys := hotRankKeys(dm, 1024)
 			res := m.Run(func(r *pgas.Rank) {
 				for i := 0; i < perRank; i++ {
@@ -794,7 +794,7 @@ func benchmarkContention(b *testing.B, stripes int) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(ranks))
 	}
 	m := pgas.NewMachine(pgas.Config{Ranks: ranks})
-	dm := NewMap[int, int](m, intHash, 16, WithStripes(stripes))
+	dm := newMapStripes[int, int](m, intHash, 16, stripes)
 	keys := hotRankKeys(dm, 1024)
 	b.ResetTimer()
 	m.Run(func(r *pgas.Rank) {
@@ -846,14 +846,14 @@ func BenchmarkDHTUpdaterFlush(b *testing.B) {
 	for _, cfg := range []struct {
 		name    string
 		stripes int
-	}{{"stripes=1", 1}, {"striped", 0}} {
+	}{{"stripes=1", 1}, {"striped", DefaultStripes()}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			const ranks = 8
 			if runtime.GOMAXPROCS(0) < ranks {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(ranks))
 			}
 			m := pgas.NewMachine(pgas.Config{Ranks: ranks})
-			dm := NewMap[int, int](m, intHash, 16, WithStripes(cfg.stripes))
+			dm := newMapStripes[int, int](m, intHash, 16, cfg.stripes)
 			keys := hotRankKeys(dm, 1024)
 			add := func(e, v int, ok bool) int { return e + v }
 			b.ResetTimer()

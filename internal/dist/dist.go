@@ -11,14 +11,6 @@
 // prefix scan (pgas.ExScan) over the shard sizes, owner-side lookups by
 // global ID are charged as one-sided gets (with an optional per-rank software
 // cache in front), and final output is emitted rank by rank onto rank 0 only.
-//
-// Every Set also runs in Replicated mode: the same items land in the same
-// shards with the same IDs — results are bit-identical by construction — but
-// construction is charged (and its memory accounted) as the gather-to-all it
-// replaces, and remote lookups become free local reads. Replicated mode is
-// the baseline of the distributed-ownership ablation: the measured gap in
-// CommStats.PeakResidentBytes between the two modes is the memory the
-// refactor saves.
 package dist
 
 import (
@@ -27,27 +19,18 @@ import (
 	"mhmgo/internal/pgas"
 )
 
-// Mode selects how a Set moves and accounts its data.
+// Mode has one value and no effect: frozen benchmark/ names it (ROADMAP 3(b)).
 type Mode int
 
-const (
-	// Distributed ships every item to its owner rank; each rank materializes
-	// only its shard. Remote lookups are charged as one-sided gets.
-	Distributed Mode = iota
-	// Replicated materializes every rank's items on every rank, charged as
-	// the gather-to-all tree collective the distributed layout replaces.
-	// Shards and IDs are identical to Distributed mode, so the two modes
-	// produce bit-identical results and differ only in cost and footprint.
-	Replicated
-)
+// Distributed is the only Mode, kept for the same frozen callers.
+const Distributed Mode = 0
 
 // Set is a collection of items partitioned over the ranks by an owner
 // function. A Set is created collectively and shared by all ranks; each rank
-// mutates only its own shard, and cross-shard reads go through GetByID /
-// Reader (or Emit), which charge the cost model. The zero value is not
-// usable; construct with New.
+// mutates only its own shard, and cross-shard reads go through Reader (or
+// Emit), which charge the cost model. The zero value is not usable;
+// construct with New.
 type Set[T any] struct {
-	mode Mode
 	wire func(T) int
 
 	shards [][]T
@@ -59,57 +42,30 @@ type Set[T any] struct {
 // New creates a Set collectively: every rank contributes its local items,
 // each item is routed to the rank ownerOf chooses (reduced modulo the rank
 // count), and the calling rank's handle of the shared Set is returned. wire
-// reports the wire bytes of one item for cost accounting.
+// reports the wire bytes of one item for cost accounting. The routing is one
+// aggregated all-to-all exchange and each rank's resident-bytes meter is
+// charged only for its shard.
 //
-// In Distributed mode the routing is one aggregated all-to-all exchange and
-// each rank's resident-bytes meter is charged only for its shard; in
-// Replicated mode construction is charged as a gather-to-all (every rank is
-// charged the full payload) while the shard layout stays identical.
-func New[T any](r *pgas.Rank, local []T, ownerOf func(T) int, wire func(T) int, mode Mode) *Set[T] {
-	return NewIndexed(r, local, func(_, _ int, item T) int { return ownerOf(item) }, wire, mode)
+// The last parameter is ignored: frozen benchmark/probes.go passes it (ROADMAP 3(b)).
+func New[T any](r *pgas.Rank, local []T, ownerOf func(T) int, wire func(T) int, _ Mode) *Set[T] {
+	return NewIndexed(r, local, func(_, _ int, item T) int { return ownerOf(item) }, wire)
 }
 
 // NewIndexed creates a Set collectively like New, but the destination of an
 // item is chosen by (source rank, local index, item) instead of item content
 // alone. This supports placement rules that depend on an item's position in
 // its source rank's (deterministically ordered) slice — e.g. striping a
-// size-sorted shard round-robin over the ranks for byte balance. destOf must
-// be a pure function of its arguments so Replicated mode reproduces the same
-// shards from the gathered batches (which preserve per-source order).
-func NewIndexed[T any](r *pgas.Rank, local []T, destOf func(src, i int, item T) int, wire func(T) int, mode Mode) *Set[T] {
-	p := r.NRanks()
+// size-sorted shard round-robin over the ranks for byte balance.
+func NewIndexed[T any](r *pgas.Rank, local []T, destOf func(src, i int, item T) int, wire func(T) int) *Set[T] {
 	var s *Set[T]
 	if r.ID() == 0 {
-		s = &Set[T]{mode: mode, wire: wire, shards: make([][]T, p)}
+		s = &Set[T]{wire: wire, shards: make([][]T, r.NRanks())}
 	}
 	s = pgas.Broadcast(r, s)
 
-	var shard []T
-	switch mode {
-	case Replicated:
-		// The gather-to-all baseline: every rank materializes every item
-		// (gatherV charges the tree schedule and the full resident
-		// payload), then keeps the same owned subset a real exchange would
-		// deliver.
-		all := pgas.GatherVFunc(r, local, wire)
-		for src, batch := range all {
-			for i, item := range batch {
-				d := destOf(src, i, item) % p
-				if d < 0 {
-					d += p
-				}
-				if d == r.ID() {
-					shard = append(shard, item)
-				}
-			}
-			r.Compute(float64(len(batch)))
-		}
-	default:
-		r.Compute(float64(len(local)))
-		shard = pgas.ExchangeFunc(r, local,
-			func(i int, item T) int { return destOf(r.ID(), i, item) }, wire)
-	}
-	s.shards[r.ID()] = shard
+	r.Compute(float64(len(local)))
+	s.shards[r.ID()] = pgas.ExchangeFunc(r, local,
+		func(i int, item T) int { return destOf(r.ID(), i, item) }, wire)
 	r.Barrier()
 	return s
 }
@@ -123,8 +79,8 @@ func NewIndexed[T any](r *pgas.Rank, local []T, destOf func(src, i int, item T) 
 // which is exact because every checkpointed set has been through Renumber
 // (dense IDs in rank order); callers should verify the stored item IDs
 // against Locate if the shards come from an untrusted file.
-func RestoreSet[T any](shards [][]T, wire func(T) int, mode Mode) *Set[T] {
-	s := &Set[T]{mode: mode, wire: wire, shards: shards}
+func RestoreSet[T any](shards [][]T, wire func(T) int) *Set[T] {
+	s := &Set[T]{wire: wire, shards: shards}
 	base := make([]int, len(shards)+1)
 	for p, shard := range shards {
 		base[p+1] = base[p] + len(shard)
@@ -132,9 +88,6 @@ func RestoreSet[T any](shards [][]T, wire func(T) int, mode Mode) *Set[T] {
 	s.base = base
 	return s
 }
-
-// Mode returns the Set's data-movement mode.
-func (s *Set[T]) Mode() Mode { return s.mode }
 
 // WireSize returns the wire bytes of one item under the Set's size function.
 func (s *Set[T]) WireSize(item T) int { return s.wire(item) }
@@ -162,10 +115,7 @@ func (s *Set[T]) ForEachLocal(r *pgas.Rank, fn func(i int, item T)) {
 }
 
 // SetLocal replaces item i of the calling rank's shard, adjusting the
-// resident accounting by the wire-size difference. The adjustment is
-// owner-local even in Replicated mode (per-item collectives would be
-// absurd); replicated-mode growth is instead captured by the gather-charged
-// exchanges that deliver the mutations.
+// resident accounting by the wire-size difference.
 func (s *Set[T]) SetLocal(r *pgas.Rank, i int, item T) {
 	shard := s.shards[r.ID()]
 	old, nw := s.wire(shard[i]), s.wire(item)
@@ -188,18 +138,6 @@ func (s *Set[T]) SortLocal(r *pgas.Rank, less func(a, b T) bool) {
 	}
 }
 
-// releaseDropped returns dropped shard bytes to the resident meter. In
-// Replicated mode every rank materialized a replica of every item, so the
-// release must cover the drops of ALL ranks (one scalar all-reduce);
-// otherwise each rank would permanently leak the bytes other ranks dropped
-// and the gather-to-all baseline's peak would be overstated.
-func (s *Set[T]) releaseDropped(r *pgas.Rank, droppedBytes int) {
-	if s.mode == Replicated {
-		droppedBytes = pgas.AllReduce(r, droppedBytes, pgas.ReduceSum)
-	}
-	r.ReleaseResident(droppedBytes)
-}
-
 // DedupLocal removes adjacent items for which equal reports true (sort
 // first), releasing the dropped items' resident bytes, and returns how many
 // items were removed. Items routed by a content hash collide on the same
@@ -220,7 +158,7 @@ func (s *Set[T]) DedupLocal(r *pgas.Rank, equal func(a, b T) bool) int {
 		s.shards[r.ID()] = out
 		r.Compute(float64(len(shard)))
 	}
-	s.releaseDropped(r, droppedBytes)
+	r.ReleaseResident(droppedBytes)
 	return dropped
 }
 
@@ -241,7 +179,7 @@ func (s *Set[T]) FilterLocal(r *pgas.Rank, keep func(item T) bool) int {
 	}
 	s.shards[r.ID()] = out
 	r.Compute(float64(len(shard)))
-	s.releaseDropped(r, droppedBytes)
+	r.ReleaseResident(droppedBytes)
 	return dropped
 }
 
@@ -249,7 +187,7 @@ func (s *Set[T]) FilterLocal(r *pgas.Rank, keep func(item T) bool) int {
 // scan of the shard sizes gives every rank its base offset, so rank p's items
 // get IDs [base, base+len(shard)). assign is called for every local item with
 // its local index and new global ID (typically storing the ID into the item).
-// The per-rank bases are also published so RankOfID / GetByID can locate any
+// The per-rank bases are also published so RankOfID / Locate can find any
 // ID. Returns the global item count. Collective.
 func (s *Set[T]) Renumber(r *pgas.Rank, assign func(i int, globalID int)) int {
 	n := len(s.shards[r.ID()])
@@ -289,23 +227,9 @@ func (s *Set[T]) Locate(id int) (rank, idx int) {
 	return rank, id - s.base[rank]
 }
 
-// GetByID fetches the item with the given global ID. A local (or Replicated)
-// read costs one compute op; a remote read in Distributed mode is charged as
-// a one-sided get of the item's wire size. Requires Renumber.
-func (s *Set[T]) GetByID(r *pgas.Rank, id int) T {
-	owner := s.RankOfID(id)
-	item := s.shards[owner][id-s.base[owner]]
-	if owner == r.ID() || s.mode == Replicated {
-		r.Compute(1)
-		return item
-	}
-	r.ChargeGet(owner, s.wire(item), 1)
-	return item
-}
-
-// Reader is a per-rank software cache in front of GetByID, for read-only
-// phases where the same remote items are fetched repeatedly (the paper's
-// §II-A use case 3 applied to record collections).
+// Reader fetches items by global ID through a per-rank software cache, for
+// read-only phases where the same remote items are fetched repeatedly (the
+// paper's §II-A use case 3 applied to record collections). Requires Renumber.
 type Reader[T any] struct {
 	s       *Set[T]
 	r       *pgas.Rank
@@ -323,13 +247,14 @@ func (s *Set[T]) NewReader(r *pgas.Rank, entries int) *Reader[T] {
 	return rd
 }
 
-// Get fetches the item with the given global ID through the cache. Local and
-// Replicated reads bypass the cache (they are already free of communication).
+// Get fetches the item with the given global ID through the cache. A local
+// read costs one compute op and bypasses the cache; a remote miss is charged
+// as a one-sided get of the item's wire size.
 func (rd *Reader[T]) Get(id int) T {
 	s, r := rd.s, rd.r
 	owner := s.RankOfID(id)
 	item := s.shards[owner][id-s.base[owner]]
-	if owner == r.ID() || s.mode == Replicated {
+	if owner == r.ID() {
 		r.Compute(1)
 		return item
 	}
@@ -347,16 +272,16 @@ func (rd *Reader[T]) Get(id int) T {
 }
 
 // Emit delivers the full, rank-by-rank-ordered item list to rank 0 (the
-// rank that writes final output) and returns nil on every other rank. In
-// Distributed mode each rank is charged one aggregated send of its shard to
-// rank 0, which consumes the shards one at a time — the modeled writer
-// streams each arriving shard to the output file and drops it, so no rank
-// ever holds the full payload and nothing is charged against the resident
-// meter. (The returned in-memory slice is a convenience of the single-
-// process harness, standing in for the output file.) Collective.
+// rank that writes final output) and returns nil on every other rank. Each
+// rank is charged one aggregated send of its shard to rank 0, which consumes
+// the shards one at a time — the modeled writer streams each arriving shard
+// to the output file and drops it, so no rank ever holds the full payload
+// and nothing is charged against the resident meter. (The returned in-memory
+// slice is a convenience of the single-process harness, standing in for the
+// output file.) Collective.
 func (s *Set[T]) Emit(r *pgas.Rank) []T {
 	r.Barrier()
-	if s.mode == Distributed && r.ID() != 0 {
+	if r.ID() != 0 {
 		if bytes := s.shardBytes(r.ID()); bytes > 0 {
 			r.ChargeSend(0, bytes, 1)
 		}
@@ -367,15 +292,13 @@ func (s *Set[T]) Emit(r *pgas.Rank) []T {
 		for _, shard := range s.shards {
 			n += len(shard)
 		}
-		if s.mode == Distributed {
-			// The senders paid the wire time; the writer accounts the
-			// delivered bytes so sent and received totals stay balanced.
-			received := 0
-			for p := 1; p < len(s.shards); p++ {
-				received += s.shardBytes(p)
-			}
-			r.AccountReceived(received)
+		// The senders paid the wire time; the writer accounts the
+		// delivered bytes so sent and received totals stay balanced.
+		received := 0
+		for p := 1; p < len(s.shards); p++ {
+			received += s.shardBytes(p)
 		}
+		r.AccountReceived(received)
 		out = make([]T, 0, n)
 		for _, shard := range s.shards {
 			out = append(out, shard...)
@@ -386,21 +309,11 @@ func (s *Set[T]) Emit(r *pgas.Rank) []T {
 	return out
 }
 
-// Release returns the Set's resident bytes to the meter: the local shard in
-// Distributed mode, the full payload in Replicated mode (where every rank
-// materialized everything). Call it when the Set is replaced or consumed.
-// Collective.
+// Release returns the local shard's resident bytes to the meter. Call it
+// when the Set is replaced or consumed. Collective.
 func (s *Set[T]) Release(r *pgas.Rank) {
 	r.Barrier()
-	if s.mode == Replicated {
-		total := 0
-		for p := range s.shards {
-			total += s.shardBytes(p)
-		}
-		r.ReleaseResident(total)
-	} else {
-		r.ReleaseResident(s.shardBytes(r.ID()))
-	}
+	r.ReleaseResident(s.shardBytes(r.ID()))
 	r.Barrier()
 }
 
@@ -415,37 +328,12 @@ func (s *Set[T]) shardBytes(p int) int {
 // Exchange routes items to their owner ranks and returns the items the
 // calling rank owns, without building a Set — the one-shot form used for
 // transient record streams (removal proposals, extension results, link
-// copies). In Distributed mode it is one aggregated all-to-all charged by
-// actual payload; in Replicated mode it is charged as the gather-to-all the
-// legacy pipeline performed (every rank momentarily materializes every item,
-// which is exactly what the peak-resident meter should see), after which the
-// non-owned items are dropped again. The transient payload's resident charge
-// is released before returning; only the returned slice remains with the
-// caller.
-func Exchange[T any](r *pgas.Rank, items []T, ownerOf func(T) int, wire func(T) int, mode Mode) []T {
-	p := r.NRanks()
-	var merged []T
-	if mode == Replicated {
-		all := pgas.GatherVFunc(r, items, wire)
-		total := 0
-		for _, batch := range all {
-			for _, item := range batch {
-				total += wire(item)
-				d := ownerOf(item) % p
-				if d < 0 {
-					d += p
-				}
-				if d == r.ID() {
-					merged = append(merged, item)
-				}
-			}
-			r.Compute(float64(len(batch)))
-		}
-		r.ReleaseResident(total)
-		return merged
-	}
+// copies). It is one aggregated all-to-all charged by actual payload. The
+// transient payload's resident charge is released before returning; only the
+// returned slice remains with the caller.
+func Exchange[T any](r *pgas.Rank, items []T, ownerOf func(T) int, wire func(T) int) []T {
 	r.Compute(float64(len(items)))
-	merged = pgas.ExchangeFunc(r, items,
+	merged := pgas.ExchangeFunc(r, items,
 		func(_ int, item T) int { return ownerOf(item) }, wire)
 	received := 0
 	for _, item := range merged {

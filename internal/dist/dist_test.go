@@ -29,66 +29,23 @@ func buildRecs(rank, perRank int) []rec {
 // TestSetRoutesToOwners: every item lands on exactly the rank its owner
 // function names, in source-rank order.
 func TestSetRoutesToOwners(t *testing.T) {
-	for _, mode := range []Mode{Distributed, Replicated} {
-		const p = 4
-		m := pgas.NewMachine(pgas.Config{Ranks: p})
-		m.Run(func(r *pgas.Rank) {
-			s := New(r, buildRecs(r.ID(), 9), recOwner, recWire, mode)
-			for _, item := range s.Local(r) {
-				if recOwner(item)%p != r.ID() {
-					t.Errorf("mode %v: rank %d holds foreign item %q", mode, r.ID(), item.Seq)
-				}
+	const p = 4
+	m := pgas.NewMachine(pgas.Config{Ranks: p})
+	m.Run(func(r *pgas.Rank) {
+		s := New(r, buildRecs(r.ID(), 9), recOwner, recWire, Distributed)
+		for _, item := range s.Local(r) {
+			if recOwner(item)%p != r.ID() {
+				t.Errorf("rank %d holds foreign item %q", r.ID(), item.Seq)
 			}
-			if total := s.GlobalLen(r); total != p*9 {
-				t.Errorf("mode %v: GlobalLen = %d, want %d", mode, total, p*9)
-			}
-		})
-	}
-}
-
-// TestModesBitIdentical: Replicated mode must produce exactly the same
-// shards, IDs and emitted output as Distributed mode — it differs only in
-// cost accounting.
-func TestModesBitIdentical(t *testing.T) {
-	const p = 3
-	run := func(mode Mode) ([]rec, []uint64) {
-		m := pgas.NewMachine(pgas.Config{Ranks: p})
-		var emitted []rec
-		peaks := make([]uint64, p)
-		m.Run(func(r *pgas.Rank) {
-			s := New(r, buildRecs(r.ID(), 7), recOwner, recWire, mode)
-			s.SortLocal(r, recLess)
-			s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
-			if out := s.Emit(r); r.ID() == 0 {
-				emitted = out
-			}
-			peaks[r.ID()] = r.Stats().PeakResidentBytes
-		})
-		return emitted, peaks
-	}
-	dOut, dPeaks := run(Distributed)
-	rOut, rPeaks := run(Replicated)
-	if len(dOut) != len(rOut) {
-		t.Fatalf("modes disagree on item count: %d vs %d", len(dOut), len(rOut))
-	}
-	for i := range dOut {
-		if dOut[i] != rOut[i] {
-			t.Fatalf("item %d differs between modes: %+v vs %+v", i, dOut[i], rOut[i])
 		}
-	}
-	// Non-emitting ranks hold only their shard in Distributed mode but the
-	// full payload in Replicated mode. (Rank 0 is excluded: its Emit charge
-	// legitimately reaches the full payload in both modes.)
-	for rank := 1; rank < p; rank++ {
-		if dPeaks[rank] >= rPeaks[rank] {
-			t.Errorf("rank %d: distributed peak %d should be below replicated %d",
-				rank, dPeaks[rank], rPeaks[rank])
+		if total := s.GlobalLen(r); total != p*9 {
+			t.Errorf("GlobalLen = %d, want %d", total, p*9)
 		}
-	}
+	})
 }
 
 // TestRenumberDenseAndLocatable: IDs are dense 0..N-1 in rank order, and
-// RankOfID/GetByID find every item.
+// RankOfID and an uncached Reader find every item.
 func TestRenumberDenseAndLocatable(t *testing.T) {
 	const p = 5 // non-power-of-two
 	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 2})
@@ -103,10 +60,11 @@ func TestRenumberDenseAndLocatable(t *testing.T) {
 		if total != wantTotal {
 			t.Errorf("Renumber total = %d, want %d", total, wantTotal)
 		}
+		rd := s.NewReader(r, 0)
 		for id := 0; id < total; id++ {
-			item := s.GetByID(r, id)
+			item := rd.Get(id)
 			if item.ID != id {
-				t.Errorf("GetByID(%d) returned item with ID %d", id, item.ID)
+				t.Errorf("Get(%d) returned item with ID %d", id, item.ID)
 			}
 			if owner := s.RankOfID(id); owner < 0 || owner >= p {
 				t.Errorf("RankOfID(%d) = %d out of range", id, owner)
@@ -209,23 +167,59 @@ func TestEmitRankOrderOnRootOnly(t *testing.T) {
 }
 
 // TestExchangeOwnerRouted: Exchange delivers every item to its owner exactly
-// once in both modes.
+// once.
 func TestExchangeOwnerRouted(t *testing.T) {
-	for _, mode := range []Mode{Distributed, Replicated} {
-		const p = 4
-		m := pgas.NewMachine(pgas.Config{Ranks: p})
-		m.Run(func(r *pgas.Rank) {
-			items := []int{r.ID() * 10, r.ID()*10 + 1, r.ID()*10 + 2}
-			got := Exchange(r, items, func(x int) int { return x }, func(int) int { return 8 }, mode)
-			for _, x := range got {
-				if x%p != r.ID() {
-					t.Errorf("mode %v: rank %d received foreign item %d", mode, r.ID(), x)
-				}
+	const p = 4
+	m := pgas.NewMachine(pgas.Config{Ranks: p})
+	m.Run(func(r *pgas.Rank) {
+		items := []int{r.ID() * 10, r.ID()*10 + 1, r.ID()*10 + 2}
+		got := Exchange(r, items, func(x int) int { return x }, func(int) int { return 8 })
+		for _, x := range got {
+			if x%p != r.ID() {
+				t.Errorf("rank %d received foreign item %d", r.ID(), x)
 			}
-			total := pgas.AllReduce(r, len(got), pgas.ReduceSum)
-			if total != p*3 {
-				t.Errorf("mode %v: exchange lost items: %d of %d", mode, total, p*3)
+		}
+		total := pgas.AllReduce(r, len(got), pgas.ReduceSum)
+		if total != p*3 {
+			t.Errorf("exchange lost items: %d of %d", total, p*3)
+		}
+	})
+}
+
+// TestChargesPinnedP8 pins the traffic, footprint and simulated seconds of
+// one pass through every charged Set operation at P=8, 4 ranks per node. The
+// numbers were captured at ed1df1b, before the gather-to-all twin of each
+// operation was deleted: the surviving bodies charge exactly what the
+// distributed branches did.
+func TestChargesPinnedP8(t *testing.T) {
+	m := pgas.NewMachine(pgas.Config{Ranks: 8, RanksPerNode: 4})
+	res := m.Run(func(r *pgas.Rank) {
+		local := append(buildRecs(r.ID(), 12), rec{Seq: "AAAA"}, rec{Seq: "CCG"}, rec{Seq: "TT"})
+		s := New(r, local, recOwner, recWire, Distributed)
+		s.SortLocal(r, recLess)
+		s.DedupLocal(r, recEqual)
+		s.FilterLocal(r, func(x rec) bool { return x.Seq != "TT" })
+		total := s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
+		rd := s.NewReader(r, 4)
+		for rep := 0; rep < 2; rep++ {
+			for id := r.ID(); id < total; id += 5 {
+				rd.Get(id)
 			}
-		})
+		}
+		Exchange(r, s.Local(r), func(x rec) int { return x.ID }, recWire)
+		s.Emit(r)
+		s.Release(r)
+	})
+	want := pgas.CommStats{
+		ComputeOps: 825, Messages: 354, OffNodeMessages: 196,
+		BytesSent: 4405, BytesReceived: 7524, OffNodeBytes: 4850,
+		RemoteGets: 238, RemotePuts: 61, Barriers: 152,
+		CacheHits: 32, CacheMisses: 238, PeakResidentBytes: 604,
+	}
+	if res.Stats != want {
+		t.Errorf("stats moved:\n got %+v\nwant %+v", res.Stats, want)
+	}
+	if wantSim := 0.0003976141999999995; res.SimSeconds != wantSim {
+		t.Errorf("simulated seconds moved: got %v, want %v", res.SimSeconds, wantSim)
 	}
 }

@@ -41,7 +41,7 @@ func ExampleSet() {
 
 		// Any rank can fetch any record by its dense global ID; remote
 		// fetches are charged as one-sided gets.
-		first := s.GetByID(r, 0)
+		first := s.NewReader(r, 0).Get(0)
 
 		if out := s.Emit(r); r.ID() == 0 {
 			fmt.Printf("%d distinct contigs, id 0 = %q, emitted %d\n", total, first.Seq, len(out))

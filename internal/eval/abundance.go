@@ -56,7 +56,7 @@ type asmIndex struct {
 
 func buildAsmIndex(assembly [][]byte, opts Options) *asmIndex {
 	// Every assembly position is indexed (no stride): reads sample their
-	// seeds with SeedStride, and a strided index would only catch the seeds
+	// seeds with seedStride, and a strided index would only catch the seeds
 	// whose phase happens to line up, silently dropping most localizations.
 	idx := &asmIndex{seedLen: opts.SeedLen, hits: make(map[seq.Kmer][]int32)}
 	for si, s := range assembly {
@@ -92,7 +92,7 @@ func (idx *asmIndex) localize(rd []byte, opts Options) int {
 		if off < nextAt {
 			continue
 		}
-		nextAt = off + opts.SeedStride
+		nextAt = off + seedStride
 		canon, _ := km.Canonical()
 		hs := idx.hits[canon]
 		if len(hs) == 0 || len(hs) > maxSeedHits {

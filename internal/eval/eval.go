@@ -29,16 +29,19 @@ type Options struct {
 	// SeedLen is the seed length used to map assembly sequences onto the
 	// reference genomes.
 	SeedLen int
-	// SeedStride is the sampling stride along each assembly sequence.
-	SeedStride int
 	// LengthThresholds are the "length >= X" rows of Table I (scaled).
 	LengthThresholds []int
-	// RRNAProfile counts assembled ribosomal regions when non-nil.
-	RRNAProfile   *hmm.Profile
-	RRNAThreshold float64
+	// RRNAProfile counts assembled ribosomal regions (at rrnaThreshold) when
+	// non-nil.
+	RRNAProfile *hmm.Profile
 }
 
 const (
+	// seedStride is the sampling stride along each assembly sequence.
+	seedStride = 8
+	// rrnaThreshold is the normalized profile score at which an assembled
+	// sequence counts as a ribosomal region.
+	rrnaThreshold = 0.5
 	// minBlockLen is the minimum aligned block length that contributes to
 	// coverage and misassembly analysis.
 	minBlockLen = 100
@@ -55,9 +58,7 @@ const (
 func DefaultOptions() Options {
 	return Options{
 		SeedLen:          21,
-		SeedStride:       8,
 		LengthThresholds: []int{1000, 2500, 5000},
-		RRNAThreshold:    0.5,
 	}
 }
 
@@ -150,7 +151,7 @@ func alignBlocks(s []byte, idx *refIndex, opts Options) []block {
 		if off < nextAt {
 			continue
 		}
-		nextAt = off + opts.SeedStride
+		nextAt = off + seedStride
 		canon, rc := km.Canonical()
 		hits := idx.hits[canon]
 		if len(hits) == 0 || len(hits) > maxSeedHits {
@@ -193,7 +194,7 @@ func alignBlocks(s []byte, idx *refIndex, opts Options) []block {
 		cur = block{Genome: -1}
 	}
 	for _, a := range anchors {
-		if cur.Genome == a.genome && cur.Reverse == a.reverse && abs(a.diag-curDiag) <= diagTolerance && a.seqPos <= cur.SeqEnd+diagTolerance+opts.SeedStride {
+		if cur.Genome == a.genome && cur.Reverse == a.reverse && abs(a.diag-curDiag) <= diagTolerance && a.seqPos <= cur.SeqEnd+diagTolerance+seedStride {
 			if a.seqPos+opts.SeedLen > cur.SeqEnd {
 				cur.SeqEnd = a.seqPos + opts.SeedLen
 			}
@@ -360,7 +361,7 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 	_ = fracSum
 
 	if opts.RRNAProfile != nil {
-		rep.RRNACount = opts.RRNAProfile.CountHits(assembly, opts.RRNAThreshold)
+		rep.RRNACount = opts.RRNAProfile.CountHits(assembly, rrnaThreshold)
 	}
 	return rep
 }

@@ -99,8 +99,8 @@ const observationWireSize = 22
 const heavyHitterWireSize = 25
 
 // NewCountsMap creates the distributed k-mer counts table.
-func NewCountsMap(m *pgas.Machine, opts ...dht.Option) *dht.Map[seq.Kmer, seq.KmerCount] {
-	return dht.NewMap[seq.Kmer, seq.KmerCount](m, seq.Kmer.Hash, 40, opts...)
+func NewCountsMap(m *pgas.Machine) *dht.Map[seq.Kmer, seq.KmerCount] {
+	return dht.NewMap[seq.Kmer, seq.KmerCount](m, seq.Kmer.Hash, 40)
 }
 
 // Run performs k-mer analysis over the calling rank's block of reads. It is

@@ -177,7 +177,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	}
 	mine := dist.Exchange(r, recs,
 		func(rc recruit) int { owner, _ := cs.Locate(rc.ContigID); return owner },
-		recruit.WireSize, cs.Mode())
+		recruit.WireSize)
 
 	// Bundle the recruits per owned contig and publish the per-rank bundles
 	// so the work-sharing scheduler can fetch a non-owned contig's reads
@@ -215,7 +215,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	}
 
 	var exts []extRecord
-	scratch := NewScratch()
+	var sc scratch
 	extendedBases := 0
 	touched := 0
 	steals := 0
@@ -232,15 +232,11 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 			c = creader.Get(id)
 			rds = bundles[owner][id]
 			if len(rds) > 0 {
-				if cs.Mode() == dist.Replicated {
-					r.Compute(1)
-				} else {
-					total := 0
-					for _, rd := range rds {
-						total += len(rd)
-					}
-					r.ChargeGet(owner, total, 1)
+				total := 0
+				for _, rd := range rds {
+					total += len(rd)
 				}
+				r.ChargeGet(owner, total, 1)
 			}
 		}
 		if len(rds) == 0 {
@@ -251,7 +247,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		// order at all. Sort a copy — the bundle is shared.
 		rds = append([][]byte(nil), rds...)
 		slices.SortFunc(rds, bytes.Compare)
-		newSeq, added := extendContig(r, c.Seq, rds, opts, scratch)
+		newSeq, added := extendContig(r, c.Seq, rds, opts, &sc)
 		if added > 0 {
 			exts = append(exts, extRecord{ID: id, Seq: newSeq})
 			extendedBases += added
@@ -282,7 +278,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	// materializes the full extension set — and apply them owner-side.
 	got := dist.Exchange(r, exts,
 		func(e extRecord) int { owner, _ := cs.Locate(e.ID); return owner },
-		extRecord.WireSize, cs.Mode())
+		extRecord.WireSize)
 	sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
 	for _, e := range got {
 		_, idx := cs.Locate(e.ID)
@@ -324,28 +320,25 @@ func libraryWindows(opts Options) []int {
 	return out
 }
 
-// Scratch holds the per-rank buffers local assembly reuses across contigs:
+// scratch holds the per-rank buffers local assembly reuses across contigs:
 // the mer index (symbol stream and per-size tables) and the two walk buffers.
 // Everything is cleared, not reallocated, per contig, so extending a contig
-// allocates only the extended sequence it returns. One Scratch serves one Run.
-type Scratch struct {
+// allocates only the extended sequence it returns. One scratch serves one Run.
+type scratch struct {
 	index       merIndex
 	right, left []byte // walk buffers: tail symbols, then the added bases
 }
 
-// NewScratch returns an empty Scratch.
-func NewScratch() *Scratch { return &Scratch{} }
-
 // extendContig mer-walks both ends of a contig using the recruited reads and
 // returns the (possibly longer) sequence and the number of bases added.
-func extendContig(r *pgas.Rank, contigSeq []byte, reads [][]byte, opts Options, s *Scratch) ([]byte, int) {
+func extendContig(r *pgas.Rank, contigSeq []byte, reads [][]byte, opts Options, s *scratch) ([]byte, int) {
 	r.Compute(float64(len(reads) * 8))
-	return ExtendKernel(contigSeq, reads, opts, s)
+	return extendKernel(contigSeq, reads, opts, s)
 }
 
-// ExtendKernel is extendContig without the simulated-clock charge: the host
+// extendKernel is extendContig without the simulated-clock charge: the host
 // work of one contig, for the kernel benchmarks and the equivalence tests.
-func ExtendKernel(contigSeq []byte, reads [][]byte, opts Options, s *Scratch) ([]byte, int) {
+func extendKernel(contigSeq []byte, reads [][]byte, opts Options, s *scratch) ([]byte, int) {
 	tail, right, left := s.walkEnds(contigSeq, reads, opts.normalized())
 	added := len(right) - tail + len(left) - tail
 	if added == 0 {
@@ -368,7 +361,7 @@ func ExtendKernel(contigSeq []byte, reads [][]byte, opts Options, s *Scratch) ([
 // walk buffers — the contig's last (right) and reverse-complemented first
 // (left) tail symbols followed by the 2-bit codes of the bases each walk
 // added. The buffers are the scratch's own and valid until the next call.
-func (s *Scratch) walkEnds(contigSeq []byte, reads [][]byte, opts Options) (tail int, right, left []byte) {
+func (s *scratch) walkEnds(contigSeq []byte, reads [][]byte, opts Options) (tail int, right, left []byte) {
 	s.index.reset(reads)
 	tail = min(len(contigSeq), opts.MaxMer)
 	s.right = s.index.walk(appendSyms(s.right[:0], contigSeq, tail, false), opts)

@@ -426,12 +426,12 @@ func randomMerTrial(r *rand.Rand) merTrial {
 // reach the paths the equivalence is claimed for.
 func TestMerIndexMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	s := NewScratch()
+	s := &scratch{}
 	var extended, capped, upshifts, downshifts, longMers, shortContigs int
 	for trial := 0; trial < 2000; trial++ {
 		tr := randomMerTrial(r)
 		want, wantAdded := refExtendContig(tr.contig, tr.reads, tr.opts)
-		got, gotAdded := ExtendKernel(tr.contig, tr.reads, tr.opts, s)
+		got, gotAdded := extendKernel(tr.contig, tr.reads, tr.opts, s)
 		if gotAdded != wantAdded || !bytes.Equal(got, want) {
 			t.Fatalf("trial %d (k=%d, %d reads, contig %q):\n got +%d %q\nwant +%d %q",
 				trial, tr.opts.K, len(tr.reads), tr.contig, gotAdded, got, wantAdded, want)
@@ -500,8 +500,8 @@ func merBundle() merTrial {
 // allocating.
 func TestMerIndexSpeedup(t *testing.T) {
 	tr := merBundle()
-	s := NewScratch()
-	got, added := ExtendKernel(tr.contig, tr.reads, tr.opts, s)
+	s := &scratch{}
+	got, added := extendKernel(tr.contig, tr.reads, tr.opts, s)
 	if added < 350 || !bytes.Contains(tr.locus, got) {
 		t.Fatalf("fixture: +%d bases; want both ends walked most of the 200 bases to the locus ends", added)
 	}
@@ -518,7 +518,7 @@ func TestMerIndexSpeedup(t *testing.T) {
 	for attempt := 0; attempt < 3; attempt++ {
 		index := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ExtendKernel(tr.contig, tr.reads, tr.opts, s)
+				extendKernel(tr.contig, tr.reads, tr.opts, s)
 			}
 		})
 		ref := testing.Benchmark(func(b *testing.B) {
@@ -546,7 +546,7 @@ func FuzzExtendContig(f *testing.F) {
 	f.Add([]byte("ACGTNacgtACGTTGCAAGCTTACGGATCCGTAAACTGG"), []byte("TTACGGATCCGTAAACTGGTCCATT\nccagtttacggatccgtaagc\nNNNN\n"), 13)
 	f.Add([]byte("AC"), []byte(""), 63)
 	f.Add(bytes.Repeat([]byte("ACGTTGCAAGCTTACGGATC"), 6), bytes.Repeat([]byte("ACGTTGCAAGCTTACGGATC"), 12), 70)
-	s := NewScratch()
+	s := &scratch{}
 	f.Fuzz(func(t *testing.T, contig, readBytes []byte, k int) {
 		if len(contig) > 1<<10 || len(readBytes) > 1<<12 {
 			t.Skip("the reference is too slow for long inputs")
@@ -554,7 +554,7 @@ func FuzzExtendContig(f *testing.F) {
 		opts := DefaultOptions(k % (seq.MaxK + 1)).normalized()
 		reads := bytes.Split(readBytes, []byte("\n"))
 		want, wantAdded := refExtendContig(contig, reads, opts)
-		got, gotAdded := ExtendKernel(contig, reads, opts, s)
+		got, gotAdded := extendKernel(contig, reads, opts, s)
 		if gotAdded != wantAdded || !bytes.Equal(got, want) {
 			t.Fatalf("k=%d contig %q reads %q:\n got +%d %q\nwant +%d %q",
 				opts.K, contig, reads, gotAdded, got, wantAdded, want)

@@ -222,7 +222,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		opts.MinLinkSupport = 2
 	}
 
-	mode := cs.Mode()
 	creader := cs.NewReader(r, 1<<16)
 	var res Result
 
@@ -304,7 +303,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		owner, _ := cs.Locate(id)
 		return owner
 	}
-	myCopies := dist.Exchange(r, copies, ownerOfCopy, endpointCopy.WireSize, mode)
+	myCopies := dist.Exchange(r, copies, ownerOfCopy, endpointCopy.WireSize)
 
 	// Step 4: owner-side suspension and HMM classification. Every quantity
 	// needed — contig length, rRNA hit, per-end link counts — is local to
@@ -366,7 +365,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		owner, _ := cs.Locate(al.Key.C1)
 		return owner
 	}
-	myVetoes := dist.Exchange(r, vetoes, homeOf, acceptedLink.WireSize, mode)
+	myVetoes := dist.Exchange(r, vetoes, homeOf, acceptedLink.WireSize)
 	vetoed := make(map[linkKey]bool, len(myVetoes))
 	for _, v := range myVetoes {
 		vetoed[v.Key] = true
@@ -413,7 +412,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	// its traverser so seeds and extendability follow the paper's rules.
 	myLinks := dist.Exchange(r, surviving,
 		func(al acceptedLink) int { return traverserOf(al.Key.C1) },
-		acceptedLink.WireSize, mode)
+		acceptedLink.WireSize)
 	var notices []flagNotice
 	cs.ForEachLocal(r, func(_ int, c dbg.Contig) {
 		if suspendedLocal[c.ID] || hmmHitLocal[c.ID] {
@@ -422,7 +421,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	})
 	myNotices := dist.Exchange(r, notices,
 		func(fn flagNotice) int { return traverserOf(fn.ContigID) },
-		flagNotice.WireSize, mode)
+		flagNotice.WireSize)
 
 	adj := make(map[int][]linkInfo)
 	for _, al := range myLinks {
@@ -540,7 +539,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	}
 	sset := dist.New(r, localScaffolds,
 		func(s Scaffold) int { return s.ID },
-		Scaffold.WireSize, mode)
+		Scaffold.WireSize, dist.Distributed)
 	sset.Renumber(r, func(i, id int) { sset.Local(r)[i].ID = id })
 	res.Local = sset.Local(r)
 	merged := sset.Emit(r)
