@@ -25,9 +25,14 @@ func main() {
 		scale = experiments.QuickScale()
 	}
 
-	run := func(name string, f func() string) {
+	// run prints one experiment's table, or exits non-zero with the error of
+	// the assembly that failed: a short table would pass for a result.
+	run := func(name string, res interface{ Format() string }, err error) {
+		if err != nil {
+			log.Fatalf("mhmbench: %v", err)
+		}
 		fmt.Printf("==== %s ====\n", name)
-		fmt.Println(f())
+		fmt.Println(res.Format())
 	}
 
 	selected := strings.ToLower(*exp)
@@ -46,28 +51,36 @@ func main() {
 	}
 
 	if want("table1") {
-		run("Table I: assembly quality", func() string { return experiments.Table1Quality(scale).Format() })
+		res, err := experiments.Table1Quality(scale)
+		run("Table I: assembly quality", res, err)
 	}
 	if want("fig3") {
-		run("Figure 3: read localization", func() string { return experiments.Fig3ReadLocalization(scale).Format() })
+		res, err := experiments.Fig3ReadLocalization(scale)
+		run("Figure 3: read localization", res, err)
 	}
 	if want("fig4") {
-		run("Figures 4 & 5: strong scaling and stage breakdown", func() string { return experiments.Fig4StrongScaling(scale).Format() })
+		res, err := experiments.Fig4StrongScaling(scale)
+		run("Figures 4 & 5: strong scaling and stage breakdown", res, err)
 	}
 	if want("raymeta") {
-		run("Ray Meta comparison", func() string { return experiments.RayMetaComparison(scale).Format() })
+		res, err := experiments.RayMetaComparison(scale)
+		run("Ray Meta comparison", res, err)
 	}
 	if want("table2") {
-		run("Table II: weak scaling", func() string { return experiments.Table2WeakScaling(scale).Format() })
+		res, err := experiments.Table2WeakScaling(scale)
+		run("Table II: weak scaling", res, err)
 	}
 	if want("grand") {
-		run("Grand challenge: full vs subset", func() string { return experiments.GrandChallengeFullVsSubset(scale).Format() })
+		res, err := experiments.GrandChallengeFullVsSubset(scale)
+		run("Grand challenge: full vs subset", res, err)
 	}
 	if want("fig6") {
-		run("Figure 6: per-genome NGA50", func() string { return experiments.Fig6NGA50PerGenome(scale).Format() })
+		res, err := experiments.Fig6NGA50PerGenome(scale)
+		run("Figure 6: per-genome NGA50", res, err)
 	}
 	if want("ablation") {
-		run("Ablations", func() string { return experiments.Ablations(scale).Format() })
+		res, err := experiments.Ablations(scale)
+		run("Ablations", res, err)
 	}
 	if !matched {
 		log.Fatalf("mhmbench: unknown experiment %q", *exp)

@@ -7,10 +7,15 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mhmgo/internal/experiments"
 )
 
 func main() {
-	fmt.Print(experiments.Table1Quality(experiments.DefaultScale()).Format())
+	res, err := experiments.Table1Quality(experiments.DefaultScale())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(res.Format())
 }

@@ -8,10 +8,15 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mhmgo/internal/experiments"
 )
 
 func main() {
-	fmt.Print(experiments.Fig3ReadLocalization(experiments.DefaultScale()).Format())
+	res, err := experiments.Fig3ReadLocalization(experiments.DefaultScale())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(res.Format())
 }

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"os"
 	"strconv"
 
@@ -32,5 +33,9 @@ func main() {
 			scale.NodeCounts = append(scale.NodeCounts, n)
 		}
 	}
-	fmt.Print(experiments.Fig4StrongScaling(scale).Format())
+	res, err := experiments.Fig4StrongScaling(scale)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(res.Format())
 }

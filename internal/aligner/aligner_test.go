@@ -53,11 +53,13 @@ func TestBuildIndexCoversAllSeeds(t *testing.T) {
 	})
 	// Every seed of every contig must be present in the index, under the
 	// contig's distributed ID.
+	seeds := idx.Seeds.Snapshot()
 	for _, c := range contigs {
 		id := ids[string(c.Seq)]
-		for off, km := range seq.KmersOf(c.Seq, 15) {
+		it := seq.NewKmerIter(c.Seq, 15)
+		for km, off, ok := it.Next(); ok; km, off, ok = it.Next() {
 			canon, _ := km.Canonical()
-			hits, ok := idx.Seeds.Lookup(canon)
+			hits, ok := seeds[canon]
 			if !ok {
 				t.Fatalf("seed at contig %d offset %d missing", id, off)
 			}

@@ -17,8 +17,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"mhmgo/internal/core"
 	"mhmgo/internal/hmm"
 	"mhmgo/internal/seq"
@@ -121,16 +119,6 @@ func MetaSPAdes() Assembler {
 // All returns the assemblers compared in Table I, MetaHipMer first.
 func All() []Assembler {
 	return []Assembler{MetaHipMer(), MetaSPAdes(), Megahit(), RayMeta(), HipMer()}
-}
-
-// ByName returns the assembler with the given name.
-func ByName(name string) (Assembler, error) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, nil
-		}
-	}
-	return Assembler{}, fmt.Errorf("baseline: unknown assembler %q", name)
 }
 
 // RunOptions describes a comparison run.

@@ -13,14 +13,13 @@ func TestAllAndByName(t *testing.T) {
 	if len(all) != 5 || all[0].Name != "MetaHipMer" {
 		t.Fatalf("All() = %v", names(all))
 	}
+	// Table I tells its rows apart by name alone.
+	seen := map[string]bool{}
 	for _, a := range all {
-		got, err := ByName(a.Name)
-		if err != nil || got.Name != a.Name {
-			t.Errorf("ByName(%s) failed: %v", a.Name, err)
+		if a.Name == "" || seen[a.Name] {
+			t.Errorf("assembler name %q is empty or repeated in %v", a.Name, names(all))
 		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown assembler should error")
+		seen[a.Name] = true
 	}
 }
 

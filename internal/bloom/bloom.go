@@ -11,10 +11,9 @@ import "math"
 
 // Filter is a standard Bloom filter with double hashing.
 type Filter struct {
-	bits    []uint64
-	nbits   uint64
-	hashes  int
-	entries uint64
+	bits   []uint64
+	nbits  uint64
+	hashes int
 }
 
 // NewWithEstimates creates a filter sized for n expected entries at the
@@ -69,28 +68,8 @@ func (f *Filter) indices(h uint64) (idx [maxHashes]uint64) {
 	return idx
 }
 
-// Add inserts a pre-hashed key.
-func (f *Filter) Add(h uint64) {
-	idx := f.indices(h)
-	for _, i := range idx[:f.hashes] {
-		f.bits[i/64] |= 1 << (i % 64)
-	}
-	f.entries++
-}
-
-// Test reports whether a pre-hashed key might be present. False positives
-// are possible; false negatives are not.
-func (f *Filter) Test(h uint64) bool {
-	idx := f.indices(h)
-	for _, i := range idx[:f.hashes] {
-		if f.bits[i/64]&(1<<(i%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// TestAndAdd reports whether the key was (probably) present and inserts it.
+// TestAndAdd reports whether a pre-hashed key was (probably) present and
+// inserts it. False positives are possible; false negatives are not.
 func (f *Filter) TestAndAdd(h uint64) bool {
 	present := true
 	idx := f.indices(h)
@@ -101,29 +80,5 @@ func (f *Filter) TestAndAdd(h uint64) bool {
 			f.bits[word] |= bit
 		}
 	}
-	f.entries++
 	return present
-}
-
-// ApproxEntries returns the number of Add/TestAndAdd calls made so far.
-func (f *Filter) ApproxEntries() uint64 { return f.entries }
-
-// FalsePositiveRate estimates the current false-positive probability from
-// the fill ratio of the bit array.
-func (f *Filter) FalsePositiveRate() float64 {
-	ones := 0
-	for _, w := range f.bits {
-		ones += popcount(w)
-	}
-	fill := float64(ones) / float64(f.nbits)
-	return math.Pow(fill, float64(f.hashes))
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

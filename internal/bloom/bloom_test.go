@@ -5,21 +5,30 @@ import (
 	"testing"
 )
 
+// mightContain is the read-only probe the false-positive measurement needs:
+// TestAndAdd, the filter's one operation, would insert every probed key.
+func mightContain(f *Filter, h uint64) bool {
+	idx := f.indices(h)
+	for _, i := range idx[:f.hashes] {
+		if f.bits[i/64]&(1<<(i%64)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestFilterNoFalseNegatives(t *testing.T) {
 	f := NewWithEstimates(10000, 0.01)
 	r := rand.New(rand.NewSource(1))
 	keys := make([]uint64, 5000)
 	for i := range keys {
 		keys[i] = r.Uint64()
-		f.Add(keys[i])
+		f.TestAndAdd(keys[i])
 	}
 	for i, k := range keys {
-		if !f.Test(k) {
+		if !f.TestAndAdd(k) {
 			t.Fatalf("false negative for key %d", i)
 		}
-	}
-	if f.ApproxEntries() != 5000 {
-		t.Errorf("ApproxEntries = %d, want 5000", f.ApproxEntries())
 	}
 }
 
@@ -30,7 +39,7 @@ func TestFilterFalsePositiveRate(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		k := r.Uint64()
 		inserted[k] = true
-		f.Add(k)
+		f.TestAndAdd(k)
 	}
 	fp := 0
 	const probes = 20000
@@ -39,16 +48,13 @@ func TestFilterFalsePositiveRate(t *testing.T) {
 		if inserted[k] {
 			continue
 		}
-		if f.Test(k) {
+		if mightContain(f, k) {
 			fp++
 		}
 	}
 	rate := float64(fp) / probes
 	if rate > 0.05 {
 		t.Errorf("observed false positive rate %v, expected around 0.01", rate)
-	}
-	if est := f.FalsePositiveRate(); est > 0.05 {
-		t.Errorf("estimated false positive rate %v too high", est)
 	}
 }
 
@@ -59,9 +65,6 @@ func TestTestAndAdd(t *testing.T) {
 	}
 	if !f.TestAndAdd(42) {
 		t.Error("second TestAndAdd should report present")
-	}
-	if !f.Test(42) {
-		t.Error("Test after TestAndAdd should report present")
 	}
 }
 
@@ -75,27 +78,15 @@ func TestNewClampsParameters(t *testing.T) {
 		t.Errorf("hash count not clamped: %d", f.hashes)
 	}
 	f = NewWithEstimates(0, -1)
-	f.Add(7)
-	if !f.Test(7) {
+	if f.TestAndAdd(7) || !f.TestAndAdd(7) {
 		t.Error("degenerate filter should still work")
 	}
 }
 
-func BenchmarkFilterAdd(b *testing.B) {
+func BenchmarkFilterTestAndAdd(b *testing.B) {
 	f := NewWithEstimates(uint64(b.N)+1, 0.01)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Add(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-}
-
-func BenchmarkFilterTest(b *testing.B) {
-	f := NewWithEstimates(100000, 0.01)
-	for i := 0; i < 100000; i++ {
-		f.Add(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Test(uint64(i) * 0x9e3779b97f4a7c15)
+		f.TestAndAdd(uint64(i) * 0x9e3779b97f4a7c15)
 	}
 }

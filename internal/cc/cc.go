@@ -157,12 +157,3 @@ func NewParents(n int) []int64 {
 	}
 	return p
 }
-
-// NumComponents returns the number of distinct components in a label slice.
-func NumComponents(labels []int) int {
-	seen := make(map[int]struct{})
-	for _, l := range labels {
-		seen[l] = struct{}{}
-	}
-	return len(seen)
-}

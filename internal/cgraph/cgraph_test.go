@@ -1,6 +1,7 @@
 package cgraph
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -26,8 +27,9 @@ func runRefine(t *testing.T, contigs []dbg.Contig, ranks int, opts Options) refi
 		lo, hi := r.BlockRange(len(contigs))
 		cs := dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed)
 		got := Refine(r, cs, opts)
-		all := dbg.EmitContigs(r, got.Set)
+		all := got.Set.Emit(r)
 		if r.ID() == 0 {
+			sort.Slice(all, func(i, j int) bool { return dbg.ContigLess(all[i], all[j]) })
 			res = refineOut{Result: got, Contigs: all}
 		}
 	})
@@ -205,7 +207,7 @@ func TestCompactionMergesChain(t *testing.T) {
 	}
 	want := "ACGGTTCAGGCATTCCAAGGTCATGGAACCTTGG"
 	got := string(res.Contigs[0].Seq)
-	if got != want && got != seq.ReverseComplementString(want) {
+	if got != want && got != string(seq.ReverseComplement([]byte(want))) {
 		t.Errorf("compacted contig = %q, want %q", got, want)
 	}
 	if res.Compacted < 2 {

@@ -288,7 +288,8 @@ func TestResumeRefused(t *testing.T) {
 			prepare: func(t *testing.T) (string, []seq.Read, Config) {
 				mutated := make([]seq.Read, len(reads))
 				copy(mutated, reads)
-				r0 := mutated[0].Clone()
+				r0 := mutated[0]
+				r0.Seq = slices.Clone(r0.Seq)
 				if r0.Seq[0] == 'A' {
 					r0.Seq[0] = 'C'
 				} else {

@@ -177,7 +177,7 @@ func TestResumeRefusedSampleRetag(t *testing.T) {
 
 	retagged := make([]seq.Read, len(reads))
 	copy(retagged, reads)
-	r0 := retagged[0].Clone()
+	r0 := retagged[0]
 	r0.SampleID ^= 1
 	retagged[0] = r0
 

@@ -53,32 +53,6 @@ func (c Contig) Len() int { return len(c.Seq) }
 // gathered: the ID and depth words plus the sequence itself.
 func (c Contig) WireSize() int { return 16 + len(c.Seq) }
 
-// CanonicalSeq returns the lexicographically smaller of the contig sequence
-// and its reverse complement; two contigs representing the same genomic
-// locus in opposite orientations share a canonical sequence.
-func CanonicalSeq(s []byte) []byte {
-	rc := seq.ReverseComplement(s)
-	if string(rc) < string(s) {
-		return rc
-	}
-	return s
-}
-
-// greaterThanRC reports whether s sorts strictly after its reverse complement,
-// without materializing it. Equivalent to
-// string(s) > string(seq.ReverseComplement(s)) — the walk orientation check in
-// Traverse only needs the comparison, not the complemented sequence, and the
-// in-place form avoids an O(len) allocation per walked path.
-func greaterThanRC(s []byte) bool {
-	for i := range s {
-		c := seq.ComplementChar(s[len(s)-1-i])
-		if s[i] != c {
-			return s[i] > c
-		}
-	}
-	return false
-}
-
 // ThresholdOptions selects how the high-quality extension threshold is
 // computed when classifying extensions.
 type ThresholdOptions struct {
@@ -93,11 +67,6 @@ type ThresholdOptions struct {
 	GlobalTHQ uint32
 	// MinCount is the minimum extension support for a call.
 	MinCount uint32
-}
-
-// DefaultThresholds returns the MetaHipMer defaults.
-func DefaultThresholds() ThresholdOptions {
-	return ThresholdOptions{TBase: 2, ErrorRate: 0.015, MinCount: 1}
 }
 
 // THQFor returns the high-quality-extension threshold for a k-mer of the
@@ -400,23 +369,6 @@ func DistributeContigs(r *pgas.Rank, local []Contig, _ dist.Mode) *ContigSet {
 // (filtering, compaction), storing the new ID into each contig. Collective.
 func RenumberContigs(r *pgas.Rank, s *ContigSet) int {
 	return s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
-}
-
-// EmitContigs materializes the final contig list on rank 0 (nil elsewhere):
-// shards are emitted in rank order, then sorted into the deterministic
-// global order (descending length, then sequence) and given dense IDs, so
-// the output is identical at any rank count. Collective.
-func EmitContigs(r *pgas.Rank, s *ContigSet) []Contig {
-	out := s.Emit(r)
-	if out == nil {
-		return nil
-	}
-	sort.Slice(out, func(i, j int) bool { return ContigLess(out[i], out[j]) })
-	for i := range out {
-		out[i].ID = i
-	}
-	r.Compute(float64(len(out)))
-	return out
 }
 
 // Stats summarizes a contig set.

@@ -1,6 +1,7 @@
 package dbg
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -26,11 +27,25 @@ func buildFromReads(t *testing.T, reads []seq.Read, k, ranks int, topts Threshol
 		g := Build(r, res.Counts, k, topts)
 		local := Traverse(r, g, TraverseOptions{})
 		cs := DistributeContigs(r, local, dist.Distributed)
-		if all := EmitContigs(r, cs); r.ID() == 0 {
+		if all := emitSorted(r, cs); r.ID() == 0 {
 			contigs = all
 		}
 	})
 	return contigs
+}
+
+// defaultThresholds returns the MetaHipMer defaults (core.DefaultConfig's
+// TBase and ErrorRate).
+func defaultThresholds() ThresholdOptions {
+	return ThresholdOptions{TBase: 2, ErrorRate: 0.015, MinCount: 1}
+}
+
+// emitSorted emits the set onto rank 0 (nil elsewhere) in the deterministic
+// global order, so results compare across rank counts.
+func emitSorted(r *pgas.Rank, cs *ContigSet) []Contig {
+	out := cs.Emit(r)
+	sort.Slice(out, func(i, j int) bool { return ContigLess(out[i], out[j]) })
+	return out
 }
 
 func coverWithReads(genome string, readLen, step, copies int) []seq.Read {
@@ -59,7 +74,7 @@ func TestThresholdOptions(t *testing.T) {
 	if got := global.THQFor(10000); got != 5 {
 		t.Errorf("global THQFor = %d, want 5", got)
 	}
-	def := DefaultThresholds()
+	def := defaultThresholds()
 	if def.TBase == 0 || def.ErrorRate <= 0 {
 		t.Error("defaults should be non-zero")
 	}
@@ -70,13 +85,13 @@ func TestSingleGenomeAssemblesToOneContig(t *testing.T) {
 	// length >= k should assemble into a single contig equal to the genome.
 	genome := "ACGTTGCAAGCTTACGGATCCGTAAACTGGTCCATTGGCAACGGTATTCCAGGAATTCACAGGCTTAAGCCTGAATCGTA"
 	reads := coverWithReads(genome, 30, 3, 3)
-	contigs := buildFromReads(t, reads, 15, 4, DefaultThresholds())
+	contigs := buildFromReads(t, reads, 15, 4, defaultThresholds())
 	if len(contigs) != 1 {
 		t.Fatalf("got %d contigs, want 1: %+v", len(contigs), summarize(contigs))
 	}
 	got := string(contigs[0].Seq)
 	want := genome
-	if got != want && got != seq.ReverseComplementString(want) {
+	if got != want && got != string(seq.ReverseComplement([]byte(want))) {
 		t.Errorf("assembled contig does not match genome:\n got %s\nwant %s", got, want)
 	}
 	if contigs[0].Depth < 2 {
@@ -95,9 +110,9 @@ func summarize(contigs []Contig) []string {
 func TestAssemblyIndependentOfRankCount(t *testing.T) {
 	genome := "ACGTTGCAAGCTTACGGATCCGTAAACTGGTCCATTGGCAACGGTATTCCAGGAATTCACAGGCTTAAGCCTGAATCGTAGGCATCAGTT"
 	reads := coverWithReads(genome, 32, 4, 3)
-	base := buildFromReads(t, reads, 17, 1, DefaultThresholds())
+	base := buildFromReads(t, reads, 17, 1, defaultThresholds())
 	for _, ranks := range []int{2, 5, 8} {
-		got := buildFromReads(t, reads, 17, ranks, DefaultThresholds())
+		got := buildFromReads(t, reads, 17, ranks, defaultThresholds())
 		if len(got) != len(base) {
 			t.Fatalf("ranks=%d: %d contigs vs %d with 1 rank", ranks, len(got), len(base))
 		}
@@ -117,7 +132,7 @@ func TestForkSplitsContigs(t *testing.T) {
 	g1 := "ACGTTGCAAGCTTAC" + core + "TTACGCATGACCGGT"
 	g2 := "TTGGCCAATTGGCAT" + core + "AACCGTTGCAATCCG"
 	reads := append(coverWithReads(g1, 25, 2, 3), coverWithReads(g2, 25, 2, 3)...)
-	contigs := buildFromReads(t, reads, 13, 4, DefaultThresholds())
+	contigs := buildFromReads(t, reads, 13, 4, defaultThresholds())
 	if len(contigs) < 3 {
 		t.Fatalf("expected the shared core to split the assembly, got %d contigs", len(contigs))
 	}
@@ -125,7 +140,7 @@ func TestForkSplitsContigs(t *testing.T) {
 	foundCore := false
 	for _, c := range contigs {
 		s := string(c.Seq)
-		rc := seq.ReverseComplementString(s)
+		rc := string(seq.ReverseComplement([]byte(s)))
 		if strings.Contains(s, core[2:len(core)-2]) || strings.Contains(rc, core[2:len(core)-2]) {
 			foundCore = true
 		}
@@ -170,9 +185,9 @@ func TestTraverseMinContigLen(t *testing.T) {
 	m.Run(func(r *pgas.Rank) {
 		lo, hi := r.BlockRange(len(reads))
 		res := kmeranalysis.Run(r, reads[lo:hi], opts, nil)
-		g := Build(r, res.Counts, 11, DefaultThresholds())
-		a := EmitContigs(r, DistributeContigs(r, Traverse(r, g, TraverseOptions{}), dist.Distributed))
-		f := EmitContigs(r, DistributeContigs(r, Traverse(r, g, TraverseOptions{MinContigLen: 10000}), dist.Distributed))
+		g := Build(r, res.Counts, 11, defaultThresholds())
+		a := emitSorted(r, DistributeContigs(r, Traverse(r, g, TraverseOptions{}), dist.Distributed))
+		f := emitSorted(r, DistributeContigs(r, Traverse(r, g, TraverseOptions{MinContigLen: 10000}), dist.Distributed))
 		if r.ID() == 0 {
 			all, filtered = a, f
 		}
@@ -207,15 +222,33 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestCanonicalSeq(t *testing.T) {
-	s := []byte("TTGC")
-	c := CanonicalSeq(s)
+// canonicalSeq returns the lexicographically smaller of a sequence and its
+// reverse complement, materializing the complement: the definition the
+// in-place orientation checks (greaterThanRC, seq.Packed.GreaterThanRC) are
+// held to.
+func canonicalSeq(s []byte) []byte {
 	rc := seq.ReverseComplement(s)
-	if string(c) != string(s) && string(c) != string(rc) {
-		t.Error("canonical sequence must be the sequence or its reverse complement")
+	if string(rc) < string(s) {
+		return rc
 	}
-	if string(CanonicalSeq(s)) != string(CanonicalSeq(rc)) {
-		t.Error("canonical sequence must be orientation-invariant")
+	return s
+}
+
+func TestCanonicalSeq(t *testing.T) {
+	for _, s := range [][]byte{[]byte("TTGC"), []byte("GCAA"), []byte("ACGT"), []byte("A"), []byte("T")} {
+		c := canonicalSeq(s)
+		rc := seq.ReverseComplement(s)
+		if string(c) != string(s) && string(c) != string(rc) {
+			t.Errorf("%s: canonical sequence must be the sequence or its reverse complement", s)
+		}
+		if string(c) != string(canonicalSeq(rc)) {
+			t.Errorf("%s: canonical sequence must be orientation-invariant", s)
+		}
+		// A walk is kept unless it sorts after its reverse complement, that is
+		// unless it is the non-canonical orientation.
+		if got, want := greaterThanRC(s), string(c) != string(s); got != want {
+			t.Errorf("%s: greaterThanRC = %v, canonical form is %s", s, got, c)
+		}
 	}
 }
 
@@ -233,7 +266,7 @@ func TestDistributeContigsDeduplicatesAndAssignsIDs(t *testing.T) {
 		var localIDs []int
 		cs.ForEachLocal(r, func(i int, c Contig) { localIDs = append(localIDs, c.ID) })
 		gathered := pgas.GatherV(r, localIDs, 8)
-		all := EmitContigs(r, cs)
+		all := emitSorted(r, cs)
 		if r.ID() == 0 {
 			got = all
 			for _, batch := range gathered {
@@ -245,9 +278,6 @@ func TestDistributeContigsDeduplicatesAndAssignsIDs(t *testing.T) {
 		t.Fatalf("got %d contigs, want 4 (3 unique + 1 deduplicated)", len(got))
 	}
 	for i, c := range got {
-		if c.ID != i {
-			t.Errorf("contig %d has ID %d", i, c.ID)
-		}
 		if i > 0 && len(got[i-1].Seq) < len(c.Seq) {
 			t.Error("contigs not sorted by descending length")
 		}

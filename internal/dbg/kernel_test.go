@@ -10,6 +10,19 @@ import (
 	"mhmgo/internal/seq"
 )
 
+// greaterThanRC reports whether s sorts strictly after its reverse
+// complement: the byte-wise definition seq.Packed.GreaterThanRC, Traverse's
+// walk orientation check, is held to.
+func greaterThanRC(s []byte) bool {
+	for i := range s {
+		c := seq.ComplementChar(s[len(s)-1-i])
+		if s[i] != c {
+			return s[i] > c
+		}
+	}
+	return false
+}
+
 // fixtureVertex is one vertex of the fixture graph: its canonical k-mer and
 // the entry a walk from it starts with.
 type fixtureVertex struct {
@@ -33,7 +46,7 @@ func walkFixtureGraph(t testing.TB, genomeLen, k int) (*pgas.Machine, *Graph, []
 	var vertices []fixtureVertex
 	m.Run(func(rk *pgas.Rank) {
 		res := kmeranalysis.Run(rk, reads, opts, nil)
-		g = Build(rk, res.Counts, k, DefaultThresholds())
+		g = Build(rk, res.Counts, k, defaultThresholds())
 		g.Entries.ForEachLocal(rk, func(km seq.Kmer, e Entry) {
 			vertices = append(vertices, fixtureVertex{km: km, e: e})
 		})

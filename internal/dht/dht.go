@@ -18,8 +18,9 @@
 //     the number of messages (and the simulated communication cost). Each
 //     flushed batch is grouped by stripe so every stripe lock is taken at
 //     most once per flush.
-//   - Use case 2, "Global Reads & Writes": Get/Put/Mutate perform one-sided
-//     reads, writes and atomic read-modify-write operations on remote entries.
+//   - Use case 2, "Global Reads & Writes": Get/Put/Delete perform one-sided
+//     reads and writes of remote entries. The pipeline uses only the reads
+//     (de Bruijn traversal's Get); it has no remote read-modify-write.
 //   - Use case 3, "Global Read-Only": CachedReader adds a per-rank software
 //     cache in front of Get for phases where the table is no longer mutated.
 //     Freeze switches the whole map into a lock-free read-only phase backed
@@ -133,9 +134,6 @@ func NewMapCollective[K comparable, V any](r *pgas.Rank, hash func(K) uint64, en
 // Owner returns the rank that owns the given key.
 func (m *Map[K, V]) Owner(key K) int { return m.ownerOf(m.hash(key)) }
 
-// Stripes returns the number of lock stripes per rank partition.
-func (m *Map[K, V]) Stripes() int { return m.stripeCount }
-
 // ownerOf returns the owner rank of a key hash (its low bits).
 func (m *Map[K, V]) ownerOf(h uint64) int { return int(h % uint64(m.machine.Ranks())) }
 
@@ -193,14 +191,6 @@ func (m *Map[K, V]) scan(stripes []stripe[K, V], visit func(*stripe[K, V])) {
 	}
 }
 
-// Lookup reads the entry for key from outside an SPMD region (no cost is
-// charged). It is intended for coordinators, evaluation code and tests that
-// inspect the table after a parallel phase has completed.
-func (m *Map[K, V]) Lookup(key K) (V, bool) {
-	h := m.hash(key)
-	return m.read(m.ownerOf(h), h, key)
-}
-
 // Get performs a one-sided read of the entry for key, charging the
 // appropriate communication cost to the calling rank.
 func (m *Map[K, V]) Get(r *pgas.Rank, key K) (V, bool) {
@@ -247,34 +237,6 @@ func (m *Map[K, V]) Delete(r *pgas.Rank, key K) {
 	s.mu.Lock()
 	s.data.Delete(h, key)
 	s.mu.Unlock()
-}
-
-// Mutate atomically applies f to the entry for key under the owner's stripe
-// lock, modelling a remote atomic (e.g. compare-and-swap on a "used" flag). f
-// receives the current value (and whether it exists) and returns the new
-// value, whether to store it, and an arbitrary result passed back to the
-// caller. The cost of a remote atomic is charged to the calling rank.
-func Mutate[K comparable, V any, R any](m *Map[K, V], r *pgas.Rank, key K, f func(v V, found bool) (V, bool, R)) R {
-	h := m.hash(key)
-	owner := m.ownerOf(h)
-	if owner == r.ID() {
-		r.Compute(2)
-	} else {
-		r.ChargeGet(owner, m.entryBytes, 1)
-	}
-	var res R
-	s := m.mutableStripe(owner, h)
-	s.mu.Lock()
-	s.data.Update(h, key, func(v *V, found bool) bool {
-		nv, store, out := f(*v, found)
-		if store {
-			*v = nv
-		}
-		res = out
-		return store
-	})
-	s.mu.Unlock()
-	return res
 }
 
 // ForEachLocal iterates over the entries owned by the calling rank, in stripe
@@ -334,8 +296,8 @@ func (m *Map[K, V]) SetLocal(r *pgas.Rank, key K, val V) {
 }
 
 // RangeLocal iterates over the entries owned by the given rank without
-// charging the cost model — the per-partition counterpart of Lookup, for
-// coordinators and the checkpoint writer, which must observe the table
+// charging the cost model, for coordinators and the checkpoint writer, which
+// must observe the table
 // without perturbing the simulated clocks. Iteration is in stripe and then
 // slot order, which depends on the insertion history; callers needing an
 // order that does not must collect and sort. The callback must not call back
@@ -375,26 +337,19 @@ func (m *Map[K, V]) Snapshot() map[K]V {
 // is a bug in the calling phase.
 func (m *Map[K, V]) mutableStripe(rank int, h uint64) *stripe[K, V] {
 	if m.frozen.Load() {
-		panic("dht: mutation of a frozen map (call Thaw before the next write phase)")
+		panic("dht: mutation of a frozen map")
 	}
 	return m.stripeAt(rank, h)
 }
 
 // Freeze atomically switches the map into the lock-free read-only phase (use
-// case 3, "Global Read-Only"): all subsequent reads (Get, Lookup,
-// CachedReader.Get, ForEachLocal, Snapshot) skip the stripe locks, and
-// mutations panic until Thaw is called. The stripe tables themselves serve as
-// the immutable snapshot — nothing is copied, so freezing the pipeline's
-// largest tables costs neither time nor memory.
+// case 3, "Global Read-Only"): all subsequent reads (Get, CachedReader.Get,
+// ForEachLocal, Snapshot) skip the stripe locks, and mutations panic. There is
+// no way back: every table the pipeline freezes is read until it is dropped.
+// The stripe tables themselves serve as the immutable snapshot — nothing is
+// copied, so freezing the pipeline's largest tables costs neither time nor
+// memory.
 //
 // Freeze must not race with mutations: call it after the barrier that closes
 // the last write phase. It is idempotent and safe to call from every rank.
 func (m *Map[K, V]) Freeze() { m.frozen.Store(true) }
-
-// Thaw leaves the read-only phase, making the map mutable again. Like Freeze
-// it must be called between phases (after a barrier), not concurrently with
-// reads that still expect the frozen snapshot.
-func (m *Map[K, V]) Thaw() { m.frozen.Store(false) }
-
-// Frozen reports whether the map is in the read-only phase.
-func (m *Map[K, V]) Frozen() bool { return m.frozen.Load() }

@@ -117,44 +117,23 @@ func TestNewMapCollective(t *testing.T) {
 	})
 }
 
+// TestMutateAtomicity has every rank read-modify-write one key through the
+// unaggregated Updater (each update its own flush, the path the pipeline's
+// hot owner ranks run with aggregation off): no increment may be lost.
 func TestMutateAtomicity(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 8})
 	dm := NewMap[string, int](m, func(s string) uint64 { return 7 }, 16)
 	const perRank = 500
 	m.Run(func(r *pgas.Rank) {
+		u := dm.NewUpdater(r, func(e, v int, _ bool) int { return e + v }, 0, false)
 		for i := 0; i < perRank; i++ {
-			Mutate(dm, r, "counter", func(v int, found bool) (int, bool, int) {
-				return v + 1, true, v
-			})
+			u.Update("counter", 1)
 		}
+		u.Flush()
 	})
 	snap := dm.Snapshot()
 	if snap["counter"] != 8*perRank {
-		t.Errorf("counter = %d, want %d; Mutate is not atomic", snap["counter"], 8*perRank)
-	}
-}
-
-func TestMutateTestAndSet(t *testing.T) {
-	// Models the speculative traversal "used flag": exactly one rank may
-	// claim each key.
-	m := pgas.NewMachine(pgas.Config{Ranks: 8})
-	dm := NewMap[int, bool](m, intHash, 8)
-	var claims int64
-	m.Run(func(r *pgas.Rank) {
-		for key := 0; key < 200; key++ {
-			won := Mutate(dm, r, key, func(used bool, found bool) (bool, bool, bool) {
-				if found && used {
-					return used, false, false
-				}
-				return true, true, true
-			})
-			if won {
-				atomic.AddInt64(&claims, 1)
-			}
-		}
-	})
-	if claims != 200 {
-		t.Errorf("%d claims, want exactly 200 (one per key)", claims)
+		t.Errorf("counter = %d, want %d; an unaggregated update was lost", snap["counter"], 8*perRank)
 	}
 }
 
@@ -175,9 +154,6 @@ func TestUpdaterAggregation(t *testing.T) {
 			u.Update(i%50, 1)
 		}
 		u.Flush()
-		if u.Pending() != 0 {
-			t.Errorf("pending updates after flush: %d", u.Pending())
-		}
 		r.Barrier()
 	})
 
@@ -237,9 +213,10 @@ func TestUpdaterLocalShortcut(t *testing.T) {
 }
 
 func TestUpdaterFlushAllStaggered(t *testing.T) {
-	// FlushAll walks the destinations starting at the caller's own rank (so
+	// Flush walks all destinations starting at the caller's own rank (so
 	// concurrent end-of-phase flushes don't convoy on partition 0); the
-	// staggered order must change neither the contents nor the charged cost.
+	// staggered order must leave nothing buffered and change neither the
+	// contents nor the charged cost.
 	for _, p := range []int{1, 3, 8} {
 		m := pgas.NewMachine(pgas.Config{Ranks: p})
 		dm := NewMap[int, int](m, intHash, 16)
@@ -248,14 +225,17 @@ func TestUpdaterFlushAllStaggered(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				u.Update(i, 1)
 			}
-			u.FlushAll()
-			if u.Pending() != 0 {
-				t.Errorf("p=%d rank %d: %d updates still pending after FlushAll", p, r.ID(), u.Pending())
+			u.Flush()
+			for dest, batch := range u.batches {
+				if len(batch) != 0 {
+					t.Errorf("p=%d rank %d: %d updates for rank %d still buffered after Flush", p, r.ID(), len(batch), dest)
+				}
 			}
 			r.Barrier()
 		})
+		snap := dm.Snapshot()
 		for i := 0; i < 300; i++ {
-			if v, ok := dm.Lookup(i); !ok || v != p {
+			if v, ok := snap[i]; !ok || v != p {
 				t.Errorf("p=%d key %d = %d (found=%v), want %d", p, i, v, ok, p)
 			}
 		}
@@ -497,9 +477,10 @@ func TestNewMapAllocations(t *testing.T) {
 		t.Fatalf("%d stripes, want %d", len(dm.stripes), p*stripes)
 	}
 	dm.Restore(dm.Owner(7), 7, 70)
+	snap := dm.Snapshot()
 	for k, want := range map[int]int{7: 70, 8: 0} {
-		if v, ok := dm.Lookup(k); v != want || ok != (want != 0) {
-			t.Errorf("Lookup(%d) = (%d,%v)", k, v, ok)
+		if v, ok := snap[k]; v != want || ok != (want != 0) {
+			t.Errorf("Snapshot()[%d] = (%d,%v)", k, v, ok)
 		}
 	}
 	if got := dm.Len(); got != 1 {
@@ -514,13 +495,13 @@ func TestStripeConfiguration(t *testing.T) {
 	}
 	for _, c := range cases {
 		dm := newMapStripes[int, int](m, intHash, 16, c.in)
-		if dm.Stripes() != c.want {
-			t.Errorf("newMapStripes(%d) -> %d stripes, want %d", c.in, dm.Stripes(), c.want)
+		if dm.stripeCount != c.want {
+			t.Errorf("newMapStripes(%d) -> %d stripes, want %d", c.in, dm.stripeCount, c.want)
 		}
 	}
 	dm := NewMap[int, int](m, intHash, 16)
-	if dm.Stripes() != DefaultStripes() {
-		t.Errorf("default stripes = %d, want %d", dm.Stripes(), DefaultStripes())
+	if dm.stripeCount != DefaultStripes() {
+		t.Errorf("default stripes = %d, want %d", dm.stripeCount, DefaultStripes())
 	}
 	if ds := DefaultStripes(); ds < 8 || ds&(ds-1) != 0 {
 		t.Errorf("DefaultStripes() = %d, want a power of two >= 8", ds)
@@ -562,7 +543,7 @@ func TestFreezeThaw(t *testing.T) {
 		}
 		r.Barrier()
 		dm.Freeze() // idempotent, every rank may call it
-		if !dm.Frozen() {
+		if !dm.frozen.Load() {
 			t.Error("map not frozen after Freeze")
 		}
 		// Lock-free reads see the full table.
@@ -572,7 +553,6 @@ func TestFreezeThaw(t *testing.T) {
 			}
 		}
 		c := dm.NewCachedReader(r, 1024, true)
-		c.Freeze() // delegates to the map; still idempotent
 		for k := 0; k < 400; k++ {
 			if v, ok := c.Get(k); !ok || v != k*3 {
 				t.Errorf("frozen cached Get(%d) = %d,%v", k, v, ok)
@@ -605,21 +585,13 @@ func TestFreezeThaw(t *testing.T) {
 		}()
 		dm.Put(r, 12345, 1)
 	})
-
-	// Thaw re-enables writes.
-	dm.Thaw()
-	if dm.Frozen() {
-		t.Error("map still frozen after Thaw")
-	}
-	m.Run(func(r *pgas.Rank) {
-		if r.ID() == 0 {
-			dm.Put(r, 10000, 1)
-		}
-	})
-	if dm.Len() != 401 {
-		t.Errorf("Len after thawed Put = %d, want 401", dm.Len())
+	if dm.Len() != 400 {
+		t.Errorf("Len after refused Put = %d, want 400", dm.Len())
 	}
 }
+
+// addInts is the Updater combine function of the contention tests.
+func addInts(existing, update int, _ bool) int { return existing + update }
 
 // hotRankKeys returns n keys that all hash to owner rank 0 of dm.
 func hotRankKeys(dm *Map[int, int], n int) []int {
@@ -633,9 +605,10 @@ func hotRankKeys(dm *Map[int, int], n int) []int {
 }
 
 // TestSingleOwnerStress drives every rank's traffic at a single hot owner
-// rank through all three mutation APIs and asserts the final counts are
-// exact. Run with -race, this is the regression test for stripe-level
-// synchronization.
+// rank through the unaggregated Updater (one stripe lock per update), the
+// aggregated Updater (one per stripe per batch) and Put, and asserts the final
+// counts are exact. Run with -race, this is the regression test for
+// stripe-level synchronization.
 func TestSingleOwnerStress(t *testing.T) {
 	const (
 		ranks   = 8
@@ -649,17 +622,17 @@ func TestSingleOwnerStress(t *testing.T) {
 		add := func(e, v int, ok bool) int { return e + v }
 		m.Run(func(r *pgas.Rank) {
 			u := dm.NewUpdater(r, add, 128, true)
+			raw := dm.NewUpdater(r, add, 0, false)
 			for i := 0; i < perRank; i++ {
 				key := keys[(i+r.ID())%nKeys]
-				// One remote atomic, one buffered update, one direct write
-				// (Put of an unrelated per-rank key) per iteration.
-				Mutate(dm, r, key, func(v int, found bool) (int, bool, int) {
-					return v + 1, true, 0
-				})
+				// One unaggregated update, one buffered update, one direct
+				// write (Put of an unrelated per-rank key) per iteration.
+				raw.Update(key, 1)
 				u.Update(key, 1)
 				dm.Put(r, 1_000_000+r.ID()*perRank+i, 1)
 			}
 			u.Flush()
+			raw.Flush()
 			r.Barrier()
 		})
 		snap := dm.Snapshot()
@@ -667,7 +640,7 @@ func TestSingleOwnerStress(t *testing.T) {
 		for _, k := range keys {
 			total += snap[k]
 		}
-		want := 2 * ranks * perRank // Mutate + Updater contributions
+		want := 2 * ranks * perRank // both Updaters' contributions
 		if total != want {
 			t.Errorf("stripes=%d: hot keys sum to %d, want %d", stripes, total, want)
 		}
@@ -679,7 +652,9 @@ func TestSingleOwnerStress(t *testing.T) {
 
 // TestStripingContentionSpeedup asserts the headline claim of the striped
 // layout: with enough physical parallelism for the rank goroutines to
-// actually contend, Mutate throughput against a single hot owner rank is at
+// actually contend, the throughput of unaggregated updates (flushDest and
+// applyStripe, one stripe lock each — what the pipeline's hot owner ranks
+// execute) against a single hot owner rank is at
 // least 2x higher with striping than with the historical single lock. On
 // machines with fewer than 8 CPUs the goroutines are time-sliced rather than
 // parallel, a single uncontended lock costs nearly nothing, and the effect
@@ -712,10 +687,9 @@ func TestStripingContentionSpeedup(t *testing.T) {
 			dm := newMapStripes[int, int](m, intHash, 16, stripes)
 			keys := hotRankKeys(dm, 1024)
 			res := m.Run(func(r *pgas.Rank) {
+				u := dm.NewUpdater(r, addInts, 0, false)
 				for i := 0; i < perRank; i++ {
-					Mutate(dm, r, keys[(i*ranks+r.ID())&1023], func(v int, found bool) (int, bool, int) {
-						return v + 1, true, 0
-					})
+					u.Update(keys[(i*ranks+r.ID())&1023], 1)
 				}
 			})
 			if ops := float64(ranks*perRank) / res.Wall.Seconds(); ops > best {
@@ -776,9 +750,10 @@ func measuredParallelSpeedup(n int) float64 {
 	return seq.Seconds() / par.Seconds()
 }
 
-// BenchmarkDHTContention measures Mutate throughput when every rank hammers
-// keys owned by a single hot rank — the workload that serialized on one
-// mutex before lock striping. stripes=1 reproduces the historical layout.
+// BenchmarkDHTContention measures unaggregated-update throughput when every
+// rank hammers keys owned by a single hot rank — the workload that serialized
+// on one mutex before lock striping. stripes=1 reproduces the historical
+// layout.
 func BenchmarkDHTContention(b *testing.B) {
 	b.Run("stripes=1", func(b *testing.B) { benchmarkContention(b, 1) })
 	b.Run("striped", func(b *testing.B) { benchmarkContention(b, 0) })
@@ -798,10 +773,9 @@ func benchmarkContention(b *testing.B, stripes int) {
 	keys := hotRankKeys(dm, 1024)
 	b.ResetTimer()
 	m.Run(func(r *pgas.Rank) {
+		u := dm.NewUpdater(r, addInts, 0, false)
 		for i := r.ID(); i < b.N; i += ranks {
-			Mutate(dm, r, keys[i&1023], func(v int, found bool) (int, bool, int) {
-				return v + 1, true, 0
-			})
+			u.Update(keys[i&1023], 1)
 		}
 	})
 }

@@ -16,7 +16,7 @@ func exampleHash(k int) uint64 {
 }
 
 // ExampleMap shows use case 2, "Global Reads & Writes": one-sided Put/Get
-// plus an atomic Mutate, from every rank of a virtual machine.
+// from every rank of a virtual machine.
 func ExampleMap() {
 	m := pgas.NewMachine(pgas.Config{Ranks: 4})
 	dm := dht.NewMap[int, string](m, exampleHash, 32)
@@ -24,20 +24,15 @@ func ExampleMap() {
 		// Every rank writes one entry; the key's hash picks the owner rank.
 		dm.Put(r, r.ID(), fmt.Sprintf("from rank %d", r.ID()))
 		r.Barrier()
-		// Atomically claim key 100: exactly one rank wins the race.
-		dht.Mutate(dm, r, 100, func(v string, found bool) (string, bool, bool) {
-			if found {
-				return v, false, false
-			}
-			return "claimed", true, true
-		})
+		// Every rank reads its right-hand neighbour's entry, wherever it lives.
+		if v, ok := dm.Get(r, (r.ID()+1)%4); r.ID() == 1 {
+			fmt.Println(v, ok)
+		}
 	})
-	v, ok := dm.Lookup(2)
-	fmt.Println(v, ok)
 	fmt.Println(dm.Len())
 	// Output:
 	// from rank 2 true
-	// 5
+	// 4
 }
 
 // ExampleMap_NewUpdater shows use case 1, "Global Update-Only": commutative
@@ -59,8 +54,7 @@ func ExampleMap_NewUpdater() {
 		r.Barrier()
 	})
 	fmt.Println(counts.Len())
-	v, _ := counts.Lookup(7)
-	fmt.Println(v) // 4 ranks x 5 passes
+	fmt.Println(counts.Snapshot()[7]) // 4 ranks x 5 passes
 	// Output:
 	// 10
 	// 20
@@ -81,8 +75,8 @@ func ExampleMap_NewCachedReader() {
 		r.Barrier()
 
 		// The write phase is over: read lock-free from an immutable snapshot.
+		dm.Freeze()
 		c := dm.NewCachedReader(r, 1024, true)
-		c.Freeze()
 		for pass := 0; pass < 10; pass++ {
 			for k := 0; k < 100; k++ {
 				c.Get(k)
@@ -92,8 +86,6 @@ func ExampleMap_NewCachedReader() {
 			fmt.Printf("hit rate > 80%%: %v\n", c.HitRate() > 0.8)
 		}
 	})
-	fmt.Println(dm.Frozen())
 	// Output:
 	// hit rate > 80%: true
-	// true
 }

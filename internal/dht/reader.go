@@ -9,9 +9,11 @@ import (
 // cache in front of Get. The cache must only be used while the map is not
 // being mutated (no consistency protocol is provided, as in the paper).
 //
-// For phases where the whole table is known to be read-only, Freeze
+// For phases where the whole table is known to be read-only, Map.Freeze
 // additionally switches the underlying map to lock-free reads from an
-// immutable snapshot, removing all lock traffic from the read hot path.
+// immutable snapshot, removing all lock traffic from the read hot path; the
+// cache keeps paying off, since freezing removes lock contention from reads,
+// not their simulated communication cost.
 type CachedReader[K comparable, V any] struct {
 	m *Map[K, V]
 	r *pgas.Rank
@@ -48,13 +50,6 @@ func (m *Map[K, V]) NewCachedReader(r *pgas.Rank, maxEntries int, enabled bool) 
 		enabled:    enabled,
 	}
 }
-
-// Freeze switches the underlying map into the lock-free read-only phase (see
-// Map.Freeze). The software cache keeps working as before — freezing removes
-// lock contention from reads, not their simulated communication cost, so
-// caching remote entries still pays off. Safe to call from every rank after
-// the barrier closing the last write phase; the first caller does the work.
-func (c *CachedReader[K, V]) Freeze() { c.m.Freeze() }
 
 // Get reads the entry for key, serving it from the software cache when
 // possible. Entries owned by the calling rank are always "hits".

@@ -12,13 +12,8 @@ import "mhmgo/internal/pgas"
 // SetLocal, which go straight to the owning partition's stripes without any
 // remote charging.
 func Route[T any](r *pgas.Rank, items []T, ownerOf func(T) int, bytesPerItem int) []T {
-	return RouteFunc(r, items, ownerOf, func(T) int { return bytesPerItem })
-}
-
-// RouteFunc is Route for items whose wire sizes vary (reads, contigs):
-// sizeOf reports the wire bytes of one item.
-func RouteFunc[T any](r *pgas.Rank, items []T, ownerOf func(T) int, sizeOf func(T) int) []T {
 	r.Compute(float64(len(items)))
 	return pgas.ExchangeFunc(r, items,
-		func(_ int, item T) int { return ownerOf(item) }, sizeOf)
+		func(_ int, item T) int { return ownerOf(item) },
+		func(T) int { return bytesPerItem })
 }

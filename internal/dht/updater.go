@@ -24,14 +24,13 @@ type Updater[K comparable, V any] struct {
 	// P-length slice: a P-slice per updater per rank is O(P²) machine-wide
 	// (≈400 MB of slice headers alone at P=4096), while the map stays
 	// proportional to the destinations this rank actually talks to between
-	// flushes. Flush order is never derived from map iteration (FlushAll
-	// walks rank IDs), so determinism is unaffected.
+	// flushes. Flush order is never derived from map iteration (Flush walks
+	// rank IDs), so determinism is unaffected.
 	batches   map[int][]kvPair[K, V]
 	byStripe  [][]kvPair[K, V] // reusable flush scratch, indexed by stripe
 	touched   []uint32         // stripes used by the current flush
 	batchSize int
 	aggregate bool
-	pending   int
 }
 
 // NewUpdater creates an Updater for the calling rank. combine merges an
@@ -61,24 +60,20 @@ func (u *Updater[K, V]) Update(key K, val V) {
 	dest := u.m.ownerOf(h)
 	batch := append(u.batches[dest], kvPair[K, V]{key: key, val: val, hash: h})
 	u.batches[dest] = batch
-	u.pending++
 	if !u.aggregate || len(batch) >= u.batchSize {
 		u.flushDest(dest)
 	}
 }
 
-// Flush applies all buffered updates. It must be called before the phase's
-// closing barrier.
-func (u *Updater[K, V]) Flush() { u.FlushAll() }
-
-// FlushAll flushes every destination's buffered batch, starting at the
-// calling rank's own partition and wrapping around. When every rank flushes
-// at the end of a phase simultaneously, a fixed 0..P-1 order would march all
-// ranks through partition 0's stripe locks together (a lock convoy that
-// serializes the wall-clock flush); staggering the start by rank ID spreads
-// the flushes across all partitions. The updates are commutative, so the
-// order does not affect the result.
-func (u *Updater[K, V]) FlushAll() {
+// Flush applies all buffered updates; it must be called before the phase's
+// closing barrier. Destinations are flushed starting at the calling rank's
+// own partition and wrapping around. When every rank flushes at the end of a
+// phase simultaneously, a fixed 0..P-1 order would march all ranks through
+// partition 0's stripe locks together (a lock convoy that serializes the
+// wall-clock flush); staggering the start by rank ID spreads the flushes
+// across all partitions. The updates are commutative, so the order does not
+// affect the result.
+func (u *Updater[K, V]) Flush() {
 	p := u.m.machine.Ranks()
 	start := u.r.ID()
 	for i := 0; i < p; i++ {
@@ -86,16 +81,12 @@ func (u *Updater[K, V]) FlushAll() {
 	}
 }
 
-// Pending returns the number of buffered (unflushed) updates.
-func (u *Updater[K, V]) Pending() int { return u.pending }
-
 func (u *Updater[K, V]) flushDest(dest int) {
 	batch := u.batches[dest]
 	if len(batch) == 0 {
 		return
 	}
 	u.batches[dest] = u.batches[dest][:0]
-	u.pending -= len(batch)
 	if dest == u.r.ID() {
 		u.r.Compute(float64(len(batch)))
 	} else if u.aggregate {

@@ -27,8 +27,9 @@ import (
 	"mhmgo/internal/sim"
 )
 
-// Scale controls how large the experiment datasets are. The default Scale
-// keeps every experiment in the seconds range on a laptop.
+// Scale controls how large the experiment datasets are. Every field must be
+// set: start from DefaultScale (every experiment in the seconds range on a
+// laptop) or QuickScale and change what differs.
 type Scale struct {
 	// Genomes is the community size for the quality experiments.
 	Genomes int
@@ -75,32 +76,6 @@ func QuickScale() Scale {
 	}
 }
 
-func (s Scale) withDefaults() Scale {
-	d := DefaultScale()
-	if s.Genomes <= 0 {
-		s.Genomes = d.Genomes
-	}
-	if s.GenomeLen <= 0 {
-		s.GenomeLen = d.GenomeLen
-	}
-	if s.Coverage <= 0 {
-		s.Coverage = d.Coverage
-	}
-	if s.Ranks <= 0 {
-		s.Ranks = d.Ranks
-	}
-	if s.RanksPerNode <= 0 {
-		s.RanksPerNode = d.RanksPerNode
-	}
-	if len(s.NodeCounts) == 0 {
-		s.NodeCounts = d.NodeCounts
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	return s
-}
-
 // mg64Dataset builds the MG64-like community and reads for the quality
 // experiments.
 func mg64Dataset(s Scale) (*sim.Community, []seq.Read, *hmm.Profile) {
@@ -132,9 +107,9 @@ func mg64Dataset(s Scale) (*sim.Community, []seq.Read, *hmm.Profile) {
 
 // wetlandsDataset builds the Wetlands-like dataset used by the scaling
 // experiments: a skewed community where some genomes end up at low coverage.
-func wetlandsDataset(s Scale, organisms int, coverage float64, seed int64) (*sim.Community, []seq.Read) {
+func wetlandsDataset(s Scale, organisms int, coverage float64, seed int64) []seq.Read {
 	comm := sim.WetlandsLikeCommunity(organisms, float64(s.GenomeLen)/8000.0, seed)
-	reads := sim.SimulateReads(comm, sim.ReadConfig{
+	return sim.SimulateReads(comm, sim.ReadConfig{
 		ReadLen:    100,
 		InsertSize: 280,
 		InsertStd:  25,
@@ -142,7 +117,6 @@ func wetlandsDataset(s Scale, organisms int, coverage float64, seed int64) (*sim
 		Coverage:   coverage,
 		Seed:       seed + 1,
 	})
-	return comm, reads
 }
 
 // ---------------------------------------------------------------------------
@@ -163,8 +137,7 @@ func (t Table1Result) Format() string {
 
 // Table1Quality runs every comparison assembler on the MG64-like dataset and
 // evaluates the assemblies against the known references.
-func Table1Quality(s Scale) Table1Result {
-	s = s.withDefaults()
+func Table1Quality(s Scale) (Table1Result, error) {
 	comm, reads, profile := mg64Dataset(s)
 	eopts := eval.DefaultOptions()
 	eopts.LengthThresholds = []int{s.GenomeLen / 4, s.GenomeLen / 2, s.GenomeLen}
@@ -180,14 +153,14 @@ func Table1Quality(s Scale) Table1Result {
 			RRNAProfile:  profile,
 		})
 		if err != nil {
-			continue
+			return out, fmt.Errorf("table1: %s: %w", a.Name, err)
 		}
 		rep := eval.Evaluate(a.Name, res.FinalSequences(), comm, eopts)
 		rep.RuntimeSimSecs = res.SimSeconds
 		rep.RuntimeWallSecs = res.WallSeconds
 		out.Reports = append(out.Reports, rep)
 	}
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -223,13 +196,12 @@ func (f Fig3Result) Format() string {
 
 // Fig3ReadLocalization measures the k-mer analysis and alignment stage times
 // with and without the read-localization optimization across node counts.
-func Fig3ReadLocalization(s Scale) Fig3Result {
-	s = s.withDefaults()
+func Fig3ReadLocalization(s Scale) (Fig3Result, error) {
 	_, reads, profile := mg64Dataset(s)
 	var out Fig3Result
 	for _, nodes := range s.NodeCounts {
 		ranks := nodes * s.RanksPerNode
-		run := func(localize bool) map[string]float64 {
+		run := func(localize bool) (map[string]float64, error) {
 			cfg := core.DefaultConfig(ranks)
 			cfg.RanksPerNode = s.RanksPerNode
 			cfg.ReadLocalization = localize
@@ -237,18 +209,21 @@ func Fig3ReadLocalization(s Scale) Fig3Result {
 			cfg.Scaffolding = false
 			res, err := core.Assemble(reads, cfg)
 			if err != nil {
-				return nil
+				return nil, fmt.Errorf("fig3: %d nodes, localization=%v: %w", nodes, localize, err)
 			}
 			stages := map[string]float64{}
 			for _, st := range res.Stages {
 				stages[st.Name] = st.Seconds
 			}
-			return stages
+			return stages, nil
 		}
-		on := run(true)
-		off := run(false)
-		if on == nil || off == nil {
-			continue
+		on, err := run(true)
+		if err != nil {
+			return out, err
+		}
+		off, err := run(false)
+		if err != nil {
+			return out, err
 		}
 		row := Fig3Row{
 			Nodes:           nodes,
@@ -262,7 +237,7 @@ func Fig3ReadLocalization(s Scale) Fig3Result {
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -313,9 +288,8 @@ func (r StrongScalingResult) Format() string {
 
 // Fig4StrongScaling runs the pipeline on a fixed Wetlands-like dataset over
 // a sweep of virtual node counts.
-func Fig4StrongScaling(s Scale) StrongScalingResult {
-	s = s.withDefaults()
-	_, reads := wetlandsDataset(s, s.Genomes*2, s.Coverage, s.Seed+10)
+func Fig4StrongScaling(s Scale) (StrongScalingResult, error) {
+	reads := wetlandsDataset(s, s.Genomes*2, s.Coverage, s.Seed+10)
 	var out StrongScalingResult
 	for _, nodes := range s.NodeCounts {
 		ranks := nodes * s.RanksPerNode
@@ -323,7 +297,7 @@ func Fig4StrongScaling(s Scale) StrongScalingResult {
 		cfg.RanksPerNode = s.RanksPerNode
 		res, err := core.Assemble(reads, cfg)
 		if err != nil {
-			continue
+			return out, fmt.Errorf("fig4: %d nodes: %w", nodes, err)
 		}
 		out.Rows = append(out.Rows, StrongScalingRow{
 			Nodes:      nodes,
@@ -342,7 +316,7 @@ func Fig4StrongScaling(s Scale) StrongScalingResult {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -379,8 +353,7 @@ func (r RayMetaResult) Format() string {
 
 // RayMetaComparison reproduces the paper's 16-vs-64-node comparison (scaled
 // down) between MetaHipMer and the Ray Meta proxy.
-func RayMetaComparison(s Scale) RayMetaResult {
-	s = s.withDefaults()
+func RayMetaComparison(s Scale) (RayMetaResult, error) {
 	_, reads, profile := mg64Dataset(s)
 	nodes := []int{s.NodeCounts[0], s.NodeCounts[len(s.NodeCounts)-1]}
 	if nodes[0] == nodes[1] && nodes[0] > 1 {
@@ -390,10 +363,13 @@ func RayMetaComparison(s Scale) RayMetaResult {
 	for _, n := range nodes {
 		ranks := n * s.RanksPerNode
 		opts := baseline.RunOptions{Ranks: ranks, RanksPerNode: s.RanksPerNode, InsertSize: 280, RRNAProfile: profile}
-		mhm, err1 := baseline.Run(baseline.MetaHipMer(), reads, opts)
-		ray, err2 := baseline.Run(baseline.RayMeta(), reads, opts)
-		if err1 != nil || err2 != nil {
-			continue
+		mhm, err := baseline.Run(baseline.MetaHipMer(), reads, opts)
+		if err != nil {
+			return out, fmt.Errorf("raymeta: MetaHipMer at %d nodes: %w", n, err)
+		}
+		ray, err := baseline.Run(baseline.RayMeta(), reads, opts)
+		if err != nil {
+			return out, fmt.Errorf("raymeta: RayMeta at %d nodes: %w", n, err)
 		}
 		row := RayMetaRow{Nodes: n, MetaHipMerSecs: mhm.SimSeconds, RayMetaSecs: ray.SimSeconds}
 		if row.MetaHipMerSecs > 0 {
@@ -410,7 +386,7 @@ func RayMetaComparison(s Scale) RayMetaResult {
 			out.RayMetaEff = out.Rows[0].RayMetaSecs / out.Rows[1].RayMetaSecs / scale
 		}
 	}
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -446,8 +422,7 @@ func (w WeakScalingResult) Format() string {
 
 // Table2WeakScaling grows the dataset proportionally with the node count and
 // reports the assembly rate per node, as in the paper's Table II.
-func Table2WeakScaling(s Scale) WeakScalingResult {
-	s = s.withDefaults()
+func Table2WeakScaling(s Scale) (WeakScalingResult, error) {
 	// Read pairs per taxon chosen so that coverage stays constant as the
 	// community grows with the node count (the definition of weak scaling).
 	pairsPerTaxon := s.GenomeLen * int(s.Coverage) / 200
@@ -473,7 +448,7 @@ func Table2WeakScaling(s Scale) WeakScalingResult {
 		cfg.RanksPerNode = s.RanksPerNode
 		res, err := core.Assemble(reads, cfg)
 		if err != nil {
-			continue
+			return out, fmt.Errorf("table2: %d nodes, %d taxa: %w", p.Nodes, p.Taxa, err)
 		}
 		assembledKBases := float64(res.ContigStats.TotalBases) / 1000.0
 		row := WeakScalingRow{
@@ -488,7 +463,7 @@ func Table2WeakScaling(s Scale) WeakScalingResult {
 	if len(out.Rows) > 1 && out.Rows[0].KBasesPerSecPN > 0 {
 		out.Efficiency = out.Rows[len(out.Rows)-1].KBasesPerSecPN / out.Rows[0].KBasesPerSecPN
 	}
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -517,20 +492,22 @@ func (g GrandChallengeResult) Format() string {
 // the reads (a few "lanes") and from the full read set, then measures how
 // much larger the full assembly is and what fraction of all reads map back
 // to each assembly — the paper's 18x / 42%-vs-7.6% comparison.
-func GrandChallengeFullVsSubset(s Scale) GrandChallengeResult {
-	s = s.withDefaults()
+func GrandChallengeFullVsSubset(s Scale) (GrandChallengeResult, error) {
 	// A very uneven community: with only a subset of the reads most genomes
 	// are below the assembly coverage threshold.
-	comm, fullReads := wetlandsDataset(s, s.Genomes*3, s.Coverage, s.Seed+30)
+	fullReads := wetlandsDataset(s, s.Genomes*3, s.Coverage, s.Seed+30)
 	subsetReads := fullReads[:len(fullReads)/7/2*2] // ~3 of 21 lanes
 
 	cfg := core.DefaultConfig(s.Ranks)
 	cfg.RanksPerNode = s.RanksPerNode
 	var out GrandChallengeResult
-	subRes, err1 := core.Assemble(subsetReads, cfg)
-	fullRes, err2 := core.Assemble(fullReads, cfg)
-	if err1 != nil || err2 != nil {
-		return out
+	subRes, err := core.Assemble(subsetReads, cfg)
+	if err != nil {
+		return out, fmt.Errorf("grand: subset assembly: %w", err)
+	}
+	fullRes, err := core.Assemble(fullReads, cfg)
+	if err != nil {
+		return out, fmt.Errorf("grand: full assembly: %w", err)
 	}
 	out.SubsetAssemblyBases = totalBases(subRes.FinalSequences())
 	out.FullAssemblyBases = totalBases(fullRes.FinalSequences())
@@ -539,8 +516,7 @@ func GrandChallengeFullVsSubset(s Scale) GrandChallengeResult {
 	}
 	out.SubsetMapFraction = mapBackFraction(fullReads, subRes, s)
 	out.FullMapFraction = mapBackFraction(fullReads, fullRes, s)
-	_ = comm
-	return out
+	return out, nil
 }
 
 func totalBases(seqs [][]byte) int {
@@ -607,32 +583,37 @@ func (f Fig6Result) Format() string {
 
 // Fig6NGA50PerGenome evaluates MetaHipMer and the MetaSPAdes proxy per
 // genome of the MG64-like community.
-func Fig6NGA50PerGenome(s Scale) Fig6Result {
-	s = s.withDefaults()
+func Fig6NGA50PerGenome(s Scale) (Fig6Result, error) {
 	comm, reads, profile := mg64Dataset(s)
 	eopts := eval.DefaultOptions()
-	run := func(a baseline.Assembler) map[string]int {
+	run := func(a baseline.Assembler) (map[string]int, error) {
 		res, err := baseline.Run(a, reads, baseline.RunOptions{
 			Ranks: s.Ranks, RanksPerNode: s.RanksPerNode, InsertSize: 280, RRNAProfile: profile,
 		})
 		if err != nil {
-			return nil
+			return nil, fmt.Errorf("fig6: %s: %w", a.Name, err)
 		}
 		rep := eval.Evaluate(a.Name, res.FinalSequences(), comm, eopts)
 		out := map[string]int{}
 		for _, g := range rep.PerGenome {
 			out[g.Name] = g.NGA50
 		}
-		return out
+		return out, nil
 	}
-	mhm := run(baseline.MetaHipMer())
-	spades := run(baseline.MetaSPAdes())
 	var out Fig6Result
+	mhm, err := run(baseline.MetaHipMer())
+	if err != nil {
+		return out, err
+	}
+	spades, err := run(baseline.MetaSPAdes())
+	if err != nil {
+		return out, err
+	}
 	for _, g := range comm.Genomes {
 		out.Rows = append(out.Rows, Fig6Row{Genome: g.Name, MetaHipMerNGA50: mhm[g.Name], MetaSPAdesNGA50: spades[g.Name]})
 	}
 	sort.Slice(out.Rows, func(i, j int) bool { return out.Rows[i].MetaHipMerNGA50 > out.Rows[j].MetaHipMerNGA50 })
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -665,8 +646,9 @@ func (a AblationResult) Format() string {
 
 // Ablations toggles the major optimizations one at a time and reports their
 // effect on simulated runtime (and genome fraction for the threshold rule).
-func Ablations(s Scale) AblationResult {
-	s = s.withDefaults()
+// The base configuration has every feature on and the assembly is
+// deterministic, so it is assembled once and every "On" cell reads that run.
+func Ablations(s Scale) (AblationResult, error) {
 	comm, reads, profile := mg64Dataset(s)
 	eopts := eval.DefaultOptions()
 
@@ -674,50 +656,42 @@ func Ablations(s Scale) AblationResult {
 	base.RanksPerNode = s.RanksPerNode
 	base.RRNAProfile = profile
 
-	runTime := func(mod func(*core.Config)) float64 {
+	// run assembles with one feature switched off (or none, for the base).
+	run := func(feature string, off func(*core.Config)) (*core.Result, error) {
 		cfg := base
-		mod(&cfg)
+		off(&cfg)
 		res, err := core.Assemble(reads, cfg)
 		if err != nil {
-			return 0
+			return nil, fmt.Errorf("ablation: %s: %w", feature, err)
 		}
-		return res.SimSeconds
+		return res, nil
 	}
-	runFrac := func(mod func(*core.Config)) float64 {
-		cfg := base
-		mod(&cfg)
-		res, err := core.Assemble(reads, cfg)
-		if err != nil {
-			return 0
-		}
+	seconds := func(res *core.Result) float64 { return res.SimSeconds }
+	fraction := func(res *core.Result) float64 {
 		return eval.Evaluate("abl", res.FinalSequences(), comm, eopts).GenomeFraction
 	}
 
 	var out AblationResult
-	out.Rows = append(out.Rows, AblationRow{
-		Feature: "message aggregation", Metric: "sim seconds",
-		On:  runTime(func(c *core.Config) { c.Aggregate = true }),
-		Off: runTime(func(c *core.Config) { c.Aggregate = false }),
-	})
-	out.Rows = append(out.Rows, AblationRow{
-		Feature: "software cache", Metric: "sim seconds",
-		On:  runTime(func(c *core.Config) { c.SoftwareCache = true }),
-		Off: runTime(func(c *core.Config) { c.SoftwareCache = false }),
-	})
-	out.Rows = append(out.Rows, AblationRow{
-		Feature: "read localization", Metric: "sim seconds",
-		On:  runTime(func(c *core.Config) { c.ReadLocalization = true }),
-		Off: runTime(func(c *core.Config) { c.ReadLocalization = false }),
-	})
-	out.Rows = append(out.Rows, AblationRow{
-		Feature: "depth-dependent thq", Metric: "genome fraction",
-		On:  runFrac(func(c *core.Config) { c.GlobalTHQ = 0 }),
-		Off: runFrac(func(c *core.Config) { c.GlobalTHQ = 1 }),
-	})
-	out.Rows = append(out.Rows, AblationRow{
-		Feature: "local assembly", Metric: "genome fraction",
-		On:  runFrac(func(c *core.Config) { c.LocalAssembly = true }),
-		Off: runFrac(func(c *core.Config) { c.LocalAssembly = false }),
-	})
-	return out
+	on, err := run("all features on", func(*core.Config) {})
+	if err != nil {
+		return out, err
+	}
+	for _, f := range []struct {
+		feature, metric string
+		measure         func(*core.Result) float64
+		off             func(*core.Config)
+	}{
+		{"message aggregation", "sim seconds", seconds, func(c *core.Config) { c.Aggregate = false }},
+		{"software cache", "sim seconds", seconds, func(c *core.Config) { c.SoftwareCache = false }},
+		{"read localization", "sim seconds", seconds, func(c *core.Config) { c.ReadLocalization = false }},
+		{"depth-dependent thq", "genome fraction", fraction, func(c *core.Config) { c.GlobalTHQ = 1 }},
+		{"local assembly", "genome fraction", fraction, func(c *core.Config) { c.LocalAssembly = false }},
+	} {
+		off, err := run(f.feature+" off", f.off)
+		if err != nil {
+			return out, err
+		}
+		out.Rows = append(out.Rows, AblationRow{Feature: f.feature, Metric: f.metric, On: f.measure(on), Off: f.measure(off)})
+	}
+	return out, nil
 }

@@ -19,17 +19,46 @@ func tinyScale() Scale {
 }
 
 func TestScaleDefaults(t *testing.T) {
-	s := (Scale{}).withDefaults()
-	if s.Genomes == 0 || s.Ranks == 0 || len(s.NodeCounts) == 0 {
-		t.Errorf("defaults not applied: %+v", s)
+	// The drivers fill in nothing: both presets must set every field.
+	for name, s := range map[string]Scale{"DefaultScale": DefaultScale(), "QuickScale": QuickScale()} {
+		if s.Genomes <= 0 || s.GenomeLen <= 0 || s.Coverage <= 0 || s.Ranks <= 0 ||
+			s.RanksPerNode <= 0 || len(s.NodeCounts) == 0 || s.Seed == 0 {
+			t.Errorf("%s leaves a field unset: %+v", name, s)
+		}
 	}
 	if DefaultScale().Genomes <= QuickScale().Genomes {
 		t.Error("default scale should be larger than quick scale")
 	}
 }
 
+// TestDriversReturnAssemblyErrors hands every driver that sizes its read set
+// by coverage a Scale whose coverage rounds to zero read pairs, so the first
+// assembly fails: each must return that error, not a short or empty table.
+// (Table2WeakScaling sizes its read sets by pair count.)
+func TestDriversReturnAssemblyErrors(t *testing.T) {
+	s := tinyScale()
+	s.Coverage = 1e-6
+	drivers := map[string]func(Scale) error{
+		"Table1Quality":              func(s Scale) error { _, err := Table1Quality(s); return err },
+		"Fig3ReadLocalization":       func(s Scale) error { _, err := Fig3ReadLocalization(s); return err },
+		"Fig4StrongScaling":          func(s Scale) error { _, err := Fig4StrongScaling(s); return err },
+		"RayMetaComparison":          func(s Scale) error { _, err := RayMetaComparison(s); return err },
+		"GrandChallengeFullVsSubset": func(s Scale) error { _, err := GrandChallengeFullVsSubset(s); return err },
+		"Fig6NGA50PerGenome":         func(s Scale) error { _, err := Fig6NGA50PerGenome(s); return err },
+		"Ablations":                  func(s Scale) error { _, err := Ablations(s); return err },
+	}
+	for name, run := range drivers {
+		if err := run(s); err == nil || !strings.Contains(err.Error(), "no reads") {
+			t.Errorf("%s on a community that yields no reads: error %v, want the assembly's \"no reads\" error", name, err)
+		}
+	}
+}
+
 func TestTable1QualitySmoke(t *testing.T) {
-	res := Table1Quality(tinyScale())
+	res, err := Table1Quality(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Reports) != 5 {
 		t.Fatalf("expected 5 assembler reports, got %d", len(res.Reports))
 	}
@@ -51,7 +80,10 @@ func TestTable1QualitySmoke(t *testing.T) {
 }
 
 func TestFig4StrongScalingSmoke(t *testing.T) {
-	res := Fig4StrongScaling(tinyScale())
+	res, err := Fig4StrongScaling(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("expected 2 scaling rows, got %d", len(res.Rows))
 	}
@@ -68,7 +100,10 @@ func TestFig4StrongScalingSmoke(t *testing.T) {
 }
 
 func TestFig3ReadLocalizationSmoke(t *testing.T) {
-	res := Fig3ReadLocalization(tinyScale())
+	res, err := Fig3ReadLocalization(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -83,7 +118,10 @@ func TestFig3ReadLocalizationSmoke(t *testing.T) {
 }
 
 func TestTable2WeakScalingSmoke(t *testing.T) {
-	res := Table2WeakScaling(tinyScale())
+	res, err := Table2WeakScaling(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 4 {
 		t.Fatalf("expected 4 weak-scaling points, got %d", len(res.Rows))
 	}
@@ -98,7 +136,10 @@ func TestTable2WeakScalingSmoke(t *testing.T) {
 }
 
 func TestGrandChallengeSmoke(t *testing.T) {
-	res := GrandChallengeFullVsSubset(tinyScale())
+	res, err := GrandChallengeFullVsSubset(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.FullAssemblyBases <= res.SubsetAssemblyBases {
 		t.Errorf("full assembly (%d) should be larger than the subset assembly (%d)",
 			res.FullAssemblyBases, res.SubsetAssemblyBases)
@@ -114,7 +155,10 @@ func TestGrandChallengeSmoke(t *testing.T) {
 
 func TestFig6AndRayMetaSmoke(t *testing.T) {
 	s := tinyScale()
-	fig6 := Fig6NGA50PerGenome(s)
+	fig6, err := Fig6NGA50PerGenome(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(fig6.Rows) != s.Genomes {
 		t.Fatalf("expected %d genomes in Fig6, got %d", s.Genomes, len(fig6.Rows))
 	}
@@ -128,7 +172,10 @@ func TestFig6AndRayMetaSmoke(t *testing.T) {
 		t.Error("all NGA50 values are zero")
 	}
 
-	ray := RayMetaComparison(s)
+	ray, err := RayMetaComparison(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ray.Rows) == 0 {
 		t.Fatal("no Ray Meta comparison rows")
 	}
@@ -140,7 +187,10 @@ func TestFig6AndRayMetaSmoke(t *testing.T) {
 }
 
 func TestAblationsSmoke(t *testing.T) {
-	res := Ablations(tinyScale())
+	res, err := Ablations(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) < 4 {
 		t.Fatalf("expected several ablation rows, got %d", len(res.Rows))
 	}

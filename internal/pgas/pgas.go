@@ -188,9 +188,6 @@ type Machine struct {
 
 	timingMu sync.Mutex
 	stages   []StageTime
-	stats    CommStats
-	simTime  float64
-	wallTime time.Duration
 }
 
 // ErrAborted is the base error of an aborted run: RunResult.Err wraps it
@@ -389,10 +386,9 @@ func (m *Machine) Run(body func(r *Rank)) RunResult {
 		}(r)
 	}
 	wg.Wait()
-	wall := time.Since(start)
 
 	var res RunResult
-	res.Wall = wall
+	res.Wall = time.Since(start)
 	if cause := m.AbortErr(); cause != nil {
 		res.Err = errors.Join(ErrAborted, cause)
 	}
@@ -404,19 +400,8 @@ func (m *Machine) Run(body func(r *Rank)) RunResult {
 	}
 	m.timingMu.Lock()
 	res.Stages = append([]StageTime(nil), m.stages...)
-	m.stats.Add(res.Stats)
-	m.simTime += res.SimSeconds
-	m.wallTime += wall
 	m.timingMu.Unlock()
 	return res
-}
-
-// Totals returns the accumulated simulated time, wall time and statistics
-// over all Run calls so far.
-func (m *Machine) Totals() (simSeconds float64, wall time.Duration, stats CommStats) {
-	m.timingMu.Lock()
-	defer m.timingMu.Unlock()
-	return m.simTime, m.wallTime, m.stats
 }
 
 // recordStage accumulates the duration of a named stage. Stages that run
@@ -594,17 +579,6 @@ func (r *Rank) AtomicFetchAdd(handle int, delta int64) int64 {
 	r.stats.AtomicOps++
 	r.clock += m.cfg.Cost.AtomicCost
 	return prev
-}
-
-// AtomicLoad returns the current value of a global atomic counter.
-func (r *Rank) AtomicLoad(handle int) int64 {
-	m := r.machine
-	m.atomicMu.Lock()
-	v := m.atomics[handle]
-	m.atomicMu.Unlock()
-	r.stats.AtomicOps++
-	r.clock += m.cfg.Cost.AtomicCost
-	return v
 }
 
 // Barrier synchronizes all ranks and advances every rank's simulated clock

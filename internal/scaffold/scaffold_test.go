@@ -18,7 +18,7 @@ func makePairs(g string, readLen, insert, step int) []seq.Read {
 	var reads []seq.Read
 	for start := 0; start+insert <= len(g); start += step {
 		fwd := g[start : start+readLen]
-		rev := seq.ReverseComplementString(g[start+insert-readLen : start+insert])
+		rev := string(seq.ReverseComplement([]byte(g[start+insert-readLen : start+insert])))
 		reads = append(reads,
 			seq.Read{ID: "p/1", Seq: []byte(fwd)},
 			seq.Read{ID: "p/2", Seq: []byte(rev)},
@@ -100,7 +100,7 @@ func TestGapClosingSplicesOverlappingContigs(t *testing.T) {
 	}
 	got := string(sc.Seq)
 	want := g[0:820]
-	if got != want && got != seq.ReverseComplementString(want) {
+	if got != want && got != string(seq.ReverseComplement([]byte(want))) {
 		t.Errorf("spliced scaffold (len %d) does not reconstruct the genome segment (len %d)", len(got), len(want))
 	}
 }
@@ -120,7 +120,7 @@ func TestReverseOrientedContigIsFlipped(t *testing.T) {
 	// The scaffold with Ns removed must match the genome with the gap cut out.
 	noN := strings.ReplaceAll(string(res.Scaffolds[0].Seq), "N", "")
 	want := g[0:400] + g[420:820]
-	if noN != want && noN != seq.ReverseComplementString(want) {
+	if noN != want && noN != string(seq.ReverseComplement([]byte(want))) {
 		t.Error("flipped contig not correctly oriented in scaffold")
 	}
 }

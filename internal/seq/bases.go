@@ -1,6 +1,6 @@
 // Package seq provides the DNA sequence primitives used throughout the
 // assembler: 2-bit base codes, packed k-mers (k <= 64), reverse complements,
-// canonical forms, reads and read pairs, and extension bookkeeping.
+// canonical forms, reads, and extension bookkeeping.
 //
 // Every higher-level module (k-mer analysis, de Bruijn graph traversal,
 // alignment, local assembly, scaffolding) is built on these types, so they
@@ -68,52 +68,6 @@ func ReverseComplement(s []byte) []byte {
 	return out
 }
 
-// ReverseComplementString is a convenience wrapper around ReverseComplement.
-func ReverseComplementString(s string) string {
-	return string(ReverseComplement([]byte(s)))
-}
-
-// ValidBases reports whether every character in s is an unambiguous base.
-func ValidBases(s []byte) bool {
-	for _, c := range s {
-		if _, ok := CharToBase(c); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// CountValidBases returns the number of unambiguous bases in s.
-func CountValidBases(s []byte) int {
-	n := 0
-	for _, c := range s {
-		if _, ok := CharToBase(c); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// GCContent returns the fraction of G or C bases among the valid bases of s.
-// It returns 0 for sequences with no valid bases.
-func GCContent(s []byte) float64 {
-	gc, n := 0, 0
-	for _, c := range s {
-		code, ok := CharToBase(c)
-		if !ok {
-			continue
-		}
-		n++
-		if code == BaseC || code == BaseG {
-			gc++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(gc) / float64(n)
-}
-
 // Read is a single sequencing read: an identifier, a nucleotide sequence and
 // an optional per-base quality string (Phred+33).
 type Read struct {
@@ -157,21 +111,6 @@ func (r *Read) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the read, tags included.
-func (r *Read) Clone() Read {
-	c := Read{ID: r.ID, LibID: r.LibID, SampleID: r.SampleID}
-	c.Seq = append([]byte(nil), r.Seq...)
-	c.Qual = append([]byte(nil), r.Qual...)
-	return c
-}
-
-// ReadPair is a paired-end read: two reads sequenced from the two ends of the
-// same DNA fragment, separated by the library insert size.
-type ReadPair struct {
-	Fwd Read
-	Rev Read
-}
-
 // DefaultInsertSize and DefaultInsertStd are the project-wide defaults for
 // paired-end library geometry. Every layer that needs a fallback insert size
 // — core.DefaultConfig, scaffold.Run's zero-value guard, sim's read
@@ -196,69 +135,6 @@ type Library struct {
 	ReadLen    int
 	InsertSize int
 	InsertStd  int
-}
-
-// phredStep is 10^(-0.1), the per-Phred-unit error-probability factor.
-const phredStep = 0.7943282347242815
-
-// phredProb[i] = phredStep^i, built by the same iterated multiplication the
-// former per-call loops performed so every table entry is bit-identical to
-// the value the loop would have produced — QualToProb and ProbToQual keep
-// their exact historical outputs (and with them every golden sim-seconds
-// hash) while dropping from O(phred) multiplies per call to a table lookup.
-// 64 entries cover the full Phred+33 printable range ('!'..'a') with room
-// beyond the 'I' clamp.
-var phredProb [64]float64
-
-func init() {
-	p := 1.0
-	for i := range phredProb {
-		phredProb[i] = p
-		p *= phredStep
-	}
-}
-
-// QualToProb converts a Phred+33 quality character into an error probability.
-func QualToProb(q byte) float64 {
-	phred := int(q) - 33
-	if phred < 0 {
-		phred = 0
-	}
-	if phred < len(phredProb) {
-		return phredProb[phred]
-	}
-	// Qualities beyond the table (q > 96) do not occur in Phred+33 data; keep
-	// the exact iterated-multiply semantics for them anyway.
-	p := phredProb[len(phredProb)-1]
-	for i := len(phredProb) - 1; i < phred; i++ {
-		p *= phredStep
-	}
-	return p
-}
-
-// ProbToQual converts an error probability into a Phred+33 quality character,
-// clamped to the printable range used by Illumina ('!'..'I'). The result is
-// the smallest phred in [0, 40] whose table probability does not exceed p
-// (the table is strictly decreasing, so a binary search replaces the former
-// multiply loop with identical output).
-func ProbToQual(p float64) byte {
-	if p <= 0 {
-		return 'I'
-	}
-	if !(phredProb[0] > p) {
-		// p >= 1 (or NaN): the former loop never entered its first iteration.
-		return 33
-	}
-	lo, hi := 1, 40 // invariant: phredProb[i] > p for all i < lo; answer <= hi
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if phredProb[mid] <= p {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return byte(33 + lo)
 }
 
 // MeanDepthFromCounts returns the arithmetic mean of a slice of k-mer counts,

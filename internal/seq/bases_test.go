@@ -1,7 +1,6 @@
 package seq
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -53,8 +52,8 @@ func TestReverseComplement(t *testing.T) {
 		"ACGNT":  "ANCGT",
 	}
 	for in, want := range cases {
-		if got := ReverseComplementString(in); got != want {
-			t.Errorf("ReverseComplementString(%q) = %q, want %q", in, got, want)
+		if got := string(ReverseComplement([]byte(in))); got != want {
+			t.Errorf("ReverseComplement(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -71,33 +70,6 @@ func TestReverseComplementInvolutionProperty(t *testing.T) {
 	}
 }
 
-func TestValidBases(t *testing.T) {
-	if !ValidBases([]byte("ACGTacgt")) {
-		t.Error("ACGTacgt should be valid")
-	}
-	if ValidBases([]byte("ACGN")) {
-		t.Error("ACGN should be invalid")
-	}
-	if CountValidBases([]byte("ANCNG")) != 3 {
-		t.Error("CountValidBases(ANCNG) != 3")
-	}
-}
-
-func TestGCContent(t *testing.T) {
-	if got := GCContent([]byte("GGCC")); got != 1.0 {
-		t.Errorf("GCContent(GGCC) = %v, want 1", got)
-	}
-	if got := GCContent([]byte("AATT")); got != 0.0 {
-		t.Errorf("GCContent(AATT) = %v, want 0", got)
-	}
-	if got := GCContent([]byte("ACGT")); got != 0.5 {
-		t.Errorf("GCContent(ACGT) = %v, want 0.5", got)
-	}
-	if got := GCContent([]byte("NNNN")); got != 0.0 {
-		t.Errorf("GCContent(NNNN) = %v, want 0", got)
-	}
-}
-
 func TestReadValidate(t *testing.T) {
 	r := Read{ID: "r1", Seq: []byte("ACGT"), Qual: []byte("IIII")}
 	if err := r.Validate(); err != nil {
@@ -110,34 +82,6 @@ func TestReadValidate(t *testing.T) {
 	empty := Read{ID: "r3"}
 	if err := empty.Validate(); err == nil {
 		t.Error("empty read should be rejected")
-	}
-}
-
-func TestReadClone(t *testing.T) {
-	r := Read{ID: "r1", Seq: []byte("ACGT"), Qual: []byte("IIII")}
-	c := r.Clone()
-	c.Seq[0] = 'T'
-	if r.Seq[0] != 'A' {
-		t.Error("Clone did not deep-copy the sequence")
-	}
-}
-
-func TestQualConversions(t *testing.T) {
-	if p := QualToProb('I'); p > 0.001 {
-		t.Errorf("QualToProb('I') = %v, want <= 0.001", p)
-	}
-	if p := QualToProb('!'); p != 1.0 {
-		t.Errorf("QualToProb('!') = %v, want 1", p)
-	}
-	if q := ProbToQual(1.0); q != '!' {
-		t.Errorf("ProbToQual(1) = %q, want '!'", q)
-	}
-	if q := ProbToQual(0); q != 'I' {
-		t.Errorf("ProbToQual(0) = %q, want 'I'", q)
-	}
-	// Round trip should be monotone: lower probability, higher quality.
-	if ProbToQual(0.01) <= ProbToQual(0.5) {
-		t.Error("ProbToQual is not monotone")
 	}
 }
 
@@ -253,71 +197,5 @@ func TestIsBaseExt(t *testing.T) {
 		if IsBaseExt(c) {
 			t.Errorf("IsBaseExt(%q) = true", c)
 		}
-	}
-}
-
-// qualToProbReference and probToQualReference are the pre-table O(phred)
-// multiply-loop implementations, kept verbatim as the oracle the lookup
-// tables must reproduce bit for bit.
-func qualToProbReference(q byte) float64 {
-	phred := int(q) - 33
-	if phred < 0 {
-		phred = 0
-	}
-	p := 1.0
-	for i := 0; i < phred; i++ {
-		p *= 0.7943282347242815
-	}
-	return p
-}
-
-func probToQualReference(p float64) byte {
-	if p <= 0 {
-		return 'I'
-	}
-	phred := 0
-	q := 1.0
-	for q > p && phred < 40 {
-		q *= 0.7943282347242815
-		phred++
-	}
-	if phred > 40 {
-		phred = 40
-	}
-	return byte(33 + phred)
-}
-
-// TestQualTablesMatchReference pins the lookup-table QualToProb/ProbToQual
-// against the multiply-loop reference across every byte quality, a dense
-// probability grid, and the round trip through both directions.
-func TestQualTablesMatchReference(t *testing.T) {
-	for q := 0; q < 256; q++ {
-		got, want := QualToProb(byte(q)), qualToProbReference(byte(q))
-		if got != want {
-			t.Fatalf("QualToProb(%d) = %v, want %v", q, got, want)
-		}
-		// Round trip: the requantized quality must match the reference's.
-		if gq, wq := ProbToQual(got), probToQualReference(want); gq != wq {
-			t.Fatalf("ProbToQual(QualToProb(%d)) = %q, want %q", q, gq, wq)
-		}
-	}
-	probs := []float64{0, 1e-300, 1e-9, 0.001, 0.01, 0.1, 0.5, 0.99, 1.0, 1.5, 1e9}
-	for p := 1e-6; p < 1; p *= 1.03 {
-		probs = append(probs, p)
-	}
-	for _, p := range probs {
-		if got, want := ProbToQual(p), probToQualReference(p); got != want {
-			t.Fatalf("ProbToQual(%v) = %q, want %q", p, got, want)
-		}
-	}
-	// Exactly at each table threshold and one ulp around it.
-	q := 1.0
-	for i := 0; i < 45; i++ {
-		for _, p := range []float64{q, math.Nextafter(q, 0), math.Nextafter(q, 2)} {
-			if got, want := ProbToQual(p), probToQualReference(p); got != want {
-				t.Fatalf("ProbToQual(threshold %v) = %q, want %q", p, got, want)
-			}
-		}
-		q *= 0.7943282347242815
 	}
 }

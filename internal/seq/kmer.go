@@ -137,14 +137,18 @@ func (km Kmer) Bytes() []byte {
 	return out
 }
 
-// ReverseComplement returns the reverse complement k-mer.
+// ReverseComplement returns the reverse complement k-mer: the 128-bit value
+// is reversed and complemented two bits at a time (revComp64 on each word,
+// words swapped), which leaves the result in the top 2k bits, then shifted
+// down into place.
 func (km Kmer) ReverseComplement() Kmer {
-	k := int(km.K)
-	rc := Kmer{K: km.K}
-	for i := k - 1; i >= 0; i-- {
-		rc = rc.appendUnchecked(ComplementCode(km.BaseAt(i)))
+	hi, lo := revComp64(km.Lo), revComp64(km.Hi)
+	if s := 128 - 2*uint(km.K); s >= 64 {
+		hi, lo = 0, hi>>(s-64)
+	} else {
+		hi, lo = hi>>s, lo>>s|hi<<(64-s)
 	}
-	return rc
+	return Kmer{Hi: hi, Lo: lo, K: km.K}
 }
 
 // Less reports whether km sorts before other in the 128-bit packed order.
@@ -183,18 +187,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// SubKmer returns the k-mer consisting of bases [start, start+k) of km.
-func (km Kmer) SubKmer(start, k int) (Kmer, error) {
-	if start < 0 || k <= 0 || start+k > int(km.K) {
-		return Kmer{}, fmt.Errorf("seq: sub-kmer [%d,%d) out of range for k=%d", start, start+k, km.K)
-	}
-	sub := Kmer{K: uint8(k)}
-	for i := 0; i < k; i++ {
-		sub = sub.appendUnchecked(km.BaseAt(start + i))
-	}
-	return sub, nil
-}
-
 // KmerIter iterates over the valid k-mers of a sequence, skipping windows
 // that contain ambiguous bases.
 type KmerIter struct {
@@ -227,53 +219,4 @@ func (it *KmerIter) Next() (Kmer, int, bool) {
 		}
 	}
 	return Kmer{}, 0, false
-}
-
-// KmersOf returns all valid k-mers of a sequence in order of appearance.
-func KmersOf(s []byte, k int) []Kmer {
-	if len(s) < k || k <= 0 || k > MaxK {
-		return nil
-	}
-	out := make([]Kmer, 0, len(s)-k+1)
-	it := NewKmerIter(s, k)
-	for {
-		km, _, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, km)
-	}
-	return out
-}
-
-// CanonicalKmersOf returns all valid k-mers of a sequence in canonical form.
-func CanonicalKmersOf(s []byte, k int) []Kmer {
-	return AppendCanonicalKmers(nil, s, k)
-}
-
-// AppendCanonicalKmers appends all valid k-mers of s, in canonical form and
-// order of appearance, to dst and returns the extended slice. It is the
-// allocation-free form of CanonicalKmersOf for hot per-read loops: a caller
-// that reuses dst across reads (dst = AppendCanonicalKmers(dst[:0], ...))
-// allocates nothing once the buffer has grown to the longest read
-// (steady-state 0 allocs/op, asserted by BenchmarkKmerCanonical).
-func AppendCanonicalKmers(dst []Kmer, s []byte, k int) []Kmer {
-	if len(s) < k || k <= 0 || k > MaxK {
-		return dst
-	}
-	if n := len(s) - k + 1; cap(dst)-len(dst) < n {
-		grown := make([]Kmer, len(dst), len(dst)+n)
-		copy(grown, dst)
-		dst = grown
-	}
-	it := NewKmerIter(s, k)
-	for {
-		km, _, ok := it.Next()
-		if !ok {
-			break
-		}
-		canon, _ := km.Canonical()
-		dst = append(dst, canon)
-	}
-	return dst
 }

@@ -138,10 +138,30 @@ func TestKmerReverseComplementMatchesStringVersion(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		s := randomSeq(rr, k)
 		km := MustKmer(s)
-		return km.ReverseComplement().String() == ReverseComplementString(s)
+		return km.ReverseComplement().String() == string(ReverseComplement([]byte(s)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKmerReverseComplementPerBase checks the word-wise reverse complement
+// against the definition, one base at a time (rc[i] = 3 - km[k-1-i]), for
+// every k the packed representation supports.
+func TestKmerReverseComplementPerBase(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for k := 1; k <= MaxK; k++ {
+		for trial := 0; trial < 50; trial++ {
+			km := MustKmer(randomSeq(r, k))
+			want := Kmer{K: km.K}
+			for i := k - 1; i >= 0; i-- {
+				want = want.AppendBase(ComplementCode(km.BaseAt(i)))
+			}
+			if got := km.ReverseComplement(); got != want {
+				t.Fatalf("k=%d: ReverseComplement(%s) = %s (%x:%x), want %s (%x:%x)",
+					k, km, got, got.Hi, got.Lo, want, want.Hi, want.Lo)
+			}
+		}
 	}
 }
 
@@ -155,6 +175,10 @@ func TestKmerCanonicalInvariant(t *testing.T) {
 		c1, _ := km.Canonical()
 		c2, _ := km.ReverseComplement().Canonical()
 		if c1 != c2 {
+			return false
+		}
+		// Canonicalizing is idempotent.
+		if again, flipped := c1.Canonical(); again != c1 || flipped {
 			return false
 		}
 		// The canonical form is never greater than either orientation.
@@ -180,26 +204,20 @@ func TestKmerHashDistribution(t *testing.T) {
 	}
 }
 
-func TestSubKmer(t *testing.T) {
-	km := MustKmer("ACGTTGCA")
-	sub, err := km.SubKmer(2, 4)
-	if err != nil {
-		t.Fatal(err)
+// kmersOf collects what a KmerIter yields over s: all valid k-mers in order
+// of appearance.
+func kmersOf(s []byte, k int) []Kmer {
+	var out []Kmer
+	it := NewKmerIter(s, k)
+	for km, _, ok := it.Next(); ok; km, _, ok = it.Next() {
+		out = append(out, km)
 	}
-	if sub.String() != "GTTG" {
-		t.Errorf("SubKmer = %q, want GTTG", sub.String())
-	}
-	if _, err := km.SubKmer(6, 4); err == nil {
-		t.Error("out-of-range sub-kmer should fail")
-	}
-	if _, err := km.SubKmer(-1, 3); err == nil {
-		t.Error("negative start should fail")
-	}
+	return out
 }
 
 func TestKmersOf(t *testing.T) {
 	s := []byte("ACGTACGT")
-	kms := KmersOf(s, 4)
+	kms := kmersOf(s, 4)
 	want := []string{"ACGT", "CGTA", "GTAC", "TACG", "ACGT"}
 	if len(kms) != len(want) {
 		t.Fatalf("got %d k-mers, want %d", len(kms), len(want))
@@ -213,7 +231,7 @@ func TestKmersOf(t *testing.T) {
 
 func TestKmersOfSkipsAmbiguous(t *testing.T) {
 	s := []byte("ACGTNACGT")
-	kms := KmersOf(s, 4)
+	kms := kmersOf(s, 4)
 	// Only windows entirely before or after the N are valid.
 	if len(kms) != 2 {
 		t.Fatalf("got %d k-mers, want 2 (windows containing N must be skipped)", len(kms))
@@ -250,64 +268,30 @@ func TestKmerIterOffsets(t *testing.T) {
 }
 
 func TestCanonicalKmersOf(t *testing.T) {
-	kms := CanonicalKmersOf([]byte("ACGTAC"), 3)
+	kms := kmersOf([]byte("ACGTAC"), 3)
+	if len(kms) != 4 {
+		t.Fatalf("got %d k-mers, want 4", len(kms))
+	}
 	for _, km := range kms {
-		rc := km.ReverseComplement()
-		if rc.Less(km) {
-			t.Errorf("k-mer %q is not canonical", km.String())
+		canon, flipped := km.Canonical()
+		if rc := canon.ReverseComplement(); rc.Less(canon) {
+			t.Errorf("Canonical(%q) = %q is not canonical", km, canon)
+		}
+		if want := km.ReverseComplement(); flipped && canon != want || !flipped && canon != km {
+			t.Errorf("Canonical(%q) = %q, flipped=%v", km, canon, flipped)
 		}
 	}
 }
 
 func TestKmersOfEdgeCases(t *testing.T) {
-	if got := KmersOf([]byte("AC"), 3); got != nil {
-		t.Errorf("sequence shorter than k should yield nil, got %v", got)
+	if got := kmersOf([]byte("AC"), 3); got != nil {
+		t.Errorf("sequence shorter than k should yield nothing, got %v", got)
 	}
-	if got := KmersOf([]byte("ACGT"), 0); got != nil {
-		t.Errorf("k=0 should yield nil, got %v", got)
+	if got := kmersOf([]byte("NNNN"), 3); got != nil {
+		t.Errorf("all-ambiguous sequence should yield nothing, got %v", got)
 	}
-	if got := KmersOf([]byte("ACGT"), 65); got != nil {
-		t.Errorf("k>MaxK should yield nil, got %v", got)
-	}
-}
-
-func TestAppendCanonicalKmers(t *testing.T) {
-	s := []byte("ACGTNACGTTGCAACGTT")
-	k := 5
-	// Reference: canonicalize the plain k-mer list by hand.
-	var want []Kmer
-	for _, km := range KmersOf(s, k) {
-		c, _ := km.Canonical()
-		want = append(want, c)
-	}
-	got := AppendCanonicalKmers(nil, s, k)
-	if len(got) != len(want) {
-		t.Fatalf("got %d kmers, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("kmer %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Appending preserves the existing prefix.
-	prefix := []Kmer{MustKmer("AAAAA")}
-	both := AppendCanonicalKmers(prefix, s, k)
-	if both[0] != MustKmer("AAAAA") || len(both) != 1+len(want) {
-		t.Fatalf("append did not preserve prefix: len=%d", len(both))
-	}
-	// Invalid inputs leave dst unchanged, matching KmersOf's guards.
-	for _, bad := range []struct {
-		s []byte
-		k int
-	}{
-		{[]byte("ACG"), 5}, {s, 0}, {s, -1}, {s, MaxK + 1},
-	} {
-		if out := AppendCanonicalKmers(prefix[:1], bad.s, bad.k); len(out) != 1 {
-			t.Errorf("AppendCanonicalKmers(%q, k=%d) grew dst: len=%d", bad.s, bad.k, len(out))
-		}
-	}
-	if CanonicalKmersOf([]byte("ACG"), 5) != nil {
-		t.Error("CanonicalKmersOf on short input should stay nil")
+	if got := kmersOf([]byte("ACG"), 3); len(got) != 1 || got[0].String() != "ACG" {
+		t.Errorf("sequence of exactly k bases should yield itself, got %v", got)
 	}
 }
 
@@ -331,30 +315,5 @@ func BenchmarkKmerCanonical(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		km.Canonical()
-	}
-}
-
-// BenchmarkKmerCanonicalAppend measures the reused-buffer extraction path and
-// asserts it stays allocation-free once the destination buffer has grown: a
-// regression here would put a per-read allocation back into the hottest loop
-// of k-mer analysis.
-func BenchmarkKmerCanonicalAppend(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	s := []byte(randomSeq(r, 10000))
-	dst := AppendCanonicalKmers(nil, s, 31) // warm the buffer outside the loop
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = AppendCanonicalKmers(dst[:0], s, 31)
-	}
-	b.StopTimer()
-	if len(dst) != len(s)-31+1 {
-		b.Fatalf("got %d kmers, want %d", len(dst), len(s)-31+1)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		dst = AppendCanonicalKmers(dst[:0], s, 31)
-	})
-	if allocs != 0 {
-		b.Fatalf("AppendCanonicalKmers with warm buffer: %v allocs/op, want 0", allocs)
 	}
 }

@@ -83,7 +83,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return
 	}
-	spec, err := DecodeSpec(body)
+	// Submit normalizes and validates: parsing the upload once is enough.
+	spec, err := decodeJSON(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -342,10 +342,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		return nil, &SpecError{Field: "workers", Msg: fmt.Sprintf(
 			"job requests %d worker slots but the server budget is %d: it could never be admitted", spec.Workers, s.opts.TotalWorkers)}
 	}
-	cfg, err := spec.Config()
-	if err != nil {
-		return nil, err
-	}
+	cfg := spec.config()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,14 +3,17 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -420,5 +423,58 @@ func TestCancelMidStage(t *testing.T) {
 	}
 	if got := follow.State(); got != StateDone {
 		t.Fatalf("follow-up job state = %s (err %v), want done", got, follow.Err())
+	}
+}
+
+// TestLibraryTextParsedOncePerEntryPoint counts the parses of an uploaded
+// library's text on its way through the HTTP API: one when the submission is
+// checked, one when the dispatched job builds its reads (the queue holds no
+// decoded reads, so that second parse is by design), and no others.
+func TestLibraryTextParsedOncePerEntryPoint(t *testing.T) {
+	var parses atomic.Int64
+	orig := parseLibrary
+	parseLibrary = func(text string) ([]fastx.Record, error) {
+		parses.Add(1)
+		return orig(text)
+	}
+	defer func() { parseLibrary = orig }()
+
+	reads, err := simSpec("donor", 1).BuildReads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/reads.fastq"
+	if err := fastx.WriteReadsFASTQ(path, reads); err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Options{TotalWorkers: 1})
+	defer s.Close()
+	var atDispatch int64
+	s.runFn = func(ctx context.Context, j *Job) (*core.Result, error) {
+		atDispatch = parses.Load()
+		return s.assembleJob(ctx, j)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	resp, body := postSpec(t, ts, JobSpec{ID: "inline", Ranks: 4, Libraries: []LibrarySpec{{Reads: string(text)}}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	j, _ := s.Job("inline")
+	<-j.Done()
+	if j.State() != StateDone {
+		t.Fatalf("job ended %s: %v", j.State(), j.Err())
+	}
+	if atDispatch != 1 {
+		t.Errorf("submission parsed the library text %d times, want 1", atDispatch)
+	}
+	if perRun := parses.Load() - atDispatch; perRun != 1 {
+		t.Errorf("the run parsed the library text %d times, want 1", perRun)
 	}
 }

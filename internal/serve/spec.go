@@ -138,12 +138,32 @@ type SpecError struct {
 
 func (e *SpecError) Error() string { return fmt.Sprintf("spec field %q: %s", e.Field, e.Msg) }
 
+// parseLibrary parses one library's interleaved FASTQ/FASTA text. A variable
+// so a test can count the parses an entry point makes.
+var parseLibrary = func(text string) ([]fastx.Record, error) {
+	return fastx.ReadAll(strings.NewReader(text))
+}
+
 // DecodeSpec parses and validates a job-spec JSON document. Unknown fields
 // and trailing garbage are rejected, so a typo'd field name is a structured
 // 400 instead of a silently ignored knob. The returned spec is normalized:
 // DecodeSpec(marshal(spec)) reproduces spec (and its core.ConfigHash)
 // exactly.
 func DecodeSpec(data []byte) (JobSpec, error) {
+	s, err := decodeJSON(data)
+	if err != nil {
+		return JobSpec{}, err
+	}
+	s = s.Normalized()
+	if err := s.Validate(); err != nil {
+		return JobSpec{}, err
+	}
+	return s, nil
+}
+
+// decodeJSON is the strict JSON half of DecodeSpec: no unknown fields, no
+// trailing data, nothing normalized or validated yet.
+func decodeJSON(data []byte) (JobSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s JobSpec
@@ -152,10 +172,6 @@ func DecodeSpec(data []byte) (JobSpec, error) {
 	}
 	if dec.More() {
 		return JobSpec{}, &SpecError{Field: "(json)", Msg: "trailing data after the job spec"}
-	}
-	s = s.Normalized()
-	if err := s.Validate(); err != nil {
-		return JobSpec{}, err
 	}
 	return s, nil
 }
@@ -257,7 +273,7 @@ func (s JobSpec) Validate() error {
 		// not a failed job minutes later. The parsed records are discarded;
 		// BuildReads re-parses at run time (the text is capped, and keeping
 		// the queue free of decoded reads bounds queued-job memory).
-		recs, err := fastx.ReadAll(strings.NewReader(lib.Reads))
+		recs, err := parseLibrary(lib.Reads)
 		if err != nil {
 			return &SpecError{Field: field + ".reads", Msg: err.Error()}
 		}
@@ -339,6 +355,11 @@ func (s JobSpec) Config() (core.Config, error) {
 	if err := s.Validate(); err != nil {
 		return core.Config{}, err
 	}
+	return s.config(), nil
+}
+
+// config is Config for a spec the caller has just validated.
+func (s JobSpec) config() core.Config {
 	cfg := core.DefaultConfig(s.Ranks)
 	cfg.RanksPerNode = s.RanksPerNode
 	cfg.Workers = s.Workers
@@ -371,7 +392,7 @@ func (s JobSpec) Config() (core.Config, error) {
 	}
 	cfg.Libraries = libs
 	cfg.InsertSize, cfg.InsertStd = libs[0].InsertSize, libs[0].InsertStd
-	return cfg, nil
+	return cfg
 }
 
 // BuildReads materializes the job's input reads: simulated (deterministic in
@@ -392,7 +413,7 @@ func (s JobSpec) BuildReads() ([]seq.Read, error) {
 	}
 	var reads []seq.Read
 	for i, lib := range s.Libraries {
-		recs, err := fastx.ReadAll(strings.NewReader(lib.Reads))
+		recs, err := parseLibrary(lib.Reads)
 		if err != nil {
 			return nil, &SpecError{Field: fmt.Sprintf("libraries[%d].reads", i), Msg: err.Error()}
 		}

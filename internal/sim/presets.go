@@ -7,43 +7,6 @@ import "fmt"
 // geometry) follow the paper; the absolute genome and read counts are scaled
 // down by several orders of magnitude so that experiments run in seconds.
 
-// MG64LikeCommunity returns a 64-organism synthetic community modelled on
-// the MG64 mock community used for the paper's quality evaluation (Table I).
-// scale multiplies the genome lengths; scale=1 gives ~10 kb genomes.
-func MG64LikeCommunity(scale float64, seed int64) *Community {
-	if scale <= 0 {
-		scale = 1
-	}
-	cfg := CommunityConfig{
-		NumGenomes:     64,
-		MeanGenomeLen:  int(10000 * scale),
-		LenVariation:   0.4,
-		AbundanceSigma: 1.2,
-		RRNALen:        300,
-		RRNACopies:     1,
-		RRNADivergence: 0.03,
-		RepeatLen:      250,
-		RepeatCopies:   6,
-		StrainFraction: 0.08,
-		StrainSNPRate:  0.01,
-		Seed:           seed,
-	}
-	return GenerateCommunity(cfg)
-}
-
-// MG64LikeReads simulates the read set for the MG64-like community at the
-// given mean coverage.
-func MG64LikeReads(c *Community, coverage float64, seed int64) ReadConfig {
-	return ReadConfig{
-		ReadLen:    100,
-		InsertSize: 280,
-		InsertStd:  25,
-		ErrorRate:  0.01,
-		Coverage:   coverage,
-		Seed:       seed,
-	}
-}
-
 // TwoLibraryReadConfig returns the paper-style two-library read
 // configuration: a short-insert (300 bp) paired-end library carrying most of
 // the coverage plus a long-insert (1500 bp) jumping library that contributes
@@ -112,26 +75,6 @@ func TimeSeriesSamples(n int, sigma float64) []SampleConfig {
 		if i > 0 {
 			out[i].AbundanceSigma = sigma
 		}
-	}
-	return out
-}
-
-// ContaminationSamples returns n sample configurations in which every sample
-// carries its own private contaminant genome drawing the given fraction of
-// that sample's reads — the cross-sample contamination setting where
-// co-assembly still works because the shared community dominates the union.
-// n <= 0 defaults to 2 samples, fraction <= 0 to 0.05.
-func ContaminationSamples(n int, fraction float64) []SampleConfig {
-	if n <= 0 {
-		n = 2
-	}
-	if fraction <= 0 {
-		fraction = 0.05
-	}
-	out := make([]SampleConfig, n)
-	for i := range out {
-		out[i].Name = fmt.Sprintf("c%d", i)
-		out[i].ContaminantFraction = fraction
 	}
 	return out
 }
@@ -218,23 +161,4 @@ func WeakScalingSeries(nodeDiv int, basePairsPerTaxon int) []WeakScalingPoint {
 		}
 	}
 	return out
-}
-
-// WeakScalingCommunity builds the community for one weak-scaling point.
-func WeakScalingCommunity(p WeakScalingPoint, seed int64) *Community {
-	cfg := CommunityConfig{
-		NumGenomes:     p.Taxa,
-		MeanGenomeLen:  12000,
-		LenVariation:   0.3,
-		AbundanceSigma: 1.0,
-		RRNALen:        300,
-		RRNACopies:     1,
-		RRNADivergence: 0.03,
-		RepeatLen:      200,
-		RepeatCopies:   2,
-		StrainFraction: 0,
-		StrainSNPRate:  0.01,
-		Seed:           seed,
-	}
-	return GenerateCommunity(cfg)
 }

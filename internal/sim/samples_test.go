@@ -182,7 +182,7 @@ func TestSampleCommunityViews(t *testing.T) {
 	reads := SimulateReads(c, cfg)
 	contam := 0
 	for _, r := range reads {
-		if SourceGenome(r.ID) == "contam_dirty" {
+		if sourceGenome(r.ID) == "contam_dirty" {
 			contam++
 		}
 	}
@@ -217,7 +217,7 @@ func TestCoassemblyScenarioShape(t *testing.T) {
 	rarePerSample := map[uint8]int{}
 	for _, r := range reads {
 		perSample[r.SampleID]++
-		if SourceGenome(r.ID) == rare.Name {
+		if sourceGenome(r.ID) == rare.Name {
 			rarePerSample[r.SampleID]++
 		}
 	}

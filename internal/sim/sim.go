@@ -47,16 +47,6 @@ func (c *Community) TotalBases() int {
 	return n
 }
 
-// GenomeByName returns the genome with the given name, or nil.
-func (c *Community) GenomeByName(name string) *Genome {
-	for i := range c.Genomes {
-		if c.Genomes[i].Name == name {
-			return &c.Genomes[i]
-		}
-	}
-	return nil
-}
-
 // CommunityConfig controls community generation.
 type CommunityConfig struct {
 	// NumGenomes is the number of distinct organisms.
@@ -706,15 +696,4 @@ func applyErrors(r *rand.Rand, s []byte, rate float64) ([]byte, []byte) {
 		}
 	}
 	return out, qual
-}
-
-// SourceGenome parses the genome name out of a simulated read ID, returning
-// "" if the ID does not follow the simulator's format.
-func SourceGenome(readID string) string {
-	for i := 0; i < len(readID); i++ {
-		if readID[i] == ':' {
-			return readID[:i]
-		}
-	}
-	return ""
 }

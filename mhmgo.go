@@ -89,13 +89,6 @@ func TimeSeriesSamples(n int, sigma float64) []SampleConfig {
 	return sim.TimeSeriesSamples(n, sigma)
 }
 
-// ContaminationSamples returns n sample configurations each carrying its own
-// private contaminant genome drawing the given fraction of that sample's
-// reads.
-func ContaminationSamples(n int, fraction float64) []SampleConfig {
-	return sim.ContaminationSamples(n, fraction)
-}
-
 // CoassemblyScenario builds the canonical co-assembly demonstration: a
 // community whose rarest organism no single sample can assemble, plus a
 // multi-sample ReadConfig whose pooled reads can. See examples/coassembly.
