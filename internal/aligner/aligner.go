@@ -41,11 +41,6 @@ type Alignment struct {
 	AlignLen  int
 }
 
-// WireSize returns the wire bytes charged when an alignment is routed or
-// gathered: seven coordinate words, the orientation flag, the library tag
-// and the read identifier.
-func (a Alignment) WireSize() int { return 58 + len(a.ReadID) }
-
 // Identity returns the fraction of aligned bases that match.
 func (a Alignment) Identity() float64 {
 	if a.AlignLen == 0 {
@@ -126,7 +121,7 @@ func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 	u.Flush()
 	r.Barrier()
 	// The index is never mutated after construction: switch it into the
-	// lock-free read-only phase so alignment reads take no stripe locks.
+	// lock-free read-only phase so alignment reads take no partition locks.
 	idx.Seeds.Freeze()
 	return idx
 }

@@ -1,7 +1,7 @@
-// Package cc implements connected-component labelling for the contig graph,
-// both a sequential union-find reference and a parallel lock-free variant in
-// the spirit of the Shiloach–Vishkin algorithm the paper uses to partition
-// the scaffolding traversal.
+// Package cc implements connected-component labelling for the contig graph:
+// a parallel lock-free variant in the spirit of the Shiloach–Vishkin
+// algorithm the paper uses to partition the scaffolding traversal. (The
+// sequential union-find it is tested against lives beside the tests.)
 package cc
 
 import (
@@ -14,54 +14,6 @@ import (
 // integer ids.
 type Edge struct {
 	U, V int
-}
-
-// Components labels the vertices 0..n-1 of an undirected graph with
-// component representatives using a sequential union-find with path
-// compression and union by size. The returned slice maps each vertex to the
-// smallest vertex id in its component.
-func Components(n int, edges []Edge) []int {
-	parent := make([]int, n)
-	size := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-		size[i] = 1
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			continue
-		}
-		ru, rv := find(e.U), find(e.V)
-		if ru == rv {
-			continue
-		}
-		if size[ru] < size[rv] {
-			ru, rv = rv, ru
-		}
-		parent[rv] = ru
-		size[ru] += size[rv]
-	}
-	// Canonicalize to the smallest member id per component.
-	minRep := make(map[int]int)
-	for v := 0; v < n; v++ {
-		r := find(v)
-		if cur, ok := minRep[r]; !ok || v < cur {
-			minRep[r] = v
-		}
-	}
-	labels := make([]int, n)
-	for v := 0; v < n; v++ {
-		labels[v] = minRep[find(v)]
-	}
-	return labels
 }
 
 // GroupByComponent converts a label slice into a map from representative to

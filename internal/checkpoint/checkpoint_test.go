@@ -207,7 +207,7 @@ func record[T any](name string, fields func(*Codec, *T), sample T) recordCase {
 		for cut := range seed {
 			d := NewDec(seed[:cut])
 			recode(d)
-			if d.Err() == nil {
+			if d.err == nil {
 				t.Errorf("decoded successfully from %d of %d bytes", cut, len(seed))
 			}
 		}
@@ -228,9 +228,9 @@ func record[T any](name string, fields func(*Codec, *T), sample T) recordCase {
 			d := NewDec(e.Bytes()[:len(e.Bytes())-missing])
 			var xs []T
 			Slice(d.Codec(), &xs, fields)
-			refused := d.Err() != nil && strings.Contains(d.Err().Error(), "implausible element count")
+			refused := d.err != nil && strings.Contains(d.err.Error(), "implausible element count")
 			if refused != (missing == 1) {
-				t.Errorf("with %d bytes missing the count was refused = %v (%v)", missing, refused, d.Err())
+				t.Errorf("with %d bytes missing the count was refused = %v (%v)", missing, refused, d.err)
 			}
 		}
 	}}
@@ -290,25 +290,25 @@ func TestDecRejectsMalformed(t *testing.T) {
 	e.Str("hello")
 	enc := e.Bytes()
 	for cut := 0; cut < len(enc); cut++ {
-		if d := NewDec(enc[:cut]); d.Str() != "" || d.Err() == nil {
+		if d := NewDec(enc[:cut]); d.Str() != "" || d.err == nil {
 			t.Errorf("Str decoded successfully from %d of %d bytes", cut, len(enc))
 		}
 	}
 
 	var eb Enc
 	eb.U8(2)
-	if d := NewDec(eb.Bytes()); d.Bool() || d.Err() == nil {
+	if d := NewDec(eb.Bytes()); d.Bool() || d.err == nil {
 		t.Error("bool byte 2 accepted")
 	}
 
 	var ec Enc
 	ec.Int(1 << 40) // plausible-looking huge element count
-	if d := NewDec(ec.Bytes()); d.Count(8) != 0 || d.Err() == nil {
+	if d := NewDec(ec.Bytes()); d.Count(8) != 0 || d.err == nil {
 		t.Error("implausible count accepted")
 	}
 	var en Enc
 	en.Int(-1)
-	if d := NewDec(en.Bytes()); d.Count(8) != 0 || d.Err() == nil {
+	if d := NewDec(en.Bytes()); d.Count(8) != 0 || d.err == nil {
 		t.Error("negative count accepted")
 	}
 
@@ -319,7 +319,7 @@ func TestDecRejectsMalformed(t *testing.T) {
 		KmerCountFields(e.Codec(), &kc)
 		d := NewDec(e.Bytes())
 		KmerCountFields(d.Codec(), &kc)
-		return d.Err()
+		return d.err
 	}
 	if recodeKmerCount(seq.KmerCount{Kmer: seq.Kmer{Hi: ^uint64(0), Lo: ^uint64(0), K: 21}, Count: 1}) == nil {
 		t.Error("k-mer with dirty packing bits accepted")
@@ -347,10 +347,10 @@ func TestDecLatchesFirstError(t *testing.T) {
 	e.Int(2)
 	e.Str("live bytes a failed decoder must not hand out")
 	d := NewDec(e.Bytes())
-	if d.Bool() || d.Err() == nil {
+	if d.Bool() || d.err == nil {
 		t.Fatal("bool byte 7 accepted")
 	}
-	first, left := d.Err(), d.Remaining()
+	first, left := d.err, d.Remaining()
 	if left == 0 {
 		t.Fatal("nothing left to not consume")
 	}
@@ -369,8 +369,8 @@ func TestDecLatchesFirstError(t *testing.T) {
 	if d.Remaining() != left {
 		t.Errorf("a failed decoder consumed %d bytes", left-d.Remaining())
 	}
-	if d.Err() != first || d.Done() != first {
-		t.Errorf("Err = %v, Done = %v, want the first error %v", d.Err(), d.Done(), first)
+	if d.err != first || d.Done() != first {
+		t.Errorf("err = %v, Done = %v, want the first error %v", d.err, d.Done(), first)
 	}
 }
 
@@ -385,7 +385,7 @@ func TestDecodedSlicesDoNotAlias(t *testing.T) {
 	b1 = append(b1, 'X', 'X', 'X', 'X')
 	_ = b1
 	b2 := d.Blob()
-	if err := d.Err(); err != nil {
+	if err := d.err; err != nil {
 		t.Fatal(err)
 	}
 	if string(b2) != "CCCC" {

@@ -58,7 +58,7 @@ func FuzzDecRecords(f *testing.F) {
 		rc := records[int(kind)%len(records)]
 		d := NewDec(data)
 		re := rc.recode(d)
-		if d.Err() != nil {
+		if d.err != nil {
 			return
 		}
 		if consumed := data[:len(data)-d.Remaining()]; !bytes.Equal(re, consumed) {

@@ -96,9 +96,6 @@ func NewDec(b []byte) *Dec { return &Dec{buf: b} }
 // Remaining returns the number of undecoded bytes.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
 
-// Err returns the first decode failure, or nil.
-func (d *Dec) Err() error { return d.err }
-
 // Done returns the first decode failure, or an error unless the buffer was
 // consumed exactly.
 func (d *Dec) Done() error {

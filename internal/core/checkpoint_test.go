@@ -609,7 +609,7 @@ func checkRecord[T any](t *testing.T, fields func(*checkpoint.Codec, *T), sample
 	for cut := range enc {
 		d := checkpoint.NewDec(enc[:cut])
 		fields(d.Codec(), new(T))
-		if d.Err() == nil {
+		if d.Done() == nil {
 			t.Errorf("decoded successfully from %d of %d bytes", cut, len(enc))
 		}
 	}
@@ -627,9 +627,9 @@ func checkRecord[T any](t *testing.T, fields func(*checkpoint.Codec, *T), sample
 		d := checkpoint.NewDec(e.Bytes()[:len(e.Bytes())-missing])
 		var xs []T
 		checkpoint.Slice(d.Codec(), &xs, fields)
-		refused := d.Err() != nil && strings.Contains(d.Err().Error(), "implausible element count")
+		refused := d.Done() != nil && strings.Contains(d.Done().Error(), "implausible element count")
 		if refused != (missing == 1) {
-			t.Errorf("with %d bytes missing the count was refused = %v (%v)", missing, refused, d.Err())
+			t.Errorf("with %d bytes missing the count was refused = %v (%v)", missing, refused, d.Done())
 		}
 	}
 }

@@ -89,8 +89,8 @@ type Graph struct {
 	Entries *dht.Map[seq.Kmer, Entry]
 
 	// vertices memoizes Entries.Len() for Traverse's default step bound.
-	// Len scans every stripe of every partition, so P ranks each calling it
-	// is O(P²) host work; the first rank to need it counts for all (the
+	// Len visits every partition, so P ranks each calling it is O(P²) host
+	// work; the first rank to need it counts for all (the
 	// table is complete, and not mutated, by the time a traversal starts).
 	vertices     int
 	verticesOnce sync.Once
@@ -109,7 +109,8 @@ func NewGraph(m *pgas.Machine, k int) *Graph {
 
 // Build classifies the k-mer counts into graph entries. It is collective:
 // each rank classifies the counts it owns (the entries land on the same
-// owner, so the phase is purely local). Returns the same graph on all ranks.
+// owner, so the phase is purely local). Returns the same graph on all ranks,
+// frozen: traversal only reads it.
 func Build(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], k int, topts ThresholdOptions) *Graph {
 	var g *Graph
 	if r.ID() == 0 {
@@ -127,6 +128,7 @@ func Build(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], k int, topts 
 		g.Entries.SetLocal(r, km, e)
 	})
 	r.Barrier()
+	g.Entries.Freeze()
 	return g
 }
 

@@ -12,6 +12,26 @@ import (
 	"mhmgo/internal/sim"
 )
 
+// TestBuildFreezesGraph: traversal only reads the graph, so Build hands it
+// over in dht's read-only phase and a late write is a phase-discipline panic.
+func TestBuildFreezesGraph(t *testing.T) {
+	reads := coverWithReads("ACGTTGCAAGCTTACGGATCCGTAAACTGGTCCATTGGCA", 20, 2, 3)
+	m := pgas.NewMachine(pgas.Config{Ranks: 2})
+	opts := kmeranalysis.DefaultOptions(11)
+	opts.UseBloom = false
+	m.Run(func(r *pgas.Rank) {
+		lo, hi := r.BlockRange(len(reads))
+		res := kmeranalysis.Run(r, reads[lo:hi], opts, nil)
+		g := Build(r, res.Counts, 11, defaultThresholds())
+		defer func() {
+			if recover() == nil {
+				t.Errorf("rank %d: SetLocal on a built graph did not panic", r.ID())
+			}
+		}()
+		g.Entries.SetLocal(r, seq.MustKmer("ACGTTGCAAGC"), Entry{})
+	})
+}
+
 // buildFromReads runs k-mer analysis and graph construction over the reads
 // on a machine with the given rank count, returning the contigs.
 func buildFromReads(t *testing.T, reads []seq.Read, k, ranks int, topts ThresholdOptions) []Contig {

@@ -15,23 +15,28 @@ func exampleHash(k int) uint64 {
 	return x
 }
 
-// ExampleMap shows use case 2, "Global Reads & Writes": one-sided Put/Get
-// from every rank of a virtual machine.
+// ExampleMap shows use case 2, "Global Reads & Writes", as the pipeline runs
+// it: every rank fills the entries it owns, then reads any entry one-sidedly
+// with Get, wherever it lives.
 func ExampleMap() {
 	m := pgas.NewMachine(pgas.Config{Ranks: 4})
 	dm := dht.NewMap[int, string](m, exampleHash, 32)
 	m.Run(func(r *pgas.Rank) {
-		// Every rank writes one entry; the key's hash picks the owner rank.
-		dm.Put(r, r.ID(), fmt.Sprintf("from rank %d", r.ID()))
+		// The key's hash picks the owner rank; each rank stores what it owns.
+		for k := 0; k < 4; k++ {
+			if dm.Owner(k) == r.ID() {
+				dm.SetLocal(r, k, fmt.Sprintf("entry %d", k))
+			}
+		}
 		r.Barrier()
-		// Every rank reads its right-hand neighbour's entry, wherever it lives.
+		// Every rank reads a different entry, local or remote.
 		if v, ok := dm.Get(r, (r.ID()+1)%4); r.ID() == 1 {
 			fmt.Println(v, ok)
 		}
 	})
 	fmt.Println(dm.Len())
 	// Output:
-	// from rank 2 true
+	// entry 2 true
 	// 4
 }
 
@@ -67,9 +72,9 @@ func ExampleMap_NewCachedReader() {
 	m := pgas.NewMachine(pgas.Config{Ranks: 4})
 	dm := dht.NewMap[int, int](m, exampleHash, 16)
 	m.Run(func(r *pgas.Rank) {
-		if r.ID() == 0 {
-			for k := 0; k < 100; k++ {
-				dm.Put(r, k, k*k)
+		for k := 0; k < 100; k++ {
+			if dm.Owner(k) == r.ID() {
+				dm.SetLocal(r, k, k*k)
 			}
 		}
 		r.Barrier()

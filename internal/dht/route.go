@@ -9,7 +9,7 @@ import "mhmgo/internal/pgas"
 // accounting.
 //
 // After routing, the owner typically applies the items with UpdateLocal /
-// SetLocal, which go straight to the owning partition's stripes without any
+// SetLocal, which go straight to the owning partition without any
 // remote charging.
 func Route[T any](r *pgas.Rank, items []T, ownerOf func(T) int, bytesPerItem int) []T {
 	r.Compute(float64(len(items)))

@@ -1,10 +1,14 @@
 package dht
 
-import "mhmgo/internal/pgas"
+import (
+	"slices"
+
+	"mhmgo/internal/pgas"
+)
 
 // kvPair is the unit buffered by an Updater. The key's hash is computed once
-// at Update time (to find its owner) and kept, so that a flush can group a
-// batch by stripe and probe the stripe tables without re-hashing.
+// at Update time (to find its owner) and kept, so that a flush probes the
+// destination's table without re-hashing.
 type kvPair[K comparable, V any] struct {
 	key  K
 	val  V
@@ -12,9 +16,8 @@ type kvPair[K comparable, V any] struct {
 }
 
 // Updater implements the "Global Update-Only" phase: commutative updates are
-// buffered per destination rank and applied in aggregated batches. When a
-// batch is flushed it is grouped by stripe, so each stripe lock of the
-// destination partition is taken at most once per flush instead of once per
+// buffered per destination rank and applied in aggregated batches, each under
+// one acquisition of the destination's partition lock instead of one per
 // entry.
 type Updater[K comparable, V any] struct {
 	m       *Map[K, V]
@@ -24,11 +27,10 @@ type Updater[K comparable, V any] struct {
 	// P-length slice: a P-slice per updater per rank is O(P²) machine-wide
 	// (≈400 MB of slice headers alone at P=4096), while the map stays
 	// proportional to the destinations this rank actually talks to between
-	// flushes. Flush order is never derived from map iteration (Flush walks
-	// rank IDs), so determinism is unaffected.
+	// flushes. Flush order is never derived from map iteration (Flush sorts
+	// the destinations), so determinism is unaffected.
 	batches   map[int][]kvPair[K, V]
-	byStripe  [][]kvPair[K, V] // reusable flush scratch, indexed by stripe
-	touched   []uint32         // stripes used by the current flush
+	dests     []int // reusable Flush scratch: the destinations with buffered updates
 	batchSize int
 	aggregate bool
 }
@@ -48,7 +50,6 @@ func (m *Map[K, V]) NewUpdater(r *pgas.Rank, combine func(existing V, update V, 
 		r:         r,
 		combine:   combine,
 		batches:   make(map[int][]kvPair[K, V]),
-		byStripe:  make([][]kvPair[K, V], m.stripeCount),
 		batchSize: batchSize,
 		aggregate: aggregate,
 	}
@@ -66,27 +67,37 @@ func (u *Updater[K, V]) Update(key K, val V) {
 }
 
 // Flush applies all buffered updates; it must be called before the phase's
-// closing barrier. Destinations are flushed starting at the calling rank's
-// own partition and wrapping around. When every rank flushes at the end of a
-// phase simultaneously, a fixed 0..P-1 order would march all ranks through
-// partition 0's stripe locks together (a lock convoy that serializes the
-// wall-clock flush); staggering the start by rank ID spreads the flushes
-// across all partitions. The updates are commutative, so the order does not
-// affect the result.
+// closing barrier. Only the destinations with buffered updates are visited,
+// starting at the calling rank's own partition and wrapping around. When
+// every rank flushes at the end of a phase simultaneously, a fixed 0..P-1
+// order would march all ranks through partition 0's lock together (a lock
+// convoy that serializes the wall-clock flush); staggering the start by rank
+// ID spreads the flushes across all partitions. The updates are commutative,
+// so the order does not affect the result.
 func (u *Updater[K, V]) Flush() {
 	p := u.m.machine.Ranks()
 	start := u.r.ID()
-	for i := 0; i < p; i++ {
-		u.flushDest((start + i) % p)
+	u.dests = u.dests[:0]
+	for dest, batch := range u.batches {
+		if len(batch) > 0 {
+			u.dests = append(u.dests, (dest-start+p)%p)
+		}
+	}
+	slices.Sort(u.dests)
+	for _, off := range u.dests {
+		u.flushDest((start + off) % p)
 	}
 }
 
+// flushDest charges the batch buffered for dest as one aggregated message (or
+// one message per update when aggregation is off) and folds it into dest's
+// partition under one lock acquisition.
 func (u *Updater[K, V]) flushDest(dest int) {
 	batch := u.batches[dest]
 	if len(batch) == 0 {
 		return
 	}
-	u.batches[dest] = u.batches[dest][:0]
+	u.batches[dest] = batch[:0]
 	if dest == u.r.ID() {
 		u.r.Compute(float64(len(batch)))
 	} else if u.aggregate {
@@ -94,41 +105,14 @@ func (u *Updater[K, V]) flushDest(dest int) {
 	} else {
 		u.r.ChargeSend(dest, len(batch)*u.m.entryBytes, len(batch))
 	}
-
-	if u.m.stripeCount == 1 || len(batch) == 1 {
-		// One stripe, or (common with aggregate=false, where every update is
-		// its own flush) one update: skip the grouping pass.
-		u.applyStripe(dest, batch)
-		return
-	}
-	// Group the batch by stripe so each lock is taken once per flush. Only
-	// the stripes this batch touches are visited and reset, keeping the
-	// bookkeeping proportional to the batch, not the stripe count.
-	u.touched = u.touched[:0]
-	for _, kv := range batch {
-		si := uint32(kv.hash >> u.m.stripeShift)
-		if len(u.byStripe[si]) == 0 {
-			u.touched = append(u.touched, si)
-		}
-		u.byStripe[si] = append(u.byStripe[si], kv)
-	}
-	for _, si := range u.touched {
-		u.applyStripe(dest, u.byStripe[si])
-		u.byStripe[si] = u.byStripe[si][:0]
-	}
-}
-
-// applyStripe folds kvs, which all hash to one stripe of dest's partition,
-// into that stripe under one lock acquisition.
-func (u *Updater[K, V]) applyStripe(dest int, kvs []kvPair[K, V]) {
-	s := u.m.mutableStripe(dest, kvs[0].hash)
-	s.mu.Lock()
-	for i := range kvs {
-		kv := &kvs[i]
-		s.data.Update(kv.hash, kv.key, func(v *V, found bool) bool {
+	part := u.m.mutable(dest)
+	part.mu.Lock()
+	for i := range batch {
+		kv := &batch[i]
+		part.data.Update(kv.hash, kv.key, func(v *V, found bool) bool {
 			*v = u.combine(*v, kv.val, found)
 			return true
 		})
 	}
-	s.mu.Unlock()
+	part.mu.Unlock()
 }

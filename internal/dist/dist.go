@@ -89,9 +89,6 @@ func RestoreSet[T any](shards [][]T, wire func(T) int) *Set[T] {
 	return s
 }
 
-// WireSize returns the wire bytes of one item under the Set's size function.
-func (s *Set[T]) WireSize(item T) int { return s.wire(item) }
-
 // Local returns the calling rank's shard. The owner may mutate items in
 // place between barriers; use SetLocal to keep the resident accounting
 // exact when an item's wire size changes.

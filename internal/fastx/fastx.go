@@ -63,10 +63,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// Format returns the detected format, or FormatUnknown before the first
-// record has been read.
-func (r *Reader) Format() Format { return r.format }
-
 func (r *Reader) readLine() (string, error) {
 	for {
 		line, err := r.br.ReadString('\n')

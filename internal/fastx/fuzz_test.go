@@ -36,7 +36,7 @@ func FuzzFASTX(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		w := NewWriter(&buf, r.Format(), 80)
+		w := NewWriter(&buf, r.format, 80)
 		for _, rec := range recs {
 			if err := w.Write(rec); err != nil {
 				t.Fatalf("write: %v", err)

@@ -1,18 +1,17 @@
 // Package hashtab provides the one open-addressing hash table that backs
-// every partition stripe of dht.Map, the dht.CachedReader software cache and
-// the histo.HeavyHitters sketch.
+// every partition of dht.Map, the dht.CachedReader software cache and the
+// histo.HeavyHitters sketch.
 //
 // The caller supplies the 64-bit hash of every key it passes in — dht has
-// already computed it to pick the owner rank and the stripe — so the table
-// never hashes a key itself: a slot stores a remix of that hash inline next
-// to the key and value, a probe compares the stored word before it compares
-// the key, and growth re-places entries by the stored word. The same key must
-// always be presented with the same hash.
+// already computed it to pick the owner rank — so the table never hashes a
+// key itself: a slot stores a remix of that hash inline next to the key and
+// value, a probe compares the stored word before it compares the key, and
+// growth re-places entries by the stored word. The same key must always be
+// presented with the same hash.
 //
-// The probe start is a remix of the caller's hash, not its low or high bits:
-// inside one dht stripe the owner bits (h % P) and the stripe bits (the top
-// bits of h) are the same for every key, and indexing by either would pile a
-// stripe's keys onto a few probe chains.
+// The probe start is a remix of the caller's hash, not its low bits: inside
+// one dht partition the owner bits (h % P) are the same for every key, and
+// indexing by them would pile a partition's keys onto a few probe chains.
 //
 // Collisions are resolved by linear probing, deletion is backward-shift (no
 // tombstones, so a table that deletes most of its entries probes as if they
@@ -26,8 +25,8 @@ package hashtab
 
 import "iter"
 
-// minSlots is a table's first allocation. At P = 4096 a dht.Map has tens of
-// thousands of stripes that each hold a handful of entries.
+// minSlots is a table's first allocation. At P = 4096 a dht.Map has
+// thousands of partitions that each hold a handful of entries.
 const minSlots = 8
 
 // A table doubles when an insert takes it past loadNum/loadDen full.
@@ -115,7 +114,7 @@ func (t *Table[K, V]) Update(h uint64, key K, f func(v *V, found bool) bool) boo
 	tag := remix(h)
 	if t.slots == nil {
 		// Nothing to probe, and a declined update must not allocate slots: a
-		// stripe that only ever sees Bloom-filtered singletons stays nil.
+		// partition that only ever sees Bloom-filtered singletons stays nil.
 		var v V
 		if !f(&v, false) {
 			return false

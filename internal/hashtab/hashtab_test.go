@@ -25,8 +25,8 @@ var hashModes = []struct {
 	hash func(uint16) uint64
 }{
 	{"mixed", func(k uint16) uint64 { return mix(uint64(k)) }},
-	// What one dht stripe sees at P = 16 with 8 stripes: every key has the
-	// same h % 16 and the same top three bits.
+	// Keys that share their low and their top bits, as one dht partition's
+	// keys share h % P: here the same h % 16 and the same top three bits.
 	{"stripe", func(k uint16) uint64 { return mix(uint64(k))<<7>>3 | 5<<61 | 3 }},
 	// Every key has the same hash, hence the same tag and probe start.
 	{"constant", func(uint16) uint64 { return 42 }},
@@ -246,7 +246,7 @@ func FuzzTableOps(f *testing.F) {
 
 // BenchmarkTableVsBuiltin compares the table with the builtin map on the
 // pipeline's hottest instantiation, seq.Kmer -> seq.KmerCount. The table is
-// handed the hash, as dht hands it the one that chose owner and stripe; the
+// handed the hash, as dht hands it the one that chose the owner; the
 // builtin map hashes the 17-byte key itself.
 func BenchmarkTableVsBuiltin(b *testing.B) {
 	const n = 1 << 16

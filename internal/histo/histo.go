@@ -12,12 +12,11 @@ import (
 
 // HeavyHitters is a Misra–Gries summary: it tracks at most capacity
 // candidate keys and guarantees that any key whose true frequency exceeds
-// total/capacity is present in the summary.
+// the added weight divided by capacity is present in the summary.
 type HeavyHitters[K comparable] struct {
 	capacity int
 	hash     func(K) uint64
 	counts   hashtab.Table[K, int64]
-	total    int64
 }
 
 // NewHeavyHitters creates a summary with the given candidate capacity. hash
@@ -34,7 +33,6 @@ func (h *HeavyHitters[K]) Add(key K, n int64) {
 	if n <= 0 {
 		return
 	}
-	h.total += n
 	kh := h.hash(key)
 	full := h.counts.Len() >= h.capacity
 	if h.counts.Update(kh, key, func(c *int64, found bool) bool {
@@ -60,9 +58,6 @@ func (h *HeavyHitters[K]) Add(key K, n int64) {
 		h.counts.Put(kh, key, rem)
 	}
 }
-
-// Total returns the total weight added so far.
-func (h *HeavyHitters[K]) Total() int64 { return h.total }
 
 // Item is a heavy-hitter candidate and its estimated count.
 type Item[K comparable] struct {

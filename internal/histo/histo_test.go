@@ -46,9 +46,6 @@ func TestHeavyHittersFindsFrequentKeys(t *testing.T) {
 	if c < n/10 {
 		t.Errorf("heavy key estimate %d is too low", c)
 	}
-	if hh.Total() != n {
-		t.Errorf("total = %d, want %d", hh.Total(), n)
-	}
 	if top := hh.Items(); len(top) == 0 || top[0].Key != "heavy" {
 		t.Errorf("Items() = %+v, want the heavy key first", top)
 	}
@@ -91,14 +88,15 @@ func TestHeavyHittersWeightedAndEdgeCases(t *testing.T) {
 	if _, ok := candidate(hh, "a"); !ok {
 		t.Error("dominant key evicted")
 	}
+	before := hh.Items()
 	hh.Add("zero", 0)
 	hh.Add("neg", -5)
-	if hh.Total() != 111 {
-		t.Errorf("total = %d, want 111 (non-positive weights ignored)", hh.Total())
+	if after := hh.Items(); !reflect.DeepEqual(before, after) {
+		t.Errorf("non-positive weights changed the summary: %v -> %v", before, after)
 	}
 	empty := NewHeavyHitters(0, strHash)
 	empty.Add("x", 1)
-	if empty.Total() != 1 {
+	if c, ok := candidate(empty, "x"); !ok || c != 1 {
 		t.Error("capacity clamp failed")
 	}
 }

@@ -69,9 +69,6 @@ func BuildProfile(examples [][]byte, conservation float64) *Profile {
 	return p
 }
 
-// Length returns the profile length in positions.
-func (p *Profile) Length() int { return p.length }
-
 // Fingerprint returns a content hash of the profile (FNV-1a over the length
 // and the bit patterns of every position weight). A nil or empty profile
 // hashes to 0. Checkpoint provenance uses it to detect a changed scaffolding

@@ -20,8 +20,8 @@ func TestProfileDetectsPlantedMarker(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	marker := randomSeq(r, 200)
 	p := BuildProfile([][]byte{marker}, 0.9)
-	if p.Length() != 200 {
-		t.Fatalf("profile length %d", p.Length())
+	if p.length != 200 {
+		t.Fatalf("profile length %d", p.length)
 	}
 
 	// A contig containing the marker (with a few mutations) must be a hit.
@@ -120,14 +120,14 @@ func TestCountHitsOnSimulatedCommunity(t *testing.T) {
 
 func TestDegenerateProfiles(t *testing.T) {
 	empty := BuildProfile(nil, 0.9)
-	if empty.Length() != 0 {
+	if empty.length != 0 {
 		t.Error("empty profile should have length 0")
 	}
 	if empty.IsHit([]byte("ACGT"), 0.5) {
 		t.Error("empty profile should never hit")
 	}
 	p := BuildProfile([][]byte{[]byte("ACGT")}, 2.0) // conservation clamped
-	if p.Length() != 4 {
+	if p.length != 4 {
 		t.Error("profile length wrong")
 	}
 	if hit := p.Scan(nil, 1); hit.Score != 0 {

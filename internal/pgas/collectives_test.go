@@ -188,8 +188,8 @@ func TestBroadcastUsesRankZeroValue(t *testing.T) {
 // from communication cost.
 func TestZeroCostModel(t *testing.T) {
 	m := NewMachine(Config{Ranks: 4, RanksPerNode: 2, CostSet: true})
-	if m.Cost() != (CostModel{}) {
-		t.Fatalf("CostSet machine should keep the zero model, got %+v", m.Cost())
+	if m.cfg.Cost != (CostModel{}) {
+		t.Fatalf("CostSet machine should keep the zero model, got %+v", m.cfg.Cost)
 	}
 	h := m.NewAtomic(0)
 	res := m.Run(func(r *Rank) {
@@ -208,7 +208,7 @@ func TestZeroCostModel(t *testing.T) {
 		t.Error("stats must still be counted under the zero cost model")
 	}
 	// Without CostSet the zero model still means "defaults".
-	if NewMachine(Config{Ranks: 2}).Cost() == (CostModel{}) {
+	if NewMachine(Config{Ranks: 2}).cfg.Cost == (CostModel{}) {
 		t.Error("zero Cost without CostSet should select DefaultCostModel")
 	}
 }
@@ -279,7 +279,7 @@ func BenchmarkCollectiveTreeVsFlat(b *testing.B) {
 		})
 		treeSim = res.SimSeconds
 	}
-	c := m.Cost()
+	c := m.cfg.Cost
 	// Flat centralized model: rank 0 ingests P-1 off-node words serially,
 	// then sends P-1 replies (ignoring the two barriers both models pay).
 	perMsg := c.LatencyOffNode + scalarBytes*c.ByteOffNode

@@ -220,21 +220,6 @@ func NewMachine(cfg Config) *Machine {
 // Ranks returns the number of ranks.
 func (m *Machine) Ranks() int { return m.cfg.Ranks }
 
-// Nodes returns the number of virtual nodes.
-func (m *Machine) Nodes() int {
-	return (m.cfg.Ranks + m.cfg.RanksPerNode - 1) / m.cfg.RanksPerNode
-}
-
-// RanksPerNode returns the configured ranks-per-node.
-func (m *Machine) RanksPerNode() int { return m.cfg.RanksPerNode }
-
-// Workers returns the effective worker-pool size (after defaulting to
-// GOMAXPROCS and clamping to Ranks).
-func (m *Machine) Workers() int { return m.cfg.Workers }
-
-// Cost returns the machine's cost model.
-func (m *Machine) Cost() CostModel { return m.cfg.Cost }
-
 // NodeOf returns the virtual node hosting a rank.
 func (m *Machine) NodeOf(rank int) int { return rank / m.cfg.RanksPerNode }
 
@@ -343,8 +328,7 @@ func (m *Machine) InjectBarrierFailure(n uint64, cause error) {
 
 // Run executes body once per rank (SPMD style) and blocks until every rank
 // has returned. It may be called multiple times on the same machine; the
-// returned result covers only this run, while the machine also accumulates
-// totals retrievable via Totals.
+// returned result covers only this run.
 func (m *Machine) Run(body func(r *Rank)) RunResult {
 	m.timingMu.Lock()
 	m.stages = nil
@@ -444,9 +428,6 @@ func (r *Rank) ID() int { return r.id }
 
 // NRanks returns the number of ranks in the machine.
 func (r *Rank) NRanks() int { return r.machine.cfg.Ranks }
-
-// Nodes returns the number of virtual nodes in the machine.
-func (r *Rank) Nodes() int { return r.machine.Nodes() }
 
 // Machine returns the machine this rank belongs to.
 func (r *Rank) Machine() *Machine { return r.machine }

@@ -12,17 +12,17 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	m := NewMachine(Config{})
-	if m.Ranks() != 1 || m.Nodes() != 1 {
-		t.Errorf("default machine should have 1 rank / 1 node, got %d/%d", m.Ranks(), m.Nodes())
+	if m.Ranks() != 1 || m.cfg.RanksPerNode != 1 {
+		t.Errorf("default machine should have 1 rank on 1 node, got %d ranks, %d per node", m.Ranks(), m.cfg.RanksPerNode)
 	}
 	m = NewMachine(Config{Ranks: 8, RanksPerNode: 4})
-	if m.Ranks() != 8 || m.Nodes() != 2 || m.RanksPerNode() != 4 {
-		t.Errorf("machine shape wrong: %d ranks, %d nodes", m.Ranks(), m.Nodes())
+	if m.Ranks() != 8 || m.cfg.RanksPerNode != 4 {
+		t.Errorf("machine shape wrong: %d ranks, %d per node", m.Ranks(), m.cfg.RanksPerNode)
 	}
 	if m.NodeOf(0) != 0 || m.NodeOf(3) != 0 || m.NodeOf(4) != 1 || m.NodeOf(7) != 1 {
 		t.Error("NodeOf mapping wrong")
 	}
-	if m.Cost() == (CostModel{}) {
+	if m.cfg.Cost == (CostModel{}) {
 		t.Error("cost model should default to non-zero")
 	}
 }
@@ -35,8 +35,8 @@ func TestRunExecutesEveryRank(t *testing.T) {
 		if r.NRanks() != 7 {
 			t.Errorf("NRanks = %d", r.NRanks())
 		}
-		if r.Nodes() != 4 {
-			t.Errorf("Nodes = %d", r.Nodes())
+		if last := r.Machine().NodeOf(r.NRanks() - 1); last != 3 {
+			t.Errorf("last rank on node %d, want 3 (four nodes)", last)
 		}
 		r.Compute(100)
 	})
@@ -68,7 +68,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 		}
 	}
 	// The synchronized clock must be at least the cost of the largest work.
-	minExpected := 4000 * m.Cost().ComputePerOp
+	minExpected := 4000 * m.cfg.Cost.ComputePerOp
 	if clocks[0] < minExpected {
 		t.Errorf("synchronized clock %v < slowest rank %v", clocks[0], minExpected)
 	}

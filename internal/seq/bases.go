@@ -87,9 +87,6 @@ type Read struct {
 	SampleID uint8
 }
 
-// Len returns the read length in bases.
-func (r *Read) Len() int { return len(r.Seq) }
-
 // WireSize returns the wire bytes charged when a read is shipped between
 // ranks (read localization, recruitment): identifier, sequence and quality
 // payloads plus two 8-byte length words of framing, which over-provision

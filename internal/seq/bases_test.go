@@ -169,24 +169,6 @@ func TestKmerCountObserve(t *testing.T) {
 	}
 }
 
-func TestKmerCountMerge(t *testing.T) {
-	km := MustKmer("ACG")
-	a := KmerCount{Kmer: km, Count: 2}
-	a.Left.AddN(BaseA, 2)
-	b := KmerCount{Kmer: km, Count: 3}
-	b.Right.AddN(BaseT, 3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count != 5 || a.Left[BaseA] != 2 || a.Right[BaseT] != 3 {
-		t.Errorf("merge wrong: %+v", a)
-	}
-	other := KmerCount{Kmer: MustKmer("TTT")}
-	if err := a.Merge(other); err == nil {
-		t.Error("merging different k-mers should fail")
-	}
-}
-
 func TestIsBaseExt(t *testing.T) {
 	for _, c := range []byte{'A', 'C', 'G', 'T'} {
 		if !IsBaseExt(c) {

@@ -1,7 +1,5 @@
 package seq
 
-import "fmt"
-
 // Extension characters summarize the bases observed adjacent to a k-mer in
 // the read set. They follow the HipMer/MetaHipMer convention:
 //
@@ -109,18 +107,6 @@ type KmerCount struct {
 	Count uint32
 	Left  ExtCounts
 	Right ExtCounts
-}
-
-// Merge combines two records for the same canonical k-mer.
-func (kc *KmerCount) Merge(other KmerCount) error {
-	if kc.Kmer != other.Kmer {
-		return fmt.Errorf("seq: merging counts for different k-mers %s and %s",
-			kc.Kmer.String(), other.Kmer.String())
-	}
-	kc.Count += other.Count
-	kc.Left.Merge(other.Left)
-	kc.Right.Merge(other.Right)
-	return nil
 }
 
 // Observe records one occurrence of the canonical k-mer with the given

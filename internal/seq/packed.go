@@ -129,25 +129,6 @@ func (p Packed) WordAt(off int) uint64 {
 	return v
 }
 
-// Slice returns a copy of bases [lo, hi) as a fresh Packed value. It panics
-// if the range is out of bounds, mirroring slice-expression semantics.
-func (p Packed) Slice(lo, hi int) Packed {
-	if lo < 0 || hi < lo || hi > p.n {
-		panic("seq: Packed.Slice range out of bounds")
-	}
-	n := hi - lo
-	if n == 0 {
-		return Packed{}
-	}
-	nw := (n + 31) / 32
-	w := make([]uint64, nw)
-	for k := range w {
-		w[k] = p.WordAt(lo + 32*k)
-	}
-	w[nw-1] &= lowBaseMask(n - 32*(nw-1))
-	return Packed{w: w, n: n}
-}
-
 // AppendUnpack appends the sequence as ASCII bases to dst and returns the
 // extended slice. Walks unpack once per emitted contig through this.
 func (p Packed) AppendUnpack(dst []byte) []byte {

@@ -86,16 +86,16 @@ func TestPackedGreaterThanRC(t *testing.T) {
 	}
 }
 
-func TestPackedSliceAndWordAt(t *testing.T) {
+func TestPackedWordAt(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	s := []byte(randomSeq(r, 200))
 	p, _ := PackASCII(s)
+	// WordAt reads 32 bases from any offset, aligned or not.
 	for i := 0; i < 100; i++ {
-		lo := r.Intn(len(s) + 1)
-		hi := lo + r.Intn(len(s)-lo+1)
-		sub := p.Slice(lo, hi)
-		if got, want := string(sub.AppendUnpack(nil)), string(s[lo:hi]); got != want {
-			t.Fatalf("Slice(%d,%d) = %s, want %s", lo, hi, got, want)
+		lo := r.Intn(len(s))
+		want, _ := PackASCII(s[lo:min(lo+32, len(s))])
+		if got := p.WordAt(lo); got != want.WordAt(0) {
+			t.Fatalf("WordAt(%d) = %#x, want %#x", lo, got, want.WordAt(0))
 		}
 	}
 	// WordAt must zero-pad past the end.

@@ -196,9 +196,6 @@ func (j *Job) ID() string { return j.spec.ID }
 // Spec returns the job's normalized spec.
 func (j *Job) Spec() JobSpec { return j.spec }
 
-// Config returns the assembly configuration the job runs with.
-func (j *Job) Config() core.Config { return j.cfg }
-
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
@@ -207,13 +204,6 @@ func (j *Job) State() string {
 	j.s.mu.Lock()
 	defer j.s.mu.Unlock()
 	return j.state
-}
-
-// Err returns the terminal error of a failed, cancelled or timed-out job.
-func (j *Job) Err() error {
-	j.s.mu.Lock()
-	defer j.s.mu.Unlock()
-	return j.err
 }
 
 // Result returns the assembly result of a done job (nil otherwise).

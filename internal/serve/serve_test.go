@@ -22,6 +22,15 @@ import (
 	"mhmgo/internal/pgas"
 )
 
+// Err returns the terminal error of a failed, cancelled or timed-out job.
+// Production reports it as text (JobMetrics.Error, the stream's last event);
+// the tests match it with errors.Is.
+func (j *Job) Err() error {
+	j.s.mu.Lock()
+	defer j.s.mu.Unlock()
+	return j.err
+}
+
 func postSpec(t *testing.T, ts *httptest.Server, spec JobSpec) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(spec)
@@ -282,10 +291,7 @@ func TestServeConcurrentJobsRace(t *testing.T) {
 
 	// Replay each job directly (no server) and demand bit-identity.
 	for _, spec := range specs {
-		cfg, err := spec.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := spec.config()
 		reads, err := spec.BuildReads()
 		if err != nil {
 			t.Fatal(err)

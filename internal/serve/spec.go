@@ -347,18 +347,10 @@ func (s *SimSpec) readConfig() sim.ReadConfig {
 	return rc
 }
 
-// Config builds the assembly configuration the job will run with. It is a
+// config builds the assembly configuration the job will run with. It is a
 // pure function of the (normalized, validated) spec — deterministic, cheap,
 // and read-free — so two decodes of the same spec JSON always produce the
-// same core.ConfigHash.
-func (s JobSpec) Config() (core.Config, error) {
-	if err := s.Validate(); err != nil {
-		return core.Config{}, err
-	}
-	return s.config(), nil
-}
-
-// config is Config for a spec the caller has just validated.
+// same configuration hash.
 func (s JobSpec) config() core.Config {
 	cfg := core.DefaultConfig(s.Ranks)
 	cfg.RanksPerNode = s.RanksPerNode
