@@ -652,7 +652,11 @@ func TestRankStateRecords(t *testing.T) {
 // before the field lists replaced the mirrored encoders and decoders — moves
 // if configHash, inputHash or any shard byte of any stage does.
 // TestRankStateShardPin pins one synthetic state; this pins what a run writes.
-// A deliberate format change (ROADMAP item 3's golden bump) re-captures it.
+// A deliberate format change (ROADMAP item 3's golden bump) re-captures it,
+// and so does a change of the simulated clock, which every shard carries in
+// its rank clocks: it was re-captured (from 7609ad3d…) when de Bruijn
+// traversal began finding path starts with one claim exchange instead of a
+// remote Get per vertex orientation.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -660,7 +664,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "7609ad3d43a50fd298dfcddff014f77640121f1d68991850182d2d5d1a3877a5"
+	const want = "cbd38c63f32fc1d7673a29d29a74c11c07ad9b056c0bc5481c67fea8a6806bbd"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

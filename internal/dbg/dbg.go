@@ -18,6 +18,7 @@ package dbg
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -155,9 +156,9 @@ func observedExt(e Entry, forward bool) seq.ExtPair {
 	return e.Ext.Swap()
 }
 
-// lookup fetches the entry of the canonical form of km, returning the
-// oriented view and whether it exists. reader may be nil, in which case the
-// graph is accessed directly.
+// lookup fetches the entry of the canonical form of km with one Get,
+// returning the oriented view and whether it exists. A palindrome resolves
+// to its forward orientation.
 func (g *Graph) lookup(r *pgas.Rank, km seq.Kmer) (oriented, Entry, bool) {
 	canon, wasRC := km.Canonical()
 	e, ok := g.Entries.Get(r, canon)
@@ -192,26 +193,174 @@ func (g *Graph) successor(r *pgas.Rank, cur oriented, e Entry) (oriented, Entry,
 	return next, ne, code, true
 }
 
-// isPathStart reports whether the oriented k-mer has no valid predecessor,
-// i.e. a contig starts here when walking in this orientation.
-func (g *Graph) isPathStart(r *pgas.Rank, cur oriented, e Entry) bool {
-	ext := observedExt(e, cur.forward)
-	if !seq.IsBaseExt(ext.Left) {
-		return true
+// vertex is one locally owned vertex during a traversal. pred records which
+// orientations have an agreeing predecessor (bit 0 read forward, bit 1 read
+// reverse); such an orientation is not a path start.
+type vertex struct {
+	km   seq.Kmer
+	e    Entry
+	pred uint8
+}
+
+// claim is one vertex orientation's message to its successor: "I precede
+// you". It names the successor by its canonical key and by the orientations
+// of that key that read as the observed successor (bit 0 forward, bit 1
+// reverse; both for a palindrome), and carries the claimant's first observed
+// base in bits 2-3.
+type claim struct {
+	key  seq.Kmer
+	bits uint8
+}
+
+// claimWireSize is the wire bytes of one claim: the packed k-mer (two words
+// plus k) and the bits byte.
+const claimWireSize = 18
+
+// newClaim returns the claim of the vertex read as obs whose observed right
+// extension is the base code.
+func newClaim(obs seq.Kmer, code byte) claim {
+	next := obs.AppendBase(code)
+	key, orients := next, uint8(1)
+	if rc := next.ReverseComplement(); rc.Less(next) {
+		key, orients = rc, 2
+	} else if rc == next {
+		orients = 3 // a palindrome reads as itself both ways
 	}
-	code, _ := seq.CharToBase(ext.Left)
-	obs := cur.observedKmer()
-	prevObs := obs.PrependBase(code)
-	prev, pe, ok := g.lookup(r, prevObs)
-	if !ok {
-		return true
+	return claim{key: key, bits: obs.FirstBase()<<2 | orients}
+}
+
+// sortedLocalVertices returns the vertices the calling rank owns, in sorted
+// k-mer order (seq.Kmer.Less). The order is an LSD radix sort over the 2k
+// key bits, one byte per pass: stable, O(passes · vertices), and without the
+// indirect comparator calls that made a comparison sort a third of the
+// traversal's host time.
+func (g *Graph) sortedLocalVertices(r *pgas.Rank) []vertex {
+	local := make([]vertex, 0, g.Entries.LocalLen(r.ID()))
+	g.Entries.ForEachLocal(r, func(km seq.Kmer, e Entry) {
+		local = append(local, vertex{km: km, e: e})
+	})
+	tmp := make([]vertex, len(local))
+	for shift := uint(0); shift < 2*uint(g.K); shift += 8 {
+		var next [256]int
+		for i := range local {
+			next[keyByte(local[i].km, shift)]++
+		}
+		pos := 0
+		for b, n := range next {
+			next[b] = pos
+			pos += n
+		}
+		for i := range local {
+			d := keyByte(local[i].km, shift)
+			tmp[next[d]] = local[i]
+			next[d]++
+		}
+		local, tmp = tmp, local
 	}
-	prevExt := observedExt(pe, prev.forward)
-	if !seq.IsBaseExt(prevExt.Right) {
-		return true
+	return local
+}
+
+// keyByte returns the byte of km's 128-bit packed value at bit shift (a
+// multiple of 8, so the byte never straddles the two words).
+func keyByte(km seq.Kmer, shift uint) byte {
+	if shift >= 64 {
+		return byte(km.Hi >> (shift - 64))
 	}
-	fwdCode, _ := seq.CharToBase(prevExt.Right)
-	return fwdCode != obs.LastBase()
+	return byte(km.Lo >> shift)
+}
+
+// markPredecessors sets the pred bits of the calling rank's vertices with one
+// claim exchange instead of one Get per vertex orientation. Every vertex
+// orientation whose observed right extension is a base c claims its
+// successor obs[1:]+c, carrying its own first base b; the claim goes to the
+// successor's owner. An orientation whose observed left extension is the base
+// b has an agreeing predecessor exactly when it received a claim carrying b:
+// the predecessor exists (it sent the claim) and its right extension points
+// back here (that is what it claimed). A palindromic vertex (even k only)
+// reads as itself both ways, and lookup resolves it to its forward
+// orientation, so it claims only from there. Collective.
+func (g *Graph) markPredecessors(r *pgas.Rank, local []vertex) {
+	claims := make([]claim, 0, 2*len(local))
+	for _, v := range local {
+		if code, ok := seq.CharToBase(v.e.Ext.Right); ok {
+			claims = append(claims, newClaim(v.km, code))
+		}
+		if code, ok := seq.CharToBase(v.e.Ext.Left); ok {
+			if rc := v.km.ReverseComplement(); rc != v.km {
+				claims = append(claims, newClaim(rc, seq.ComplementCode(code)))
+			}
+		}
+	}
+	r.Compute(float64(len(claims)))
+	received := pgas.ExchangeFunc(r, claims,
+		func(_ int, c claim) int { return g.Entries.Owner(c.key) },
+		func(claim) int { return claimWireSize })
+	// Resolving a claim is one owner-local probe, the charge of the local
+	// Get it replaces.
+	r.Compute(float64(len(received)))
+	index := newVertexIndex(local)
+	for _, c := range received {
+		i := index.find(local, c.key)
+		if i < 0 {
+			continue
+		}
+		v := &local[i]
+		b := c.bits >> 2
+		if c.bits&1 != 0 && leftBaseIs(v.e.Ext, b) {
+			v.pred |= 1
+		}
+		if c.bits&2 != 0 && leftBaseIs(v.e.Ext.Swap(), b) {
+			v.pred |= 2
+		}
+	}
+	r.ReleaseResident(len(received) * claimWireSize)
+}
+
+// leftBaseIs reports whether the left extension of ext is the base code b.
+func leftBaseIs(ext seq.ExtPair, b byte) bool {
+	code, ok := seq.CharToBase(ext.Left)
+	return ok && code == b
+}
+
+// vertexIndex maps a rank's vertex keys to their positions in its vertex
+// list: linear probing over int32 slots, sized once to at least twice the
+// vertex count, so a lookup is one hash and a short probe with no
+// allocation.
+type vertexIndex struct {
+	slots []int32 // position+1; 0 is empty
+	shift uint
+}
+
+// newVertexIndex indexes the positions of local's (distinct) keys.
+func newVertexIndex(local []vertex) vertexIndex {
+	n := bits.Len(uint(2 * len(local)))
+	ix := vertexIndex{slots: make([]int32, 1<<n), shift: uint(64 - n)}
+	mask := len(ix.slots) - 1
+	for i := range local {
+		s := ix.home(local[i].km)
+		for ix.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		ix.slots[s] = int32(i + 1)
+	}
+	return ix
+}
+
+// home is km's first slot: the top bits of its hash times φ64, since the low
+// bits of the hash are the owner's, the same for every key of a rank.
+func (ix vertexIndex) home(km seq.Kmer) int {
+	return int(km.Hash() * 0x9E3779B97F4A7C15 >> ix.shift)
+}
+
+// find returns the position of km in local, or -1.
+func (ix vertexIndex) find(local []vertex, km seq.Kmer) int {
+	mask := len(ix.slots) - 1
+	for s := ix.home(km); ix.slots[s] != 0; s = (s + 1) & mask {
+		if i := int(ix.slots[s] - 1); local[i].km == km {
+			return i
+		}
+	}
+	return -1
 }
 
 // TraverseOptions controls contig generation.
@@ -225,33 +374,30 @@ type TraverseOptions struct {
 // emitted; use DistributeContigs to build the owner-distributed set. Contigs
 // are emitted in canonical orientation exactly once.
 //
-// The walks start in sorted k-mer order, not map-iteration order: each walk
-// charges a different amount of simulated work, and folding the same charges
-// into the clock in a run-to-run-varying order would drift the simulated
-// seconds by floating-point rounding.
+// Path starts come from one claim exchange (markPredecessors): every vertex
+// orientation with a base right extension tells its successor's owner, in
+// one aggregated message per destination, so a rank learns which of its
+// vertex orientations have an agreeing predecessor without a remote probe.
+// Only the walks read the graph one Get at a time.
+//
+// Claims are generated, and walks start, in sorted k-mer order, not
+// map-iteration order: each walk charges a different amount of simulated
+// work, and folding the same charges into the clock in a run-to-run-varying
+// order would drift the simulated seconds by floating-point rounding.
 func Traverse(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
 	// No simple path visits more vertices than the graph has: the bound
 	// stops a walk that entered a cycle not through its start vertex.
 	maxSteps := g.vertexCount() + 1
-	type vertex struct {
-		km seq.Kmer
-		e  Entry
-	}
-	var local []vertex
-	g.Entries.ForEachLocal(r, func(km seq.Kmer, e Entry) {
-		local = append(local, vertex{km: km, e: e})
-	})
-	sort.Slice(local, func(i, j int) bool { return local[i].km.Less(local[j].km) })
+	local := g.sortedLocalVertices(r)
+	g.markPredecessors(r, local)
 	var out []Contig
 	ws := &walkScratch{}
 	for _, v := range local {
-		km, e := v.km, v.e
-		for _, forward := range []bool{true, false} {
-			cur := oriented{key: km, forward: forward}
-			if !g.isPathStart(r, cur, e) {
+		for o, forward := range []bool{true, false} {
+			if v.pred&(1<<o) != 0 {
 				continue
 			}
-			g.walk(r, cur, e, maxSteps, ws)
+			g.walk(r, oriented{key: v.km, forward: forward}, v.e, maxSteps, ws)
 			n := ws.seq.Len()
 			if n < g.K || (opts.MinContigLen > 0 && n < opts.MinContigLen) {
 				continue

@@ -31,8 +31,8 @@ import (
 
 // CostModel converts metered operations into simulated seconds. The defaults
 // are loosely calibrated to a Cray-XC-class machine: microsecond-scale
-// off-node latency, ~10 GB/s per-rank off-node bandwidth, and a few
-// nanoseconds per unit of local work.
+// off-node latency, ~1.25 GB/s per-rank off-node bandwidth (ByteOffNode), and
+// a few nanoseconds per unit of local work.
 type CostModel struct {
 	// ComputePerOp is the simulated cost in seconds of one unit of local
 	// work (roughly: touching one k-mer, one base, or one hash bucket).

@@ -114,9 +114,6 @@ func (km Kmer) BaseAt(i int) byte {
 // FirstBase returns the 2-bit code of the leftmost base.
 func (km Kmer) FirstBase() byte { return km.BaseAt(0) }
 
-// LastBase returns the 2-bit code of the rightmost base.
-func (km Kmer) LastBase() byte { return byte(km.Lo & 3) }
-
 // String renders the k-mer as an ACGT string.
 func (km Kmer) String() string {
 	k := int(km.K)

@@ -66,9 +66,6 @@ func TestKmerBaseAt(t *testing.T) {
 	if km.FirstBase() != BaseA {
 		t.Errorf("FirstBase = %d, want A", km.FirstBase())
 	}
-	if km.LastBase() != BaseT {
-		t.Errorf("LastBase = %d, want T", km.LastBase())
-	}
 }
 
 func TestKmerAppendPrepend(t *testing.T) {
