@@ -30,8 +30,6 @@ var testOnlyAllowed = map[string]string{
 	"seq.MustKmer":     "cross-package test helper: a k-mer from a literal, in five packages' tests",
 	"dht.Map.Snapshot": "cross-package test helper: the one charge-free inspector of a table's contents",
 	"core.ConfigHash":  "cross-package test oracle: the configuration identity TestConfigHashPin pins and serve's FuzzJobSpecDecode holds equal across a spec round trip",
-	"pgas.GatherV":     "no production caller since PR 21; pinned by TestCollectivesGolden until ROADMAP 4(c) decides",
-	"pgas.GatherVFunc": "no production caller since PR 21; pinned by TestCollectivesGolden until ROADMAP 4(c) decides",
 }
 
 // decl is one top-level function, method or type of a non-test file.

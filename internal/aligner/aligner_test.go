@@ -25,13 +25,17 @@ func testContigs() []dbg.Contig {
 func distributeTestContigs(r *pgas.Rank, contigs []dbg.Contig) (*dbg.ContigSet, map[string]int) {
 	lo, hi := r.BlockRange(len(contigs))
 	cs := dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed)
-	ids := map[string]int{}
-	n := cs.GlobalLen(r)
-	rd := cs.NewReader(r, 0)
-	for id := 0; id < n; id++ {
-		c := rd.Get(id)
-		ids[string(c.Seq)] = id
-	}
+	local := map[string]int{}
+	cs.ForEachLocal(r, func(_ int, c dbg.Contig) { local[string(c.Seq)] = c.ID })
+	ids := pgas.ReduceAll(r, local, 0, func(parts []map[string]int) map[string]int {
+		merged := map[string]int{}
+		for _, part := range parts {
+			for s, id := range part {
+				merged[s] = id
+			}
+		}
+		return merged
+	})
 	return cs, ids
 }
 

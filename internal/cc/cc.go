@@ -7,52 +7,62 @@ package cc
 import (
 	"sync/atomic"
 
+	"mhmgo/internal/dist"
 	"mhmgo/internal/pgas"
 )
 
-// Edge is an undirected edge between two vertices identified by dense
-// integer ids.
+// Edge is an undirected edge between two vertices identified by their
+// dist.ID global IDs.
 type Edge struct {
 	U, V int
 }
 
-// GroupByComponent converts a label slice into a map from representative to
-// the member vertices of that component.
-func GroupByComponent(labels []int) map[int][]int {
-	groups := make(map[int][]int)
-	for v, rep := range labels {
-		groups[rep] = append(groups[rep], v)
-	}
-	return groups
-}
-
 // Parallel computes connected components with a lock-free, CAS-based
 // union-find (a Shiloach–Vishkin-style hooking + pointer-jumping scheme).
-// It is a collective operation: every rank must call it with its own slice
-// of locally-held edges; every rank returns the same label slice mapping
-// each vertex to the smallest vertex id in its component.
+// It is a collective operation. Vertices are owned like the items of a
+// dist.Set: every rank passes the number of vertices it owns, nLocal (its
+// vertices are dist.ID(rank, 0 … nLocal-1)), and its slice of locally held
+// edges, whose endpoints may live on any rank; an edge naming no vertex is
+// ignored.
 //
-// parent must be a shared []int64 of length n created before the SPMD
-// region (e.g. by the coordinator) and initialized via InitParents, or nil
-// in which case rank 0 allocates it and broadcasts it.
-func Parallel(r *pgas.Rank, n int, localEdges []Edge, parent []int64) []int {
-	if parent == nil {
-		if r.ID() == 0 {
-			parent = NewParents(n)
-		}
-		parent = pgas.Broadcast(r, parent)
+// A component's representative is its smallest vertex ID, and the
+// components are numbered densely in representative order. Parallel returns
+// the number of components (the same on every rank) and, for each local
+// vertex, the number of its component.
+//
+// The parent array is partitioned by owner, like cgraph's liveness mask:
+// each rank allocates only the slots of the vertices it owns, and every rank
+// hooks and compresses through any partition with atomics.
+func Parallel(r *pgas.Rank, nLocal int, localEdges []Edge) (comp []int, total int) {
+	var parts [][]atomic.Int64
+	if r.ID() == 0 {
+		parts = make([][]atomic.Int64, r.NRanks())
 	}
+	parts = pgas.Broadcast(r, parts)
+	mine := make([]atomic.Int64, nLocal)
+	for i := range mine {
+		mine[i].Store(int64(dist.ID(r.ID(), i)))
+	}
+	parts[r.ID()] = mine
 	r.Barrier()
 
+	slot := func(x int) *atomic.Int64 {
+		p, i := dist.Locate(x)
+		return &parts[p][i]
+	}
+	valid := func(x int) bool {
+		p, i := dist.Locate(x)
+		return x >= 0 && p < len(parts) && i < len(parts[p])
+	}
 	find := func(x int) int {
 		for {
-			p := atomic.LoadInt64(&parent[x])
+			p := slot(x).Load()
 			if int(p) == x {
 				return x
 			}
-			gp := atomic.LoadInt64(&parent[p])
+			gp := slot(int(p)).Load()
 			// Path halving.
-			atomic.CompareAndSwapInt64(&parent[x], p, gp)
+			slot(x).CompareAndSwap(p, gp)
 			x = int(gp)
 		}
 	}
@@ -64,7 +74,7 @@ func Parallel(r *pgas.Rank, n int, localEdges []Edge, parent []int64) []int {
 	// charging it would make simulated seconds nondeterministic even though
 	// the resulting labels are not.
 	for _, e := range localEdges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+		if !valid(e.U) || !valid(e.V) {
 			continue
 		}
 		r.Compute(3)
@@ -77,7 +87,7 @@ func Parallel(r *pgas.Rank, n int, localEdges []Edge, parent []int64) []int {
 				ru, rv = rv, ru
 			}
 			// Hook the larger root under the smaller.
-			if atomic.CompareAndSwapInt64(&parent[rv], int64(rv), int64(ru)) {
+			if slot(rv).CompareAndSwap(int64(rv), int64(ru)) {
 				break
 			}
 		}
@@ -85,27 +95,43 @@ func Parallel(r *pgas.Rank, n int, localEdges []Edge, parent []int64) []int {
 	r.Compute(float64(len(localEdges)))
 	r.Barrier()
 
-	// Pointer-jumping phase: everyone compresses a block of vertices.
-	lo, hi := r.BlockRange(n)
-	for v := lo; v < hi; v++ {
-		root := find(v)
-		atomic.StoreInt64(&parent[v], int64(root))
+	// Pointer-jumping phase: every rank compresses its own partition.
+	for i := range mine {
+		mine[i].Store(int64(find(dist.ID(r.ID(), i))))
 	}
-	r.Compute(float64(hi - lo))
+	r.Compute(float64(nLocal))
 	r.Barrier()
 
-	labels := make([]int, n)
-	for v := 0; v < n; v++ {
-		labels[v] = int(atomic.LoadInt64(&parent[v]))
+	// Number the components. A representative is a vertex that is its own
+	// root; IDs order rank-major, so an exclusive scan of the per-rank
+	// representative counts numbers them in ID order. Once every parent
+	// points at its root, a representative's slot is no longer needed as a
+	// parent and carries its component number instead, complemented (^n < 0)
+	// so it cannot be mistaken for a vertex ID.
+	reps := 0
+	for i := range mine {
+		if int(mine[i].Load()) == dist.ID(r.ID(), i) {
+			reps++
+		}
 	}
-	return labels
-}
-
-// NewParents allocates and initializes a shared parent array for Parallel.
-func NewParents(n int) []int64 {
-	p := make([]int64, n)
-	for i := range p {
-		p[i] = int64(i)
+	next := pgas.ExScan(r, reps, pgas.ReduceSum)
+	for i := range mine {
+		if int(mine[i].Load()) == dist.ID(r.ID(), i) {
+			mine[i].Store(int64(^next))
+			next++
+		}
 	}
-	return p
+	// The all-reduce's barriers publish the numbers before any rank reads a
+	// remote representative's slot.
+	total = pgas.AllReduce(r, reps, pgas.ReduceSum)
+	comp = make([]int, nLocal)
+	for i := range mine {
+		p := mine[i].Load()
+		if p >= 0 {
+			p = slot(int(p)).Load()
+		}
+		comp[i] = int(^p)
+	}
+	r.Compute(float64(nLocal))
+	return comp, total
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mhmgo/internal/dist"
 	"mhmgo/internal/pgas"
 )
 
@@ -112,6 +113,98 @@ func TestComponentsChain(t *testing.T) {
 	}
 }
 
+// GroupByComponent converts a label slice into a map from representative to
+// the member vertices of that component.
+func GroupByComponent(labels []int) map[int][]int {
+	groups := make(map[int][]int)
+	for v, rep := range labels {
+		groups[rep] = append(groups[rep], v)
+	}
+	return groups
+}
+
+// runParallel lays the dense vertices 0..n-1 out over the ranks rank-major,
+// sizes[p] of them on rank p, hands each rank the edges it holds (mapped to
+// dist IDs) and returns every vertex's component number, in dense order,
+// plus the component count each rank reported.
+func runParallel(t *testing.T, sizes []int, held func(rank int) []Edge) (comp []int, totals []int) {
+	t.Helper()
+	p := len(sizes)
+	first := make([]int, p+1)
+	for i, sz := range sizes {
+		first[i+1] = first[i] + sz
+	}
+	parts := make([][]int, p)
+	totals = make([]int, p)
+	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 4})
+	m.Run(func(rk *pgas.Rank) {
+		parts[rk.ID()], totals[rk.ID()] = Parallel(rk, sizes[rk.ID()], held(rk.ID()))
+	})
+	for _, part := range parts {
+		comp = append(comp, part...)
+	}
+	return comp, totals
+}
+
+// idOf maps dense vertex v of a rank-major layout to its dist ID; v outside
+// the layout maps to an ID that names no vertex.
+func idOf(sizes []int, v int) int {
+	for p, sz := range sizes {
+		if v < sz {
+			return dist.ID(p, v)
+		}
+		v -= sz
+	}
+	return dist.ID(len(sizes), v)
+}
+
+// denseComponents numbers the oracle's components in representative order:
+// what Parallel returns.
+func denseComponents(labels []int) (comp []int, total int) {
+	number := make(map[int]int)
+	comp = make([]int, len(labels))
+	for v, rep := range labels {
+		if _, ok := number[rep]; !ok {
+			// Representatives are smallest members, so they are met in
+			// ascending order.
+			number[rep] = len(number)
+		}
+		comp[v] = number[rep]
+	}
+	return comp, len(number)
+}
+
+func checkParallel(t *testing.T, sizes []int, edges []Edge) {
+	t.Helper()
+	n := 0
+	for _, sz := range sizes {
+		n += sz
+	}
+	want, wantTotal := denseComponents(components(n, edges))
+	p := len(sizes)
+	got, totals := runParallel(t, sizes, func(rank int) []Edge {
+		lo, hi := pgas.BlockRange(len(edges), p, rank)
+		var held []Edge
+		for _, e := range edges[lo:hi] {
+			held = append(held, Edge{idOf(sizes, e.U), idOf(sizes, e.V)})
+		}
+		return held
+	})
+	for rank, total := range totals {
+		if total != wantTotal {
+			t.Errorf("rank %d: %d components, sequential says %d", rank, total, wantTotal)
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("%d component numbers for %d vertices", len(got), n)
+	}
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("vertex %d in component %d, sequential says %d", v, got[v], want[v])
+		}
+	}
+}
+
 func TestParallelMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	n := 2000
@@ -120,58 +213,26 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for i := 0; i < n*12/10; i++ {
 		edges = append(edges, Edge{r.Intn(n), r.Intn(n)})
 	}
-	want := components(n, edges)
-
-	m := pgas.NewMachine(pgas.Config{Ranks: 8, RanksPerNode: 4})
-	parent := NewParents(n)
-	var results [8][]int
-	m.Run(func(rk *pgas.Rank) {
-		lo, hi := rk.BlockRange(len(edges))
-		results[rk.ID()] = Parallel(rk, n, edges[lo:hi], parent)
-	})
-	for rank := 0; rank < 8; rank++ {
-		got := results[rank]
-		if len(got) != n {
-			t.Fatalf("rank %d returned %d labels", rank, len(got))
-		}
-		for v := 0; v < n; v++ {
-			if got[v] != want[v] {
-				t.Fatalf("rank %d: vertex %d labelled %d, sequential says %d", rank, v, got[v], want[v])
-			}
-		}
+	// Edges naming no vertex are ignored.
+	edges = append(edges, Edge{3, n + 5}, Edge{-1, 7})
+	sizes := make([]int, 8)
+	for p := range sizes {
+		lo, hi := pgas.BlockRange(n, len(sizes), p)
+		sizes[p] = hi - lo
 	}
+	checkParallel(t, sizes, edges)
 }
 
-func TestParallelAllocatesParentsWhenNil(t *testing.T) {
-	n := 50
-	edges := []Edge{{0, 1}, {2, 3}, {3, 4}, {10, 20}}
-	m := pgas.NewMachine(pgas.Config{Ranks: 4})
-	var got []int
-	m.Run(func(rk *pgas.Rank) {
-		lo, hi := rk.BlockRange(len(edges))
-		labels := Parallel(rk, n, edges[lo:hi], nil)
-		if rk.ID() == 0 {
-			got = labels
-		}
-	})
-	want := components(n, edges)
-	for v := range want {
-		if got[v] != want[v] {
-			t.Errorf("vertex %d: %d vs %d", v, got[v], want[v])
-		}
-	}
+// TestParallelEmptyPartitions: ranks owning no vertex allocate an empty
+// partition and still hook the edges they hold.
+func TestParallelEmptyPartitions(t *testing.T) {
+	sizes := []int{20, 0, 30, 0}
+	edges := []Edge{{0, 1}, {2, 3}, {3, 4}, {10, 20}, {21, 49}, {19, 20}}
+	checkParallel(t, sizes, edges)
 }
 
 func TestParallelSingleRank(t *testing.T) {
-	n := 10
-	edges := []Edge{{0, 9}, {1, 2}}
-	m := pgas.NewMachine(pgas.Config{Ranks: 1})
-	m.Run(func(rk *pgas.Rank) {
-		labels := Parallel(rk, n, edges, nil)
-		if labels[9] != 0 || labels[2] != 1 {
-			t.Errorf("labels = %v", labels)
-		}
-	})
+	checkParallel(t, []int{10}, []Edge{{0, 9}, {1, 2}})
 }
 
 func BenchmarkComponents(b *testing.B) {

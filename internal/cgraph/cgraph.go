@@ -130,8 +130,8 @@ func newAliveMask(r *pgas.Rank, cs *dbg.ContigSet) *aliveMask {
 // contig record itself, so liveness always rides along with a fetch that is
 // already charged (the junction lookup or the neighbour contig get) instead
 // of paying a dedicated one-byte message.
-func (a *aliveMask) get(r *pgas.Rank, cs *dbg.ContigSet, id int) bool {
-	owner, idx := cs.Locate(id)
+func (a *aliveMask) get(r *pgas.Rank, id int) bool {
+	owner, idx := dist.Locate(id)
 	r.Compute(1)
 	return a.shards[owner][idx]
 }
@@ -190,7 +190,7 @@ func (g *graph) neighborsOf(r *pgas.Rank, reader *dht.CachedReader[seq.Kmer, []e
 			if ref.ContigID == c.ID {
 				continue
 			}
-			if !g.alive.get(r, g.cs, ref.ContigID) {
+			if !g.alive.get(r, ref.ContigID) {
 				continue
 			}
 			out = append(out, ref)
@@ -219,12 +219,12 @@ func (g *graph) meanNeighborDepth(refs []endRef) float64 {
 // same bubble proposed by both arms' owners counts once).
 func (g *graph) applyRemovals(r *pgas.Rank, proposals []int) int {
 	mine := dist.Exchange(r, proposals,
-		func(id int) int { owner, _ := g.cs.Locate(id); return owner },
+		func(id int) int { owner, _ := dist.Locate(id); return owner },
 		func(int) int { return removalWireSize })
 	n := 0
 	shard := g.alive.shards[r.ID()]
 	for _, id := range mine {
-		_, idx := g.cs.Locate(id)
+		_, idx := dist.Locate(id)
 		if shard[idx] {
 			shard[idx] = false
 			n++
@@ -319,7 +319,7 @@ func (g *graph) mergeBubbles(r *pgas.Rank) int {
 		}
 		for _, ref := range refsL {
 			other := ref.ContigID
-			if other == c.ID || !onRight[other] || !g.alive.get(r, g.cs, other) {
+			if other == c.ID || !onRight[other] || !g.alive.get(r, other) {
 				continue
 			}
 			oc := g.creader.Get(other)

@@ -30,7 +30,8 @@ func orientedSeq(c dbg.Contig, flipped bool) []byte {
 // through the cached contig reader; no rank materializes the survivor set.
 // Each chain is emitted exactly once, in canonical orientation, by the rank
 // owning its starting contig, and the emitted chains are redistributed into
-// a fresh contig set (content-routed, deduplicated, ExScan-renumbered).
+// a fresh contig set (content-routed, deduplicated, stamped with owner-naming
+// IDs).
 func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 	j := opts.K - 1
 	aliveShard := g.alive.shards[r.ID()]
@@ -148,8 +149,8 @@ func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 
 	// Redistribute the compacted chains: content-routed so the same
 	// palindromic chain emitted from both ends (possibly on two different
-	// ranks) collides on one owner and is deduplicated there, then
-	// ExScan-renumbered. No gather, no world sort.
+	// ranks) collides on one owner and is deduplicated there, then stamped
+	// with owner-naming IDs. No gather, no world sort.
 	out := dbg.DistributeContigs(r, localOut, dist.Distributed)
 	totalMerged := pgas.AllReduce(r, mergedCount, pgas.ReduceSum)
 	return out, totalMerged

@@ -424,18 +424,16 @@ func loadResume(dir string, reads []seq.Read, cfg Config, ks []int, machine *pga
 
 	if rs.states[0].hasContigs {
 		shards := make([][]dbg.Contig, cfg.Ranks)
-		id := 0
 		for p := range rs.states {
 			if !rs.states[p].hasContigs {
 				return nil, fmt.Errorf("%w: contig shard present on rank 0 but absent on rank %d", checkpoint.ErrCorruptShard, p)
 			}
 			shards[p] = rs.states[p].contigs
-			for _, c := range shards[p] {
-				if c.ID != id {
-					return nil, fmt.Errorf("%w: contig IDs are not dense in rank order (rank %d holds ID %d where %d was expected)",
-						checkpoint.ErrCorruptShard, p, c.ID, id)
+			for i, c := range shards[p] {
+				if c.ID != dist.ID(p, i) {
+					return nil, fmt.Errorf("%w: rank %d holds contig ID %d at shard index %d, which names another owner or index (want %d)",
+						checkpoint.ErrCorruptShard, p, c.ID, i, dist.ID(p, i))
 				}
-				id++
 			}
 		}
 		cset := dist.RestoreSet(shards, dbg.Contig.WireSize)

@@ -268,6 +268,48 @@ func TestResumeRefused(t *testing.T) {
 	}
 	last := baseMan.Steps[len(baseMan.Steps)-1]
 
+	// denseIDs rewrites the last step's contig IDs to what they were before
+	// IDs named their owner — 0..N-1 counted across the ranks in rank order —
+	// and re-chains the manifest over the rewritten shards, so only the IDs
+	// are wrong. It returns the directory and the first dense ID of rank 1,
+	// where the owner encoding and the dense one first disagree.
+	denseIDs := func(t *testing.T) (string, int) {
+		dir := copyCheckpointDir(t, srcDir)
+		hashes := slices.Clone(last.ShardHashes)
+		id, rank1First := 0, -1
+		for p := range hashes {
+			path := checkpoint.ShardPath(dir, last.Seq, last.Stage, p)
+			payload, err := checkpoint.ReadShard(path, hashes[p])
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := decodeRankState(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p == 1 {
+				rank1First = id
+			}
+			for i := range st.contigs {
+				st.contigs[i].ID = id
+				id++
+			}
+			if hashes[p], err = checkpoint.WriteShard(path, encodeRankState(st)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		man := checkpoint.New(baseMan.ConfigHash, baseMan.InputHash, baseMan.Ranks)
+		for _, step := range baseMan.Steps[:len(baseMan.Steps)-1] {
+			man.AppendStep(step.Iteration, step.Stage, step.K, step.ShardHashes)
+		}
+		man.AppendStep(last.Iteration, last.Stage, last.K, hashes)
+		if err := man.Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir, rank1First
+	}
+	denseDir, rank1First := denseIDs(t)
+
 	cases := []struct {
 		name    string
 		prepare func(t *testing.T) (dir string, reads []seq.Read, cfg Config)
@@ -334,6 +376,14 @@ func TestResumeRefused(t *testing.T) {
 				return dir, reads, cfg
 			},
 			want: checkpoint.ErrCorruptShard,
+		},
+		{
+			name: "contig IDs dense in rank order",
+			prepare: func(t *testing.T) (string, []seq.Read, Config) {
+				return denseDir, reads, cfg
+			},
+			want:    checkpoint.ErrCorruptShard,
+			wantMsg: fmt.Sprintf("rank 1 holds contig ID %d ", rank1First),
 		},
 		{
 			name: "truncated manifest",
@@ -652,6 +702,9 @@ func TestRankStateRecords(t *testing.T) {
 // before the field lists replaced the mirrored encoders and decoders — moves
 // if configHash, inputHash or any shard byte of any stage does.
 // TestRankStateShardPin pins one synthetic state; this pins what a run writes.
+// It was re-captured (from cbd38c63…) when global IDs came to name their
+// owner: every stored contig ID, alignment contig ID and rank clock moved,
+// while the shard layout did not.
 // A deliberate format change (ROADMAP item 3's golden bump) re-captures it,
 // and so does a change of the simulated clock, which every shard carries in
 // its rank clocks: it was re-captured (from 7609ad3d…) when de Bruijn
@@ -664,7 +717,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "cbd38c63f32fc1d7673a29d29a74c11c07ad9b056c0bc5481c67fea8a6806bbd"
+	const want = "ff40d3414267c3967c1fcab282f2a43353004304131577cef9ac273f567079de"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

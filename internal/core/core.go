@@ -627,7 +627,7 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 			st.aligns = nil
 		}
 	}
-	// Drop short contigs shard-locally and re-densify the IDs. Skipped on a
+	// Drop short contigs shard-locally and re-stamp the IDs. Skipped on a
 	// resume past the scaffolding checkpoint: the restored set is already
 	// filtered (the scaffolding stage consumed it).
 	if cfg.MinContigLen > 0 && !ck.done(nIter-1, scaffolding) {
@@ -665,8 +665,8 @@ func runKmerMerge(r *pgas.Rank, cfg Config, k int, st *rankState) {
 }
 
 // runDBGTraversal builds and traverses the de Bruijn graph. The emitted
-// contigs are routed to their content-hash owners and renumbered with an
-// exclusive scan; the previous iteration's set is released.
+// contigs are routed to their content-hash owners and stamped with
+// owner-naming IDs; the previous iteration's set is released.
 func runDBGTraversal(r *pgas.Rank, cfg Config, k int, st *rankState) {
 	topts := dbg.ThresholdOptions{TBase: cfg.TBase, ErrorRate: cfg.ErrorRate, GlobalTHQ: cfg.GlobalTHQ, MinCount: 1}
 	graph := dbg.Build(r, st.kmers, k, topts)
@@ -861,7 +861,7 @@ func localizePairs(r *pgas.Rank, cset *dbg.ContigSet, reads []seq.Read, readOffs
 		}
 		pair := li / 2
 		if pair < nPairs {
-			owner, _ := cset.Locate(a.ContigID)
+			owner, _ := dist.Locate(a.ContigID)
 			dest[pair] = owner
 		}
 	}

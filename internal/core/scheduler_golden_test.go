@@ -39,10 +39,14 @@ func resultFingerprint(res *Result) string {
 // wantSim was re-captured once (from 0.056517040799970962) when de Bruijn
 // traversal began finding path starts with one claim exchange instead of a
 // remote Get per vertex orientation: fewer charged messages, the same
-// sequences, so wantHash did not move.
+// sequences, so wantHash did not move. It was re-captured again (from
+// 0.047932597199977493) when global IDs came to name their owner: renumbering
+// lost its scan and all-gather, local assembly stopped fetching contigs it has
+// no reads for, and scaffolding's components became owner-partitioned —
+// different charges, the same sequences.
 func TestSchedulerGoldenP8(t *testing.T) {
 	const (
-		wantSim  = "0.047932597199977493"
+		wantSim  = "0.047086079399978838"
 		wantHash = "b829c58aa30a51f0fd98beed57d0d6fd6cbd6d3556bf55b5f39e37b25b2d6147"
 	)
 	comm := sim.WetlandsLikeCommunity(8, 0.5, 7)

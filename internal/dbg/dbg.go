@@ -454,8 +454,8 @@ func (g *Graph) walk(r *pgas.Rank, start oriented, e Entry, maxSteps int, ws *wa
 }
 
 // ContigSet is the distributed contig collection the pipeline passes between
-// stages: contigs partitioned by content over the ranks, with dense global
-// IDs assigned by an exclusive prefix scan.
+// stages: contigs partitioned by content over the ranks, each carrying the
+// global ID dist.ID(owner, index in the owner's shard).
 type ContigSet = dist.Set[Contig]
 
 // ContigOwner is the owner function of the distributed contig set: a
@@ -494,9 +494,9 @@ func ContigLess(a, b Contig) bool {
 //     contig's owner, so a byte-skewed ownership becomes a load-skewed
 //     machine.
 //
-// The final shards are sorted and densely renumbered with an exclusive
-// prefix scan. This replaces the old gather-to-all +
-// sort-the-world-on-every-rank GatherContigs. Collective.
+// The final shards are sorted and every contig is stamped with its owner-
+// naming global ID (dist.Set.Renumber), with no collective. This replaces the
+// old gather-to-all + sort-the-world-on-every-rank GatherContigs. Collective.
 //
 // The last parameter is ignored: frozen benchmark/chain.go passes it (ROADMAP 3(b)).
 func DistributeContigs(r *pgas.Rank, local []Contig, _ dist.Mode) *ContigSet {
@@ -513,10 +513,10 @@ func DistributeContigs(r *pgas.Rank, local []Contig, _ dist.Mode) *ContigSet {
 	return s
 }
 
-// RenumberContigs re-assigns dense global IDs after a set's shards changed
+// RenumberContigs re-stamps the global IDs after a set's shards changed
 // (filtering, compaction), storing the new ID into each contig. Collective.
-func RenumberContigs(r *pgas.Rank, s *ContigSet) int {
-	return s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
+func RenumberContigs(r *pgas.Rank, s *ContigSet) {
+	s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
 }
 
 // Stats summarizes a contig set.

@@ -7,10 +7,11 @@
 // all-to-all exchange (the paper's §II-A use case 4, "Local Reads & Writes"),
 // after which each rank holds and processes only its own shard: per-rank
 // memory is O(N/P) instead of the O(N) a gather-to-all materializes on every
-// rank. Dense global IDs are assigned without any gather via an exclusive
-// prefix scan (pgas.ExScan) over the shard sizes, owner-side lookups by
-// global ID are charged as one-sided gets (with an optional per-rank software
-// cache in front), and final output is emitted rank by rank onto rank 0 only.
+// rank. A global ID names its owner — ID(owner, index in the owner's shard) —
+// so any rank maps an ID back to its owner with arithmetic (Locate), without
+// a collective and without any O(P) table. Owner-side lookups by global ID
+// are charged as one-sided gets (with an optional per-rank software cache in
+// front), and final output is emitted rank by rank onto rank 0 only.
 package dist
 
 import (
@@ -18,6 +19,20 @@ import (
 
 	"mhmgo/internal/pgas"
 )
+
+// idxBits is the width of the shard-index half of a global ID.
+const idxBits = 32
+
+// ID returns the global ID of item idx of rank owner's shard: owner<<32 |
+// idx. IDs order exactly as their (owner, idx) pairs order lexicographically
+// — the rank-major order a dense renumbering would hand out — so comparing
+// two IDs decides what comparing their dense ranks would. ID and Locate are
+// the only code that knows the encoding.
+func ID(owner, idx int) int { return owner<<idxBits | idx }
+
+// Locate returns the rank owning the given global ID and the item's index
+// within that rank's shard: the arithmetic inverse of ID.
+func Locate(id int) (rank, idx int) { return id >> idxBits, id & (1<<idxBits - 1) }
 
 // Mode has one value and no effect: frozen benchmark/ names it (ROADMAP 3(b)).
 type Mode int
@@ -34,9 +49,6 @@ type Set[T any] struct {
 	wire func(T) int
 
 	shards [][]T
-	// base[p] is the global ID of rank p's first item (len NRanks+1), filled
-	// by Renumber; IDs are dense and contiguous per rank.
-	base []int
 }
 
 // New creates a Set collectively: every rank contributes its local items,
@@ -75,18 +87,11 @@ func NewIndexed[T any](r *pgas.Rank, local []T, destOf func(src, i int, item T) 
 // routing the items and the shards' resident bytes were paid by the original
 // run and are carried in the checkpointed rank clocks and resident meters.
 // shards[p] becomes rank p's shard verbatim, preserving ownership at the
-// same rank count. The ID base table is rebuilt from the shard lengths,
-// which is exact because every checkpointed set has been through Renumber
-// (dense IDs in rank order); callers should verify the stored item IDs
-// against Locate if the shards come from an untrusted file.
+// same rank count. Every checkpointed set has been through Renumber, so item
+// i of shard p should carry ID(p, i); callers should verify that if the
+// shards come from an untrusted file.
 func RestoreSet[T any](shards [][]T, wire func(T) int) *Set[T] {
-	s := &Set[T]{wire: wire, shards: shards}
-	base := make([]int, len(shards)+1)
-	for p, shard := range shards {
-		base[p+1] = base[p] + len(shard)
-	}
-	s.base = base
-	return s
+	return &Set[T]{wire: wire, shards: shards}
 }
 
 // Local returns the calling rank's shard. The owner may mutate items in
@@ -180,48 +185,19 @@ func (s *Set[T]) FilterLocal(r *pgas.Rank, keep func(item T) bool) int {
 	return dropped
 }
 
-// Renumber assigns dense global IDs without gathering: an exclusive prefix
-// scan of the shard sizes gives every rank its base offset, so rank p's items
-// get IDs [base, base+len(shard)). assign is called for every local item with
-// its local index and new global ID (typically storing the ID into the item).
-// The per-rank bases are also published so RankOfID / Locate can find any
-// ID. Returns the global item count. Collective.
-func (s *Set[T]) Renumber(r *pgas.Rank, assign func(i int, globalID int)) int {
+// Renumber stamps every item of the calling rank's shard with its global ID,
+// ID(rank, local index): assign is called for every local item with that
+// index and ID (typically storing the ID into the item). No collective is
+// needed — an ID is a function of the item's position — and the closing
+// barrier makes every shard's new IDs visible before any rank reads them.
+// Collective.
+func (s *Set[T]) Renumber(r *pgas.Rank, assign func(i int, globalID int)) {
 	n := len(s.shards[r.ID()])
-	base := pgas.ExScan(r, n, pgas.ReduceSum)
-	// The ID->owner map needs every rank's base: one scalar gather of the
-	// scan ends (P words through the tree schedule, not the payload) —
-	// ends[p] is rank p+1's base, and ends[P-1] is the global total.
-	ends := pgas.Gather(r, base+n)
-	if r.ID() == 0 {
-		bases := make([]int, len(ends)+1)
-		copy(bases[1:], ends)
-		s.base = bases
-	}
-	r.Barrier()
 	for i := 0; i < n; i++ {
-		assign(i, base+i)
+		assign(i, ID(r.ID(), i))
 	}
 	r.Compute(float64(n))
 	r.Barrier()
-	return s.base[len(ends)]
-}
-
-// RankOfID returns the rank owning the given global ID. Requires Renumber.
-func (s *Set[T]) RankOfID(id int) int {
-	// base is sorted; find the first rank whose shard ends beyond id.
-	hi := len(s.base) - 1
-	if hi < 0 {
-		panic("dist: RankOfID before Renumber")
-	}
-	return sort.Search(hi, func(p int) bool { return s.base[p+1] > id })
-}
-
-// Locate returns the rank owning the given global ID and the item's index
-// within that rank's shard. Requires Renumber.
-func (s *Set[T]) Locate(id int) (rank, idx int) {
-	rank = s.RankOfID(id)
-	return rank, id - s.base[rank]
 }
 
 // Reader fetches items by global ID through a per-rank software cache, for
@@ -249,8 +225,8 @@ func (s *Set[T]) NewReader(r *pgas.Rank, entries int) *Reader[T] {
 // as a one-sided get of the item's wire size.
 func (rd *Reader[T]) Get(id int) T {
 	s, r := rd.s, rd.r
-	owner := s.RankOfID(id)
-	item := s.shards[owner][id-s.base[owner]]
+	owner, idx := Locate(id)
+	item := s.shards[owner][idx]
 	if owner == r.ID() {
 		r.Compute(1)
 		return item

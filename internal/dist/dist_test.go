@@ -2,6 +2,8 @@ package dist
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"mhmgo/internal/pgas"
@@ -44,33 +46,104 @@ func TestSetRoutesToOwners(t *testing.T) {
 	})
 }
 
-// TestRenumberDenseAndLocatable: IDs are dense 0..N-1 in rank order, and
-// RankOfID and an uncached Reader find every item.
+// allIDs returns every item's global ID in rank-major order: ascending ID.
+func allIDs[T any](s *Set[T]) []int {
+	var ids []int
+	for p, shard := range s.shards {
+		for i := range shard {
+			ids = append(ids, ID(p, i))
+		}
+	}
+	return ids
+}
+
+// TestRenumberDenseAndLocatable: every shard's IDs are ID(rank, 0..n-1) —
+// dense within the shard — and Locate and an uncached Reader find every
+// item from its ID alone.
 func TestRenumberDenseAndLocatable(t *testing.T) {
 	const p = 5 // non-power-of-two
 	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 2})
 	m.Run(func(r *pgas.Rank) {
 		s := New(r, buildRecs(r.ID(), 4+r.ID()), recOwner, recWire, Distributed)
 		s.SortLocal(r, recLess)
-		total := s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
+		s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
+		for i, item := range s.Local(r) {
+			if item.ID != ID(r.ID(), i) {
+				t.Errorf("rank %d item %d has ID %d, want %d", r.ID(), i, item.ID, ID(r.ID(), i))
+			}
+		}
+		ids := allIDs(s)
 		wantTotal := 0
 		for i := 0; i < p; i++ {
 			wantTotal += 4 + i
 		}
-		if total != wantTotal {
-			t.Errorf("Renumber total = %d, want %d", total, wantTotal)
+		if len(ids) != wantTotal {
+			t.Errorf("%d items after Renumber, want %d", len(ids), wantTotal)
 		}
 		rd := s.NewReader(r, 0)
-		for id := 0; id < total; id++ {
-			item := rd.Get(id)
-			if item.ID != id {
+		for _, id := range ids {
+			if item := rd.Get(id); item.ID != id {
 				t.Errorf("Get(%d) returned item with ID %d", id, item.ID)
 			}
-			if owner := s.RankOfID(id); owner < 0 || owner >= p {
-				t.Errorf("RankOfID(%d) = %d out of range", id, owner)
+			if owner, idx := Locate(id); owner < 0 || owner >= p || idx >= len(s.shards[owner]) {
+				t.Errorf("Locate(%d) = (%d, %d) names no item", id, owner, idx)
 			}
 		}
 	})
+}
+
+// TestIDLocateProperty: Locate inverts ID for every rank of P in {1, 5,
+// 4096} and every index up to 2^32-1, and IDs order exactly as (rank, index)
+// pairs order lexicographically. At P=4096 a Set keeps no O(P) state beyond
+// its shard directory: the ID → owner map is arithmetic.
+func TestIDLocateProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	const maxIdx = 1<<32 - 1
+	for _, p := range []int{1, 5, 4096} {
+		type pair struct{ rank, idx int }
+		pick := func() pair {
+			idx := rng.Intn(maxIdx + 1)
+			switch rng.Intn(4) {
+			case 0:
+				idx = 0
+			case 1:
+				idx = maxIdx
+			}
+			return pair{rng.Intn(p), idx}
+		}
+		for trial := 0; trial < 20000; trial++ {
+			a, b := pick(), pick()
+			if rank, idx := Locate(ID(a.rank, a.idx)); rank != a.rank || idx != a.idx {
+				t.Fatalf("P=%d: Locate(ID(%d, %d)) = (%d, %d)", p, a.rank, a.idx, rank, idx)
+			}
+			lexLess := a.rank < b.rank || a.rank == b.rank && a.idx < b.idx
+			if got := ID(a.rank, a.idx) < ID(b.rank, b.idx); got != lexLess {
+				t.Fatalf("P=%d: ID(%d, %d) < ID(%d, %d) is %v, lexicographic order says %v",
+					p, a.rank, a.idx, b.rank, b.idx, got, lexLess)
+			}
+		}
+	}
+
+	const p = 4096
+	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 16})
+	var s *Set[rec]
+	m.Run(func(r *pgas.Rank) {
+		set := New(r, buildRecs(r.ID(), r.ID()%3), recOwner, recWire, Distributed)
+		set.Renumber(r, func(i, id int) { set.Local(r)[i].ID = id })
+		if r.ID() == 0 {
+			s = set
+		}
+	})
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Slice, reflect.Array, reflect.Map:
+			if name != "shards" && f.Len() >= p {
+				t.Errorf("Set.%s has %d entries at P=%d: only the shard directory may be O(P)", name, f.Len(), p)
+			}
+		}
+	}
 }
 
 // TestReaderCachesRemoteGets: repeated remote fetches of the same ID hit the
@@ -81,10 +154,9 @@ func TestReaderCachesRemoteGets(t *testing.T) {
 	res := m.Run(func(r *pgas.Rank) {
 		s := New(r, buildRecs(r.ID(), 6), recOwner, recWire, Distributed)
 		s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
-		total := s.GlobalLen(r)
 		rd := s.NewReader(r, 1<<10)
 		for rep := 0; rep < 3; rep++ {
-			for id := 0; id < total; id++ {
+			for _, id := range allIDs(s) {
 				rd.Get(id)
 			}
 		}
@@ -122,7 +194,8 @@ func TestSortDedupFilter(t *testing.T) {
 }
 
 // TestEmitRankOrderOnRootOnly: Emit returns the concatenation of the shards
-// in rank order on rank 0 and nil elsewhere, and no rank — including the
+// in rank order — ascending ID — on rank 0 and nil elsewhere, and no rank —
+// including the
 // streaming writer rank 0 — ever holds the full payload against the
 // resident meter.
 func TestEmitRankOrderOnRootOnly(t *testing.T) {
@@ -140,8 +213,8 @@ func TestEmitRankOrderOnRootOnly(t *testing.T) {
 				t.Errorf("rank 0 emitted %d items, want %d", len(out), p*5)
 			}
 			for i, item := range out {
-				if item.ID != i {
-					t.Errorf("emit order broken at %d: ID %d", i, item.ID)
+				if i > 0 && item.ID <= out[i-1].ID {
+					t.Errorf("emit order broken at %d: ID %d after %d", i, item.ID, out[i-1].ID)
 					break
 				}
 				totalBytes += recWire(item)
@@ -188,9 +261,9 @@ func TestExchangeOwnerRouted(t *testing.T) {
 
 // TestChargesPinnedP8 pins the traffic, footprint and simulated seconds of
 // one pass through every charged Set operation at P=8, 4 ranks per node. The
-// numbers were captured at ed1df1b, before the gather-to-all twin of each
-// operation was deleted: the surviving bodies charge exactly what the
-// distributed branches did.
+// numbers were re-captured when IDs came to name their owner: Renumber lost
+// its scan, its all-gather and a barrier, and the Reader sweep visits the
+// same items in the same order (the k-th ID in ascending order).
 func TestChargesPinnedP8(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 8, RanksPerNode: 4})
 	res := m.Run(func(r *pgas.Rank) {
@@ -199,11 +272,12 @@ func TestChargesPinnedP8(t *testing.T) {
 		s.SortLocal(r, recLess)
 		s.DedupLocal(r, recEqual)
 		s.FilterLocal(r, func(x rec) bool { return x.Seq != "TT" })
-		total := s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
+		s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
+		ids := allIDs(s)
 		rd := s.NewReader(r, 4)
 		for rep := 0; rep < 2; rep++ {
-			for id := r.ID(); id < total; id += 5 {
-				rd.Get(id)
+			for k := r.ID(); k < len(ids); k += 5 {
+				rd.Get(ids[k])
 			}
 		}
 		Exchange(r, s.Local(r), func(x rec) int { return x.ID }, recWire)
@@ -211,15 +285,15 @@ func TestChargesPinnedP8(t *testing.T) {
 		s.Release(r)
 	})
 	want := pgas.CommStats{
-		ComputeOps: 825, Messages: 354, OffNodeMessages: 196,
-		BytesSent: 4405, BytesReceived: 7524, OffNodeBytes: 4850,
-		RemoteGets: 238, RemotePuts: 61, Barriers: 152,
+		ComputeOps: 825, Messages: 306, OffNodeMessages: 180,
+		BytesSent: 3765, BytesReceived: 6884, OffNodeBytes: 4530,
+		RemoteGets: 238, RemotePuts: 61, Barriers: 112,
 		CacheHits: 32, CacheMisses: 238, PeakResidentBytes: 604,
 	}
 	if res.Stats != want {
 		t.Errorf("stats moved:\n got %+v\nwant %+v", res.Stats, want)
 	}
-	if wantSim := 0.0003976141999999995; res.SimSeconds != wantSim {
+	if wantSim := 0.0003159742000000001; res.SimSeconds != wantSim {
 		t.Errorf("simulated seconds moved: got %v, want %v", res.SimSeconds, wantSim)
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // ExampleSet shows the distributed-ownership pattern that replaced the
 // pipeline's gather-to-all collectives: records are routed to an owner rank
-// chosen from their content, deduplicated and renumbered owner-side without
-// any gather, looked up remotely through a charged one-sided get, and
+// chosen from their content, deduplicated owner-side, stamped with IDs that
+// name their owner, looked up remotely through a charged one-sided get, and
 // emitted in rank order on rank 0 only.
 func ExampleSet() {
 	type contig struct {
@@ -37,16 +37,17 @@ func ExampleSet() {
 		s := dist.New(r, local, ownerOf, wire, dist.Distributed)
 		s.SortLocal(r, func(a, b contig) bool { return a.Seq < b.Seq })
 		s.DedupLocal(r, func(a, b contig) bool { return a.Seq == b.Seq })
-		total := s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
+		s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
+		total := s.GlobalLen(r)
 
-		// Any rank can fetch any record by its dense global ID; remote
-		// fetches are charged as one-sided gets.
-		first := s.NewReader(r, 0).Get(0)
+		// Any rank can fetch any record by its global ID, which names the
+		// owner; remote fetches are charged as one-sided gets.
+		first := s.NewReader(r, 0).Get(dist.ID(0, 0))
 
 		if out := s.Emit(r); r.ID() == 0 {
-			fmt.Printf("%d distinct contigs, id 0 = %q, emitted %d\n", total, first.Seq, len(out))
+			fmt.Printf("%d distinct contigs, rank 0's first = %q, emitted %d\n", total, first.Seq, len(out))
 		}
 	})
 	// Output:
-	// 5 distinct contigs, id 0 = "AC03", emitted 5
+	// 5 distinct contigs, rank 0's first = "AC03", emitted 5
 }

@@ -5,15 +5,15 @@
 // forks, downshifted at dead ends — and a work-sharing scheduler to balance
 // the highly variable per-contig cost.
 //
-// Since PR 3 the contigs stay distributed: recruited reads are routed to the
-// contig's owner rank with one aggregated exchange (instead of a replicated
-// read pool), extension results are routed back to the owner only (instead
-// of being gathered onto every rank), and the work-sharing scheduler claims
-// interleaved blocks of the global ID space deterministically — each claim
-// still charges a global-counter atomic, and working on a non-owned contig
-// still pays the one-sided fetches of the contig and its recruited reads, so
-// the cost model sees exactly what dynamic stealing would cost, while
-// simulated seconds stay reproducible run to run.
+// The contigs stay distributed. Each recruited read is routed, in one
+// aggregated exchange, straight to the rank that will extend its contig, and
+// extension results are routed back to the contig's owner only. Without work
+// sharing the extender is the owner. With it, each owner's shard is cut into
+// blocks of blockSize contigs and block j of rank p's shard is extended by
+// rank (p + j) mod P — a deterministic stand-in for dynamic stealing that
+// charges what stealing would: one global-counter atomic per claimed block
+// that holds work, and one one-sided fetch per non-owned contig with
+// recruits, while simulated seconds stay reproducible run to run.
 package localasm
 
 import (
@@ -140,16 +140,111 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	opts = opts.normalized()
 	creader := cs.NewReader(r, 1<<16)
 
-	// Step 1: recruitment. A read is useful for a contig if it aligns near
-	// one of the contig's ends; its mate is also recruited since it may
-	// extend past the end. Recruits are routed to the contig's owner rank
-	// with one aggregated exchange (use case 4, "Local Reads & Writes") —
-	// the owner-routed replacement of the old replicated read pool.
-	// Per-library recruitment radius: endWindow plus half the library's
-	// insert-size excess over the shortest library (zero for single-library
-	// inputs, so legacy behavior is bit-preserved).
+	// Step 1: recruitment. Recruits are routed to the rank that will extend
+	// their contig with one aggregated exchange (use case 4, "Local Reads &
+	// Writes"), so a recruit's bytes cross the wire once.
+	recs, recruited := recruitReads(reads, readOffset, alignments, opts)
+	r.Compute(float64(recruited))
+	mine := dist.Exchange(r, recs,
+		func(rc recruit) int { return extenderOf(rc.ContigID, r.NRanks(), opts.WorkStealing) },
+		recruit.WireSize)
+	byContig := make(map[int][][]byte, len(mine))
+	for _, rc := range mine {
+		byContig[rc.ContigID] = append(byContig[rc.ContigID], rc.Seq)
+	}
+	r.Compute(float64(len(mine)))
+	ids := make([]int, 0, len(byContig))
+	for id := range byContig {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+
+	counterHandle := -1
+	if opts.WorkStealing {
+		var h int
+		if r.ID() == 0 {
+			h = r.Machine().NewAtomic(0)
+		}
+		counterHandle = pgas.Broadcast(r, h)
+	} else {
+		r.Barrier()
+	}
+
+	// Step 2: walk the contigs this rank received recruits for, in ID order,
+	// which visits each block's contigs together. A contig without recruits
+	// is never touched.
+	var exts []extRecord
+	var sc scratch
+	extendedBases := 0
+	touched := 0
+	steals := 0
+	lastBlock := -1
+	for _, id := range ids {
+		owner, idx := dist.Locate(id)
+		if block := dist.ID(owner, idx/blockSize); opts.WorkStealing && block != lastBlock {
+			// One remote atomic per claimed block, exactly as the dynamic
+			// counter would charge.
+			r.AtomicFetchAdd(counterHandle, int64(blockSize))
+			steals++
+			lastBlock = block
+		}
+		// The reader reads an owned contig locally and fetches any other
+		// one with a one-sided get.
+		c := creader.Get(id)
+		// Sort for determinism: the exchange delivers the reads in source-rank
+		// order, but the walk must not depend on any arrival order at all.
+		rds := byContig[id]
+		slices.SortFunc(rds, bytes.Compare)
+		newSeq, added := extendContig(r, c.Seq, rds, opts, &sc)
+		if added > 0 {
+			exts = append(exts, extRecord{ID: id, Seq: newSeq})
+			extendedBases += added
+			touched++
+		}
+	}
+	r.Barrier()
+
+	// Step 3: route the extensions to the contigs' owners only — no rank
+	// materializes the full extension set — and apply them owner-side.
+	got := dist.Exchange(r, exts,
+		func(e extRecord) int { owner, _ := dist.Locate(e.ID); return owner },
+		extRecord.WireSize)
+	sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
+	for _, e := range got {
+		_, idx := dist.Locate(e.ID)
+		c := cs.Local(r)[idx]
+		c.Seq = e.Seq
+		cs.SetLocal(r, idx, c)
+	}
+	r.Barrier()
+
+	var res Result
+	res.ExtendedBases = pgas.AllReduce(r, extendedBases, pgas.ReduceSum)
+	res.ContigsTouched = pgas.AllReduce(r, touched, pgas.ReduceSum)
+	res.Steals = pgas.AllReduce(r, steals, pgas.ReduceSum)
+	r.Barrier()
+	return res
+}
+
+// extenderOf returns the rank that extends contig id on a P-rank machine:
+// its owner, or under work sharing rank (owner + j) mod P for the contig's
+// block j of blockSize contigs in the owner's shard.
+func extenderOf(id, p int, workSharing bool) int {
+	owner, idx := dist.Locate(id)
+	if workSharing {
+		return (owner + idx/blockSize) % p
+	}
+	return owner
+}
+
+// recruitReads returns the recruits of the rank's alignments and how many
+// alignments recruited. A read is useful for a contig if it aligns near one
+// of the contig's ends; its mate is also recruited since it may extend past
+// the end. The per-library recruitment radius is endWindow plus half the
+// library's insert-size excess over the shortest library (zero for
+// single-library inputs).
+func recruitReads(reads []seq.Read, readOffset int, alignments []aligner.Alignment, opts Options) (recs []recruit, recruited int) {
 	libWindow := libraryWindows(opts)
-	var recs []recruit
 	for _, a := range alignments {
 		w := endWindow
 		if int(a.LibID) < len(libWindow) {
@@ -173,127 +268,9 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		if mateLocal >= 0 && mateLocal < len(reads) {
 			recs = append(recs, recruit{ContigID: a.ContigID, Seq: reads[mateLocal].Seq})
 		}
-		r.Compute(1)
+		recruited++
 	}
-	mine := dist.Exchange(r, recs,
-		func(rc recruit) int { owner, _ := cs.Locate(rc.ContigID); return owner },
-		recruit.WireSize)
-
-	// Bundle the recruits per owned contig and publish the per-rank bundles
-	// so the work-sharing scheduler can fetch a non-owned contig's reads
-	// (charged as a one-sided get).
-	myBundle := make(map[int][][]byte, len(mine))
-	for _, rc := range mine {
-		myBundle[rc.ContigID] = append(myBundle[rc.ContigID], rc.Seq)
-	}
-	r.Compute(float64(len(mine)))
-	var bundles []map[int][][]byte
-	if r.ID() == 0 {
-		bundles = make([]map[int][][]byte, r.NRanks())
-	}
-	bundles = pgas.Broadcast(r, bundles)
-	bundles[r.ID()] = myBundle
-	r.Barrier()
-
-	// Step 2: walk the contigs. With work sharing enabled, ranks claim
-	// interleaved blocks of the dense global ID space — every claim charges
-	// the global counter's atomic cost, and processing a non-owned contig
-	// pays the one-sided fetches of the contig and its bundle. The
-	// interleaved schedule is deterministic, so simulated seconds are
-	// reproducible run to run; the charged costs match what the racy
-	// counter-based scheduler paid.
-	n := cs.GlobalLen(r)
-	counterHandle := -1
-	if opts.WorkStealing {
-		var h int
-		if r.ID() == 0 {
-			h = r.Machine().NewAtomic(0)
-		}
-		counterHandle = pgas.Broadcast(r, h)
-	} else {
-		r.Barrier()
-	}
-
-	var exts []extRecord
-	var sc scratch
-	extendedBases := 0
-	touched := 0
-	steals := 0
-
-	processContig := func(id int) {
-		owner, idx := cs.Locate(id)
-		var c dbg.Contig
-		var rds [][]byte
-		if owner == r.ID() {
-			c = cs.Local(r)[idx]
-			rds = myBundle[id]
-			r.Compute(1)
-		} else {
-			c = creader.Get(id)
-			rds = bundles[owner][id]
-			if len(rds) > 0 {
-				total := 0
-				for _, rd := range rds {
-					total += len(rd)
-				}
-				r.ChargeGet(owner, total, 1)
-			}
-		}
-		if len(rds) == 0 {
-			return
-		}
-		// Sort for determinism: the exchange accumulates read batches in
-		// source-rank order, but the walk must not depend on any arrival
-		// order at all. Sort a copy — the bundle is shared.
-		rds = append([][]byte(nil), rds...)
-		slices.SortFunc(rds, bytes.Compare)
-		newSeq, added := extendContig(r, c.Seq, rds, opts, &sc)
-		if added > 0 {
-			exts = append(exts, extRecord{ID: id, Seq: newSeq})
-			extendedBases += added
-			touched++
-		}
-	}
-
-	if opts.WorkStealing {
-		for start := r.ID() * blockSize; start < n; start += r.NRanks() * blockSize {
-			// One remote atomic per claimed block, exactly as the dynamic
-			// counter would charge.
-			r.AtomicFetchAdd(counterHandle, int64(blockSize))
-			steals++
-			end := start + blockSize
-			if end > n {
-				end = n
-			}
-			for id := start; id < end; id++ {
-				processContig(id)
-			}
-		}
-	} else {
-		cs.ForEachLocal(r, func(_ int, c dbg.Contig) { processContig(c.ID) })
-	}
-	r.Barrier()
-
-	// Step 3: route the extensions to the contigs' owners only — no rank
-	// materializes the full extension set — and apply them owner-side.
-	got := dist.Exchange(r, exts,
-		func(e extRecord) int { owner, _ := cs.Locate(e.ID); return owner },
-		extRecord.WireSize)
-	sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
-	for _, e := range got {
-		_, idx := cs.Locate(e.ID)
-		c := cs.Local(r)[idx]
-		c.Seq = e.Seq
-		cs.SetLocal(r, idx, c)
-	}
-	r.Barrier()
-
-	var res Result
-	res.ExtendedBases = pgas.AllReduce(r, extendedBases, pgas.ReduceSum)
-	res.ContigsTouched = pgas.AllReduce(r, touched, pgas.ReduceSum)
-	res.Steals = pgas.AllReduce(r, steals, pgas.ReduceSum)
-	r.Barrier()
-	return res
+	return recs, recruited
 }
 
 // libraryWindows returns the per-library recruitment window (indexed by

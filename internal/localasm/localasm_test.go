@@ -35,10 +35,14 @@ func pairedReads(g string, readLen, frag, step int) []seq.Read {
 }
 
 // asmOut is the scalar Result plus the extended contigs emitted to rank 0
-// (sorted by descending length, then sequence).
+// (sorted by descending length, then sequence), the remote gets Run charged
+// over all ranks, and how many distinct contigs received recruits on a rank
+// other than their owner.
 type asmOut struct {
 	Result
-	Contigs []dbg.Contig
+	Contigs       []dbg.Contig
+	RemoteGets    uint64
+	NonLocalWalks int
 }
 
 func runLocalAssembly(t *testing.T, contigs []dbg.Contig, reads []seq.Read, ranks int, opts Options) asmOut {
@@ -46,19 +50,36 @@ func runLocalAssembly(t *testing.T, contigs []dbg.Contig, reads []seq.Read, rank
 	m := pgas.NewMachine(pgas.Config{Ranks: ranks})
 	aopts := aligner.DefaultOptions(15)
 	var res asmOut
+	gets := make([]uint64, ranks)
+	recruited := make([][]recruit, ranks)
 	m.Run(func(r *pgas.Rank) {
 		lo, hi := r.BlockRange(len(contigs))
 		cs := dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed)
 		idx := aligner.BuildIndex(r, cs, aopts)
 		plo, phi := r.PairBlockRange(len(reads))
 		aligns, _ := aligner.AlignReads(r, idx, reads[plo:phi], plo, aopts)
+		before := r.Stats().RemoteGets
 		got := Run(r, cs, reads[plo:phi], plo, aligns, opts)
+		gets[r.ID()] = r.Stats().RemoteGets - before
+		recruited[r.ID()], _ = recruitReads(reads[plo:phi], plo, aligns, opts)
 		all := cs.Emit(r)
 		if r.ID() == 0 {
 			sort.Slice(all, func(i, j int) bool { return dbg.ContigLess(all[i], all[j]) })
 			res = asmOut{Result: got, Contigs: all}
 		}
 	})
+	walked := map[int]bool{}
+	for rank := range recruited {
+		res.RemoteGets += gets[rank]
+		for _, rc := range recruited[rank] {
+			walked[rc.ContigID] = true
+		}
+	}
+	for id := range walked {
+		if owner, _ := dist.Locate(id); extenderOf(id, ranks, opts.WorkStealing) != owner {
+			res.NonLocalWalks++
+		}
+	}
 	return res
 }
 
@@ -97,18 +118,25 @@ func TestNoReadsMeansNoExtension(t *testing.T) {
 	}
 }
 
+// TestWorkStealingMatchesStatic: the work-sharing schedule extends every
+// contig exactly as the owners do, and its charges are what the schedule
+// needs and no more — one one-sided get per distinct contig walked on a rank
+// other than its owner, so a contig without recruits costs nothing.
 func TestWorkStealingMatchesStatic(t *testing.T) {
-	g := genome()
-	contigs := []dbg.Contig{
-		{ID: 0, Seq: []byte(g[20:60]), Depth: 20},
-		{ID: 1, Seq: seq.ReverseComplement([]byte(g[40:90])), Depth: 20},
+	// Contigs cut every 150 bases out of a random genome, with gaps for the
+	// walks to fill; on 2 ranks each owner holds several blocks, so work
+	// sharing hands some of them to the other rank.
+	g := string(randBases(rand.New(rand.NewSource(27)), 4000))
+	var contigs []dbg.Contig
+	for start := 0; start+60 <= len(g); start += 150 {
+		contigs = append(contigs, dbg.Contig{Seq: []byte(g[start : start+60]), Depth: 20})
 	}
-	reads := pairedReads(g, 30, 60, 2)
+	reads := pairedReads(g, 30, 60, 3)
 	dynamic := DefaultOptions(21)
 	static := DefaultOptions(21)
 	static.WorkStealing = false
-	resDyn := runLocalAssembly(t, contigs, reads, 4, dynamic)
-	resStat := runLocalAssembly(t, contigs, reads, 4, static)
+	resDyn := runLocalAssembly(t, contigs, reads, 2, dynamic)
+	resStat := runLocalAssembly(t, contigs, reads, 2, static)
 	if resDyn.ExtendedBases != resStat.ExtendedBases {
 		t.Errorf("work stealing changed the result: %d vs %d extended bases",
 			resDyn.ExtendedBases, resStat.ExtendedBases)
@@ -123,6 +151,15 @@ func TestWorkStealingMatchesStatic(t *testing.T) {
 	}
 	if resStat.Steals != 0 {
 		t.Error("static scheduler should record zero steals")
+	}
+	if resDyn.NonLocalWalks == 0 {
+		t.Fatal("no contig was walked away from its owner: the test exercises nothing")
+	}
+	for name, res := range map[string]asmOut{"work sharing": resDyn, "static": resStat} {
+		if res.RemoteGets != uint64(res.NonLocalWalks) {
+			t.Errorf("%s: %d remote gets for %d distinct contigs walked off their owner",
+				name, res.RemoteGets, res.NonLocalWalks)
+		}
 	}
 }
 

@@ -3,13 +3,13 @@
 // All collectives share one discipline: data moves through the machine's
 // shared buffers (the ranks really run concurrently, so barriers provide the
 // happens-before edges), while *cost* is charged as if the collective ran on
-// a tree network. A Cray-class machine executes reductions, broadcasts and
-// gathers in ceil(log2 P) rounds, not as P serialized messages to rank 0, so
-// that is what the cost model charges:
+// a tree network. A Cray-class machine executes reductions and broadcasts in
+// ceil(log2 P) rounds, not as P serialized messages to rank 0, so that is
+// what the cost model charges:
 //
-//   - AllReduce / Gather / GatherV follow the recursive-doubling (hypercube)
-//     schedule: in round k each rank exchanges its accumulated block with
-//     partner id XOR 2^k. With RanksPerNode a power of two the first
+//   - AllReduce / ExScan / ReduceAll follow the recursive-doubling
+//     (hypercube) schedule: in round k each rank exchanges its accumulator
+//     with partner id XOR 2^k. With RanksPerNode a power of two the first
 //     log2(RanksPerNode) rounds stay on-node and only the remaining rounds
 //     pay off-node latency and bandwidth, so node-aware placement matters to
 //     collectives exactly as it does to point-to-point traffic.
@@ -17,20 +17,17 @@
 //     round k ranks below 2^k forward to id+2^k. Rank 0 sends every round,
 //     which makes its clock the ceil(log2 P)-hop critical path.
 //
-// Sizes are charged honestly. GatherV charges the actual payload bytes of
-// every block it forwards (the recursive-doubling block grows as 2^k ranks'
-// payloads), so gathering all alignments is no longer priced like gathering
-// eight integers. Scalar collectives charge scalarBytes per element.
+// Scalar collectives charge scalarBytes per element; ReduceAll charges the
+// bound its caller states for one contribution. There is no all-gather: no
+// pipeline stage needs every rank to hold P values.
 //
 // Large-P discipline: a collective allocates O(1) per rank per call, never
-// O(P). The shared result (reduced value, gathered slice, exclusive-scan
-// prefix table) is computed exactly once per call — by the rank that
-// completes the entry barrier, under the barrier lock (Rank.barrierOn) — and
-// every rank reads the same object between the entry and exit barriers.
-// Returned slices are therefore shared across ranks and must be treated as
-// read-only. Exchanges deposit only non-empty batches into per-destination
-// mailboxes (exchInbox), so a sparse communication pattern costs O(messages),
-// not O(P²) slots.
+// O(P). The shared result (reduced value, exclusive-scan prefix table) is
+// computed exactly once per call — by the rank that completes the entry
+// barrier, under the barrier lock (Rank.barrierOn) — and every rank reads the
+// same object between the entry and exit barriers. Exchanges deposit only
+// non-empty batches into per-destination mailboxes (exchInbox), so a sparse
+// communication pattern costs O(messages), not O(P²) slots.
 package pgas
 
 import (
@@ -76,16 +73,8 @@ func combine[T Number](op ReduceOp, a, b T) T {
 }
 
 // scalarBytes is the wire size charged per element of the scalar collectives
-// (AllReduce, Broadcast, Gather of one value): one 8-byte word.
+// (AllReduce, ExScan, Broadcast): one 8-byte word.
 const scalarBytes = 8
-
-// collSlot is what a rank deposits in the shared gather buffer: its payload
-// and the payload's wire size, so the exact per-round block sizes of the
-// tree schedule can be reconstructed after the entry barrier.
-type collSlot struct {
-	payload any
-	bytes   int
-}
 
 // exchBatch is one batch deposited into an exchange mailbox: the sending
 // rank, the batch's bounds within the destination-sorted keys that sender
@@ -97,7 +86,7 @@ type exchBatch struct {
 	bytes  int
 }
 
-// exchOutbox is what a sender publishes in its gather-buffer slot for the
+// exchOutbox is what a sender publishes in its deposit slot for the
 // duration of one exchange: its items, untouched, and its packed keys sorted
 // by destination. The receiver of batch [lo, hi) gathers
 // items[uint32(keys[j])] for j in that range, so the sender never builds a
@@ -232,8 +221,8 @@ func (r *Rank) chargeDuplexHop(partner, sendBytes, recvBytes int) {
 // chargeRecvHop charges a receive-only hop: bytes arriving from src with no
 // matching sender-side charge. Used for the fold-in rounds of
 // non-power-of-two tree schedules, where a rank's hypercube partner does not
-// exist but the partner *block* does — a real algorithm (Bruck, or an extra
-// fold round) pays a message to deliver it. The receiver initiates the
+// exist but the partner's subcube does — a real algorithm (an extra fold
+// round) pays a message to deliver its partial result. The receiver initiates the
 // accounting, mirroring ChargeGet, so the bytes are still counted exactly
 // once.
 func (r *Rank) chargeRecvHop(src, bytes int) {
@@ -250,50 +239,10 @@ func (r *Rank) chargeRecvHop(src, bytes int) {
 	}
 }
 
-// chargeAllGatherTree charges the recursive-doubling all-gather schedule
-// from the shared cumulative-size table (machine.collPrefix, filled once per
-// collective by the entry barrier's completing rank): prefix[i] is the total
-// payload bytes of ranks [0, i). In round k rank i holds the payloads of the
-// 2^k ranks whose index differs from i only in the low k bits, and swaps
-// that block with partner i XOR 2^k. On non-power-of-two machines a partner
-// beyond the rank count may still front a partially existing block; the rank
-// is then charged a receive-only fold-in hop for that block's real bytes.
-// Block sizes are differences of the same integer prefix sums on every rank,
-// so the charged floats are bit-identical to summing the per-rank sizes.
-func (r *Rank) chargeAllGatherTree(prefix []int) {
-	p := r.machine.cfg.Ranks
-	rounds := ceilLog2(p)
-	blockBytes := func(base, span int) int {
-		if base >= p {
-			return 0
-		}
-		hi := base + span
-		if hi > p {
-			hi = p
-		}
-		return prefix[hi] - prefix[base]
-	}
-	for k := 0; k < rounds; k++ {
-		span := 1 << k
-		partner := r.id ^ span
-		base := partner &^ (span - 1)
-		if partner >= p {
-			if recv := blockBytes(base, span); recv > 0 {
-				r.chargeRecvHop(base, recv)
-			}
-			continue
-		}
-		send := blockBytes(r.id&^(span-1), span)
-		recv := blockBytes(base, span)
-		r.chargeDuplexHop(partner, send, recv)
-	}
-}
-
 // chargeAllReduceTree charges the recursive-doubling all-reduce schedule:
 // ceil(log2 P) rounds, each exchanging one fixed-size accumulator with
-// partner id XOR 2^k. As in chargeAllGatherTree, a missing partner whose
-// subcube partially exists costs a receive-only fold-in hop for its partial
-// accumulator.
+// partner id XOR 2^k. A missing partner whose subcube partially exists costs
+// a receive-only fold-in hop for its partial accumulator.
 func (r *Rank) chargeAllReduceTree(bytes int) {
 	p := r.machine.cfg.Ranks
 	rounds := ceilLog2(p)
@@ -347,38 +296,38 @@ func (r *Rank) chargeBroadcastTree(bytes int) {
 // the entry barrier — and its cost is the log2(P)-round tree schedule.
 func AllReduce[T Number](r *Rank, x T, op ReduceOp) T {
 	m := r.machine
-	m.gatherBuf[r.id] = collSlot{payload: x, bytes: scalarBytes}
+	m.slots[r.id] = x
 	r.barrierOn(func() {
-		acc := m.gatherBuf[0].payload.(T)
+		acc := m.slots[0].(T)
 		for i := 1; i < m.cfg.Ranks; i++ {
-			acc = combine(op, acc, m.gatherBuf[i].payload.(T))
+			acc = combine(op, acc, m.slots[i].(T))
 		}
 		m.collResult = acc
 	})
 	out := m.collResult.(T)
 	r.chargeAllReduceTree(scalarBytes)
 	r.Barrier()
-	m.gatherBuf[r.id] = collSlot{}
+	m.slots[r.id] = nil
 	return out
 }
 
 // ExScan combines the values of all ranks with a lower ID than the caller
 // (an exclusive prefix scan, MPI_Exscan): rank i returns
-// op(x_0, ..., x_{i-1}), and rank 0 returns T's zero value. It is the
-// collective behind gather-free dense renumbering — an ExScan of per-rank
-// counts is every rank's global offset — and is charged exactly like
+// op(x_0, ..., x_{i-1}), and rank 0 returns T's zero value. An ExScan of
+// per-rank counts is every rank's global offset (the read offsets after
+// localization, cc's component numbering), and it is charged exactly like
 // AllReduce: the recursive-doubling tree schedule, ceil(log2 P) rounds of one
 // scalar each, not an O(P) gather. The full prefix table is built once (same
 // left-to-right fold as ever, so float reductions associate identically) and
 // each rank reads its own entry.
 func ExScan[T Number](r *Rank, x T, op ReduceOp) T {
 	m := r.machine
-	m.gatherBuf[r.id] = collSlot{payload: x, bytes: scalarBytes}
+	m.slots[r.id] = x
 	r.barrierOn(func() {
 		prefix := make([]T, m.cfg.Ranks)
 		var acc T
 		for i := 1; i < m.cfg.Ranks; i++ {
-			v := m.gatherBuf[i-1].payload.(T)
+			v := m.slots[i-1].(T)
 			if i == 1 {
 				acc = v
 			} else {
@@ -391,14 +340,14 @@ func ExScan[T Number](r *Rank, x T, op ReduceOp) T {
 	out := m.collResult.([]T)[r.id]
 	r.chargeAllReduceTree(scalarBytes)
 	r.Barrier()
-	m.gatherBuf[r.id] = collSlot{}
+	m.slots[r.id] = nil
 	return out
 }
 
 // ReduceAll combines one arbitrary mergeable value per rank — a streaming
 // summary, a sketch — and returns fold(contributions in rank order) on every
 // rank. It is charged like AllReduce of a payload of the given wire bytes
-// (the recursive-doubling tree, ceil(log2 P) rounds), NOT like a gather:
+// (the recursive-doubling tree, ceil(log2 P) rounds), not like a gather:
 // bytes must be a bound on one contribution's wire size, identical on every
 // rank. No rank materializes all P contributions against the resident meter
 // — at any moment a real tree reduction holds at most two partial summaries.
@@ -408,89 +357,18 @@ func ExScan[T Number](r *Rank, x T, op ReduceOp) T {
 // result, which must be treated as read-only.
 func ReduceAll[T any](r *Rank, x T, bytes int, fold func(contribs []T) T) T {
 	m := r.machine
-	m.gatherBuf[r.id] = collSlot{payload: x, bytes: bytes}
+	m.slots[r.id] = x
 	r.barrierOn(func() {
 		contribs := make([]T, m.cfg.Ranks)
 		for i := 0; i < m.cfg.Ranks; i++ {
-			contribs[i] = m.gatherBuf[i].payload.(T)
+			contribs[i] = m.slots[i].(T)
 		}
 		m.collResult = fold(contribs)
 	})
 	out := m.collResult.(T)
 	r.chargeAllReduceTree(bytes)
 	r.Barrier()
-	m.gatherBuf[r.id] = collSlot{}
-	return out
-}
-
-// Gather collects one value from every rank and returns the slice (indexed
-// by rank) on every rank, charging the all-gather tree schedule at
-// scalarBytes per rank. The returned slice is one object shared by all
-// ranks: treat it as read-only.
-func Gather[T any](r *Rank, x T) []T {
-	m := r.machine
-	m.gatherBuf[r.id] = collSlot{payload: x, bytes: scalarBytes}
-	r.barrierOn(func() {
-		out := make([]T, m.cfg.Ranks)
-		for i := 0; i < m.cfg.Ranks; i++ {
-			slot := m.gatherBuf[i]
-			out[i] = slot.payload.(T)
-			m.collPrefix[i+1] = m.collPrefix[i] + slot.bytes
-		}
-		m.collResult = out
-	})
-	out := m.collResult.([]T)
-	r.chargeAllGatherTree(m.collPrefix)
-	r.Barrier()
-	// Every rank has read all slots (the barrier above); releasing the
-	// rank's own slot here cannot race, since only this rank writes it.
-	m.gatherBuf[r.id] = collSlot{}
-	return out
-}
-
-// GatherV collects a variable-length slice from every rank and returns the
-// per-rank slices (indexed by source rank) on every rank. Unlike the scalar
-// Gather it charges the actual payload: len(items)*bytesPerItem bytes from
-// this rank, forwarded through the log2(P)-round all-gather tree, so a rank
-// gathering megabytes of alignments pays for megabytes, not for P words.
-// The returned outer slice is shared by all ranks: treat it as read-only.
-func GatherV[T any](r *Rank, items []T, bytesPerItem int) [][]T {
-	return gatherV(r, items, len(items)*bytesPerItem)
-}
-
-// GatherVFunc is GatherV for payloads whose elements have variable wire
-// sizes (contigs, scaffolds): size reports the wire bytes of one item.
-func GatherVFunc[T any](r *Rank, items []T, size func(T) int) [][]T {
-	total := 0
-	for _, it := range items {
-		total += size(it)
-	}
-	return gatherV(r, items, total)
-}
-
-func gatherV[T any](r *Rank, items []T, localBytes int) [][]T {
-	m := r.machine
-	m.gatherBuf[r.id] = collSlot{payload: items, bytes: localBytes}
-	r.barrierOn(func() {
-		out := make([][]T, m.cfg.Ranks)
-		for i := 0; i < m.cfg.Ranks; i++ {
-			slot := m.gatherBuf[i]
-			out[i] = slot.payload.([]T)
-			m.collPrefix[i+1] = m.collPrefix[i] + slot.bytes
-		}
-		m.collResult = out
-		m.collTotal = m.collPrefix[m.cfg.Ranks]
-	})
-	out := m.collResult.([][]T)
-	r.chargeAllGatherTree(m.collPrefix)
-	// Every rank materializes the full gathered payload: charge it against
-	// the resident-bytes meter (the caller releases it when the gathered
-	// data is dropped).
-	r.ChargeResident(m.collTotal)
-	r.Barrier()
-	// See Gather: the slot is dead after the exit barrier; dropping it keeps
-	// the machine from pinning the last gathered payload alive.
-	m.gatherBuf[r.id] = collSlot{}
+	m.slots[r.id] = nil
 	return out
 }
 
@@ -501,14 +379,14 @@ func gatherV[T any](r *Rank, items []T, localBytes int) [][]T {
 func Broadcast[T any](r *Rank, x T) T {
 	m := r.machine
 	if r.id == 0 {
-		m.gatherBuf[0] = collSlot{payload: x, bytes: scalarBytes}
+		m.slots[0] = x
 	}
 	r.Barrier()
-	out := m.gatherBuf[0].payload.(T)
+	out := m.slots[0].(T)
 	r.chargeBroadcastTree(scalarBytes)
 	r.Barrier()
 	if r.id == 0 {
-		m.gatherBuf[0] = collSlot{}
+		m.slots[0] = nil
 	}
 	return out
 }
@@ -543,7 +421,7 @@ func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, siz
 		keys[i] = uint64(d)<<32 | uint64(i)
 	}
 	keys = r.sortExchKeys(keys, p)
-	m.gatherBuf[r.id].payload = exchOutbox[T]{items: items, keys: keys}
+	m.slots[r.id] = exchOutbox[T]{items: items, keys: keys}
 	for start := 0; start < n; {
 		d := int(keys[start] >> 32)
 		end := start
@@ -568,7 +446,7 @@ func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, siz
 	if total > 0 {
 		merged = make([]T, 0, total)
 		for _, b := range batches {
-			out := m.gatherBuf[b.src].payload.(exchOutbox[T])
+			out := m.slots[b.src].(exchOutbox[T])
 			for _, key := range out.keys[b.lo:b.hi] {
 				merged = append(merged, out.items[uint32(key)])
 			}
@@ -576,7 +454,7 @@ func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, siz
 	}
 	r.Barrier()
 	// Every receiver has gathered its batches: unpin the caller's items.
-	m.gatherBuf[r.id] = collSlot{}
+	m.slots[r.id] = nil
 	r.Barrier()
 	return merged
 }

@@ -39,10 +39,9 @@ func TestExScanMax(t *testing.T) {
 	})
 }
 
-// TestExScanChargedLikeAllReduce: the satellite bugfix replaced an O(P)
-// scalar Gather + local loop with ExScan; the scan must cost exactly what an
-// AllReduce of the same scalar costs (the log2 P tree), which at larger P is
-// cheaper than the all-gather tree Gather charges.
+// TestExScanChargedLikeAllReduce: the scan must cost exactly what an
+// AllReduce of the same scalar costs (the log2 P tree) — every rank's offset
+// for the price of one reduction, not of a P-word table.
 func TestExScanChargedLikeAllReduce(t *testing.T) {
 	const p = 16
 	run := func(body func(r *Rank)) (float64, CommStats) {
@@ -55,7 +54,7 @@ func TestExScanChargedLikeAllReduce(t *testing.T) {
 	if scanSim != redSim {
 		t.Errorf("ExScan sim %v != AllReduce sim %v", scanSim, redSim)
 	}
-	if scanStats.Messages != redStats.Messages || scanStats.BytesSent != redStats.BytesSent {
+	if scanStats != redStats {
 		t.Errorf("ExScan stats %+v != AllReduce stats %+v", scanStats, redStats)
 	}
 }
@@ -104,20 +103,24 @@ func TestExchangeFuncVariableSizes(t *testing.T) {
 	}
 }
 
-// TestResidentTracking: collectives charge the payloads they materialize
+// TestResidentTracking: exchanges charge the payloads they materialize
 // against the resident meter; releases lower the current level but never the
 // peak; the run aggregate reports the worst rank's peak (max, not sum).
 func TestResidentTracking(t *testing.T) {
 	const p = 4
 	m := NewMachine(Config{Ranks: p, RanksPerNode: p})
 	res := m.Run(func(r *Rank) {
-		// GatherV materializes the full payload on every rank: 4 ranks x 100
-		// bytes.
-		GatherV(r, make([]byte, 100), 1)
-		if got := r.Resident(); got != p*100 {
-			t.Errorf("rank %d: resident after gather = %d, want %d", r.ID(), got, p*100)
+		// Rank 3 receives 100 one-byte items from every rank, its own
+		// loop-back batch included; the other ranks receive nothing.
+		ExchangeFunc(r, make([]byte, 100), func(int, byte) int { return p - 1 }, func(byte) int { return 1 })
+		want := uint64(0)
+		if r.ID() == p-1 {
+			want = p * 100
 		}
-		r.ReleaseResident(p * 100)
+		if got := r.Resident(); got != want {
+			t.Errorf("rank %d: resident after the skewed exchange = %d, want %d", r.ID(), got, want)
+		}
+		r.ReleaseResident(int(want))
 		if got := r.Resident(); got != 0 {
 			t.Errorf("rank %d: resident after release = %d, want 0", r.ID(), got)
 		}

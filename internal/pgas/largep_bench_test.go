@@ -22,8 +22,6 @@ func BenchmarkCollectivesP256(b *testing.B) {
 				b.Errorf("AllReduce sum = %d", sum)
 			}
 			ExScan(r, 1, ReduceSum)
-			Gather(r, r.ID())
-			GatherV(r, []int{r.ID(), r.ID() + 1}, 8)
 			ExchangeFunc(r, []int{r.ID()}, func(int, int) int { return r.ID() + 1 }, func(int) int { return 8 })
 		})
 	}

@@ -128,11 +128,10 @@ type CommStats struct {
 	CacheMisses     uint64
 	// PeakResidentBytes is the high-water mark of collective payload bytes
 	// materialized by a rank at one time: collectives charge the payloads
-	// they deliver (a gather-to-all charges the full gathered set on every
-	// rank, an all-to-all only the batches actually received) and callers
-	// release what they drop via ReleaseResident. Unlike the traffic
-	// counters this is a per-rank *footprint*, so Add folds it with max, and
-	// an aggregate CommStats reports the worst rank's peak.
+	// they deliver (an all-to-all charges the batches actually received)
+	// and callers release what they drop via ReleaseResident. Unlike the
+	// traffic counters this is a per-rank *footprint*, so Add folds it with
+	// max, and an aggregate CommStats reports the worst rank's peak.
 	PeakResidentBytes uint64
 }
 
@@ -162,19 +161,17 @@ func (s *CommStats) Add(other CommStats) {
 type Machine struct {
 	cfg Config
 
-	barrier   *clockBarrier
-	sched     *scheduler
-	inboxes   []exchInbox // per-destination mailboxes of the exchanges
-	gatherBuf []collSlot  // one deposit slot per rank, shared by the collectives
+	barrier *clockBarrier
+	sched   *scheduler
+	inboxes []exchInbox // per-destination mailboxes of the exchanges
+	slots   []any       // one deposit slot per rank, shared by the collectives
 
-	// Shared collective scratch: written once per collective by the rank
+	// Shared collective result: written once per collective by the rank
 	// that completes the entry barrier (under the barrier lock, see
 	// Rank.barrierOn) and read by every rank between the entry and exit
 	// barriers. Replaces the historical fresh make([]T, P) per call per
 	// rank, which made a collective round O(P²) transient allocation.
 	collResult any
-	collTotal  int
-	collPrefix []int // cumulative payload bytes by rank; collPrefix[0] == 0
 
 	atomicMu sync.Mutex
 	atomics  []int64
@@ -212,8 +209,7 @@ func NewMachine(cfg Config) *Machine {
 	m.barrier = newClockBarrier(cfg.Ranks)
 	m.sched = newScheduler(cfg.Workers)
 	m.inboxes = make([]exchInbox, cfg.Ranks)
-	m.gatherBuf = make([]collSlot, cfg.Ranks)
-	m.collPrefix = make([]int, cfg.Ranks+1)
+	m.slots = make([]any, cfg.Ranks)
 	return m
 }
 
@@ -492,8 +488,8 @@ func (r *Rank) ChargeGet(src int, bytes int, msgs int) {
 }
 
 // ChargeResident records that bytes bytes of collective payload are now
-// materialized on this rank (a gathered result, a received exchange batch, a
-// distributed set's local shard) and updates the peak-resident high-water
+// materialized on this rank (a received exchange batch, a distributed set's
+// local shard) and updates the peak-resident high-water
 // mark. Resident tracking is a memory-footprint meter, not a clock charge:
 // it costs no simulated time.
 func (r *Rank) ChargeResident(bytes int) {

@@ -184,18 +184,6 @@ func TestAllReduce(t *testing.T) {
 	})
 }
 
-func TestGather(t *testing.T) {
-	m := NewMachine(Config{Ranks: 4})
-	m.Run(func(r *Rank) {
-		got := Gather(r, r.ID()*r.ID())
-		for i, v := range got {
-			if v != i*i {
-				t.Errorf("rank %d: gather[%d] = %d, want %d", r.ID(), i, v, i*i)
-			}
-		}
-	})
-}
-
 // TestExchangeFunc: every item reaches the rank destOf names, and a rank's
 // inbound items arrive in ascending source-rank order with each source's
 // items in that source's original order — even when the sender interleaves

@@ -9,7 +9,7 @@ import "reflect"
 // 1, strings and byte slices count their length, and slices, arrays, maps,
 // pointers and structs count the packed sizes of what they contain.
 //
-// The per-struct WireSize methods used at route/gather call sites must stay
+// The per-struct WireSize methods used at route and emit call sites must stay
 // >= this bound; the wire-size regression tests assert exactly that, so the
 // cost accounting cannot silently drift below the data actually moved.
 func WireSizeOf(v any) int {

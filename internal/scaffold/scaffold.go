@@ -13,8 +13,9 @@
 // routed only to the rank traversing their component, traversal fetches the
 // contigs it touches through a cached one-sided read, and the finished
 // scaffolds stay distributed until a single rank-ordered emit on rank 0.
-// The only per-contig state every rank holds is the integer component label
-// array; no rank materializes the full link, contig or scaffold payloads.
+// Component numbers stay with the contigs' owners, and each traverser learns
+// only its own components' members; no rank materializes a per-contig array
+// of the whole set or the full link, contig or scaffold payloads.
 //
 // Run performs ONE round of scaffolding for ONE paired-end library (its
 // geometry in Options.InsertSize/InsertStd). Multi-library assemblies —
@@ -26,7 +27,9 @@
 package scaffold
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mhmgo/internal/aligner"
@@ -188,16 +191,17 @@ type endpointCopy struct {
 
 func (endpointCopy) WireSize() int { return 35 }
 
-// flagNotice tells the rank traversing a contig's component that the contig
-// is a suspended repeat or an HMM (rRNA) hit; only the owners know, and only
-// the flagged minority is shipped.
-type flagNotice struct {
+// member tells the rank traversing a component that a contig belongs to it,
+// and whether the contig is a suspended repeat or an HMM (rRNA) hit — facts
+// only the contig's owner knows.
+type member struct {
 	ContigID  int
+	Comp      int
 	Suspended bool
 	HMMHit    bool
 }
 
-func (flagNotice) WireSize() int { return 10 }
+func (member) WireSize() int { return 18 }
 
 // endAndDistance derives, for one aligned read of an innie pair, which end
 // of the contig the rest of the fragment extends past and how far the read
@@ -300,7 +304,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		if ec.Which == 2 {
 			id = ec.Link.Key.C2
 		}
-		owner, _ := cs.Locate(id)
+		owner, _ := dist.Locate(id)
 		return owner
 	}
 	myCopies := dist.Exchange(r, copies, ownerOfCopy, endpointCopy.WireSize)
@@ -362,7 +366,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		}
 	}
 	homeOf := func(al acceptedLink) int {
-		owner, _ := cs.Locate(al.Key.C1)
+		owner, _ := dist.Locate(al.Key.C1)
 		return owner
 	}
 	myVetoes := dist.Exchange(r, vetoes, homeOf, acceptedLink.WireSize)
@@ -380,48 +384,38 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 
 	// Step 6: connected components over the surviving links, computed with
 	// the parallel Shiloach-Vishkin-style algorithm from distributed edges.
-	// The integer label array is the one per-contig structure every rank
-	// keeps (8 bytes per contig, index-only — see DESIGN.md).
-	n := cs.GlobalLen(r)
+	// Components are numbered in representative (smallest contig ID) order
+	// and component c is traversed by rank c mod P. Each owner learns the
+	// component numbers of its own contigs only; no rank holds a per-contig
+	// array of the whole set.
 	edges := make([]cc.Edge, 0, len(surviving))
 	for _, al := range surviving {
 		edges = append(edges, cc.Edge{U: al.Key.C1, V: al.Key.C2})
 	}
-	labels := cc.Parallel(r, n, edges, nil)
-	groups := cc.GroupByComponent(labels)
-	res.Components = len(groups)
-
-	reps := make([]int, 0, len(groups))
-	for rep := range groups {
-		reps = append(reps, rep)
-	}
-	sort.Ints(reps)
-	repIndex := make(map[int]int, len(reps))
-	for gi, rep := range reps {
-		repIndex[rep] = gi
-	}
-	traverserOf := func(contigID int) int {
+	comp, components := cc.Parallel(r, cs.Len(r), edges)
+	res.Components = components
+	traverserOf := func(c int) int {
 		if !opts.UseComponents {
 			return 0
 		}
-		return repIndex[labels[contigID]] % r.NRanks()
+		return c % r.NRanks()
 	}
 
-	// Step 7: route each surviving link to the rank traversing its
-	// component, and ship the (rare) suspended/HMM flags of every contig to
-	// its traverser so seeds and extendability follow the paper's rules.
+	// Step 7: route each surviving link to the rank traversing its component
+	// (a link's home is its C1 owner, this rank, so the component number is
+	// local), and every contig's membership — with its suspended/HMM flags —
+	// to its component's traverser, so seeds and extendability follow the
+	// paper's rules.
 	myLinks := dist.Exchange(r, surviving,
-		func(al acceptedLink) int { return traverserOf(al.Key.C1) },
+		func(al acceptedLink) int { _, i := dist.Locate(al.Key.C1); return traverserOf(comp[i]) },
 		acceptedLink.WireSize)
-	var notices []flagNotice
-	cs.ForEachLocal(r, func(_ int, c dbg.Contig) {
-		if suspendedLocal[c.ID] || hmmHitLocal[c.ID] {
-			notices = append(notices, flagNotice{ContigID: c.ID, Suspended: suspendedLocal[c.ID], HMMHit: hmmHitLocal[c.ID]})
-		}
+	members := make([]member, 0, cs.Len(r))
+	cs.ForEachLocal(r, func(i int, c dbg.Contig) {
+		members = append(members, member{ContigID: c.ID, Comp: comp[i], Suspended: suspendedLocal[c.ID], HMMHit: hmmHitLocal[c.ID]})
 	})
-	myNotices := dist.Exchange(r, notices,
-		func(fn flagNotice) int { return traverserOf(fn.ContigID) },
-		flagNotice.WireSize)
+	myMembers := dist.Exchange(r, members,
+		func(m member) int { return traverserOf(m.Comp) },
+		member.WireSize)
 
 	adj := make(map[int][]linkInfo)
 	for _, al := range myLinks {
@@ -431,12 +425,12 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	}
 	suspended := make(map[int]bool)
 	hmmHit := make(map[int]bool)
-	for _, fn := range myNotices {
-		if fn.Suspended {
-			suspended[fn.ContigID] = true
+	for _, m := range myMembers {
+		if m.Suspended {
+			suspended[m.ContigID] = true
 		}
-		if fn.HMMHit {
-			hmmHit[fn.ContigID] = true
+		if m.HMMHit {
+			hmmHit[m.ContigID] = true
 		}
 	}
 	tr := &traverser{
@@ -496,18 +490,21 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		adj[id] = links
 	}
 
-	// Step 8: traverse the components assigned to this rank, longest seed
-	// first, fetching the contigs each chain touches through the cache.
+	// Step 8: traverse the components assigned to this rank in component
+	// order, each given as its members in ascending ID order, fetching the
+	// contigs each chain touches through the cache.
+	slices.SortFunc(myMembers, func(a, b member) int {
+		return cmp.Or(cmp.Compare(a.Comp, b.Comp), cmp.Compare(a.ContigID, b.ContigID))
+	})
 	var localChains [][]placedContig
-	for gi, rep := range reps {
-		if opts.UseComponents {
-			if gi%r.NRanks() != r.ID() {
-				continue
-			}
-		} else if r.ID() != 0 {
-			continue
+	for lo := 0; lo < len(myMembers); {
+		var ids []int
+		hi := lo
+		for ; hi < len(myMembers) && myMembers[hi].Comp == myMembers[lo].Comp; hi++ {
+			ids = append(ids, myMembers[hi].ContigID)
 		}
-		localChains = append(localChains, tr.traverseComponent(r, groups[rep])...)
+		localChains = append(localChains, tr.traverseComponent(r, ids)...)
+		lo = hi
 	}
 	r.Barrier()
 
@@ -517,7 +514,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	res.GapsTotal = pgas.AllReduce(r, gapsTotal, pgas.ReduceSum)
 	res.GapsClosed = pgas.AllReduce(r, gapsClosed, pgas.ReduceSum)
 
-	// Step 10: provisional IDs in rank order via the exclusive scan, then a
+	// Step 10: provisional owner-naming IDs (dist.Set.Renumber), then a
 	// single rank-ordered emit materializes the output on rank 0 only, where
 	// it is put into the deterministic global order. Only the summary
 	// counters above were all-reduced; no gather-to-all anywhere.

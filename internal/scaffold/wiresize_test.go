@@ -17,9 +17,9 @@ func TestWireSizes(t *testing.T) {
 	if got, min := ec.WireSize(), pgas.WireSizeOf(ec); got < min {
 		t.Errorf("endpointCopy.WireSize() = %d < encoded size %d", got, min)
 	}
-	fn := flagNotice{ContigID: 5, Suspended: true, HMMHit: true}
-	if got, min := fn.WireSize(), pgas.WireSizeOf(fn); got < min {
-		t.Errorf("flagNotice.WireSize() = %d < encoded size %d", got, min)
+	m := member{ContigID: 5, Comp: 2, Suspended: true, HMMHit: true}
+	if got, min := m.WireSize(), pgas.WireSizeOf(m); got < min {
+		t.Errorf("member.WireSize() = %d < encoded size %d", got, min)
 	}
 	s := Scaffold{ID: 1, Seq: []byte("ACGTNNNNACGT"), ContigIDs: []int{4, 9}, Gaps: 1, GapsClosed: 1}
 	if got, min := s.WireSize(), pgas.WireSizeOf(s); got < min {
