@@ -35,7 +35,6 @@ import (
 	"mhmgo/internal/core"
 	"mhmgo/internal/eval"
 	"mhmgo/internal/fastx"
-	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
 )
 
@@ -355,7 +354,7 @@ func main() {
 	fmt.Printf("simulated parallel time: %.3fs on %d ranks (%d virtual nodes); wall time %.3fs\n",
 		res.SimSeconds, *ranks, (*ranks+*ranksPerNode-1)/(*ranksPerNode), res.WallSeconds)
 	fmt.Println("stage breakdown (simulated seconds):")
-	for _, st := range pgas.SortStages(res.Stages) {
+	for _, st := range res.Stages() {
 		fmt.Printf("  %-16s %.4f\n", st.Name, st.Seconds)
 	}
 	s := res.Stats

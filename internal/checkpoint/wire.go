@@ -221,12 +221,11 @@ func field[T any](c *Codec, v *T, put func(*Enc, T), get func(*Dec) T) {
 	}
 }
 
-// U8, U32, U64, I64, Int, F64, Blob and Str walk one field in the encoding of
-// the Enc and Dec method of the same name. A decoded Blob aliases the input.
+// U8, U32, U64, Int, F64, Blob and Str walk one field in the encoding of the
+// Enc and Dec method of the same name. A decoded Blob aliases the input.
 func (c *Codec) U8(v *uint8)    { field(c, v, (*Enc).U8, (*Dec).U8) }
 func (c *Codec) U32(v *uint32)  { field(c, v, (*Enc).U32, (*Dec).U32) }
 func (c *Codec) U64(v *uint64)  { field(c, v, (*Enc).U64, (*Dec).U64) }
-func (c *Codec) I64(v *int64)   { field(c, v, (*Enc).I64, (*Dec).I64) }
 func (c *Codec) Int(v *int)     { field(c, v, (*Enc).Int, (*Dec).Int) }
 func (c *Codec) F64(v *float64) { field(c, v, (*Enc).F64, (*Dec).F64) }
 func (c *Codec) Blob(v *[]byte) { field(c, v, (*Enc).Blob, (*Dec).Blob) }

@@ -130,11 +130,7 @@ type rankState struct {
 	readOffset       int
 	shippedReadBytes int
 
-	distinctKmers  int
-	heavyHitterMax int64
-	alignedFrac    float64
-	localAsmBases  int
-	cacheHitRate   float64
+	alignedFrac float64
 
 	// aligns is the latest alignment stage's output, serialized only at
 	// boundaries where a later step still consumes it (hasAligns; see
@@ -154,12 +150,15 @@ type rankState struct {
 	hasCounts  bool
 	counts     []seq.KmerCount
 
-	// Scaffolding output, present once the scaffolding stage ran.
-	// scaffold.Scaffolds is non-empty on rank 0 only (the emitted final
-	// list); scaffold.Local is the rank's own shard.
-	hasScaffold bool
-	scaffold    scaffold.Result
-	rounds      []RoundStats
+	// Scaffolding output, present once the scaffolding stage ran: the
+	// emitted final list (rank 0 only) and one summary per round.
+	scaffolds []scaffold.Scaffold
+	rounds    []RoundStats
+
+	// steps is the record of every step completed so far (rank 0 only): a
+	// resumed run continues the list the checkpoint carries, so its
+	// Result.Steps covers the whole run.
+	steps []ProgressEvent
 
 	// emitted is the final contig list (rank 0 only); not part of a shard —
 	// it is produced after the last checkpoint.
@@ -185,19 +184,14 @@ func (st *rankState) atBoundary(r *pgas.Rank, it, stage int, alignsLive bool) *r
 	return &b
 }
 
-// scaffoldCounters lists a scaffold.Result's counters in their shard order
-// (wire-visible, so frozen).
-func scaffoldCounters(sr *scaffold.Result) [8]*int {
-	return [8]*int{&sr.SplintLinks, &sr.SpanLinks, &sr.AcceptedLinks, &sr.RepeatsSuspended,
-		&sr.Components, &sr.RRNAHits, &sr.GapsTotal, &sr.GapsClosed}
-}
-
 // rankStateMagic versions the per-rank shard format. v2 widened the read
-// record with the SampleID tag; a v1 shard (written before the sample axis
-// existed) is refused at decode — its magic no longer matches — so an old
-// checkpoint surfaces as ErrCorruptShard instead of mis-decoding the tail
-// of every read record.
-const rankStateMagic = "mhm-rank-state-v2"
+// record with the SampleID tag; v3 dropped four pipeline scalars, the
+// scaffolding counters and each rank's own scaffold shard, none of which a
+// resumed run reads, and added rank 0's step records. An older shard is
+// refused at decode — its magic no longer matches — so an old checkpoint
+// surfaces as ErrCorruptShard instead of mis-decoding the fields after the
+// first one that moved.
+const rankStateMagic = "mhm-rank-state-v3"
 
 // fields is the shard layout of a rankState: the one list encodeRankState
 // and decodeRankState both walk. Decoding refuses a foreign magic and a stage
@@ -226,11 +220,7 @@ func (st *rankState) fields(c *checkpoint.Codec) {
 	c.Int(&st.readOffset)
 	c.Int(&st.shippedReadBytes)
 	checkpoint.Slice(c, &st.reads, checkpoint.ReadFields)
-	c.Int(&st.distinctKmers)
-	c.I64(&st.heavyHitterMax)
 	c.F64(&st.alignedFrac)
-	c.Int(&st.localAsmBases)
-	c.F64(&st.cacheHitRate)
 	if c.Bool(&st.hasAligns) {
 		checkpoint.Slice(c, &st.aligns, checkpoint.AlignmentFields)
 	}
@@ -240,14 +230,9 @@ func (st *rankState) fields(c *checkpoint.Codec) {
 	if c.Bool(&st.hasCounts) {
 		checkpoint.Slice(c, &st.counts, checkpoint.KmerCountFields)
 	}
-	if c.Bool(&st.hasScaffold) {
-		checkpoint.Slice(c, &st.scaffold.Scaffolds, checkpoint.ScaffoldFields)
-		checkpoint.Slice(c, &st.scaffold.Local, checkpoint.ScaffoldFields)
-		for _, n := range scaffoldCounters(&st.scaffold) {
-			c.Int(n)
-		}
-		checkpoint.Slice(c, &st.rounds, roundStatsFields)
-	}
+	checkpoint.Slice(c, &st.scaffolds, checkpoint.ScaffoldFields)
+	checkpoint.Slice(c, &st.rounds, roundStatsFields)
+	checkpoint.Slice(c, &st.steps, progressEventFields)
 }
 
 // roundStatsFields is the shard layout of one scaffolding round's summary.
@@ -258,6 +243,16 @@ func roundStatsFields(c *checkpoint.Codec, rs *RoundStats) {
 	c.Int(&rs.InputContigs)
 	c.Int(&rs.Scaffolds)
 	c.Int(&rs.AcceptedLinks)
+}
+
+// progressEventFields is the shard layout of one step record.
+func progressEventFields(c *checkpoint.Codec, ev *ProgressEvent) {
+	c.Str(&ev.Stage)
+	c.Int(&ev.Iteration)
+	c.Int(&ev.K)
+	c.F64(&ev.Seconds)
+	c.F64(&ev.SimSeconds)
+	c.U64(&ev.ResidentBytes)
 }
 
 // encodeRankState serializes a rankState into the checkpoint wire format.

@@ -30,9 +30,10 @@ func ckptReads(t *testing.T) []seq.Read {
 	return reads
 }
 
-// assertSameRun asserts the three bit-identity guarantees of a resumed run:
-// identical final sequences, identical simulated seconds and identical
-// manifest head hash.
+// assertSameRun asserts the four bit-identity guarantees of a resumed run:
+// identical final sequences, identical simulated seconds, identical manifest
+// head hash and the identical record of every step, including those the
+// checkpoint carried across the kill.
 func assertSameRun(t *testing.T, want, got *Result) {
 	t.Helper()
 	ws, gs := want.FinalSequences(), got.FinalSequences()
@@ -52,6 +53,9 @@ func assertSameRun(t *testing.T, want, got *Result) {
 	}
 	if want.ManifestHead != got.ManifestHead {
 		t.Errorf("manifest head %s != baseline %s", got.ManifestHead, want.ManifestHead)
+	}
+	if !reflect.DeepEqual(want.Steps, got.Steps) {
+		t.Errorf("steps %+v\n!= baseline %+v", got.Steps, want.Steps)
 	}
 }
 
@@ -539,11 +543,17 @@ func TestScheduleMatchesManifestAndProgress(t *testing.T) {
 			cfg := tc.cfg
 			cfg.CheckpointDir = t.TempDir()
 			var events []string
+			var records []ProgressEvent
 			cfg.Progress = func(ev ProgressEvent) {
 				events = append(events, fmt.Sprintf("%d:%s", ev.Iteration, ev.Stage))
+				records = append(records, ev)
 			}
-			if _, err := Assemble(tc.reads, cfg); err != nil {
+			res, err := Assemble(tc.reads, cfg)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Steps, records) {
+				t.Errorf("Result.Steps = %+v, progress events = %+v", res.Steps, records)
 			}
 			man, err := checkpoint.Load(cfg.CheckpointDir)
 			if err != nil {
@@ -575,8 +585,8 @@ func fullRankState(t testing.TB) rankState {
 			{ID: "solo", Seq: []byte("TTTT"), Qual: []byte{}}, // the decoder yields empty, not nil
 		},
 		readOffset: 14, shippedReadBytes: 212,
-		distinctKmers: 4242, heavyHitterMax: 1 << 40, alignedFrac: 0.9375, localAsmBases: 77, cacheHitRate: 0.625,
-		hasAligns: true,
+		alignedFrac: 0.9375,
+		hasAligns:   true,
 		aligns: []aligner.Alignment{
 			{ReadIdx: 14, ReadID: "p7/1", LibID: 1, ContigID: 9, ContigLen: 120, ContigPos: -3, Reverse: true, Matches: 9, Mismatch: 1, AlignLen: 10},
 			{ReadIdx: 15, ReadID: "p7/2", LibID: 1, ContigID: 10, ContigLen: 64, ContigPos: 17, Matches: 10, AlignLen: 10},
@@ -591,34 +601,32 @@ func fullRankState(t testing.TB) rankState {
 			{Kmer: seq.MustKmer("ACGTACGTACGTACGTACGTA"), Count: 7, Left: seq.ExtCounts{1, 2, 3, 4}, Right: seq.ExtCounts{4, 3, 2, 1}},
 			{Kmer: seq.MustKmer("CCGTACGTACGTACGTACGTA"), Count: 2},
 		},
-		hasScaffold: true,
-		scaffold: scaffold.Result{
-			Scaffolds: []scaffold.Scaffold{
-				{ID: 0, Seq: []byte("ACGTNNNNACGT"), ContigIDs: []int{10, 9}, Gaps: 1, GapsClosed: 0},
-				{ID: 1, Seq: []byte("GGGG"), ContigIDs: []int{3}},
-			},
-			Local: []scaffold.Scaffold{
-				{ID: 1, Seq: []byte("GGGG"), ContigIDs: []int{3}, Gaps: 2, GapsClosed: 2},
-			},
-			SplintLinks: 11, SpanLinks: 22, AcceptedLinks: 33, RepeatsSuspended: 44,
-			Components: 55, RRNAHits: 66, GapsTotal: 77, GapsClosed: 88,
+		scaffolds: []scaffold.Scaffold{
+			{ID: 0, Seq: []byte("ACGTNNNNACGT"), ContigIDs: []int{10, 9}, Gaps: 1, GapsClosed: 0},
+			{ID: 1, Seq: []byte("GGGG"), ContigIDs: []int{3}},
 		},
 		rounds: []RoundStats{
 			{Library: "pe", LibIndex: 1, InsertSize: 300, InputContigs: 40, Scaffolds: 12, AcceptedLinks: 9},
 			{Library: "mp", LibIndex: 0, InsertSize: 1500, InputContigs: 12, Scaffolds: 5, AcceptedLinks: 4},
 		},
+		steps: []ProgressEvent{
+			{Stage: StageKmerAnalysis, K: 21, Seconds: 0.125, SimSeconds: 0.125, ResidentBytes: 4096},
+			{Stage: StageScaffolding, Iteration: 2, K: 45, Seconds: 0.0625, SimSeconds: 0.3141592653589793, ResidentBytes: 987654321},
+		},
 	}
 }
 
 // TestRankStateShardPin pins the shard wire format: a fixed, fully populated
-// rank state must encode to the SHA-256 captured at the commit before the
-// stage-table refactor (PR 13's tree), so "shard bytes unchanged" — which
-// cross-commit resume depends on — is checked, not promised. A deliberate
-// format change bumps rankStateMagic and re-captures the literal.
+// rank state must encode to a captured SHA-256, so "shard bytes unchanged" —
+// which cross-commit resume depends on — is checked, not promised. A
+// deliberate format change bumps rankStateMagic and re-captures the literal.
+// It was last re-captured (from 978 bytes, 207eaec2…) for format v3, which
+// dropped the unread pipeline scalars, the scaffolding counters and the
+// per-rank scaffold shard, and added rank 0's step records.
 func TestRankStateShardPin(t *testing.T) {
 	st := fullRankState(t)
 	data := encodeRankState(&st)
-	const wantLen, wantSHA = 978, "207eaec24442441748ea8a886d13fa4d5140e3358378c973c8674bd9a49eeb75"
+	const wantLen, wantSHA = 949, "f7e294266053481789e8229dbb2cd0c05d670649e6fe9908acf78288519a3cab"
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantSHA {
 		t.Errorf("shard = %d bytes, sha256 %s; want %d bytes, sha256 %s", len(data), got, wantLen, wantSHA)
@@ -684,12 +692,16 @@ func checkRecord[T any](t *testing.T, fields func(*checkpoint.Codec, *T), sample
 	}
 }
 
-// TestRankStateRecords runs the codec table's assertions over the two field
-// lists this package owns.
+// TestRankStateRecords runs the codec table's assertions over the three
+// field lists this package owns.
 func TestRankStateRecords(t *testing.T) {
 	t.Run("round stats", func(t *testing.T) {
 		checkRecord(t, roundStatsFields,
 			RoundStats{Library: "pe", LibIndex: 1, InsertSize: 300, InputContigs: 40, Scaffolds: 12, AcceptedLinks: 9})
+	})
+	t.Run("step record", func(t *testing.T) {
+		checkRecord(t, progressEventFields,
+			ProgressEvent{Stage: StageAlignment, Iteration: 1, K: 33, Seconds: 0.0125, SimSeconds: 0.035, ResidentBytes: 123456})
 	})
 	t.Run("rank state", func(t *testing.T) {
 		checkRecord(t, func(c *checkpoint.Codec, st *rankState) { st.fields(c) }, fullRankState(t))
@@ -709,7 +721,9 @@ func TestRankStateRecords(t *testing.T) {
 // and so does a change of the simulated clock, which every shard carries in
 // its rank clocks: it was re-captured (from 7609ad3d…) when de Bruijn
 // traversal began finding path starts with one claim exchange instead of a
-// remote Get per vertex orientation.
+// remote Get per vertex orientation. It was re-captured (from ff40d341…) for
+// shard format v3: the same run and clocks, fewer fields per shard and rank
+// 0's step records added.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -717,7 +731,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "ff40d3414267c3967c1fcab282f2a43353004304131577cef9ac273f567079de"
+	const want = "385e02b0a6b3bd1188e8fea5b6c350d7cafbd5b2e04b47ceca2f75aa4e7f2ed2"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}
@@ -746,11 +760,11 @@ func FuzzRankStateDecode(f *testing.F) {
 			{ID: "pair1/2", Seq: []byte("TTGCAACGT"), Qual: []byte("IIIIIIIII"), LibID: 0, SampleID: 1},
 		},
 		readOffset: 2, shippedReadBytes: 96,
-		distinctKmers: 123, heavyHitterMax: 17, alignedFrac: 0.875, localAsmBases: 40, cacheHitRate: 0.5,
-		hasAligns:  true,
-		aligns:     []aligner.Alignment{{ReadIdx: 2, ReadID: "pair1/1", ContigID: 0, ContigLen: 30, Matches: 9, AlignLen: 9}},
-		hasContigs: true,
-		contigs:    []dbg.Contig{{ID: 0, Seq: []byte("ACGTACGTACGT"), Depth: 2.5}},
+		alignedFrac: 0.875,
+		hasAligns:   true,
+		aligns:      []aligner.Alignment{{ReadIdx: 2, ReadID: "pair1/1", ContigID: 0, ContigLen: 30, Matches: 9, AlignLen: 9}},
+		hasContigs:  true,
+		contigs:     []dbg.Contig{{ID: 0, Seq: []byte("ACGTACGTACGT"), Depth: 2.5}},
 	}
 	f.Add(encodeRankState(&full))
 
@@ -766,19 +780,16 @@ func FuzzRankStateDecode(f *testing.F) {
 	scaf := rankState{
 		ranks: 2, rank: 0, it: 1, stage: stageIdx(f, StageScaffolding),
 		clock: 99.25, resident: 1 << 20,
-		reads:       []seq.Read{{ID: "r", Seq: []byte("ACGT")}},
-		hasScaffold: true,
-		scaffold: scaffold.Result{
-			Scaffolds:   []scaffold.Scaffold{{ID: 0, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{1, 0}, Gaps: 1}},
-			SplintLinks: 1, SpanLinks: 2, AcceptedLinks: 3, RepeatsSuspended: 4,
-			Components: 5, RRNAHits: 6, GapsTotal: 7, GapsClosed: 8,
-		},
-		rounds: []RoundStats{{Library: "pe", InsertSize: 220, InputContigs: 4, Scaffolds: 2, AcceptedLinks: 3}},
+		reads:     []seq.Read{{ID: "r", Seq: []byte("ACGT")}},
+		scaffolds: []scaffold.Scaffold{{ID: 0, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{1, 0}, Gaps: 1}},
+		rounds:    []RoundStats{{Library: "pe", InsertSize: 220, InputContigs: 4, Scaffolds: 2, AcceptedLinks: 3}},
+		steps:     []ProgressEvent{{Stage: StageScaffolding, Iteration: 1, K: 33, Seconds: 0.5, SimSeconds: 99.25, ResidentBytes: 1 << 20}},
 	}
 	f.Add(encodeRankState(&scaf))
 	f.Add([]byte{})
 	f.Add([]byte("mhm-rank-state-v1")) // pre-SampleID shard magic: must be rejected, never mis-decoded
-	f.Add([]byte("mhm-rank-state-v2"))
+	f.Add([]byte("mhm-rank-state-v2")) // pre-v3 shard magic: the same
+	f.Add([]byte("mhm-rank-state-v3"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeRankState(data)

@@ -189,8 +189,9 @@ func TestResumeRefusedSampleRetag(t *testing.T) {
 }
 
 // TestOldRankStateMagicRefused pins the shard-format version gate: a shard
-// carrying the pre-SampleID v1 magic must be rejected at decode with a
-// distinct error instead of mis-decoding the widened read records.
+// carrying an older magic — v1, before the SampleID tag widened the read
+// records, or v2, before the step records replaced the unread scalars — must
+// be rejected at decode with a distinct error instead of mis-decoding.
 func TestOldRankStateMagicRefused(t *testing.T) {
 	st := rankState{
 		ranks: 1, rank: 0, it: 0, stage: stageIdx(t, StageKmerAnalysis),
@@ -199,17 +200,19 @@ func TestOldRankStateMagicRefused(t *testing.T) {
 	}
 	data := encodeRankState(&st)
 	if _, err := decodeRankState(data); err != nil {
-		t.Fatalf("v2 shard failed to decode: %v", err)
+		t.Fatalf("v3 shard failed to decode: %v", err)
 	}
-	old := bytes.Replace(data, []byte("mhm-rank-state-v2"), []byte("mhm-rank-state-v1"), 1)
-	if bytes.Equal(old, data) {
-		t.Fatal("magic replacement did not take; encoding layout changed?")
-	}
-	_, err := decodeRankState(old)
-	if err == nil {
-		t.Fatal("v1-magic shard decoded without error")
-	}
-	if !strings.Contains(err.Error(), "magic") {
-		t.Errorf("v1-magic shard error = %v, want a magic mismatch", err)
+	for _, magic := range []string{"mhm-rank-state-v1", "mhm-rank-state-v2"} {
+		old := bytes.Replace(data, []byte(rankStateMagic), []byte(magic), 1)
+		if bytes.Equal(old, data) {
+			t.Fatal("magic replacement did not take; encoding layout changed?")
+		}
+		_, err := decodeRankState(old)
+		if err == nil {
+			t.Fatalf("%s shard decoded without error", magic)
+		}
+		if !strings.Contains(err.Error(), "magic") {
+			t.Errorf("%s shard error = %v, want a magic mismatch", magic, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -119,13 +120,14 @@ type Config struct {
 	CheckpointDir string
 	ResumeFrom    string
 
-	// Progress, when non-nil, receives one event after every completed
-	// pipeline stage — scaffolding is one stage, so it reports once however
-	// many library rounds it ran — emitted by rank 0's goroutine immediately
-	// after the stage-end barrier. The callback runs outside simulated time —
-	// it charges nothing and cannot perturb results — but it executes
-	// synchronously on the SPMD critical path, so it should return quickly
-	// (hand the event to a channel or buffer, don't block on I/O).
+	// Progress, when non-nil, receives the record of every completed pipeline
+	// step (the same records Result.Steps returns) — scaffolding is one step,
+	// so it reports once however many library rounds it ran — from rank 0's
+	// goroutine immediately after the step-end barrier. The callback runs
+	// outside simulated time — it charges nothing and cannot perturb
+	// results — but it executes synchronously on the SPMD critical path, so
+	// it should return quickly (hand the event to a channel or buffer, don't
+	// block on I/O).
 	// Progress is an observation hook, not a simulation parameter: it is
 	// excluded from the checkpoint configuration hash.
 	Progress func(ProgressEvent)
@@ -267,22 +269,33 @@ func (c Config) KValues() []int {
 	return ks
 }
 
-// ProgressEvent describes one completed pipeline stage of a running
-// assembly, as delivered to Config.Progress. Events arrive in pipeline
-// order; SimSeconds and ResidentBytes are rank 0's view at the stage-end
-// barrier (the clock is identical on every rank there).
+// ProgressEvent is the record of one completed pipeline step: the one
+// representation of per-step timing, delivered to Config.Progress as the step
+// ends, returned in order as Result.Steps, carried in rank 0's checkpoint
+// shard and embedded in the server's event stream. Seconds, SimSeconds and
+// ResidentBytes are rank 0's view at the step-end barrier (the clock is
+// identical on every rank there).
 type ProgressEvent struct {
 	// Stage is the completed stage's name (the Stage* constants).
-	Stage string `json:"stage"`
+	Stage string `json:"stage,omitempty"`
 	// Iteration is the k-iteration index the stage ran in; K its k-mer size.
 	// Scaffolding reports the final iteration.
-	Iteration int `json:"iteration"`
-	K         int `json:"k"`
-	// SimSeconds is the simulated clock at the stage boundary.
-	SimSeconds float64 `json:"sim_seconds"`
+	Iteration int `json:"iteration,omitempty"`
+	K         int `json:"k,omitempty"`
+	// Seconds is the step's simulated duration, measured between the
+	// barriers that open and close its window.
+	Seconds float64 `json:"seconds,omitempty"`
+	// SimSeconds is the simulated clock at the step boundary.
+	SimSeconds float64 `json:"sim_seconds,omitempty"`
 	// ResidentBytes is rank 0's resident collective-payload meter at the
 	// boundary (see pgas.CommStats.PeakResidentBytes for the run-wide peak).
-	ResidentBytes uint64 `json:"resident_bytes"`
+	ResidentBytes uint64 `json:"resident_bytes,omitempty"`
+}
+
+// StageTime is one stage's simulated seconds summed over its steps.
+type StageTime struct {
+	Name    string
+	Seconds float64
 }
 
 // Result is the outcome of an assembly.
@@ -296,21 +309,17 @@ type Result struct {
 	// elapsed time of the (single-process) execution.
 	SimSeconds  float64
 	WallSeconds float64
-	// Stages is the simulated time per pipeline stage (summed over
-	// iterations).
-	Stages []pgas.StageTime
+	// Steps records every completed pipeline step in schedule order, a
+	// resumed run's included: the steps before the resume point come from
+	// the checkpoint. Stages views it as per-stage totals.
+	Steps []ProgressEvent
 	// Stats aggregates communication statistics over all ranks.
 	Stats pgas.CommStats
 	// Per-stage substatistics.
 	TotalReads      int
-	DistinctKmers   int
-	HeavyHitterMax  int64
 	AlignedReadFrac float64
-	LocalAsmBases   int
-	ScaffoldSummary scaffold.Result
 	ContigStats     dbg.Stats
 	ScaffoldStats   scaffold.Stats
-	CacheHitRate    float64
 	// ScaffoldRounds records one entry per scaffolding round, in execution
 	// order (ascending library insert size). A single-library assembly has
 	// exactly one round.
@@ -338,6 +347,22 @@ type RoundStats struct {
 	InputContigs  int
 	Scaffolds     int
 	AcceptedLinks int
+}
+
+// Stages returns the simulated seconds per pipeline stage — a stage that runs
+// once per k sums its iterations — longest first, ties in schedule order.
+func (r *Result) Stages() []StageTime {
+	var out []StageTime
+	for _, ev := range r.Steps {
+		i := slices.IndexFunc(out, func(st StageTime) bool { return st.Name == ev.Stage })
+		if i < 0 {
+			i = len(out)
+			out = append(out, StageTime{Name: ev.Stage})
+		}
+		out[i].Seconds += ev.Seconds
+	}
+	slices.SortStableFunc(out, func(a, b StageTime) int { return cmp.Compare(b.Seconds, a.Seconds) })
+	return out
 }
 
 // FinalSequences returns the assembly output: scaffold sequences when
@@ -460,18 +485,13 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 
 	res.SimSeconds = runRes.SimSeconds
 	res.WallSeconds = runRes.Wall.Seconds()
-	res.Stages = runRes.Stages
+	res.Steps = out.steps
 	res.Stats = runRes.Stats
 
 	res.Contigs = out.emitted
-	res.Scaffolds = out.scaffold.Scaffolds
-	res.ScaffoldSummary = out.scaffold
+	res.Scaffolds = out.scaffolds
 	res.ScaffoldRounds = out.rounds
-	res.DistinctKmers = out.distinctKmers
-	res.HeavyHitterMax = out.heavyHitterMax
 	res.AlignedReadFrac = out.alignedFrac
-	res.LocalAsmBases = out.localAsmBases
-	res.CacheHitRate = out.cacheHitRate
 	res.ContigStats = dbg.ComputeStats(res.Contigs)
 	res.ScaffoldStats = scaffold.ComputeStats(res.Scaffolds)
 	return res, nil
@@ -582,8 +602,12 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 	// step runs stage si of iteration it and reports whether the injected
 	// fault fires at its boundary. Steps the schedule omits, and steps at or
 	// before the resume point — their effects live in the restored state —
-	// are skipped. The checkpoint deposit sits between the stage-end barrier
-	// and the next collective and uses only out-of-band Go synchronization:
+	// are skipped. It is the only code that times a step: a barrier on each
+	// side of the body makes the measured duration identical on every rank,
+	// and rank 0 appends the step's record to its state (so the checkpoint
+	// carries it) before handing it to the Progress hook, outside simulated
+	// time. The checkpoint deposit sits between the step-end barrier and the
+	// next collective and uses only out-of-band Go synchronization:
 	// checkpoint I/O must never advance the simulated clocks, or a
 	// checkpointed run would diverge from an uncheckpointed one.
 	step := func(it, si int) bool {
@@ -592,10 +616,18 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 			return false
 		}
 		k := ks[it]
-		t0 := r.StageStart()
+		r.Barrier()
+		t0 := r.Clock()
 		sg.run(r, cfg, k, st)
-		r.StageEnd(sg.name, t0)
-		reportProgress(r, cfg, sg.name, it, k)
+		r.Barrier()
+		if r.ID() == 0 {
+			ev := ProgressEvent{Stage: sg.name, Iteration: it, K: k,
+				Seconds: r.Clock() - t0, SimSeconds: r.Clock(), ResidentBytes: r.Resident()}
+			st.steps = append(st.steps, ev)
+			if cfg.Progress != nil {
+				cfg.Progress(ev)
+			}
+		}
 		if ck.writer != nil {
 			alignsLive := sg.alignsLive != nil && sg.alignsLive(cfg, it, nIter)
 			ck.writer.record(r, it, sg.name, k, encodeRankState(st.atBoundary(r, it, si, alignsLive)))
@@ -647,12 +679,7 @@ func runKmerAnalysis(r *pgas.Rank, cfg Config, k int, st *rankState) {
 	kopts.MinCount = cfg.MinKmerCount
 	kopts.UseBloom = cfg.UseBloom
 	kopts.Aggregate = cfg.Aggregate
-	kares := kmeranalysis.Run(r, st.reads, kopts, nil)
-	st.kmers = kares.Counts
-	st.distinctKmers = kares.DistinctKmers
-	if len(kares.HeavyHitters) > 0 && kares.HeavyHitters[0].Count > st.heavyHitterMax {
-		st.heavyHitterMax = kares.HeavyHitters[0].Count
-	}
+	st.kmers = kmeranalysis.Run(r, st.reads, kopts, nil).Counts
 }
 
 // runKmerMerge merges the previous iteration's contig k-mers (Section II-H)
@@ -704,7 +731,6 @@ func runAlignment(r *pgas.Rank, cfg Config, k int, st *rankState) {
 	if totalAll > 0 {
 		st.alignedFrac = float64(alignedAll) / float64(totalAll)
 	}
-	st.cacheHitRate = astats.CacheHitRate
 }
 
 // runLocalAssembly extends contigs by mer-walking with work sharing; the
@@ -713,7 +739,7 @@ func runLocalAssembly(r *pgas.Rank, cfg Config, k int, st *rankState) {
 	lopts := localasm.DefaultOptions(k)
 	lopts.WorkStealing = cfg.WorkStealing
 	lopts.Libraries = cfg.Libraries
-	st.localAsmBases = localasm.Run(r, st.cset, st.reads, st.readOffset, st.aligns, lopts).ExtendedBases
+	localasm.Run(r, st.cset, st.reads, st.readOffset, st.aligns, lopts)
 }
 
 // runScaffolding is Algorithm 3, one round per library in ascending
@@ -724,7 +750,6 @@ func runLocalAssembly(r *pgas.Rank, cfg Config, k int, st *rankState) {
 // shorter ones built. With one library the loop degenerates to exactly the
 // legacy single-round flow.
 func runScaffolding(r *pgas.Rank, cfg Config, k int, st *rankState) {
-	st.hasScaffold = true
 	order := scaffoldOrder(cfg.Libraries)
 	for ri, li := range order {
 		lib := cfg.Libraries[li]
@@ -759,14 +784,9 @@ func runScaffolding(r *pgas.Rank, cfg Config, k int, st *rankState) {
 			Scaffolds:     nScaffolds,
 			AcceptedLinks: sres.AcceptedLinks,
 		})
-		// Counters are summed over rounds; the scaffold lists are the latest
-		// round's (the final round's is the assembly's output).
-		total, round := scaffoldCounters(&st.scaffold), scaffoldCounters(&sres)
-		for i := range total {
-			*total[i] += *round[i]
-		}
-		st.scaffold.Scaffolds, st.scaffold.Local = sres.Scaffolds, sres.Local
 		if last {
+			// The final round's scaffolds are the assembly's output.
+			st.scaffolds = sres.Scaffolds
 			break
 		}
 		// Splice this round's scaffolds back in as the next round's
@@ -806,31 +826,13 @@ func emitFinal(r *pgas.Rank, st *rankState) {
 		c.ID = newID
 		sorted[newID] = c
 	}
-	for _, s := range st.scaffold.Scaffolds {
+	for _, s := range st.scaffolds {
 		for i, id := range s.ContigIDs {
 			s.ContigIDs[i] = idMap[id]
 		}
 	}
 	st.emitted = sorted
 	r.Compute(float64(len(sorted)))
-}
-
-// reportProgress delivers a stage-completion event to the Progress hook.
-// Only rank 0 reports — the stage-end barrier it follows has synchronized
-// every rank's clock, so rank 0's view is canonical — and the callback runs
-// outside simulated time: nothing is charged, so an observed run stays
-// bit-identical to an unobserved one.
-func reportProgress(r *pgas.Rank, cfg Config, stage string, it, k int) {
-	if cfg.Progress == nil || r.ID() != 0 {
-		return
-	}
-	cfg.Progress(ProgressEvent{
-		Stage:         stage,
-		Iteration:     it,
-		K:             k,
-		SimSeconds:    r.Clock(),
-		ResidentBytes: r.Resident(),
-	})
 }
 
 // sortContigOrder sorts the index slice so that order[i] is the position in

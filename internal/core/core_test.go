@@ -136,8 +136,8 @@ func TestEndToEndAssemblyQuality(t *testing.T) {
 	if res.SimSeconds <= 0 || res.WallSeconds <= 0 {
 		t.Error("timings not recorded")
 	}
-	if len(res.Stages) < 5 {
-		t.Errorf("expected stage timings for all stages, got %v", res.Stages)
+	if stages := res.Stages(); len(stages) < 5 {
+		t.Errorf("expected stage timings for all stages, got %v", stages)
 	}
 	if res.AlignedReadFrac < 0.8 {
 		t.Errorf("only %v of reads aligned back to contigs", res.AlignedReadFrac)

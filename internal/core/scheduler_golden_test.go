@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"mhmgo/internal/sim"
@@ -44,11 +46,25 @@ func resultFingerprint(res *Result) string {
 // lost its scan and all-gather, local assembly stopped fetching contigs it has
 // no reads for, and scaffolding's components became owner-partitioned —
 // different charges, the same sequences.
+//
+// wantStages pins Result.Stages: per-stage totals, longest first, ties in
+// schedule order. The values were captured from pgas's stage registry before
+// core's step became the only code that times a step, so they also prove the
+// move left every step's window where it was.
 func TestSchedulerGoldenP8(t *testing.T) {
 	const (
 		wantSim  = "0.047086079399978838"
 		wantHash = "b829c58aa30a51f0fd98beed57d0d6fd6cbd6d3556bf55b5f39e37b25b2d6147"
 	)
+	wantStages := []string{
+		"dbg_traversal 0.013354155399999644",
+		"alignment 0.012826377399985121",
+		"scaffolding 0.009109901399980226",
+		"kmer_analysis 0.007557980400013159",
+		"contig_refine 0.002960072200000620",
+		"local_assembly 0.000824375800000044",
+		"kmer_merge 0.000105170000000009",
+	}
 	comm := sim.WetlandsLikeCommunity(8, 0.5, 7)
 	reads := sim.SimulateReads(comm, sim.ReadConfig{
 		ReadLen:    100,
@@ -75,6 +91,13 @@ func TestSchedulerGoldenP8(t *testing.T) {
 			}
 			if got := resultFingerprint(res); got != wantHash {
 				t.Errorf("output hash = %s, want %s (pre-refactor golden)", got, wantHash)
+			}
+			var got []string
+			for _, st := range res.Stages() {
+				got = append(got, fmt.Sprintf("%s %.18f", st.Name, st.Seconds))
+			}
+			if !slices.Equal(got, wantStages) {
+				t.Errorf("stages =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(wantStages, "\n"))
 			}
 		})
 	}

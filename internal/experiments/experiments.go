@@ -212,7 +212,7 @@ func Fig3ReadLocalization(s Scale) (Fig3Result, error) {
 				return nil, fmt.Errorf("fig3: %d nodes, localization=%v: %w", nodes, localize, err)
 			}
 			stages := map[string]float64{}
-			for _, st := range res.Stages {
+			for _, st := range res.Stages() {
 				stages[st.Name] = st.Seconds
 			}
 			return stages, nil
@@ -252,7 +252,7 @@ type StrongScalingRow struct {
 	SimSeconds float64
 	Speedup    float64
 	Efficiency float64
-	Stages     []pgas.StageTime
+	Stages     []core.StageTime
 }
 
 // StrongScalingResult is the Figure 4 / Figure 5 study.
@@ -276,7 +276,7 @@ func (r StrongScalingResult) Format() string {
 			total += st.Seconds
 		}
 		fmt.Fprintf(&b, "nodes=%d:", row.Nodes)
-		for _, st := range pgas.SortStages(row.Stages) {
+		for _, st := range row.Stages {
 			if total > 0 {
 				fmt.Fprintf(&b, " %s=%.0f%%", st.Name, 100*st.Seconds/total)
 			}
@@ -303,7 +303,7 @@ func Fig4StrongScaling(s Scale) (StrongScalingResult, error) {
 			Nodes:      nodes,
 			Ranks:      ranks,
 			SimSeconds: res.SimSeconds,
-			Stages:     res.Stages,
+			Stages:     res.Stages(),
 		})
 	}
 	if len(out.Rows) > 0 {

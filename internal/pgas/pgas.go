@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -182,9 +181,6 @@ type Machine struct {
 	abortErr    error
 	trapBarrier uint64
 	trapErr     error
-
-	timingMu sync.Mutex
-	stages   []StageTime
 }
 
 // ErrAborted is the base error of an aborted run: RunResult.Err wraps it
@@ -195,12 +191,6 @@ var ErrAborted = errors.New("pgas: run aborted")
 // abortPanic is the sentinel panic value a rank goroutine unwinds with when
 // the machine has been aborted; Machine.Run recovers it.
 type abortPanic struct{}
-
-// StageTime records the simulated duration of one named pipeline stage.
-type StageTime struct {
-	Name    string
-	Seconds float64
-}
 
 // NewMachine creates a virtual machine with the given configuration.
 func NewMachine(cfg Config) *Machine {
@@ -238,8 +228,6 @@ type RunResult struct {
 	Wall time.Duration
 	// Stats is the sum of all ranks' communication statistics.
 	Stats CommStats
-	// Stages lists the named stage timings recorded during the run.
-	Stages []StageTime
 	// Err is non-nil when the run was aborted (Abort or an armed
 	// InjectBarrierFailure fired) instead of running to completion; it wraps
 	// ErrAborted and the abort cause. The other fields then describe the
@@ -326,10 +314,6 @@ func (m *Machine) InjectBarrierFailure(n uint64, cause error) {
 // has returned. It may be called multiple times on the same machine; the
 // returned result covers only this run.
 func (m *Machine) Run(body func(r *Rank)) RunResult {
-	m.timingMu.Lock()
-	m.stages = nil
-	m.timingMu.Unlock()
-
 	ranks := make([]*Rank, m.cfg.Ranks)
 	for i := range ranks {
 		ranks[i] = &Rank{machine: m, id: i, node: m.NodeOf(i), token: newParkToken()}
@@ -378,25 +362,7 @@ func (m *Machine) Run(body func(r *Rank)) RunResult {
 			res.SimSeconds = r.clock
 		}
 	}
-	m.timingMu.Lock()
-	res.Stages = append([]StageTime(nil), m.stages...)
-	m.timingMu.Unlock()
 	return res
-}
-
-// recordStage accumulates the duration of a named stage. Stages that run
-// once per pipeline iteration (e.g. "alignment") therefore report their
-// total time across iterations.
-func (m *Machine) recordStage(name string, seconds float64) {
-	m.timingMu.Lock()
-	defer m.timingMu.Unlock()
-	for i := range m.stages {
-		if m.stages[i].Name == name {
-			m.stages[i].Seconds += seconds
-			return
-		}
-	}
-	m.stages = append(m.stages, StageTime{Name: name, Seconds: seconds})
 }
 
 // Rank is the per-goroutine handle of one SPMD rank.
@@ -617,26 +583,6 @@ func (r *Rank) RestoreState(clock float64, resident uint64) {
 	}
 }
 
-// StageStart returns a token capturing the rank's clock after a barrier; use
-// with StageEnd to time a pipeline stage.
-func (r *Rank) StageStart() float64 {
-	r.Barrier()
-	return r.clock
-}
-
-// StageEnd ends a stage started with StageStart, records its simulated
-// duration under the given name, and returns that duration. The barrier
-// before measuring makes the duration identical on every rank; only rank 0
-// records it, so repeated stages accumulate exactly once per execution.
-func (r *Rank) StageEnd(name string, startClock float64) float64 {
-	r.Barrier()
-	dur := r.clock - startClock
-	if r.id == 0 {
-		r.machine.recordStage(name, dur)
-	}
-	return dur
-}
-
 // BlockRange returns the half-open range [lo, hi) of the items owned by this
 // rank under a block distribution of n items.
 func (r *Rank) BlockRange(n int) (lo, hi int) {
@@ -676,13 +622,6 @@ func BlockRange(n, p, rank int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// SortStages returns the stage timings sorted by descending duration.
-func SortStages(stages []StageTime) []StageTime {
-	out := append([]StageTime(nil), stages...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seconds > out[j].Seconds })
-	return out
 }
 
 // clockBarrier is a reusable barrier that also synchronizes the simulated

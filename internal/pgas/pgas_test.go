@@ -296,32 +296,6 @@ func TestExchangeFuncRepeated(t *testing.T) {
 	})
 }
 
-func TestStageTiming(t *testing.T) {
-	m := NewMachine(Config{Ranks: 4})
-	res := m.Run(func(r *Rank) {
-		s := r.StageStart()
-		r.Compute(float64(1000 * (r.ID() + 1)))
-		r.StageEnd("work", s)
-		s = r.StageStart()
-		r.Compute(500)
-		r.StageEnd("tail", s)
-	})
-	if len(res.Stages) != 2 {
-		t.Fatalf("got %d stages, want 2", len(res.Stages))
-	}
-	byName := map[string]float64{}
-	for _, st := range res.Stages {
-		byName[st.Name] = st.Seconds
-	}
-	if byName["work"] <= byName["tail"] {
-		t.Errorf("stage 'work' (%v) should dominate 'tail' (%v)", byName["work"], byName["tail"])
-	}
-	sorted := SortStages(res.Stages)
-	if sorted[0].Name != "work" {
-		t.Errorf("SortStages should put 'work' first, got %q", sorted[0].Name)
-	}
-}
-
 func TestBlockRange(t *testing.T) {
 	cases := []struct {
 		n, p int

@@ -82,6 +82,9 @@ func FuzzProgressEventDecode(f *testing.F) {
 		`{"seq": 0, "type": "state", "state": "queued"}`,
 		`{"seq": 3, "type": "state", "state": "failed", "error": "boom"}`,
 		`{"seq": 1, "type": "stage", "stage": "kmer_analysis", "iteration": 0, "k": 21, "sim_seconds": 0.25, "resident_bytes": 4096}`,
+		`{"seq": 9, "type": "stage", "stage": "alignment", "iteration": 1, "k": 33, "seconds": 0.0125, "sim_seconds": 0.035, "resident_bytes": 123456}`,
+		`{"seq": 2, "type": "stage", "seconds": -0.5}`,
+		`{"seq": 2, "type": "stage", "sim_seconds": -1e-9}`,
 		`{"seq": -1, "type": "state"}`,
 		`{"seq": 0, "type": "bogus"}`,
 		`{"seq": 0, "type": "stage", "k": -3}`,
@@ -111,4 +114,51 @@ func FuzzProgressEventDecode(f *testing.F) {
 			t.Fatalf("event round trip diverged: %+v vs %+v", ev, ev2)
 		}
 	})
+}
+
+// TestEventWirePin pins the event stream's JSON bytes. The state events and
+// the stage events without "seconds" were captured before the stage fields
+// became an embedded core.ProgressEvent; carrying the step's duration adds
+// exactly one "seconds" key and moves no other byte.
+func TestEventWirePin(t *testing.T) {
+	stage := func(seq, it, k int, stage string, seconds, sim float64, resident uint64) Event {
+		return Event{Seq: seq, Type: "stage", ProgressEvent: core.ProgressEvent{
+			Stage: stage, Iteration: it, K: k, Seconds: seconds, SimSeconds: sim, ResidentBytes: resident}}
+	}
+	cases := []struct {
+		ev   Event
+		want string
+	}{
+		{Event{Seq: 0, Type: "state", State: StateQueued},
+			`{"seq":0,"type":"state","state":"queued"}`},
+		{Event{Seq: 14, Type: "state", State: StateFailed, Error: "boom"},
+			`{"seq":14,"type":"state","state":"failed","error":"boom"}`},
+		{stage(1, 0, 21, "kmer_analysis", 0, 0.0075579804000131595, 4096),
+			`{"seq":1,"type":"stage","stage":"kmer_analysis","k":21,"sim_seconds":0.0075579804000131595,"resident_bytes":4096}`},
+		{stage(9, 1, 33, "alignment", 0, 0.035, 123456),
+			`{"seq":9,"type":"stage","stage":"alignment","iteration":1,"k":33,"sim_seconds":0.035,"resident_bytes":123456}`},
+		{stage(9, 1, 33, "alignment", 0.0125, 0.035, 123456),
+			`{"seq":9,"type":"stage","stage":"alignment","iteration":1,"k":33,"seconds":0.0125,"sim_seconds":0.035,"resident_bytes":123456}`},
+	}
+	for _, tc := range cases {
+		got, err := json.Marshal(tc.ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("encoded %s\nwant    %s", got, tc.want)
+		}
+		if back, err := DecodeEvent(got); err != nil || back != tc.ev {
+			t.Errorf("decoding %s = %+v, %v; want %+v", got, back, err, tc.ev)
+		}
+	}
+	for _, bad := range []string{
+		`{"seq":2,"type":"stage","k":-3}`,
+		`{"seq":2,"type":"stage","seconds":-0.5}`,
+		`{"seq":2,"type":"stage","sim_seconds":-1e-9}`,
+	} {
+		if ev, err := DecodeEvent([]byte(bad)); err == nil {
+			t.Errorf("DecodeEvent(%s) = %+v, want a negative-value error", bad, ev)
+		}
+	}
 }

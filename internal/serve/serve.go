@@ -37,7 +37,7 @@ func terminalState(state string) bool {
 }
 
 // Event is one entry of a job's progress stream: either a lifecycle state
-// transition or a completed pipeline stage. Events are delivered in order
+// transition or a completed pipeline step. Events are delivered in order
 // with a dense per-job sequence number, so a reconnecting client can detect
 // gaps.
 type Event struct {
@@ -49,17 +49,14 @@ type Event struct {
 	// Error carries the failure (or cancellation) cause on terminal states.
 	Error string `json:"error,omitempty"`
 
-	// Completed pipeline stages ("stage" events, see core.ProgressEvent).
-	Stage         string  `json:"stage,omitempty"`
-	Iteration     int     `json:"iteration,omitempty"`
-	K             int     `json:"k,omitempty"`
-	SimSeconds    float64 `json:"sim_seconds,omitempty"`
-	ResidentBytes uint64  `json:"resident_bytes,omitempty"`
+	// Completed pipeline steps ("stage" events): the pipeline's own record,
+	// whose fields encode inline and are all omitted from state events.
+	core.ProgressEvent
 }
 
 // DecodeEvent parses one progress event from its JSON encoding, rejecting
-// structurally invalid events (unknown type, negative sequence, trailing
-// data) with an error — never a panic. Valid events round-trip: encoding the
+// structurally invalid events (unknown type, trailing data, a negative
+// sequence, stage coordinate or seconds) with an error — never a panic. Valid events round-trip: encoding the
 // result reproduces the canonical form.
 func DecodeEvent(data []byte) (Event, error) {
 	var ev Event
@@ -74,6 +71,9 @@ func DecodeEvent(data []byte) (Event, error) {
 	}
 	if ev.Iteration < 0 || ev.K < 0 {
 		return Event{}, fmt.Errorf("serve: negative stage coordinates (%d, %d)", ev.Iteration, ev.K)
+	}
+	if ev.Seconds < 0 || ev.SimSeconds < 0 {
+		return Event{}, fmt.Errorf("serve: negative stage seconds (%v, %v)", ev.Seconds, ev.SimSeconds)
 	}
 	return ev, nil
 }
@@ -613,14 +613,7 @@ func (s *Server) assembleJob(ctx context.Context, j *Job) (*core.Result, error) 
 	cfg := j.cfg
 	cfg.Progress = func(ev core.ProgressEvent) {
 		s.mu.Lock()
-		s.appendEventLocked(j, Event{
-			Type:          "stage",
-			Stage:         ev.Stage,
-			Iteration:     ev.Iteration,
-			K:             ev.K,
-			SimSeconds:    ev.SimSeconds,
-			ResidentBytes: ev.ResidentBytes,
-		})
+		s.appendEventLocked(j, Event{Type: "stage", ProgressEvent: ev})
 		s.mu.Unlock()
 		if s.onStage != nil {
 			s.onStage(j, ev)
