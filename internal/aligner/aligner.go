@@ -152,8 +152,9 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 	}
 	reader := idx.Seeds.NewCachedReader(r, cacheEntries, opts.UseCache)
 	// Remote contig sequences are fetched through the same software-caching
-	// discipline as the seeds (merAligner caches contigs too); with read
-	// localization most fetches are owner-local and free.
+	// discipline as the seeds (merAligner caches contigs too); read
+	// localization keeps a rank's reads clustered by contig, so most repeat
+	// fetches hit the cache.
 	contigCache := 0
 	if opts.UseCache {
 		contigCache = cacheEntries
@@ -207,11 +208,12 @@ type Scratch struct {
 	// packs caches the packed form of every contig this pass has extended
 	// against, keyed by contig ID — the packed side of the seed index. A
 	// contig is packed once per pass on first use and reused by every read
-	// that seeds on it (with read localization most reads hit the same few
-	// owner-local contigs). ok=false records the rare non-ACGT contig so the
-	// byte path is chosen without re-probing it. The last-used entry is
-	// memoized outside the map: a seed's sorted hit list clusters candidates
-	// by contig, so most lookups are repeats of the previous one.
+	// that seeds on it (read localization clusters a rank's reads by contig,
+	// so most reads hit the same few contigs). ok=false records the rare
+	// non-ACGT contig so the byte path is chosen without re-probing it. The
+	// last-used entry is memoized outside the map: a seed's sorted hit list
+	// clusters candidates by contig, so most lookups are repeats of the
+	// previous one.
 	packs     map[int]packedContig
 	lastID    int
 	lastPack  packedContig

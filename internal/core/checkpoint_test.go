@@ -723,7 +723,10 @@ func TestRankStateRecords(t *testing.T) {
 // traversal began finding path starts with one claim exchange instead of a
 // remote Get per vertex orientation. It was re-captured (from ff40d341…) for
 // shard format v3: the same run and clocks, fewer fields per shard and rank
-// 0's step records added.
+// 0's step records added. It was re-captured (from 385e02b0…) when read
+// localization began block-partitioning pairs in contig order instead of
+// shipping them to their contig's owner: the localized read shards, the
+// alignments, the contigs and the rank clocks all moved; the layout did not.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -731,7 +734,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "385e02b0a6b3bd1188e8fea5b6c350d7cafbd5b2e04b47ceca2f75aa4e7f2ed2"
+	const want = "ce00880080f580edd72db9024dc8a7860b6ba3b7789333ab6b4d8d4976706476"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -533,9 +534,9 @@ var stages = []stage{
 
 func everyIteration(Config, int, int) bool { return true }
 
-// localizes reports whether the reads are redistributed to their contigs'
-// owners at the end of iteration it (Section II-I): after every iteration but
-// the last.
+// localizes reports whether the reads are redistributed by the contigs they
+// aligned to at the end of iteration it (Section II-I): after every iteration
+// but the last.
 func localizes(cfg Config, it, nIter int) bool { return cfg.ReadLocalization && it < nIter-1 }
 
 // stageByName resolves a stage name to its index in the table.
@@ -647,15 +648,16 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 			}
 		}
 		// Read localization (Section II-I): the reads are redistributed so
-		// reads aligned to a contig live on the rank that owns the contig. A
-		// resume into the next iteration carries the localized reads in its
-		// restored state; a resume at this iteration's last stage replays the
-		// exchange deterministically from the restored alignments.
+		// pairs aligned to one contig sit together, in contig order, in even
+		// blocks over the ranks. A resume into the next iteration carries the
+		// localized reads in its restored state; a resume at this iteration's
+		// last stage replays the exchange deterministically from the restored
+		// alignments.
 		if localizes(cfg, it, nIter) && !ck.done(it+1, 0) { // 0: the next iteration's first step
 			// The previous round's shipped reads are superseded by this
 			// exchange: return their resident charge before re-charging.
 			r.ReleaseResident(st.shippedReadBytes)
-			st.reads, st.readOffset, st.shippedReadBytes = localizePairs(r, st.cset, st.reads, st.readOffset, st.aligns)
+			st.reads, st.readOffset, st.shippedReadBytes = localizePairs(r, st.reads, st.readOffset, st.aligns)
 			st.aligns = nil
 		}
 	}
@@ -843,60 +845,126 @@ func sortContigOrder(contigs []dbg.Contig, order []int) {
 	})
 }
 
-// localizePairs redistributes read pairs so that pairs aligned to contig c
-// land on c's owner rank in the distributed contig set. It returns the
-// rank's new reads, its new global read offset (pairs stay intact, so mate
-// indices remain 2i / 2i+1), and the resident bytes the exchange charged
-// for the received pairs — the caller releases them when the read set is
-// next replaced.
-func localizePairs(r *pgas.Rank, cset *dbg.ContigSet, reads []seq.Read, readOffset int, aligns []aligner.Alignment) ([]seq.Read, int, int) {
-	// Destination per local pair, defaulting to the current rank.
+// unaligned is the contig key of a pair with no aligned mate: it sorts after
+// every contig ID.
+const unaligned = math.MaxInt
+
+// localizePairs redistributes read pairs so that pairs aligned to one contig
+// sit together (Section II-I) without piling them onto the contig's owner.
+// Every pair gets a global slot in (contig ID, source rank, local index)
+// order and lands on rank slot / ceil(pairs/P), so no rank holds more than
+// its block. A pair follows the contig its last aligned mate hit. A rank's
+// unaligned pairs are a pseudo-contig it owns itself, sorting after its real
+// contigs. Owner-naming IDs sort owner-major, so the order is owner by owner:
+// one count exchange to the contigs' owners, one ExScan over the owners'
+// totals and one reply exchange number every (contig, source) run, and one
+// AllReduce sizes the blocks.
+//
+// It returns the rank's new reads in slot order, its new global read offset
+// (pairs stay intact, so mate indices remain 2i / 2i+1), and the resident
+// bytes the exchange charged for the received pairs — the caller releases
+// them when the read set is next replaced.
+func localizePairs(r *pgas.Rank, reads []seq.Read, readOffset int, aligns []aligner.Alignment) ([]seq.Read, int, int) {
 	nPairs := len(reads) / 2
-	dest := make([]int, nPairs)
-	for i := range dest {
-		dest[i] = r.ID()
+	contig := make([]int, nPairs)
+	for i := range contig {
+		contig[i] = unaligned
 	}
 	for _, a := range aligns {
-		li := a.ReadIdx - readOffset
-		if li < 0 || li >= len(reads) {
-			continue
-		}
-		pair := li / 2
-		if pair < nPairs {
-			owner, _ := dist.Locate(a.ContigID)
-			dest[pair] = owner
+		if pair := (a.ReadIdx - readOffset) / 2; a.ReadIdx >= readOffset && pair < nPairs {
+			contig[pair] = a.ContigID
 		}
 	}
-	msgs := make([]pairMsg, nPairs)
-	for i := 0; i < nPairs; i++ {
-		msgs[i] = pairMsg{R1: reads[2*i], R2: reads[2*i+1], Dest: dest[i]}
+	// The rank's pairs in (contig, local index) order, cut into one run per
+	// aligned contig; the unaligned pairs come last.
+	order := make([]int, nPairs)
+	for i := range order {
+		order[i] = i
 	}
-	// A trailing unpaired read (odd count) stays local.
-	var tail []seq.Read
-	if len(reads)%2 == 1 {
-		tail = append(tail, reads[len(reads)-1])
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(contig[a], contig[b]) })
+	r.Compute(float64(nPairs))
+	var runs []contigRun
+	nUnaligned := 0
+	for k, i := range order {
+		switch {
+		case contig[i] == unaligned:
+			nUnaligned++
+		case k > 0 && contig[i] == contig[order[k-1]]:
+			runs[len(runs)-1].N++
+		default:
+			runs = append(runs, contigRun{Contig: contig[i], Src: r.ID(), N: 1})
+		}
+	}
+
+	// Owner side: number the received runs in (contig, source) order, then
+	// the rank's own unaligned pairs, and offset them by the owners before.
+	owned := dist.Exchange(r, runs, func(c contigRun) int { owner, _ := dist.Locate(c.Contig); return owner }, contigRun.WireSize)
+	slices.SortFunc(owned, func(a, b contigRun) int { return cmp.Or(cmp.Compare(a.Contig, b.Contig), cmp.Compare(a.Src, b.Src)) })
+	nOwned := 0
+	for i := range owned {
+		owned[i].N, nOwned = nOwned, nOwned+owned[i].N
+	}
+	base := pgas.ExScan(r, nOwned+nUnaligned, pgas.ReduceSum)
+	for i := range owned {
+		owned[i].N += base
+	}
+	// The replies arrive in owner order, each owner's in contig order: that
+	// is contig order, the order runs was built in, so reply j answers run j.
+	firsts := dist.Exchange(r, owned, func(c contigRun) int { return c.Src }, contigRun.WireSize)
+	totalPairs := pgas.AllReduce(r, nPairs, pgas.ReduceSum)
+	block := max(1, (totalPairs+r.NRanks()-1)/r.NRanks())
+
+	msgs := make([]pairMsg, 0, nPairs)
+	slot, run := 0, -1
+	for k, i := range order {
+		if k == 0 || contig[i] != contig[order[k-1]] {
+			if contig[i] == unaligned {
+				slot = base + nOwned
+			} else {
+				run++
+				slot = firsts[run].N
+			}
+		}
+		msgs = append(msgs, pairMsg{R1: reads[2*i], R2: reads[2*i+1], Slot: slot})
+		slot++
 	}
 	incoming := pgas.ExchangeFunc(r, msgs,
-		func(_ int, pm pairMsg) int { return pm.Dest }, pairMsg.WireSize)
-	var newReads []seq.Read
+		func(_ int, pm pairMsg) int { return pm.Slot / block }, pairMsg.WireSize)
+	slices.SortFunc(incoming, func(a, b pairMsg) int { return a.Slot - b.Slot })
+	r.Compute(float64(len(incoming)))
+	newReads := make([]seq.Read, 0, 2*len(incoming)+len(reads)%2)
 	receivedBytes := 0
 	for _, pm := range incoming {
 		newReads = append(newReads, pm.R1, pm.R2)
 		receivedBytes += pm.WireSize()
 	}
-	newReads = append(newReads, tail...)
-	// The new global offset is the exclusive prefix sum of the per-rank
-	// counts: one ExScan (log2 P rounds), not a P-word gather plus a loop.
-	offset := pgas.ExScan(r, len(newReads), pgas.ReduceSum)
-	return newReads, offset, receivedBytes
+	// A trailing unpaired read (odd count) stays local. The initial pair
+	// distribution puts it on the last rank and it never moves, so the ranks
+	// before hold whole blocks and the offset needs no collective.
+	if len(reads)%2 == 1 {
+		newReads = append(newReads, reads[len(reads)-1])
+	}
+	return newReads, 2 * min(r.ID()*block, totalPairs), receivedBytes
 }
 
-// pairMsg is one read pair shipped to its contig's owner rank during read
-// localization.
+// pairMsg is one read pair shipped during read localization. Slot is the
+// pair's position in the global (contig, source rank, local index) order; it
+// names the destination rank and orders the pairs there.
 type pairMsg struct {
 	R1, R2 seq.Read
-	Dest   int
+	Slot   int
 }
 
 // WireSize returns the wire bytes of one shipped pair.
 func (pm pairMsg) WireSize() int { return pm.R1.WireSize() + pm.R2.WireSize() + 8 }
+
+// contigRun is one source rank's run of pairs aligned to one contig, the
+// record of read localization's slot numbering. On its way to the contig's
+// owner N is the run's pair count; on its way back it is the global slot of
+// the run's first pair.
+type contigRun struct {
+	Contig, Src, N int
+}
+
+// WireSize returns the wire bytes of one run record.
+func (contigRun) WireSize() int { return 24 }

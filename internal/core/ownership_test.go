@@ -3,11 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"strings"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"mhmgo/internal/aligner"
-	"mhmgo/internal/dbg"
 	"mhmgo/internal/dist"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
@@ -130,8 +131,11 @@ func TestDistributedOwnershipLean(t *testing.T) {
 		// The meter is deterministic, so the peak is pinned exactly. It was
 		// re-captured (from 114929) when de Bruijn traversal's path-start
 		// claims became an exchange, whose received batch is resident until
-		// it is folded into the vertices.
-		wantPeak = 119583
+		// it is folded into the vertices. It was re-captured (from 119583)
+		// when read localization began block-partitioning pairs in contig
+		// order: the peak was the pairs piled onto the owners of a few long
+		// contigs, and no rank now receives more than its block.
+		wantPeak = 60452
 		// What the same input peaked at, at commit ed1df1b, with every
 		// pipeline collection charged as a gather-to-all — the last commit
 		// that could still run that pattern (as a Config switch, since
@@ -147,71 +151,117 @@ func TestDistributedOwnershipLean(t *testing.T) {
 	}
 }
 
-// TestLocalizePairsShipsPairsToContigOwner: after read localization every
-// pair with an aligned mate sits on the rank owning that contig, unaligned
-// pairs stay where they were, mates stay adjacent, no read is lost and the
-// new offsets tile the global read numbering.
-func TestLocalizePairsShipsPairsToContigOwner(t *testing.T) {
-	contigs := []dbg.Contig{
-		{Seq: []byte("ACGTTGCAAGCTTACGGATCCGTAAACTGGTCCATTGGCAACGGTATTCCAGGAATTCACAGG")},
-		{Seq: []byte("TTGGCCAATCGGATTACCGGTTAAGGCCTTGACCGGTATGCCAGTTGGAACCTT")},
+// TestLocalizePairsBalancesContigRuns: read localization keeps every pair
+// aligned to one contig in one contiguous run of the global read order, runs
+// in contig order and each run in (source rank, local index) order, and
+// block-partitions that order so no rank holds more than ceil(pairs/P) pairs.
+// A rank's unaligned pairs follow the contigs it owns. Mates stay adjacent, no
+// read is lost or duplicated, the offsets tile the global numbering, and the
+// result does not depend on Workers. P=64 exceeds the pair count, so some
+// ranks end up holding nothing.
+func TestLocalizePairsBalancesContigRuns(t *testing.T) {
+	const nPairs = 50
+	rng := rand.New(rand.NewSource(29))
+	// Per pair: which mates align (0 none, 1 first, 2 second, 3 both) and a
+	// contig index per mate, skewed so one contig draws half the pairs.
+	mates := make([]int, nPairs)
+	pick := make([][2]int, nPairs)
+	for i := range mates {
+		mates[i] = rng.Intn(4)
+		for m := range pick[i] {
+			if pick[i][m] = rng.Intn(6); rng.Intn(2) == 0 {
+				pick[i][m] = 0
+			}
+		}
 	}
-	// Pairs named after the contig both mates come from, plus one pair that
-	// aligns nowhere.
 	var reads []seq.Read
-	for ci, c := range contigs {
-		for i := 0; i+44 <= len(c.Seq); i += 4 {
-			id := fmt.Sprintf("c%d", ci)
-			reads = append(reads, seq.Read{ID: id, Seq: c.Seq[i : i+40]}, seq.Read{ID: id, Seq: c.Seq[i+4 : i+44]})
-		}
+	for i := 0; i < nPairs; i++ {
+		reads = append(reads, seq.Read{ID: fmt.Sprintf("p%d/1", i), Seq: []byte("ACGTACGT")},
+			seq.Read{ID: fmt.Sprintf("p%d/2", i), Seq: []byte("TTGGCCAA")})
 	}
-	junk := []byte(strings.Repeat("ACAC", 12))
-	reads = append(reads, seq.Read{ID: "junk", Seq: junk}, seq.Read{ID: "junk", Seq: junk})
+	reads = append(reads, seq.Read{ID: "tail", Seq: []byte("ACGT")})
 
-	const ranks = 4
-	var held [ranks][]seq.Read
-	var offsets [ranks]int
-	var contigHome [2]int
-	junkHome := 0
-	pgas.NewMachine(pgas.Config{Ranks: ranks}).Run(func(r *pgas.Rank) {
-		clo, chi := r.BlockRange(len(contigs))
-		cset := dbg.DistributeContigs(r, contigs[clo:chi], dist.Distributed)
-		opts := aligner.DefaultOptions(15)
-		idx := aligner.BuildIndex(r, cset, opts)
-		plo, phi := r.BlockRange(len(reads) / 2)
-		local := reads[2*plo : 2*phi]
-		if phi == len(reads)/2 {
-			junkHome = r.ID()
-		}
-		aligns, _ := aligner.AlignReads(r, idx, local, 2*plo, opts)
-		held[r.ID()], offsets[r.ID()], _ = localizePairs(r, cset, local, 2*plo, aligns)
-		for _, c := range cset.Local(r) {
-			for ci := range contigs {
-				if bytes.Equal(c.Seq, contigs[ci].Seq) {
-					contigHome[ci] = r.ID() // each contig has one owner: no two ranks write one element
+	for _, p := range []int{1, 3, 16, 64} {
+		// Contig j is owned by rank (5j) mod p; a pair follows its last
+		// aligned mate.
+		contigID := func(j int) int { return dist.ID(5*j%p, j) }
+		pairContig := make([]int, nPairs)
+		for i := range pairContig {
+			pairContig[i] = unaligned
+			for m := 0; m < 2; m++ {
+				if mates[i]&(1<<m) != 0 {
+					pairContig[i] = contigID(pick[i][m])
 				}
 			}
 		}
-	})
-	owner := map[string]int{"c0": contigHome[0], "c1": contigHome[1], "junk": junkHome}
+		localize := func(workers int) ([][]seq.Read, []int) {
+			held, offsets := make([][]seq.Read, p), make([]int, p)
+			pgas.NewMachine(pgas.Config{Ranks: p, Workers: workers}).Run(func(r *pgas.Rank) {
+				lo, hi := r.PairBlockRange(len(reads))
+				var aligns []aligner.Alignment
+				for g := lo; g < hi && g/2 < nPairs; g++ {
+					if m := g % 2; mates[g/2]&(1<<m) != 0 {
+						aligns = append(aligns, aligner.Alignment{ReadIdx: g, ContigID: contigID(pick[g/2][m])})
+					}
+				}
+				held[r.ID()], offsets[r.ID()], _ = localizePairs(r, reads[lo:hi], lo, aligns)
+			})
+			return held, offsets
+		}
+		held, offsets := localize(1)
+		if held4, offsets4 := localize(4); !reflect.DeepEqual(held, held4) || !reflect.DeepEqual(offsets, offsets4) {
+			t.Errorf("P=%d: Workers=1 and Workers=4 localize differently", p)
+		}
 
-	total, next := 0, 0
-	for rank, got := range held {
-		if offsets[rank] != next {
-			t.Errorf("rank %d: read offset %d, want %d", rank, offsets[rank], next)
-		}
-		next += len(got)
-		total += len(got)
-		for i, rd := range got {
-			if want := owner[rd.ID]; rank != want {
-				t.Errorf("rank %d holds a %s read; its pair belongs on rank %d", rank, rd.ID, want)
+		block := (nPairs + p - 1) / p
+		var global []seq.Read
+		for rank, got := range held {
+			if offsets[rank] != len(global) {
+				t.Errorf("P=%d rank %d: read offset %d, want %d", p, rank, offsets[rank], len(global))
 			}
-			if i%2 == 1 && got[i-1].ID != rd.ID {
-				t.Errorf("rank %d: mates %q and %q split", rank, got[i-1].ID, rd.ID)
+			limit := 2 * block
+			if rank == p-1 {
+				limit++ // the trailing unpaired read
+			}
+			if len(got) > limit {
+				t.Errorf("P=%d rank %d holds %d reads, over its block of %d", p, rank, len(got), limit)
+			}
+			global = append(global, got...)
+		}
+		if len(global) != len(reads) || global[len(global)-1].ID != "tail" {
+			t.Fatalf("P=%d: %d reads after localization, want %d ending with the trailing read", p, len(global), len(reads))
+		}
+		// The expected global pair order: owner by owner, each owner's
+		// contigs in ID order, then the unaligned pairs of that rank; within
+		// a run, source rank and local index, which is the input order. So
+		// each contig's pairs form one contiguous run.
+		srcRank := func(i int) int {
+			for rank := 0; ; rank++ {
+				if lo, hi := pgas.PairBlockRange(len(reads), p, rank); 2*i >= lo && 2*i < hi {
+					return rank
+				}
 			}
 		}
-	}
-	if total != len(reads) {
-		t.Errorf("localization lost or duplicated reads: %d held, %d in", total, len(reads))
+		want := make([]int, nPairs)
+		for i := range want {
+			want[i] = i
+		}
+		key := func(i int) [3]int {
+			if c := pairContig[i]; c != unaligned {
+				owner, _ := dist.Locate(c)
+				return [3]int{owner, c, i}
+			}
+			return [3]int{srcRank(i), unaligned, i}
+		}
+		slices.SortFunc(want, func(a, b int) int {
+			ka, kb := key(a), key(b)
+			return slices.Compare(ka[:], kb[:])
+		})
+		for pos, i := range want {
+			r1, r2 := global[2*pos], global[2*pos+1]
+			if r1.ID != fmt.Sprintf("p%d/1", i) || r2.ID != fmt.Sprintf("p%d/2", i) {
+				t.Fatalf("P=%d: global pair %d is (%s, %s), want pair p%d", p, pos, r1.ID, r2.ID, i)
+			}
+		}
 	}
 }

@@ -489,10 +489,9 @@ func ContigLess(a, b Contig) bool {
 //     orientation) collide and are deduplicated after a local sort.
 //  2. The deduplicated shards — already size-sorted — are striped round-robin
 //     over the ranks by local size rank, so every rank ends up owning an
-//     even cross-section of large and small contigs. Ownership byte balance
-//     matters downstream: read localization ships every read pair to its
-//     contig's owner, so a byte-skewed ownership becomes a load-skewed
-//     machine.
+//     even cross-section of large and small contigs, so every rank holds a
+//     like share of the contig bytes that alignment indexes and local
+//     assembly and scaffolding work on.
 //
 // The final shards are sorted and every contig is stamped with its owner-
 // naming global ID (dist.Set.Renumber), with no collective. This replaces the

@@ -153,10 +153,9 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	// each round's inbound payload is released once folded, so no rank ever
 	// materializes its full observation stream.
 	// The Bloom prefilter is sized by the rank's expected INBOUND stream
-	// (the global observation count over the ranks): after read
-	// localization the outbound counts are skewed, but the k-mer hash keeps
-	// the inbound side balanced, and an undersized filter would leak
-	// erroneous singletons into the table.
+	// (the global observation count over the ranks): the k-mer hash keeps
+	// the inbound side balanced whatever the outbound counts are, and an
+	// undersized filter would leak erroneous singletons into the table.
 	totalObs := pgas.AllReduce(r, totalLocal, pgas.ReduceSum)
 	var filter *bloom.Filter
 	if opts.UseBloom {

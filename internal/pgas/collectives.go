@@ -314,8 +314,8 @@ func AllReduce[T Number](r *Rank, x T, op ReduceOp) T {
 // ExScan combines the values of all ranks with a lower ID than the caller
 // (an exclusive prefix scan, MPI_Exscan): rank i returns
 // op(x_0, ..., x_{i-1}), and rank 0 returns T's zero value. An ExScan of
-// per-rank counts is every rank's global offset (the read offsets after
-// localization, cc's component numbering), and it is charged exactly like
+// per-rank counts is every rank's global offset (read localization's slot
+// bases, cc's component numbering), and it is charged exactly like
 // AllReduce: the recursive-doubling tree schedule, ceil(log2 P) rounds of one
 // scalar each, not an O(P) gather. The full prefix table is built once (same
 // left-to-right fold as ever, so float reductions associate identically) and

@@ -232,8 +232,8 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	// Step 1: link generation. Pair up the local alignments by read pair and
 	// store splint/span evidence in a distributed hash table keyed by the
 	// contig-end pair (Global Update-Only phase). Contig lengths come from
-	// the distributed set through the cached reader; with read localization
-	// the aligned contig is usually owner-local.
+	// the distributed set through the cached reader; read localization
+	// clusters a rank's reads by contig, so most lookups repeat a cached one.
 	linkTable := dht.NewMapCollective[linkKey, linkAgg](r, linkHash, 40)
 	combine := func(existing, update linkAgg, found bool) linkAgg {
 		existing.Count += update.Count
