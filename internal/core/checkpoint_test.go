@@ -125,7 +125,9 @@ func TestCheckpointResumeAllStages(t *testing.T) {
 // middle of a collective, not a clean stage boundary — and requires that the
 // checkpoints already on disk still resume to a bit-identical result. The
 // manifest's atomic write discipline means a mid-collective kill can never
-// tear a recorded step.
+// tear a recorded step. Barriers 9 and 10 are the first exchange's drain and
+// reset barriers, which are charged and counted but not run, so the trap
+// must fire on them too.
 func TestMidCollectiveKillResume(t *testing.T) {
 	reads := ckptReads(t)
 	cfg := testConfig(3)
@@ -138,7 +140,7 @@ func TestMidCollectiveKillResume(t *testing.T) {
 		t.Fatalf("baseline run: %v", err)
 	}
 
-	for _, n := range []int{1, 10, 60, 250} {
+	for _, n := range []int{1, 9, 10, 60, 250} {
 		n := n
 		t.Run(fmt.Sprintf("barrier=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
@@ -147,6 +149,11 @@ func TestMidCollectiveKillResume(t *testing.T) {
 			kcfg.FailAtBarrier = n
 			_, err := Assemble(reads, kcfg)
 			if err == nil {
+				// Every rank arrives at every barrier, so a rank's count is
+				// the total over ranks divided by P.
+				if perRank := base.Stats.Barriers / 3; uint64(n) <= perRank {
+					t.Fatalf("run completed although rank 0 arrives at %d barriers; the trap at %d did not fire", perRank, n)
+				}
 				t.Skipf("run completed before barrier %d; nothing to kill", n)
 			}
 			if !errors.Is(err, ErrFaultInjected) {
@@ -727,6 +734,9 @@ func TestRankStateRecords(t *testing.T) {
 // localization began block-partitioning pairs in contig order instead of
 // shipping them to their contig's owner: the localized read shards, the
 // alignments, the contigs and the rank clocks all moved; the layout did not.
+// It was re-captured (from ce008800…) when de Bruijn traversal began ranking
+// its paths by pointer doubling instead of walking them: the same contigs and
+// shards, but every rank clock after the first traversal moved.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -734,7 +744,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "ce00880080f580edd72db9024dc8a7860b6ba3b7789333ab6b4d8d4976706476"
+	const want = "c6507fb9ce23a0e8adb7eefe4c19efc35da16ea58f3e5ceacd7a7b00ff501bdb"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

@@ -134,8 +134,13 @@ func TestDistributedOwnershipLean(t *testing.T) {
 		// it is folded into the vertices. It was re-captured (from 119583)
 		// when read localization began block-partitioning pairs in contig
 		// order: the peak was the pairs piled onto the owners of a few long
-		// contigs, and no rank now receives more than its block.
-		wantPeak = 60452
+		// contigs, and no rank now receives more than its block. It rose
+		// (from 60452) when de Bruijn traversal stopped walking paths and
+		// began assembling each contig at one start from one piece per
+		// k-mer: the worst rank receives 4,387 pieces of 17 bytes for the
+		// contigs it emits, which the walks read one Get at a time.
+		// Each pointer-doubling round's records are released once applied.
+		wantPeak = 89830
 		// What the same input peaked at, at commit ed1df1b, with every
 		// pipeline collection charged as a gather-to-all — the last commit
 		// that could still run that pattern (as a Config switch, since

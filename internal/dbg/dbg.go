@@ -103,8 +103,14 @@ func (g *Graph) vertexCount() int {
 	return g.vertices
 }
 
-// NewGraph creates an empty graph for k-mers of length k.
+// NewGraph creates an empty graph for k-mers of length k, which must be odd:
+// an even k-mer can be its own reverse complement, a vertex whose two
+// orientations are one node (see node). core.Config.KValues never asks for
+// an even k.
 func NewGraph(m *pgas.Machine, k int) *Graph {
+	if k%2 == 0 {
+		panic(fmt.Sprintf("dbg: k=%d is even; the graph needs odd k", k))
+	}
 	return &Graph{K: k, Entries: dht.NewMap[seq.Kmer, Entry](m, seq.Kmer.Hash, 24)}
 }
 
@@ -133,22 +139,8 @@ func Build(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], k int, topts 
 	return g
 }
 
-// oriented is a k-mer as observed during a walk: the canonical key plus the
-// strand we are reading it on (true = canonical orientation).
-type oriented struct {
-	key     seq.Kmer
-	forward bool
-}
-
-// observedKmer returns the k-mer as read on the walk's strand.
-func (o oriented) observedKmer() seq.Kmer {
-	if o.forward {
-		return o.key
-	}
-	return o.key.ReverseComplement()
-}
-
-// observedExt returns the extension pair as seen on the walk's strand.
+// observedExt returns the extension pair as seen in one orientation of the
+// vertex (true = canonical).
 func observedExt(e Entry, forward bool) seq.ExtPair {
 	if forward {
 		return e.Ext
@@ -156,77 +148,54 @@ func observedExt(e Entry, forward bool) seq.ExtPair {
 	return e.Ext.Swap()
 }
 
-// lookup fetches the entry of the canonical form of km with one Get,
-// returning the oriented view and whether it exists. A palindrome resolves
-// to its forward orientation.
-func (g *Graph) lookup(r *pgas.Rank, km seq.Kmer) (oriented, Entry, bool) {
-	canon, wasRC := km.Canonical()
-	e, ok := g.Entries.Get(r, canon)
-	return oriented{key: canon, forward: !wasRC}, e, ok
-}
-
-// successor returns the next oriented k-mer of a walk, or ok=false if the
-// walk must stop (no extension, fork, missing vertex, or mutual-agreement
-// failure).
-func (g *Graph) successor(r *pgas.Rank, cur oriented, e Entry) (oriented, Entry, byte, bool) {
-	ext := observedExt(e, cur.forward)
-	if !seq.IsBaseExt(ext.Right) {
-		return oriented{}, Entry{}, 0, false
-	}
-	code, _ := seq.CharToBase(ext.Right)
-	obs := cur.observedKmer()
-	nextObs := obs.AppendBase(code)
-	next, ne, ok := g.lookup(r, nextObs)
-	if !ok {
-		return oriented{}, Entry{}, 0, false
-	}
-	// Mutual agreement: the successor's left extension must point back at
-	// the first base of the current observed k-mer.
-	nextExt := observedExt(ne, next.forward)
-	if !seq.IsBaseExt(nextExt.Left) {
-		return oriented{}, Entry{}, 0, false
-	}
-	backCode, _ := seq.CharToBase(nextExt.Left)
-	if backCode != obs.FirstBase() {
-		return oriented{}, Entry{}, 0, false
-	}
-	return next, ne, code, true
-}
-
-// vertex is one locally owned vertex during a traversal. pred records which
-// orientations have an agreeing predecessor (bit 0 read forward, bit 1 read
-// reverse); such an orientation is not a path start.
+// vertex is one locally owned vertex during a traversal.
 type vertex struct {
-	km   seq.Kmer
-	e    Entry
-	pred uint8
+	km seq.Kmer
+	e  Entry
 }
 
-// claim is one vertex orientation's message to its successor: "I precede
-// you". It names the successor by its canonical key and by the orientations
-// of that key that read as the observed successor (bit 0 forward, bit 1
-// reverse; both for a palindrome), and carries the claimant's first observed
-// base in bits 2-3.
+// A node is one orientation of a vertex: its canonical k-mer read forward
+// (orientation 0) or as the reverse complement (orientation 1). With odd k no
+// k-mer is its own reverse complement, so the two are always distinct. The
+// node's ID is dist.ID(owner, 2i+o), where i is the vertex's index in its
+// owner's sortedLocalVertices: the owner reaches a node by index, without a
+// hash probe, and a node's mirror — the same vertex read the other way — is
+// ID^1. Links between nodes are mutually agreeing extensions, so every node
+// has at most one predecessor and one successor, and x precedes y exactly
+// when y's mirror precedes x's mirror: the nodes form simple paths and
+// cycles, and the mirror of a path is a path.
+//
+// node is a node's list-ranking state. While dist < 0, ptr is the ID of its
+// 2^j-th predecessor before round j; once dist >= 0, ptr is the ID of its
+// path's start and dist its distance from that start.
+type node struct {
+	ptr  int
+	dist int32
+}
+
+// claim is one node's message to its successor: "I precede you". It names
+// the successor by its canonical key and by the orientation of that key that
+// reads as the observed successor (bit 0), and carries the claimant's first
+// observed base (bits 1-2) and its node ID.
 type claim struct {
 	key  seq.Kmer
 	bits uint8
+	from int
 }
 
 // claimWireSize is the wire bytes of one claim: the packed k-mer (two words
-// plus k) and the bits byte.
-const claimWireSize = 18
+// plus k), the bits byte and the claimant's ID word.
+const claimWireSize = 26
 
-// newClaim returns the claim of the vertex read as obs whose observed right
+// newClaim returns the claim of node from, read as obs, whose observed right
 // extension is the base code.
-func newClaim(obs seq.Kmer, code byte) claim {
+func newClaim(obs seq.Kmer, code byte, from int) claim {
 	next := obs.AppendBase(code)
-	key, orients := next, uint8(1)
+	key, orient := next, uint8(0)
 	if rc := next.ReverseComplement(); rc.Less(next) {
-		key, orients = rc, 2
-	} else if rc == next {
-		orients = 3 // a palindrome reads as itself both ways
+		key, orient = rc, 1
 	}
-	return claim{key: key, bits: obs.FirstBase()<<2 | orients}
+	return claim{key: key, bits: obs.FirstBase()<<1 | orient, from: from}
 }
 
 // sortedLocalVertices returns the vertices the calling rank owns, in sorted
@@ -269,26 +238,25 @@ func keyByte(km seq.Kmer, shift uint) byte {
 	return byte(km.Lo >> shift)
 }
 
-// markPredecessors sets the pred bits of the calling rank's vertices with one
-// claim exchange instead of one Get per vertex orientation. Every vertex
-// orientation whose observed right extension is a base c claims its
-// successor obs[1:]+c, carrying its own first base b; the claim goes to the
-// successor's owner. An orientation whose observed left extension is the base
-// b has an agreeing predecessor exactly when it received a claim carrying b:
-// the predecessor exists (it sent the claim) and its right extension points
-// back here (that is what it claimed). A palindromic vertex (even k only)
-// reads as itself both ways, and lookup resolves it to its forward
-// orientation, so it claims only from there. Collective.
-func (g *Graph) markPredecessors(r *pgas.Rank, local []vertex) {
+// markPredecessors returns the initial list-ranking state of the calling
+// rank's nodes (index 2i+o for local[i] in orientation o), found with one
+// claim exchange instead of one Get per node. Every node whose observed right
+// extension is a base c claims its successor obs[1:]+c, carrying its own
+// first base b and its ID; the claim goes to the successor's owner. A node
+// whose observed left extension is the base b has an agreeing predecessor
+// exactly when it received a claim carrying b: the predecessor exists (it
+// sent the claim) and its right extension points back here (that is what it
+// claimed). Only one claimant can carry b, so that claim names the
+// predecessor, and the node starts as {ptr: predecessor, dist: -1}. A node
+// without one is a path start, {ptr: its own ID, dist: 0}. Collective.
+func (g *Graph) markPredecessors(r *pgas.Rank, local []vertex) []node {
 	claims := make([]claim, 0, 2*len(local))
-	for _, v := range local {
+	for i, v := range local {
 		if code, ok := seq.CharToBase(v.e.Ext.Right); ok {
-			claims = append(claims, newClaim(v.km, code))
+			claims = append(claims, newClaim(v.km, code, dist.ID(r.ID(), 2*i)))
 		}
 		if code, ok := seq.CharToBase(v.e.Ext.Left); ok {
-			if rc := v.km.ReverseComplement(); rc != v.km {
-				claims = append(claims, newClaim(rc, seq.ComplementCode(code)))
-			}
+			claims = append(claims, newClaim(v.km.ReverseComplement(), seq.ComplementCode(code), dist.ID(r.ID(), 2*i+1)))
 		}
 	}
 	r.Compute(float64(len(claims)))
@@ -298,22 +266,23 @@ func (g *Graph) markPredecessors(r *pgas.Rank, local []vertex) {
 	// Resolving a claim is one owner-local probe, the charge of the local
 	// Get it replaces.
 	r.Compute(float64(len(received)))
+	nodes := make([]node, 2*len(local))
+	for i := range nodes {
+		nodes[i] = node{ptr: dist.ID(r.ID(), i)}
+	}
 	index := newVertexIndex(local)
 	for _, c := range received {
 		i := index.find(local, c.key)
 		if i < 0 {
 			continue
 		}
-		v := &local[i]
-		b := c.bits >> 2
-		if c.bits&1 != 0 && leftBaseIs(v.e.Ext, b) {
-			v.pred |= 1
-		}
-		if c.bits&2 != 0 && leftBaseIs(v.e.Ext.Swap(), b) {
-			v.pred |= 2
+		o := int(c.bits & 1)
+		if leftBaseIs(observedExt(local[i].e, o == 0), c.bits>>1) {
+			nodes[2*i+o] = node{ptr: c.from, dist: -1}
 		}
 	}
 	r.ReleaseResident(len(received) * claimWireSize)
+	return nodes
 }
 
 // leftBaseIs reports whether the left extension of ext is the base code b.
@@ -369,88 +338,268 @@ type TraverseOptions struct {
 	MinContigLen int
 }
 
-// Traverse generates contigs from the graph. Collective: every rank walks
-// the paths that start at k-mers it owns and returns only the contigs it
-// emitted; use DistributeContigs to build the owner-distributed set. Contigs
-// are emitted in canonical orientation exactly once.
+// Traverse generates contigs from the graph: every path of nodes (see node)
+// that has a start, emitted once, in canonical orientation. Collective: every
+// rank returns only the contigs it emitted; use DistributeContigs to build
+// the owner-distributed set. Start-less cycles are not emitted.
 //
-// Path starts come from one claim exchange (markPredecessors): every vertex
-// orientation with a base right extension tells its successor's owner, in
-// one aggregated message per destination, so a rank learns which of its
-// vertex orientations have an agreeing predecessor without a remote probe.
-// Only the walks read the graph one Get at a time.
+// No rank walks a path. Traverse ranks the paths as linked lists in
+// aggregated exchanges and reads the graph only owner-locally:
 //
-// Claims are generated, and walks start, in sorted k-mer order, not
-// map-iteration order: each walk charges a different amount of simulated
-// work, and folding the same charges into the clock in a run-to-run-varying
-// order would drift the simulated seconds by floating-point rounding.
+//  1. markPredecessors: one claim exchange gives every node its
+//     predecessor's ID, or marks it a path start. A node's successor is its
+//     mirror's predecessor, mirrored, so no second exchange is needed.
+//  2. rankPaths: ⌈log₂ maxSteps⌉+1 rounds of pointer doubling, one exchange
+//     each, after which every path node knows its start and its distance
+//     from it.
+//  3. assemble: one exchange sends each vertex's base and depth to the start
+//     that emits its path, which places them by distance.
+//
+// The contigs are the ones a walk from every start would give: a walk stops
+// at a path's end, where it would reach its start's own vertex again (a
+// hairpin: a (k+1)-bp palindrome in the genome), or after maxSteps steps; and
+// of a path and its mirror only the canonical sequence is kept. The step
+// bound and the rounds come from the global vertex count: no path has more
+// than twice as many nodes as the graph has vertices, fewer than
+// 2^rounds.
+//
+// Claims, records and contigs are generated in sorted k-mer order, not
+// map-iteration order, so the same charges fold into the clock in the same
+// order every run.
 func Traverse(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
-	// No simple path visits more vertices than the graph has: the bound
-	// stops a walk that entered a cycle not through its start vertex.
 	maxSteps := g.vertexCount() + 1
 	local := g.sortedLocalVertices(r)
-	g.markPredecessors(r, local)
-	var out []Contig
-	ws := &walkScratch{}
-	for _, v := range local {
-		for o, forward := range []bool{true, false} {
-			if v.pred&(1<<o) != 0 {
-				continue
-			}
-			g.walk(r, oriented{key: v.km, forward: forward}, v.e, maxSteps, ws)
-			n := ws.seq.Len()
-			if n < g.K || (opts.MinContigLen > 0 && n < opts.MinContigLen) {
-				continue
-			}
-			// Emit each path once: only from the end whose sequence is the
-			// canonical orientation (ties broken towards emitting). The
-			// comparison runs on the packed form; ASCII is materialized only
-			// for the paths that survive it.
-			if ws.seq.GreaterThanRC() {
-				continue
-			}
-			contigSeq := ws.seq.AppendUnpack(make([]byte, 0, n))
-			out = append(out, Contig{Seq: contigSeq, Depth: seq.MeanDepthFromCounts(ws.counts)})
-		}
-	}
+	nodes := g.markPredecessors(r, local)
+	rankPaths(r, nodes, maxSteps)
+	out := g.assemble(r, local, nodes, maxSteps, opts)
 	r.Barrier()
 	return out
 }
 
-// walkScratch holds the reusable walk buffers: the packed path sequence and
-// the per-vertex depth counts. One scratch serves a whole Traverse — a walk
-// appends 2-bit codes into it and unpacks to ASCII only for the paths that
-// are actually emitted, so walking is allocation-free in steady state (the
-// walked-from-both-ends and too-short paths that used to build and discard a
-// byte slice each now cost nothing).
-type walkScratch struct {
-	seq    seq.Packed
-	counts []uint32
+// jump is one pointer-doubling record: the sender's state, for the node that
+// sits 2^j nodes after it.
+type jump struct {
+	to int
+	node
 }
 
-// walk extends a path from the starting oriented k-mer until it hits a fork,
-// dead end, missing vertex or the step bound, filling the scratch buffers.
-func (g *Graph) walk(r *pgas.Rank, start oriented, e Entry, maxSteps int, ws *walkScratch) {
-	ws.seq.Reset()
-	ws.counts = ws.counts[:0]
-	obs := start.observedKmer()
-	ws.seq.AppendKmer(obs)
-	ws.counts = append(ws.counts, e.Count)
-	cur, ce := start, e
-	for steps := 0; steps < maxSteps; steps++ {
-		next, ne, code, ok := g.successor(r, cur, ce)
-		if !ok {
-			break
+// jumpWireSize is the wire bytes of one jump: two ID words and the distance.
+const jumpWireSize = 20
+
+// nodeOwner returns the rank owning a node ID.
+func nodeOwner(id int) int {
+	owner, _ := dist.Locate(id)
+	return owner
+}
+
+// rankPaths runs ⌈log₂ maxSteps⌉+1 pointer-doubling rounds over the calling
+// rank's nodes: enough for a path of 2·maxSteps nodes, and no path has more
+// than twice as many nodes as the graph has vertices. In round j a node x
+// whose path goes on for at least 2^j more nodes — exactly when its mirror
+// has not finished — sends its state to its 2^j-th successor, which is its
+// mirror's pointer, mirrored. The
+// receiver sat 2^j nodes after x: it takes over x's pointer, now 2^(j+1)
+// back, or, if x has finished, finishes at x's distance plus 2^j. Every
+// unfinished node receives exactly one record per round, and a node sends at
+// most one, so a round is one exchange of at most one record per node. After
+// round j every node fewer than 2^(j+1) nodes from its start has finished;
+// nodes of start-less cycles never do. Collective.
+func rankPaths(r *pgas.Rank, nodes []node, maxSteps int) {
+	rounds := bits.Len(uint(maxSteps-1)) + 1
+	// live holds the forward node index 2i of every vertex i with a node
+	// that has not finished; a node sends while its mirror has not.
+	var live []int
+	for f := 0; f < len(nodes); f += 2 {
+		if nodes[f].dist < 0 || nodes[f+1].dist < 0 {
+			live = append(live, f)
 		}
-		if next.key == start.key {
-			// Cycle closed; stop without repeating the start.
-			break
-		}
-		ws.seq.AppendCode(code)
-		ws.counts = append(ws.counts, ne.Count)
-		cur, ce = next, ne
-		r.Compute(1)
 	}
+	var out []jump
+	for round := 0; round < rounds; round++ {
+		out = out[:0]
+		kept := live[:0]
+		for _, f := range live {
+			fwd, rev := nodes[f], nodes[f+1]
+			if rev.dist < 0 {
+				out = append(out, jump{to: rev.ptr ^ 1, node: fwd})
+			}
+			if fwd.dist < 0 {
+				out = append(out, jump{to: fwd.ptr ^ 1, node: rev})
+			}
+			if fwd.dist < 0 || rev.dist < 0 {
+				kept = append(kept, f)
+			}
+		}
+		live = kept
+		r.Compute(float64(len(out)))
+		in := pgas.ExchangeFunc(r, out,
+			func(_ int, j jump) int { return nodeOwner(j.to) },
+			func(jump) int { return jumpWireSize })
+		r.Compute(float64(len(in)))
+		step := int32(1) << round
+		for _, j := range in {
+			_, i := dist.Locate(j.to)
+			nodes[i].ptr = j.ptr
+			if j.dist >= 0 {
+				nodes[i].dist = j.dist + step
+			}
+		}
+		r.ReleaseResident(len(in) * jumpWireSize)
+	}
+}
+
+// piece is one vertex's contribution to the contig of its path: the base
+// that its node appends and its depth, for the start that emits the path.
+type piece struct {
+	to    int    // the emitting start's node ID
+	dist  int32  // the node's distance from that start
+	count uint32 // the vertex's depth
+	base  byte   // the last base of the node's observed k-mer
+}
+
+// pieceWireSize is the wire bytes of one piece.
+const pieceWireSize = 17
+
+// slot is a placed piece.
+type slot struct {
+	count uint32
+	base  byte
+}
+
+// observedKmer returns the k-mer of node orientation o (0 = canonical).
+func observedKmer(km seq.Kmer, o int) seq.Kmer {
+	if o == 0 {
+		return km
+	}
+	return km.ReverseComplement()
+}
+
+// lastBase returns the last base of the k-mer of node orientation o.
+func lastBase(km seq.Kmer, o int) byte {
+	if o == 0 {
+		return km.BaseAt(int(km.K) - 1)
+	}
+	return seq.ComplementCode(km.FirstBase())
+}
+
+// assemble builds the contigs of the paths this rank emits, after rankPaths.
+// A path P from start S to end E has a mirror path from E's mirror to S's
+// mirror, which carries the reverse complement of its sequence; the smaller
+// of the two start IDs emits, in canonical orientation. Every vertex of P is
+// one node of P and one of its mirror, so each vertex sends one piece, from
+// the node with the smaller (start, distance), to that start's owner. A
+// start learns all it needs without a message: its mirror is the last node
+// of the mirror path, so the mirror's pointer is the other start and its
+// distance the path's last position L, which lays out the pieces by count
+// and offset, with no sort.
+//
+// A hairpin path is its own mirror: S's mirror is E, both orientations of
+// each vertex lie on it, at distances d and L-d, and the one start receives
+// only the first half. The second half is the reverse complement of the
+// first, and the walk it stands for stops one node short of E, S's own
+// vertex; it is kept only if that sequence is canonical. Collective.
+func (g *Graph) assemble(r *pgas.Rank, local []vertex, nodes []node, maxSteps int, opts TraverseOptions) []Contig {
+	var pieces []piece
+	for i, v := range local {
+		o, at := 0, nodes[2*i]
+		if at.dist < 0 {
+			continue // a start-less cycle
+		}
+		if b := nodes[2*i+1]; b.ptr < at.ptr || (b.ptr == at.ptr && b.dist < at.dist) {
+			o, at = 1, b
+		}
+		if at.dist > 0 {
+			pieces = append(pieces, piece{to: at.ptr, dist: at.dist, count: v.e.Count, base: lastBase(v.km, o)})
+		}
+	}
+	r.Compute(float64(len(pieces)))
+	in := pgas.ExchangeFunc(r, pieces,
+		func(_ int, p piece) int { return nodeOwner(p.to) },
+		func(piece) int { return pieceWireSize })
+	r.Compute(float64(len(in)))
+
+	// Lay out the paths this rank emits by count and offset.
+	type emitted struct {
+		s, first int
+		hairpin  bool
+	}
+	var paths []emitted
+	first := make([]int, len(nodes))
+	total := 0
+	for s, n := range nodes {
+		if n.dist != 0 {
+			continue
+		}
+		id, mirror := dist.ID(r.ID(), s), nodes[s^1]
+		hairpin := mirror.ptr == id
+		if hairpin || id < mirror.ptr {
+			first[s] = total
+			paths = append(paths, emitted{s: s, first: total, hairpin: hairpin})
+			total += received(int(mirror.dist), hairpin)
+		}
+	}
+	slots := make([]slot, total)
+	for _, p := range in {
+		_, s := dist.Locate(p.to)
+		slots[first[s]+int(p.dist)-1] = slot{count: p.count, base: p.base}
+	}
+	r.ReleaseResident(len(in) * pieceWireSize)
+
+	var out []Contig
+	var path, rc seq.Packed
+	var depths []uint32
+	for _, e := range paths {
+		// A walk from the start keeps the path up to its last node, at
+		// distance L, but stops one node short of a hairpin's, which is the
+		// start's own vertex, and after maxSteps steps.
+		L := int(nodes[e.s^1].dist)
+		last := L
+		if e.hairpin {
+			last--
+		}
+		last = min(last, maxSteps)
+		if opts.MinContigLen > 0 && last+g.K < opts.MinContigLen {
+			continue
+		}
+		v := local[e.s/2]
+		own := slots[e.first : e.first+received(L, e.hairpin)]
+		path.Reset()
+		path.AppendKmer(observedKmer(v.km, e.s&1))
+		depths = append(depths[:0], v.e.Count)
+		for d := 1; d <= last; d++ {
+			if d <= len(own) {
+				path.AppendCode(own[d-1].base)
+				depths = append(depths, own[d-1].count)
+				continue
+			}
+			// The hairpin's second half: node d is node L-d read the other
+			// way, so its last base complements base L-d of the sequence.
+			path.AppendCode(seq.ComplementCode(path.Code(L - d)))
+			depths = append(depths, own[L-d-1].count)
+		}
+		r.Compute(float64(last))
+		emit := &path
+		if path.GreaterThanRC() {
+			if e.hairpin {
+				continue
+			}
+			rc.SetReverseComplementOf(path)
+			emit = &rc
+		}
+		contigSeq := emit.AppendUnpack(make([]byte, 0, emit.Len()))
+		out = append(out, Contig{Seq: contigSeq, Depth: seq.MeanDepthFromCounts(depths)})
+	}
+	return out
+}
+
+// received returns how many pieces the start of a path whose last node is at
+// distance L receives: one per node after the start, or, on a hairpin, one
+// per vertex after the start's own.
+func received(L int, hairpin bool) int {
+	if hairpin {
+		return (L - 1) / 2
+	}
+	return L
 }
 
 // ContigSet is the distributed contig collection the pipeline passes between

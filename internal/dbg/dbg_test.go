@@ -242,6 +242,19 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
+// greaterThanRC reports whether s sorts strictly after its reverse
+// complement: the byte-wise definition seq.Packed.GreaterThanRC, Traverse's
+// emit-orientation check, is held to.
+func greaterThanRC(s []byte) bool {
+	for i := range s {
+		c := seq.ComplementChar(s[len(s)-1-i])
+		if s[i] != c {
+			return s[i] > c
+		}
+	}
+	return false
+}
+
 // canonicalSeq returns the lexicographically smaller of a sequence and its
 // reverse complement, materializing the complement: the definition the
 // in-place orientation checks (greaterThanRC, seq.Packed.GreaterThanRC) are

@@ -1,0 +1,560 @@
+package dbg
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"mhmgo/internal/dist"
+	"mhmgo/internal/pgas"
+	"mhmgo/internal/seq"
+)
+
+// The traversal Traverse replaced is kept here as its oracle: a walk from
+// every path start that reads the graph one Get per step, with every start
+// found by probing its predecessor with one more Get.
+
+// oriented is a k-mer as observed during a walk: the canonical key plus the
+// strand we are reading it on (true = canonical orientation).
+type oriented struct {
+	key     seq.Kmer
+	forward bool
+}
+
+// observed returns the k-mer as read on the walk's strand.
+func (o oriented) observed() seq.Kmer {
+	if o.forward {
+		return o.key
+	}
+	return o.key.ReverseComplement()
+}
+
+// lookup fetches the entry of the canonical form of km with one Get,
+// returning the oriented view and whether it exists. With odd k the
+// orientation is never ambiguous.
+func (g *Graph) lookup(r *pgas.Rank, km seq.Kmer) (oriented, Entry, bool) {
+	canon, wasRC := km.Canonical()
+	e, ok := g.Entries.Get(r, canon)
+	return oriented{key: canon, forward: !wasRC}, e, ok
+}
+
+// successor returns the next oriented k-mer of a walk, or ok=false if the
+// walk must stop (no extension, fork, missing vertex, or mutual-agreement
+// failure).
+func (g *Graph) successor(r *pgas.Rank, cur oriented, e Entry) (oriented, Entry, byte, bool) {
+	code, ok := seq.CharToBase(observedExt(e, cur.forward).Right)
+	if !ok {
+		return oriented{}, Entry{}, 0, false
+	}
+	obs := cur.observed()
+	next, ne, ok := g.lookup(r, obs.AppendBase(code))
+	if !ok {
+		return oriented{}, Entry{}, 0, false
+	}
+	// Mutual agreement: the successor's left extension must point back at
+	// the first base of the current observed k-mer.
+	if !leftBaseIs(observedExt(ne, next.forward), obs.FirstBase()) {
+		return oriented{}, Entry{}, 0, false
+	}
+	return next, ne, code, true
+}
+
+// isPathStart reports whether the oriented k-mer has no valid predecessor,
+// i.e. a contig starts here when walking in this orientation. It pays one
+// Get per probe: the predicate markPredecessors' claim exchange computes for
+// a whole rank at once.
+func (g *Graph) isPathStart(r *pgas.Rank, cur oriented, e Entry) bool {
+	code, ok := seq.CharToBase(observedExt(e, cur.forward).Left)
+	if !ok {
+		return true
+	}
+	obs := cur.observed()
+	prev, pe, ok := g.lookup(r, obs.PrependBase(code))
+	if !ok {
+		return true
+	}
+	fwdCode, ok := seq.CharToBase(observedExt(pe, prev.forward).Right)
+	return !ok || fwdCode != obs.BaseAt(g.K-1)
+}
+
+// walkScratch holds a walk's packed path sequence and per-vertex depths.
+type walkScratch struct {
+	seq    seq.Packed
+	counts []uint32
+}
+
+// walk extends a path from the starting oriented k-mer until it hits a fork,
+// dead end, missing vertex, the start's own vertex (a hairpin) or the step
+// bound, filling the scratch buffers.
+func (g *Graph) walk(r *pgas.Rank, start oriented, e Entry, maxSteps int, ws *walkScratch) {
+	ws.seq.Reset()
+	ws.counts = ws.counts[:0]
+	ws.seq.AppendKmer(start.observed())
+	ws.counts = append(ws.counts, e.Count)
+	cur, ce := start, e
+	for steps := 0; steps < maxSteps; steps++ {
+		next, ne, code, ok := g.successor(r, cur, ce)
+		if !ok || next.key == start.key {
+			break
+		}
+		ws.seq.AppendCode(code)
+		ws.counts = append(ws.counts, ne.Count)
+		cur, ce = next, ne
+		r.Compute(1)
+	}
+}
+
+// traverseByProbe is the walking traversal: every path start found by
+// isPathStart, every path walked from each of its starts, and a walk kept only
+// if its sequence is canonical. Collective.
+func traverseByProbe(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
+	maxSteps := g.vertexCount() + 1
+	var out []Contig
+	ws := &walkScratch{}
+	for _, v := range g.sortedLocalVertices(r) {
+		for _, forward := range []bool{true, false} {
+			cur := oriented{key: v.km, forward: forward}
+			if !g.isPathStart(r, cur, v.e) {
+				continue
+			}
+			g.walk(r, cur, v.e, maxSteps, ws)
+			n := ws.seq.Len()
+			if n < g.K || (opts.MinContigLen > 0 && n < opts.MinContigLen) {
+				continue
+			}
+			if ws.seq.GreaterThanRC() {
+				continue
+			}
+			out = append(out, Contig{Seq: ws.seq.AppendUnpack(nil), Depth: seq.MeanDepthFromCounts(ws.counts)})
+		}
+	}
+	r.Barrier()
+	return out
+}
+
+// graphBuilder collects the canonical entries of a test graph.
+type graphBuilder struct {
+	rng     *rand.Rand
+	k       int
+	entries map[seq.Kmer]Entry
+}
+
+func newGraphBuilder(rng *rand.Rand, k int) *graphBuilder {
+	return &graphBuilder{rng: rng, k: k, entries: map[seq.Kmer]Entry{}}
+}
+
+// randomExt returns a random extension character, bases three times as
+// likely as a fork or a dead end.
+func (b *graphBuilder) randomExt() byte {
+	return "ACGTACGTACGTFX"[b.rng.Intn(14)]
+}
+
+func (b *graphBuilder) randomBases(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		sb.WriteByte(seq.BaseToChar(byte(b.rng.Intn(4))))
+	}
+	return sb.String()
+}
+
+// set stores the vertex read as obs with the observed extensions, in
+// canonical orientation.
+func (b *graphBuilder) set(obs string, left, right byte) {
+	canon, wasRC := seq.MustKmer(obs).Canonical()
+	ext := seq.ExtPair{Left: left, Right: right}
+	if wasRC {
+		ext = ext.Swap()
+	}
+	b.entries[canon] = Entry{Count: uint32(1 + b.rng.Intn(40)), Ext: ext}
+}
+
+// addSequence threads g through the graph with consistent extensions, closed
+// into a cycle when circular. Repeated k-mers overwrite each other's
+// extensions, which makes forks and disagreements.
+func (b *graphBuilder) addSequence(g string, circular bool) {
+	n := len(g)
+	if circular {
+		// Every rotation's k-mer, with its neighbours taken around the circle.
+		wrapped := g + g[:b.k]
+		for i := 0; i < n; i++ {
+			b.set(wrapped[i:i+b.k], g[(i+n-1)%n], wrapped[i+b.k])
+		}
+		return
+	}
+	for i := 0; i+b.k <= n; i++ {
+		left, right := byte(seq.ExtNone), byte(seq.ExtNone)
+		if i > 0 {
+			left = g[i-1]
+		}
+		if i+b.k < n {
+			right = g[i+b.k]
+		}
+		b.set(g[i:i+b.k], left, right)
+	}
+}
+
+// hairpin returns a random (k+1)-bp palindrome: a k-mer followed by the base
+// that makes its successor its own reverse complement.
+func (b *graphBuilder) hairpin() string {
+	half := b.randomBases((b.k + 1) / 2)
+	return half + string(seq.ReverseComplement([]byte(half)))
+}
+
+// randomGraphEntries returns the entries of a random graph over k-mers:
+// random vertices (dense in the k-mer space at small k, so forks, dead
+// ends, cycles and disagreeing neighbours are common), a genome path, linear
+// or circular, and a poly-A self-loop.
+func randomGraphEntries(rng *rand.Rand, k int) map[seq.Kmer]Entry {
+	b := newGraphBuilder(rng, k)
+	for i := rng.Intn(60); i > 0; i-- {
+		b.set(b.randomBases(k), b.randomExt(), b.randomExt())
+	}
+	b.addSequence(b.randomBases(k+rng.Intn(80)), rng.Intn(2) == 0)
+	b.set(strings.Repeat("A", k), 'A', 'A')
+	return b.entries
+}
+
+// hairpinAndCycleEntries returns a graph of the shapes a walk can end in
+// early: genomes carrying a hairpin, short or long, whole genomes that are their own reverse
+// complement (one hairpin path through every vertex, long enough that the
+// step bound cuts it), circular genomes with and without a linear tail
+// running into them, and forks where two genomes share a core.
+func hairpinAndCycleEntries(rng *rand.Rand, k int) map[seq.Kmer]Entry {
+	b := newGraphBuilder(rng, k)
+	switch rng.Intn(6) {
+	case 0:
+		b.addSequence(b.randomBases(rng.Intn(30))+b.hairpin()+b.randomBases(rng.Intn(30)), false)
+	case 5:
+		// A hairpin alone is one vertex whose path runs to its own mirror.
+		b.addSequence(b.randomBases(rng.Intn(3))+b.hairpin()+b.randomBases(rng.Intn(3)), false)
+	case 1:
+		x := b.randomBases(k + rng.Intn(150))
+		b.addSequence(x+string(seq.ReverseComplement([]byte(x))), false)
+	case 2:
+		b.addSequence(b.randomBases(k+1+rng.Intn(60)), true)
+	case 3:
+		circle := b.randomBases(k + 1 + rng.Intn(60))
+		b.addSequence(circle, true)
+		b.addSequence(b.randomBases(1+rng.Intn(20))+circle[:k+rng.Intn(len(circle)-k)], false)
+	case 4:
+		core := b.randomBases(k + rng.Intn(30))
+		for i := 2 + rng.Intn(2); i > 0; i-- {
+			b.addSequence(b.randomBases(rng.Intn(20))+core+b.randomBases(rng.Intn(20)), false)
+		}
+	}
+	if rng.Intn(3) == 0 {
+		b.addSequence(b.randomBases(rng.Intn(20))+b.hairpin()+b.randomBases(rng.Intn(20)), rng.Intn(2) == 0)
+	}
+	return b.entries
+}
+
+// loadGraph stores the entries each rank owns and freezes the graph, as
+// Build does. Collective.
+func loadGraph(r *pgas.Rank, g *Graph, entries map[seq.Kmer]Entry) {
+	for km, e := range entries {
+		if g.Entries.Owner(km) == r.ID() {
+			g.Entries.SetLocal(r, km, e)
+		}
+	}
+	r.Barrier()
+	g.Entries.Freeze()
+}
+
+// emitAll returns the contig set that DistributeContigs makes of every rank's
+// contigs, on rank 0, sorted by content (nil on the other ranks). Collective.
+func emitAll(r *pgas.Rank, local []Contig) []Contig {
+	return emitSorted(r, DistributeContigs(r, local, dist.Distributed))
+}
+
+// diffContigs describes the first difference between two sorted contig
+// sets, or returns "".
+func diffContigs(got, want []Contig) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d contigs, oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		if string(got[i].Seq) != string(want[i].Seq) || got[i].Depth != want[i].Depth {
+			return fmt.Sprintf("contig %d is %s (depth %v), oracle %s (depth %v)",
+				i, got[i].Seq, got[i].Depth, want[i].Seq, want[i].Depth)
+		}
+	}
+	return ""
+}
+
+// rankCoverage records what the list-ranking oracle met: the round counts the
+// longest paths needed, against the fixed bound Traverse runs.
+type rankCoverage struct {
+	mu        sync.Mutex
+	needed    map[int]bool // rounds some graph's longest path needed
+	atBound   int          // graphs whose longest path needed every round
+	cycles    int          // nodes on start-less cycles
+	hairpins  int          // paths that are their own mirror
+	truncated int          // hairpin paths the step bound cuts
+}
+
+// checkRanks holds rankPaths to walks: every node reachable from a path start
+// must end up pointing at that start with its distance from it, and every
+// other node (on a start-less cycle) must be unfinished. locals and ranked
+// hold every rank's vertices and ranked nodes. Run on one rank, after a
+// barrier.
+func checkRanks(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked [][]node, cov *rankCoverage) {
+	t.Helper()
+	ids := map[seq.Kmer]int{} // observed k-mer -> node ID
+	for rank, local := range locals {
+		for i, v := range local {
+			for o := 0; o < 2; o++ {
+				ids[observedKmer(v.km, o)] = dist.ID(rank, 2*i+o)
+			}
+		}
+	}
+	at := func(id int) node {
+		rank, i := dist.Locate(id)
+		return ranked[rank][i]
+	}
+	maxSteps := g.vertexCount() + 1
+	seen := map[int]bool{}
+	maxDist := 0
+	for rank, local := range locals {
+		for i, v := range local {
+			for o := 0; o < 2; o++ {
+				cur := oriented{key: v.km, forward: o == 0}
+				if !g.isPathStart(r, cur, v.e) {
+					continue
+				}
+				start := dist.ID(rank, 2*i+o)
+				ce, d := v.e, 0
+				for {
+					id := ids[cur.observed()]
+					seen[id] = true
+					if got := at(id); got != (node{ptr: start, dist: int32(d)}) {
+						t.Errorf("node %s is %d from start %s, ranked as %+v, want {ptr:%d dist:%d}",
+							cur.observed(), d, v.km, got, start, d)
+					}
+					maxDist = max(maxDist, d)
+					next, ne, _, ok := g.successor(r, cur, ce)
+					if !ok {
+						break
+					}
+					cur, ce, d = next, ne, d+1
+				}
+				if end := at(start ^ 1); end.ptr == start {
+					cov.mu.Lock()
+					cov.hairpins++
+					if int(end.dist)-1 > maxSteps {
+						cov.truncated++
+					}
+					cov.mu.Unlock()
+				}
+			}
+		}
+	}
+	cycles := 0
+	for _, id := range ids {
+		if !seen[id] {
+			cycles++
+			if n := at(id); n.dist >= 0 {
+				t.Errorf("node %d is on no path from a start, ranked as %+v", id, n)
+			}
+		}
+	}
+	needed := bits.Len(uint(maxDist))
+	cov.mu.Lock()
+	defer cov.mu.Unlock()
+	cov.needed[needed] = true
+	if needed == bits.Len(uint(maxSteps-1))+1 {
+		cov.atBound++
+	}
+	cov.cycles += cycles
+}
+
+// rankAll runs markPredecessors and rankPaths as Traverse does, publishing
+// every rank's vertices and nodes, and checks them on rank 0. Collective.
+func rankAll(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked [][]node, cov *rankCoverage) {
+	local := g.sortedLocalVertices(r)
+	nodes := g.markPredecessors(r, local)
+	rankPaths(r, nodes, g.vertexCount()+1)
+	locals[r.ID()], ranked[r.ID()] = local, nodes
+	r.Barrier()
+	if r.ID() == 0 {
+		checkRanks(t, r, g, locals, ranked, cov)
+	}
+	r.Barrier()
+}
+
+// TestPathStartsMatchProbeOracle holds Traverse to the walking traversal on
+// random graphs with forks, dead ends, cycles and a poly-A self-loop, at odd
+// k and P = 1, 3, 16 and 64:
+//
+//   - the claim exchange finds the path starts the one-Get probe finds, node
+//     by node, and names each other node's predecessor;
+//   - list ranking gives every path node its start and distance (checkRanks);
+//   - the contig set after DistributeContigs is the oracle's, sequence and
+//     depth. Which rank emits a path is Traverse's own business, so the sets
+//     are compared, not the ranks' lists.
+//
+// Even k is refused: NewGraph panics, so those trials pin the refusal.
+func TestPathStartsMatchProbeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var nonStarts, starts int
+	cov := &rankCoverage{needed: map[int]bool{}}
+	for trial := 0; trial < 120; trial++ {
+		k := []int{3, 4, 5, 6, 11, 12, 33, 40}[trial%8]
+		if k%2 == 0 {
+			for _, ranks := range []int{1, 3, 16} {
+				t.Run(fmt.Sprintf("trial=%d/k=%d/P=%d", trial, k, ranks), func(t *testing.T) {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("NewGraph accepted even k=%d", k)
+						}
+					}()
+					NewGraph(pgas.NewMachine(pgas.Config{Ranks: ranks}), k)
+				})
+			}
+			continue
+		}
+		entries := randomGraphEntries(rng, k)
+		for _, ranks := range []int{1, 3, 16, 64} {
+			t.Run(fmt.Sprintf("trial=%d/k=%d/P=%d", trial, k, ranks), func(t *testing.T) {
+				m := pgas.NewMachine(pgas.Config{Ranks: ranks})
+				g := NewGraph(m, k)
+				locals, ranked := make([][]vertex, ranks), make([][]node, ranks)
+				perRank := make([][2]int, ranks)
+				m.Run(func(r *pgas.Rank) {
+					loadGraph(r, g, entries)
+					local := g.sortedLocalVertices(r)
+					if len(local) != g.Entries.LocalLen(r.ID()) {
+						t.Errorf("rank %d: %d sorted vertices, %d owned", r.ID(), len(local), g.Entries.LocalLen(r.ID()))
+					}
+					for i := 1; i < len(local); i++ {
+						if !local[i-1].km.Less(local[i].km) {
+							t.Errorf("rank %d: vertex %d (%s) does not sort before %s", r.ID(), i-1, local[i-1].km, local[i].km)
+						}
+					}
+					nodes := g.markPredecessors(r, local)
+					locals[r.ID()] = local
+					r.Barrier()
+					for i, v := range local {
+						for o, forward := range []bool{true, false} {
+							n := nodes[2*i+o]
+							cur := oriented{key: v.km, forward: forward}
+							if want := g.isPathStart(r, cur, v.e); (n.dist == 0) != want {
+								t.Errorf("%s (ext %s) forward=%v: claim exchange says start=%v, probe says %v",
+									v.km, v.e.Ext, forward, n.dist == 0, want)
+								continue
+							}
+							if n.dist == 0 {
+								perRank[r.ID()][1]++
+								if n.ptr != dist.ID(r.ID(), 2*i+o) {
+									t.Errorf("start %s forward=%v points at %d, not itself", v.km, forward, n.ptr)
+								}
+								continue
+							}
+							perRank[r.ID()][0]++
+							code, _ := seq.CharToBase(observedExt(v.e, forward).Left)
+							rank, j := dist.Locate(n.ptr)
+							if got, want := observedKmer(locals[rank][j/2].km, j&1), cur.observed().PrependBase(code); got != want {
+								t.Errorf("%s forward=%v: predecessor ID names %s, want %s", v.km, forward, got, want)
+							}
+						}
+					}
+					rankAll(t, r, g, locals, ranked, cov)
+					for _, opts := range []TraverseOptions{{}, {MinContigLen: 2 * k}} {
+						got, want := emitAll(r, Traverse(r, g, opts)), emitAll(r, traverseByProbe(r, g, opts))
+						if d := diffContigs(got, want); d != "" {
+							t.Errorf("%+v: %s", opts, d)
+						}
+					}
+				})
+				for _, c := range perRank {
+					nonStarts += c[0]
+					starts += c[1]
+				}
+			})
+		}
+	}
+	// The property is only as good as the cases it met.
+	t.Logf("%d non-start and %d start orientations, %d cycle nodes, %d hairpin paths; longest paths needed rounds %v, %d at the bound",
+		nonStarts, starts, cov.cycles, cov.hairpins, sortedKeys(cov.needed), cov.atBound)
+	if nonStarts == 0 || starts == 0 || cov.cycles == 0 {
+		t.Errorf("random graphs met %d non-start and %d start orientations and %d cycle nodes; want all > 0",
+			nonStarts, starts, cov.cycles)
+	}
+}
+
+func sortedKeys(m map[int]bool) []int {
+	var ks []int
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
+}
+
+// TestHairpinAndCycleMatchOracle holds Traverse to the walking traversal on
+// the shapes where a walk stops before its path's end or never starts:
+// hairpins (a (k+1)-bp palindrome, whose path is its own mirror), genomes that
+// are their own reverse complement (cut by the step bound), circular genomes
+// with and without a tail, and forks, at k = 3, 5, 7, 11 and 21 and P = 1, 3
+// and 16. Workers = 1 and 4 must give the same contigs on every rank and the
+// same simulated seconds. The seeds are chosen so that the longest paths need
+// every round count from 1 up to the fixed bound, and some need the bound.
+func TestHairpinAndCycleMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	cov := &rankCoverage{needed: map[int]bool{}}
+	maxBound := 0
+	for trial := 0; trial < 300; trial++ {
+		k := []int{3, 5, 7, 11, 21}[trial%5]
+		entries := hairpinAndCycleEntries(rng, k)
+		for _, ranks := range []int{1, 3, 16} {
+			type outcome struct {
+				perRank [][]Contig
+				sim     float64
+			}
+			var first *outcome
+			for _, workers := range []int{1, 4} {
+				m := pgas.NewMachine(pgas.Config{Ranks: ranks, Workers: workers})
+				g := NewGraph(m, k)
+				got := outcome{perRank: make([][]Contig, ranks)}
+				locals, ranked := make([][]vertex, ranks), make([][]node, ranks)
+				c := cov
+				if workers != 1 {
+					c = &rankCoverage{needed: map[int]bool{}}
+				}
+				res := m.Run(func(r *pgas.Rank) {
+					loadGraph(r, g, entries)
+					rankAll(t, r, g, locals, ranked, c)
+					local := Traverse(r, g, TraverseOptions{})
+					got.perRank[r.ID()] = local
+					all, want := emitAll(r, local), emitAll(r, traverseByProbe(r, g, TraverseOptions{}))
+					if d := diffContigs(all, want); d != "" {
+						t.Errorf("trial %d, k=%d, P=%d: %s", trial, k, ranks, d)
+					}
+				})
+				got.sim = res.SimSeconds
+				maxBound = max(maxBound, bits.Len(uint(g.vertexCount()))+1)
+				if first == nil {
+					first = &got
+				} else if got.sim != first.sim || !reflect.DeepEqual(got.perRank, first.perRank) {
+					t.Errorf("trial %d, k=%d, P=%d: Workers=4 gives sim %v and contigs %v, Workers=1 %v and %v",
+						trial, k, ranks, got.sim, got.perRank, first.sim, first.perRank)
+				}
+			}
+		}
+	}
+	t.Logf("%d cycle nodes, %d hairpin paths (%d cut by the step bound); longest paths needed rounds %v (bound up to %d), %d at the bound",
+		cov.cycles, cov.hairpins, cov.truncated, sortedKeys(cov.needed), maxBound, cov.atBound)
+	for need := 1; need <= maxBound; need++ {
+		if !cov.needed[need] {
+			t.Errorf("no graph's longest path needed %d rounds; the seeds must meet every count up to the bound %d", need, maxBound)
+		}
+	}
+	if cov.atBound == 0 || cov.cycles == 0 || cov.hairpins == 0 || cov.truncated == 0 {
+		t.Errorf("met %d graphs at the round bound, %d cycle nodes, %d hairpin paths, %d cut by the step bound; want all > 0",
+			cov.atBound, cov.cycles, cov.hairpins, cov.truncated)
+	}
+}

@@ -77,7 +77,7 @@ func combine[T Number](op ReduceOp, a, b T) T {
 const scalarBytes = 8
 
 // exchBatch is one batch deposited into an exchange mailbox: the sending
-// rank, the batch's bounds within the destination-sorted keys that sender
+// rank, the batch's bounds within the destination-ordered copy that sender
 // published (see exchOutbox), and its wire bytes as computed by the sender's
 // size function. It holds no pointer, so a deposit allocates nothing.
 type exchBatch struct {
@@ -86,29 +86,37 @@ type exchBatch struct {
 	bytes  int
 }
 
-// exchOutbox is what a sender publishes in its deposit slot for the
-// duration of one exchange: its items, untouched, and its packed keys sorted
-// by destination. The receiver of batch [lo, hi) gathers
-// items[uint32(keys[j])] for j in that range, so the sender never builds a
-// routed copy.
+// exchOutbox is what a sender publishes for one exchange: a copy of its
+// items in destination order, so the receiver of batch [lo, hi) copies one
+// contiguous range. It is the sender's own buffer, not the caller's slice, so
+// the caller may refill its items as soon as ExchangeFunc returns.
 type exchOutbox[T any] struct {
 	items []T
-	keys  []uint64
 }
 
-// exchInbox is one destination rank's mailbox. Senders append under the
-// mutex before the exchange's entry barrier; the owner drains between the
-// entry and exit barriers. Padded out to a cache line so concurrent deposits
-// to neighbouring destinations do not false-share.
+// outbox is an exchOutbox of any item type, as the machine stores it.
+type outbox interface{ release() }
+
+// release zeroes and empties the published items once no receiver can read
+// them, so they pin nothing they point to; the buffer is kept for reuse.
+func (o *exchOutbox[T]) release() {
+	clear(o.items)
+	o.items = o.items[:0]
+}
+
+// exchInbox is one destination rank's mailbox, double-buffered by exchange
+// epoch parity (see ExchangeFunc). Senders append under the mutex before the
+// exchange's barrier; the owner drains after it. Padded out to a cache line
+// so concurrent deposits to neighbouring destinations do not false-share.
 type exchInbox struct {
 	mu      sync.Mutex
-	batches []exchBatch
-	_       [24]byte
+	batches [2][]exchBatch
+	_       [8]byte
 }
 
-func (ib *exchInbox) put(b exchBatch) {
+func (ib *exchInbox) put(parity int, b exchBatch) {
 	ib.mu.Lock()
-	ib.batches = append(ib.batches, b)
+	ib.batches[parity] = append(ib.batches[parity], b)
 	ib.mu.Unlock()
 }
 
@@ -117,18 +125,18 @@ func (ib *exchInbox) put(b exchBatch) {
 // P = 4096 most ranks route a handful of items, or none, per exchange.
 const radixMinKeys = 32
 
-// takeInbox empties this rank's mailbox and returns every batch deposited
-// there in ascending source-rank order, accounting them: inbound bytes for
-// batches from other ranks, and the full received footprint (including the
-// rank's own loop-back batch) against the resident meter. Must be called
-// after the exchange's entry barrier (all deposits delivered). The returned
-// slice is the mailbox's own array, recycled by the next exchange's deposits:
-// it is valid until this rank leaves the exchange's exit barrier.
-func (r *Rank) takeInbox() []exchBatch {
+// takeInbox empties this rank's mailbox of the given parity and returns every
+// batch deposited there in ascending source-rank order, accounting them:
+// inbound bytes for batches from other ranks, and the full received footprint
+// (including the rank's own loop-back batch) against the resident meter. Must
+// be called after the exchange's barrier (all deposits delivered). The
+// returned slice is the mailbox's own array, recycled by the deposits of the
+// exchange after next: it is valid until this rank enters another exchange.
+func (r *Rank) takeInbox(parity int) []exchBatch {
 	ib := &r.machine.inboxes[r.id]
 	ib.mu.Lock()
-	batches := ib.batches
-	ib.batches = batches[:0]
+	batches := ib.batches[parity]
+	ib.batches[parity] = batches[:0]
 	ib.mu.Unlock()
 	// Deposits arrive in whatever order the senders ran; src values are
 	// distinct (at most one batch per sender), so an unstable generic sort
@@ -398,16 +406,32 @@ func Broadcast[T any](r *Rank, x T) T {
 // reports one item's wire bytes.
 //
 // It never materializes O(P) scratch on the caller: grouping is a radix sort
-// of packed (destination, index) keys held in per-rank scratch, each batch is
-// a range of those keys that the receiver gathers straight from the sender's
-// items, and only non-empty batches are deposited, so a rank talking to d
-// destinations costs O(items + d), independent of P. A
-// personalized exchange has no tree shortcut — every pair must move its own
-// data — so it is charged one aggregated send per non-empty destination
-// batch, in ascending destination order; received batches are accounted to
-// BytesReceived and the resident meter. The epoch is three barriers (deposit /
-// drain / reset): every exchange-based stage was calibrated against that
-// count. One call routes fewer than 2^32 items.
+// of packed (destination, index) keys held in per-rank scratch, the sender
+// copies its items in that order into a per-rank buffer it publishes, each
+// batch is a range of that buffer which the receiver copies, and only
+// non-empty batches are deposited, so a rank talking to d destinations costs
+// O(items + d), independent of P. A personalized exchange has no tree
+// shortcut — every pair must move its own data — so it is charged one
+// aggregated send per non-empty destination batch, in ascending destination
+// order; received batches are accounted to BytesReceived and the resident
+// meter. One call routes fewer than 2^32 items.
+//
+// Three barriers are charged (deposit / drain / reset): every exchange-based
+// stage was calibrated against that count. One is run. The drain and reset
+// barriers only kept a sender from reusing its buffers while receivers still
+// read them; instead, the published buffers and the mailboxes are
+// double-buffered by the parity of the rank's exchange count. A sender
+// rewrites the buffers of exchange e in exchange e+2, and it cannot get there
+// before every rank has arrived at exchange e+1's barrier, that is, has
+// finished reading exchange e. The two barriers not run are still counted,
+// priced and subject to the fault-injection trap (chargeBarrier): after the
+// deposit barrier every rank's clock is equal and nothing else is charged, so
+// running them would have given every rank the same clock they do.
+//
+// The published copy of a rank's items stays on the host until that rank's
+// next exchange passes its barrier, which zeroes it (exchOutbox.release): at
+// most one exchange's payload per rank is held beyond the call, and the
+// Machine holds the last one until it is dropped.
 func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, sizeOf func(T) int) []T {
 	m := r.machine
 	p := m.cfg.Ranks
@@ -421,23 +445,36 @@ func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, siz
 		keys[i] = uint64(d)<<32 | uint64(i)
 	}
 	keys = r.sortExchKeys(keys, p)
-	m.slots[r.id] = exchOutbox[T]{items: items, keys: keys}
+	parity := r.exchCount & 1
+	r.exchCount++
+	out, ok := m.outboxes[r.id][parity].(*exchOutbox[T])
+	if !ok {
+		out = &exchOutbox[T]{}
+		m.outboxes[r.id][parity] = out
+	}
+	routed := slices.Grow(out.items[:0], n)[:n]
+	out.items = routed
 	for start := 0; start < n; {
 		d := int(keys[start] >> 32)
 		end := start
 		bytes := 0
-		for end < n && int(keys[end]>>32) == d {
-			bytes += sizeOf(items[uint32(keys[end])])
-			end++
+		for ; end < n && int(keys[end]>>32) == d; end++ {
+			routed[end] = items[uint32(keys[end])]
+			bytes += sizeOf(routed[end])
 		}
-		m.inboxes[d].put(exchBatch{src: r.id, lo: start, hi: end, bytes: bytes})
+		m.inboxes[d].put(parity, exchBatch{src: r.id, lo: start, hi: end, bytes: bytes})
 		if d != r.id {
 			r.ChargeSend(d, bytes, 1)
 		}
 		start = end
 	}
 	r.Barrier()
-	batches := r.takeInbox()
+	// Every rank has arrived here, so none still reads what this rank
+	// published for its previous exchange.
+	if prev := m.outboxes[r.id][parity^1]; prev != nil {
+		prev.release()
+	}
+	batches := r.takeInbox(parity)
 	total := 0
 	for _, b := range batches {
 		total += b.hi - b.lo
@@ -446,15 +483,10 @@ func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, siz
 	if total > 0 {
 		merged = make([]T, 0, total)
 		for _, b := range batches {
-			out := m.slots[b.src].(exchOutbox[T])
-			for _, key := range out.keys[b.lo:b.hi] {
-				merged = append(merged, out.items[uint32(key)])
-			}
+			merged = append(merged, m.outboxes[b.src][parity].(*exchOutbox[T]).items[b.lo:b.hi]...)
 		}
 	}
-	r.Barrier()
-	// Every receiver has gathered its batches: unpin the caller's items.
-	m.slots[r.id] = nil
-	r.Barrier()
+	r.chargeBarrier()
+	r.chargeBarrier()
 	return merged
 }

@@ -160,10 +160,11 @@ func (s *CommStats) Add(other CommStats) {
 type Machine struct {
 	cfg Config
 
-	barrier *clockBarrier
-	sched   *scheduler
-	inboxes []exchInbox // per-destination mailboxes of the exchanges
-	slots   []any       // one deposit slot per rank, shared by the collectives
+	barrier  *clockBarrier
+	sched    *scheduler
+	inboxes  []exchInbox // per-destination mailboxes of the exchanges
+	outboxes [][2]outbox // per-sender *exchOutbox[T] of the exchanges, by epoch parity
+	slots    []any       // one deposit slot per rank, shared by the scalar collectives
 
 	// Shared collective result: written once per collective by the rank
 	// that completes the entry barrier (under the barrier lock, see
@@ -199,6 +200,7 @@ func NewMachine(cfg Config) *Machine {
 	m.barrier = newClockBarrier(cfg.Ranks)
 	m.sched = newScheduler(cfg.Workers)
 	m.inboxes = make([]exchInbox, cfg.Ranks)
+	m.outboxes = make([][2]outbox, cfg.Ranks)
 	m.slots = make([]any, cfg.Ranks)
 	return m
 }
@@ -381,8 +383,10 @@ type Rank struct {
 	hasSlot bool
 
 	// Key buffers of ExchangeFunc's destination grouping, kept across
-	// exchanges (see sortExchKeys).
+	// exchanges (see sortExchKeys), and the number of exchanges this rank
+	// has entered, whose parity picks the buffers an exchange uses.
 	exchKeys, exchTmp []uint64
+	exchCount         int
 }
 
 // ID returns the rank index in [0, NRanks).
@@ -535,14 +539,29 @@ func (r *Rank) Barrier() { r.barrierOn(nil) }
 // it to compute their shared result once instead of once per rank.
 func (r *Rank) barrierOn(onComplete func()) {
 	m := r.machine
+	r.countBarrier()
+	r.clock = m.barrier.await(r, r.clock, onComplete) + m.cfg.Cost.BarrierCost
+}
+
+// chargeBarrier accounts a barrier that is priced but not run, for a caller
+// whose ranks all hold the same clock and that needs no synchronization
+// (ExchangeFunc's drain and reset): it counts, prices and can trap exactly
+// like Barrier, which would have returned that same clock plus BarrierCost.
+func (r *Rank) chargeBarrier() {
+	r.countBarrier()
+	r.clock += r.machine.cfg.Cost.BarrierCost
+}
+
+// countBarrier counts one barrier arrival and fires the fault-injection trap
+// on rank 0's armed arrival. trapBarrier is armed (if at all) before Run, so
+// the unsynchronized read cannot race with the write.
+func (r *Rank) countBarrier() {
+	m := r.machine
 	r.stats.Barriers++
-	// The fault-injection trap: trapBarrier is armed (if at all) before Run,
-	// so the unsynchronized read cannot race with the write.
 	if r.id == 0 && m.trapBarrier != 0 && r.stats.Barriers == m.trapBarrier {
 		m.Abort(m.trapErr)
 		panic(abortPanic{})
 	}
-	r.clock = m.barrier.await(r, r.clock, onComplete) + m.cfg.Cost.BarrierCost
 }
 
 // Detach releases the rank's worker-pool slot without blocking, for code

@@ -249,9 +249,10 @@ func TestExchangeFuncTwoByteDestinations(t *testing.T) {
 }
 
 // TestExchangeFuncReusesScratch: the destination grouping works in per-rank
-// key buffers that a steady-state round neither reallocates nor re-sizes, so
-// all an exchange allocates is the merged result and the boxed outbox that
-// publishes the sender's items: nothing per item, nothing per destination.
+// key buffers that a steady-state round neither reallocates nor re-sizes, and
+// the published copies are reused by the exchange after next, so all an
+// exchange allocates is the merged result: nothing per item, nothing per
+// destination.
 func TestExchangeFuncReusesScratch(t *testing.T) {
 	const p, n = 8, 512
 	items := make([]int, n)
@@ -273,8 +274,25 @@ func TestExchangeFuncReusesScratch(t *testing.T) {
 	// With one rank nothing else allocates concurrently, so the count is exact.
 	NewMachine(Config{Ranks: 1}).Run(func(r *Rank) {
 		round(r)
+		round(r)
 		if got := testing.AllocsPerRun(20, func() { round(r) }); got > 2 {
-			t.Errorf("steady-state exchange round: %v allocations, want 2", got)
+			t.Errorf("steady-state exchange round: %v allocations, want at most 2", got)
+		}
+	})
+}
+
+// TestExchangeFuncReleasesPublishedItems: what a rank published for one
+// exchange is zeroed once its next exchange passes the barrier, so an
+// exchange of pointers does not keep them reachable.
+func TestExchangeFuncReleasesPublishedItems(t *testing.T) {
+	NewMachine(Config{Ranks: 3}).Run(func(r *Rank) {
+		items := []*int{new(int), new(int)}
+		ExchangeFunc(r, items, func(i int, _ *int) int { return r.ID() + i }, func(*int) int { return 8 })
+		first := r.machine.outboxes[r.ID()][0].(*exchOutbox[*int])
+		published := first.items[:cap(first.items)]
+		ExchangeFunc(r, []int{r.ID()}, func(int, int) int { return 0 }, func(int) int { return 8 })
+		if len(first.items) != 0 || slices.ContainsFunc(published, func(p *int) bool { return p != nil }) {
+			t.Errorf("rank %d: first exchange's published items still held: %v", r.ID(), published)
 		}
 	})
 }
@@ -294,6 +312,104 @@ func TestExchangeFuncRepeated(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestExchangeFuncOneHostBarrier: an exchange runs one host barrier and
+// charges three, so a rank leaves it while others may still be copying what
+// it published, and the buffers alternate by exchange parity. Back-to-back
+// exchanges whose caller truncates, refills and then scribbles over one items
+// slice, interleaved with AllReduce and Broadcast, must each deliver exactly
+// that round's items in source order; clocks and counts must not depend on
+// Workers, and every exchange still counts three barriers. Run it under
+// -race: a receiver reading a buffer its sender has moved on to reuse is a
+// data race.
+func TestExchangeFuncOneHostBarrier(t *testing.T) {
+	type msg struct{ round, src, dest, seq int }
+	const rounds = 12
+	for _, p := range []int{3, 64} {
+		var first RunResult
+		for _, workers := range []int{1, 4} {
+			m := NewMachine(Config{Ranks: p, RanksPerNode: 2, Workers: workers})
+			dest := func(round, src, seq int) int { return (src + round + 7*seq) % p }
+			collectives := 0
+			res := m.Run(func(r *Rank) {
+				var items []msg
+				for round := 0; round < rounds; round++ {
+					items = items[:0]
+					for seq := 0; seq <= round%3; seq++ {
+						items = append(items, msg{round, r.ID(), dest(round, r.ID(), seq), seq})
+					}
+					in := ExchangeFunc(r, items, func(_ int, it msg) int { return it.dest }, func(msg) int { return 8 })
+					for i := range items {
+						items[i] = msg{-1, -1, -1, -1}
+					}
+					var want []msg
+					for src := 0; src < p; src++ {
+						for seq := 0; seq <= round%3; seq++ {
+							if d := dest(round, src, seq); d == r.ID() {
+								want = append(want, msg{round, src, d, seq})
+							}
+						}
+					}
+					if !slices.Equal(in, want) {
+						t.Errorf("P=%d workers=%d round %d rank %d: received %v, want %v", p, workers, round, r.ID(), in, want)
+					}
+					r.ReleaseResident(8 * len(in))
+					switch round % 3 {
+					case 0:
+						if got := AllReduce(r, round, ReduceMax); got != round {
+							t.Errorf("rank %d: AllReduce after round %d = %d", r.ID(), round, got)
+						}
+					case 1:
+						if got := Broadcast(r, round*100+r.ID()); got != round*100 {
+							t.Errorf("rank %d: Broadcast after round %d = %d", r.ID(), round, got)
+						}
+					}
+					if r.ID() == 0 && round%3 != 2 {
+						collectives++
+					}
+				}
+			})
+			if want := uint64(p * (3*rounds + 2*collectives)); res.Stats.Barriers != want {
+				t.Errorf("P=%d workers=%d: %d barriers counted, want %d (three per exchange)", p, workers, res.Stats.Barriers, want)
+			}
+			res.Wall = 0
+			if workers == 1 {
+				first = res
+			} else if res != first {
+				t.Errorf("P=%d: Workers=%d gives %+v, Workers=1 %+v", p, workers, res, first)
+			}
+		}
+	}
+}
+
+// TestExchangeFuncTrapOnChargedBarrier: the drain and reset barriers an
+// exchange charges but does not run still count toward the fault-injection
+// trap. Armed on either, rank 0 aborts there, the run reports the cause, and
+// every other rank unwinds at its next barrier instead of finishing.
+func TestExchangeFuncTrapOnChargedBarrier(t *testing.T) {
+	// Barriers 1 and 4 are the exchanges' deposit barriers, which run; 2, 3,
+	// 5 and 6 are charged only.
+	for _, n := range []uint64{2, 3, 5, 6} {
+		for _, workers := range []int{1, 4} {
+			cause := errors.New("injected")
+			m := NewMachine(Config{Ranks: 5, Workers: workers})
+			m.InjectBarrierFailure(n, cause)
+			var finished atomic.Int32
+			res := m.Run(func(r *Rank) {
+				for i := 0; i < 3; i++ {
+					ExchangeFunc(r, []int{i}, func(int, int) int { return r.ID() + 1 }, func(int) int { return 8 })
+				}
+				finished.Add(1)
+			})
+			if !errors.Is(res.Err, ErrAborted) || !errors.Is(res.Err, cause) {
+				t.Errorf("trap at barrier %d, workers=%d: Err = %v, want ErrAborted joined with the cause", n, workers, res.Err)
+			}
+			if got := finished.Load(); got != 0 {
+				t.Errorf("trap at barrier %d, workers=%d: %d ranks finished an aborted run", n, workers, got)
+			}
+		}
+	}
 }
 
 func TestBlockRange(t *testing.T) {

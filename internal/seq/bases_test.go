@@ -169,15 +169,18 @@ func TestKmerCountObserve(t *testing.T) {
 	}
 }
 
+// TestIsBaseExt: an extension character is a base exactly when CharToBase
+// decodes it, which is how the de Bruijn traversal tells a base extension
+// from a fork or a dead end.
 func TestIsBaseExt(t *testing.T) {
 	for _, c := range []byte{'A', 'C', 'G', 'T'} {
-		if !IsBaseExt(c) {
-			t.Errorf("IsBaseExt(%q) = false", c)
+		if _, ok := CharToBase(c); !ok {
+			t.Errorf("CharToBase(%q) rejects a base extension", c)
 		}
 	}
 	for _, c := range []byte{ExtFork, ExtNone, 'n'} {
-		if IsBaseExt(c) {
-			t.Errorf("IsBaseExt(%q) = true", c)
+		if _, ok := CharToBase(c); ok {
+			t.Errorf("CharToBase(%q) accepts a non-base extension", c)
 		}
 	}
 }

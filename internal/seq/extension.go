@@ -68,13 +68,6 @@ func (e ExtCounts) Classify(minCount uint32, thq uint32) byte {
 	return BaseToChar(code)
 }
 
-// IsBaseExt reports whether an extension character is a concrete base (as
-// opposed to a fork or a dead end).
-func IsBaseExt(c byte) bool {
-	_, ok := CharToBase(c)
-	return ok
-}
-
 // ExtPair is the two-letter extension code stored with each k-mer in the de
 // Bruijn graph hash table: the unique base (or fork/none marker) immediately
 // preceding and following the k-mer.
