@@ -85,8 +85,9 @@ func TestDocsRequiredCrossLinks(t *testing.T) {
 			// bit-identity rule.
 			"## 9. Packed 2-bit sequences and word-at-a-time kernels",
 			"seq.Packed", "MismatchCount", "FuzzPackedRoundTrip",
-			// ... and local assembly's mer index: lazy per-size tables, the
-			// case-exact long key, and what stays uncharged.
+			// ... and local assembly's mer index: one seed-bucketed index for
+			// every mer size, case-exact window compares, and what stays
+			// uncharged.
 			"### Local assembly's mer index", "case bit",
 			"TestMerIndexMatchesReference", "FuzzExtendContig", "mer_walk",
 			// The serving-layer documentation: the design notes own the

@@ -78,8 +78,7 @@ func DefaultOptions(k int) Options {
 }
 
 // normalized fills unset fields with their defaults and bounds the mer sizes
-// by what the mer index can key (maxMerBases, beyond any DefaultOptions(k)
-// for k <= seq.MaxK).
+// by maxMerBases, beyond any DefaultOptions(k) for k <= seq.MaxK.
 func (opts Options) normalized() Options {
 	if opts.K <= 0 {
 		opts.K = 31
@@ -298,9 +297,10 @@ func libraryWindows(opts Options) []int {
 }
 
 // scratch holds the per-rank buffers local assembly reuses across contigs:
-// the mer index (symbol stream and per-size tables) and the two walk buffers.
-// Everything is cleared, not reallocated, per contig, so extending a contig
-// allocates only the extended sequence it returns. One scratch serves one Run.
+// the mer index (symbol stream, position buckets and lookup memo) and the two
+// walk buffers. They grow to the largest contig's bundle and are reused, not
+// reallocated, so extending a contig allocates only the extended sequence it
+// returns. One scratch serves one Run.
 type scratch struct {
 	index       merIndex
 	right, left []byte // walk buffers: tail symbols, then the added bases
@@ -339,7 +339,7 @@ func extendKernel(contigSeq []byte, reads [][]byte, opts Options, s *scratch) ([
 // (left) tail symbols followed by the 2-bit codes of the bases each walk
 // added. The buffers are the scratch's own and valid until the next call.
 func (s *scratch) walkEnds(contigSeq []byte, reads [][]byte, opts Options) (tail int, right, left []byte) {
-	s.index.reset(reads)
+	s.index.reset(reads, min(opts.MinMer, maxSeed))
 	tail = min(len(contigSeq), opts.MaxMer)
 	s.right = s.index.walk(appendSyms(s.right[:0], contigSeq, tail, false), opts)
 	s.left = s.index.walk(appendSyms(s.left[:0], contigSeq, tail, true), opts)

@@ -192,7 +192,7 @@ func TestWalkStopsAtFork(t *testing.T) {
 	opts.MinMer = 9
 	opts.MaxMer = 17
 	var ix merIndex
-	ix.reset(reads)
+	ix.reset(reads, opts.MinMer)
 	start := appendSyms(nil, []byte(prefix[:25]), opts.MaxMer, false)
 	added := len(ix.walk(start, opts)) - len(start)
 	// The walk may reach the fork point but must not run deep into either
@@ -214,45 +214,82 @@ func TestWalkRespectsMaxExtension(t *testing.T) {
 	opts := DefaultOptions(15)
 	opts.MaxExtension = 10
 	var ix merIndex
-	ix.reset(reads)
+	ix.reset(reads, opts.MinMer)
 	start := appendSyms(nil, []byte(g[:30]), opts.MaxMer, false)
 	if added := len(ix.walk(start, opts)) - len(start); added != 10 {
 		t.Errorf("walk added %d bases over a clean repeat, want exactly MaxExtension = 10", added)
 	}
 }
 
-// TestMerTableFirstAllocation: a table's first contig sizes it from the
-// stream length (floored at minTableSlots), later contigs keep that storage,
-// and a bundle with more distinct mers than the guess still grows it.
-func TestMerTableFirstAllocation(t *testing.T) {
+// TestMerIndexReusesScratch: a warm index re-indexes a smaller bundle
+// without allocating, and a larger bundle grows each array once: the stream,
+// the bucket heads, the positions and the per-position buckets.
+func TestMerIndexReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	read := func(n int) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = "ACGT"[rng.Intn(4)]
+	bundle := func(reads int) [][]byte {
+		out := make([][]byte, reads)
+		for i := range out {
+			out[i] = randBases(rng, 100)
 		}
-		return b
+		return out
 	}
+	small, mid, large := bundle(20), bundle(200), bundle(2000)
 	var ix merIndex
-	ix.reset([][]byte{read(40)})
-	if got := len(ix.table(21).slots); got != minTableSlots {
-		t.Errorf("82-symbol stream: %d slots, want the floor %d", got, minTableSlots)
+	ix.reset(mid, 21)
+	if allocs := testing.AllocsPerRun(20, func() { ix.reset(small, 21) }); allocs != 0 {
+		t.Errorf("warm index re-indexing a smaller bundle: %v allocs, want 0", allocs)
 	}
-	// 20 random 1,000-base reads: a 40,040-symbol stream of distinct mers.
-	var big [][]byte
-	for i := 0; i < 20; i++ {
-		big = append(big, read(1000))
+	// Each run indexes the larger bundle from a copy of the warm index, so
+	// every run starts from the smaller arrays and must grow them.
+	warm := ix
+	grow := testing.AllocsPerRun(5, func() {
+		ix = warm
+		ix.reset(large, 21)
+	})
+	if arrays := 4; grow == 0 || grow > float64(arrays) {
+		t.Errorf("indexing a larger bundle: %v allocs, want 1 to %d, one per array that grows", grow, arrays)
 	}
-	ix.reset(big)
-	if tb := ix.table(23); 2*tb.n > len(tb.slots) || len(tb.slots) < 1<<15 {
-		t.Errorf("new table: %d mers in %d slots, want a first allocation of 32768 grown to fit", tb.n, len(tb.slots))
+	if allocs := testing.AllocsPerRun(5, func() { ix.reset(large, 21) }); allocs != 0 {
+		t.Errorf("re-indexing the larger bundle: %v allocs, want 0", allocs)
 	}
-	if tb := ix.table(21); 2*tb.n > len(tb.slots) || tb.n < 39000 {
-		t.Errorf("reused table: %d mers in %d slots after growth", tb.n, len(tb.slots))
-	}
-	ix.reset([][]byte{read(40)})
-	if got := len(ix.table(21).slots); got < 1<<15 {
-		t.Errorf("table shrank to %d slots on a small contig", got)
+}
+
+// TestTandemRepeatWorkBounded: on reads of a tandem repeat every seed's
+// bucket is as deep as the repeat, and a walk asks the same few mers at
+// every step. The lookup memo keeps the positions compared per contig end
+// within two per stream symbol plus one per lookup.
+func TestTandemRepeatWorkBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, unit := range []string{"A", "AC", string(randBases(rng, 10))} {
+		locus := []byte(strings.Repeat(unit, 4000/len(unit)))
+		for _, n := range []int{200, 2000} {
+			reads := make([][]byte, n)
+			for i := range reads {
+				start := rng.Intn(len(locus) - 100)
+				reads[i] = locus[start : start+100]
+				if i%2 == 1 {
+					reads[i] = seq.ReverseComplement(reads[i])
+				}
+			}
+			opts := DefaultOptions(33).normalized()
+			var ix merIndex
+			ix.reset(reads, min(opts.MinMer, maxSeed))
+			contig := locus[1000:1300]
+			tail := min(len(contig), opts.MaxMer)
+			for _, rc := range []bool{false, true} {
+				ix.lookups, ix.compared = 0, 0
+				start := appendSyms(nil, contig, tail, rc)
+				added := len(ix.walk(start, opts)) - len(start)
+				if added != opts.MaxExtension {
+					t.Errorf("unit %q, %d reads, rc=%v: walk added %d bases, want the cap %d",
+						unit, n, rc, added, opts.MaxExtension)
+				}
+				if limit := 2*len(ix.stream) + ix.lookups; ix.compared > limit {
+					t.Errorf("unit %q, %d reads, rc=%v: %d positions compared for %d lookups over %d symbols, want <= %d",
+						unit, n, rc, ix.compared, ix.lookups, len(ix.stream), limit)
+				}
+			}
+		}
 	}
 }
 
@@ -326,7 +363,9 @@ func refNextBase(t refMerTable, mer []byte, minSupport int) (byte, walkState) {
 	return byte(bestCode), stateExtend
 }
 
-func refWalk(s []byte, t refMerTable, opts Options) []byte {
+// refWalk walks the reference table, marking in queried (when non-nil) every
+// mer size it looked up.
+func refWalk(s []byte, t refMerTable, opts Options, queried *[maxMerBases + 1]bool) []byte {
 	cur := append([]byte(nil), s...)
 	var added []byte
 	m := opts.K
@@ -340,6 +379,9 @@ func refWalk(s []byte, t refMerTable, opts Options) []byte {
 	for len(added) < opts.MaxExtension {
 		if len(cur) < m {
 			break
+		}
+		if queried != nil {
+			queried[m] = true
 		}
 		mer := cur[len(cur)-m:]
 		code, state := refNextBase(t, mer, opts.MinSupport)
@@ -366,10 +408,10 @@ func refWalk(s []byte, t refMerTable, opts Options) []byte {
 	return added
 }
 
-func refExtendContig(contigSeq []byte, reads [][]byte, opts Options) ([]byte, int) {
+func refExtendContig(contigSeq []byte, reads [][]byte, opts Options, queried *[maxMerBases + 1]bool) ([]byte, int) {
 	table := refBuildMerTable(reads, opts.MinMer, opts.MaxMer)
-	right := refWalk(contigSeq, table, opts)
-	left := refWalk(seq.ReverseComplement(contigSeq), table, opts)
+	right := refWalk(contigSeq, table, opts, queried)
+	left := refWalk(seq.ReverseComplement(contigSeq), table, opts, queried)
 	if len(right) == 0 && len(left) == 0 {
 		return contigSeq, 0
 	}
@@ -402,7 +444,7 @@ type merTrial struct {
 // shorter than the mer), and cuts a contig out of it — sometimes shorter than
 // MinMer, sometimes with an N or a masked base in its tail.
 func randomMerTrial(r *rand.Rand) merTrial {
-	k := []int{21, 33, 55, 63}[r.Intn(4)]
+	k := []int{13, 21, 33, 55, 63}[r.Intn(5)]
 	opts := DefaultOptions(k)
 	opts.MinSupport = 1 + r.Intn(3)
 	if r.Intn(3) == 0 {
@@ -441,7 +483,7 @@ func randomMerTrial(r *rand.Rand) merTrial {
 	slices.SortFunc(tr.reads, bytes.Compare)
 
 	n := k + r.Intn(80)
-	if r.Intn(10) == 0 {
+	if r.Intn(5) == 0 {
 		n = 1 + r.Intn(tr.opts.MinMer+4) // around and below MinMer
 	}
 	start := r.Intn(len(g) - n)
@@ -462,54 +504,71 @@ func randomMerTrial(r *rand.Rand) merTrial {
 
 // TestMerIndexMatchesReference requires the mer index to reproduce the
 // string-keyed reference byte for byte, and checks that the trials really
-// reach the paths the equivalence is claimed for.
+// reach the paths the equivalence is claimed for, in both seed regimes: a
+// seed of MinMer symbols (k = 13, 21) and a seed of maxSeed < MinMer symbols
+// (k = 33, 55, 63). With this seed every floor is met from trial 585 on
+// (the last to arrive is contigs under MinMer at a MinMer seed); 700 trials
+// keep a margin.
 func TestMerIndexMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	s := &scratch{}
-	var extended, capped, upshifts, downshifts, longMers, shortContigs int
-	for trial := 0; trial < 2000; trial++ {
+	type floors struct{ extended, capped, upshifts, downshifts, shortContigs int }
+	var regimes [2]floors // by seed: MinMer, maxSeed
+	longMers := 0
+	for trial := 0; trial < 700; trial++ {
 		tr := randomMerTrial(r)
-		want, wantAdded := refExtendContig(tr.contig, tr.reads, tr.opts)
+		var queried [maxMerBases + 1]bool
+		want, wantAdded := refExtendContig(tr.contig, tr.reads, tr.opts, &queried)
 		got, gotAdded := extendKernel(tr.contig, tr.reads, tr.opts, s)
 		if gotAdded != wantAdded || !bytes.Equal(got, want) {
 			t.Fatalf("trial %d (k=%d, %d reads, contig %q):\n got +%d %q\nwant +%d %q",
 				trial, tr.opts.K, len(tr.reads), tr.contig, gotAdded, got, wantAdded, want)
 		}
+		f := &regimes[0]
+		if tr.opts.MinMer > maxSeed {
+			f = &regimes[1]
+		}
 		if gotAdded > 0 {
-			extended++
+			f.extended++
 		}
 		tail := min(len(tr.contig), tr.opts.MaxMer)
 		if len(s.right)-tail == tr.opts.MaxExtension || len(s.left)-tail == tr.opts.MaxExtension {
-			capped++
+			f.capped++
 		}
 		if len(tr.contig) < tr.opts.MinMer {
-			shortContigs++
+			f.shortContigs++
 		}
-		for m := range s.index.tables {
-			if s.index.tables[m].epoch != s.index.gen {
+		for m, asked := range queried {
+			if !asked {
 				continue
 			}
 			if m > tr.opts.K {
-				upshifts++
+				f.upshifts++
 			}
 			if m < tr.opts.K {
-				downshifts++
+				f.downshifts++
 			}
 			if m > 64 {
 				longMers++
 			}
 			if (m-tr.opts.K)%shiftStep != 0 {
-				t.Fatalf("trial %d: built the size-%d table, off the k=%d lattice", trial, m, tr.opts.K)
+				t.Fatalf("trial %d: looked up size %d, off the k=%d lattice", trial, m, tr.opts.K)
 			}
 		}
 	}
-	t.Logf("extended %d, capped %d, upshift tables %d, downshift tables %d, tables of m > 64: %d, contigs < MinMer: %d",
-		extended, capped, upshifts, downshifts, longMers, shortContigs)
-	for name, n := range map[string]int{"extended": extended, "capped": capped, "upshifts": upshifts,
-		"downshifts": downshifts, "mers over 64 bases": longMers, "contigs under MinMer": shortContigs} {
-		if n < 20 {
-			t.Errorf("only %d trials reached %q; the generator no longer forces it", n, name)
+	for i, name := range []string{"seed = MinMer", "seed = maxSeed"} {
+		f := regimes[i]
+		t.Logf("%s: extended %d, capped %d, upshift sizes %d, downshift sizes %d, contigs < MinMer: %d",
+			name, f.extended, f.capped, f.upshifts, f.downshifts, f.shortContigs)
+		for what, n := range map[string]int{"extended": f.extended, "capped": f.capped, "upshifts": f.upshifts,
+			"downshifts": f.downshifts, "contigs under MinMer": f.shortContigs} {
+			if n < 20 {
+				t.Errorf("%s: only %d trials reached %q; the generator no longer forces it", name, n, what)
+			}
 		}
+	}
+	if longMers < 20 {
+		t.Errorf("only %d trials looked up mers over 64 bases; the generator no longer forces it", longMers)
 	}
 }
 
@@ -562,7 +621,7 @@ func TestMerIndexSpeedup(t *testing.T) {
 		})
 		ref := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				refExtendContig(tr.contig, tr.reads, tr.opts)
+				refExtendContig(tr.contig, tr.reads, tr.opts, nil)
 			}
 		})
 		ratio := float64(ref.NsPerOp()) / float64(index.NsPerOp())
@@ -592,7 +651,7 @@ func FuzzExtendContig(f *testing.F) {
 		}
 		opts := DefaultOptions(k % (seq.MaxK + 1)).normalized()
 		reads := bytes.Split(readBytes, []byte("\n"))
-		want, wantAdded := refExtendContig(contig, reads, opts)
+		want, wantAdded := refExtendContig(contig, reads, opts, nil)
 		got, gotAdded := extendKernel(contig, reads, opts, s)
 		if gotAdded != wantAdded || !bytes.Equal(got, want) {
 			t.Fatalf("k=%d contig %q reads %q:\n got +%d %q\nwant +%d %q",

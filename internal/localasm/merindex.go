@@ -1,7 +1,9 @@
 package localasm
 
 import (
+	"bytes"
 	"math/bits"
+	"slices"
 
 	"mhmgo/internal/seq"
 )
@@ -15,201 +17,169 @@ import (
 // other byte (N, IUPAC codes, garbage) is symInvalid and breaks every mer it
 // falls into, exactly as the string table's ValidBases check did.
 const (
-	symBits     = 3
-	symLower    = 4 // case bit of a symbol
-	symInvalid  = 0xFF
-	merKeyWords = 4
-	// maxMerBases is the longest mer a key holds. seq.MaxK = 64 bounds the
-	// pipeline's k, so DefaultOptions tops out at k+12 = 76 bases.
-	maxMerBases = merKeyWords * 64 / symBits
+	symBits    = 3
+	symLower   = 4 // case bit of a symbol
+	symInvalid = 0xFF
+	// maxSeed is the longest seed: 21 symbols fill 63 bits of one word.
+	maxSeed = 64 / symBits
+	// maxMerBases bounds the mer sizes Options may ask for. Lookups compare
+	// whole windows, so nothing in the index limits the size; the bound is
+	// kept so that options normalize as they always have. seq.MaxK = 64
+	// bounds the pipeline's k, so DefaultOptions tops out at k+12 = 76 bases.
+	maxMerBases = 85
 )
 
-// symCodes maps an ASCII byte to its symbol.
-var symCodes [256]byte
+// symCodes maps an ASCII byte to its symbol, and rcSymCodes to the symbol
+// seq.ComplementChar would produce: the complementary base in upper case.
+var symCodes, rcSymCodes [256]byte
 
 func init() {
 	for i := range symCodes {
-		symCodes[i] = symInvalid
+		symCodes[i], rcSymCodes[i] = symInvalid, symInvalid
 	}
 	for code, c := range []byte("ACGT") {
 		symCodes[c] = byte(code)
 		symCodes[c|0x20] = byte(code) | symLower
+		rcSymCodes[c], rcSymCodes[c|0x20] = byte(3-code), byte(3-code)
 	}
-}
-
-// merKey is a packed mer of up to maxMerBases symbols, the most recent
-// symbol in the low bits of word 0. One layout covers every mer size, so
-// there is one code path from m = 5 to m = 85.
-type merKey [merKeyWords]uint64
-
-// merMask returns the key mask selecting the low m symbols.
-func merMask(m int) merKey {
-	var mask merKey
-	for n, w := m*symBits, 0; n > 0; n, w = n-64, w+1 {
-		if n >= 64 {
-			mask[w] = ^uint64(0)
-		} else {
-			mask[w] = uint64(1)<<uint(n) - 1
-		}
-	}
-	return mask
-}
-
-// push rolls the window one symbol forward: the oldest symbol falls off the
-// masked top, sym enters at the bottom.
-func (k *merKey) push(sym byte, mask *merKey) {
-	k[3] = (k[3]<<symBits | k[2]>>(64-symBits)) & mask[3]
-	k[2] = (k[2]<<symBits | k[1]>>(64-symBits)) & mask[2]
-	k[1] = (k[1]<<symBits | k[0]>>(64-symBits)) & mask[1]
-	k[0] = (k[0]<<symBits | uint64(sym)) & mask[0]
-}
-
-func (k *merKey) hash() uint64 {
-	h := k[0]*0x9E3779B97F4A7C15 ^ k[1]*0xC2B2AE3D27D4EB4F ^
-		k[2]*0x165667B19E3779F9 ^ k[3]*0x27D4EB2F165667C5
-	h ^= h >> 32
-	return h * 0xD6E8FEB86659FD93
-}
-
-// merSlot is one open-addressing slot: a slot whose epoch is not the table's
-// is empty, so clearing a table between contigs is one increment.
-type merSlot struct {
-	key    merKey
-	epoch  uint64
-	counts seq.ExtCounts
-}
-
-// merTable counts, for every mer of one size seen in the recruited reads
-// (both strands), how often each base follows it.
-type merTable struct {
-	slots []merSlot // power-of-two length
-	shift uint      // 64 - log2(len(slots)): the hash's top bits index slots
-	n     int       // live slots
-	epoch uint64    // merIndex.gen of the contig this table was built for
-}
-
-// minTableSlots is the smallest table: at P in the thousands most ranks
-// index a handful of reads.
-const minTableSlots = 1 << 8
-
-// reset empties the table for the contig of generation gen, keeping the slot
-// storage the previous contigs grew. The first contig to use the table sizes
-// it from its symbol stream: the bundles big enough to matter are deep ones,
-// whose mers repeat (a 20,000-symbol stream holds about 0.17 distinct mers
-// per symbol), so half the stream length keeps them under half load in this
-// one allocation instead of three quadruplings; a shallow bundle (up to 0.86
-// per symbol) is small and quadruples once more.
-func (t *merTable) reset(gen uint64, streamLen int) {
-	if t.slots == nil {
-		n := max(minTableSlots, 1<<bits.Len(uint(streamLen/2)))
-		t.slots = make([]merSlot, n)
-		t.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	}
-	t.epoch, t.n = gen, 0
-}
-
-// slot returns the slot holding k, or the empty slot where k belongs.
-func (t *merTable) slot(k *merKey) *merSlot {
-	mask := len(t.slots) - 1
-	for i := int(k.hash() >> t.shift); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.epoch != t.epoch || s.key == *k {
-			return s
-		}
-	}
-}
-
-func (t *merTable) add(k *merKey, code byte) {
-	s := t.slot(k)
-	if s.epoch != t.epoch {
-		*s = merSlot{key: *k, epoch: t.epoch}
-		if t.n++; 2*t.n > len(t.slots) {
-			s = t.grow(k)
-		}
-	}
-	s.counts[code]++
-}
-
-// grow quadruples the table and returns the new slot of k.
-func (t *merTable) grow(k *merKey) *merSlot {
-	old := t.slots
-	t.slots = make([]merSlot, 4*len(old))
-	t.shift -= 2
-	for i := range old {
-		if old[i].epoch == t.epoch {
-			*t.slot(&old[i].key) = old[i]
-		}
-	}
-	return t.slot(k)
-}
-
-// lookup returns the follower counts of k (zero if k was never seen).
-func (t *merTable) lookup(k *merKey) seq.ExtCounts {
-	if s := t.slot(k); s.epoch == t.epoch {
-		return s.counts
-	}
-	return seq.ExtCounts{}
 }
 
 // merIndex is one contig's mer index: the recruited reads decoded once into
-// a symbol stream, and one follower-count table per mer size, built the
-// first time a walk asks for that size. A walk starts at k and shifts by
-// shiftStep only at forks and dead ends, so it visits a handful of the sizes
-// on the k ± j·shiftStep lattice and never any size off it; the tables of
-// unvisited sizes are never built.
+// a symbol stream, and the stream positions that end a valid seed and have a
+// valid follower, bucketed by the seed's hash. A lookup of a mer scans the
+// bucket of its last seed symbols and compares the whole window at each
+// position, so one index answers every mer size a walk can shift to.
 type merIndex struct {
 	// stream holds, for every read, its forward symbols and then its
-	// reverse-complement symbols, each strand closed by a symInvalid. A
-	// table build is one linear pass over it: a separator resets the
-	// valid-run counter exactly as an N inside a read does.
+	// reverse-complement symbols, each strand closed by a symInvalid: a
+	// separator breaks a window exactly as an N inside a read does.
 	stream []byte
-	tables [maxMerBases + 1]merTable // by mer size
-	gen    uint64                    // bumped per contig; tables[m].epoch == gen means built
+	seed   int  // symbols hashed per position: min(MinMer, maxSeed)
+	shift  uint // 64 - log2(buckets): the hash's top bits pick the bucket
+	// start and pos are the buckets in CSR form: bucket b holds the positions
+	// pos[start[b]:start[b+1]], in stream order. bkt is the build's bucket of
+	// every stream position, -1 for a position that is indexed nowhere.
+	start, pos, bkt []int32
+	// memo maps (mer size, first matching position) to the counts of every
+	// mer looked up for this contig: a walk through a tandem repeat asks the
+	// same few mers again and again, each of whose buckets is as deep as the
+	// repeat.
+	memo map[uint64]seq.ExtCounts
+	// lookups and compared count the lookups and the bucket positions they
+	// compared since the last reset: the work the tandem-repeat test bounds.
+	lookups, compared int
 }
 
-// reset points the index at a new contig's recruited reads.
-func (ix *merIndex) reset(reads [][]byte) {
-	ix.gen++
+// reset indexes a new contig's recruited reads with seeds of seed symbols,
+// which must not exceed any mer size the walk asks for. The arrays keep the
+// storage earlier contigs grew; only the bucket heads are cleared.
+func (ix *merIndex) reset(reads [][]byte, seed int) {
+	n := 0
+	for _, rd := range reads {
+		n += 2*len(rd) + 2
+	}
 	st := ix.stream[:0]
+	if cap(st) < n {
+		st = make([]byte, 0, n)
+	}
 	for _, rd := range reads {
 		st = append(appendSyms(st, rd, len(rd), false), symInvalid)
 		st = append(appendSyms(st, rd, len(rd), true), symInvalid)
 	}
-	ix.stream = st
-}
-
-// complementSym returns the symbol seq.ComplementChar would produce: the
-// complementary base in upper case, or symInvalid.
-func complementSym(sym byte) byte {
-	if sym == symInvalid {
-		return symInvalid
+	ix.stream, ix.seed = st, seed
+	ix.lookups, ix.compared = 0, 0
+	if ix.memo == nil {
+		ix.memo = make(map[uint64]seq.ExtCounts)
 	}
-	return 3 - sym&3
-}
+	clear(ix.memo)
 
-// table returns the follower-count table of mer size m, building it on first
-// use for the current contig.
-func (ix *merIndex) table(m int) *merTable {
-	t := &ix.tables[m]
-	if t.epoch == ix.gen {
-		return t
-	}
-	t.reset(ix.gen, len(ix.stream))
-	mask := merMask(m)
-	var key merKey
-	run := 0 // valid symbols in a row before the current one
-	for _, sym := range ix.stream {
+	// Counting sort of the indexed positions by bucket, with one bucket per
+	// 8 to 16 symbols: a recruited bundle is deep, so it holds far fewer
+	// distinct seeds than symbols, and a lookup is rarer than an index
+	// entry by two orders of magnitude.
+	logB := bits.Len(uint(len(st) / 16))
+	ix.shift = uint(64 - logB)
+	nb := 1 << logB
+	start := grown(ix.start, nb+1)
+	clear(start)
+	bkt := grown(ix.bkt, len(st))
+	mask := uint64(1)<<(symBits*seed) - 1
+	var key uint64
+	run := 0 // valid symbols in a row up to the current one
+	for p, sym := range st {
+		bkt[p] = -1
 		if sym == symInvalid {
 			run = 0
 			continue
 		}
-		if run >= m {
-			t.add(&key, sym&3)
+		key = (key<<symBits | uint64(sym)) & mask
+		// A valid symbol is never last: every strand ends in a separator.
+		if run++; run >= seed && st[p+1] != symInvalid {
+			b := ix.bucket(key)
+			bkt[p] = b
+			start[b]++
 		}
-		key.push(sym, &mask)
-		run++
 	}
-	return t
+	total := int32(0)
+	for b := range nb {
+		total += start[b]
+		start[b] = total // the end of bucket b, until the scatter below
+	}
+	start[nb] = total
+	pos := grown(ix.pos, int(total))
+	for p := len(st) - 1; p >= 0; p-- {
+		if b := bkt[p]; b >= 0 {
+			start[b]--
+			pos[start[b]] = int32(p)
+		}
+	}
+	ix.start, ix.pos, ix.bkt = start, pos, bkt
+}
+
+// grown returns s resized to n, with one allocation if it lacks the capacity
+// and without preserving the contents.
+func grown(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// bucket returns the bucket of a packed seed.
+func (ix *merIndex) bucket(key uint64) int32 {
+	return int32(key * 0x9E3779B97F4A7C15 >> ix.shift)
+}
+
+// followers returns how often each base follows mer (all valid symbols, at
+// least seed of them) in the recruited reads, on both strands.
+func (ix *merIndex) followers(mer []byte) seq.ExtCounts {
+	ix.lookups++
+	var key uint64
+	for _, sym := range mer[len(mer)-ix.seed:] {
+		key = key<<symBits | uint64(sym)
+	}
+	b := ix.bucket(key)
+	m := len(mer)
+	var counts seq.ExtCounts
+	memoKey := uint64(0) // zero until the first match sets it
+	for _, p := range ix.pos[ix.start[b]:ix.start[b+1]] {
+		ix.compared++
+		lo := int(p) + 1 - m
+		if lo < 0 || !bytes.Equal(ix.stream[lo:p+1], mer) {
+			continue
+		}
+		if memoKey == 0 {
+			memoKey = uint64(m)<<32 | uint64(p)
+			if c, ok := ix.memo[memoKey]; ok {
+				return c
+			}
+		}
+		counts.Add(ix.stream[p+1])
+	}
+	if memoKey != 0 {
+		ix.memo[memoKey] = counts
+	}
+	return counts
 }
 
 // walkState classifies one extension attempt.
@@ -239,14 +209,17 @@ func nextBase(counts seq.ExtCounts, minSupport int) (byte, walkState) {
 // whole read strand for the stream, or the MaxMer-base tail of a contig,
 // which is all of it a walk ever reads.
 func appendSyms(dst, s []byte, n int, rc bool) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	out := dst[at:]
 	if rc {
-		for i := n - 1; i >= 0; i-- {
-			dst = append(dst, complementSym(symCodes[s[i]]))
+		for i := range out {
+			out[i] = rcSymCodes[s[n-1-i]]
 		}
 		return dst
 	}
-	for _, c := range s[len(s)-n:] {
-		dst = append(dst, symCodes[c])
+	for i, c := range s[len(s)-n:] {
+		out[i] = symCodes[c]
 	}
 	return dst
 }
@@ -263,27 +236,16 @@ func (ix *merIndex) walk(buf []byte, opts Options) []byte {
 	for valid < tail && buf[tail-1-valid] != symInvalid {
 		valid++
 	}
-	// key is the last m symbols of buf; rebuilt after every shift, rolled on
-	// every extension. It is only read when those m symbols are all valid.
-	var key, mask merKey
-	rekey := true
 	lastShift := 0 // +1 upshift, -1 downshift, 0 none
 	for len(buf)-tail < opts.MaxExtension && len(buf) >= m {
-		state := stateDeadEnd // a mer with a non-ACGT base is in no table
+		state := stateDeadEnd // a mer with a non-ACGT base is in no read
 		var code byte
 		if valid >= m {
-			if rekey {
-				key, mask, rekey = merKey{}, merMask(m), false
-				for _, sym := range buf[len(buf)-m:] {
-					key.push(sym, &mask)
-				}
-			}
-			code, state = nextBase(ix.table(m).lookup(&key), opts.MinSupport)
+			code, state = nextBase(ix.followers(buf[len(buf)-m:]), opts.MinSupport)
 		}
 		switch state {
 		case stateExtend:
 			buf = append(buf, code)
-			key.push(code, &mask)
 			valid++
 			lastShift = 0
 		case stateFork:
@@ -291,13 +253,13 @@ func (ix *merIndex) walk(buf []byte, opts Options) []byte {
 				return buf
 			}
 			m += shiftStep
-			lastShift, rekey = 1, true
+			lastShift = 1
 		case stateDeadEnd:
 			if lastShift == 1 || m-shiftStep < opts.MinMer {
 				return buf
 			}
 			m -= shiftStep
-			lastShift, rekey = -1, true
+			lastShift = -1
 		}
 	}
 	return buf
