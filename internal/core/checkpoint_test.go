@@ -737,6 +737,10 @@ func TestRankStateRecords(t *testing.T) {
 // It was re-captured (from ce008800…) when de Bruijn traversal began ranking
 // its paths by pointer doubling instead of walking them: the same contigs and
 // shards, but every rank clock after the first traversal moved.
+// It was re-captured (from c6507fb9…) when contigs came to stay on their
+// content-hash owner instead of being striped over the ranks by size: every
+// contig shard holds other contigs under other IDs, the localized reads and
+// alignments follow, and the rank clocks moved; the layout did not.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -744,7 +748,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "c6507fb9ce23a0e8adb7eefe4c19efc35da16ea58f3e5ceacd7a7b00ff501bdb"
+	const want = "f33c4e3467cae7c76ed74954e844a3c140309c385c4a9a7c13e8cce07ca16aeb"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

@@ -65,19 +65,28 @@ func resultFingerprint(res *Result) string {
 // and the other stages moved only in their last digits, as each is a
 // difference of two clock readings that now sit elsewhere. Every contig is
 // the one a walk gave, so wantHash did not move.
+//
+// All three were re-captured (from 0.029949561400012915 and 031a9d69…) when
+// dbg.DistributeContigs stopped striping the deduplicated contigs over the
+// ranks in a second exchange and left each on its content-hash owner, and the
+// final scaffold emit lost its provisional renumbering: contigs have other
+// owners and IDs, so localization, which orders pairs by contig ID, puts the
+// second iteration's reads on other ranks in another order, and the charges
+// and the tie-breaks moved with them. With localization off the FASTA does
+// not move.
 func TestSchedulerGoldenP8(t *testing.T) {
 	const (
-		wantSim  = "0.029949561400012915"
-		wantHash = "031a9d6925a4f24232d768e1fbcf4ad2e59f29c3d995ab20075a4d59e0b6e7e0"
+		wantSim  = "0.030225101000013733"
+		wantHash = "10ee8508432240923dbcdbda9d8e19b041875b7426e1c9217c7477f7f1aebca4"
 	)
 	wantStages := []string{
-		"alignment 0.010161404999999596",
-		"scaffolding 0.006089069999998920",
-		"kmer_analysis 0.005529953600013571",
-		"dbg_traversal 0.003845100000000390",
-		"contig_refine 0.002911216200000425",
-		"local_assembly 0.000801479000000020",
-		"kmer_merge 0.000105169999999998",
+		"alignment 0.010288644199999294",
+		"scaffolding 0.006576623799999921",
+		"kmer_analysis 0.005530748400013677",
+		"dbg_traversal 0.003570608400000359",
+		"contig_refine 0.002818650400000457",
+		"local_assembly 0.000826369800000025",
+		"kmer_merge 0.000110184000000004",
 	}
 	comm := sim.WetlandsLikeCommunity(8, 0.5, 7)
 	reads := sim.SimulateReads(comm, sim.ReadConfig{

@@ -631,32 +631,20 @@ func ContigLess(a, b Contig) bool {
 }
 
 // DistributeContigs builds the distributed contig set from the contigs each
-// rank emitted, in two owner-routed exchanges and with no gather anywhere:
+// rank emitted, in one owner-routed exchange and with no gather anywhere:
+// every contig goes to rank ContigOwner(c) mod P, where exact duplicates
+// (always byte-identical, since contigs are emitted in canonical
+// orientation) collide and are dropped after a local ContigLess sort. Each
+// contig is then stamped with its owner-naming global ID
+// (dist.Set.Renumber), with no collective. Placement is a function of
+// content alone, so a rank's share of contig bytes is whatever the hash
+// gives it. Collective.
 //
-//  1. Contigs are routed to their content-hash owner, where exact duplicates
-//     (always byte-identical, since contigs are emitted in canonical
-//     orientation) collide and are deduplicated after a local sort.
-//  2. The deduplicated shards — already size-sorted — are striped round-robin
-//     over the ranks by local size rank, so every rank ends up owning an
-//     even cross-section of large and small contigs, so every rank holds a
-//     like share of the contig bytes that alignment indexes and local
-//     assembly and scaffolding work on.
-//
-// The final shards are sorted and every contig is stamped with its owner-
-// naming global ID (dist.Set.Renumber), with no collective. This replaces the
-// old gather-to-all + sort-the-world-on-every-rank GatherContigs. Collective.
-//
-// The last parameter is ignored: frozen benchmark/chain.go passes it (ROADMAP 3(b)).
+// The last parameter is ignored: frozen benchmark/chain.go passes it (ROADMAP 2(b)).
 func DistributeContigs(r *pgas.Rank, local []Contig, _ dist.Mode) *ContigSet {
-	home := dist.New(r, local, ContigOwner, Contig.WireSize, dist.Distributed)
-	home.SortLocal(r, ContigLess)
-	home.DedupLocal(r, func(a, b Contig) bool { return string(a.Seq) == string(b.Seq) })
-	deduped := append([]Contig(nil), home.Local(r)...)
-	home.Release(r)
-	s := dist.NewIndexed(r, deduped,
-		func(src, i int, _ Contig) int { return i + src },
-		Contig.WireSize)
+	s := dist.New(r, local, ContigOwner, Contig.WireSize, dist.Distributed)
 	s.SortLocal(r, ContigLess)
+	s.DedupLocal(r, func(a, b Contig) bool { return string(a.Seq) == string(b.Seq) })
 	s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
 	return s
 }

@@ -1,6 +1,8 @@
 package dbg
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -285,33 +287,62 @@ func TestCanonicalSeq(t *testing.T) {
 	}
 }
 
+// TestDistributeContigsDeduplicatesAndAssignsIDs: every contig lands on rank
+// ContigOwner(c) mod P, once, in a ContigLess-ordered shard numbered
+// dist.ID(rank, i), and the emitted set does not depend on P.
 func TestDistributeContigsDeduplicatesAndAssignsIDs(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 3})
-	var got []Contig
-	m.Run(func(r *pgas.Rank) {
-		var local []Contig
-		// Every rank emits the same palindrome-ish duplicate plus a unique contig.
-		local = append(local, Contig{Seq: []byte("AACCGGTT")})
-		local = append(local, Contig{Seq: []byte(strings.Repeat("ACGT", r.ID()+3))})
-		cs := DistributeContigs(r, local, dist.Distributed)
-		// Every contig carries the ID naming its owner and shard index, so
-		// IDs are unique across ranks.
-		cs.ForEachLocal(r, func(i int, c Contig) {
-			if c.ID != dist.ID(r.ID(), i) {
-				t.Errorf("rank %d contig %d has ID %d, want %d", r.ID(), i, c.ID, dist.ID(r.ID(), i))
+	rng := rand.New(rand.NewSource(5))
+	var unique []string
+	for i := 0; i < 24; i++ {
+		// Lengths repeat, so the sequence tie-break orders part of each shard.
+		b := make([]byte, 8+i%4)
+		for j := range b {
+			b[j] = "ACGT"[rng.Intn(4)]
+		}
+		unique = append(unique, string(b))
+	}
+	const dup = "AACCGGTT"
+	want := append([]string{dup}, unique...)
+	slices.Sort(want)
+	want = slices.Compact(want)
+
+	for _, p := range []int{1, 3, 16} {
+		m := pgas.NewMachine(pgas.Config{Ranks: p})
+		var got []string
+		m.Run(func(r *pgas.Rank) {
+			// Every rank emits the same duplicate, and each unique contig is
+			// emitted twice, by ranks i and i+1 mod P.
+			local := []Contig{{Seq: []byte(dup)}}
+			for i, s := range unique {
+				for _, src := range []int{i % p, (i + 1) % p} {
+					if src == r.ID() {
+						local = append(local, Contig{Seq: []byte(s)})
+					}
+				}
+			}
+			cs := DistributeContigs(r, local, dist.Distributed)
+			shard := cs.Local(r)
+			for i, c := range shard {
+				if owner := ContigOwner(c) % p; owner != r.ID() {
+					t.Errorf("P=%d: contig %s on rank %d, owner is %d", p, c.Seq, r.ID(), owner)
+				}
+				if i > 0 && !ContigLess(shard[i-1], c) {
+					t.Errorf("P=%d rank %d: shard not in ContigLess order at %d", p, r.ID(), i)
+				}
+				if c.ID != dist.ID(r.ID(), i) {
+					t.Errorf("P=%d rank %d contig %d has ID %d, want %d", p, r.ID(), i, c.ID, dist.ID(r.ID(), i))
+				}
+			}
+			all := cs.Emit(r)
+			if r.ID() == 0 {
+				for _, c := range all {
+					got = append(got, string(c.Seq))
+				}
+				slices.Sort(got)
 			}
 		})
-		all := emitSorted(r, cs)
-		if r.ID() == 0 {
-			got = all
-		}
-	})
-	if len(got) != 4 {
-		t.Fatalf("got %d contigs, want 4 (3 unique + 1 deduplicated)", len(got))
-	}
-	for i, c := range got {
-		if i > 0 && len(got[i-1].Seq) < len(c.Seq) {
-			t.Error("contigs not sorted by descending length")
+		if !slices.Equal(got, want) {
+			t.Errorf("P=%d: emitted %d contigs %v, want the %d unique %v", p, len(got), got, len(want), want)
 		}
 	}
 }

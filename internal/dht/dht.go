@@ -5,9 +5,9 @@
 // A Map partitions its entries over the ranks of a virtual PGAS machine by
 // hashing each key to an owner rank (the key hash modulo the rank count).
 // A rank's partition is one hash table behind one lock: the pipeline's hot
-// table is written owner-locally after Route, and its cross-rank writers
-// flush aggregated batches to hash-uniform owners, so two running ranks
-// rarely meet in one partition (DESIGN.md §4 has the traffic table).
+// table is written owner-locally after dist.Exchange, and its cross-rank
+// writers flush aggregated batches to hash-uniform owners, so two running
+// ranks rarely meet in one partition (DESIGN.md §4 has the traffic table).
 //
 // The package provides dedicated APIs for the four usage phases identified in
 // the paper:
@@ -24,9 +24,9 @@
 //     cache in front of Get for phases where the table is no longer mutated.
 //     Freeze switches the whole map into a lock-free read-only phase: the
 //     partition tables themselves are the immutable snapshot.
-//   - Use case 4, "Local Reads & Writes": Route ships items to their owner
-//     rank with a single all-to-all exchange so the owner can process them in
-//     a purely local hash table.
+//   - Use case 4, "Local Reads & Writes": dist.Exchange ships items to their
+//     owner rank with a single all-to-all exchange, and the owner applies
+//     them to its own partition with UpdateLocal/SetLocal, purely locally.
 package dht
 
 import (

@@ -3,7 +3,6 @@ package dht
 import (
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"mhmgo/internal/pgas"
@@ -427,28 +426,6 @@ func TestCachedReaderBudgets(t *testing.T) {
 	}
 }
 
-func TestRoute(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 4})
-	totalReceived := int64(0)
-	m.Run(func(r *pgas.Rank) {
-		// Each rank emits 100 items labelled with a destination.
-		items := make([]int, 100)
-		for i := range items {
-			items[i] = i % 7
-		}
-		got := Route(r, items, func(v int) int { return v }, 8)
-		for _, v := range got {
-			if v%4 != r.ID() {
-				t.Errorf("rank %d received item %d owned by rank %d", r.ID(), v, v%4)
-			}
-		}
-		atomic.AddInt64(&totalReceived, int64(len(got)))
-	})
-	if totalReceived != 400 {
-		t.Errorf("total routed items = %d, want 400", totalReceived)
-	}
-}
-
 // TestNewMapAllocations: at P = 4096 most partitions stay empty forever on
 // small inputs. Creating the map must cost a constant number of objects —
 // not one per rank — and an empty partition must hold no slots.
@@ -683,21 +660,4 @@ func BenchmarkDHTFrozenReads(b *testing.B) {
 			})
 		})
 	}
-}
-
-func TestRouteNegativeOwner(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 3})
-	m.Run(func(r *pgas.Rank) {
-		items := []int{-1, -2, -3, 0, 1, 2}
-		got := Route(r, items, func(v int) int { return v }, 8)
-		for _, v := range got {
-			owner := v % 3
-			if owner < 0 {
-				owner += 3
-			}
-			if owner != r.ID() {
-				t.Errorf("rank %d got item %d (owner %d)", r.ID(), v, owner)
-			}
-		}
-	})
 }

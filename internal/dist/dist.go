@@ -34,7 +34,7 @@ func ID(owner, idx int) int { return owner<<idxBits | idx }
 // within that rank's shard: the arithmetic inverse of ID.
 func Locate(id int) (rank, idx int) { return id >> idxBits, id & (1<<idxBits - 1) }
 
-// Mode has one value and no effect: frozen benchmark/ names it (ROADMAP 3(b)).
+// Mode has one value and no effect: frozen benchmark/ names it (ROADMAP 2(b)).
 type Mode int
 
 // Distributed is the only Mode, kept for the same frozen callers.
@@ -58,17 +58,8 @@ type Set[T any] struct {
 // aggregated all-to-all exchange and each rank's resident-bytes meter is
 // charged only for its shard.
 //
-// The last parameter is ignored: frozen benchmark/probes.go passes it (ROADMAP 3(b)).
+// The last parameter is ignored: frozen benchmark/probes.go passes it (ROADMAP 2(b)).
 func New[T any](r *pgas.Rank, local []T, ownerOf func(T) int, wire func(T) int, _ Mode) *Set[T] {
-	return NewIndexed(r, local, func(_, _ int, item T) int { return ownerOf(item) }, wire)
-}
-
-// NewIndexed creates a Set collectively like New, but the destination of an
-// item is chosen by (source rank, local index, item) instead of item content
-// alone. This supports placement rules that depend on an item's position in
-// its source rank's (deterministically ordered) slice — e.g. striping a
-// size-sorted shard round-robin over the ranks for byte balance.
-func NewIndexed[T any](r *pgas.Rank, local []T, destOf func(src, i int, item T) int, wire func(T) int) *Set[T] {
 	var s *Set[T]
 	if r.ID() == 0 {
 		s = &Set[T]{wire: wire, shards: make([][]T, r.NRanks())}
@@ -77,7 +68,7 @@ func NewIndexed[T any](r *pgas.Rank, local []T, destOf func(src, i int, item T) 
 
 	r.Compute(float64(len(local)))
 	s.shards[r.ID()] = pgas.ExchangeFunc(r, local,
-		func(i int, item T) int { return destOf(r.ID(), i, item) }, wire)
+		func(_ int, item T) int { return ownerOf(item) }, wire)
 	r.Barrier()
 	return s
 }

@@ -15,6 +15,7 @@ import (
 
 	"mhmgo/internal/bloom"
 	"mhmgo/internal/dht"
+	"mhmgo/internal/dist"
 	"mhmgo/internal/histo"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
@@ -150,7 +151,8 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	// Phases 1b+2, streamed: the observations are routed to their owners and
 	// folded into the purely local table (use case 4) in bounded chunks —
 	// every rank participates in the same number of exchange rounds, and
-	// each round's inbound payload is released once folded, so no rank ever
+	// each round's inbound payload is transient (dist.Exchange releases its
+	// resident charge, and the fold charges none), so no rank ever
 	// materializes its full observation stream.
 	// The Bloom prefilter is sized by the rank's expected INBOUND stream
 	// (the global observation count over the ranks): the k-mer hash keeps
@@ -181,7 +183,8 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 				}
 			}
 		}
-		routed := dht.Route(r, part, func(o Observation) int { return counts.Owner(o.Kmer) }, observationWireSize)
+		routed := dist.Exchange(r, part, func(o Observation) int { return counts.Owner(o.Kmer) },
+			func(Observation) int { return observationWireSize })
 		for i := range routed {
 			o := &routed[i]
 			if filter != nil {
@@ -206,9 +209,6 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 				return true
 			})
 		}
-		// This round's observations are folded into the counts table; the
-		// transient exchange payload is no longer resident.
-		r.ReleaseResident(len(routed) * observationWireSize)
 	}
 	r.Barrier()
 

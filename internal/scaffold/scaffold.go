@@ -118,9 +118,10 @@ func (s Scaffold) WireSize() int { return 32 + len(s.Seq) + 8*len(s.ContigIDs) }
 
 // Result reports the outcome of scaffolding. Scaffolds is the final,
 // deterministically ordered scaffold list materialized on rank 0 only (nil
-// on every other rank); Local is the calling rank's own shard (always set;
-// the only output when Options.SkipEmit is true); the counters are
-// identical on every rank.
+// on every other rank), numbered in that order; Local is the calling rank's
+// own shard (always set; the only output when Options.SkipEmit is true),
+// whose IDs are unassigned on both paths; the counters are identical on
+// every rank.
 type Result struct {
 	Scaffolds        []Scaffold
 	Local            []Scaffold
@@ -514,30 +515,23 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	res.GapsTotal = pgas.AllReduce(r, gapsTotal, pgas.ReduceSum)
 	res.GapsClosed = pgas.AllReduce(r, gapsClosed, pgas.ReduceSum)
 
-	// Step 10: provisional owner-naming IDs (dist.Set.Renumber), then a
-	// single rank-ordered emit materializes the output on rank 0 only, where
-	// it is put into the deterministic global order. Only the summary
-	// counters above were all-reduced; no gather-to-all anywhere.
-	// With SkipEmit the scaffolds stay exactly where traversal produced
-	// them: the caller consumes each rank's Local shard (an intermediate
-	// multi-library round feeds it straight into dbg.DistributeContigs,
-	// which assigns canonical ownership and IDs), so neither the global
-	// renumbering nor the rank-0 emit is performed or charged.
+	// Step 10: a single rank-ordered emit materializes the output on rank 0
+	// only, where it is put into the deterministic global order and numbered.
+	// Only the summary counters above were all-reduced; no gather-to-all
+	// anywhere. With SkipEmit the scaffolds stay exactly where traversal
+	// produced them: the caller consumes each rank's Local shard (an
+	// intermediate multi-library round feeds it straight into
+	// dbg.DistributeContigs, which assigns canonical ownership and IDs), so
+	// the rank-0 emit is neither performed nor charged.
 	if opts.SkipEmit {
 		res.Local = localScaffolds
 		r.Barrier()
 		return res
 	}
-	// The scaffolds are already owner-placed on the rank that traversed
-	// their component; stamp that rank into the provisional ID so the owner
-	// function is a pure function of the item (Renumber overwrites it).
-	for i := range localScaffolds {
-		localScaffolds[i].ID = r.ID()
-	}
+	// The scaffolds stay on the rank that traversed their component.
 	sset := dist.New(r, localScaffolds,
-		func(s Scaffold) int { return s.ID },
+		func(Scaffold) int { return r.ID() },
 		Scaffold.WireSize, dist.Distributed)
-	sset.Renumber(r, func(i, id int) { sset.Local(r)[i].ID = id })
 	res.Local = sset.Local(r)
 	merged := sset.Emit(r)
 	if merged != nil {
