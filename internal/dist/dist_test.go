@@ -240,25 +240,41 @@ func TestEmitRankOrderOnRootOnly(t *testing.T) {
 }
 
 // TestExchangeOwnerRouted: Exchange delivers every item to its owner exactly
-// once; a negative owner names rank owner mod P, taken in [0, P).
+// once.
 func TestExchangeOwnerRouted(t *testing.T) {
 	const p = 4
 	m := pgas.NewMachine(pgas.Config{Ranks: p})
 	m.Run(func(r *pgas.Rank) {
-		for _, items := range [][]int{
-			{r.ID() * 10, r.ID()*10 + 1, r.ID()*10 + 2},
-			{-1, -2, -3, 0, 1, 2},
-		} {
-			got := Exchange(r, items, func(x int) int { return x }, func(int) int { return 8 })
-			for _, x := range got {
-				if (x%p+p)%p != r.ID() {
-					t.Errorf("rank %d received foreign item %d", r.ID(), x)
-				}
+		items := []int{r.ID() * 10, r.ID()*10 + 1, r.ID()*10 + 2}
+		got := Exchange(r, items, func(x int) int { return x }, func(int) int { return 8 })
+		for _, x := range got {
+			if x%p != r.ID() {
+				t.Errorf("rank %d received foreign item %d", r.ID(), x)
 			}
-			total := pgas.AllReduce(r, len(got), pgas.ReduceSum)
-			if total != p*len(items) {
-				t.Errorf("exchange lost items: %d of %d", total, p*len(items))
+		}
+		total := pgas.AllReduce(r, len(got), pgas.ReduceSum)
+		if total != p*3 {
+			t.Errorf("exchange lost items: %d of %d", total, p*3)
+		}
+	})
+}
+
+// TestExchangeNegativeOwner: a negative owner names rank owner mod P, taken
+// in [0, P), and no item is lost.
+func TestExchangeNegativeOwner(t *testing.T) {
+	const p = 3
+	m := pgas.NewMachine(pgas.Config{Ranks: p})
+	m.Run(func(r *pgas.Rank) {
+		items := []int{-1, -2, -3, 0, 1, 2}
+		got := Exchange(r, items, func(x int) int { return x }, func(int) int { return 8 })
+		for _, x := range got {
+			if owner := (x%p + p) % p; owner != r.ID() {
+				t.Errorf("rank %d got item %d (owner %d)", r.ID(), x, owner)
 			}
+		}
+		total := pgas.AllReduce(r, len(got), pgas.ReduceSum)
+		if total != p*len(items) {
+			t.Errorf("exchange lost items: %d of %d", total, p*len(items))
 		}
 	})
 }
