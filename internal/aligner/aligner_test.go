@@ -1,6 +1,7 @@
 package aligner
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -20,22 +21,24 @@ func testContigs() []dbg.Contig {
 }
 
 // distributeTestContigs splits a replicated contig slice over the ranks and
-// returns the distributed set plus a sequence->global-ID map (identical on
-// every rank), since distribution reassigns IDs.
-func distributeTestContigs(r *pgas.Rank, contigs []dbg.Contig) (*dbg.ContigSet, map[string]int) {
+// returns the distributed set. Distribution reassigns IDs, so when slots is
+// non-nil (one per rank, shared by all ranks) it also gathers the
+// sequence->global-ID map, identical on every rank: each rank writes its own
+// slot before a barrier and merges all of them after it.
+func distributeTestContigs(r *pgas.Rank, contigs []dbg.Contig, slots []map[string]int) (*dbg.ContigSet, map[string]int) {
 	lo, hi := r.BlockRange(len(contigs))
 	cs := dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed)
+	if slots == nil {
+		return cs, nil
+	}
 	local := map[string]int{}
 	cs.ForEachLocal(r, func(_ int, c dbg.Contig) { local[string(c.Seq)] = c.ID })
-	ids := pgas.ReduceAll(r, local, 0, func(parts []map[string]int) map[string]int {
-		merged := map[string]int{}
-		for _, part := range parts {
-			for s, id := range part {
-				merged[s] = id
-			}
-		}
-		return merged
-	})
+	slots[r.ID()] = local
+	r.Barrier()
+	ids := map[string]int{}
+	for _, part := range slots {
+		maps.Copy(ids, part)
+	}
 	return cs, ids
 }
 
@@ -45,8 +48,9 @@ func TestBuildIndexCoversAllSeeds(t *testing.T) {
 	opts := DefaultOptions(15)
 	var idx *Index
 	ids := map[string]int{}
+	slots := make([]map[string]int, 3)
 	m.Run(func(r *pgas.Rank) {
-		cs, idMap := distributeTestContigs(r, contigs)
+		cs, idMap := distributeTestContigs(r, contigs, slots)
 		got := BuildIndex(r, cs, opts)
 		if r.ID() == 0 {
 			idx = got
@@ -86,8 +90,9 @@ func TestAlignPerfectRead(t *testing.T) {
 	opts := DefaultOptions(15)
 	var alignments []Alignment
 	ids := map[string]int{}
+	slots := make([]map[string]int, 2)
 	m.Run(func(r *pgas.Rank) {
-		cs, idMap := distributeTestContigs(r, contigs)
+		cs, idMap := distributeTestContigs(r, contigs, slots)
 		idx := BuildIndex(r, cs, opts)
 		var reads []seq.Read
 		if r.ID() == 0 {
@@ -132,7 +137,7 @@ func TestAlignToleratesMismatches(t *testing.T) {
 	opts := DefaultOptions(15)
 	opts.MinIdentity = 0.85
 	m.Run(func(r *pgas.Rank) {
-		cs, _ := distributeTestContigs(r, contigs)
+		cs, _ := distributeTestContigs(r, contigs, nil)
 		idx := BuildIndex(r, cs, opts)
 		readSeq := append([]byte(nil), contigs[0].Seq[2:52]...)
 		readSeq[30] = flipBase(readSeq[30])
@@ -160,7 +165,7 @@ func TestAlignRejectsLowIdentity(t *testing.T) {
 	opts := DefaultOptions(15)
 	opts.MinIdentity = 0.99
 	m.Run(func(r *pgas.Rank) {
-		cs, _ := distributeTestContigs(r, contigs)
+		cs, _ := distributeTestContigs(r, contigs, nil)
 		idx := BuildIndex(r, cs, opts)
 		readSeq := append([]byte(nil), contigs[0].Seq[0:40]...)
 		for i := 20; i < 30; i++ {
@@ -187,7 +192,7 @@ func TestSoftwareCacheReducesCommunication(t *testing.T) {
 		opts.UseCache = useCache
 		var stats AlignStats
 		res := m.Run(func(r *pgas.Rank) {
-			cs, _ := distributeTestContigs(r, contigs)
+			cs, _ := distributeTestContigs(r, contigs, nil)
 			idx := BuildIndex(r, cs, opts)
 			lo, hi := r.BlockRange(len(reads))
 			_, s := AlignReads(r, idx, reads[lo:hi], lo, opts)
@@ -218,7 +223,7 @@ func TestAlignmentRateOnSimulatedReads(t *testing.T) {
 	opts := DefaultOptions(21)
 	var aligned, total int
 	m.Run(func(r *pgas.Rank) {
-		cs, _ := distributeTestContigs(r, contigs)
+		cs, _ := distributeTestContigs(r, contigs, nil)
 		idx := BuildIndex(r, cs, opts)
 		lo, hi := r.BlockRange(len(reads))
 		got, _ := AlignReads(r, idx, reads[lo:hi], lo, opts)

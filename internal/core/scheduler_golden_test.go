@@ -74,15 +74,23 @@ func resultFingerprint(res *Result) string {
 // second iteration's reads on other ranks in another order, and the charges
 // and the tie-breaks moved with them. With localization off the FASTA does
 // not move.
+//
+// wantSim and wantStages were re-captured (from 0.030225101000013733, with
+// kmer_analysis 0.005530748400013677) when k-mer analysis stopped building a
+// heavy-hitter sketch nothing read and tree-merging it once per k: one
+// collective and its two barriers per iteration fewer. kmer_analysis fell by
+// that collective's charge; alignment moved in its last digits only, as a
+// difference of two clock readings that now sit elsewhere. The sketch never
+// touched the counts, so wantHash did not move.
 func TestSchedulerGoldenP8(t *testing.T) {
 	const (
-		wantSim  = "0.030225101000013733"
+		wantSim  = "0.030154661000013742"
 		wantHash = "10ee8508432240923dbcdbda9d8e19b041875b7426e1c9217c7477f7f1aebca4"
 	)
 	wantStages := []string{
-		"alignment 0.010288644199999294",
+		"alignment 0.010288644199999301",
 		"scaffolding 0.006576623799999921",
-		"kmer_analysis 0.005530748400013677",
+		"kmer_analysis 0.005460308400013680",
 		"dbg_traversal 0.003570608400000359",
 		"contig_refine 0.002818650400000457",
 		"local_assembly 0.000826369800000025",

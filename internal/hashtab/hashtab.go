@@ -1,6 +1,5 @@
 // Package hashtab provides the one open-addressing hash table that backs
-// every partition of dht.Map, the dht.CachedReader software cache and the
-// histo.HeavyHitters sketch.
+// every partition of dht.Map and the dht.CachedReader software cache.
 //
 // The caller supplies the 64-bit hash of every key it passes in — dht has
 // already computed it to pick the owner rank — so the table never hashes a
@@ -186,30 +185,6 @@ func (t *Table[K, V]) deleteAt(i uint64) {
 	}
 	t.slots[i] = slot[K, V]{}
 	t.n--
-}
-
-// DeleteFunc calls del once for every entry and removes those for which it
-// returns true; del may edit the value of an entry it keeps. del must not
-// use the table.
-func (t *Table[K, V]) DeleteFunc(del func(key K, val *V) bool) {
-	if t.n == 0 {
-		return
-	}
-	// Start just past an empty slot: a backward shift never moves an entry
-	// across an empty slot, so no entry can be carried from the unvisited
-	// side of the scan to the visited side or back.
-	mask := uint64(len(t.slots) - 1)
-	start := uint64(0)
-	for t.slots[start].tag != 0 {
-		start++
-	}
-	for k := uint64(1); k <= mask; k++ {
-		i := (start + k) & mask
-		// After a delete slot i holds whatever shifted back into it.
-		for t.slots[i].tag != 0 && del(t.slots[i].key, &t.slots[i].val) {
-			t.deleteAt(i)
-		}
-	}
 }
 
 // All iterates over the entries in slot order. The table must not be

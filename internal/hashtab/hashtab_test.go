@@ -110,33 +110,9 @@ func runOps(t *testing.T, hash func(uint16) uint64, keyMask uint16, ops []byte) 
 				t.Fatalf("step %d: Delete(%d) = %v, want %v", step, key, got, present)
 			}
 			delete(oracle, key)
-		case 12, 13:
+		case 12, 13, 14:
 			if got, ok := tab.Get(h, key); ok != present || got != want {
 				t.Fatalf("step %d: Get(%d) = (%d,%v), want (%d,%v)", step, key, got, ok, want, present)
-			}
-		case 14: // drop a key-dependent subset, edit the survivors
-			m := uint16(2 + ops[1]%5)
-			visited := map[uint16]bool{}
-			tab.DeleteFunc(func(k uint16, v *int) bool {
-				if visited[k] {
-					t.Fatalf("step %d: DeleteFunc visited %d twice", step, k)
-				}
-				visited[k] = true
-				if *v != oracle[k] {
-					t.Fatalf("step %d: DeleteFunc(%d) saw %d, want %d", step, k, *v, oracle[k])
-				}
-				*v++
-				return k%m == 0
-			})
-			if len(visited) != len(oracle) {
-				t.Fatalf("step %d: DeleteFunc visited %d of %d entries", step, len(visited), len(oracle))
-			}
-			for k := range oracle {
-				if k%m == 0 {
-					delete(oracle, k)
-				} else {
-					oracle[k]++
-				}
 			}
 		case 15:
 			seen := map[uint16]int{}
@@ -220,7 +196,6 @@ func TestZeroTableAllocatesOnFirstInsert(t *testing.T) {
 	if _, ok := tab.Get(1, 1); ok || tab.Delete(1, 1) || tab.Len() != 0 {
 		t.Fatal("zero table is not empty")
 	}
-	tab.DeleteFunc(func(uint16, *int) bool { return true })
 	for range tab.All() {
 		t.Fatal("zero table yielded an entry")
 	}

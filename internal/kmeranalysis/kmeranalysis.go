@@ -5,18 +5,14 @@
 // routed to its owner rank together with the bases observed immediately
 // before and after it. Owners accumulate a distributed histogram of counts
 // and extension observations ("Local Reads & Writes" phase on top of an
-// aggregated all-to-all exchange), use a Bloom filter to keep erroneous
-// singleton k-mers out of the hash table, and run a Misra–Gries heavy-hitter
-// summary to identify the extremely abundant k-mers that metagenomes produce.
+// aggregated all-to-all exchange) and use a Bloom filter to keep erroneous
+// singleton k-mers out of the hash table.
 package kmeranalysis
 
 import (
-	"sort"
-
 	"mhmgo/internal/bloom"
 	"mhmgo/internal/dht"
 	"mhmgo/internal/dist"
-	"mhmgo/internal/histo"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
 )
@@ -31,9 +27,6 @@ type Options struct {
 	// UseBloom enables the Bloom-filter prefilter that keeps k-mers seen
 	// only once out of the counting table.
 	UseBloom bool
-	// HeavyHitterCapacity is the number of Misra–Gries candidate slots per
-	// rank; 0 disables heavy-hitter tracking.
-	HeavyHitterCapacity int
 	// Aggregate false charges one message per k-mer instead of one per
 	// destination and exchange round (for ablations).
 	Aggregate bool
@@ -45,12 +38,11 @@ type Options struct {
 // DefaultOptions returns the options used by the pipeline.
 func DefaultOptions(k int) Options {
 	return Options{
-		K:                   k,
-		MinCount:            2,
-		UseBloom:            true,
-		HeavyHitterCapacity: 64,
-		Aggregate:           true,
-		QualThreshold:       5,
+		K:             k,
+		MinCount:      2,
+		UseBloom:      true,
+		Aggregate:     true,
+		QualThreshold: 5,
 	}
 }
 
@@ -69,9 +61,6 @@ type Result struct {
 	// Counts maps each retained canonical k-mer to its count and extension
 	// observations.
 	Counts *dht.Map[seq.Kmer, seq.KmerCount]
-	// HeavyHitters lists the most frequent k-mers discovered by the
-	// streaming summary (merged across ranks), most frequent first.
-	HeavyHitters []histo.Item[seq.Kmer]
 	// TotalKmers is the total number of k-mer occurrences processed.
 	TotalKmers int64
 	// DistinctKmers is the number of distinct canonical k-mers retained.
@@ -94,10 +83,6 @@ type Observation struct {
 // observationWireSize is the wire bytes of one routed observation: the
 // packed k-mer (two words plus k), the two extension bases and three flags.
 const observationWireSize = 22
-
-// heavyHitterWireSize is the wire bytes of one heavy-hitter summary entry:
-// the packed k-mer (two words plus k) and its count.
-const heavyHitterWireSize = 25
 
 // NewCountsMap creates the distributed k-mer counts table.
 func NewCountsMap(m *pgas.Machine) *dht.Map[seq.Kmer, seq.KmerCount] {
@@ -129,21 +114,11 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	}
 	local := make([]Observation, 0, maxObs)
 	var codes []byte
-	var hh *histo.HeavyHitters[seq.Kmer]
-	if opts.HeavyHitterCapacity > 0 {
-		hh = histo.NewHeavyHitters(opts.HeavyHitterCapacity, seq.Kmer.Hash)
-	}
 	for _, read := range reads {
 		// Append-style extraction fills the one per-rank buffer instead of
 		// allocating (and then copying) a fresh observation slice per read,
 		// and reuses one codes scratch across the whole read set.
-		start := len(local)
 		local, codes = AppendObservations(local, codes, read, opts)
-		if hh != nil {
-			for _, o := range local[start:] {
-				hh.Add(o.Kmer, 1)
-			}
-		}
 		r.Compute(float64(len(read.Seq)))
 	}
 	totalLocal := int64(len(local))
@@ -224,44 +199,10 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	}
 	r.Barrier()
 
-	// Phase 4: merge scalar statistics and heavy hitters across ranks.
+	// Phase 4: merge scalar statistics across ranks.
 	res := Result{Counts: counts}
 	res.TotalKmers = totalObs
 	res.DistinctKmers = pgas.AllReduce(r, counts.LocalLen(r.ID()), pgas.ReduceSum)
-	if hh != nil {
-		// Misra-Gries summaries merge associatively, so the per-rank
-		// summaries are combined with a tree reduction (log2 P rounds of one
-		// capacity-bounded summary each) instead of gathering P*capacity
-		// candidates onto every rank — this stage used to be the last
-		// gather-to-all in the pipeline. The contributions are sorted
-		// deterministically (count, then k-mer) so the fold — and with it
-		// the merged candidate set when evictions tie — is identical run to
-		// run.
-		items := hh.Items()
-		sort.Slice(items, func(i, j int) bool {
-			if items[i].Count != items[j].Count {
-				return items[i].Count > items[j].Count
-			}
-			return items[i].Key.Less(items[j].Key)
-		})
-		res.HeavyHitters = pgas.ReduceAll(r, items, opts.HeavyHitterCapacity*heavyHitterWireSize,
-			func(contribs [][]histo.Item[seq.Kmer]) []histo.Item[seq.Kmer] {
-				merged := histo.NewHeavyHitters(opts.HeavyHitterCapacity, seq.Kmer.Hash)
-				for _, batch := range contribs {
-					for _, it := range batch {
-						merged.Add(it.Key, it.Count)
-					}
-				}
-				out := merged.Items()
-				sort.Slice(out, func(i, j int) bool {
-					if out[i].Count != out[j].Count {
-						return out[i].Count > out[j].Count
-					}
-					return out[i].Key.Less(out[j].Key)
-				})
-				return out
-			})
-	}
 	r.Barrier()
 	return res
 }

@@ -165,45 +165,6 @@ func TestBloomReducesNoiseKmers(t *testing.T) {
 	}
 }
 
-func TestHeavyHitterDetection(t *testing.T) {
-	// A k-mer embedded in a hugely abundant repeat should surface as a heavy
-	// hitter candidate.
-	repeat := "ACGTTGCAAGCTTACGGATCC"
-	var reads []seq.Read
-	for i := 0; i < 500; i++ {
-		reads = append(reads, seq.Read{ID: "rep", Seq: []byte(repeat)})
-	}
-	// Background reads.
-	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 1, MeanGenomeLen: 3000, Seed: 9})
-	reads = append(reads, sim.SimulateReads(comm, sim.ReadConfig{ReadLen: 60, InsertSize: 150, ErrorRate: 0, Coverage: 3, Seed: 10})...)
-
-	m := pgas.NewMachine(pgas.Config{Ranks: 3})
-	opts := DefaultOptions(15)
-	opts.HeavyHitterCapacity = 16
-	var res Result
-	m.Run(func(r *pgas.Rank) {
-		got := Run(r, splitReads(reads, r.ID(), 3), opts, nil)
-		if r.ID() == 0 {
-			res = got
-		}
-	})
-	if len(res.HeavyHitters) == 0 {
-		t.Fatal("no heavy hitters reported")
-	}
-	top := res.HeavyHitters[0]
-	if top.Count < 200 {
-		t.Errorf("top heavy hitter count %d, want hundreds", top.Count)
-	}
-	// The top heavy hitter must be one of the repeat's k-mers.
-	repeatKmers := map[string]bool{}
-	for _, km := range canonicalKmersOf([]byte(repeat), 15) {
-		repeatKmers[km.String()] = true
-	}
-	if !repeatKmers[top.Key.String()] {
-		t.Errorf("top heavy hitter %s is not a repeat k-mer", top.Key.String())
-	}
-}
-
 func TestExtensionsRecorded(t *testing.T) {
 	// In an error-free high-coverage sequence, interior k-mers must have
 	// unique extensions recorded on both sides.

@@ -3,21 +3,16 @@ package kmeranalysis
 import (
 	"testing"
 
-	"mhmgo/internal/histo"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
 )
 
-// TestWireSizes pins the observation and heavy-hitter wire sizes against the
-// reflective lower bound.
+// TestWireSizes pins the observation wire size against the reflective lower
+// bound.
 func TestWireSizes(t *testing.T) {
 	km, _ := seq.KmerFromBytes([]byte("ACGTTGCAAGCTTACGGATCC"), 21)
 	o := Observation{Kmer: km, Left: 1, Right: 2, HasLeft: true, HasRight: true, WasRC: true}
 	if min := pgas.WireSizeOf(o); observationWireSize < min {
 		t.Errorf("observationWireSize = %d < encoded size %d", observationWireSize, min)
-	}
-	it := histo.Item[seq.Kmer]{Key: km, Count: 1 << 40}
-	if min := pgas.WireSizeOf(it); heavyHitterWireSize < min {
-		t.Errorf("heavyHitterWireSize = %d < encoded size %d", heavyHitterWireSize, min)
 	}
 }

@@ -7,7 +7,7 @@
 // ceil(log2 P) rounds, not as P serialized messages to rank 0, so that is
 // what the cost model charges:
 //
-//   - AllReduce / ExScan / ReduceAll follow the recursive-doubling
+//   - AllReduce / ExScan follow the recursive-doubling
 //     (hypercube) schedule: in round k each rank exchanges its accumulator
 //     with partner id XOR 2^k. With RanksPerNode a power of two the first
 //     log2(RanksPerNode) rounds stay on-node and only the remaining rounds
@@ -17,9 +17,8 @@
 //     round k ranks below 2^k forward to id+2^k. Rank 0 sends every round,
 //     which makes its clock the ceil(log2 P)-hop critical path.
 //
-// Scalar collectives charge scalarBytes per element; ReduceAll charges the
-// bound its caller states for one contribution. There is no all-gather: no
-// pipeline stage needs every rank to hold P values.
+// Scalar collectives charge scalarBytes per element. There is no all-gather:
+// no pipeline stage needs every rank to hold P values.
 //
 // Large-P discipline: a collective allocates O(1) per rank per call, never
 // O(P). The shared result (reduced value, exclusive-scan prefix table) is
@@ -347,34 +346,6 @@ func ExScan[T Number](r *Rank, x T, op ReduceOp) T {
 	})
 	out := m.collResult.([]T)[r.id]
 	r.chargeAllReduceTree(scalarBytes)
-	r.Barrier()
-	m.slots[r.id] = nil
-	return out
-}
-
-// ReduceAll combines one arbitrary mergeable value per rank — a streaming
-// summary, a sketch — and returns fold(contributions in rank order) on every
-// rank. It is charged like AllReduce of a payload of the given wire bytes
-// (the recursive-doubling tree, ceil(log2 P) rounds), not like a gather:
-// bytes must be a bound on one contribution's wire size, identical on every
-// rank. No rank materializes all P contributions against the resident meter
-// — at any moment a real tree reduction holds at most two partial summaries.
-// fold runs exactly once, on the goroutine of the rank completing the entry
-// barrier; it must be deterministic, must not mutate the contributions, and
-// must not touch rank-local state. Every rank returns the same shared
-// result, which must be treated as read-only.
-func ReduceAll[T any](r *Rank, x T, bytes int, fold func(contribs []T) T) T {
-	m := r.machine
-	m.slots[r.id] = x
-	r.barrierOn(func() {
-		contribs := make([]T, m.cfg.Ranks)
-		for i := 0; i < m.cfg.Ranks; i++ {
-			contribs[i] = m.slots[i].(T)
-		}
-		m.collResult = fold(contribs)
-	})
-	out := m.collResult.(T)
-	r.chargeAllReduceTree(bytes)
 	r.Barrier()
 	m.slots[r.id] = nil
 	return out

@@ -24,7 +24,12 @@ import (
 //	GET    /v1/healthz          admission snapshot      -> 200 Stats JSON
 //
 // Submission failures map to: 400 (invalid spec, structured SpecError body),
-// 409 (duplicate ID), 429 + Retry-After (queue full), 503 (server closed).
+// 409 (duplicate ID), 413 (body over maxSubmitBytes, structured SpecError
+// body naming the cap), 429 + Retry-After (queue full), 503 (server closed).
+
+// maxSubmitBytes caps a POST /v1/jobs body: the inline read cap plus 1 MiB
+// for the rest of the spec and the JSON escaping.
+const maxSubmitBytes = MaxInlineReadBytes + 1<<20
 
 func (s *Server) initMux() {
 	mux := http.NewServeMux()
@@ -78,8 +83,14 @@ func snapshot(j *Job) jobSnapshot {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxInlineReadBytes+1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, &SpecError{Field: "(body)",
+				Msg: fmt.Sprintf("request body exceeds the %d-byte cap", tooBig.Limit)})
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return
 	}

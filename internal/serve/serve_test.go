@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,6 +93,26 @@ func TestHTTPAPI(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown-field spec status = %d, want 400", resp.StatusCode)
+	}
+
+	// A body over the cap is a 413 naming the cap, not a truncated spec
+	// reported as malformed JSON.
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(
+		`{"id":"big","libraries":[{"reads":"`+strings.Repeat("A", maxSubmitBytes+2<<20)+`"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize submit status = %d, want 413 (body %s)", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Field != "(body)" ||
+		!strings.Contains(eb.Error, strconv.Itoa(maxSubmitBytes)) {
+		t.Fatalf("413 body = %s (err %v), want field \"(body)\" naming the %d-byte cap", body, err, maxSubmitBytes)
 	}
 
 	// Valid submission: 202 with the normalized spec echoed back.
