@@ -305,7 +305,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.KMin, cfg.KMax, cfg.KStep = *kmin, *kmax, *kstep
 	cfg.Libraries = libs
-	cfg.InsertSize, cfg.InsertStd = libs[0].InsertSize, libs[0].InsertStd
 	cfg.Scaffolding = !*noScaffold
 	cfg.MinContigLen = *minContig
 	cfg.CheckpointDir = *ckptDir

@@ -53,8 +53,6 @@ func (a Alignment) Identity() float64 {
 type Options struct {
 	// SeedLen is the seed k-mer length.
 	SeedLen int
-	// MinIdentity is the minimum identity for an alignment to be reported.
-	MinIdentity float64
 	// UseCache enables the per-rank software seed cache.
 	UseCache bool
 	// OnlyLib, when non-nil, aligns only the reads whose LibID matches:
@@ -71,6 +69,8 @@ const (
 	seedStride = 8
 	// minAlignLen is the minimum number of aligned bases.
 	minAlignLen = 20
+	// minIdentity is the minimum identity for an alignment to be reported.
+	minIdentity = 0.9
 	// cacheEntries bounds the software cache size.
 	cacheEntries = 1 << 17
 	// maxHitsPerSeed skips seeds that occur in more than this many contig
@@ -80,7 +80,7 @@ const (
 
 // DefaultOptions returns the aligner defaults for the given seed length.
 func DefaultOptions(seedLen int) Options {
-	return Options{SeedLen: seedLen, MinIdentity: 0.9, UseCache: true}
+	return Options{SeedLen: seedLen, UseCache: true}
 }
 
 // Index is the distributed seed index over a distributed contig set. Neither
@@ -130,7 +130,6 @@ func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 type AlignStats struct {
 	ReadsAligned  int
 	ReadsTotal    int
-	CacheHitRate  float64
 	SeedLookups   uint64
 	SeedCacheHits uint64
 }
@@ -146,9 +145,6 @@ type AlignStats struct {
 func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts Options) ([]Alignment, AlignStats) {
 	if opts.SeedLen <= 0 {
 		opts.SeedLen = idx.SeedLen
-	}
-	if opts.MinIdentity <= 0 {
-		opts.MinIdentity = 0.9
 	}
 	reader := idx.Seeds.NewCachedReader(r, cacheEntries, opts.UseCache)
 	// Remote contig sequences are fetched through the same software-caching
@@ -184,7 +180,6 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 	hits, misses := reader.Stats()
 	stats.SeedCacheHits = hits
 	stats.SeedLookups = hits + misses
-	stats.CacheHitRate = reader.HitRate()
 	return out, stats
 }
 
@@ -419,7 +414,7 @@ func extendPacked(readLen int, cp seq.Packed, contig dbg.Contig, hit SeedHit, se
 		Mismatch:  mismatches,
 		AlignLen:  alignLen,
 	}
-	if alignLen < minAlignLen || a.Identity() < opts.MinIdentity {
+	if alignLen < minAlignLen || a.Identity() < minIdentity {
 		return a, false
 	}
 	return a, true
@@ -469,7 +464,7 @@ func extendBytes(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, re
 		Mismatch:  mismatches,
 		AlignLen:  alignLen,
 	}
-	if alignLen < minAlignLen || a.Identity() < opts.MinIdentity {
+	if alignLen < minAlignLen || a.Identity() < minIdentity {
 		return a, false
 	}
 	return a, true

@@ -135,7 +135,6 @@ func TestAlignToleratesMismatches(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 1})
 	contigs := testContigs()
 	opts := DefaultOptions(15)
-	opts.MinIdentity = 0.85
 	m.Run(func(r *pgas.Rank) {
 		cs, _ := distributeTestContigs(r, contigs, nil)
 		idx := BuildIndex(r, cs, opts)
@@ -163,12 +162,12 @@ func TestAlignRejectsLowIdentity(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 1})
 	contigs := testContigs()
 	opts := DefaultOptions(15)
-	opts.MinIdentity = 0.99
 	m.Run(func(r *pgas.Rank) {
 		cs, _ := distributeTestContigs(r, contigs, nil)
 		idx := BuildIndex(r, cs, opts)
+		// Five mismatches in 40 bases: identity 0.875, just below minIdentity.
 		readSeq := append([]byte(nil), contigs[0].Seq[0:40]...)
-		for i := 20; i < 30; i++ {
+		for i := 20; i < 25; i++ {
 			readSeq[i] = flipBase(readSeq[i])
 		}
 		got, _ := AlignReads(r, idx, []seq.Read{{ID: "bad", Seq: readSeq}}, 0, opts)
@@ -204,8 +203,8 @@ func TestSoftwareCacheReducesCommunication(t *testing.T) {
 	}
 	cachedTime, cachedStats := run(true)
 	uncachedTime, _ := run(false)
-	if cachedStats.CacheHitRate <= 0.1 {
-		t.Errorf("cache hit rate %v too low", cachedStats.CacheHitRate)
+	if rate := float64(cachedStats.SeedCacheHits) / float64(cachedStats.SeedLookups); rate <= 0.1 {
+		t.Errorf("seed cache hit rate %v too low", rate)
 	}
 	if cachedTime >= uncachedTime {
 		t.Errorf("software cache should reduce simulated time: %v vs %v", cachedTime, uncachedTime)

@@ -58,16 +58,11 @@ const (
 // hairMaxLen is the length below which a dead-end tip is hair: 2k.
 func hairMaxLen(k int) int { return 2 * k }
 
-// Result reports what refinement did. Set is the refined distributed contig
+// Result is the outcome of refinement. Set is the refined distributed contig
 // set (the input set is consumed: filtered in place, or released when
 // compaction built a new one).
 type Result struct {
-	Set           *dbg.ContigSet
-	HairRemoved   int
-	BubblesMerged int
-	Pruned        int
-	PruneRounds   int
-	Compacted     int
+	Set *dbg.ContigSet
 }
 
 // removalWireSize is the wire bytes of one removal proposal (a contig ID)
@@ -214,9 +209,10 @@ func (g *graph) meanNeighborDepth(refs []endRef) float64 {
 }
 
 // applyRemovals routes removal proposals to the owners of the proposed
-// contigs, who mark them dead, and returns the global number of contigs that
-// actually died (a proposal for an already-dead contig is a no-op, so the
-// same bubble proposed by both arms' owners counts once).
+// contigs, who mark them dead, and returns how many of the calling rank's
+// contigs actually died (a proposal for an already-dead contig is a no-op, so
+// the same bubble proposed by both arms' owners counts once). The closing
+// barrier publishes the new liveness to every rank's next pass.
 func (g *graph) applyRemovals(r *pgas.Rank, proposals []int) int {
 	mine := dist.Exchange(r, proposals,
 		func(id int) int { owner, _ := dist.Locate(id); return owner },
@@ -231,15 +227,13 @@ func (g *graph) applyRemovals(r *pgas.Rank, proposals []int) int {
 		}
 	}
 	r.Compute(float64(len(mine)))
-	total := pgas.AllReduce(r, n, pgas.ReduceSum)
 	r.Barrier()
-	return total
+	return n
 }
 
 // Refine runs the configured refinement passes over the distributed contig
-// set. Collective: every rank passes the shared set; every rank returns the
-// same counts, and Result.Set is the refined (filtered or compacted,
-// renumbered) set.
+// set. Collective: every rank passes the shared set, and Result.Set is the
+// refined (filtered or compacted, renumbered) set.
 func Refine(r *pgas.Rank, cs *dbg.ContigSet, opts Options) Result {
 	g := &graph{
 		k:       opts.K,
@@ -252,19 +246,17 @@ func Refine(r *pgas.Rank, cs *dbg.ContigSet, opts Options) Result {
 	var res Result
 
 	if opts.MergeBubbles {
-		res.BubblesMerged = g.mergeBubbles(r)
+		g.mergeBubbles(r)
 	}
 	if opts.RemoveHair {
-		res.HairRemoved = g.removeHair(r)
+		g.removeHair(r)
 	}
 	if opts.Prune {
-		res.Pruned, res.PruneRounds = g.prune(r, opts)
+		g.prune(r, opts)
 	}
 
 	if opts.Compact {
-		compacted, merged := g.compact(r, opts)
-		res.Compacted = merged
-		res.Set = compacted
+		res.Set = g.compact(r, opts)
 		// The input set's contigs were folded into the compacted set.
 		cs.Release(r)
 	} else {
@@ -297,7 +289,7 @@ func proposeLoser(c, oc dbg.Contig) int {
 
 // mergeBubbles finds pairs of alive contigs that share both junctions and
 // have nearly equal lengths (SNP bubbles) and removes the shallower arm.
-func (g *graph) mergeBubbles(r *pgas.Rank) int {
+func (g *graph) mergeBubbles(r *pgas.Rank) {
 	reader := g.junction.NewCachedReader(r, 1<<16, true)
 	var removals []int
 	aliveShard := g.alive.shards[r.ID()]
@@ -331,7 +323,7 @@ func (g *graph) mergeBubbles(r *pgas.Rank) int {
 		r.Compute(float64(len(refsL) + len(refsR)))
 	})
 	r.Barrier()
-	return g.applyRemovals(r, removals)
+	g.applyRemovals(r, removals)
 }
 
 func similarLength(a, b int, tol float64) bool {
@@ -348,7 +340,7 @@ func similarLength(a, b int, tol float64) bool {
 // removeHair removes dead-end tips: contigs shorter than hairMaxLen that are
 // attached to the rest of the graph at exactly one end and dangle freely at
 // the other, where the attachment point has an alternative continuation.
-func (g *graph) removeHair(r *pgas.Rank) int {
+func (g *graph) removeHair(r *pgas.Rank) {
 	reader := g.junction.NewCachedReader(r, 1<<16, true)
 	var removals []int
 	aliveShard := g.alive.shards[r.ID()]
@@ -386,13 +378,13 @@ func (g *graph) removeHair(r *pgas.Rank) int {
 		}
 	})
 	r.Barrier()
-	return g.applyRemovals(r, removals)
+	g.applyRemovals(r, removals)
 }
 
 // prune implements Algorithm 2: iteratively remove short contigs whose depth
 // is at most min(tau, beta * neighbour depth), growing tau geometrically
 // until a round removes nothing on any rank.
-func (g *graph) prune(r *pgas.Rank, opts Options) (removedTotal, rounds int) {
+func (g *graph) prune(r *pgas.Rank, opts Options) {
 	reader := g.junction.NewCachedReader(r, 1<<16, true)
 	maxDepth := 0.0
 	g.cs.ForEachLocal(r, func(_ int, c dbg.Contig) {
@@ -423,15 +415,11 @@ func (g *graph) prune(r *pgas.Rank, opts Options) (removedTotal, rounds int) {
 			}
 		})
 		r.Barrier()
-		removed := g.applyRemovals(r, removals)
-		removedTotal += removed
-		rounds++
-		if removed == 0 {
-			// Convergence: applyRemovals already all-reduced the count, so
-			// every rank agrees.
+		// Convergence is a global decision: the all-reduced count makes every
+		// rank leave the loop in the same round.
+		if pgas.AllReduce(r, g.applyRemovals(r, removals), pgas.ReduceSum) == 0 {
 			break
 		}
 		tau *= 1 + pruneAlpha
 	}
-	return removedTotal, rounds
 }

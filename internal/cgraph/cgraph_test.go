@@ -11,29 +11,23 @@ import (
 	"mhmgo/internal/seq"
 )
 
-// refineOut is a Result plus the refined contigs emitted to rank 0.
-type refineOut struct {
-	Result
-	Contigs []dbg.Contig
-}
-
 // runRefine distributes the given contigs, executes Refine on a fresh
-// machine, and emits the refined set for inspection.
-func runRefine(t *testing.T, contigs []dbg.Contig, ranks int, opts Options) refineOut {
+// machine, and returns the refined set as emitted to rank 0, in ContigLess
+// order.
+func runRefine(t *testing.T, contigs []dbg.Contig, ranks int, opts Options) []dbg.Contig {
 	t.Helper()
 	m := pgas.NewMachine(pgas.Config{Ranks: ranks})
-	var res refineOut
+	var out []dbg.Contig
 	m.Run(func(r *pgas.Rank) {
 		lo, hi := r.BlockRange(len(contigs))
 		cs := dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed)
-		got := Refine(r, cs, opts)
-		all := got.Set.Emit(r)
+		all := Refine(r, cs, opts).Set.Emit(r)
 		if r.ID() == 0 {
 			sort.Slice(all, func(i, j int) bool { return dbg.ContigLess(all[i], all[j]) })
-			res = refineOut{Result: got, Contigs: all}
+			out = all
 		}
 	})
-	return res
+	return out
 }
 
 // mkContigs assigns dense IDs to a set of sequences with depths.
@@ -84,12 +78,12 @@ func TestBubbleMergingKeepsDeeperArm(t *testing.T) {
 	opts.RemoveHair = false
 	opts.Prune = false
 	opts.Compact = false
-	res := runRefine(t, contigs, 3, opts)
-	if res.BubblesMerged != 1 {
-		t.Fatalf("BubblesMerged = %d, want 1", res.BubblesMerged)
+	out := runRefine(t, contigs, 3, opts)
+	if len(out) != 2 {
+		t.Fatalf("survivors = %d, want 2 (one bubble arm merged away): %v", len(out), contigSeqs(out))
 	}
 	var kept []string
-	for _, c := range res.Contigs {
+	for _, c := range out {
 		kept = append(kept, string(c.Seq))
 	}
 	joined := strings.Join(kept, ",")
@@ -113,17 +107,14 @@ func TestHairRemoval(t *testing.T) {
 	opts.MergeBubbles = false
 	opts.Prune = false
 	opts.Compact = false
-	res := runRefine(t, contigs, 2, opts)
-	if res.HairRemoved != 1 {
-		t.Fatalf("HairRemoved = %d, want 1", res.HairRemoved)
-	}
-	for _, c := range res.Contigs {
+	out := runRefine(t, contigs, 2, opts)
+	for _, c := range out {
 		if string(c.Seq) == tip {
 			t.Error("tip survived hair removal")
 		}
 	}
-	if len(res.Contigs) != 2 {
-		t.Errorf("survivors = %d, want 2", len(res.Contigs))
+	if len(out) != 2 {
+		t.Errorf("survivors = %d, want 2", len(out))
 	}
 }
 
@@ -136,12 +127,9 @@ func TestHairRemovalSparesIsolatedContigs(t *testing.T) {
 	opts.MergeBubbles = false
 	opts.Prune = false
 	opts.Compact = false
-	res := runRefine(t, contigs, 2, opts)
-	if res.HairRemoved != 0 {
-		t.Errorf("HairRemoved = %d, want 0", res.HairRemoved)
-	}
-	if len(res.Contigs) != 2 {
-		t.Errorf("survivors = %d, want 2", len(res.Contigs))
+	out := runRefine(t, contigs, 2, opts)
+	if len(out) != 2 {
+		t.Errorf("survivors = %d, want 2", len(out))
 	}
 }
 
@@ -159,14 +147,11 @@ func TestIterativePruning(t *testing.T) {
 	opts.MergeBubbles = false
 	opts.RemoveHair = false
 	opts.Compact = false
-	res := runRefine(t, contigs, 4, opts)
-	if res.Pruned < 1 {
-		t.Fatalf("Pruned = %d, want >= 1", res.Pruned)
+	out := runRefine(t, contigs, 4, opts)
+	if len(out) != 3 {
+		t.Errorf("survivors = %d, want 3: %v", len(out), contigSeqs(out))
 	}
-	if res.PruneRounds < 1 {
-		t.Error("pruning should run at least one round")
-	}
-	for _, c := range res.Contigs {
+	for _, c := range out {
 		if string(c.Seq) == branch {
 			t.Error("weak branch survived pruning")
 		}
@@ -180,12 +165,9 @@ func TestPruningConvergesWithoutRemovals(t *testing.T) {
 	opts.MergeBubbles = false
 	opts.RemoveHair = false
 	opts.Compact = false
-	res := runRefine(t, contigs, 2, opts)
-	if res.Pruned != 0 {
-		t.Errorf("Pruned = %d, want 0", res.Pruned)
-	}
-	if len(res.Contigs) != 1 {
-		t.Errorf("survivors = %d, want 1", len(res.Contigs))
+	out := runRefine(t, contigs, 2, opts)
+	if len(out) != 1 {
+		t.Errorf("survivors = %d, want 1", len(out))
 	}
 }
 
@@ -201,21 +183,18 @@ func TestCompactionMergesChain(t *testing.T) {
 	opts.MergeBubbles = false
 	opts.RemoveHair = false
 	opts.Prune = false
-	res := runRefine(t, contigs, 3, opts)
-	if len(res.Contigs) != 1 {
-		t.Fatalf("compaction produced %d contigs, want 1: %v", len(res.Contigs), contigSeqs(res.Contigs))
+	out := runRefine(t, contigs, 3, opts)
+	if len(out) != 1 {
+		t.Fatalf("compaction produced %d contigs, want 1: %v", len(out), contigSeqs(out))
 	}
 	want := "ACGGTTCAGGCATTCCAAGGTCATGGAACCTTGG"
-	got := string(res.Contigs[0].Seq)
+	got := string(out[0].Seq)
 	if got != want && got != string(seq.ReverseComplement([]byte(want))) {
 		t.Errorf("compacted contig = %q, want %q", got, want)
 	}
-	if res.Compacted < 2 {
-		t.Errorf("Compacted = %d, want >= 2 links", res.Compacted)
-	}
 	// Depth must be a weighted mean within the input range.
-	if res.Contigs[0].Depth < 10 || res.Contigs[0].Depth > 14 {
-		t.Errorf("compacted depth = %v", res.Contigs[0].Depth)
+	if out[0].Depth < 10 || out[0].Depth > 14 {
+		t.Errorf("compacted depth = %v", out[0].Depth)
 	}
 }
 
@@ -230,12 +209,17 @@ func TestCompactionRespectsAmbiguousJunctions(t *testing.T) {
 	opts.MergeBubbles = false
 	opts.RemoveHair = false
 	opts.Prune = false
-	res := runRefine(t, contigs, 2, opts)
-	if len(res.Contigs) != 3 {
-		t.Errorf("ambiguous junction was compacted: %d contigs", len(res.Contigs))
+	out := runRefine(t, contigs, 2, opts)
+	if len(out) != 3 {
+		t.Errorf("ambiguous junction was compacted: %d contigs", len(out))
 	}
-	if res.Compacted != 0 {
-		t.Errorf("Compacted = %d, want 0", res.Compacted)
+	// Nothing was merged: the survivors are the inputs, in either
+	// orientation.
+	for _, got := range out {
+		s, rc := string(got.Seq), string(seq.ReverseComplement(got.Seq))
+		if s != a && s != b && s != c && rc != a && rc != b && rc != c {
+			t.Errorf("contig %q is not one of the inputs", s)
+		}
 	}
 }
 
@@ -261,11 +245,11 @@ func TestRefineRankIndependence(t *testing.T) {
 	base := runRefine(t, contigs, 1, opts)
 	for _, ranks := range []int{2, 4, 7} {
 		got := runRefine(t, contigs, ranks, opts)
-		if len(got.Contigs) != len(base.Contigs) {
-			t.Fatalf("ranks=%d: %d contigs vs %d", ranks, len(got.Contigs), len(base.Contigs))
+		if len(got) != len(base) {
+			t.Fatalf("ranks=%d: %d contigs vs %d", ranks, len(got), len(base))
 		}
-		for i := range got.Contigs {
-			if string(got.Contigs[i].Seq) != string(base.Contigs[i].Seq) {
+		for i := range got {
+			if string(got[i].Seq) != string(base[i].Seq) {
 				t.Errorf("ranks=%d: contig %d differs", ranks, i)
 			}
 		}

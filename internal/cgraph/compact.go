@@ -32,7 +32,7 @@ func orientedSeq(c dbg.Contig, flipped bool) []byte {
 // owning its starting contig, and the emitted chains are redistributed into
 // a fresh contig set (content-routed, deduplicated, stamped with owner-naming
 // IDs).
-func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
+func (g *graph) compact(r *pgas.Rank, opts Options) *dbg.ContigSet {
 	j := opts.K - 1
 	aliveShard := g.alive.shards[r.ID()]
 
@@ -44,7 +44,7 @@ func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 				keep = append(keep, c)
 			}
 		})
-		return dbg.DistributeContigs(r, keep, dist.Distributed), 0
+		return dbg.DistributeContigs(r, keep, dist.Distributed)
 	}
 
 	// Index the junctions of the survivors only, so chain walks need no
@@ -102,7 +102,6 @@ func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 	}
 
 	var localOut []dbg.Contig
-	mergedCount := 0
 	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
 		if !aliveShard[i] {
 			return
@@ -118,7 +117,6 @@ func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 			depthWeight := cc.Depth * float64(len(cc.Seq))
 			totalLen := len(cc.Seq)
 			visited := map[int]bool{cur.id: true}
-			links := 0
 			for {
 				next, nc, ok := simplePartner(cur, cc)
 				if !ok || visited[next.id] {
@@ -129,7 +127,6 @@ func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 				depthWeight += nc.Depth * float64(len(nc.Seq))
 				totalLen += len(nc.Seq)
 				visited[next.id] = true
-				links++
 				cur, cc = next, nc
 				r.Compute(1)
 			}
@@ -142,7 +139,6 @@ func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 				Seq:   merged,
 				Depth: depthWeight / float64(totalLen),
 			})
-			mergedCount += links
 		}
 	})
 	r.Barrier()
@@ -151,7 +147,5 @@ func (g *graph) compact(r *pgas.Rank, opts Options) (*dbg.ContigSet, int) {
 	// palindromic chain emitted from both ends (possibly on two different
 	// ranks) collides on one owner and is deduplicated there, then stamped
 	// with owner-naming IDs. No gather, no world sort.
-	out := dbg.DistributeContigs(r, localOut, dist.Distributed)
-	totalMerged := pgas.AllReduce(r, mergedCount, pgas.ReduceSum)
-	return out, totalMerged
+	return dbg.DistributeContigs(r, localOut, dist.Distributed)
 }

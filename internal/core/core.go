@@ -768,9 +768,6 @@ func runScaffolding(r *pgas.Rank, cfg Config, k int, st *rankState) {
 		idx := aligner.BuildIndex(r, st.cset, aopts)
 		aligns, _ := aligner.AlignReads(r, idx, st.reads, st.readOffset, aopts)
 		sopts := scaffold.DefaultOptions(k, lib.InsertSize)
-		if lib.InsertStd > 0 {
-			sopts.InsertStd = lib.InsertStd
-		}
 		sopts.Aggregate = cfg.Aggregate
 		sopts.UseComponents = cfg.UseComponents
 		sopts.RRNAProfile = cfg.RRNAProfile

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"mhmgo/internal/dht"
@@ -332,11 +331,10 @@ func (ix vertexIndex) find(local []vertex, km seq.Kmer) int {
 	return -1
 }
 
-// TraverseOptions controls contig generation.
-type TraverseOptions struct {
-	// MinContigLen drops contigs shorter than this many bases (0 keeps all).
-	MinContigLen int
-}
+// TraverseOptions controls contig generation. It has no fields: the
+// pipeline's length filter is core.Config.MinContigLen, applied to the final
+// contig set.
+type TraverseOptions struct{}
 
 // Traverse generates contigs from the graph: every path of nodes (see node)
 // that has a start, emitted once, in canonical orientation. Collective: every
@@ -366,12 +364,12 @@ type TraverseOptions struct {
 // Claims, records and contigs are generated in sorted k-mer order, not
 // map-iteration order, so the same charges fold into the clock in the same
 // order every run.
-func Traverse(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
+func Traverse(r *pgas.Rank, g *Graph, _ TraverseOptions) []Contig {
 	maxSteps := g.vertexCount() + 1
 	local := g.sortedLocalVertices(r)
 	nodes := g.markPredecessors(r, local)
 	rankPaths(r, nodes, maxSteps)
-	out := g.assemble(r, local, nodes, maxSteps, opts)
+	out := g.assemble(r, local, nodes, maxSteps)
 	r.Barrier()
 	return out
 }
@@ -498,7 +496,7 @@ func lastBase(km seq.Kmer, o int) byte {
 // only the first half. The second half is the reverse complement of the
 // first, and the walk it stands for stops one node short of E, S's own
 // vertex; it is kept only if that sequence is canonical. Collective.
-func (g *Graph) assemble(r *pgas.Rank, local []vertex, nodes []node, maxSteps int, opts TraverseOptions) []Contig {
+func (g *Graph) assemble(r *pgas.Rank, local []vertex, nodes []node, maxSteps int) []Contig {
 	var pieces []piece
 	for i, v := range local {
 		o, at := 0, nodes[2*i]
@@ -558,9 +556,6 @@ func (g *Graph) assemble(r *pgas.Rank, local []vertex, nodes []node, maxSteps in
 			last--
 		}
 		last = min(last, maxSteps)
-		if opts.MinContigLen > 0 && last+g.K < opts.MinContigLen {
-			continue
-		}
 		v := local[e.s/2]
 		own := slots[e.first : e.first+received(L, e.hairpin)]
 		path.Reset()
@@ -675,16 +670,7 @@ func ComputeStats(contigs []Contig) Stats {
 		}
 		lengths = append(lengths, c.Len())
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
-	half := s.TotalBases / 2
-	acc := 0
-	for _, l := range lengths {
-		acc += l
-		if acc >= half {
-			s.N50 = l
-			break
-		}
-	}
+	s.N50 = seq.N50(lengths)
 	return s
 }
 

@@ -197,31 +197,6 @@ func TestDepthDependentThresholdHelpsHighCoverage(t *testing.T) {
 	}
 }
 
-func TestTraverseMinContigLen(t *testing.T) {
-	genome := "ACGTTGCAAGCTTACGGATCCGTAAACTGGTCCATTGGCA"
-	reads := coverWithReads(genome, 20, 2, 3)
-	m := pgas.NewMachine(pgas.Config{Ranks: 2})
-	opts := kmeranalysis.DefaultOptions(11)
-	opts.UseBloom = false
-	var all, filtered []Contig
-	m.Run(func(r *pgas.Rank) {
-		lo, hi := r.BlockRange(len(reads))
-		res := kmeranalysis.Run(r, reads[lo:hi], opts, nil)
-		g := Build(r, res.Counts, 11, defaultThresholds())
-		a := emitSorted(r, DistributeContigs(r, Traverse(r, g, TraverseOptions{}), dist.Distributed))
-		f := emitSorted(r, DistributeContigs(r, Traverse(r, g, TraverseOptions{MinContigLen: 10000}), dist.Distributed))
-		if r.ID() == 0 {
-			all, filtered = a, f
-		}
-	})
-	if len(all) == 0 {
-		t.Fatal("no contigs at all")
-	}
-	if len(filtered) != 0 {
-		t.Errorf("MinContigLen filter kept %d contigs", len(filtered))
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	contigs := []Contig{
 		{Seq: make([]byte, 100)},

@@ -112,7 +112,7 @@ func (g *Graph) walk(r *pgas.Rank, start oriented, e Entry, maxSteps int, ws *wa
 // traverseByProbe is the walking traversal: every path start found by
 // isPathStart, every path walked from each of its starts, and a walk kept only
 // if its sequence is canonical. Collective.
-func traverseByProbe(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
+func traverseByProbe(r *pgas.Rank, g *Graph) []Contig {
 	maxSteps := g.vertexCount() + 1
 	var out []Contig
 	ws := &walkScratch{}
@@ -124,7 +124,7 @@ func traverseByProbe(r *pgas.Rank, g *Graph, opts TraverseOptions) []Contig {
 			}
 			g.walk(r, cur, v.e, maxSteps, ws)
 			n := ws.seq.Len()
-			if n < g.K || (opts.MinContigLen > 0 && n < opts.MinContigLen) {
+			if n < g.K {
 				continue
 			}
 			if ws.seq.GreaterThanRC() {
@@ -463,11 +463,9 @@ func TestPathStartsMatchProbeOracle(t *testing.T) {
 						}
 					}
 					rankAll(t, r, g, locals, ranked, cov)
-					for _, opts := range []TraverseOptions{{}, {MinContigLen: 2 * k}} {
-						got, want := emitAll(r, Traverse(r, g, opts)), emitAll(r, traverseByProbe(r, g, opts))
-						if d := diffContigs(got, want); d != "" {
-							t.Errorf("%+v: %s", opts, d)
-						}
+					got, want := emitAll(r, Traverse(r, g, TraverseOptions{})), emitAll(r, traverseByProbe(r, g))
+					if d := diffContigs(got, want); d != "" {
+						t.Error(d)
 					}
 				})
 				for _, c := range perRank {
@@ -530,7 +528,7 @@ func TestHairpinAndCycleMatchOracle(t *testing.T) {
 					rankAll(t, r, g, locals, ranked, c)
 					local := Traverse(r, g, TraverseOptions{})
 					got.perRank[r.ID()] = local
-					all, want := emitAll(r, local), emitAll(r, traverseByProbe(r, g, TraverseOptions{}))
+					all, want := emitAll(r, local), emitAll(r, traverseByProbe(r, g))
 					if d := diffContigs(all, want); d != "" {
 						t.Errorf("trial %d, k=%d, P=%d: %s", trial, k, ranks, d)
 					}

@@ -88,7 +88,8 @@ func ExampleMap_NewCachedReader() {
 			}
 		}
 		if r.ID() == 0 {
-			fmt.Printf("hit rate > 80%%: %v\n", c.HitRate() > 0.8)
+			hits, misses := c.Stats()
+			fmt.Printf("hit rate > 80%%: %v\n", hits > 4*misses)
 		}
 	})
 	// Output:

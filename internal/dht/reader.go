@@ -86,13 +86,3 @@ func (c *CachedReader[K, V]) Get(key K) (V, bool) {
 
 // Stats returns the number of cache hits and misses recorded so far.
 func (c *CachedReader[K, V]) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// HitRate returns the fraction of lookups served without remote
-// communication, or 0 if no lookups were made.
-func (c *CachedReader[K, V]) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}

@@ -248,15 +248,7 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 			}
 		}
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
-	acc := 0
-	for _, l := range lengths {
-		acc += l
-		if acc*2 >= rep.TotalLen {
-			rep.N50 = l
-			break
-		}
-	}
+	rep.N50 = seq.N50(lengths)
 
 	idx := buildRefIndex(comm, opts.SeedLen)
 	covered := make([][]bool, len(comm.Genomes))

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"mhmgo/internal/dbg"
 	"mhmgo/internal/hmm"
+	"mhmgo/internal/scaffold"
 	"mhmgo/internal/seq"
 	"mhmgo/internal/sim"
 )
@@ -149,5 +151,31 @@ func TestNGA50Helper(t *testing.T) {
 	}
 	if nga50([]int{100, 100}, 1000) != 0 {
 		t.Error("blocks not reaching half the genome should give 0")
+	}
+}
+
+// TestN50AgreesAcrossReports: the assembler's contig and scaffold summaries
+// and the evaluator report the same N50 on an odd total, where half the
+// total is not a whole number of bases. For lengths {3, 2, 2} the 3-base
+// sequence holds less than half of 7, so N50 is 2.
+func TestN50AgreesAcrossReports(t *testing.T) {
+	lengths := []int{3, 2, 2}
+	var assembly [][]byte
+	var contigs []dbg.Contig
+	var scaffolds []scaffold.Scaffold
+	for _, n := range lengths {
+		s := []byte(strings.Repeat("A", n))
+		assembly = append(assembly, s)
+		contigs = append(contigs, dbg.Contig{Seq: s})
+		scaffolds = append(scaffolds, scaffold.Scaffold{Seq: s})
+	}
+	if got := dbg.ComputeStats(contigs).N50; got != 2 {
+		t.Errorf("dbg.ComputeStats N50 = %d, want 2", got)
+	}
+	if got := scaffold.ComputeStats(scaffolds).N50; got != 2 {
+		t.Errorf("scaffold.ComputeStats N50 = %d, want 2", got)
+	}
+	if got := Evaluate("odd", assembly, testCommunity(), DefaultOptions()).N50; got != 2 {
+		t.Errorf("Evaluate N50 = %d, want 2", got)
 	}
 }

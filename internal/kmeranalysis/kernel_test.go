@@ -41,13 +41,13 @@ func appendObservationsByteLoop(dst []Observation, read seq.Read, opts Options) 
 		o.Kmer = canon
 		o.WasRC = wasRC
 		if off > 0 {
-			if code, valid := seq.CharToBase(read.Seq[off-1]); valid && qualOK(read, off-1, opts.QualThreshold) {
+			if code, valid := seq.CharToBase(read.Seq[off-1]); valid && qualOK(read, off-1) {
 				o.Left = code
 				o.HasLeft = true
 			}
 		}
 		if off+k < len(read.Seq) {
-			if code, valid := seq.CharToBase(read.Seq[off+k]); valid && qualOK(read, off+k, opts.QualThreshold) {
+			if code, valid := seq.CharToBase(read.Seq[off+k]); valid && qualOK(read, off+k) {
 				o.Right = code
 				o.HasRight = true
 			}

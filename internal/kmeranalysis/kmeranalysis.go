@@ -30,23 +30,22 @@ type Options struct {
 	// Aggregate false charges one message per k-mer instead of one per
 	// destination and exchange round (for ablations).
 	Aggregate bool
-	// QualThreshold ignores extension observations whose base quality is
-	// below this Phred score (0 disables quality filtering).
-	QualThreshold int
 }
 
 // DefaultOptions returns the options used by the pipeline.
 func DefaultOptions(k int) Options {
 	return Options{
-		K:             k,
-		MinCount:      2,
-		UseBloom:      true,
-		Aggregate:     true,
-		QualThreshold: 5,
+		K:         k,
+		MinCount:  2,
+		UseBloom:  true,
+		Aggregate: true,
 	}
 }
 
 const (
+	// qualThreshold is the Phred score below which an extension base is not
+	// observed.
+	qualThreshold = 5
 	// bloomFPRate is the target false positive rate of the prefilter.
 	bloomFPRate = 0.01
 	// streamChunk bounds how many observations a rank routes per exchange
@@ -61,8 +60,6 @@ type Result struct {
 	// Counts maps each retained canonical k-mer to its count and extension
 	// observations.
 	Counts *dht.Map[seq.Kmer, seq.KmerCount]
-	// TotalKmers is the total number of k-mer occurrences processed.
-	TotalKmers int64
 	// DistinctKmers is the number of distinct canonical k-mers retained.
 	DistinctKmers int
 }
@@ -91,8 +88,8 @@ func NewCountsMap(m *pgas.Machine) *dht.Map[seq.Kmer, seq.KmerCount] {
 
 // Run performs k-mer analysis over the calling rank's block of reads. It is
 // a collective operation; every rank must call it with its own reads. The
-// returned Result is identical on every rank (the Counts map is shared; the
-// scalar fields are all-reduced).
+// returned Result is identical on every rank (the Counts map is shared;
+// DistinctKmers is all-reduced).
 func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer, seq.KmerCount]) Result {
 	if opts.K <= 0 || opts.K > seq.MaxK {
 		opts.K = 31
@@ -199,10 +196,8 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	}
 	r.Barrier()
 
-	// Phase 4: merge scalar statistics across ranks.
-	res := Result{Counts: counts}
-	res.TotalKmers = totalObs
-	res.DistinctKmers = pgas.AllReduce(r, counts.LocalLen(r.ID()), pgas.ReduceSum)
+	// Phase 4: count the retained k-mers across ranks.
+	res := Result{Counts: counts, DistinctKmers: pgas.AllReduce(r, counts.LocalLen(r.ID()), pgas.ReduceSum)}
 	r.Barrier()
 	return res
 }
@@ -263,13 +258,13 @@ func AppendObservations(dst []Observation, codes []byte, read seq.Read, opts Opt
 			o.Kmer, o.WasRC = km, false
 		}
 		if off > 0 {
-			if lc := codes[off-1]; lc != 0xFF && qualOK(read, off-1, opts.QualThreshold) {
+			if lc := codes[off-1]; lc != 0xFF && qualOK(read, off-1) {
 				o.Left = lc
 				o.HasLeft = true
 			}
 		}
 		if i+1 < n {
-			if rc := codes[i+1]; rc != 0xFF && qualOK(read, i+1, opts.QualThreshold) {
+			if rc := codes[i+1]; rc != 0xFF && qualOK(read, i+1) {
 				o.Right = rc
 				o.HasRight = true
 			}
@@ -279,12 +274,13 @@ func AppendObservations(dst []Observation, codes []byte, read seq.Read, opts Opt
 	return out, codes
 }
 
-// qualOK reports whether the base at position i passes the quality filter.
-func qualOK(read seq.Read, i int, threshold int) bool {
-	if threshold <= 0 || len(read.Qual) <= i {
+// qualOK reports whether the base at position i passes the quality filter
+// (a read without qualities passes everywhere).
+func qualOK(read seq.Read, i int) bool {
+	if len(read.Qual) <= i {
 		return true
 	}
-	return int(read.Qual[i])-33 >= threshold
+	return int(read.Qual[i])-33 >= qualThreshold
 }
 
 // MergeContigKmers implements the k-mer set merge of Section II-H: the

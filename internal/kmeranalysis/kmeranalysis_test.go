@@ -64,8 +64,14 @@ func TestRunCountsKmersExactly(t *testing.T) {
 			t.Errorf("k-mer %s count = %d, want %d", km.String(), snap[km].Count, want)
 		}
 	}
-	if res.TotalKmers != int64(3*(len(genome)-7+1)) {
-		t.Errorf("TotalKmers = %d", res.TotalKmers)
+	// Every occurrence is counted: with the filter off and every k-mer
+	// retained, the counts sum to the reads' k-mer occurrences.
+	var sum uint32
+	for _, kc := range snap {
+		sum += kc.Count
+	}
+	if want := 3 * (len(genome) - 7 + 1); sum != uint32(want) {
+		t.Errorf("counts sum to %d, want %d occurrences", sum, want)
 	}
 }
 
@@ -206,7 +212,7 @@ func TestQualityFilteringSkipsLowQualityExtensions(t *testing.T) {
 	genome := "ACGTTGCAAGCTTACGGATCC"
 	lowQual := make([]byte, len(genome))
 	for i := range lowQual {
-		lowQual[i] = '!' // phred 0
+		lowQual[i] = '%' // phred 4, just below qualThreshold
 	}
 	reads := []seq.Read{
 		{ID: "a", Seq: []byte(genome), Qual: lowQual},
@@ -215,7 +221,6 @@ func TestQualityFilteringSkipsLowQualityExtensions(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 1})
 	opts := DefaultOptions(9)
 	opts.UseBloom = false
-	opts.QualThreshold = 10
 	var res Result
 	m.Run(func(r *pgas.Rank) {
 		res = Run(r, reads, opts, nil)

@@ -102,11 +102,10 @@ func (opts Options) normalized() Options {
 
 // Result reports the outcome of local assembly. The extended contigs are
 // written back into the distributed contig set in place (each owner updates
-// its own shard); only the scalar summaries are all-reduced.
+// its own shard); ExtendedBases, the bases added over all contigs, is the one
+// all-reduced scalar.
 type Result struct {
-	ExtendedBases  int
-	ContigsTouched int
-	Steals         int
+	ExtendedBases int
 }
 
 // recruit is one read sequence shipped to the owner of the contig it may
@@ -175,8 +174,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	var exts []extRecord
 	var sc scratch
 	extendedBases := 0
-	touched := 0
-	steals := 0
 	lastBlock := -1
 	for _, id := range ids {
 		owner, idx := dist.Locate(id)
@@ -184,7 +181,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 			// One remote atomic per claimed block, exactly as the dynamic
 			// counter would charge.
 			r.AtomicFetchAdd(counterHandle, int64(blockSize))
-			steals++
 			lastBlock = block
 		}
 		// The reader reads an owned contig locally and fetches any other
@@ -198,7 +194,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		if added > 0 {
 			exts = append(exts, extRecord{ID: id, Seq: newSeq})
 			extendedBases += added
-			touched++
 		}
 	}
 	r.Barrier()
@@ -217,10 +212,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	}
 	r.Barrier()
 
-	var res Result
-	res.ExtendedBases = pgas.AllReduce(r, extendedBases, pgas.ReduceSum)
-	res.ContigsTouched = pgas.AllReduce(r, touched, pgas.ReduceSum)
-	res.Steals = pgas.AllReduce(r, steals, pgas.ReduceSum)
+	res := Result{ExtendedBases: pgas.AllReduce(r, extendedBases, pgas.ReduceSum)}
 	r.Barrier()
 	return res
 }

@@ -18,7 +18,7 @@
 // of the whole set or the full link, contig or scaffold payloads.
 //
 // Run performs ONE round of scaffolding for ONE paired-end library (its
-// geometry in Options.InsertSize/InsertStd). Multi-library assemblies —
+// insert size in Options.InsertSize). Multi-library assemblies —
 // HipMer/MetaHipMer inputs combine libraries of increasing insert size —
 // are driven by internal/core, which calls Run once per library in
 // ascending insert-size order, splicing each round's scaffolds back in as
@@ -47,18 +47,15 @@ type Options struct {
 	// K is the assembly k-mer size (used for overlap detection in gap
 	// closing).
 	K int
-	// InsertSize and InsertStd describe the paired-end library.
+	// InsertSize is the paired-end library's mean insert size. InsertStd,
+	// its spread, is not read (link gaps are mean estimates); it stays only
+	// for callers that still set it.
 	InsertSize int
 	InsertStd  int
-	// MinLinkSupport is the number of read pairs (or splinting reads) needed
-	// to accept a link between two contig ends.
-	MinLinkSupport int
 	// RRNAProfile, when non-nil, marks contigs matching the profile (at
 	// rrnaThreshold) as HMM hits whose ends stay extendable despite competing
 	// links.
 	RRNAProfile *hmm.Profile
-	// CloseGaps enables gap closing (otherwise gaps are filled with Ns).
-	CloseGaps bool
 	// Aggregate controls DHT update aggregation (for ablations).
 	Aggregate bool
 	// UseComponents partitions traversal by connected components (the
@@ -78,15 +75,16 @@ type Options struct {
 // insert size.
 func DefaultOptions(k, insertSize int) Options {
 	return Options{
-		K:              k,
-		InsertSize:     insertSize,
-		InsertStd:      insertSize / 10,
-		MinLinkSupport: 2,
-		CloseGaps:      true,
-		Aggregate:      true,
-		UseComponents:  true,
+		K:             k,
+		InsertSize:    insertSize,
+		Aggregate:     true,
+		UseComponents: true,
 	}
 }
+
+// minLinkSupport is the number of read pairs (or splinting reads) needed to
+// accept a link between two contig ends.
+const minLinkSupport = 2
 
 // rrnaThreshold is the normalized profile score at which a contig counts as
 // an rRNA hit.
@@ -120,19 +118,15 @@ func (s Scaffold) WireSize() int { return 32 + len(s.Seq) + 8*len(s.ContigIDs) }
 // deterministically ordered scaffold list materialized on rank 0 only (nil
 // on every other rank), numbered in that order; Local is the calling rank's
 // own shard (always set; the only output when Options.SkipEmit is true),
-// whose IDs are unassigned on both paths; the counters are identical on
-// every rank.
+// whose IDs are unassigned on both paths. The counters — links accepted,
+// gaps between chained contigs, and gaps closed by splicing — are
+// identical on every rank.
 type Result struct {
-	Scaffolds        []Scaffold
-	Local            []Scaffold
-	SplintLinks      int
-	SpanLinks        int
-	AcceptedLinks    int
-	RepeatsSuspended int
-	Components       int
-	RRNAHits         int
-	GapsTotal        int
-	GapsClosed       int
+	Scaffolds     []Scaffold
+	Local         []Scaffold
+	AcceptedLinks int
+	GapsTotal     int
+	GapsClosed    int
 }
 
 // linkKey identifies an (unordered) pair of contig ends.
@@ -141,11 +135,12 @@ type linkKey struct {
 	End1, End2 byte
 }
 
-// linkAgg accumulates the evidence for one link.
+// linkAgg accumulates the evidence for one link: the supporting pairs and
+// the sum of their gap estimates (zero or negative for a splint, where the
+// ends overlap).
 type linkAgg struct {
-	Count   int
-	GapSum  int
-	Splints int
+	Count  int
+	GapSum int
 }
 
 // linkInfo is an accepted edge of the contig graph.
@@ -223,9 +218,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	if opts.InsertSize <= 0 {
 		opts.InsertSize = seq.DefaultInsertSize
 	}
-	if opts.MinLinkSupport <= 0 {
-		opts.MinLinkSupport = 2
-	}
 
 	creader := cs.NewReader(r, 1<<16)
 	var res Result
@@ -239,7 +231,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	combine := func(existing, update linkAgg, found bool) linkAgg {
 		existing.Count += update.Count
 		existing.GapSum += update.GapSum
-		existing.Splints += update.Splints
 		return existing
 	}
 	u := linkTable.NewUpdater(r, combine, 256, opts.Aggregate)
@@ -248,7 +239,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	for _, a := range alignments {
 		alignByRead[a.ReadIdx] = a
 	}
-	splintsLocal, spansLocal := 0, 0
 	for _, a := range alignments {
 		if a.ReadIdx%2 != 0 {
 			continue // handle each pair once, from its even member
@@ -265,14 +255,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		if gap > opts.InsertSize {
 			continue
 		}
-		agg := linkAgg{Count: 1, GapSum: gap}
-		if gap <= 0 {
-			agg.Splints = 1
-			splintsLocal++
-		} else {
-			spansLocal++
-		}
-		u.Update(normalizeKey(a.ContigID, end1, mate.ContigID, end2), agg)
+		u.Update(normalizeKey(a.ContigID, end1, mate.ContigID, end2), linkAgg{Count: 1, GapSum: gap})
 		r.Compute(2)
 	}
 	u.Flush()
@@ -284,13 +267,11 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	// Writes phase). The accepted links stay distributed.
 	var localAccepted []acceptedLink
 	linkTable.ForEachLocal(r, func(k linkKey, agg linkAgg) {
-		if agg.Count < opts.MinLinkSupport {
+		if agg.Count < minLinkSupport {
 			return
 		}
 		localAccepted = append(localAccepted, acceptedLink{Key: k, Gap: agg.GapSum / agg.Count, Sup: agg.Count})
 	})
-	res.SplintLinks = pgas.AllReduce(r, splintsLocal, pgas.ReduceSum)
-	res.SpanLinks = pgas.AllReduce(r, spansLocal, pgas.ReduceSum)
 	res.AcceptedLinks = pgas.AllReduce(r, len(localAccepted), pgas.ReduceSum)
 
 	// Step 3: copy each accepted link to its endpoint contigs' owners (one
@@ -322,7 +303,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 			r.Compute(float64(len(c.Seq)))
 		})
 	}
-	res.RRNAHits = pgas.AllReduce(r, len(hmmHitLocal), pgas.ReduceSum)
 
 	type endKey struct {
 		id  int
@@ -347,7 +327,6 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 			suspendedLocal[c.ID] = true
 		}
 	})
-	res.RepeatsSuspended = pgas.AllReduce(r, len(suspendedLocal), pgas.ReduceSum)
 
 	// Step 5: suspended endpoints veto their links. The C1-owner's copy is
 	// the link's home; the C2 owner sends a veto home when C2 is suspended.
@@ -385,16 +364,15 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 
 	// Step 6: connected components over the surviving links, computed with
 	// the parallel Shiloach-Vishkin-style algorithm from distributed edges.
-	// Components are numbered in representative (smallest contig ID) order
-	// and component c is traversed by rank c mod P. Each owner learns the
+	// The components are numbered in representative (smallest contig ID)
+	// order and component c is traversed by rank c mod P. Each owner learns the
 	// component numbers of its own contigs only; no rank holds a per-contig
 	// array of the whole set.
 	edges := make([]cc.Edge, 0, len(surviving))
 	for _, al := range surviving {
 		edges = append(edges, cc.Edge{U: al.Key.C1, V: al.Key.C2})
 	}
-	comp, components := cc.Parallel(r, cs.Len(r), edges)
-	res.Components = components
+	comp, _ := cc.Parallel(r, cs.Len(r), edges)
 	traverserOf := func(c int) int {
 		if !opts.UseComponents {
 			return 0
@@ -702,13 +680,11 @@ func buildScaffolds(r *pgas.Rank, creader *dist.Reader[dbg.Contig], chains [][]p
 				continue
 			}
 			gaps++
-			if opts.CloseGaps {
-				if joined, ok := spliceOverlap(sb, s, minGapOverlap(opts.K), opts.InsertSize); ok {
-					sb = joined
-					closed++
-					r.Compute(float64(opts.InsertSize))
-					continue
-				}
+			if joined, ok := spliceOverlap(sb, s, minGapOverlap(opts.K), opts.InsertSize); ok {
+				sb = joined
+				closed++
+				r.Compute(float64(opts.InsertSize))
+				continue
 			}
 			gapLen := pc.GapBefore
 			if gapLen < 1 {
@@ -764,16 +740,7 @@ func ComputeStats(scaffolds []Scaffold) Stats {
 		}
 		lengths = append(lengths, sc.Len())
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
-	half := s.TotalBases / 2
-	acc := 0
-	for _, l := range lengths {
-		acc += l
-		if acc >= half {
-			s.N50 = l
-			break
-		}
-	}
+	s.N50 = seq.N50(lengths)
 	return s
 }
 

@@ -1,6 +1,7 @@
 package scaffold
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -59,11 +60,7 @@ func TestSpanLinksJoinNeighboringContigs(t *testing.T) {
 	c1 := dbg.Contig{ID: 1, Seq: []byte(g[420:820]), Depth: 20}
 	reads := makePairs(g, 40, 100, 3)
 	opts := DefaultOptions(15, 100)
-	opts.CloseGaps = false
 	res := runScaffold(t, []dbg.Contig{c0, c1}, reads, 3, opts)
-	if res.SpanLinks == 0 {
-		t.Fatalf("no span links found: %+v", res)
-	}
 	if len(res.Scaffolds) != 1 {
 		t.Fatalf("got %d scaffolds, want 1 joined scaffold", len(res.Scaffolds))
 	}
@@ -71,8 +68,10 @@ func TestSpanLinksJoinNeighboringContigs(t *testing.T) {
 	if len(sc.ContigIDs) != 2 {
 		t.Fatalf("scaffold contains %v contigs", sc.ContigIDs)
 	}
-	if !strings.Contains(string(sc.Seq), "N") {
-		t.Error("unclosed gap should be filled with Ns")
+	// The ends do not overlap, so gap closing leaves the gap open, filled
+	// with Ns to the span links' estimate of the true 20 bases.
+	if n := strings.Count(string(sc.Seq), "N"); n < 10 || n > 30 {
+		t.Errorf("unclosed gap filled with %d Ns, want about 20", n)
 	}
 	if sc.Gaps != 1 {
 		t.Errorf("Gaps = %d, want 1", sc.Gaps)
@@ -112,7 +111,6 @@ func TestReverseOrientedContigIsFlipped(t *testing.T) {
 	c1 := dbg.Contig{ID: 1, Seq: seq.ReverseComplement([]byte(g[420:820])), Depth: 20}
 	reads := makePairs(g, 40, 100, 3)
 	opts := DefaultOptions(15, 100)
-	opts.CloseGaps = false
 	res := runScaffold(t, []dbg.Contig{c0, c1}, reads, 2, opts)
 	if len(res.Scaffolds) != 1 || len(res.Scaffolds[0].ContigIDs) != 2 {
 		t.Fatalf("reverse-oriented contig not scaffolded: %+v", summarize(res))
@@ -140,7 +138,6 @@ func TestWeakLinksRejected(t *testing.T) {
 	// Very sparse read sampling: too few pairs to support a link.
 	reads := makePairs(g, 40, 100, 400)
 	opts := DefaultOptions(15, 100)
-	opts.MinLinkSupport = 10
 	res := runScaffold(t, []dbg.Contig{c0, c1}, reads, 2, opts)
 	if res.AcceptedLinks != 0 {
 		t.Errorf("weak links were accepted: %+v", res)
@@ -167,43 +164,69 @@ func TestRepeatSuspension(t *testing.T) {
 	}
 	reads := append(makePairs(gen1, 40, 100, 3), makePairs(gen2, 40, 100, 3)...)
 	opts := DefaultOptions(15, 100)
-	opts.CloseGaps = false
 	res := runScaffold(t, contigs, reads, 4, opts)
-	if res.RepeatsSuspended < 1 {
-		t.Errorf("repeat contig not suspended: %+v", res)
+	// The repeat has competing links on both ends, so it is suspended: no
+	// chain is seeded from it or runs through it.
+	for _, sc := range res.Scaffolds {
+		if holds(sc, repeat) {
+			t.Errorf("suspended repeat was traversed: scaffold of %d contigs holds it", len(sc.ContigIDs))
+		}
 	}
 	// The repeat must not glue the two genomes into one scaffold.
 	for _, sc := range res.Scaffolds {
-		has1, has2 := false, false
-		for _, id := range sc.ContigIDs {
-			if id == 0 || id == 2 {
-				has1 = true
-			}
-			if id == 3 || id == 4 {
-				has2 = true
-			}
-		}
+		has1 := holds(sc, gen1[0:350]) || holds(sc, gen1[420:800])
+		has2 := holds(sc, gen2[0:350]) || holds(sc, gen2[420:800])
 		if has1 && has2 {
 			t.Errorf("scaffold mixes the two genomes: %v", sc.ContigIDs)
 		}
 	}
 }
 
+// holds reports whether the scaffold contains s in either orientation.
+func holds(sc Scaffold, s string) bool {
+	return strings.Contains(string(sc.Seq), s) || strings.Contains(string(sc.Seq), string(seq.ReverseComplement([]byte(s))))
+}
+
+// TestRRNAHitsCounted: a contig matching the rRNA profile is an HMM hit,
+// and an HMM hit's end stays extendable despite competing links. The hub
+// contig carries the marker and two genomes continue it into two short
+// contigs, so its right end has two competing links: without the profile the
+// hub's chain stops there, with it the hub is scaffolded with one partner.
 func TestRRNAHitsCounted(t *testing.T) {
-	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 2, MeanGenomeLen: 900, RRNALen: 150, RRNADivergence: 0.0, Seed: 13, StrainFraction: 0})
+	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 1, MeanGenomeLen: 900, RRNALen: 150, RRNADivergence: 0.0, Seed: 13, StrainFraction: 0})
 	profile := hmm.BuildProfile([][]byte{comm.RRNAMarker}, 0.9)
-	g := string(comm.Genomes[0].Seq)
+	rng := rand.New(rand.NewSource(14))
+	hub := randomBases(rng, 200) + string(comm.RRNAMarker)
+	b, c := randomBases(rng, 120), randomBases(rng, 120)
+	g1 := hub + randomBases(rng, 20) + b
+	g2 := hub + randomBases(rng, 20) + c
 	contigs := []dbg.Contig{
-		{ID: 0, Seq: comm.Genomes[0].Seq, Depth: 20},
-		{ID: 1, Seq: []byte(g[:200]), Depth: 20},
+		{ID: 0, Seq: []byte(hub), Depth: 40},
+		{ID: 1, Seq: []byte(b), Depth: 20},
+		{ID: 2, Seq: []byte(c), Depth: 20},
 	}
-	reads := makePairs(g, 40, 100, 5)
+	reads := append(makePairs(g1, 40, 100, 3), makePairs(g2, 40, 100, 3)...)
 	opts := DefaultOptions(15, 100)
+	if res := runScaffold(t, contigs, reads, 2, opts); len(res.Scaffolds) != 3 {
+		t.Errorf("without a profile: %d scaffolds, want 3 (competing links stop the hub)", len(res.Scaffolds))
+	}
 	opts.RRNAProfile = profile
 	res := runScaffold(t, contigs, reads, 2, opts)
-	if res.RRNAHits < 1 {
-		t.Errorf("rRNA-bearing contig not counted as HMM hit: %+v", res)
+	if len(res.Scaffolds) != 2 || len(res.Scaffolds[0].ContigIDs) != 2 {
+		t.Fatalf("with the profile: scaffolds %v, want the hub joined to one partner", summarize(res))
 	}
+	if !holds(res.Scaffolds[0], hub) {
+		t.Error("the joined scaffold does not hold the hub")
+	}
+}
+
+// randomBases returns n uniformly random bases.
+func randomBases(rng *rand.Rand, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = "ACGT"[rng.Intn(4)]
+	}
+	return string(b)
 }
 
 func TestScaffoldRankIndependence(t *testing.T) {

@@ -505,3 +505,19 @@ func TestLibraryTextParsedOncePerEntryPoint(t *testing.T) {
 		t.Errorf("the run parsed the library text %d times, want 1", perRun)
 	}
 }
+
+// TestNegativeKScheduleNamesField: a negative k-schedule value is refused
+// with a SpecError naming the field that holds it.
+func TestNegativeKScheduleNamesField(t *testing.T) {
+	for _, tc := range []struct{ doc, field string }{
+		{`{"kmin": -1, "sim": {}}`, "kmin"},
+		{`{"kmax": -1, "sim": {}}`, "kmax"},
+		{`{"kstep": -2, "sim": {}}`, "kstep"},
+	} {
+		_, err := DecodeSpec([]byte(tc.doc))
+		var se *SpecError
+		if !errors.As(err, &se) || se.Field != tc.field {
+			t.Errorf("%s: error %v, want a SpecError on %q", tc.doc, err, tc.field)
+		}
+	}
+}

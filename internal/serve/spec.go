@@ -225,8 +225,14 @@ func (s JobSpec) Validate() error {
 	if s.RanksPerNode < 1 || s.Ranks%s.RanksPerNode != 0 {
 		return &SpecError{Field: "ranks_per_node", Msg: fmt.Sprintf("%d must be >= 1 and divide ranks (%d)", s.RanksPerNode, s.Ranks)}
 	}
-	if s.KMin < 0 || s.KMax < 0 || s.KStep < 0 {
-		return &SpecError{Field: "kmin", Msg: "k schedule values must be >= 0"}
+	if s.KMin < 0 {
+		return &SpecError{Field: "kmin", Msg: fmt.Sprintf("must be >= 0, got %d", s.KMin)}
+	}
+	if s.KMax < 0 {
+		return &SpecError{Field: "kmax", Msg: fmt.Sprintf("must be >= 0, got %d", s.KMax)}
+	}
+	if s.KStep < 0 {
+		return &SpecError{Field: "kstep", Msg: fmt.Sprintf("must be >= 0, got %d", s.KStep)}
 	}
 	if s.KMin > seq.MaxK {
 		return &SpecError{Field: "kmin", Msg: fmt.Sprintf("must be <= %d, got %d", seq.MaxK, s.KMin)}
@@ -383,7 +389,6 @@ func (s JobSpec) config() core.Config {
 		}
 	}
 	cfg.Libraries = libs
-	cfg.InsertSize, cfg.InsertStd = libs[0].InsertSize, libs[0].InsertStd
 	return cfg
 }
 
