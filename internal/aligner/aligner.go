@@ -121,7 +121,7 @@ func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 	u.Flush()
 	r.Barrier()
 	// The index is never mutated after construction: switch it into the
-	// lock-free read-only phase so alignment reads take no partition locks.
+	// read-only phase so every rank may read every partition.
 	idx.Seeds.Freeze()
 	return idx
 }

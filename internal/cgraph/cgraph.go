@@ -144,7 +144,7 @@ type graph struct {
 
 // buildJunctionIndex stores the endpoints of the local contigs selected by
 // keep (nil keeps all) in a distributed junction index (Global Update-Only
-// phase with aggregation), frozen for lock-free reads.
+// phase with aggregation), frozen for remote reads.
 func buildJunctionIndex(r *pgas.Rank, cs *dbg.ContigSet, k int, aggregate bool, keep func(i int) bool) *dht.Map[seq.Kmer, []endRef] {
 	idx := dht.NewMapCollective[seq.Kmer, []endRef](r, seq.Kmer.Hash, 32)
 	combine := func(existing, update []endRef, found bool) []endRef {
@@ -165,7 +165,7 @@ func buildJunctionIndex(r *pgas.Rank, cs *dbg.ContigSet, k int, aggregate bool, 
 	u.Flush()
 	r.Barrier()
 	// Refinement and compaction only read the junction index: freeze it so
-	// the CachedReader traversals are lock-free (use case 3).
+	// the CachedReader traversals may read every partition (use case 3).
 	idx.Freeze()
 	return idx
 }
@@ -364,9 +364,8 @@ func (g *graph) removeHair(r *pgas.Rank) {
 		}
 		// The tip must be the minority continuation: some sibling at the
 		// attachment junction is deeper than the tip. Every sibling is
-		// inspected (no early exit): the refs arrive in flush order, which
-		// varies run to run, and a short-circuit would make the charged
-		// fetch count — and so simulated seconds — nondeterministic.
+		// inspected (no early exit), so the charged fetch count — and so
+		// simulated seconds — does not depend on the order of the refs.
 		deeperSibling := false
 		for _, ref := range attachedRefs {
 			if g.creader.Get(ref.ContigID).Depth > c.Depth {

@@ -747,6 +747,9 @@ func TestRankStateRecords(t *testing.T) {
 // It was re-captured (from 9d031ec5…) when the stages stopped all-reducing
 // counters nothing read: the same shards, but every rank clock after the
 // first contig refinement moved.
+// It was re-captured (from 8354f3b4…) when the dht Updater began delivering
+// its updates by one owner-routed exchange per Flush: the same shards, but
+// every rank clock after the first contig refinement moved.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -754,7 +757,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "8354f3b4b7f2e37c24527be8fedc29617723324b91d61c67fccd76510490c517"
+	const want = "95e7341faa0ac78183d5525cfeab0df08ff7c0c7df47385b3960241b24f5459a"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

@@ -36,7 +36,7 @@ var determinismMemo = map[int]string{}
 // test executes. Run with -count=2 (as CI does) to compare two full
 // executions; within one execution the pipeline additionally runs twice per
 // P. Every source of run-to-run variance — goroutine interleavings in the
-// DHT flush order, work-sharing claim order, cache-access ordering — must be
+// exchanges' deposits, work-sharing claim order, cache-access ordering — must be
 // invisible in both the assembly and the simulated clock.
 func TestPipelineDeterministicAcrossRuns(t *testing.T) {
 	_, reads := smallCommunity(t, 2, 12)

@@ -16,8 +16,9 @@ func intHash(k int) uint64 {
 	return x
 }
 
-// store writes key into its owner's partition from wherever it is called,
-// charging nothing: the tests' stand-in for a remote write.
+// store writes key into its owner's partition, charging nothing. Only the
+// owner writes a partition, so a test calls it before Machine.Run or from
+// the key's owner rank.
 func store[K comparable, V any](dm *Map[K, V], key K, val V) {
 	dm.Restore(dm.Owner(key), key, val)
 }
@@ -34,11 +35,12 @@ func TestMapOwnerPartitioning(t *testing.T) {
 			t.Errorf("rank %d owns %d of 10000 keys; partitioning is badly skewed", rank, c)
 		}
 	}
-	// Snapshot/LocalLen consistency.
+	// Snapshot/LocalLen consistency; every rank writes the keys it owns.
 	m.Run(func(r *pgas.Rank) {
-		lo, hi := r.BlockRange(1000)
-		for k := lo; k < hi; k++ {
-			store(dm, k, k*2)
+		for k := 0; k < 1000; k++ {
+			if dm.Owner(k) == r.ID() {
+				dm.SetLocal(r, k, k*2)
+			}
 		}
 	})
 	total := 0
@@ -57,16 +59,14 @@ func TestMapOwnerPartitioning(t *testing.T) {
 func TestMapDelete(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 2})
 	dm := NewMap[int, int](m, intHash, 16)
+	store(dm, 1, 10)
+	store(dm, 2, 20)
 	m.Run(func(r *pgas.Rank) {
-		if r.ID() == 0 {
-			store(dm, 1, 10)
-			store(dm, 2, 20)
+		if dm.Owner(1) == r.ID() {
+			dm.DeleteLocal(r, 1)
 		}
 		r.Barrier()
-		if r.ID() == 1 {
-			dm.Delete(r, 1)
-		}
-		r.Barrier()
+		dm.Freeze()
 		if _, ok := dm.Get(r, 1); ok {
 			t.Error("deleted key still present")
 		}
@@ -84,8 +84,13 @@ func TestNewMapCollective(t *testing.T) {
 			t.Errorf("rank %d received nil map", r.ID())
 			return
 		}
-		store(dm, r.ID(), r.ID())
+		for i := 0; i < 4; i++ {
+			if dm.Owner(i) == r.ID() {
+				dm.SetLocal(r, i, i)
+			}
+		}
 		r.Barrier()
+		dm.Freeze()
 		for i := 0; i < 4; i++ {
 			if v, ok := dm.Get(r, i); !ok || v != i {
 				t.Errorf("rank %d: key %d = %d,%v", r.ID(), i, v, ok)
@@ -95,8 +100,8 @@ func TestNewMapCollective(t *testing.T) {
 }
 
 // TestMutateAtomicity has every rank read-modify-write one key through the
-// unaggregated Updater (each update its own flush, the path the pipeline's
-// hot owner ranks run with aggregation off): no increment may be lost.
+// unaggregated Updater (the path the ablations run with aggregation off),
+// all of it folded by the key's one owner: no increment may be lost.
 func TestMutateAtomicity(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 8})
 	dm := NewMap[string, int](m, func(s string) uint64 { return 7 }, 16)
@@ -169,6 +174,49 @@ func TestUpdaterAggregation(t *testing.T) {
 		t.Errorf("aggregated time (%v) should beat unaggregated (%v)",
 			resAgg.SimSeconds, resRaw.SimSeconds)
 	}
+	// Unaggregated: one message per remote update (each rank owns none of
+	// the other ranks' share), every byte counted once on each side.
+	const remote = 50 * 3 * 20 // each key: 20 updates from each of 3 non-owners
+	if resRaw.Stats.Messages != uint64(remote) {
+		t.Errorf("unaggregated messages = %d, want one per remote update (%d)", resRaw.Stats.Messages, remote)
+	}
+	for _, res := range []pgas.RunResult{resAgg, resRaw} {
+		if res.Stats.BytesSent != uint64(remote*16) || res.Stats.BytesReceived != res.Stats.BytesSent {
+			t.Errorf("bytes sent/received = %d/%d, want %d both", res.Stats.BytesSent, res.Stats.BytesReceived, remote*16)
+		}
+	}
+
+	// Aggregated: one message per non-local destination per rank, however
+	// many updates it buffered. The last case is sparse: three
+	// destinations of 64.
+	for _, c := range []struct{ p, keys int }{{1, 300}, {3, 300}, {8, 300}, {64, 3}} {
+		m := pgas.NewMachine(pgas.Config{Ranks: c.p})
+		dm := NewMap[int, int](m, intHash, 16)
+		dests := map[int]bool{}
+		for k := 0; k < c.keys; k++ {
+			dests[dm.Owner(k)] = true
+		}
+		res := m.Run(func(r *pgas.Rank) {
+			u := dm.NewUpdater(r, addInts, 0, true)
+			for k := 0; k < c.keys; k++ {
+				u.Update(k, 1)
+			}
+			u.Flush()
+			if len(u.pending) != 0 {
+				t.Errorf("p=%d rank %d: %d updates still buffered after Flush", c.p, r.ID(), len(u.pending))
+			}
+			r.Barrier()
+		})
+		snap := dm.Snapshot()
+		for k := 0; k < c.keys; k++ {
+			if v, ok := snap[k]; !ok || v != c.p {
+				t.Errorf("p=%d key %d = %d (found=%v), want %d", c.p, k, v, ok, c.p)
+			}
+		}
+		if want := uint64(len(dests) * (c.p - 1)); res.Stats.Messages != want {
+			t.Errorf("p=%d: %d messages, want %d", c.p, res.Stats.Messages, want)
+		}
+	}
 }
 
 func TestUpdaterLocalShortcut(t *testing.T) {
@@ -186,57 +234,6 @@ func TestUpdaterLocalShortcut(t *testing.T) {
 	}
 	if dm.Len() != 100 {
 		t.Errorf("Len = %d, want 100", dm.Len())
-	}
-}
-
-func TestUpdaterFlushAllStaggered(t *testing.T) {
-	// Flush visits exactly the destinations it buffered for, starting at the
-	// caller's own rank and wrapping around (so concurrent end-of-phase
-	// flushes don't convoy on partition 0); it must leave nothing buffered
-	// and change neither the contents nor the charged cost. The last case is
-	// sparse: three destinations of 64.
-	for _, c := range []struct{ p, keys int }{{1, 300}, {3, 300}, {8, 300}, {64, 3}} {
-		p := c.p
-		m := pgas.NewMachine(pgas.Config{Ranks: p})
-		dm := NewMap[int, int](m, intHash, 16)
-		dests := map[int]bool{}
-		for k := 0; k < c.keys; k++ {
-			dests[dm.Owner(k)] = true
-		}
-		res := m.Run(func(r *pgas.Rank) {
-			// Every update carries its key, so combine sees which
-			// destination is being flushed; offsets are from the caller.
-			var offsets []int
-			u := dm.NewUpdater(r, func(e, key int, _ bool) int {
-				if off := (dm.Owner(key) - r.ID() + p) % p; len(offsets) == 0 || offsets[len(offsets)-1] != off {
-					offsets = append(offsets, off)
-				}
-				return e + 1
-			}, 1<<20, true)
-			for k := 0; k < c.keys; k++ {
-				u.Update(k, k)
-			}
-			u.Flush()
-			if len(offsets) != len(dests) || !slices.IsSorted(offsets) {
-				t.Errorf("p=%d rank %d: flushed at offsets %v, want %d destinations in staggered order", p, r.ID(), offsets, len(dests))
-			}
-			for dest, batch := range u.batches {
-				if len(batch) != 0 {
-					t.Errorf("p=%d rank %d: %d updates for rank %d still buffered after Flush", p, r.ID(), len(batch), dest)
-				}
-			}
-			r.Barrier()
-		})
-		snap := dm.Snapshot()
-		for k := 0; k < c.keys; k++ {
-			if v, ok := snap[k]; !ok || v != p {
-				t.Errorf("p=%d key %d = %d (found=%v), want %d", p, k, v, ok, p)
-			}
-		}
-		// One aggregated message per non-local destination per rank.
-		if want := uint64(len(dests) * (p - 1)); res.Stats.Messages != want {
-			t.Errorf("p=%d: %d messages, want %d", p, res.Stats.Messages, want)
-		}
 	}
 }
 
@@ -334,6 +331,7 @@ func TestCachedReader(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		store(dm, i, i)
 	}
+	dm.Freeze()
 
 	var cachedTime, uncachedTime float64
 	resCached := m.Run(func(r *pgas.Rank) {
@@ -458,16 +456,17 @@ func TestFreeze(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 4})
 	dm := NewMap[int, int](m, intHash, 16)
 	m.Run(func(r *pgas.Rank) {
-		lo, hi := r.BlockRange(400)
-		for k := lo; k < hi; k++ {
-			store(dm, k, k*3)
+		for k := 0; k < 400; k++ {
+			if dm.Owner(k) == r.ID() {
+				dm.SetLocal(r, k, k*3)
+			}
 		}
 		r.Barrier()
 		dm.Freeze() // idempotent, every rank may call it
 		if !dm.frozen.Load() {
 			t.Error("map not frozen after Freeze")
 		}
-		// Lock-free reads see the full table.
+		// Every rank reads the full table.
 		for k := 0; k < 400; k++ {
 			if v, ok := dm.Get(r, k); !ok || v != k*3 {
 				t.Errorf("frozen Get(%d) = %d,%v", k, v, ok)
@@ -498,9 +497,13 @@ func TestFreeze(t *testing.T) {
 	for name, mutate := range map[string]func(r *pgas.Rank){
 		"SetLocal":    func(r *pgas.Rank) { dm.SetLocal(r, 12345, 1) },
 		"UpdateLocal": func(r *pgas.Rank) { dm.UpdateLocal(r, 12345, func(*int, bool) bool { return true }) },
-		"Delete":      func(r *pgas.Rank) { dm.Delete(r, 7) },
-		"Restore":     func(r *pgas.Rank) { store(dm, 12345, 1) },
-		"Updater":     func(r *pgas.Rank) { dm.NewUpdater(r, addInts, 0, false).Update(7, 1) },
+		"DeleteLocal": func(r *pgas.Rank) { dm.DeleteLocal(r, 7) },
+		"Restore":     func(r *pgas.Rank) { dm.Restore(r.ID(), 12345, 1) },
+		"Updater": func(r *pgas.Rank) {
+			u := dm.NewUpdater(r, addInts, 0, false)
+			u.Update(7, 1)
+			u.Flush()
+		},
 	} {
 		m.Run(func(r *pgas.Rank) {
 			defer func() {
@@ -544,7 +547,7 @@ func TestLayoutIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// addInts is the Updater combine function of the contention tests.
+// addInts is the summing Updater combine function.
 func addInts(existing, update int, _ bool) int { return existing + update }
 
 // hotRankKeys returns n keys that all hash to owner rank 0 of dm.
@@ -559,10 +562,10 @@ func hotRankKeys(dm *Map[int, int], n int) []int {
 }
 
 // TestSingleOwnerStress drives every rank's traffic at a single hot owner
-// rank through the unaggregated Updater (one lock acquisition per update),
-// the aggregated Updater (one per batch) and direct stores, and asserts the
-// final counts are exact. Run with -race, this is the regression test for
-// partition-level synchronization.
+// rank through the unaggregated Updater, the aggregated Updater and
+// owner-local writes, and asserts the final counts are exact. Run with
+// -race, this is the regression test for the one-writer discipline: only
+// rank 0 ever writes rank 0's partition.
 func TestSingleOwnerStress(t *testing.T) {
 	const (
 		ranks   = 8
@@ -575,13 +578,19 @@ func TestSingleOwnerStress(t *testing.T) {
 	m.Run(func(r *pgas.Rank) {
 		u := dm.NewUpdater(r, addInts, 128, true)
 		raw := dm.NewUpdater(r, addInts, 0, false)
+		// Keys this rank owns, disjoint from every other rank's (k mod
+		// ranks names the rank) and from the hot keys.
+		k := 1_000_000 + r.ID()
 		for i := 0; i < perRank; i++ {
 			key := keys[(i+r.ID())%nKeys]
-			// One unaggregated update, one buffered update, one direct
-			// write (of an unrelated per-rank key) per iteration.
+			// One unaggregated update, one buffered update, one owner-local
+			// write (of an unrelated key) per iteration.
 			raw.Update(key, 1)
 			u.Update(key, 1)
-			store(dm, 1_000_000+r.ID()*perRank+i, 1)
+			for ; dm.Owner(k) != r.ID(); k += ranks {
+			}
+			dm.SetLocal(r, k, 1)
+			k += ranks
 		}
 		u.Flush()
 		raw.Flush()
@@ -601,30 +610,98 @@ func TestSingleOwnerStress(t *testing.T) {
 	}
 }
 
-// BenchmarkDHTContention measures unaggregated-update throughput when every
-// rank hammers keys owned by a single hot rank: the one traffic shape in
-// which every update meets the same partition lock.
-func BenchmarkDHTContention(b *testing.B) { benchmarkHotRank(b, 0, false) }
-
-// BenchmarkDHTUpdaterFlush measures the aggregated update phase against the
-// same hot rank: one lock acquisition per 256-update batch.
-func BenchmarkDHTUpdaterFlush(b *testing.B) { benchmarkHotRank(b, 256, true) }
-
-func benchmarkHotRank(b *testing.B, batchSize int, aggregate bool) {
-	const ranks = 8
-	// Contention only manifests when the rank goroutines actually run on
-	// multiple Ps. On small CI machines, pin GOMAXPROCS to the rank count
-	// (the same knob `go test -cpu` turns) so the lock pays its real
-	// cross-thread handoff cost.
-	if runtime.GOMAXPROCS(0) < ranks {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(ranks))
+// TestUpdaterFoldOrderDeterministic pins the owner-side fold order with a
+// combine that is not commutative: appending every update to a per-key
+// slice must give the same slices, in ascending source-rank order and each
+// source's update order, whatever the worker count.
+func TestUpdaterFoldOrderDeterministic(t *testing.T) {
+	appendCombine := func(existing, update []int, _ bool) []int { return append(existing, update...) }
+	const keys, perKey = 40, 3
+	for _, p := range []int{3, 8} {
+		var first map[int][]int
+		for _, workers := range []int{1, 4} {
+			m := pgas.NewMachine(pgas.Config{Ranks: p, Workers: workers})
+			dm := NewMap[int, []int](m, intHash, 16)
+			m.Run(func(r *pgas.Rank) {
+				u := dm.NewUpdater(r, appendCombine, 0, true)
+				for j := 0; j < perKey; j++ {
+					for k := 0; k < keys; k++ {
+						u.Update(k, []int{r.ID()*perKey + j})
+					}
+				}
+				u.Flush()
+				r.Barrier()
+			})
+			snap := dm.Snapshot()
+			for k := 0; k < keys; k++ {
+				want := make([]int, p*perKey)
+				for i := range want {
+					want[i] = i
+				}
+				if !slices.Equal(snap[k], want) {
+					t.Errorf("p=%d workers=%d key %d: folded %v, want %v", p, workers, k, snap[k], want)
+				}
+			}
+			if first == nil {
+				first = snap
+			} else {
+				for k, v := range first {
+					if !slices.Equal(snap[k], v) {
+						t.Errorf("p=%d key %d: workers 1 gave %v, workers %d gave %v", p, k, v, workers, snap[k])
+					}
+				}
+			}
+		}
 	}
+}
+
+// TestRemoteReadOfUnfrozenMapPanics: until Freeze, a partition's owner may
+// be writing it, so any other rank's read of it — Get or CachedReader.Get —
+// is a phase-discipline bug and panics, while the owner's own reads work.
+func TestRemoteReadOfUnfrozenMapPanics(t *testing.T) {
+	const ranks = 4
+	m := pgas.NewMachine(pgas.Config{Ranks: ranks})
+	dm := NewMap[int, int](m, intHash, 16)
+	for k := 0; k < 100; k++ {
+		store(dm, k, k)
+	}
+	for name, get := range map[string]func(r *pgas.Rank, k int) (int, bool){
+		"Get":              func(r *pgas.Rank, k int) (int, bool) { return dm.Get(r, k) },
+		"CachedReader.Get": func(r *pgas.Rank, k int) (int, bool) { return dm.NewCachedReader(r, 16, true).Get(k) },
+	} {
+		m.Run(func(r *pgas.Rank) {
+			mine, theirs := -1, -1
+			for k := 0; k < 100 && (mine < 0 || theirs < 0); k++ {
+				if dm.Owner(k) == r.ID() {
+					mine = k
+				} else {
+					theirs = k
+				}
+			}
+			if v, ok := get(r, mine); !ok || v != mine {
+				t.Errorf("rank %d: %s of own key %d = (%d,%v)", r.ID(), name, mine, v, ok)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rank %d: %s of rank %d's key on an unfrozen map did not panic", r.ID(), name, dm.Owner(theirs))
+				}
+			}()
+			get(r, theirs)
+		})
+	}
+}
+
+// BenchmarkDHTUpdaterFlush measures the aggregated update phase when every
+// rank sends its updates to keys owned by a single hot rank, which folds
+// them all.
+func BenchmarkDHTUpdaterFlush(b *testing.B) {
+	const ranks = 8
 	m := pgas.NewMachine(pgas.Config{Ranks: ranks})
 	dm := NewMap[int, int](m, intHash, 16)
 	keys := hotRankKeys(dm, 1024)
 	b.ResetTimer()
 	m.Run(func(r *pgas.Rank) {
-		u := dm.NewUpdater(r, addInts, batchSize, aggregate)
+		u := dm.NewUpdater(r, addInts, 0, true)
 		for i := r.ID(); i < b.N; i += ranks {
 			u.Update(keys[i&1023], 1)
 		}
@@ -632,32 +709,21 @@ func benchmarkHotRank(b *testing.B, batchSize int, aggregate bool) {
 	})
 }
 
-// BenchmarkDHTFrozenReads measures the read-only phase with and without
-// Freeze: frozen reads skip the partition lock entirely, which pays off even
-// without physical parallelism.
+// BenchmarkDHTFrozenReads measures the read-only phase: every rank reads
+// keys owned by one hot rank from the frozen table.
 func BenchmarkDHTFrozenReads(b *testing.B) {
-	for _, frozen := range []bool{false, true} {
-		name := "locked"
-		if frozen {
-			name = "frozen"
-		}
-		b.Run(name, func(b *testing.B) {
-			const ranks = 8
-			m := pgas.NewMachine(pgas.Config{Ranks: ranks})
-			dm := NewMap[int, int](m, intHash, 16)
-			keys := hotRankKeys(dm, 1024)
-			for _, k := range keys {
-				store(dm, k, k)
-			}
-			if frozen {
-				dm.Freeze()
-			}
-			b.ResetTimer()
-			m.Run(func(r *pgas.Rank) {
-				for i := r.ID(); i < b.N; i += ranks {
-					dm.Get(r, keys[i&1023])
-				}
-			})
-		})
+	const ranks = 8
+	m := pgas.NewMachine(pgas.Config{Ranks: ranks})
+	dm := NewMap[int, int](m, intHash, 16)
+	keys := hotRankKeys(dm, 1024)
+	for _, k := range keys {
+		store(dm, k, k)
 	}
+	dm.Freeze()
+	b.ResetTimer()
+	m.Run(func(r *pgas.Rank) {
+		for i := r.ID(); i < b.N; i += ranks {
+			dm.Get(r, keys[i&1023])
+		}
+	})
 }

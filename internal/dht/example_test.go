@@ -16,8 +16,8 @@ func exampleHash(k int) uint64 {
 }
 
 // ExampleMap shows use case 2, "Global Reads & Writes", as the pipeline runs
-// it: every rank fills the entries it owns, then reads any entry one-sidedly
-// with Get, wherever it lives.
+// it: every rank fills the entries it owns, and once the table is frozen
+// reads any entry one-sidedly with Get, wherever it lives.
 func ExampleMap() {
 	m := pgas.NewMachine(pgas.Config{Ranks: 4})
 	dm := dht.NewMap[int, string](m, exampleHash, 32)
@@ -29,6 +29,9 @@ func ExampleMap() {
 			}
 		}
 		r.Barrier()
+		// Only the owner writes a partition; freezing ends the writes, so
+		// every rank may now read every partition.
+		dm.Freeze()
 		// Every rank reads a different entry, local or remote.
 		if v, ok := dm.Get(r, (r.ID()+1)%4); r.ID() == 1 {
 			fmt.Println(v, ok)
@@ -41,8 +44,8 @@ func ExampleMap() {
 }
 
 // ExampleMap_NewUpdater shows use case 1, "Global Update-Only": commutative
-// updates buffered per destination rank and applied in aggregated batches,
-// as in the paper's k-mer counting phase.
+// updates buffered on the sender and delivered to their owners in one
+// aggregated exchange, as in the paper's k-mer counting phase.
 func ExampleMap_NewUpdater() {
 	m := pgas.NewMachine(pgas.Config{Ranks: 4})
 	counts := dht.NewMap[int, int](m, exampleHash, 16)
@@ -55,7 +58,7 @@ func ExampleMap_NewUpdater() {
 				u.Update(kmer, 1)
 			}
 		}
-		u.Flush() // required before the phase's closing barrier
+		u.Flush() // collective, required before the phase's closing barrier
 		r.Barrier()
 	})
 	fmt.Println(counts.Len())
@@ -66,8 +69,8 @@ func ExampleMap_NewUpdater() {
 }
 
 // ExampleMap_NewCachedReader shows use case 3, "Global Read-Only": once the
-// table is no longer mutated, Freeze switches it to lock-free snapshot reads
-// and the per-rank software cache absorbs repeated remote lookups.
+// table is no longer mutated, Freeze opens every partition to every rank's
+// reads and the per-rank software cache absorbs repeated remote lookups.
 func ExampleMap_NewCachedReader() {
 	m := pgas.NewMachine(pgas.Config{Ranks: 4})
 	dm := dht.NewMap[int, int](m, exampleHash, 16)
@@ -79,7 +82,7 @@ func ExampleMap_NewCachedReader() {
 		}
 		r.Barrier()
 
-		// The write phase is over: read lock-free from an immutable snapshot.
+		// The write phase is over: read from an immutable snapshot.
 		dm.Freeze()
 		c := dm.NewCachedReader(r, 1024, true)
 		for pass := 0; pass < 10; pass++ {

@@ -6,14 +6,9 @@ import (
 )
 
 // CachedReader implements the "Global Read-Only" phase: a per-rank software
-// cache in front of Get. The cache must only be used while the map is not
-// being mutated (no consistency protocol is provided, as in the paper).
-//
-// For phases where the whole table is known to be read-only, Map.Freeze
-// additionally switches the underlying map to lock-free reads from an
-// immutable snapshot, removing all lock traffic from the read hot path; the
-// cache keeps paying off, since freezing removes lock contention from reads,
-// not their simulated communication cost.
+// cache in front of Get. Its remote reads need the map frozen (Map.Freeze),
+// so the cache can never go stale and needs no consistency protocol, as in
+// the paper.
 type CachedReader[K comparable, V any] struct {
 	m *Map[K, V]
 	r *pgas.Rank
@@ -59,7 +54,7 @@ func (c *CachedReader[K, V]) Get(key K) (V, bool) {
 	if owner == c.r.ID() {
 		c.hits++
 		c.r.ChargeCacheHit()
-		return c.m.read(owner, h, key)
+		return c.m.read(c.r, owner, h, key)
 	}
 	if c.enabled {
 		if e, ok := c.cache.Get(h, key); ok {
@@ -70,7 +65,7 @@ func (c *CachedReader[K, V]) Get(key K) (V, bool) {
 	}
 	c.misses++
 	c.r.ChargeCacheMiss(owner, c.m.entryBytes)
-	v, ok := c.m.read(owner, h, key)
+	v, ok := c.m.read(c.r, owner, h, key)
 	if c.enabled {
 		budget := &c.negatives
 		if ok {

@@ -144,19 +144,14 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 		lo := min(ci*streamChunk, len(local))
 		hi := min(lo+streamChunk, len(local))
 		part := local[lo:hi]
+		owner := func(o Observation) int { return counts.Owner(o.Kmer) }
 		if !opts.Aggregate {
-			// Unaggregated ablation: each observation is charged as its own
-			// message, then routed the same way (the data movement is
-			// identical, only the message count differs).
-			for _, o := range part {
-				dest := counts.Owner(o.Kmer)
-				if dest != r.ID() {
-					r.ChargeSend(dest, observationWireSize, 1)
-				}
-			}
+			// Unaggregated ablation: the same exchange, but each remote
+			// observation is charged as its own message (the data movement
+			// is identical, only the message count differs).
+			pgas.ChargeUnaggregated(r, part, func(_ int, o Observation) int { return owner(o) })
 		}
-		routed := dist.Exchange(r, part, func(o Observation) int { return counts.Owner(o.Kmer) },
-			func(Observation) int { return observationWireSize })
+		routed := dist.Exchange(r, part, owner, func(Observation) int { return observationWireSize })
 		for i := range routed {
 			o := &routed[i]
 			if filter != nil {
@@ -192,7 +187,7 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 		}
 	})
 	for _, km := range toDelete {
-		counts.Delete(r, km)
+		counts.DeleteLocal(r, km)
 	}
 	r.Barrier()
 

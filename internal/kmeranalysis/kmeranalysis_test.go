@@ -283,27 +283,61 @@ func TestMergeContigKmers(t *testing.T) {
 func TestUnaggregatedMatchesAggregatedContent(t *testing.T) {
 	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 2, MeanGenomeLen: 3000, Seed: 12})
 	reads := sim.SimulateReads(comm, sim.ReadConfig{ReadLen: 70, InsertSize: 180, ErrorRate: 0.005, Coverage: 8, Seed: 13})
+	const ranks = 4
+	opts := DefaultOptions(17)
+	opts.UseBloom = false
 
-	run := func(aggregate bool) (Result, float64) {
-		m := pgas.NewMachine(pgas.Config{Ranks: 4, RanksPerNode: 1})
-		opts := DefaultOptions(17)
+	run := func(aggregate bool) (Result, pgas.RunResult) {
+		m := pgas.NewMachine(pgas.Config{Ranks: ranks, RanksPerNode: 1})
+		opts := opts
 		opts.Aggregate = aggregate
-		opts.UseBloom = false
 		var res Result
 		r0 := m.Run(func(r *pgas.Rank) {
-			got := Run(r, splitReads(reads, r.ID(), 4), opts, nil)
+			got := Run(r, splitReads(reads, r.ID(), ranks), opts, nil)
 			if r.ID() == 0 {
 				res = got
 			}
 		})
-		return res, r0.SimSeconds
+		return res, r0
 	}
-	agg, aggTime := run(true)
-	raw, rawTime := run(false)
+	agg, aggRun := run(true)
+	raw, rawRun := run(false)
 	if agg.DistinctKmers != raw.DistinctKmers {
 		t.Errorf("aggregation changed results: %d vs %d distinct k-mers", agg.DistinctKmers, raw.DistinctKmers)
 	}
-	if aggTime >= rawTime {
-		t.Errorf("aggregated run (%v) should be faster than unaggregated (%v)", aggTime, rawTime)
+	if aggRun.SimSeconds >= rawRun.SimSeconds {
+		t.Errorf("aggregated run (%v) should be faster than unaggregated (%v)", aggRun.SimSeconds, rawRun.SimSeconds)
+	}
+
+	// Only the message count differs: every byte moves once either way, and
+	// the unaggregated run sends one message per remote observation. Every
+	// put is an observation exchange's; the collectives' messages are the
+	// rest, the same in both runs.
+	remote := 0
+	for rank := 0; rank < ranks; rank++ {
+		var obs []Observation
+		for _, read := range splitReads(reads, rank, ranks) {
+			obs, _ = AppendObservations(obs, nil, read, opts)
+		}
+		for _, o := range obs {
+			if int(o.Kmer.Hash()%ranks) != rank {
+				remote++
+			}
+		}
+	}
+	a, w := aggRun.Stats, rawRun.Stats
+	if a.BytesSent != w.BytesSent {
+		t.Errorf("bytes sent: aggregated %d, unaggregated %d; want equal", a.BytesSent, w.BytesSent)
+	}
+	for name, s := range map[string]pgas.CommStats{"aggregated": a, "unaggregated": w} {
+		if s.BytesSent != s.BytesReceived {
+			t.Errorf("%s: %d bytes sent, %d received", name, s.BytesSent, s.BytesReceived)
+		}
+	}
+	if w.RemotePuts != uint64(remote) {
+		t.Errorf("unaggregated run sent %d exchange messages, want one per remote observation (%d)", w.RemotePuts, remote)
+	}
+	if a.Messages-a.RemotePuts != w.Messages-w.RemotePuts {
+		t.Errorf("collective messages differ: %d aggregated, %d unaggregated", a.Messages-a.RemotePuts, w.Messages-w.RemotePuts)
 	}
 }

@@ -461,3 +461,30 @@ func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, siz
 	r.chargeBarrier()
 	return merged
 }
+
+// ChargeUnaggregated charges the messages that sending items one at a time
+// would add to the ExchangeFunc routing them by the same destOf: the
+// exchange charges every byte and one message per non-empty remote
+// destination batch, and this charges each batch's remaining messages with
+// no bytes. Call it just before that exchange, and the items cost one
+// message each, with every byte counted once — the unaggregated ablation's
+// rule.
+func ChargeUnaggregated[T any](r *Rank, items []T, destOf func(i int, item T) int) {
+	p := r.machine.cfg.Ranks
+	var dests []int
+	for i, item := range items {
+		d := destOf(i, item) % p
+		if d < 0 {
+			d += p
+		}
+		if d != r.id {
+			dests = append(dests, d)
+		}
+	}
+	slices.Sort(dests)
+	for i := 1; i < len(dests); i++ {
+		if dests[i] == dests[i-1] {
+			r.ChargeSend(dests[i], 0, 1)
+		}
+	}
+}
