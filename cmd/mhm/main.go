@@ -370,7 +370,7 @@ func main() {
 			sampleNames[i] = sp.Name
 		}
 		fmt.Println("per-sample read localization:")
-		for _, sa := range eval.AbundanceReport(seqs, reads, sampleNames, nil, eval.DefaultOptions()) {
+		for _, sa := range eval.AbundanceReport(seqs, reads, sampleNames, nil) {
 			frac := 0.0
 			if sa.Reads > 0 {
 				frac = float64(sa.Localized) / float64(sa.Reads)

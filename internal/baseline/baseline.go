@@ -125,8 +125,6 @@ func All() []Assembler {
 type RunOptions struct {
 	Ranks        int
 	RanksPerNode int
-	KMin, KMax   int
-	KStep        int
 	InsertSize   int
 	RRNAProfile  *hmm.Profile
 }
@@ -136,15 +134,6 @@ func Run(a Assembler, reads []seq.Read, opts RunOptions) (*core.Result, error) {
 	base := core.DefaultConfig(opts.Ranks)
 	if opts.RanksPerNode > 0 {
 		base.RanksPerNode = opts.RanksPerNode
-	}
-	if opts.KMin > 0 {
-		base.KMin = opts.KMin
-	}
-	if opts.KMax > 0 {
-		base.KMax = opts.KMax
-	}
-	if opts.KStep > 0 {
-		base.KStep = opts.KStep
 	}
 	if opts.InsertSize > 0 {
 		base.InsertSize = opts.InsertSize

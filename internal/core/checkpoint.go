@@ -275,50 +275,43 @@ func decodeRankState(data []byte) (*rankState, error) {
 }
 
 // ckptWriter coordinates checkpoint writes across the rank goroutines. Every
-// rank calls record between the stage-end barrier and the next barrier;
-// rank 0 additionally waits for all deposits, appends the manifest step and
-// saves the manifest. The coordination is plain Go synchronization, not PGAS
-// collectives: checkpoint I/O must not advance the simulated clocks, or a
-// checkpointed run would diverge from an uncheckpointed one.
+// rank calls record between the stage-end barrier and the next barrier; the
+// rank whose deposit completes a step appends the manifest step and saves the
+// manifest. The coordination is a plain mutex, not PGAS collectives:
+// checkpoint I/O must not advance the simulated clocks, or a checkpointed run
+// would diverge from an uncheckpointed one. No rank waits for another's
+// deposit, so no rank holds its worker-pool slot across a wait outside the
+// pgas runtime.
 //
-// No rank passes a barrier between its stage-end and its deposit, so even a
-// mid-collective abort (InjectBarrierFailure) cannot strand rank 0 waiting
-// for a deposit that will never arrive.
+// Every rank deposits before its next barrier arrival, so no rank can record
+// step S+1 before the last deposit of step S has chained it — even under a
+// mid-collective abort (InjectBarrierFailure), which fires only at a barrier
+// arrival.
 type ckptWriter struct {
 	dir   string
 	ranks int
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	man  *checkpoint.Manifest
-	cur  map[int]string
-	err  error
+	mu  sync.Mutex
+	man *checkpoint.Manifest
+	cur map[int]string
+	err error
 }
 
 // newCkptWriter creates the checkpoint directory, saves the (possibly
 // resumed) manifest immediately — so the run identity is durable before the
 // first stage completes — and returns the writer.
 func newCkptWriter(dir string, ranks int, man *checkpoint.Manifest) (*ckptWriter, error) {
-	w := &ckptWriter{dir: dir, ranks: ranks, man: man, cur: make(map[int]string)}
-	w.cond = sync.NewCond(&w.mu)
 	if err := man.Save(dir); err != nil {
 		return nil, fmt.Errorf("core: writing checkpoint manifest: %w", err)
 	}
-	return w, nil
+	return &ckptWriter{dir: dir, ranks: ranks, man: man, cur: make(map[int]string)}, nil
 }
 
-// record writes one rank's shard for the step (iteration, stage) and, on
-// rank 0, completes the step: waits until every rank deposited, appends the
-// chained step record and saves the manifest atomically. Write errors are
-// latched (first error wins) and the chain is not extended past them.
-//
-// The rendezvous is scheduler-aware: rank 0's wait is a plain cond.Wait, and
-// the ranks it waits for may themselves be parked waiting for a worker-pool
-// slot, so rank 0 detaches from the pool for the duration of the wait (and
-// the manifest I/O) — holding the slot across it would deadlock a Workers=1
-// pool outright.
-func (w *ckptWriter) record(r *pgas.Rank, iteration int, stage string, k int, payload []byte) {
-	rank := r.ID()
+// record writes one rank's shard for the step (iteration, stage) and stores
+// its hash; the deposit that completes the step appends the chained step
+// record and saves the manifest atomically. Write errors are latched (first
+// error wins) and the chain is not extended past them.
+func (w *ckptWriter) record(rank, iteration int, stage string, k int, payload []byte) {
 	w.mu.Lock()
 	seqNo := len(w.man.Steps)
 	w.mu.Unlock()
@@ -326,21 +319,13 @@ func (w *ckptWriter) record(r *pgas.Rank, iteration int, stage string, k int, pa
 	hash, err := checkpoint.WriteShard(checkpoint.ShardPath(w.dir, seqNo, stage, rank), payload)
 
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if err != nil && w.err == nil {
 		w.err = err
 	}
 	w.cur[rank] = hash
-	w.cond.Broadcast()
-	if rank != 0 {
-		w.mu.Unlock()
+	if len(w.cur) < w.ranks {
 		return
-	}
-	w.mu.Unlock()
-
-	r.Detach()
-	w.mu.Lock()
-	for len(w.cur) < w.ranks {
-		w.cond.Wait()
 	}
 	hashes := make([]string, w.ranks)
 	for p, h := range w.cur {
@@ -353,8 +338,6 @@ func (w *ckptWriter) record(r *pgas.Rank, iteration int, stage string, k int, pa
 			w.err = err
 		}
 	}
-	w.mu.Unlock()
-	r.Reattach()
 }
 
 // head returns the manifest's current chain head.

@@ -13,10 +13,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mhmgo/internal/aligner"
 	"mhmgo/internal/checkpoint"
 	"mhmgo/internal/dbg"
+	"mhmgo/internal/fastx"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/scaffold"
 	"mhmgo/internal/seq"
@@ -118,6 +120,63 @@ func TestCheckpointResumeAllStages(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestCheckpointWorkersIndependent runs the checkpointed P=8 configuration
+// on one worker slot and on four: both must complete — at Workers=1 every
+// rank's deposit runs on the one slot, so a deposit that waited for another
+// rank would hang — and write the same manifest head and the same FASTA.
+func TestCheckpointWorkersIndependent(t *testing.T) {
+	reads := ckptReads(t)
+	var heads []string
+	var fastas [][]byte
+	for _, workers := range []int{1, 4} {
+		cfg := testConfig(8)
+		cfg.Workers = workers
+		cfg.CheckpointDir = t.TempDir()
+		done := make(chan error, 1)
+		var res *Result
+		go func() {
+			var err error
+			res, err = Assemble(reads, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Workers=%d: %v", workers, err)
+			}
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("Workers=%d: checkpointed run did not complete", workers)
+		}
+		man, err := checkpoint.Load(cfg.CheckpointDir)
+		if err != nil {
+			t.Fatalf("Workers=%d: manifest: %v", workers, err)
+		}
+		if man.Head() != res.ManifestHead {
+			t.Fatalf("Workers=%d: result head %s != manifest head %s", workers, res.ManifestHead, man.Head())
+		}
+		seqs := res.FinalSequences()
+		names := make([]string, len(seqs))
+		for i := range seqs {
+			names[i] = fmt.Sprintf("scaffold_%06d", i)
+		}
+		path := filepath.Join(t.TempDir(), "scaffolds.fasta")
+		if err := fastx.WriteContigsFASTA(path, names, seqs); err != nil {
+			t.Fatal(err)
+		}
+		fasta, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads, fastas = append(heads, res.ManifestHead), append(fastas, fasta)
+	}
+	if heads[0] != heads[1] {
+		t.Errorf("manifest head at Workers=1 %s != Workers=4 %s", heads[0], heads[1])
+	}
+	if !bytes.Equal(fastas[0], fastas[1]) {
+		t.Errorf("FASTA differs between Workers=1 and Workers=4 (%d vs %d bytes)", len(fastas[0]), len(fastas[1]))
 	}
 }
 

@@ -123,7 +123,7 @@ func TestCheckpointResumeCoassembly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
-	baseAbundance := eval.AbundanceReport(base.FinalSequences(), reads, names, comm, eval.DefaultOptions())
+	baseAbundance := eval.AbundanceReport(base.FinalSequences(), reads, names, comm)
 	if len(baseAbundance) != 2 {
 		t.Fatalf("baseline abundance covers %d samples, want 2", len(baseAbundance))
 	}
@@ -151,7 +151,7 @@ func TestCheckpointResumeCoassembly(t *testing.T) {
 				t.Fatalf("resume: %v", err)
 			}
 			assertSameRun(t, base, res)
-			resumedAbundance := eval.AbundanceReport(res.FinalSequences(), reads, names, comm, eval.DefaultOptions())
+			resumedAbundance := eval.AbundanceReport(res.FinalSequences(), reads, names, comm)
 			if !reflect.DeepEqual(baseAbundance, resumedAbundance) {
 				t.Error("per-sample abundance tables differ after kill/resume")
 			}

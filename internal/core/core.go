@@ -631,7 +631,7 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 		}
 		if ck.writer != nil {
 			alignsLive := sg.alignsLive != nil && sg.alignsLive(cfg, it, nIter)
-			ck.writer.record(r, it, sg.name, k, encodeRankState(st.atBoundary(r, it, si, alignsLive)))
+			ck.writer.record(r.ID(), it, sg.name, k, encodeRankState(st.atBoundary(r, it, si, alignsLive)))
 		}
 		return cfg.FailAfterStage == sg.name && cfg.FailAtIteration == it
 	}

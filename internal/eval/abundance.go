@@ -49,29 +49,26 @@ type SampleAbundance struct {
 }
 
 // asmIndex maps canonical seeds to the assembly sequences containing them.
-type asmIndex struct {
-	seedLen int
-	hits    map[seq.Kmer][]int32
-}
+type asmIndex map[seq.Kmer][]int32
 
-func buildAsmIndex(assembly [][]byte, opts Options) *asmIndex {
+func buildAsmIndex(assembly [][]byte) asmIndex {
 	// Every assembly position is indexed (no stride): reads sample their
 	// seeds with seedStride, and a strided index would only catch the seeds
 	// whose phase happens to line up, silently dropping most localizations.
-	idx := &asmIndex{seedLen: opts.SeedLen, hits: make(map[seq.Kmer][]int32)}
+	idx := make(asmIndex)
 	for si, s := range assembly {
-		it := seq.NewKmerIter(s, opts.SeedLen)
+		it := seq.NewKmerIter(s, seedLen)
 		for {
 			km, _, ok := it.Next()
 			if !ok {
 				break
 			}
 			canon, _ := km.Canonical()
-			hs := idx.hits[canon]
+			hs := idx[canon]
 			if len(hs) > 0 && hs[len(hs)-1] == int32(si) {
 				continue // one vote per sequence per seed
 			}
-			idx.hits[canon] = append(hs, int32(si))
+			idx[canon] = append(hs, int32(si))
 		}
 	}
 	return idx
@@ -80,9 +77,9 @@ func buildAsmIndex(assembly [][]byte, opts Options) *asmIndex {
 // localize votes a read onto the assembly sequence sharing the most of its
 // seeds, returning -1 when no seed matches (ties resolve to the lowest
 // sequence index, keeping the report deterministic).
-func (idx *asmIndex) localize(rd []byte, opts Options) int {
+func (idx asmIndex) localize(rd []byte) int {
 	votes := map[int32]int{}
-	it := seq.NewKmerIter(rd, idx.seedLen)
+	it := seq.NewKmerIter(rd, seedLen)
 	nextAt := 0
 	for {
 		km, off, ok := it.Next()
@@ -94,7 +91,7 @@ func (idx *asmIndex) localize(rd []byte, opts Options) int {
 		}
 		nextAt = off + seedStride
 		canon, _ := km.Canonical()
-		hs := idx.hits[canon]
+		hs := idx[canon]
 		if len(hs) == 0 || len(hs) > maxSeedHits {
 			continue
 		}
@@ -114,12 +111,12 @@ func (idx *asmIndex) localize(rd []byte, opts Options) int {
 // attributeToGenomes maps each assembly sequence to the reference genome
 // explaining the most of its aligned bases (-1 when nothing aligns), using
 // the same seed alignment Evaluate scores coverage with.
-func attributeToGenomes(assembly [][]byte, comm *sim.Community, opts Options) []int {
-	idx := buildRefIndex(comm, opts.SeedLen)
+func attributeToGenomes(assembly [][]byte, comm *sim.Community) []int {
+	idx := buildRefIndex(comm)
 	owner := make([]int, len(assembly))
 	for si, s := range assembly {
 		aligned := map[int]int{}
-		for _, b := range alignBlocks(s, idx, opts) {
+		for _, b := range alignBlocks(s, idx) {
 			aligned[b.Genome] += b.seqLen()
 		}
 		bestGenome, bestAligned := -1, 0
@@ -140,10 +137,7 @@ func attributeToGenomes(assembly [][]byte, comm *sim.Community, opts Options) []
 // yield a one-entry report. comm may be nil, in which case only the per-
 // sequence localization counts are reported (no per-genome rollup). The
 // report is deterministic for a fixed assembly and read order.
-func AbundanceReport(assembly [][]byte, reads []seq.Read, sampleNames []string, comm *sim.Community, opts Options) []SampleAbundance {
-	if opts.SeedLen <= 0 {
-		opts = DefaultOptions()
-	}
+func AbundanceReport(assembly [][]byte, reads []seq.Read, sampleNames []string, comm *sim.Community) []SampleAbundance {
 	numSamples := 1
 	for _, r := range reads {
 		if int(r.SampleID)+1 > numSamples {
@@ -160,11 +154,11 @@ func AbundanceReport(assembly [][]byte, reads []seq.Read, sampleNames []string, 
 		out[i].PerSeq = make([]int, len(assembly))
 	}
 
-	idx := buildAsmIndex(assembly, opts)
+	idx := buildAsmIndex(assembly)
 	for _, r := range reads {
 		sa := &out[r.SampleID]
 		sa.Reads++
-		if si := idx.localize(r.Seq, opts); si >= 0 {
+		if si := idx.localize(r.Seq); si >= 0 {
 			sa.Localized++
 			sa.PerSeq[si]++
 		}
@@ -173,7 +167,7 @@ func AbundanceReport(assembly [][]byte, reads []seq.Read, sampleNames []string, 
 	if comm == nil {
 		return out
 	}
-	owner := attributeToGenomes(assembly, comm, opts)
+	owner := attributeToGenomes(assembly, comm)
 	for i := range out {
 		sa := &out[i]
 		sa.PerGenome = make([]GenomeAbundance, len(comm.Genomes))

@@ -43,7 +43,7 @@ func TestAbundanceReportRecoversDrift(t *testing.T) {
 		assembly[i] = g.Seq
 	}
 
-	report := AbundanceReport(assembly, reads, []string{"base", "bloom"}, c, DefaultOptions())
+	report := AbundanceReport(assembly, reads, []string{"base", "bloom"}, c)
 	if len(report) != 2 {
 		t.Fatalf("report covers %d samples, want 2", len(report))
 	}
@@ -81,7 +81,7 @@ func TestAbundanceReportRecoversDrift(t *testing.T) {
 	}
 
 	// Determinism: the same inputs must produce an identical report.
-	again := AbundanceReport(assembly, reads, []string{"base", "bloom"}, c, DefaultOptions())
+	again := AbundanceReport(assembly, reads, []string{"base", "bloom"}, c)
 	if !reflect.DeepEqual(report, again) {
 		t.Error("AbundanceReport is not deterministic across calls")
 	}
@@ -99,7 +99,7 @@ func TestAbundanceReportWithoutCommunity(t *testing.T) {
 	reads := sim.SimulateReads(c, rc)
 	assembly := [][]byte{c.Genomes[0].Seq, c.Genomes[1].Seq}
 
-	report := AbundanceReport(assembly, reads, nil, nil, Options{})
+	report := AbundanceReport(assembly, reads, nil, nil)
 	if len(report) != 2 {
 		t.Fatalf("report covers %d samples, want 2", len(report))
 	}
@@ -127,7 +127,7 @@ func TestAbundanceReportWithoutCommunity(t *testing.T) {
 	}
 
 	// Reads carrying only SampleID 0 still yield a one-entry report.
-	single := AbundanceReport(assembly, reads[:4], nil, nil, Options{})
+	single := AbundanceReport(assembly, reads[:4], nil, nil)
 	_ = single
 	for _, r := range reads[:4] {
 		if r.SampleID != 0 {

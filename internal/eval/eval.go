@@ -26,22 +26,19 @@ import (
 
 // Options controls evaluation.
 type Options struct {
-	// SeedLen is the seed length used to map assembly sequences onto the
-	// reference genomes.
-	SeedLen int
 	// LengthThresholds are the "length >= X" rows of Table I (scaled).
 	LengthThresholds []int
-	// RRNAProfile counts assembled ribosomal regions (at rrnaThreshold) when
-	// non-nil.
+	// RRNAProfile counts assembled ribosomal regions (the sequences it hits)
+	// when non-nil.
 	RRNAProfile *hmm.Profile
 }
 
 const (
+	// seedLen is the seed length used to map assembly sequences onto the
+	// reference genomes.
+	seedLen = 21
 	// seedStride is the sampling stride along each assembly sequence.
 	seedStride = 8
-	// rrnaThreshold is the normalized profile score at which an assembled
-	// sequence counts as a ribosomal region.
-	rrnaThreshold = 0.5
 	// minBlockLen is the minimum aligned block length that contributes to
 	// coverage and misassembly analysis.
 	minBlockLen = 100
@@ -56,10 +53,7 @@ const (
 // DefaultOptions returns evaluation defaults scaled to the simulator's
 // genome sizes.
 func DefaultOptions() Options {
-	return Options{
-		SeedLen:          21,
-		LengthThresholds: []int{1000, 2500, 5000},
-	}
+	return Options{LengthThresholds: []int{1000, 2500, 5000}}
 }
 
 // GenomeReport is the per-reference-genome evaluation.
@@ -88,10 +82,7 @@ type Report struct {
 }
 
 // refIndex maps canonical seeds to their reference positions.
-type refIndex struct {
-	seedLen int
-	hits    map[seq.Kmer][]refHit
-}
+type refIndex map[seq.Kmer][]refHit
 
 type refHit struct {
 	Genome  int
@@ -99,8 +90,8 @@ type refHit struct {
 	Reverse bool
 }
 
-func buildRefIndex(comm *sim.Community, seedLen int) *refIndex {
-	idx := &refIndex{seedLen: seedLen, hits: make(map[seq.Kmer][]refHit)}
+func buildRefIndex(comm *sim.Community) refIndex {
+	idx := make(refIndex)
 	for gi, g := range comm.Genomes {
 		it := seq.NewKmerIter(g.Seq, seedLen)
 		for {
@@ -109,7 +100,7 @@ func buildRefIndex(comm *sim.Community, seedLen int) *refIndex {
 				break
 			}
 			canon, rc := km.Canonical()
-			idx.hits[canon] = append(idx.hits[canon], refHit{Genome: gi, Pos: off, Reverse: rc})
+			idx[canon] = append(idx[canon], refHit{Genome: gi, Pos: off, Reverse: rc})
 		}
 	}
 	return idx
@@ -132,7 +123,7 @@ func (b block) seqLen() int { return b.SeqEnd - b.SeqStart }
 
 // alignBlocks maps one assembly sequence onto the references by clustering
 // seed hits along diagonals.
-func alignBlocks(s []byte, idx *refIndex, opts Options) []block {
+func alignBlocks(s []byte, idx refIndex) []block {
 	type anchor struct {
 		genome  int
 		reverse bool
@@ -141,7 +132,7 @@ func alignBlocks(s []byte, idx *refIndex, opts Options) []block {
 		refPos  int
 	}
 	var anchors []anchor
-	it := seq.NewKmerIter(s, opts.SeedLen)
+	it := seq.NewKmerIter(s, seedLen)
 	nextAt := 0
 	for {
 		km, off, ok := it.Next()
@@ -153,7 +144,7 @@ func alignBlocks(s []byte, idx *refIndex, opts Options) []block {
 		}
 		nextAt = off + seedStride
 		canon, rc := km.Canonical()
-		hits := idx.hits[canon]
+		hits := idx[canon]
 		if len(hits) == 0 || len(hits) > maxSeedHits {
 			continue
 		}
@@ -195,14 +186,14 @@ func alignBlocks(s []byte, idx *refIndex, opts Options) []block {
 	}
 	for _, a := range anchors {
 		if cur.Genome == a.genome && cur.Reverse == a.reverse && abs(a.diag-curDiag) <= diagTolerance && a.seqPos <= cur.SeqEnd+diagTolerance+seedStride {
-			if a.seqPos+opts.SeedLen > cur.SeqEnd {
-				cur.SeqEnd = a.seqPos + opts.SeedLen
+			if a.seqPos+seedLen > cur.SeqEnd {
+				cur.SeqEnd = a.seqPos + seedLen
 			}
 			if a.refPos < cur.RefStart {
 				cur.RefStart = a.refPos
 			}
-			if a.refPos+opts.SeedLen > cur.RefEnd {
-				cur.RefEnd = a.refPos + opts.SeedLen
+			if a.refPos+seedLen > cur.RefEnd {
+				cur.RefEnd = a.refPos + seedLen
 			}
 			continue
 		}
@@ -211,9 +202,9 @@ func alignBlocks(s []byte, idx *refIndex, opts Options) []block {
 			Genome:   a.genome,
 			Reverse:  a.reverse,
 			SeqStart: a.seqPos,
-			SeqEnd:   a.seqPos + opts.SeedLen,
+			SeqEnd:   a.seqPos + seedLen,
 			RefStart: a.refPos,
-			RefEnd:   a.refPos + opts.SeedLen,
+			RefEnd:   a.refPos + seedLen,
 			Diag:     a.diag,
 		}
 		curDiag = a.diag
@@ -232,9 +223,6 @@ func abs(x int) int {
 // Evaluate computes the report for an assembly (a set of contig or scaffold
 // sequences) against the simulated community it was assembled from.
 func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options) Report {
-	if opts.SeedLen <= 0 {
-		opts = DefaultOptions()
-	}
 	rep := Report{Assembler: name, LenAtLeast: make(map[int]int)}
 	rep.NumSeqs = len(assembly)
 
@@ -250,7 +238,7 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 	}
 	rep.N50 = seq.N50(lengths)
 
-	idx := buildRefIndex(comm, opts.SeedLen)
+	idx := buildRefIndex(comm)
 	covered := make([][]bool, len(comm.Genomes))
 	for gi, g := range comm.Genomes {
 		covered[gi] = make([]bool, len(g.Seq))
@@ -259,7 +247,7 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 	blockLens := make([][]int, len(comm.Genomes))
 
 	for _, s := range assembly {
-		blocks := alignBlocks(s, idx, opts)
+		blocks := alignBlocks(s, idx)
 		if len(blocks) == 0 {
 			rep.UnalignedSeqs++
 			continue
@@ -353,7 +341,7 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 	_ = fracSum
 
 	if opts.RRNAProfile != nil {
-		rep.RRNACount = opts.RRNAProfile.CountHits(assembly, rrnaThreshold)
+		rep.RRNACount = opts.RRNAProfile.CountHits(assembly)
 	}
 	return rep
 }

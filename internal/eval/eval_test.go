@@ -130,6 +130,27 @@ func TestLengthThresholdsAndTable(t *testing.T) {
 	}
 }
 
+// TestCallerOptionsKept: options built without DefaultOptions are used as
+// given, not replaced by the defaults.
+func TestCallerOptionsKept(t *testing.T) {
+	comm := testCommunity()
+	var assembly [][]byte
+	for _, g := range comm.Genomes {
+		assembly = append(assembly, g.Seq)
+	}
+	p := hmm.BuildProfile([][]byte{comm.RRNAMarker}, 0.9)
+	rep := Evaluate("caller", assembly, comm, Options{LengthThresholds: []int{500}, RRNAProfile: p})
+	if got, want := rep.LenAtLeast[500], comm.TotalBases(); got != want {
+		t.Errorf("len>=500 = %d, want %d", got, want)
+	}
+	if len(rep.LenAtLeast) != 1 {
+		t.Errorf("length rows %v, want only the caller's 500", rep.LenAtLeast)
+	}
+	if rep.RRNACount != len(comm.Genomes) {
+		t.Errorf("rRNA count = %d with the caller's profile, want %d", rep.RRNACount, len(comm.Genomes))
+	}
+}
+
 func TestReverseComplementContigStillCovers(t *testing.T) {
 	comm := testCommunity()
 	rc := seq.ReverseComplement(comm.Genomes[0].Seq)

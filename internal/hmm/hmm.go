@@ -137,14 +137,15 @@ type Hit struct {
 	Reverse bool
 }
 
-// Scan slides the profile over both strands of s (with the given stride) and
+// hitThreshold is the normalized score at which a sequence contains the
+// profiled region.
+const hitThreshold = 0.5
+
+// Scan slides the profile over both strands of s, one base at a time, and
 // returns the best hit found.
-func (p *Profile) Scan(s []byte, stride int) Hit {
+func (p *Profile) Scan(s []byte) Hit {
 	if p.length == 0 || len(s) == 0 {
 		return Hit{}
-	}
-	if stride <= 0 {
-		stride = 1
 	}
 	maxScore := p.maxScore()
 	if maxScore <= 0 {
@@ -156,7 +157,7 @@ func (p *Profile) Scan(s []byte, stride int) Hit {
 		if last < 0 {
 			last = 0
 		}
-		for off := 0; off <= last; off += stride {
+		for off := 0; off <= last; off++ {
 			sc := p.scoreWindow(target, off) / maxScore
 			if sc > best.Score {
 				best = Hit{Score: sc, Pos: off, Reverse: reverse}
@@ -171,20 +172,17 @@ func (p *Profile) Scan(s []byte, stride int) Hit {
 	return best
 }
 
-// IsHit reports whether s contains the profiled region with at least the
-// given normalized score (a typical threshold is 0.5).
-func (p *Profile) IsHit(s []byte, threshold float64) bool {
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	return p.Scan(s, 1).Score >= threshold
+// IsHit reports whether s contains the profiled region: whether its best
+// window scores at least hitThreshold.
+func (p *Profile) IsHit(s []byte) bool {
+	return p.Scan(s).Score >= hitThreshold
 }
 
 // CountHits returns how many of the sequences contain the profiled region.
-func (p *Profile) CountHits(seqs [][]byte, threshold float64) int {
+func (p *Profile) CountHits(seqs [][]byte) int {
 	n := 0
 	for _, s := range seqs {
-		if p.IsHit(s, threshold) {
+		if p.IsHit(s) {
 			n++
 		}
 	}

@@ -29,21 +29,21 @@ func TestProfileDetectsPlantedMarker(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		contig[150+r.Intn(200)] = seq.BaseToChar(byte(r.Intn(4)))
 	}
-	hit := p.Scan(contig, 1)
+	hit := p.Scan(contig)
 	if hit.Score < 0.5 {
 		t.Errorf("marker-bearing contig scored %v", hit.Score)
 	}
 	if hit.Pos < 130 || hit.Pos > 170 {
 		t.Errorf("hit position %d, expected near 150", hit.Pos)
 	}
-	if !p.IsHit(contig, 0.5) {
+	if !p.IsHit(contig) {
 		t.Error("IsHit should be true")
 	}
 
 	// A random contig must not be a hit.
 	random := randomSeq(r, 500)
-	if p.IsHit(random, 0.5) {
-		t.Errorf("random contig scored %v", p.Scan(random, 1).Score)
+	if p.IsHit(random) {
+		t.Errorf("random contig scored %v", p.Scan(random).Score)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestProfileDetectsReverseComplementHit(t *testing.T) {
 	marker := randomSeq(r, 150)
 	p := BuildProfile([][]byte{marker}, 0.9)
 	contig := append(randomSeq(r, 100), append(seq.ReverseComplement(marker), randomSeq(r, 100)...)...)
-	hit := p.Scan(contig, 1)
+	hit := p.Scan(contig)
 	if hit.Score < 0.5 {
 		t.Fatalf("reverse-complement marker not detected: %v", hit.Score)
 	}
@@ -73,10 +73,10 @@ func TestProfileFromMultipleExamples(t *testing.T) {
 		examples = append(examples, ex)
 	}
 	p := BuildProfile(examples, 0.9)
-	if !p.IsHit(consensus, 0.6) {
-		t.Error("consensus should be a strong hit")
+	if score := p.Scan(consensus).Score; score < 0.6 {
+		t.Errorf("consensus should be a strong hit, scored %v", score)
 	}
-	if p.IsHit(randomSeq(r, 300), 0.5) {
+	if p.IsHit(randomSeq(r, 300)) {
 		t.Error("random sequence should not be a hit")
 	}
 }
@@ -93,7 +93,7 @@ func TestCountHitsOnSimulatedCommunity(t *testing.T) {
 	for _, g := range comm.Genomes {
 		seqs = append(seqs, g.Seq)
 	}
-	hits := p.CountHits(seqs, 0.5)
+	hits := p.CountHits(seqs)
 	if hits < 9 {
 		t.Errorf("only %d of 10 marker-bearing genomes detected", hits)
 	}
@@ -102,11 +102,11 @@ func TestCountHitsOnSimulatedCommunity(t *testing.T) {
 	for _, g := range comm.Genomes {
 		pos := g.RRNAPositions[0]
 		if pos > 600 {
-			if !p.IsHit(g.Seq[:500], 0.5) {
+			if !p.IsHit(g.Seq[:500]) {
 				nonMarker++
 			}
 		} else if pos+300+500 < len(g.Seq) {
-			if !p.IsHit(g.Seq[pos+300:pos+300+500], 0.5) {
+			if !p.IsHit(g.Seq[pos+300 : pos+300+500]) {
 				nonMarker++
 			}
 		} else {
@@ -123,25 +123,24 @@ func TestDegenerateProfiles(t *testing.T) {
 	if empty.length != 0 {
 		t.Error("empty profile should have length 0")
 	}
-	if empty.IsHit([]byte("ACGT"), 0.5) {
+	if empty.IsHit([]byte("ACGT")) {
 		t.Error("empty profile should never hit")
 	}
 	p := BuildProfile([][]byte{[]byte("ACGT")}, 2.0) // conservation clamped
 	if p.length != 4 {
 		t.Error("profile length wrong")
 	}
-	if hit := p.Scan(nil, 1); hit.Score != 0 {
+	if hit := p.Scan(nil); hit.Score != 0 {
 		t.Errorf("scan of empty sequence = %+v", hit)
 	}
-	// Threshold defaulting.
-	if !p.IsHit([]byte("ACGT"), 0) {
-		t.Error("exact match should hit with default threshold")
+	if !p.IsHit([]byte("ACGT")) {
+		t.Error("exact match should hit")
 	}
 }
 
 func TestScanShortSequence(t *testing.T) {
 	p := BuildProfile([][]byte{[]byte("ACGTACGTACGT")}, 0.9)
-	hit := p.Scan([]byte("ACGTA"), 1)
+	hit := p.Scan([]byte("ACGTA"))
 	// A short prefix still produces a partial (low) score without panicking.
 	if hit.Score >= 0.9 {
 		t.Errorf("short sequence scored too high: %v", hit.Score)

@@ -32,14 +32,6 @@ import (
 type Options struct {
 	// K is the base mer size used for walking (usually the pipeline's k).
 	K int
-	// MinMer and MaxMer bound the dynamic mer size.
-	MinMer, MaxMer int
-	// MaxExtension bounds how many bases a contig end may be extended.
-	MaxExtension int
-	// MinSupport is the number of read observations required to accept an
-	// extension base (lower than the global k-mer analysis threshold, as the
-	// paper allows uncontested extensions of lower quality).
-	MinSupport int
 	// Libraries, when non-empty, widens the recruitment window per library:
 	// a read from library L is recruited within endWindow +
 	// (L.InsertSize - minInsert)/2 of a contig end, where minInsert is the
@@ -67,37 +59,27 @@ const (
 
 // DefaultOptions returns the local assembly defaults for mer size k.
 func DefaultOptions(k int) Options {
-	return Options{
-		K:            k,
-		MinMer:       k - 8,
-		MaxMer:       k + 12,
-		MaxExtension: 300,
-		MinSupport:   2,
-		WorkStealing: true,
-	}
+	return Options{K: k, WorkStealing: true}
 }
 
-// normalized fills unset fields with their defaults and bounds the mer sizes
-// by maxMerBases, beyond any DefaultOptions(k) for k <= seq.MaxK.
-func (opts Options) normalized() Options {
-	if opts.K <= 0 {
-		opts.K = 31
+// walkParams bounds one mer walk: the starting mer size k, the range
+// [minMer, maxMer] the dynamic mer size shifts within, the most bases a
+// contig end may gain, and the read observations an extension base needs
+// (lower than the global k-mer analysis threshold, as the paper allows
+// uncontested extensions of lower quality).
+type walkParams struct {
+	k, minMer, maxMer, maxExtension, minSupport int
+}
+
+// walkParamsOf returns the walk bounds for base mer size k (31 when k is
+// unset): from k-8 (at least 5) to k+12 (at most maxMerBases), 300 bases per
+// end, two observations per base.
+func walkParamsOf(k int) walkParams {
+	if k <= 0 {
+		k = 31
 	}
-	if opts.MinMer <= 4 {
-		opts.MinMer = 5
-	}
-	if opts.MaxMer <= opts.MinMer {
-		opts.MaxMer = opts.MinMer + 8
-	}
-	opts.MaxMer = min(opts.MaxMer, maxMerBases)
-	opts.MinMer = min(opts.MinMer, opts.MaxMer)
-	if opts.MaxExtension <= 0 {
-		opts.MaxExtension = 300
-	}
-	if opts.MinSupport <= 0 {
-		opts.MinSupport = 2
-	}
-	return opts
+	maxMer := min(k+12, maxMerBases)
+	return walkParams{k: k, minMer: min(max(k-8, 5), maxMer), maxMer: maxMer, maxExtension: 300, minSupport: 2}
 }
 
 // Result reports the outcome of local assembly. The extended contigs are
@@ -135,7 +117,7 @@ func (e extRecord) WireSize() int { return 8 + len(e.Seq) }
 // Reads must be distributed in whole pairs (use pgas.PairBlockRange) so that
 // a read's mate is available on the same rank for recruitment.
 func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alignments []aligner.Alignment, opts Options) Result {
-	opts = opts.normalized()
+	wp := walkParamsOf(opts.K)
 	creader := cs.NewReader(r, 1<<16)
 
 	// Step 1: recruitment. Recruits are routed to the rank that will extend
@@ -190,7 +172,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		// order, but the walk must not depend on any arrival order at all.
 		rds := byContig[id]
 		slices.SortFunc(rds, bytes.Compare)
-		newSeq, added := extendContig(r, c.Seq, rds, opts, &sc)
+		newSeq, added := extendContig(r, c.Seq, rds, wp, &sc)
 		if added > 0 {
 			exts = append(exts, extRecord{ID: id, Seq: newSeq})
 			extendedBases += added
@@ -300,15 +282,15 @@ type scratch struct {
 
 // extendContig mer-walks both ends of a contig using the recruited reads and
 // returns the (possibly longer) sequence and the number of bases added.
-func extendContig(r *pgas.Rank, contigSeq []byte, reads [][]byte, opts Options, s *scratch) ([]byte, int) {
+func extendContig(r *pgas.Rank, contigSeq []byte, reads [][]byte, wp walkParams, s *scratch) ([]byte, int) {
 	r.Compute(float64(len(reads) * 8))
-	return extendKernel(contigSeq, reads, opts, s)
+	return extendKernel(contigSeq, reads, wp, s)
 }
 
 // extendKernel is extendContig without the simulated-clock charge: the host
 // work of one contig, for the kernel benchmarks and the equivalence tests.
-func extendKernel(contigSeq []byte, reads [][]byte, opts Options, s *scratch) ([]byte, int) {
-	tail, right, left := s.walkEnds(contigSeq, reads, opts.normalized())
+func extendKernel(contigSeq []byte, reads [][]byte, wp walkParams, s *scratch) ([]byte, int) {
+	tail, right, left := s.walkEnds(contigSeq, reads, wp)
 	added := len(right) - tail + len(left) - tail
 	if added == 0 {
 		return contigSeq, 0
@@ -330,10 +312,10 @@ func extendKernel(contigSeq []byte, reads [][]byte, opts Options, s *scratch) ([
 // walk buffers — the contig's last (right) and reverse-complemented first
 // (left) tail symbols followed by the 2-bit codes of the bases each walk
 // added. The buffers are the scratch's own and valid until the next call.
-func (s *scratch) walkEnds(contigSeq []byte, reads [][]byte, opts Options) (tail int, right, left []byte) {
-	s.index.reset(reads, min(opts.MinMer, maxSeed))
-	tail = min(len(contigSeq), opts.MaxMer)
-	s.right = s.index.walk(appendSyms(s.right[:0], contigSeq, tail, false), opts)
-	s.left = s.index.walk(appendSyms(s.left[:0], contigSeq, tail, true), opts)
+func (s *scratch) walkEnds(contigSeq []byte, reads [][]byte, wp walkParams) (tail int, right, left []byte) {
+	s.index.reset(reads, min(wp.minMer, maxSeed))
+	tail = min(len(contigSeq), wp.maxMer)
+	s.right = s.index.walk(appendSyms(s.right[:0], contigSeq, tail, false), wp)
+	s.left = s.index.walk(appendSyms(s.left[:0], contigSeq, tail, true), wp)
 	return tail, s.right, s.left
 }

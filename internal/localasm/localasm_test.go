@@ -99,9 +99,7 @@ func TestExtendsTruncatedContig(t *testing.T) {
 	// so mer-walking should extend the contig toward both genome ends.
 	contig := dbg.Contig{ID: 0, Seq: []byte(g[30:70]), Depth: 20}
 	reads := pairedReads(g, 30, 60, 2)
-	opts := DefaultOptions(21)
-	opts.MinSupport = 2
-	res := runLocalAssembly(t, []dbg.Contig{contig}, reads, 3, opts)
+	res := runLocalAssembly(t, []dbg.Contig{contig}, reads, 3, DefaultOptions(21))
 	ext := string(res.Contigs[0].Seq)
 	if len(ext) <= 40 {
 		t.Fatalf("contig not extended: %d bases", len(ext))
@@ -199,13 +197,13 @@ func TestWalkStopsAtFork(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		reads = append(reads, []byte(branchA), []byte(branchB))
 	}
-	opts := DefaultOptions(15)
-	opts.MinMer = 9
-	opts.MaxMer = 17
+	wp := walkParamsOf(15)
+	wp.minMer = 9
+	wp.maxMer = 17
 	var ix merIndex
-	ix.reset(reads, opts.MinMer)
-	start := appendSyms(nil, []byte(prefix[:25]), opts.MaxMer, false)
-	added := len(ix.walk(start, opts)) - len(start)
+	ix.reset(reads, wp.minMer)
+	start := appendSyms(nil, []byte(prefix[:25]), wp.maxMer, false)
+	added := len(ix.walk(start, wp)) - len(start)
 	// The walk may reach the fork point but must not run deep into either
 	// branch (the branches diverge right after the prefix).
 	if added > len(prefix)-25+4 {
@@ -222,13 +220,13 @@ func TestWalkRespectsMaxExtension(t *testing.T) {
 	for start := 0; start+40 <= len(g); start += 3 {
 		reads = append(reads, []byte(g[start:start+40]))
 	}
-	opts := DefaultOptions(15)
-	opts.MaxExtension = 10
+	wp := walkParamsOf(15)
+	wp.maxExtension = 10
 	var ix merIndex
-	ix.reset(reads, opts.MinMer)
-	start := appendSyms(nil, []byte(g[:30]), opts.MaxMer, false)
-	if added := len(ix.walk(start, opts)) - len(start); added != 10 {
-		t.Errorf("walk added %d bases over a clean repeat, want exactly MaxExtension = 10", added)
+	ix.reset(reads, wp.minMer)
+	start := appendSyms(nil, []byte(g[:30]), wp.maxMer, false)
+	if added := len(ix.walk(start, wp)) - len(start); added != 10 {
+		t.Errorf("walk added %d bases over a clean repeat, want exactly maxExtension = 10", added)
 	}
 }
 
@@ -282,18 +280,18 @@ func TestTandemRepeatWorkBounded(t *testing.T) {
 					reads[i] = seq.ReverseComplement(reads[i])
 				}
 			}
-			opts := DefaultOptions(33).normalized()
+			wp := walkParamsOf(33)
 			var ix merIndex
-			ix.reset(reads, min(opts.MinMer, maxSeed))
+			ix.reset(reads, min(wp.minMer, maxSeed))
 			contig := locus[1000:1300]
-			tail := min(len(contig), opts.MaxMer)
+			tail := min(len(contig), wp.maxMer)
 			for _, rc := range []bool{false, true} {
 				ix.lookups, ix.compared = 0, 0
 				start := appendSyms(nil, contig, tail, rc)
-				added := len(ix.walk(start, opts)) - len(start)
-				if added != opts.MaxExtension {
+				added := len(ix.walk(start, wp)) - len(start)
+				if added != wp.maxExtension {
 					t.Errorf("unit %q, %d reads, rc=%v: walk added %d bases, want the cap %d",
-						unit, n, rc, added, opts.MaxExtension)
+						unit, n, rc, added, wp.maxExtension)
 				}
 				if limit := 2*len(ix.stream) + ix.lookups; ix.compared > limit {
 					t.Errorf("unit %q, %d reads, rc=%v: %d positions compared for %d lookups over %d symbols, want <= %d",
@@ -305,9 +303,11 @@ func TestTandemRepeatWorkBounded(t *testing.T) {
 }
 
 func TestDefaultOptionsSane(t *testing.T) {
-	opts := DefaultOptions(31)
-	if opts.MinMer >= opts.MaxMer || opts.MaxExtension <= 0 || !opts.WorkStealing {
+	if opts := DefaultOptions(31); opts.K != 31 || !opts.WorkStealing {
 		t.Errorf("bad defaults: %+v", opts)
+	}
+	if wp := walkParamsOf(31); wp.minMer >= wp.maxMer || wp.maxExtension <= 0 || wp.minSupport <= 0 {
+		t.Errorf("bad walk bounds: %+v", wp)
 	}
 }
 
@@ -376,18 +376,18 @@ func refNextBase(t refMerTable, mer []byte, minSupport int) (byte, walkState) {
 
 // refWalk walks the reference table, marking in queried (when non-nil) every
 // mer size it looked up.
-func refWalk(s []byte, t refMerTable, opts Options, queried *[maxMerBases + 1]bool) []byte {
+func refWalk(s []byte, t refMerTable, wp walkParams, queried *[maxMerBases + 1]bool) []byte {
 	cur := append([]byte(nil), s...)
 	var added []byte
-	m := opts.K
-	if m > opts.MaxMer {
-		m = opts.MaxMer
+	m := wp.k
+	if m > wp.maxMer {
+		m = wp.maxMer
 	}
-	if m < opts.MinMer {
-		m = opts.MinMer
+	if m < wp.minMer {
+		m = wp.minMer
 	}
 	lastShift := 0 // +1 upshift, -1 downshift, 0 none
-	for len(added) < opts.MaxExtension {
+	for len(added) < wp.maxExtension {
 		if len(cur) < m {
 			break
 		}
@@ -395,7 +395,7 @@ func refWalk(s []byte, t refMerTable, opts Options, queried *[maxMerBases + 1]bo
 			queried[m] = true
 		}
 		mer := cur[len(cur)-m:]
-		code, state := refNextBase(t, mer, opts.MinSupport)
+		code, state := refNextBase(t, mer, wp.minSupport)
 		switch state {
 		case stateExtend:
 			base := seq.BaseToChar(code)
@@ -403,13 +403,13 @@ func refWalk(s []byte, t refMerTable, opts Options, queried *[maxMerBases + 1]bo
 			added = append(added, base)
 			lastShift = 0
 		case stateFork:
-			if lastShift == -1 || m+shiftStep > opts.MaxMer {
+			if lastShift == -1 || m+shiftStep > wp.maxMer {
 				return added
 			}
 			m += shiftStep
 			lastShift = 1
 		case stateDeadEnd:
-			if lastShift == 1 || m-shiftStep < opts.MinMer {
+			if lastShift == 1 || m-shiftStep < wp.minMer {
 				return added
 			}
 			m -= shiftStep
@@ -419,10 +419,10 @@ func refWalk(s []byte, t refMerTable, opts Options, queried *[maxMerBases + 1]bo
 	return added
 }
 
-func refExtendContig(contigSeq []byte, reads [][]byte, opts Options, queried *[maxMerBases + 1]bool) ([]byte, int) {
-	table := refBuildMerTable(reads, opts.MinMer, opts.MaxMer)
-	right := refWalk(contigSeq, table, opts, queried)
-	left := refWalk(seq.ReverseComplement(contigSeq), table, opts, queried)
+func refExtendContig(contigSeq []byte, reads [][]byte, wp walkParams, queried *[maxMerBases + 1]bool) ([]byte, int) {
+	table := refBuildMerTable(reads, wp.minMer, wp.maxMer)
+	right := refWalk(contigSeq, table, wp, queried)
+	left := refWalk(seq.ReverseComplement(contigSeq), table, wp, queried)
 	if len(right) == 0 && len(left) == 0 {
 		return contigSeq, 0
 	}
@@ -446,20 +446,20 @@ type merTrial struct {
 	locus  []byte // the sequence the reads were drawn from
 	contig []byte
 	reads  [][]byte
-	opts   Options
+	wp     walkParams
 }
 
 // randomMerTrial draws a genome with a planted repeat (a fork at mer sizes
 // up to the repeat length, resolved above it), tiles it with reads of mixed
 // length, strand and quality (errors, Ns, soft-masked stretches, reads
 // shorter than the mer), and cuts a contig out of it — sometimes shorter than
-// MinMer, sometimes with an N or a masked base in its tail.
+// minMer, sometimes with an N or a masked base in its tail.
 func randomMerTrial(r *rand.Rand) merTrial {
 	k := []int{13, 21, 33, 55, 63}[r.Intn(5)]
-	opts := DefaultOptions(k)
-	opts.MinSupport = 1 + r.Intn(3)
+	wp := walkParamsOf(k)
+	wp.minSupport = 1 + r.Intn(3)
 	if r.Intn(3) == 0 {
-		opts.MaxExtension = 1 + r.Intn(40)
+		wp.maxExtension = 1 + r.Intn(40)
 	}
 	// Sized to the mer so the (slow) reference stays affordable: a locus of a
 	// few read lengths, ~10x coverage.
@@ -469,7 +469,7 @@ func randomMerTrial(r *rand.Rand) merTrial {
 	from, to := r.Intn(len(g)/2-rep), len(g)/2+r.Intn(len(g)/2-rep)
 	copy(g[to:to+rep], g[from:from+rep])
 
-	tr := merTrial{locus: g, opts: opts.normalized()}
+	tr := merTrial{locus: g, wp: wp}
 	step := 6 + r.Intn(12)
 	for start := 0; start < len(g); start += 1 + r.Intn(step) {
 		n := 10 + r.Intn(k+20) // often shorter than the mer
@@ -495,7 +495,7 @@ func randomMerTrial(r *rand.Rand) merTrial {
 
 	n := k + r.Intn(80)
 	if r.Intn(5) == 0 {
-		n = 1 + r.Intn(tr.opts.MinMer+4) // around and below MinMer
+		n = 1 + r.Intn(tr.wp.minMer+4) // around and below minMer
 	}
 	start := r.Intn(len(g) - n)
 	tr.contig = append([]byte(nil), g[start:start+n]...)
@@ -516,63 +516,63 @@ func randomMerTrial(r *rand.Rand) merTrial {
 // TestMerIndexMatchesReference requires the mer index to reproduce the
 // string-keyed reference byte for byte, and checks that the trials really
 // reach the paths the equivalence is claimed for, in both seed regimes: a
-// seed of MinMer symbols (k = 13, 21) and a seed of maxSeed < MinMer symbols
+// seed of minMer symbols (k = 13, 21) and a seed of maxSeed < minMer symbols
 // (k = 33, 55, 63). With this seed every floor is met from trial 585 on
-// (the last to arrive is contigs under MinMer at a MinMer seed); 700 trials
+// (the last to arrive is contigs under minMer at a minMer seed); 700 trials
 // keep a margin.
 func TestMerIndexMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	s := &scratch{}
 	type floors struct{ extended, capped, upshifts, downshifts, shortContigs int }
-	var regimes [2]floors // by seed: MinMer, maxSeed
+	var regimes [2]floors // by seed: minMer, maxSeed
 	longMers := 0
 	for trial := 0; trial < 700; trial++ {
 		tr := randomMerTrial(r)
 		var queried [maxMerBases + 1]bool
-		want, wantAdded := refExtendContig(tr.contig, tr.reads, tr.opts, &queried)
-		got, gotAdded := extendKernel(tr.contig, tr.reads, tr.opts, s)
+		want, wantAdded := refExtendContig(tr.contig, tr.reads, tr.wp, &queried)
+		got, gotAdded := extendKernel(tr.contig, tr.reads, tr.wp, s)
 		if gotAdded != wantAdded || !bytes.Equal(got, want) {
 			t.Fatalf("trial %d (k=%d, %d reads, contig %q):\n got +%d %q\nwant +%d %q",
-				trial, tr.opts.K, len(tr.reads), tr.contig, gotAdded, got, wantAdded, want)
+				trial, tr.wp.k, len(tr.reads), tr.contig, gotAdded, got, wantAdded, want)
 		}
 		f := &regimes[0]
-		if tr.opts.MinMer > maxSeed {
+		if tr.wp.minMer > maxSeed {
 			f = &regimes[1]
 		}
 		if gotAdded > 0 {
 			f.extended++
 		}
-		tail := min(len(tr.contig), tr.opts.MaxMer)
-		if len(s.right)-tail == tr.opts.MaxExtension || len(s.left)-tail == tr.opts.MaxExtension {
+		tail := min(len(tr.contig), tr.wp.maxMer)
+		if len(s.right)-tail == tr.wp.maxExtension || len(s.left)-tail == tr.wp.maxExtension {
 			f.capped++
 		}
-		if len(tr.contig) < tr.opts.MinMer {
+		if len(tr.contig) < tr.wp.minMer {
 			f.shortContigs++
 		}
 		for m, asked := range queried {
 			if !asked {
 				continue
 			}
-			if m > tr.opts.K {
+			if m > tr.wp.k {
 				f.upshifts++
 			}
-			if m < tr.opts.K {
+			if m < tr.wp.k {
 				f.downshifts++
 			}
 			if m > 64 {
 				longMers++
 			}
-			if (m-tr.opts.K)%shiftStep != 0 {
-				t.Fatalf("trial %d: looked up size %d, off the k=%d lattice", trial, m, tr.opts.K)
+			if (m-tr.wp.k)%shiftStep != 0 {
+				t.Fatalf("trial %d: looked up size %d, off the k=%d lattice", trial, m, tr.wp.k)
 			}
 		}
 	}
-	for i, name := range []string{"seed = MinMer", "seed = maxSeed"} {
+	for i, name := range []string{"seed = minMer", "seed = maxSeed"} {
 		f := regimes[i]
-		t.Logf("%s: extended %d, capped %d, upshift sizes %d, downshift sizes %d, contigs < MinMer: %d",
+		t.Logf("%s: extended %d, capped %d, upshift sizes %d, downshift sizes %d, contigs < minMer: %d",
 			name, f.extended, f.capped, f.upshifts, f.downshifts, f.shortContigs)
 		for what, n := range map[string]int{"extended": f.extended, "capped": f.capped, "upshifts": f.upshifts,
-			"downshifts": f.downshifts, "contigs under MinMer": f.shortContigs} {
+			"downshifts": f.downshifts, "contigs under minMer": f.shortContigs} {
 			if n < 20 {
 				t.Errorf("%s: only %d trials reached %q; the generator no longer forces it", name, n, what)
 			}
@@ -598,7 +598,7 @@ func merBundle() merTrial {
 		tr.reads = append(tr.reads, rd)
 	}
 	tr.contig = g[200:500]
-	tr.opts = DefaultOptions(33).normalized()
+	tr.wp = walkParamsOf(33)
 	return tr
 }
 
@@ -610,13 +610,13 @@ func merBundle() merTrial {
 func TestMerIndexSpeedup(t *testing.T) {
 	tr := merBundle()
 	s := &scratch{}
-	got, added := extendKernel(tr.contig, tr.reads, tr.opts, s)
+	got, added := extendKernel(tr.contig, tr.reads, tr.wp, s)
 	if added < 350 || !bytes.Contains(tr.locus, got) {
 		t.Fatalf("fixture: +%d bases; want both ends walked most of the 200 bases to the locus ends", added)
 	}
 	// A walk that never shifts: stop both ends at the cap, inside the locus.
-	noShift := tr.opts
-	noShift.MaxExtension = 100
+	noShift := tr.wp
+	noShift.maxExtension = 100
 	if allocs := testing.AllocsPerRun(20, func() { s.walkEnds(tr.contig, tr.reads, noShift) }); allocs != 0 {
 		t.Errorf("warm scratch: %v allocs per contig, want 0", allocs)
 	}
@@ -627,12 +627,12 @@ func TestMerIndexSpeedup(t *testing.T) {
 	for attempt := 0; attempt < 3; attempt++ {
 		index := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				extendKernel(tr.contig, tr.reads, tr.opts, s)
+				extendKernel(tr.contig, tr.reads, tr.wp, s)
 			}
 		})
 		ref := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				refExtendContig(tr.contig, tr.reads, tr.opts, nil)
+				refExtendContig(tr.contig, tr.reads, tr.wp, nil)
 			}
 		})
 		ratio := float64(ref.NsPerOp()) / float64(index.NsPerOp())
@@ -660,13 +660,13 @@ func FuzzExtendContig(f *testing.F) {
 		if len(contig) > 1<<10 || len(readBytes) > 1<<12 {
 			t.Skip("the reference is too slow for long inputs")
 		}
-		opts := DefaultOptions(k % (seq.MaxK + 1)).normalized()
+		wp := walkParamsOf(k % (seq.MaxK + 1))
 		reads := bytes.Split(readBytes, []byte("\n"))
-		want, wantAdded := refExtendContig(contig, reads, opts, nil)
-		got, gotAdded := extendKernel(contig, reads, opts, s)
+		want, wantAdded := refExtendContig(contig, reads, wp, nil)
+		got, gotAdded := extendKernel(contig, reads, wp, s)
 		if gotAdded != wantAdded || !bytes.Equal(got, want) {
 			t.Fatalf("k=%d contig %q reads %q:\n got +%d %q\nwant +%d %q",
-				opts.K, contig, reads, gotAdded, got, wantAdded, want)
+				wp.k, contig, reads, gotAdded, got, wantAdded, want)
 		}
 	})
 }

@@ -22,10 +22,10 @@ const (
 	symInvalid = 0xFF
 	// maxSeed is the longest seed: 21 symbols fill 63 bits of one word.
 	maxSeed = 64 / symBits
-	// maxMerBases bounds the mer sizes Options may ask for. Lookups compare
-	// whole windows, so nothing in the index limits the size; the bound is
-	// kept so that options normalize as they always have. seq.MaxK = 64
-	// bounds the pipeline's k, so DefaultOptions tops out at k+12 = 76 bases.
+	// maxMerBases bounds the mer sizes a walk may shift to. Lookups compare
+	// whole windows, so nothing in the index limits the size. seq.MaxK = 64
+	// bounds the pipeline's k, so walkParamsOf tops out at k+12 = 76 bases
+	// and the bound binds only for a larger k.
 	maxMerBases = 85
 )
 
@@ -54,7 +54,7 @@ type merIndex struct {
 	// reverse-complement symbols, each strand closed by a symInvalid: a
 	// separator breaks a window exactly as an N inside a read does.
 	stream []byte
-	seed   int  // symbols hashed per position: min(MinMer, maxSeed)
+	seed   int  // symbols hashed per position: min(minMer, maxSeed)
 	shift  uint // 64 - log2(buckets): the hash's top bits pick the bucket
 	// start and pos are the buckets in CSR form: bucket b holds the positions
 	// pos[start[b]:start[b+1]], in stream order. bkt is the build's bucket of
@@ -206,7 +206,7 @@ func nextBase(counts seq.ExtCounts, minSupport int) (byte, walkState) {
 
 // appendSyms appends the symbols of the last n <= len(s) bases of s — or,
 // with rc set, of the last n bases of its reverse complement — to dst: a
-// whole read strand for the stream, or the MaxMer-base tail of a contig,
+// whole read strand for the stream, or the maxMer-base tail of a contig,
 // which is all of it a walk ever reads.
 func appendSyms(dst, s []byte, n int, rc bool) []byte {
 	at := len(dst)
@@ -229,19 +229,19 @@ func appendSyms(dst, s []byte, n int, rc bool) []byte {
 // dead ends; terminate on a fork after a downshift, a dead end after an
 // upshift, or the extension cap. It returns buf with the added bases (as
 // symbols, which for an added base is its 2-bit code) appended.
-func (ix *merIndex) walk(buf []byte, opts Options) []byte {
+func (ix *merIndex) walk(buf []byte, wp walkParams) []byte {
 	tail := len(buf)
-	m := min(max(opts.K, opts.MinMer), opts.MaxMer)
+	m := min(max(wp.k, wp.minMer), wp.maxMer)
 	valid := 0 // valid symbols in a row at the end of buf
 	for valid < tail && buf[tail-1-valid] != symInvalid {
 		valid++
 	}
 	lastShift := 0 // +1 upshift, -1 downshift, 0 none
-	for len(buf)-tail < opts.MaxExtension && len(buf) >= m {
+	for len(buf)-tail < wp.maxExtension && len(buf) >= m {
 		state := stateDeadEnd // a mer with a non-ACGT base is in no read
 		var code byte
 		if valid >= m {
-			code, state = nextBase(ix.followers(buf[len(buf)-m:]), opts.MinSupport)
+			code, state = nextBase(ix.followers(buf[len(buf)-m:]), wp.minSupport)
 		}
 		switch state {
 		case stateExtend:
@@ -249,13 +249,13 @@ func (ix *merIndex) walk(buf []byte, opts Options) []byte {
 			valid++
 			lastShift = 0
 		case stateFork:
-			if lastShift == -1 || m+shiftStep > opts.MaxMer {
+			if lastShift == -1 || m+shiftStep > wp.maxMer {
 				return buf
 			}
 			m += shiftStep
 			lastShift = 1
 		case stateDeadEnd:
-			if lastShift == 1 || m-shiftStep < opts.MinMer {
+			if lastShift == 1 || m-shiftStep < wp.minMer {
 				return buf
 			}
 			m -= shiftStep

@@ -564,30 +564,6 @@ func (r *Rank) countBarrier() {
 	}
 }
 
-// Detach releases the rank's worker-pool slot without blocking, for code
-// that is about to block on something *other than* a pgas barrier — the
-// checkpoint writer's deposit rendezvous is the canonical case: rank 0 waits
-// on a condition variable for deposits from ranks that may themselves be
-// parked waiting for a slot, so holding the slot across that wait would
-// deadlock a Workers=1 pool. A detached rank must not issue pgas operations;
-// call Reattach before continuing. Detach/Reattach nest safely (they are
-// no-ops when the slot is already released/held).
-func (r *Rank) Detach() {
-	if r.hasSlot {
-		r.hasSlot = false
-		r.machine.sched.release()
-	}
-}
-
-// Reattach blocks until a worker-pool slot is free again and reclaims it,
-// undoing Detach.
-func (r *Rank) Reattach() {
-	if !r.hasSlot {
-		r.machine.sched.acquire(r.token)
-		r.hasSlot = true
-	}
-}
-
 // RestoreState overwrites the rank's simulated clock and resident-bytes
 // meter with values captured by a checkpoint, without charging anything.
 // Checkpoints are written after a stage-end barrier, where the clock is

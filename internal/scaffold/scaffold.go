@@ -52,9 +52,8 @@ type Options struct {
 	// for callers that still set it.
 	InsertSize int
 	InsertStd  int
-	// RRNAProfile, when non-nil, marks contigs matching the profile (at
-	// rrnaThreshold) as HMM hits whose ends stay extendable despite competing
-	// links.
+	// RRNAProfile, when non-nil, marks contigs the profile hits as HMM hits
+	// whose ends stay extendable despite competing links.
 	RRNAProfile *hmm.Profile
 	// Aggregate controls DHT update aggregation (for ablations).
 	Aggregate bool
@@ -85,10 +84,6 @@ func DefaultOptions(k, insertSize int) Options {
 // minLinkSupport is the number of read pairs (or splinting reads) needed to
 // accept a link between two contig ends.
 const minLinkSupport = 2
-
-// rrnaThreshold is the normalized profile score at which a contig counts as
-// an rRNA hit.
-const rrnaThreshold = 0.5
 
 // longContigThreshold classifies contigs as "long"/confident traversal
 // seeds: one and a half inserts.
@@ -297,7 +292,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	hmmHitLocal := make(map[int]bool)
 	if opts.RRNAProfile != nil {
 		cs.ForEachLocal(r, func(_ int, c dbg.Contig) {
-			if opts.RRNAProfile.IsHit(c.Seq, rrnaThreshold) {
+			if opts.RRNAProfile.IsHit(c.Seq) {
 				hmmHitLocal[c.ID] = true
 			}
 			r.Compute(float64(len(c.Seq)))

@@ -122,7 +122,7 @@ func Evaluate(name string, assembly [][]byte, comm *Community) QualityReport {
 // the list); comm may be nil to skip the per-genome rollup on
 // reference-free inputs.
 func SampleAbundances(assembly [][]byte, reads []Read, sampleNames []string, comm *Community) []SampleAbundance {
-	return eval.AbundanceReport(assembly, reads, sampleNames, comm, eval.DefaultOptions())
+	return eval.AbundanceReport(assembly, reads, sampleNames, comm)
 }
 
 // FormatAbundanceTable renders per-sample abundance estimates as a table:
