@@ -1,18 +1,23 @@
 // Package aligner implements a merAligner-style distributed read-to-contig
 // aligner (Sections II-F and II-I of the paper): a seed-and-extend algorithm
-// over a distributed seed index, with a per-rank software cache for the
-// read-only lookup phase. The read-localization optimization that
-// redistributes reads by the contig they align to, so that subsequent
-// iterations hit the cache instead of the network, consumes these alignments
-// in core.localizePairs.
+// over a distributed seed index. Seed lookups are aggregated (§II-A): each
+// rank walks its reads' seeds, asks the owner of every distinct seed it does
+// not own once per pass in one exchange, and gets the hit lists back in a
+// second. Candidate contigs are fetched one-sidedly through a per-rank
+// software cache. The read-localization optimization that redistributes
+// reads by the contig they align to, so that subsequent iterations hit that
+// cache instead of the network, consumes these alignments in
+// core.localizePairs.
 package aligner
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mhmgo/internal/dbg"
 	"mhmgo/internal/dht"
 	"mhmgo/internal/dist"
+	"mhmgo/internal/hashtab"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
 )
@@ -25,6 +30,17 @@ type SeedHit struct {
 	// Reverse is true if the canonical form of the seed is the reverse
 	// complement of the contig's forward-strand seed at Pos.
 	Reverse bool
+}
+
+// compareHits is the order in which an owner stores each seed's hit list.
+func compareHits(a, b SeedHit) int {
+	if c := cmp.Compare(a.ContigID, b.ContigID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
+		return c
+	}
+	return cmp.Compare(boolToInt(a.Reverse), boolToInt(b.Reverse))
 }
 
 // Alignment is a read-to-contig alignment.
@@ -51,9 +67,14 @@ func (a Alignment) Identity() float64 {
 
 // Options controls index construction and alignment.
 type Options struct {
-	// SeedLen is the seed k-mer length.
+	// SeedLen is the seed k-mer length. BuildIndex records it in the Index,
+	// and AlignReads takes its seeds at the index's length.
 	SeedLen int
-	// UseCache enables the per-rank software seed cache.
+	// UseCache enables the per-rank software caches: a seed that several of
+	// the rank's reads share is asked of its owner once per pass, and remote
+	// contigs are cached. Off (the software-cache ablation), every seed
+	// occurrence is its own message and every remote contig fetch goes to
+	// the owner.
 	UseCache bool
 	// OnlyLib, when non-nil, aligns only the reads whose LibID matches:
 	// the round-based scaffolder aligns one library per round against that
@@ -71,11 +92,21 @@ const (
 	minAlignLen = 20
 	// minIdentity is the minimum identity for an alignment to be reported.
 	minIdentity = 0.9
-	// cacheEntries bounds the software cache size.
+	// cacheEntries bounds the software contig cache size.
 	cacheEntries = 1 << 17
 	// maxHitsPerSeed skips seeds that occur in more than this many contig
 	// positions (repeat seeds).
 	maxHitsPerSeed = 32
+
+	// seedAskWireSize is the wire bytes of one seedAsk: the k-mer's two
+	// words and the slot. The asking rank is the message's source.
+	seedAskWireSize = 20
+	// seedAnswerWireSize is the wire bytes of a seedAnswer with no hits:
+	// the slot and the hit count.
+	seedAnswerWireSize = 8
+	// seedHitWireSize is the wire bytes of one SeedHit in an answer: the
+	// contig ID, the position and the strand.
+	seedHitWireSize = 9
 )
 
 // DefaultOptions returns the aligner defaults for the given seed length.
@@ -84,9 +115,11 @@ func DefaultOptions(seedLen int) Options {
 }
 
 // Index is the distributed seed index over a distributed contig set. Neither
-// the seeds nor the contig sequences are replicated: seed lookups go through
-// the DHT and contig fetches through the set's owner-side lookup, each
-// fronted by a per-rank software cache during alignment.
+// the seeds nor the contig sequences are replicated. A seed's owner keeps its
+// hit list sorted and answers the ranks that ask for it by exchange, so the
+// seed table is only ever read by its owner and is never frozen; contig
+// fetches go through the set's owner-side lookup, fronted by a per-rank
+// software cache during alignment.
 type Index struct {
 	SeedLen int
 	Seeds   *dht.Map[seq.Kmer, []SeedHit]
@@ -95,7 +128,7 @@ type Index struct {
 
 // BuildIndex constructs the distributed seed index. Collective: each rank
 // indexes its own shard of the contig set using the aggregated update-only
-// phase.
+// phase, then sorts the hit lists of the seeds it owns.
 func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 	if opts.SeedLen <= 0 || opts.SeedLen > seq.MaxK {
 		opts.SeedLen = 31
@@ -119,19 +152,54 @@ func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 		r.Compute(float64(len(c.Seq)))
 	})
 	u.Flush()
-	r.Barrier()
-	// The index is never mutated after construction: switch it into the
-	// read-only phase so every rank may read every partition.
-	idx.Seeds.Freeze()
+	// A hit list accumulates in the Updater's fold order, which depends on
+	// the rank count. Sorting it once here makes the sequence of charged
+	// contig fetches during alignment a function of the reads and the
+	// contigs alone. Repeat seeds are never answered, so stay unsorted.
+	idx.Seeds.RangeLocal(r.ID(), func(_ seq.Kmer, hits []SeedHit) {
+		if len(hits) > 1 && len(hits) <= maxHitsPerSeed {
+			slices.SortFunc(hits, compareHits)
+		}
+	})
 	return idx
 }
 
 // AlignStats summarizes an alignment pass.
 type AlignStats struct {
-	ReadsAligned  int
-	ReadsTotal    int
-	SeedLookups   uint64
+	ReadsAligned int
+	ReadsTotal   int
+	// SeedLookups counts the seeds taken from the pass's reads.
+	SeedLookups uint64
+	// SeedCacheHits counts the seeds answered by an earlier ask from the
+	// same rank in the same pass (always 0 with UseCache off). A seed the
+	// rank owns is never asked, so never counted.
 	SeedCacheHits uint64
+}
+
+// seedAsk asks a seed's owner for its hit list: slot names the answer on
+// the asking rank, from is the asking rank.
+type seedAsk struct {
+	key  seq.Kmer
+	slot int32
+	from int32
+}
+
+// seedAnswer is an owner's answer to one seedAsk: the ask's slot and
+// hitsOf the seed.
+type seedAnswer struct {
+	slot int32
+	hits []SeedHit
+}
+
+func (a seedAnswer) wireSize() int { return seedAnswerWireSize + len(a.hits)*seedHitWireSize }
+
+// seedRef is one seed taken from a read: its offset in the read, whether the
+// read's k-mer was reverse-complemented to its canonical form, and the slot
+// of its answer.
+type seedRef struct {
+	off  int32
+	slot int32
+	rc   bool
 }
 
 // AlignReads aligns the calling rank's block of reads against the index and
@@ -140,35 +208,95 @@ type AlignStats struct {
 // Options.OnlyLib restricts a pass to one library's reads — the round-based
 // scaffolder uses this to align exactly the reads whose links it will
 // consume against each round's contig set, instead of aligning everything
-// and discarding the other libraries' output. Collective only in the sense
-// that the seed index is shared; the work itself is independent per rank.
+// and discarding the other libraries' output.
+//
+// Collective: the rank walks its reads' strided seeds and answers the ones
+// it owns from its own partition. It asks the owners of the others in one
+// exchange (each distinct seed once with UseCache, each occurrence as its
+// own message without), and the owners answer in a second. Each read is
+// then extended against its seeds' answers.
 func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts Options) ([]Alignment, AlignStats) {
-	if opts.SeedLen <= 0 {
-		opts.SeedLen = idx.SeedLen
+	opts.SeedLen = idx.SeedLen
+	var stats AlignStats
+	// A read's seeds are at least seedStride apart, so a read of length n
+	// yields at most (n-SeedLen)/seedStride+1 of them.
+	selected := make([]int, 0, len(reads)) // indices of the reads this pass aligns
+	maxSeeds := 0
+	for i, read := range reads {
+		if opts.OnlyLib != nil && read.LibID != *opts.OnlyLib {
+			continue
+		}
+		selected = append(selected, i)
+		if n := len(read.Seq) - opts.SeedLen; n >= 0 {
+			maxSeeds += n/seedStride + 1
+		}
 	}
-	reader := idx.Seeds.NewCachedReader(r, cacheEntries, opts.UseCache)
-	// Remote contig sequences are fetched through the same software-caching
-	// discipline as the seeds (merAligner caches contigs too); read
-	// localization keeps a rank's reads clustered by contig, so most repeat
-	// fetches hit the cache.
+	refs := make([]seedRef, 0, maxSeeds)      // every seed taken, read by read
+	answers := make([][]SeedHit, 0, maxSeeds) // one per slot
+	asks := make([]seedAsk, 0, maxSeeds)      // one per slot another rank answers
+	ends := make([]int, len(selected))        // refs[ends[j-1]:ends[j]] are selected[j]'s seeds
+	var slots hashtab.Table[seq.Kmer, int32]
+	from := int32(r.ID())
+	for j, i := range selected {
+		it := seq.NewKmerIter(reads[i].Seq, opts.SeedLen)
+		nextSeedAt := 0
+		for km, off, ok := it.Next(); ok; km, off, ok = it.Next() {
+			if off < nextSeedAt {
+				continue
+			}
+			nextSeedAt = off + seedStride
+			canon, readRC := km.Canonical()
+			slot := int32(len(answers))
+			if idx.Seeds.Owner(canon) == r.ID() {
+				// A seed the rank owns is answered from its own partition,
+				// without an ask.
+				answers = append(answers, idx.hitsOf(r, canon))
+			} else {
+				if opts.UseCache {
+					slots.Update(canon.Hash(), canon, func(v *int32, found bool) bool {
+						if found {
+							slot = *v
+						} else {
+							*v = slot
+						}
+						return true
+					})
+				}
+				if int(slot) < len(answers) {
+					stats.SeedCacheHits++
+				} else {
+					answers = append(answers, nil)
+					asks = append(asks, seedAsk{key: canon, slot: slot, from: from})
+				}
+			}
+			refs = append(refs, seedRef{off: int32(off), slot: slot, rc: readRC})
+		}
+		ends[j] = len(refs)
+	}
+	stats.ReadsTotal = len(selected)
+	stats.SeedLookups = uint64(len(refs))
+	r.Compute(float64(len(refs)))
+
+	answerBytes := answerSeeds(r, idx, asks, answers, opts.UseCache)
+
+	// merAligner caches contigs as well as seeds; read localization keeps a
+	// rank's reads clustered by contig, so most repeat fetches hit the cache.
 	contigCache := 0
 	if opts.UseCache {
 		contigCache = cacheEntries
 	}
 	creader := idx.Contigs.NewReader(r, contigCache)
 	var out []Alignment
-	var stats AlignStats
 	// Per-rank scratch reused across every read aligned by this call: the
-	// dedup map, the sorted-hits copy, the packed read/reverse-complement
-	// buffers and the packed-contig cache would otherwise be reallocated once
-	// (or more) per read.
+	// extension dedup map, the packed read/reverse-complement buffers and
+	// the packed-contig cache would otherwise be reallocated once (or more)
+	// per read.
 	scratch := NewScratch()
-	for i, read := range reads {
-		if opts.OnlyLib != nil && read.LibID != *opts.OnlyLib {
-			continue
-		}
-		stats.ReadsTotal++
-		best, found := alignOne(r, idx, reader, creader, read, opts, scratch)
+	lo := 0
+	for j, i := range selected {
+		read := reads[i]
+		best, found := alignRead(r, creader, read, refs[lo:ends[j]], answers, opts, scratch)
+		lo = ends[j]
 		if found {
 			best.ReadIdx = readOffset + i
 			best.ReadID = read.ID
@@ -176,23 +304,55 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 			out = append(out, best)
 		}
 	}
+	r.ReleaseResident(answerBytes)
 	stats.ReadsAligned = len(out)
-	hits, misses := reader.Stats()
-	stats.SeedCacheHits = hits
-	stats.SeedLookups = hits + misses
 	return out, stats
 }
 
-// Scratch holds the per-rank buffers reused across alignOne calls: the
-// extension dedup map, the sorted-hits copy, the packed forms of the current
+// answerSeeds routes every ask to its seed's owner, which answers from its
+// own partition, and fills answers[slot] from the replies. It returns the
+// bytes the replies hold against the resident meter until the caller has
+// consumed them. Collective. With aggregate false every ask is charged as
+// its own message.
+func answerSeeds(r *pgas.Rank, idx *Index, asks []seedAsk, answers [][]SeedHit, aggregate bool) int {
+	owner := func(_ int, a seedAsk) int { return idx.Seeds.Owner(a.key) }
+	if !aggregate {
+		pgas.ChargeUnaggregated(r, asks, owner)
+	}
+	received := pgas.ExchangeFunc(r, asks, owner, func(seedAsk) int { return seedAskWireSize })
+	replies := make([]seedAnswer, len(received))
+	for i, a := range received {
+		replies[i] = seedAnswer{slot: a.slot, hits: idx.hitsOf(r, a.key)}
+	}
+	r.ReleaseResident(len(received) * seedAskWireSize)
+	back := pgas.ExchangeFunc(r, replies, func(i int, _ seedAnswer) int { return int(received[i].from) }, seedAnswer.wireSize)
+	resident := 0
+	for _, a := range back {
+		answers[a.slot] = a.hits
+		resident += a.wireSize()
+	}
+	return resident
+}
+
+// hitsOf answers one seed from the calling rank's own partition: its stored
+// hit list, or none for a seed that is absent or repeats more than
+// maxHitsPerSeed times.
+func (idx *Index) hitsOf(r *pgas.Rank, key seq.Kmer) []SeedHit {
+	hits, _ := idx.Seeds.Get(r, key)
+	if len(hits) > maxHitsPerSeed {
+		return nil
+	}
+	return hits
+}
+
+// Scratch holds the per-rank buffers reused across the reads of one
+// AlignReads pass: the extension dedup map, the packed forms of the current
 // read (forward and reverse complement, refreshed by BeginRead), the ASCII
-// reverse-complement fallback buffer, and the packed-contig cache. One
-// Scratch serves one AlignReads pass; it is exported (with NewScratch and
-// BeginRead) so the benchmark program's aligner.extend_ns probe can drive the
-// extend kernel directly.
+// reverse-complement fallback buffer, and the packed-contig cache. It is
+// exported (with NewScratch and BeginRead) so the benchmark program's
+// aligner.extend_ns probe can drive the extend kernel directly.
 type Scratch struct {
 	tried map[[3]int]bool // (contig, diagonal, strand) triples already extended
-	hits  []SeedHit       // sorted copy of a seed's hit list
 
 	readFwd seq.Packed // packed current read (valid when readOK)
 	readRC  seq.Packed // packed reverse complement of the current read
@@ -258,56 +418,24 @@ func (s *Scratch) packedFor(contig dbg.Contig) (seq.Packed, bool) {
 	return pc.p, pc.ok
 }
 
-// alignOne seeds and extends one read, returning its best alignment.
-func alignOne(r *pgas.Rank, idx *Index, reader *dht.CachedReader[seq.Kmer, []SeedHit], creader *dist.Reader[dbg.Contig], read seq.Read, opts Options, scratch *Scratch) (Alignment, bool) {
+// alignRead extends one read against the answers to its seeds, in the order
+// the seeds were taken and each seed's hits in their stored order, and
+// returns its best alignment.
+func alignRead(r *pgas.Rank, creader *dist.Reader[dbg.Contig], read seq.Read, seeds []seedRef, answers [][]SeedHit, opts Options, scratch *Scratch) (Alignment, bool) {
 	var best Alignment
 	var bestContig dbg.Contig
 	found := false
 	scratch.BeginRead(read.Seq)
 	tried := scratch.tried
 	clear(tried)
-	it := seq.NewKmerIter(read.Seq, opts.SeedLen)
-	nextSeedAt := 0
-	for {
-		km, off, ok := it.Next()
-		if !ok {
-			break
-		}
-		if off < nextSeedAt {
-			continue
-		}
-		nextSeedAt = off + seedStride
-		canon, readRC := km.Canonical()
-		hits, ok := reader.Get(canon)
-		if !ok {
-			continue
-		}
-		if len(hits) > maxHitsPerSeed {
-			continue
-		}
-		// The hit list accumulates in DHT flush-arrival order, which varies
-		// run to run; iterate a sorted copy so the sequence of charged
-		// contig fetches (cache hits/misses and their clock costs) is
-		// deterministic, not just the chosen best alignment.
-		if len(hits) > 1 {
-			scratch.hits = append(scratch.hits[:0], hits...)
-			hits = scratch.hits
-			sort.Slice(hits, func(i, j int) bool {
-				if hits[i].ContigID != hits[j].ContigID {
-					return hits[i].ContigID < hits[j].ContigID
-				}
-				if hits[i].Pos != hits[j].Pos {
-					return hits[i].Pos < hits[j].Pos
-				}
-				return !hits[i].Reverse && hits[j].Reverse
-			})
-		}
-		for _, h := range hits {
+	for _, s := range seeds {
+		off := int(s.off)
+		for _, h := range answers[s.slot] {
 			contig := creader.Get(h.ContigID)
 			// The read aligns to the contig's reverse strand when exactly one
 			// of (read seed canonicalization, contig seed canonicalization)
 			// flipped orientation.
-			reverse := readRC != h.Reverse
+			reverse := s.rc != h.Reverse
 			key := [3]int{h.ContigID, h.Pos - off, boolToInt(reverse)}
 			if tried[key] {
 				continue
@@ -329,8 +457,8 @@ func alignOne(r *pgas.Rank, idx *Index, reader *dht.CachedReader[seq.Kmer, []See
 }
 
 // betterAlignment is the total order used to select a read's best alignment.
-// The seed index accumulates hits in flush-arrival order, which varies run
-// to run, so the winner must be a pure function of the candidate set: most
+// Contig IDs, and so the order of a seed's hits, depend on the rank count,
+// so the winner must be a pure function of the candidate set: most
 // matches first, ties broken by the target contig's content (never by its
 // ID, whose numbering depends on the rank count — a read tied between two
 // rRNA copies must pick the same copy on any machine), then by coordinates.

@@ -1,11 +1,16 @@
 package aligner
 
 import (
+	"fmt"
 	"maps"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"mhmgo/internal/dbg"
+	"mhmgo/internal/dht"
 	"mhmgo/internal/dist"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
@@ -185,6 +190,8 @@ func TestSoftwareCacheReducesCommunication(t *testing.T) {
 	}
 	reads := sim.SimulateReads(comm, sim.ReadConfig{ReadLen: 80, InsertSize: 200, ErrorRate: 0.01, Coverage: 10, Seed: 32})
 
+	// remoteGets holds each rank's one-sided remote reads during AlignReads.
+	var remoteGets [4]uint64
 	run := func(useCache bool) (float64, AlignStats) {
 		m := pgas.NewMachine(pgas.Config{Ranks: 4, RanksPerNode: 1})
 		opts := DefaultOptions(21)
@@ -194,7 +201,9 @@ func TestSoftwareCacheReducesCommunication(t *testing.T) {
 			cs, _ := distributeTestContigs(r, contigs, nil)
 			idx := BuildIndex(r, cs, opts)
 			lo, hi := r.BlockRange(len(reads))
+			before := r.Stats().RemoteGets
 			_, s := AlignReads(r, idx, reads[lo:hi], lo, opts)
+			remoteGets[r.ID()] = r.Stats().RemoteGets - before
 			if r.ID() == 0 {
 				stats = s
 			}
@@ -202,6 +211,14 @@ func TestSoftwareCacheReducesCommunication(t *testing.T) {
 		return res.SimSeconds, stats
 	}
 	cachedTime, cachedStats := run(true)
+	// Seeds are asked of their owners by exchange, never read one-sidedly:
+	// with the contig cache on, a rank's only remote reads are the first
+	// fetch of each remote contig.
+	for rank, n := range remoteGets {
+		if n > uint64(len(contigs)) {
+			t.Errorf("rank %d made %d remote reads aligning against %d contigs", rank, n, len(contigs))
+		}
+	}
 	uncachedTime, _ := run(false)
 	if rate := float64(cachedStats.SeedCacheHits) / float64(cachedStats.SeedLookups); rate <= 0.1 {
 		t.Errorf("seed cache hit rate %v too low", rate)
@@ -234,5 +251,202 @@ func TestAlignmentRateOnSimulatedReads(t *testing.T) {
 	rate := float64(aligned) / float64(total)
 	if rate < 0.9 {
 		t.Errorf("only %v of reads aligned to their source genomes", rate)
+	}
+}
+
+// refAlignReads is the per-seed alignment path the exchange replaced, kept
+// as the oracle of AlignReads: every strided seed of every read is one
+// CachedReader.Get of the frozen seed index, and each hit list is sorted
+// into a copy before its candidates are fetched through the contig Reader
+// and extended. The caller freezes idx.Seeds.
+func refAlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts Options) ([]Alignment, AlignStats) {
+	opts.SeedLen = idx.SeedLen
+	reader := idx.Seeds.NewCachedReader(r, cacheEntries, opts.UseCache)
+	contigCache := 0
+	if opts.UseCache {
+		contigCache = cacheEntries
+	}
+	creader := idx.Contigs.NewReader(r, contigCache)
+	var out []Alignment
+	var stats AlignStats
+	scratch := NewScratch()
+	for i, read := range reads {
+		if opts.OnlyLib != nil && read.LibID != *opts.OnlyLib {
+			continue
+		}
+		stats.ReadsTotal++
+		best, found := refAlignOne(r, reader, creader, read, opts, scratch)
+		if found {
+			best.ReadIdx = readOffset + i
+			best.ReadID = read.ID
+			best.LibID = read.LibID
+			out = append(out, best)
+		}
+	}
+	stats.ReadsAligned = len(out)
+	return out, stats
+}
+
+// refAlignOne seeds and extends one read for refAlignReads.
+func refAlignOne(r *pgas.Rank, reader *dht.CachedReader[seq.Kmer, []SeedHit], creader *dist.Reader[dbg.Contig], read seq.Read, opts Options, scratch *Scratch) (Alignment, bool) {
+	var best Alignment
+	var bestContig dbg.Contig
+	found := false
+	scratch.BeginRead(read.Seq)
+	tried := scratch.tried
+	clear(tried)
+	it := seq.NewKmerIter(read.Seq, opts.SeedLen)
+	nextSeedAt := 0
+	for {
+		km, off, ok := it.Next()
+		if !ok {
+			break
+		}
+		if off < nextSeedAt {
+			continue
+		}
+		nextSeedAt = off + seedStride
+		canon, readRC := km.Canonical()
+		hits, ok := reader.Get(canon)
+		if !ok || len(hits) > maxHitsPerSeed {
+			continue
+		}
+		hits = append([]SeedHit(nil), hits...)
+		sort.Slice(hits, func(i, j int) bool {
+			if hits[i].ContigID != hits[j].ContigID {
+				return hits[i].ContigID < hits[j].ContigID
+			}
+			if hits[i].Pos != hits[j].Pos {
+				return hits[i].Pos < hits[j].Pos
+			}
+			return !hits[i].Reverse && hits[j].Reverse
+		})
+		for _, h := range hits {
+			contig := creader.Get(h.ContigID)
+			reverse := readRC != h.Reverse
+			key := [3]int{h.ContigID, h.Pos - off, boolToInt(reverse)}
+			if tried[key] {
+				continue
+			}
+			tried[key] = true
+			a, ok := extend(read.Seq, contig, h, off, reverse, opts, scratch)
+			r.Compute(float64(a.AlignLen))
+			if !ok {
+				continue
+			}
+			if !found || betterAlignment(a, contig, best, bestContig) {
+				best = a
+				bestContig = contig
+				found = true
+			}
+		}
+	}
+	return best, found
+}
+
+// oracleFixture is a random contig set and reads sampled from it: every
+// contig carries one shared motif, so the motif's seeds have more hits than
+// maxHitsPerSeed, and some reads are the motif alone; half the reads are
+// reverse complements, some carry an N or substitutions, some are random,
+// and the reads alternate between two libraries.
+func oracleFixture(seed int64) ([]dbg.Contig, []seq.Read) {
+	rng := rand.New(rand.NewSource(seed))
+	motif := randBases(rng, 40)
+	contigs := make([]dbg.Contig, maxHitsPerSeed+8)
+	for i := range contigs {
+		s := randBases(rng, 150+rng.Intn(250))
+		copy(s[rng.Intn(len(s)-len(motif)):], motif)
+		contigs[i] = dbg.Contig{ID: i, Seq: s, Depth: 10}
+	}
+	reads := make([]seq.Read, 600)
+	for i := range reads {
+		n := 60 + rng.Intn(60)
+		var s []byte
+		switch {
+		case i%50 == 0:
+			s = append([]byte(nil), motif...)
+		case i%10 == 9:
+			s = randBases(rng, n)
+		default:
+			c := contigs[rng.Intn(len(contigs))].Seq
+			n = min(n, len(c))
+			start := rng.Intn(len(c) - n + 1)
+			s = append([]byte(nil), c[start:start+n]...)
+			for j := rng.Intn(4); j > 0; j-- {
+				s[rng.Intn(n)] = seq.BaseToChar(byte(rng.Intn(4)))
+			}
+		}
+		if i%7 == 3 {
+			s[rng.Intn(len(s))] = 'N'
+		}
+		if i%2 == 1 {
+			s = seq.ReverseComplement(s)
+		}
+		reads[i] = seq.Read{ID: fmt.Sprintf("r%d", i), Seq: s, LibID: uint8(i % 3 % 2)}
+	}
+	return contigs, reads
+}
+
+// TestAlignReadsMatchesPerSeedOracle: the exchange-based AlignReads returns,
+// on every rank, exactly the alignments and counts of the per-seed oracle,
+// for P in {1, 3, 16}, Workers 1 and 4, the cache on and off, and each
+// library alone or both.
+func TestAlignReadsMatchesPerSeedOracle(t *testing.T) {
+	lib0, lib1 := uint8(0), uint8(1)
+	for _, fixture := range []int64{5, 6} {
+		contigs, reads := oracleFixture(fixture)
+		for _, p := range []int{1, 3, 16} {
+			for _, workers := range []int{1, 4} {
+				for _, useCache := range []bool{true, false} {
+					for _, only := range []*uint8{nil, &lib0, &lib1} {
+						name := fmt.Sprintf("fixture=%d/P=%d/workers=%d/cache=%v/lib=%v", fixture, p, workers, useCache, only != nil)
+						if only != nil {
+							name += fmt.Sprint(*only)
+						}
+						t.Run(name, func(t *testing.T) {
+							checkAgainstOracle(t, contigs, reads, p, workers, useCache, only)
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkAgainstOracle aligns each rank's block of reads with AlignReads and
+// then, on the same index frozen, with refAlignReads, and compares them.
+func checkAgainstOracle(t *testing.T, contigs []dbg.Contig, reads []seq.Read, p, workers int, useCache bool, only *uint8) {
+	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 2, Workers: workers})
+	opts := DefaultOptions(21)
+	opts.UseCache = useCache
+	opts.OnlyLib = only
+	got := make([][]Alignment, p)
+	want := make([][]Alignment, p)
+	gotStats := make([]AlignStats, p)
+	wantStats := make([]AlignStats, p)
+	res := m.Run(func(r *pgas.Rank) {
+		cs, _ := distributeTestContigs(r, contigs, nil)
+		idx := BuildIndex(r, cs, opts)
+		lo, hi := r.BlockRange(len(reads))
+		got[r.ID()], gotStats[r.ID()] = AlignReads(r, idx, reads[lo:hi], lo, opts)
+		r.Barrier()
+		idx.Seeds.Freeze()
+		want[r.ID()], wantStats[r.ID()] = refAlignReads(r, idx, reads[lo:hi], lo, opts)
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	total := 0
+	for rank := range p {
+		if !slices.Equal(got[rank], want[rank]) {
+			t.Errorf("rank %d: alignments differ from the oracle's:\n got %+v\nwant %+v", rank, got[rank], want[rank])
+		}
+		if g, w := gotStats[rank], wantStats[rank]; g.ReadsAligned != w.ReadsAligned || g.ReadsTotal != w.ReadsTotal {
+			t.Errorf("rank %d: aligned %d of %d, oracle %d of %d", rank, g.ReadsAligned, g.ReadsTotal, w.ReadsAligned, w.ReadsTotal)
+		}
+		total += len(got[rank])
+	}
+	if total == 0 {
+		t.Error("no read aligned")
 	}
 }

@@ -68,7 +68,7 @@ func TestExtendPackedMatchesASCII(t *testing.T) {
 
 // BenchmarkKernelAlignExtend is the extend microbenchmark: one op scores a
 // forward and a reverse-strand candidate for one read, with the per-read
-// setup (BeginRead) amortized the way alignOne amortizes it across a read's
+// setup (BeginRead) amortized the way alignRead amortizes it across a read's
 // candidates. The packed variant must be allocation-free — the per-candidate
 // reverse-complement allocation was the dominant cost of reverse-strand
 // extension — and at least 3x faster than the ASCII baseline

@@ -809,6 +809,9 @@ func TestRankStateRecords(t *testing.T) {
 // It was re-captured (from 8354f3b4…) when the dht Updater began delivering
 // its updates by one owner-routed exchange per Flush: the same shards, but
 // every rank clock after the first contig refinement moved.
+// It was re-captured (from 95e7341f…) when the aligner began asking seed
+// owners by exchange instead of reading the seed index one-sidedly: the same
+// shards, but every rank clock after the first alignment moved.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -816,7 +819,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "95e7341faa0ac78183d5525cfeab0df08ff7c0c7df47385b3960241b24f5459a"
+	const want = "7ddf7589536ca8fef254d56c66044a0f044322aa0bf117ec53ada3d0b0fc3d2c"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

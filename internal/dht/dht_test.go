@@ -335,6 +335,7 @@ func TestCachedReader(t *testing.T) {
 
 	var cachedTime, uncachedTime float64
 	resCached := m.Run(func(r *pgas.Rank) {
+		before := r.Stats()
 		c := dm.NewCachedReader(r, 1024, true)
 		for pass := 0; pass < 10; pass++ {
 			for i := 0; i < 100; i++ {
@@ -349,20 +350,21 @@ func TestCachedReader(t *testing.T) {
 				t.Error("phantom key")
 			}
 		}
-		if hits, misses := c.Stats(); hits < misses {
+		if hits, misses := readerStats(r, before); hits < misses {
 			t.Errorf("%d hits for %d misses: too few for repeated reads", hits, misses)
 		}
 	})
 	cachedTime = resCached.SimSeconds
 
 	resUncached := m.Run(func(r *pgas.Rank) {
+		before := r.Stats()
 		c := dm.NewCachedReader(r, 1024, false)
 		for pass := 0; pass < 10; pass++ {
 			for i := 0; i < 100; i++ {
 				c.Get(i)
 			}
 		}
-		hits, misses := c.Stats()
+		hits, misses := readerStats(r, before)
 		if hits+misses != 1000 {
 			t.Errorf("stats %d+%d != 1000", hits, misses)
 		}
@@ -372,6 +374,14 @@ func TestCachedReader(t *testing.T) {
 	if cachedTime >= uncachedTime {
 		t.Errorf("software cache should reduce simulated time: %v vs %v", cachedTime, uncachedTime)
 	}
+}
+
+// readerStats returns the cache hits and misses the rank has been charged
+// since before: a CachedReader charges each of its hits and misses to the
+// rank's counters.
+func readerStats(r *pgas.Rank, before pgas.CommStats) (hits, misses uint64) {
+	now := r.Stats()
+	return now.CacheHits - before.CacheHits, now.CacheMisses - before.CacheMisses
 }
 
 // TestCachedReaderBudgets drives one reader past maxEntries with present and
@@ -396,6 +406,7 @@ func TestCachedReaderBudgets(t *testing.T) {
 	var hits, misses [4]uint64
 	res := m.Run(func(r *pgas.Rank) {
 		dm.Freeze()
+		before := r.Stats()
 		c := dm.NewCachedReader(r, maxEntries, true)
 		for pass := 0; pass < 3; pass++ {
 			// 300 present keys (0..299) and 300 absent ones (5000..5299),
@@ -409,7 +420,7 @@ func TestCachedReaderBudgets(t *testing.T) {
 				}
 			}
 		}
-		hits[r.ID()], misses[r.ID()] = c.Stats()
+		hits[r.ID()], misses[r.ID()] = readerStats(r, before)
 	})
 	wantHits := [4]uint64{703, 727, 742, 652}
 	wantMisses := [4]uint64{1097, 1073, 1058, 1148}

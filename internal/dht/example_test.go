@@ -90,9 +90,9 @@ func ExampleMap_NewCachedReader() {
 				c.Get(k)
 			}
 		}
-		if r.ID() == 0 {
-			hits, misses := c.Stats()
-			fmt.Printf("hit rate > 80%%: %v\n", hits > 4*misses)
+		// The reader charges each hit and miss to the rank's counters.
+		if st := r.Stats(); r.ID() == 0 {
+			fmt.Printf("hit rate > 80%%: %v\n", st.CacheHits > 4*st.CacheMisses)
 		}
 	})
 	// Output:

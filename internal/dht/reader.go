@@ -21,8 +21,6 @@ type CachedReader[K comparable, V any] struct {
 	negatives  int
 	maxEntries int
 	enabled    bool
-	hits       uint64
-	misses     uint64
 }
 
 // cached is one software-cache entry: what the owner answered for a key.
@@ -47,23 +45,23 @@ func (m *Map[K, V]) NewCachedReader(r *pgas.Rank, maxEntries int, enabled bool) 
 }
 
 // Get reads the entry for key, serving it from the software cache when
-// possible. Entries owned by the calling rank are always "hits".
+// possible. A read of the calling rank's own partition is charged as a
+// cache hit (Rank.ChargeCacheHit) and a remote read the cache cannot serve
+// as a miss (Rank.ChargeCacheMiss), so the rank's CacheHits and CacheMisses
+// counters are the reader's hit and miss counts.
 func (c *CachedReader[K, V]) Get(key K) (V, bool) {
 	h := c.m.hash(key)
 	owner := c.m.ownerOf(h)
 	if owner == c.r.ID() {
-		c.hits++
 		c.r.ChargeCacheHit()
 		return c.m.read(c.r, owner, h, key)
 	}
 	if c.enabled {
 		if e, ok := c.cache.Get(h, key); ok {
-			c.hits++
 			c.r.ChargeCacheHit()
 			return e.val, e.found
 		}
 	}
-	c.misses++
 	c.r.ChargeCacheMiss(owner, c.m.entryBytes)
 	v, ok := c.m.read(c.r, owner, h, key)
 	if c.enabled {
@@ -78,6 +76,3 @@ func (c *CachedReader[K, V]) Get(key K) (V, bool) {
 	}
 	return v, ok
 }
-
-// Stats returns the number of cache hits and misses recorded so far.
-func (c *CachedReader[K, V]) Stats() (hits, misses uint64) { return c.hits, c.misses }

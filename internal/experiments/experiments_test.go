@@ -212,6 +212,9 @@ func TestAblationsSmoke(t *testing.T) {
 		if row.Feature == "message aggregation" && row.Off <= row.On {
 			t.Errorf("disabling aggregation should cost time: %+v", row)
 		}
+		if row.Feature == "software cache" && row.Off <= row.On {
+			t.Errorf("disabling the software cache should cost time: %+v", row)
+		}
 	}
 	if !strings.Contains(res.Format(), "Ablations") {
 		t.Error("format missing header")

@@ -1,5 +1,6 @@
 // Package hashtab provides the one open-addressing hash table that backs
-// every partition of dht.Map and the dht.CachedReader software cache.
+// every partition of dht.Map, the dht.CachedReader software cache and the
+// aligner's per-rank seed slots.
 //
 // The caller supplies the 64-bit hash of every key it passes in — dht has
 // already computed it to pick the owner rank — so the table never hashes a
