@@ -256,12 +256,11 @@ func TestAlignmentRateOnSimulatedReads(t *testing.T) {
 
 // refAlignReads is the per-seed alignment path the exchange replaced, kept
 // as the oracle of AlignReads: every strided seed of every read is one
-// CachedReader.Get of the frozen seed index, and each hit list is sorted
-// into a copy before its candidates are fetched through the contig Reader
-// and extended. The caller freezes idx.Seeds.
+// Map.Get of the frozen seed index, and each hit list is sorted into a copy
+// before its candidates are fetched through the contig Reader and extended.
+// The caller freezes idx.Seeds.
 func refAlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts Options) ([]Alignment, AlignStats) {
 	opts.SeedLen = idx.SeedLen
-	reader := idx.Seeds.NewCachedReader(r, cacheEntries, opts.UseCache)
 	contigCache := 0
 	if opts.UseCache {
 		contigCache = cacheEntries
@@ -275,7 +274,7 @@ func refAlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, o
 			continue
 		}
 		stats.ReadsTotal++
-		best, found := refAlignOne(r, reader, creader, read, opts, scratch)
+		best, found := refAlignOne(r, idx.Seeds, creader, read, opts, scratch)
 		if found {
 			best.ReadIdx = readOffset + i
 			best.ReadID = read.ID
@@ -288,7 +287,7 @@ func refAlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, o
 }
 
 // refAlignOne seeds and extends one read for refAlignReads.
-func refAlignOne(r *pgas.Rank, reader *dht.CachedReader[seq.Kmer, []SeedHit], creader *dist.Reader[dbg.Contig], read seq.Read, opts Options, scratch *Scratch) (Alignment, bool) {
+func refAlignOne(r *pgas.Rank, seeds *dht.Map[seq.Kmer, []SeedHit], creader *dist.Reader[dbg.Contig], read seq.Read, opts Options, scratch *Scratch) (Alignment, bool) {
 	var best Alignment
 	var bestContig dbg.Contig
 	found := false
@@ -307,7 +306,7 @@ func refAlignOne(r *pgas.Rank, reader *dht.CachedReader[seq.Kmer, []SeedHit], cr
 		}
 		nextSeedAt = off + seedStride
 		canon, readRC := km.Canonical()
-		hits, ok := reader.Get(canon)
+		hits, ok := seeds.Get(r, canon)
 		if !ok || len(hits) > maxHitsPerSeed {
 			continue
 		}

@@ -30,9 +30,9 @@ type Edge struct {
 // the number of components (the same on every rank) and, for each local
 // vertex, the number of its component.
 //
-// The parent array is partitioned by owner, like cgraph's liveness mask:
-// each rank allocates only the slots of the vertices it owns, and every rank
-// hooks and compresses through any partition with atomics.
+// The parent array is partitioned by owner: each rank allocates only the
+// slots of the vertices it owns, and every rank hooks and compresses through
+// any partition with atomics.
 func Parallel(r *pgas.Rank, nLocal int, localEdges []Edge) (comp []int, total int) {
 	var parts [][]atomic.Int64
 	if r.ID() == 0 {

@@ -5,16 +5,24 @@
 //
 // The bubble-contig graph is orders of magnitude smaller than the k-mer de
 // Bruijn graph: its vertices are whole contigs and its edges are shared
-// junction (k-1)-mers. Since PR 3 the contigs themselves stay distributed
-// (dist.Set partitioned by content hash): every refinement pass scans only
-// the calling rank's shard, neighbour contigs are fetched through a cached
-// one-sided read, liveness is tracked in per-owner shards, and removal
-// proposals are routed to the owners instead of being broadcast to the
-// world. The junction index is built in a distributed hash table with the
-// aggregated update-only phase, exactly as before.
+// junction (k-1)-mers. The contigs stay distributed (dist.Set partitioned by
+// content hash) and the junction index is a distributed hash table built
+// once with the aggregated update-only phase. Refinement is owner-computes:
+// in each pass the owner of every junction pushes, in one exchange, each
+// examined contig end's owner the other live contigs at that junction, with
+// their lengths and depths, and the contig's owner applies the bubble, hair
+// or prune rule locally. Every removal names the owner's own contig, and one
+// tombstone exchange drops the dead contigs from the junction lists, which
+// then index exactly the live contigs. Compaction's links are decided by the
+// junction owners and pushed to both contigs' owners; the only one-sided
+// reads left are the chain walks' member fetches and the rare bubble tie that
+// compares two arms' sequences.
 package cgraph
 
 import (
+	"cmp"
+	"slices"
+
 	"mhmgo/internal/dbg"
 	"mhmgo/internal/dht"
 	"mhmgo/internal/dist"
@@ -65,24 +73,52 @@ type Result struct {
 	Set *dbg.ContigSet
 }
 
-// removalWireSize is the wire bytes of one removal proposal (a contig ID)
-// routed to the contig's owner.
-const removalWireSize = 8
+// Wire bytes of the records refinement moves: a junction ref, a junction
+// index update (key and ref), a pushed neighbour view (contig, end and the
+// neighbour's ref) and a tombstone (key and contig ID).
+const (
+	refWireSize       = 26
+	entryWireSize     = 17 + refWireSize
+	viewWireSize      = 9 + refWireSize
+	tombstoneWireSize = 17 + 8
+)
 
-// endRef records that a contig endpoint touches a junction.
+// endRef records that a contig end touches a junction, with what the
+// neighbour rules and the link decision read of the contig, so that neither
+// fetches it.
 type endRef struct {
 	ContigID int
 	// End is 'L' if the junction is the contig's (k-1)-prefix, 'R' if it is
 	// the (k-1)-suffix, in the contig's stored orientation.
-	End byte
+	End   byte
+	Len   int
+	Depth float64
+	// Fwd reports that the end's stored (k-1)-mer is the canonical key
+	// itself, not its reverse complement.
+	Fwd bool
 }
 
-// junctionKey returns the canonical (k-1)-mer key of a contig endpoint, or
-// ok=false for contigs shorter than k-1.
-func junctionKey(c dbg.Contig, k int, end byte) (seq.Kmer, bool) {
+// view is one record of a pass's push: contig ContigID's end End shares its
+// junction with the live contig end Nb.
+type view struct {
+	ContigID int
+	End      byte
+	Nb       endRef
+}
+
+// tombstone tells a junction's owner that contig ContigID died.
+type tombstone struct {
+	Key      seq.Kmer
+	ContigID int
+}
+
+// junctionKey returns the canonical (k-1)-mer key of a contig endpoint and
+// whether the stored (k-1)-mer is that key, or ok=false for contigs shorter
+// than k-1.
+func junctionKey(c dbg.Contig, k int, end byte) (key seq.Kmer, fwd, ok bool) {
 	j := k - 1
 	if len(c.Seq) < j {
-		return seq.Kmer{}, false
+		return seq.Kmer{}, false, false
 	}
 	var s []byte
 	if end == 'L' {
@@ -92,158 +128,165 @@ func junctionKey(c dbg.Contig, k int, end byte) (seq.Kmer, bool) {
 	}
 	km, err := seq.KmerFromBytes(s, j)
 	if err != nil {
-		return seq.Kmer{}, false
+		return seq.Kmer{}, false, false
 	}
-	canon, _ := km.Canonical()
-	return canon, true
-}
-
-// aliveMask tracks contig liveness in per-owner shards: each rank mutates
-// only the flags of the contigs it owns, and reading any flag, local or
-// remote, costs one compute op and no message (see get).
-type aliveMask struct {
-	shards [][]bool
-}
-
-func newAliveMask(r *pgas.Rank, cs *dbg.ContigSet) *aliveMask {
-	var a *aliveMask
-	if r.ID() == 0 {
-		a = &aliveMask{shards: make([][]bool, r.NRanks())}
-	}
-	a = pgas.Broadcast(r, a)
-	shard := make([]bool, cs.Len(r))
-	for i := range shard {
-		shard[i] = true
-	}
-	a.shards[r.ID()] = shard
-	r.Barrier()
-	return a
-}
-
-// get reads a contig's liveness. It costs one compute op, not a message: a
-// real implementation stores the tombstone inside the junction refs and the
-// contig record itself, so liveness always rides along with a fetch that is
-// already charged (the junction lookup or the neighbour contig get) instead
-// of paying a dedicated one-byte message.
-func (a *aliveMask) get(r *pgas.Rank, id int) bool {
-	owner, idx := dist.Locate(id)
-	r.Compute(1)
-	return a.shards[owner][idx]
+	canon, flipped := km.Canonical()
+	return canon, !flipped, true
 }
 
 // graph is the per-rank view of the distributed bubble-contig graph.
 type graph struct {
-	k        int
-	cs       *dbg.ContigSet
-	alive    *aliveMask
-	junction *dht.Map[seq.Kmer, []endRef]
-	// creader caches remote contig fetches; contig records are immutable
-	// during refinement, so the cache never goes stale.
+	k         int
+	cs        *dbg.ContigSet
+	aggregate bool
+	*shared
+	// dead flags the calling rank's contigs that a pass removed, by shard
+	// index.
+	dead []bool
+	// creader fetches a bubble neighbour's sequence, for exact ties only.
 	creader *dist.Reader[dbg.Contig]
 }
 
-// buildJunctionIndex stores the endpoints of the local contigs selected by
-// keep (nil keeps all) in a distributed junction index (Global Update-Only
-// phase with aggregation), frozen for remote reads.
-func buildJunctionIndex(r *pgas.Rank, cs *dbg.ContigSet, k int, aggregate bool, keep func(i int) bool) *dht.Map[seq.Kmer, []endRef] {
-	idx := dht.NewMapCollective[seq.Kmer, []endRef](r, seq.Kmer.Hash, 32)
+// shared is what the ranks of one Refine share, allocated by rank 0 and
+// broadcast once: the junction index, whose partitions only their owners
+// touch, and the per-owner chain members compaction's walks fetch.
+type shared struct {
+	junction *dht.Map[seq.Kmer, []endRef]
+	members  [][]member
+}
+
+// buildJunctionIndex stores the endpoints of the local contigs in the
+// distributed junction index (Global Update-Only phase with aggregation). The
+// index is never frozen: only each partition's owner reads it.
+func (g *graph) buildJunctionIndex(r *pgas.Rank) {
 	combine := func(existing, update []endRef, found bool) []endRef {
 		return append(existing, update...)
 	}
-	u := idx.NewUpdater(r, combine, 256, aggregate)
-	cs.ForEachLocal(r, func(i int, c dbg.Contig) {
-		if keep != nil && !keep(i) {
-			return
-		}
+	u := g.junction.NewUpdater(r, combine, 256, g.aggregate)
+	g.cs.ForEachLocal(r, func(_ int, c dbg.Contig) {
 		for _, end := range []byte{'L', 'R'} {
-			if key, ok := junctionKey(c, k, end); ok {
-				u.Update(key, []endRef{{ContigID: c.ID, End: end}})
+			if key, fwd, ok := junctionKey(c, g.k, end); ok {
+				u.Update(key, []endRef{{ContigID: c.ID, End: end, Len: len(c.Seq), Depth: c.Depth, Fwd: fwd}})
 			}
 		}
 		r.Compute(2)
 	})
 	u.Flush()
-	r.Barrier()
-	// Refinement and compaction only read the junction index: freeze it so
-	// the CachedReader traversals may read every partition (use case 3).
-	idx.Freeze()
-	return idx
 }
 
-// neighborsOf returns the other contig refs attached to the two junctions of
-// contig c, split by which of c's ends they touch. Dead neighbours are
-// filtered through the alive mask.
-func (g *graph) neighborsOf(r *pgas.Rank, reader *dht.CachedReader[seq.Kmer, []endRef], c dbg.Contig) (left, right []endRef) {
-	collect := func(end byte) []endRef {
-		key, ok := junctionKey(c, g.k, end)
-		if !ok {
-			return nil
-		}
-		refs, _ := reader.Get(key)
-		var out []endRef
+// exchange routes items to the ranks dest names in one exchange and returns
+// the items the calling rank received. With aggregation off every remote
+// item is charged as its own message, as the Updater charges it.
+func exchange[T any](r *pgas.Rank, items []T, dest func(T) int, wire int, aggregate bool) []T {
+	if !aggregate {
+		pgas.ChargeUnaggregated(r, items, func(_ int, it T) int { return dest(it) })
+	}
+	return dist.Exchange(r, items, dest, func(T) int { return wire })
+}
+
+func ownerOf(id int) int { owner, _ := dist.Locate(id); return owner }
+
+// neighbours is what a pass tells one of the calling rank's contigs: the
+// other live contig ends at its left and at its right junction, each in the
+// junction list's stored order.
+type neighbours struct {
+	c           dbg.Contig
+	idx         int
+	left, right []endRef
+}
+
+// push is one pass's exchange: every junction owner sends, for each live
+// ref examine selects, the other live refs at the junction to the ref's
+// owner. It returns the neighbours of each calling-rank contig that was
+// examined and has any, in shard order.
+func (g *graph) push(r *pgas.Rank, examine func(endRef) bool) []neighbours {
+	var out []view
+	g.junction.ForEachLocal(r, func(_ seq.Kmer, refs []endRef) {
 		for _, ref := range refs {
-			if ref.ContigID == c.ID {
+			if !examine(ref) {
 				continue
 			}
-			if !g.alive.get(r, ref.ContigID) {
-				continue
+			for _, nb := range refs {
+				if nb.ContigID != ref.ContigID {
+					out = append(out, view{ContigID: ref.ContigID, End: ref.End, Nb: nb})
+				}
 			}
-			out = append(out, ref)
 		}
-		return out
-	}
-	return collect('L'), collect('R')
-}
-
-// meanNeighborDepth returns the mean depth over a set of neighbour refs,
-// fetching the neighbour contigs through the cached reader.
-func (g *graph) meanNeighborDepth(refs []endRef) float64 {
-	if len(refs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, ref := range refs {
-		sum += g.creader.Get(ref.ContigID).Depth
-	}
-	return sum / float64(len(refs))
-}
-
-// applyRemovals routes removal proposals to the owners of the proposed
-// contigs, who mark them dead, and returns how many of the calling rank's
-// contigs actually died (a proposal for an already-dead contig is a no-op, so
-// the same bubble proposed by both arms' owners counts once). The closing
-// barrier publishes the new liveness to every rank's next pass.
-func (g *graph) applyRemovals(r *pgas.Rank, proposals []int) int {
-	mine := dist.Exchange(r, proposals,
-		func(id int) int { owner, _ := dist.Locate(id); return owner },
-		func(int) int { return removalWireSize })
-	n := 0
-	shard := g.alive.shards[r.ID()]
-	for _, id := range mine {
-		_, idx := dist.Locate(id)
-		if shard[idx] {
-			shard[idx] = false
-			n++
+	})
+	got := exchange(r, out, func(v view) int { return ownerOf(v.ContigID) }, viewWireSize, g.aggregate)
+	// Views of one contig end come from one junction owner, contiguous and
+	// in stored order; a stable sort groups them by contig, left end first.
+	slices.SortStableFunc(got, func(a, b view) int {
+		return cmp.Or(cmp.Compare(a.ContigID, b.ContigID), cmp.Compare(a.End, b.End))
+	})
+	r.Compute(float64(len(got)))
+	local := g.cs.Local(r)
+	var ns []neighbours
+	for _, v := range got {
+		_, idx := dist.Locate(v.ContigID)
+		if len(ns) == 0 || ns[len(ns)-1].idx != idx {
+			ns = append(ns, neighbours{c: local[idx], idx: idx})
+		}
+		n := &ns[len(ns)-1]
+		if v.End == 'L' {
+			n.left = append(n.left, v.Nb)
+		} else {
+			n.right = append(n.right, v.Nb)
 		}
 	}
-	r.Compute(float64(len(mine)))
-	r.Barrier()
-	return n
+	return ns
+}
+
+// bury marks the calling rank's contigs at the given shard indices dead and
+// drops them from the junction lists with one tombstone exchange; each
+// junction owner removes the refs in place, keeping the others' order.
+func (g *graph) bury(r *pgas.Rank, dying []int) {
+	local := g.cs.Local(r)
+	var out []tombstone
+	for _, idx := range dying {
+		g.dead[idx] = true
+		c := local[idx]
+		for _, end := range []byte{'L', 'R'} {
+			if key, _, ok := junctionKey(c, g.k, end); ok {
+				out = append(out, tombstone{Key: key, ContigID: c.ID})
+			}
+		}
+	}
+	got := exchange(r, out, func(t tombstone) int { return g.junction.Owner(t.Key) }, tombstoneWireSize, g.aggregate)
+	for _, t := range got {
+		g.junction.UpdateLocal(r, t.Key, func(refs *[]endRef, found bool) bool {
+			kept := (*refs)[:0]
+			for _, ref := range *refs {
+				if ref.ContigID != t.ContigID {
+					kept = append(kept, ref)
+				}
+			}
+			*refs = kept
+			return found
+		})
+	}
 }
 
 // Refine runs the configured refinement passes over the distributed contig
 // set. Collective: every rank passes the shared set, and Result.Set is the
 // refined (filtered or compacted, renumbered) set.
 func Refine(r *pgas.Rank, cs *dbg.ContigSet, opts Options) Result {
-	g := &graph{
-		k:       opts.K,
-		cs:      cs,
-		alive:   newAliveMask(r, cs),
-		creader: cs.NewReader(r, 1<<16),
+	var sh *shared
+	if r.ID() == 0 {
+		sh = &shared{
+			junction: dht.NewMap[seq.Kmer, []endRef](r.Machine(), seq.Kmer.Hash, entryWireSize),
+			members:  make([][]member, r.NRanks()),
+		}
 	}
-	g.junction = buildJunctionIndex(r, cs, opts.K, opts.Aggregate, nil)
-
-	var res Result
+	g := &graph{
+		k:         opts.K,
+		cs:        cs,
+		aggregate: opts.Aggregate,
+		shared:    pgas.Broadcast(r, sh),
+		dead:      make([]bool, cs.Len(r)),
+		creader:   cs.NewReader(r, 1<<16),
+	}
+	g.buildJunctionIndex(r)
 
 	if opts.MergeBubbles {
 		g.mergeBubbles(r)
@@ -252,78 +295,79 @@ func Refine(r *pgas.Rank, cs *dbg.ContigSet, opts Options) Result {
 		g.removeHair(r)
 	}
 	if opts.Prune {
-		g.prune(r, opts)
+		g.prune(r)
 	}
 
 	if opts.Compact {
-		res.Set = g.compact(r, opts)
+		set := g.compact(r)
 		// The input set's contigs were folded into the compacted set.
 		cs.Release(r)
-	} else {
-		aliveShard := g.alive.shards[r.ID()]
-		i := -1
-		cs.FilterLocal(r, func(dbg.Contig) bool { i++; return aliveShard[i] })
-		dbg.RenumberContigs(r, cs)
-		res.Set = cs
+		return Result{Set: set}
 	}
-	r.Barrier()
-	return res
+	i := -1
+	cs.FilterLocal(r, func(dbg.Contig) bool { i++; return !g.dead[i] })
+	dbg.RenumberContigs(r, cs)
+	return Result{Set: cs}
 }
 
-// proposeLoser decides which arm of a bubble dies: the shallower one, with
-// the deterministic content ordering breaking depth ties. The rule depends
-// only on the two contigs' content, so both owners propose the same loser at
-// any rank count.
-func proposeLoser(c, oc dbg.Contig) int {
+// losesTo reports whether contig x is the arm of a bubble with y that
+// dies: the shallower one, then the one dbg.ContigLess orders second (the
+// shorter, then the lexicographically larger). The rule depends only on the
+// two contigs' content, so both arms' owners agree at any rank count. Only an
+// exact tie on depth and length fetches y's sequence.
+func (g *graph) losesTo(x dbg.Contig, y endRef) bool {
 	switch {
-	case c.Depth > oc.Depth:
-		return oc.ID
-	case oc.Depth > c.Depth:
-		return c.ID
-	case dbg.ContigLess(c, oc):
-		return oc.ID
+	case x.Depth != y.Depth:
+		return x.Depth < y.Depth
+	case len(x.Seq) != y.Len:
+		return len(x.Seq) < y.Len
 	default:
-		return c.ID
+		return !dbg.ContigLess(x, g.creader.Get(y.ContigID))
 	}
 }
 
-// mergeBubbles finds pairs of alive contigs that share both junctions and
-// have nearly equal lengths (SNP bubbles) and removes the shallower arm.
+// mergeBubbles removes the shallower arm of every SNP bubble: live contig x
+// dies if a live contig y of similar length that wins against it either
+// touches both of x's junctions or touches one of them with both of its own
+// ends (then y's two junctions are that one, and x touches both of y's).
 func (g *graph) mergeBubbles(r *pgas.Rank) {
-	reader := g.junction.NewCachedReader(r, 1<<16, true)
-	var removals []int
-	aliveShard := g.alive.shards[r.ID()]
-	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
-		if !aliveShard[i] {
-			return
+	var dying []int
+	for _, n := range g.push(r, func(endRef) bool { return true }) {
+		if g.losesABubble(n) {
+			dying = append(dying, n.idx)
 		}
-		keyL, okL := junctionKey(c, g.k, 'L')
-		keyR, okR := junctionKey(c, g.k, 'R')
-		if !okL || !okR {
-			return
+	}
+	g.bury(r, dying)
+}
+
+// losesABubble applies mergeBubbles' rule to one contig's neighbours.
+func (g *graph) losesABubble(n neighbours) bool {
+	candidate := func(y endRef, bubble bool) bool {
+		return bubble && similarLength(len(n.c.Seq), y.Len, bubbleLenTolerance) && g.losesTo(n.c, y)
+	}
+	for _, y := range n.left {
+		if candidate(y, touches(n.right, y.ContigID, 1)) || candidate(y, touches(n.left, y.ContigID, 2)) {
+			return true
 		}
-		refsL, _ := reader.Get(keyL)
-		refsR, _ := reader.Get(keyR)
-		// Candidate bubble partners touch both of c's junctions.
-		onRight := make(map[int]bool)
-		for _, ref := range refsR {
-			onRight[ref.ContigID] = true
+	}
+	for _, y := range n.right {
+		if candidate(y, touches(n.right, y.ContigID, 2)) {
+			return true
 		}
-		for _, ref := range refsL {
-			other := ref.ContigID
-			if other == c.ID || !onRight[other] || !g.alive.get(r, other) {
-				continue
+	}
+	return false
+}
+
+// touches reports whether contig id has at least times ends among refs.
+func touches(refs []endRef, id, times int) bool {
+	for _, ref := range refs {
+		if ref.ContigID == id {
+			if times--; times == 0 {
+				return true
 			}
-			oc := g.creader.Get(other)
-			if !similarLength(len(c.Seq), len(oc.Seq), bubbleLenTolerance) {
-				continue
-			}
-			removals = append(removals, proposeLoser(c, oc))
 		}
-		r.Compute(float64(len(refsL) + len(refsR)))
-	})
-	r.Barrier()
-	g.applyRemovals(r, removals)
+	}
+	return false
 }
 
 func similarLength(a, b int, tol float64) bool {
@@ -339,52 +383,33 @@ func similarLength(a, b int, tol float64) bool {
 
 // removeHair removes dead-end tips: contigs shorter than hairMaxLen that are
 // attached to the rest of the graph at exactly one end and dangle freely at
-// the other, where the attachment point has an alternative continuation.
+// the other, where some sibling at the attachment point is deeper than the
+// tip.
 func (g *graph) removeHair(r *pgas.Rank) {
-	reader := g.junction.NewCachedReader(r, 1<<16, true)
-	var removals []int
-	aliveShard := g.alive.shards[r.ID()]
-	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
-		if !aliveShard[i] || len(c.Seq) >= hairMaxLen(g.k) {
-			return
+	maxLen := hairMaxLen(g.k)
+	var dying []int
+	for _, n := range g.push(r, func(ref endRef) bool { return ref.Len < maxLen }) {
+		attached := n.left
+		if len(n.right) > 0 {
+			if len(n.left) > 0 {
+				continue // attached at both ends
+			}
+			attached = n.right
 		}
-		left, right := g.neighborsOf(r, reader, c)
-		attachedEnds := 0
-		var attachedRefs []endRef
-		if len(left) > 0 {
-			attachedEnds++
-			attachedRefs = left
-		}
-		if len(right) > 0 {
-			attachedEnds++
-			attachedRefs = right
-		}
-		if attachedEnds != 1 {
-			return
-		}
-		// The tip must be the minority continuation: some sibling at the
-		// attachment junction is deeper than the tip. Every sibling is
-		// inspected (no early exit), so the charged fetch count — and so
-		// simulated seconds — does not depend on the order of the refs.
-		deeperSibling := false
-		for _, ref := range attachedRefs {
-			if g.creader.Get(ref.ContigID).Depth > c.Depth {
-				deeperSibling = true
+		for _, nb := range attached {
+			if nb.Depth > n.c.Depth {
+				dying = append(dying, n.idx)
+				break
 			}
 		}
-		if deeperSibling {
-			removals = append(removals, c.ID)
-		}
-	})
-	r.Barrier()
-	g.applyRemovals(r, removals)
+	}
+	g.bury(r, dying)
 }
 
 // prune implements Algorithm 2: iteratively remove short contigs whose depth
 // is at most min(tau, beta * neighbour depth), growing tau geometrically
 // until a round removes nothing on any rank.
-func (g *graph) prune(r *pgas.Rank, opts Options) {
-	reader := g.junction.NewCachedReader(r, 1<<16, true)
+func (g *graph) prune(r *pgas.Rank) {
 	maxDepth := 0.0
 	g.cs.ForEachLocal(r, func(_ int, c dbg.Contig) {
 		if c.Depth > maxDepth {
@@ -393,30 +418,34 @@ func (g *graph) prune(r *pgas.Rank, opts Options) {
 	})
 	maxDepth = pgas.AllReduce(r, maxDepth, pgas.ReduceMax)
 	tau := 1.0
-	aliveShard := g.alive.shards[r.ID()]
 	for round := 0; round < maxPruneRounds && tau < maxDepth; round++ {
-		var removals []int
-		g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
-			if !aliveShard[i] || len(c.Seq) > 2*opts.K {
-				return
+		var dying []int
+		for _, n := range g.push(r, func(ref endRef) bool { return ref.Len <= 2*g.k }) {
+			// The left neighbours' depths, then the right's, each in stored
+			// order: the mean is the same float sum at any rank count.
+			var sum float64
+			for _, nb := range n.left {
+				sum += nb.Depth
 			}
-			left, right := g.neighborsOf(r, reader, c)
-			neighborDepth := g.meanNeighborDepth(append(append([]endRef(nil), left...), right...))
+			for _, nb := range n.right {
+				sum += nb.Depth
+			}
+			neighborDepth := sum / float64(len(n.left)+len(n.right))
 			if neighborDepth == 0 {
-				return
+				continue
 			}
 			limit := tau
 			if b := pruneBeta * neighborDepth; b < limit {
 				limit = b
 			}
-			if c.Depth <= limit {
-				removals = append(removals, c.ID)
+			if n.c.Depth <= limit {
+				dying = append(dying, n.idx)
 			}
-		})
-		r.Barrier()
+		}
+		g.bury(r, dying)
 		// Convergence is a global decision: the all-reduced count makes every
 		// rank leave the loop in the same round.
-		if pgas.AllReduce(r, g.applyRemovals(r, removals), pgas.ReduceSum) == 0 {
+		if pgas.AllReduce(r, len(dying), pgas.ReduceSum) == 0 {
 			break
 		}
 		tau *= 1 + pruneAlpha

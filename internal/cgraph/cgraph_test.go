@@ -1,11 +1,14 @@
 package cgraph
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"mhmgo/internal/dbg"
+	"mhmgo/internal/dht"
 	"mhmgo/internal/dist"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
@@ -46,23 +49,27 @@ func mkContigs(seqs []string, depths []float64) []dbg.Contig {
 func TestJunctionKey(t *testing.T) {
 	c := dbg.Contig{Seq: []byte("ACGTTGCA")}
 	k := 5
-	left, ok := junctionKey(c, k, 'L')
-	if !ok {
+	left, fwd, ok := junctionKey(c, k, 'L')
+	if !ok || !fwd {
 		t.Fatal("left junction missing")
 	}
 	wantL, _ := seq.MustKmer("ACGT").Canonical()
 	if left != wantL {
 		t.Errorf("left junction = %s, want %s", left.String(), wantL.String())
 	}
-	right, ok := junctionKey(c, k, 'R')
-	if !ok {
+	// Both ends are palindromes, so each stored (k-1)-mer is its key.
+	right, fwd, ok := junctionKey(c, k, 'R')
+	if !ok || !fwd {
 		t.Fatal("right junction missing")
 	}
 	wantR, _ := seq.MustKmer("TGCA").Canonical()
 	if right != wantR {
 		t.Errorf("right junction = %s, want %s", right.String(), wantR.String())
 	}
-	if _, ok := junctionKey(dbg.Contig{Seq: []byte("AC")}, 5, 'L'); ok {
+	if _, fwd, ok := junctionKey(dbg.Contig{Seq: []byte("TTGCAA")}, k, 'L'); !ok || fwd {
+		t.Error("TTGC is stored as its reverse complement GCAA, not forward")
+	}
+	if _, _, ok := junctionKey(dbg.Contig{Seq: []byte("AC")}, 5, 'L'); ok {
 		t.Error("short contig should have no junction")
 	}
 }
@@ -261,4 +268,551 @@ func TestDefaultOptions(t *testing.T) {
 	if hairMaxLen(opts.K) != 42 || !opts.Prune || !opts.MergeBubbles || !opts.Compact {
 		t.Errorf("unexpected defaults: %+v", opts)
 	}
+}
+
+// refGraph is the one-sided refinement path the owner-computes passes
+// replaced, kept as their oracle: every pass reads the frozen junction index
+// with Map.Get for both ends of every examined contig, filters the refs by a
+// liveness mask every rank reads, fetches neighbour contigs through a
+// dist.Reader, routes removal proposals to the contigs' owners, and
+// compaction walks a second, survivors-only frozen index.
+type refGraph struct {
+	k        int
+	cs       *dbg.ContigSet
+	alive    [][]bool
+	junction *dht.Map[seq.Kmer, []endRef]
+	creader  *dist.Reader[dbg.Contig]
+	// steps counts the members the calling rank's chain walks took in.
+	steps int
+}
+
+// refRefine runs the oracle over cs and returns the refined set and the
+// number of members the calling rank's chain walks took in. Collective.
+func refRefine(r *pgas.Rank, cs *dbg.ContigSet, opts Options) (*dbg.ContigSet, int) {
+	var alive [][]bool
+	if r.ID() == 0 {
+		alive = make([][]bool, r.NRanks())
+	}
+	alive = pgas.Broadcast(r, alive)
+	shard := make([]bool, cs.Len(r))
+	for i := range shard {
+		shard[i] = true
+	}
+	alive[r.ID()] = shard
+	r.Barrier()
+	g := &refGraph{k: opts.K, cs: cs, alive: alive, creader: cs.NewReader(r, 1<<16)}
+	g.junction = g.index(r, nil)
+	if opts.MergeBubbles {
+		g.mergeBubbles(r)
+	}
+	if opts.RemoveHair {
+		g.removeHair(r)
+	}
+	if opts.Prune {
+		g.prune(r)
+	}
+	if opts.Compact {
+		out := g.compact(r)
+		cs.Release(r)
+		return out, g.steps
+	}
+	i := -1
+	cs.FilterLocal(r, func(dbg.Contig) bool { i++; return shard[i] })
+	dbg.RenumberContigs(r, cs)
+	return cs, 0
+}
+
+func (g *refGraph) isAlive(id int) bool {
+	owner, idx := dist.Locate(id)
+	return g.alive[owner][idx]
+}
+
+// index builds a frozen junction index of the local contigs keep selects
+// (nil keeps all).
+func (g *refGraph) index(r *pgas.Rank, keep func(i int) bool) *dht.Map[seq.Kmer, []endRef] {
+	idx := dht.NewMapCollective[seq.Kmer, []endRef](r, seq.Kmer.Hash, 32)
+	u := idx.NewUpdater(r, func(existing, update []endRef, _ bool) []endRef {
+		return append(existing, update...)
+	}, 256, true)
+	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
+		if keep != nil && !keep(i) {
+			return
+		}
+		for _, end := range []byte{'L', 'R'} {
+			if key, _, ok := junctionKey(c, g.k, end); ok {
+				u.Update(key, []endRef{{ContigID: c.ID, End: end}})
+			}
+		}
+	})
+	u.Flush()
+	r.Barrier()
+	idx.Freeze()
+	return idx
+}
+
+// refs reads the junction list of one of c's ends.
+func (g *refGraph) refs(r *pgas.Rank, c dbg.Contig, end byte) ([]endRef, bool) {
+	key, _, ok := junctionKey(c, g.k, end)
+	if !ok {
+		return nil, false
+	}
+	refs, _ := g.junction.Get(r, key)
+	return refs, true
+}
+
+// neighborsOf returns the live refs of other contigs at c's two junctions.
+func (g *refGraph) neighborsOf(r *pgas.Rank, c dbg.Contig) (left, right []endRef) {
+	collect := func(end byte) []endRef {
+		refs, _ := g.refs(r, c, end)
+		var out []endRef
+		for _, ref := range refs {
+			if ref.ContigID != c.ID && g.isAlive(ref.ContigID) {
+				out = append(out, ref)
+			}
+		}
+		return out
+	}
+	return collect('L'), collect('R')
+}
+
+// applyRemovals routes removal proposals to the contigs' owners, who mark
+// them dead, and returns how many of the calling rank's contigs died.
+func (g *refGraph) applyRemovals(r *pgas.Rank, proposals []int) int {
+	mine := dist.Exchange(r, proposals, ownerOf, func(int) int { return 8 })
+	n := 0
+	shard := g.alive[r.ID()]
+	for _, id := range mine {
+		if _, idx := dist.Locate(id); shard[idx] {
+			shard[idx] = false
+			n++
+		}
+	}
+	r.Barrier()
+	return n
+}
+
+func (g *refGraph) mergeBubbles(r *pgas.Rank) {
+	var removals []int
+	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
+		refsL, okL := g.refs(r, c, 'L')
+		refsR, okR := g.refs(r, c, 'R')
+		if !g.alive[r.ID()][i] || !okL || !okR {
+			return
+		}
+		onRight := make(map[int]bool)
+		for _, ref := range refsR {
+			onRight[ref.ContigID] = true
+		}
+		for _, ref := range refsL {
+			other := ref.ContigID
+			if other == c.ID || !onRight[other] || !g.isAlive(other) {
+				continue
+			}
+			oc := g.creader.Get(other)
+			if !similarLength(len(c.Seq), len(oc.Seq), bubbleLenTolerance) {
+				continue
+			}
+			// The shallower arm dies; ContigLess breaks depth ties.
+			switch {
+			case c.Depth > oc.Depth:
+				removals = append(removals, oc.ID)
+			case oc.Depth > c.Depth:
+				removals = append(removals, c.ID)
+			case dbg.ContigLess(c, oc):
+				removals = append(removals, oc.ID)
+			default:
+				removals = append(removals, c.ID)
+			}
+		}
+	})
+	r.Barrier()
+	g.applyRemovals(r, removals)
+}
+
+func (g *refGraph) removeHair(r *pgas.Rank) {
+	var removals []int
+	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
+		if !g.alive[r.ID()][i] || len(c.Seq) >= hairMaxLen(g.k) {
+			return
+		}
+		left, right := g.neighborsOf(r, c)
+		if (len(left) > 0) == (len(right) > 0) {
+			return
+		}
+		for _, ref := range append(left, right...) {
+			if g.creader.Get(ref.ContigID).Depth > c.Depth {
+				removals = append(removals, c.ID)
+				return
+			}
+		}
+	})
+	r.Barrier()
+	g.applyRemovals(r, removals)
+}
+
+func (g *refGraph) prune(r *pgas.Rank) {
+	maxDepth := 0.0
+	g.cs.ForEachLocal(r, func(_ int, c dbg.Contig) { maxDepth = max(maxDepth, c.Depth) })
+	maxDepth = pgas.AllReduce(r, maxDepth, pgas.ReduceMax)
+	tau := 1.0
+	for round := 0; round < maxPruneRounds && tau < maxDepth; round++ {
+		var removals []int
+		g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
+			if !g.alive[r.ID()][i] || len(c.Seq) > 2*g.k {
+				return
+			}
+			left, right := g.neighborsOf(r, c)
+			refs := append(left, right...)
+			var sum float64
+			for _, ref := range refs {
+				sum += g.creader.Get(ref.ContigID).Depth
+			}
+			if len(refs) == 0 {
+				return
+			}
+			mean := sum / float64(len(refs))
+			if mean != 0 && c.Depth <= min(tau, pruneBeta*mean) {
+				removals = append(removals, c.ID)
+			}
+		})
+		r.Barrier()
+		if pgas.AllReduce(r, g.applyRemovals(r, removals), pgas.ReduceSum) == 0 {
+			break
+		}
+		tau *= 1 + pruneAlpha
+	}
+}
+
+// compact walks the chains of the survivors through a survivors-only frozen
+// junction index, orienting each partner by comparing sequences.
+func (g *refGraph) compact(r *pgas.Rank) *dbg.ContigSet {
+	j := g.k - 1
+	shard := g.alive[r.ID()]
+	g.junction = g.index(r, func(i int) bool { return shard[i] })
+	partner := func(o orientedContig, c dbg.Contig) (orientedContig, dbg.Contig, bool) {
+		end := byte('R')
+		if o.flipped {
+			end = 'L'
+		}
+		refs, ok := g.refs(r, c, end)
+		if !ok || len(refs) != 2 {
+			return orientedContig{}, dbg.Contig{}, false
+		}
+		var other endRef
+		found := false
+		for _, rf := range refs {
+			if rf.ContigID != o.id {
+				other, found = rf, true
+			}
+		}
+		if !found {
+			return orientedContig{}, dbg.Contig{}, false
+		}
+		suffix := orientedSeq(c, o.flipped)
+		suffix = suffix[len(suffix)-j:]
+		oc := g.creader.Get(other.ContigID)
+		for _, flipped := range []bool{false, true} {
+			if s := orientedSeq(oc, flipped); string(s[:j]) == string(suffix) {
+				return orientedContig{id: other.ContigID, flipped: flipped}, oc, true
+			}
+		}
+		return orientedContig{}, dbg.Contig{}, false
+	}
+	var out []dbg.Contig
+	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
+		if !shard[i] {
+			return
+		}
+		for _, flipped := range []bool{false, true} {
+			if _, _, ok := partner(orientedContig{id: c.ID, flipped: !flipped}, c); ok {
+				continue
+			}
+			cur, cc := orientedContig{id: c.ID, flipped: flipped}, c
+			merged := append([]byte(nil), orientedSeq(cc, flipped)...)
+			depthWeight := cc.Depth * float64(len(cc.Seq))
+			totalLen := len(cc.Seq)
+			visited := map[int]bool{cur.id: true}
+			for {
+				next, nc, ok := partner(cur, cc)
+				if !ok || visited[next.id] {
+					break
+				}
+				merged = append(merged, orientedSeq(nc, next.flipped)[j:]...)
+				depthWeight += nc.Depth * float64(len(nc.Seq))
+				totalLen += len(nc.Seq)
+				visited[next.id] = true
+				cur, cc = next, nc
+				g.steps++
+			}
+			if string(merged) <= string(seq.ReverseComplement(merged)) {
+				out = append(out, dbg.Contig{Seq: merged, Depth: depthWeight / float64(totalLen)})
+			}
+		}
+	})
+	r.Barrier()
+	return dbg.DistributeContigs(r, out, dist.Distributed)
+}
+
+// randomGraph returns a random contig graph over a small pool of junction
+// (k-1)-mers, read in either orientation, so that junctions are shared and
+// of every degree. Beside random contigs it plants the shapes the rules and
+// the link decision must get right: SNP bubbles (some with arms of equal
+// depth and equal length, so the tie fetch runs), contigs whose two ends
+// share one junction (hairpins among them), bubbles against such a contig,
+// short tips, chains of 1 to 6 contigs and cycles. With k-1 even the pool
+// holds a palindromic junction.
+func randomGraph(rng *rand.Rand, k int) []string {
+	j := k - 1
+	randSeq := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "ACGT"[rng.Intn(4)]
+		}
+		return string(b)
+	}
+	pool := make([]string, 4+rng.Intn(8))
+	for i := range pool {
+		pool[i] = randSeq(j)
+	}
+	if j%2 == 0 {
+		half := randSeq(j / 2)
+		pool[0] = half + string(seq.ReverseComplement([]byte(half)))
+	}
+	rcs := func(s string) string { return string(seq.ReverseComplement([]byte(s))) }
+	either := func(s string) string {
+		if rng.Intn(2) == 0 {
+			return rcs(s)
+		}
+		return s
+	}
+	junction := func() string { return either(pool[rng.Intn(len(pool))]) }
+	mid := func() string { return randSeq(rng.Intn(3 * k)) }
+	var out []string
+	for n := 8 + rng.Intn(16); n > 0; n-- {
+		switch rng.Intn(8) {
+		case 0, 1: // random contig
+			out = append(out, junction()+mid()+junction())
+		case 2: // SNP bubble: same junctions and length, one base apart
+			a, m, b := junction(), randSeq(1+rng.Intn(2*k)), junction()
+			p := rng.Intn(len(m))
+			m2 := m[:p] + string("ACGT"[(strings.IndexByte("ACGT", m[p])+1+rng.Intn(3))%4]) + m[p+1:]
+			out = append(out, either(a+m+b), either(a+m2+b))
+		case 3: // both ends at one junction, and a contig of similar length beside it
+			a, m := junction(), mid()
+			b := a
+			if rng.Intn(2) == 0 {
+				b = rcs(a)
+			}
+			out = append(out, either(a+m+b), either(junction()+randSeq(len(m))+a))
+		case 4: // short tip
+			out = append(out, either(junction()+randSeq(1+rng.Intn(k))))
+		case 5, 6: // chain of 1 to 6 contigs, closed into a cycle one time in three
+			n := 1 + rng.Intn(6)
+			js := make([]string, n+1)
+			for i := range js {
+				js[i] = randSeq(j)
+			}
+			if rng.Intn(3) == 0 {
+				js[n] = js[0]
+			}
+			for i := 0; i < n; i++ {
+				out = append(out, either(js[i]+mid()+js[i+1]))
+			}
+		default: // hairpin: a stem and its reverse complement
+			stem := junction() + randSeq(rng.Intn(k))
+			out = append(out, stem+randSeq(rng.Intn(3))+rcs(stem))
+		}
+	}
+	return out
+}
+
+// randomDepths gives each contig a depth from a small set, so that equal
+// depths are common, or a distinct one when distinct is set.
+func randomDepths(rng *rand.Rand, n int, distinct bool) []float64 {
+	levels := []float64{1, 2, 3, 5, 8, 13, 20, 30}
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = levels[rng.Intn(len(levels))]
+		if distinct {
+			d[i] += float64(i) / float64(n)
+		}
+	}
+	return d
+}
+
+// sortedContigs returns the contigs in ContigLess order.
+func sortedContigs(cs []dbg.Contig) []dbg.Contig {
+	sort.Slice(cs, func(i, j int) bool { return dbg.ContigLess(cs[i], cs[j]) })
+	return cs
+}
+
+// TestRefineMatchesOneSidedOracle: on random contig graphs, Refine emits
+// exactly the contigs (sequences and depths) the one-sided path emits, at
+// P = 1, 3 and 16, with each of the four passes on and off, aggregated or
+// not.
+func TestRefineMatchesOneSidedOracle(t *testing.T) {
+	type graphCase struct {
+		k       int
+		contigs []dbg.Contig
+	}
+	var graphs []graphCase
+	for i := 0; i < 12; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
+		k := []int{5, 7, 6}[i%3]
+		seqs := randomGraph(rng, k)
+		graphs = append(graphs, graphCase{k, mkContigs(seqs, randomDepths(rng, len(seqs), false))})
+	}
+	run := func(contigs []dbg.Contig, ranks int, opts Options, oracle bool) []dbg.Contig {
+		m := pgas.NewMachine(pgas.Config{Ranks: ranks, RanksPerNode: 4})
+		var out []dbg.Contig
+		m.Run(func(r *pgas.Rank) {
+			lo, hi := r.BlockRange(len(contigs))
+			cs := dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed)
+			var set *dbg.ContigSet
+			if oracle {
+				set, _ = refRefine(r, cs, opts)
+			} else {
+				set = Refine(r, cs, opts).Set
+			}
+			if all := set.Emit(r); r.ID() == 0 {
+				out = sortedContigs(all)
+			}
+		})
+		return out
+	}
+	for gi, gc := range graphs {
+		for mask := 0; mask < 16; mask++ {
+			// Aggregation changes the charges only; every other graph runs
+			// with it off.
+			opts := Options{K: gc.k, MergeBubbles: mask&1 != 0, RemoveHair: mask&2 != 0,
+				Prune: mask&4 != 0, Compact: mask&8 != 0, Aggregate: gi%2 == 0}
+			for _, p := range []int{1, 3, 16} {
+				want := run(gc.contigs, p, opts, true)
+				got := run(gc.contigs, p, opts, false)
+				if len(got) != len(want) {
+					t.Fatalf("graph %d k=%d %+v P=%d: %d contigs, oracle %d", gi, gc.k, opts, p, len(got), len(want))
+				}
+				for i := range got {
+					if string(got[i].Seq) != string(want[i].Seq) || got[i].Depth != want[i].Depth {
+						t.Fatalf("graph %d k=%d %+v P=%d: contig %d = %s (%v), oracle %s (%v)",
+							gi, gc.k, opts, p, i, got[i].Seq, got[i].Depth, want[i].Seq, want[i].Depth)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRefineRemoteReadsOnlyChainWalk: at P=8 the refinement passes read no
+// other rank's memory. A rank's one-sided reads over Refine are the bubble
+// tie fetches alone with compaction off, and with it on at most those plus
+// the members its chain walks take in (the oracle, which walks the same
+// chains from the same ranks, counts them). On distinct depths there are no
+// ties, so compaction off reads nothing remote at all. The barrier count of
+// a rank over Refine is pinned too: the index build (broadcast 2, flush 3),
+// one push and one tombstone exchange per pass (3 each), prune's two
+// all-reduces (2 each, the second per round; this input takes one round),
+// and then renumbering (1), or compaction's link exchange, member barrier,
+// redistribution and release (3+1+7+2).
+func TestRefineRemoteReadsOnlyChainWalk(t *testing.T) {
+	const p, k = 8, 7
+	rng := rand.New(rand.NewSource(7))
+	var seqs []string
+	for len(seqs) < 300 {
+		seqs = append(seqs, randomGraph(rng, k)...)
+	}
+	for _, tc := range []struct {
+		name     string
+		distinct bool
+		barriers map[bool]uint64 // by Compact
+	}{
+		{"distinct depths", true, map[bool]uint64{false: 28, true: 40}},
+		{"tied depths", false, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			contigs := mkContigs(seqs, randomDepths(rand.New(rand.NewSource(3)), len(seqs), tc.distinct))
+			tiedGets := 0
+			for _, compact := range []bool{false, true} {
+				opts := DefaultOptions(k)
+				opts.Compact = compact
+				var steps, ties [p]int
+				var gets, barriers [p]uint64
+				pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 4}).Run(func(r *pgas.Rank) {
+					lo, hi := r.BlockRange(len(contigs))
+					_, steps[r.ID()] = refRefine(r, dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed), opts)
+				})
+				var shards [p][]dbg.Contig
+				pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 4}).Run(func(r *pgas.Rank) {
+					lo, hi := r.BlockRange(len(contigs))
+					cs := dbg.DistributeContigs(r, contigs[lo:hi], dist.Distributed)
+					shards[r.ID()] = cs.Local(r)
+					r.Barrier()
+					ties[r.ID()] = remoteTies(shards[:], r.ID(), k)
+					before := r.Stats()
+					Refine(r, cs, opts)
+					after := r.Stats()
+					gets[r.ID()] = after.RemoteGets - before.RemoteGets
+					barriers[r.ID()] = after.Barriers - before.Barriers
+				})
+				for rank := 0; rank < p; rank++ {
+					bound := ties[rank]
+					if compact {
+						bound += steps[rank]
+					}
+					if gets[rank] > uint64(bound) {
+						t.Errorf("compact=%v: rank %d made %d remote gets, want at most %d (%d tie partners, %d walk steps)",
+							compact, rank, gets[rank], bound, ties[rank], steps[rank])
+					}
+					if tc.distinct && !compact && gets[rank] != 0 {
+						t.Errorf("compact off: rank %d made %d remote gets, want 0", rank, gets[rank])
+					}
+					if !compact {
+						tiedGets += int(gets[rank])
+					}
+					if want, ok := tc.barriers[compact]; ok && barriers[rank] != want {
+						t.Errorf("compact=%v: rank %d passed %d barriers, want %d", compact, rank, barriers[rank], want)
+					}
+				}
+			}
+			if !tc.distinct && tiedGets == 0 {
+				t.Error("no bubble tie was fetched remotely; the input does not exercise the bound")
+			}
+		})
+	}
+}
+
+// remoteTies counts the contigs of other ranks that share a junction with
+// some contig of rank and have its depth and length: the most remote tie
+// fetches rank's bubble decisions can make.
+func remoteTies(shards [][]dbg.Contig, rank, k int) int {
+	keys := func(c dbg.Contig) []seq.Kmer {
+		var out []seq.Kmer
+		for _, end := range []byte{'L', 'R'} {
+			if key, _, ok := junctionKey(c, k, end); ok {
+				out = append(out, key)
+			}
+		}
+		return out
+	}
+	n := 0
+	for owner, shard := range shards {
+		if owner == rank {
+			continue
+		}
+	next:
+		for _, y := range shard {
+			for _, x := range shards[rank] {
+				if x.Depth != y.Depth || len(x.Seq) != len(y.Seq) {
+					continue
+				}
+				for _, kx := range keys(x) {
+					if slices.Contains(keys(y), kx) {
+						n++
+						continue next
+					}
+				}
+			}
+		}
+	}
+	return n
 }

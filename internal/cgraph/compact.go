@@ -14,6 +14,47 @@ type orientedContig struct {
 	flipped bool
 }
 
+// noLink marks a contig end with no unique partner.
+var noLink = orientedContig{id: -1}
+
+// link is one record of compaction's link exchange: contig ContigID's end
+// End continues, unambiguously, into Next.
+type link struct {
+	ContigID int
+	End      byte
+	Next     orientedContig
+}
+
+// member is what a chain walk fetches of a surviving contig: the contig and
+// the partners its left (next[0]) and right (next[1]) ends continue into.
+type member struct {
+	c    dbg.Contig
+	next [2]orientedContig
+}
+
+// Wire bytes of a link record (contig, end, partner and its orientation) and
+// of a fetched member beyond its contig (its two partners).
+const (
+	linkWireSize   = 9 + 9
+	memberLinkSize = 2 * 9
+)
+
+func endIndex(end byte) int {
+	if end == 'L' {
+		return 0
+	}
+	return 1
+}
+
+// exit returns the index of the end a walk leaves a contig through: the
+// right end, or the left one when the contig is read flipped.
+func exit(flipped bool) int {
+	if flipped {
+		return 0
+	}
+	return 1
+}
+
 // orientedSeq returns the contig sequence in walk orientation.
 func orientedSeq(c dbg.Contig, flipped bool) []byte {
 	if !flipped {
@@ -22,112 +63,97 @@ func orientedSeq(c dbg.Contig, flipped bool) []byte {
 	return seq.ReverseComplement(c.Seq)
 }
 
+// pushLinks is compaction's link exchange. The owner of every junction
+// touched by exactly two ends of distinct survivors decides locally whether
+// a walk leaving through one end enters the other, that is, whether the
+// walk's last (k-1)-mer is the next contig's first one in walk orientation.
+// The End and Fwd bits decide it without the sequences: two left or two
+// right ends need opposite Fwd bits, a left and a right end equal ones, and
+// a palindromic key qualifies either way. It sends each direction of the
+// link to that contig's owner, who returns its contigs' partners by shard
+// index.
+func (g *graph) pushLinks(r *pgas.Rank) [][2]orientedContig {
+	var out []link
+	g.junction.ForEachLocal(r, func(key seq.Kmer, refs []endRef) {
+		if len(refs) != 2 || refs[0].ContigID == refs[1].ContigID {
+			return
+		}
+		a, b := refs[0], refs[1]
+		if key != key.ReverseComplement() && (a.End == b.End) == (a.Fwd == b.Fwd) {
+			return
+		}
+		out = append(out,
+			link{ContigID: a.ContigID, End: a.End, Next: orientedContig{id: b.ContigID, flipped: b.End == 'R'}},
+			link{ContigID: b.ContigID, End: b.End, Next: orientedContig{id: a.ContigID, flipped: a.End == 'R'}})
+	})
+	got := exchange(r, out, func(l link) int { return ownerOf(l.ContigID) }, linkWireSize, g.aggregate)
+	next := make([][2]orientedContig, g.cs.Len(r))
+	for i := range next {
+		next[i] = [2]orientedContig{noLink, noLink}
+	}
+	for _, l := range got {
+		_, idx := dist.Locate(l.ContigID)
+		next[idx][endIndex(l.End)] = l.Next
+	}
+	return next
+}
+
 // compact merges chains of surviving contigs that are connected through
 // junctions touched by exactly two contig ends (i.e. the connection is
-// unambiguous after bubble merging, hair removal and pruning). Each rank
-// walks only the chains that start at contigs it owns, following the chain
-// through a survivors-only junction index and fetching remote chain members
-// through the cached contig reader; no rank materializes the survivor set.
-// Each chain is emitted exactly once, in canonical orientation, by the rank
-// owning its starting contig, and the emitted chains are redistributed into
-// a fresh contig set (content-routed, deduplicated, stamped with owner-naming
-// IDs).
-func (g *graph) compact(r *pgas.Rank, opts Options) *dbg.ContigSet {
-	j := opts.K - 1
-	aliveShard := g.alive.shards[r.ID()]
-
+// unambiguous after bubble merging, hair removal and pruning). The junction
+// owners push each survivor its links; each rank then walks only the chains
+// that start at contigs it owns, where a start is an end with no link, so
+// that test is local. A walk step fetches the next member, with its links,
+// through a contig reader; no rank materializes the survivor set. Each chain
+// is emitted exactly once, in canonical orientation, by the rank owning its
+// starting contig, and the emitted chains are redistributed into a fresh
+// contig set (content-routed, deduplicated, stamped with owner-naming IDs).
+func (g *graph) compact(r *pgas.Rank) *dbg.ContigSet {
+	j := g.k - 1
 	if j < 1 {
 		// Degenerate k: no junctions to merge through; just keep survivors.
 		var keep []dbg.Contig
 		g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
-			if aliveShard[i] {
+			if !g.dead[i] {
 				keep = append(keep, c)
 			}
 		})
 		return dbg.DistributeContigs(r, keep, dist.Distributed)
 	}
 
-	// Index the junctions of the survivors only, so chain walks need no
-	// liveness checks.
-	sidx := buildJunctionIndex(r, g.cs, opts.K, opts.Aggregate, func(i int) bool { return aliveShard[i] })
-	sreader := sidx.NewCachedReader(r, 1<<16, true)
-
-	// simplePartner returns the unique other contig end attached to the
-	// oriented contig's outgoing junction, or ok=false if the junction is
-	// ambiguous or a dead end. c must be the contig identified by o.id.
-	simplePartner := func(o orientedContig, c dbg.Contig) (orientedContig, dbg.Contig, bool) {
-		end := byte('R')
-		if o.flipped {
-			end = 'L'
-		}
-		key, ok := junctionKey(c, opts.K, end)
-		if !ok {
-			return orientedContig{}, dbg.Contig{}, false
-		}
-		refs, _ := sreader.Get(key)
-		if len(refs) != 2 {
-			return orientedContig{}, dbg.Contig{}, false
-		}
-		var other endRef
-		found := false
-		for _, rf := range refs {
-			if rf.ContigID != o.id {
-				other = rf
-				found = true
-			}
-		}
-		if !found {
-			// Both ends belong to the same contig (a self-loop); stop.
-			return orientedContig{}, dbg.Contig{}, false
-		}
-		// Orient the partner so that its (k-1)-prefix matches our suffix.
-		suffix := orientedSeq(c, o.flipped)
-		suffix = suffix[len(suffix)-j:]
-		oc := g.creader.Get(other.ContigID)
-		for _, flipped := range []bool{false, true} {
-			s := orientedSeq(oc, flipped)
-			if len(s) >= j && string(s[:j]) == string(suffix) {
-				return orientedContig{id: other.ContigID, flipped: flipped}, oc, true
-			}
-		}
-		return orientedContig{}, dbg.Contig{}, false
-	}
-
-	// isChainStart reports whether no unambiguous predecessor exists for the
-	// oriented contig (walking would not arrive here from a simple junction).
-	isChainStart := func(o orientedContig, c dbg.Contig) bool {
-		rev := orientedContig{id: o.id, flipped: !o.flipped}
-		_, _, ok := simplePartner(rev, c)
-		return !ok
-	}
+	next := g.pushLinks(r)
+	mine := make([]member, len(next))
+	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) { mine[i] = member{c: c, next: next[i]} })
+	g.members[r.ID()] = mine
+	// Publish every rank's members before any walk reads another's.
+	r.Barrier()
+	reader := dist.RestoreSet(g.members, func(m member) int { return m.c.WireSize() + memberLinkSize }).NewReader(r, 1<<16)
 
 	var localOut []dbg.Contig
-	g.cs.ForEachLocal(r, func(i int, c dbg.Contig) {
-		if !aliveShard[i] {
-			return
+	for i, m := range mine {
+		if g.dead[i] {
+			continue
 		}
 		for _, flipped := range []bool{false, true} {
-			start := orientedContig{id: c.ID, flipped: flipped}
-			if !isChainStart(start, c) {
-				continue
+			if m.next[1-exit(flipped)] != noLink {
+				continue // not a chain start
 			}
-			// Walk the chain, fetching remote members through the cache.
-			cur, cc := start, c
-			merged := append([]byte(nil), orientedSeq(cc, cur.flipped)...)
-			depthWeight := cc.Depth * float64(len(cc.Seq))
-			totalLen := len(cc.Seq)
-			visited := map[int]bool{cur.id: true}
+			cur, curFlipped := m, flipped
+			merged := append([]byte(nil), orientedSeq(cur.c, flipped)...)
+			depthWeight := cur.c.Depth * float64(len(cur.c.Seq))
+			totalLen := len(cur.c.Seq)
+			visited := map[int]bool{cur.c.ID: true}
 			for {
-				next, nc, ok := simplePartner(cur, cc)
-				if !ok || visited[next.id] {
+				nx := cur.next[exit(curFlipped)]
+				if nx == noLink || visited[nx.id] {
 					break
 				}
-				ns := orientedSeq(nc, next.flipped)
+				cur, curFlipped = reader.Get(nx.id), nx.flipped
+				ns := orientedSeq(cur.c, curFlipped)
 				merged = append(merged, ns[j:]...)
-				depthWeight += nc.Depth * float64(len(nc.Seq))
-				totalLen += len(nc.Seq)
-				visited[next.id] = true
-				cur, cc = next, nc
+				depthWeight += cur.c.Depth * float64(len(cur.c.Seq))
+				totalLen += len(cur.c.Seq)
+				visited[nx.id] = true
 				r.Compute(1)
 			}
 			// Emit each chain once, in canonical orientation.
@@ -140,8 +166,7 @@ func (g *graph) compact(r *pgas.Rank, opts Options) *dbg.ContigSet {
 				Depth: depthWeight / float64(totalLen),
 			})
 		}
-	})
-	r.Barrier()
+	}
 
 	// Redistribute the compacted chains: content-routed so the same
 	// palindromic chain emitted from both ends (possibly on two different

@@ -812,6 +812,10 @@ func TestRankStateRecords(t *testing.T) {
 // It was re-captured (from 95e7341f…) when the aligner began asking seed
 // owners by exchange instead of reading the seed index one-sidedly: the same
 // shards, but every rank clock after the first alignment moved.
+// It was re-captured (from 7ddf7589…) when contig-graph refinement began
+// pushing neighbour views, tombstones and links by exchange instead of
+// reading the junction index and neighbour contigs one-sidedly: the same
+// shards, but every rank clock after the first contig refinement moved.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -819,7 +823,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "7ddf7589536ca8fef254d56c66044a0f044322aa0bf117ec53ada3d0b0fc3d2c"
+	const want = "6bcaf3f1c8ea1110cf1936f639a2a9401396bec30fe2328eb5e57b9ab699c35b"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

@@ -24,8 +24,7 @@
 //     write and no remote read-modify-write: writes are use cases 1 and 4.
 //   - Use case 3, "Global Read-Only": Freeze ends the write phases for good
 //     (mutations panic, and the partition tables themselves are the
-//     immutable snapshot), and CachedReader adds a per-rank software cache
-//     in front of Get.
+//     immutable snapshot), and Get then reads any partition.
 //   - Use case 4, "Local Reads & Writes": dist.Exchange ships items to their
 //     owner rank with a single all-to-all exchange, and the owner applies
 //     them to its own partition with UpdateLocal/SetLocal/DeleteLocal,
@@ -207,11 +206,11 @@ func (m *Map[K, V]) mutable(rank int) *hashtab.Table[K, V] {
 }
 
 // Freeze atomically switches the map into the read-only phase (use case 3,
-// "Global Read-Only"): from then on every rank may read every partition (Get,
-// CachedReader.Get), and mutations panic. There is no way back: every table
-// the pipeline freezes is read until it is dropped. The partition tables
-// themselves serve as the immutable snapshot — nothing is copied, so freezing
-// the pipeline's largest tables costs neither time nor memory.
+// "Global Read-Only"): from then on every rank may read every partition with
+// Get, and mutations panic. There is no way back: every table the pipeline
+// freezes is read until it is dropped. The partition tables themselves serve
+// as the immutable snapshot — nothing is copied, so freezing the pipeline's
+// largest tables costs neither time nor memory.
 //
 // Freeze must not race with mutations: call it after the barrier that closes
 // the last write phase. It is idempotent and safe to call from every rank.

@@ -325,116 +325,6 @@ func TestUpdateLocalDecline(t *testing.T) {
 	}
 }
 
-func TestCachedReader(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 4, RanksPerNode: 1})
-	dm := NewMap[int, int](m, intHash, 64)
-	for i := 0; i < 100; i++ {
-		store(dm, i, i)
-	}
-	dm.Freeze()
-
-	var cachedTime, uncachedTime float64
-	resCached := m.Run(func(r *pgas.Rank) {
-		before := r.Stats()
-		c := dm.NewCachedReader(r, 1024, true)
-		for pass := 0; pass < 10; pass++ {
-			for i := 0; i < 100; i++ {
-				if v, ok := c.Get(i); !ok || v != i {
-					t.Errorf("cached get %d = %d,%v", i, v, ok)
-				}
-			}
-		}
-		// Negative lookups are also cached.
-		for pass := 0; pass < 10; pass++ {
-			if _, ok := c.Get(100000); ok {
-				t.Error("phantom key")
-			}
-		}
-		if hits, misses := readerStats(r, before); hits < misses {
-			t.Errorf("%d hits for %d misses: too few for repeated reads", hits, misses)
-		}
-	})
-	cachedTime = resCached.SimSeconds
-
-	resUncached := m.Run(func(r *pgas.Rank) {
-		before := r.Stats()
-		c := dm.NewCachedReader(r, 1024, false)
-		for pass := 0; pass < 10; pass++ {
-			for i := 0; i < 100; i++ {
-				c.Get(i)
-			}
-		}
-		hits, misses := readerStats(r, before)
-		if hits+misses != 1000 {
-			t.Errorf("stats %d+%d != 1000", hits, misses)
-		}
-	})
-	uncachedTime = resUncached.SimSeconds
-
-	if cachedTime >= uncachedTime {
-		t.Errorf("software cache should reduce simulated time: %v vs %v", cachedTime, uncachedTime)
-	}
-}
-
-// readerStats returns the cache hits and misses the rank has been charged
-// since before: a CachedReader charges each of its hits and misses to the
-// rank's counters.
-func readerStats(r *pgas.Rank, before pgas.CommStats) (hits, misses uint64) {
-	now := r.Stats()
-	return now.CacheHits - before.CacheHits, now.CacheMisses - before.CacheMisses
-}
-
-// TestCachedReaderBudgets drives one reader past maxEntries with present and
-// with absent remote keys, interleaved, and pins the hit/miss sequence totals
-// against the numbers the two-builtin-map reader produced (captured at
-// commit ec37817 with this same test body): positive and
-// negative entries each have their own maxEntries budget, entries are never
-// evicted, and once a budget is spent later keys of that kind always miss.
-// aligner.cache_hit_rate, pgas.cache_hit_rate and the simulated clock all
-// follow from this sequence.
-func TestCachedReaderBudgets(t *testing.T) {
-	const maxEntries = 64
-	m := pgas.NewMachine(pgas.Config{Ranks: 4, RanksPerNode: 2})
-	dm := NewMap[int, int](m, intHash, 16)
-	m.Run(func(r *pgas.Rank) {
-		if r.ID() == 0 {
-			for k := 0; k < 1000; k++ {
-				store(dm, k, k+1)
-			}
-		}
-	})
-	var hits, misses [4]uint64
-	res := m.Run(func(r *pgas.Rank) {
-		dm.Freeze()
-		before := r.Stats()
-		c := dm.NewCachedReader(r, maxEntries, true)
-		for pass := 0; pass < 3; pass++ {
-			// 300 present keys (0..299) and 300 absent ones (5000..5299),
-			// interleaved; ~3/4 of each are remote, well past both budgets.
-			for i := 0; i < 300; i++ {
-				if v, ok := c.Get(i); !ok || v != i+1 {
-					t.Errorf("rank %d: Get(%d) = (%d,%v)", r.ID(), i, v, ok)
-				}
-				if v, ok := c.Get(5000 + i); ok || v != 0 {
-					t.Errorf("rank %d: Get(%d) = (%d,%v), want absent", r.ID(), 5000+i, v, ok)
-				}
-			}
-		}
-		hits[r.ID()], misses[r.ID()] = readerStats(r, before)
-	})
-	wantHits := [4]uint64{703, 727, 742, 652}
-	wantMisses := [4]uint64{1097, 1073, 1058, 1148}
-	if hits != wantHits || misses != wantMisses {
-		t.Errorf("hits %v misses %v, want %v and %v", hits, misses, wantHits, wantMisses)
-	}
-	if res.Stats.CacheHits != 2824 || res.Stats.CacheMisses != 4376 {
-		t.Errorf("machine cache hits/misses = %d/%d, want 2824/4376", res.Stats.CacheHits, res.Stats.CacheMisses)
-	}
-	if res.SimSeconds != 0.0020278896000000073 {
-		t.Errorf("simulated seconds = %v, want 0.0020278896000000073", res.SimSeconds)
-	}
-}
-
 // TestNewMapAllocations: at P = 4096 most partitions stay empty forever on
 // small inputs. Creating the map must cost a constant number of objects —
 // not one per rank — and an empty partition must hold no slots.
@@ -481,12 +371,6 @@ func TestFreeze(t *testing.T) {
 		for k := 0; k < 400; k++ {
 			if v, ok := dm.Get(r, k); !ok || v != k*3 {
 				t.Errorf("frozen Get(%d) = %d,%v", k, v, ok)
-			}
-		}
-		c := dm.NewCachedReader(r, 1024, true)
-		for k := 0; k < 400; k++ {
-			if v, ok := c.Get(k); !ok || v != k*3 {
-				t.Errorf("frozen cached Get(%d) = %d,%v", k, v, ok)
 			}
 		}
 		n := 0
@@ -667,8 +551,8 @@ func TestUpdaterFoldOrderDeterministic(t *testing.T) {
 }
 
 // TestRemoteReadOfUnfrozenMapPanics: until Freeze, a partition's owner may
-// be writing it, so any other rank's read of it — Get or CachedReader.Get —
-// is a phase-discipline bug and panics, while the owner's own reads work.
+// be writing it, so any other rank's Get of it is a phase-discipline bug and
+// panics, while the owner's own reads work.
 func TestRemoteReadOfUnfrozenMapPanics(t *testing.T) {
 	const ranks = 4
 	m := pgas.NewMachine(pgas.Config{Ranks: ranks})
@@ -676,30 +560,25 @@ func TestRemoteReadOfUnfrozenMapPanics(t *testing.T) {
 	for k := 0; k < 100; k++ {
 		store(dm, k, k)
 	}
-	for name, get := range map[string]func(r *pgas.Rank, k int) (int, bool){
-		"Get":              func(r *pgas.Rank, k int) (int, bool) { return dm.Get(r, k) },
-		"CachedReader.Get": func(r *pgas.Rank, k int) (int, bool) { return dm.NewCachedReader(r, 16, true).Get(k) },
-	} {
-		m.Run(func(r *pgas.Rank) {
-			mine, theirs := -1, -1
-			for k := 0; k < 100 && (mine < 0 || theirs < 0); k++ {
-				if dm.Owner(k) == r.ID() {
-					mine = k
-				} else {
-					theirs = k
-				}
+	m.Run(func(r *pgas.Rank) {
+		mine, theirs := -1, -1
+		for k := 0; k < 100 && (mine < 0 || theirs < 0); k++ {
+			if dm.Owner(k) == r.ID() {
+				mine = k
+			} else {
+				theirs = k
 			}
-			if v, ok := get(r, mine); !ok || v != mine {
-				t.Errorf("rank %d: %s of own key %d = (%d,%v)", r.ID(), name, mine, v, ok)
+		}
+		if v, ok := dm.Get(r, mine); !ok || v != mine {
+			t.Errorf("rank %d: Get of own key %d = (%d,%v)", r.ID(), mine, v, ok)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Errorf("rank %d: Get of rank %d's key on an unfrozen map did not panic", r.ID(), dm.Owner(theirs))
 			}
-			defer func() {
-				if recover() == nil {
-					t.Errorf("rank %d: %s of rank %d's key on an unfrozen map did not panic", r.ID(), name, dm.Owner(theirs))
-				}
-			}()
-			get(r, theirs)
-		})
-	}
+		}()
+		dm.Get(r, theirs)
+	})
 }
 
 // BenchmarkDHTUpdaterFlush measures the aggregated update phase when every

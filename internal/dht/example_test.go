@@ -67,34 +67,3 @@ func ExampleMap_NewUpdater() {
 	// 10
 	// 20
 }
-
-// ExampleMap_NewCachedReader shows use case 3, "Global Read-Only": once the
-// table is no longer mutated, Freeze opens every partition to every rank's
-// reads and the per-rank software cache absorbs repeated remote lookups.
-func ExampleMap_NewCachedReader() {
-	m := pgas.NewMachine(pgas.Config{Ranks: 4})
-	dm := dht.NewMap[int, int](m, exampleHash, 16)
-	m.Run(func(r *pgas.Rank) {
-		for k := 0; k < 100; k++ {
-			if dm.Owner(k) == r.ID() {
-				dm.SetLocal(r, k, k*k)
-			}
-		}
-		r.Barrier()
-
-		// The write phase is over: read from an immutable snapshot.
-		dm.Freeze()
-		c := dm.NewCachedReader(r, 1024, true)
-		for pass := 0; pass < 10; pass++ {
-			for k := 0; k < 100; k++ {
-				c.Get(k)
-			}
-		}
-		// The reader charges each hit and miss to the rank's counters.
-		if st := r.Stats(); r.ID() == 0 {
-			fmt.Printf("hit rate > 80%%: %v\n", st.CacheHits > 4*st.CacheMisses)
-		}
-	})
-	// Output:
-	// hit rate > 80%: true
-}

@@ -80,7 +80,10 @@ func New[T any](r *pgas.Rank, local []T, ownerOf func(T) int, wire func(T) int, 
 // shards[p] becomes rank p's shard verbatim, preserving ownership at the
 // same rank count. Every checkpointed set has been through Renumber, so item
 // i of shard p should carry ID(p, i); callers should verify that if the
-// shards come from an untrusted file.
+// shards come from an untrusted file. Inside an SPMD region every rank may
+// wrap the same shared shards once each rank has filled its own and a
+// barrier has passed (cgraph's chain members): the shards are local data
+// already paid for, and reads of other ranks' items go through Reader.
 func RestoreSet[T any](shards [][]T, wire func(T) int) *Set[T] {
 	return &Set[T]{wire: wire, shards: shards}
 }
