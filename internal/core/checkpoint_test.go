@@ -186,7 +186,12 @@ func TestCheckpointWorkersIndependent(t *testing.T) {
 // manifest's atomic write discipline means a mid-collective kill can never
 // tear a recorded step. Barriers 9 and 10 are the first exchange's drain and
 // reset barriers, which are charged and counted but not run, so the trap
-// must fire on them too.
+// must fire on them too. The other barriers are picked so that every stage
+// of the schedule is killed at least once (the test checks it): rank 0
+// passes barriers 2-15 in iteration 0's kmer_analysis, 18-76 in
+// dbg_traversal, 79-118 in contig_refine, 121-135 in alignment, 138-150 in
+// local_assembly, 182-184 in iteration 1's kmer_merge, 250-289 in its
+// contig_refine and 324-381 in scaffolding.
 func TestMidCollectiveKillResume(t *testing.T) {
 	reads := ckptReads(t)
 	cfg := testConfig(3)
@@ -198,8 +203,13 @@ func TestMidCollectiveKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
+	baseMan, err := checkpoint.Load(baseDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := map[string]bool{} // the stages a kill interrupted
 
-	for _, n := range []int{1, 9, 10, 60, 250} {
+	for _, n := range []int{1, 9, 10, 60, 100, 130, 145, 183, 250, 350} {
 		n := n
 		t.Run(fmt.Sprintf("barrier=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
@@ -226,6 +236,9 @@ func TestMidCollectiveKillResume(t *testing.T) {
 			if err := man.Verify(); err != nil {
 				t.Fatalf("manifest chain torn by mid-collective kill: %v", err)
 			}
+			if len(man.Steps) < len(baseMan.Steps) {
+				killed[baseMan.Steps[len(man.Steps)].Stage] = true
+			}
 
 			rcfg := cfg
 			rcfg.CheckpointDir = dir
@@ -242,6 +255,11 @@ func TestMidCollectiveKillResume(t *testing.T) {
 			}
 			assertSameRun(t, base, res)
 		})
+	}
+	for _, st := range baseMan.Steps {
+		if !killed[st.Stage] {
+			t.Errorf("no kill interrupted stage %s; re-pick the barriers", st.Stage)
+		}
 	}
 }
 
@@ -816,6 +834,10 @@ func TestRankStateRecords(t *testing.T) {
 // pushing neighbour views, tombstones and links by exchange instead of
 // reading the junction index and neighbour contigs one-sidedly: the same
 // shards, but every rank clock after the first contig refinement moved.
+// It was re-captured (from 6bcaf3f1…) when the k-mer tables came to be owned
+// by minimizer and k-mer analysis began shipping supermers: every counts
+// shard holds other k-mers, the Bloom filter admits other false positives,
+// and every rank clock moved; the layout did not.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -823,7 +845,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "6bcaf3f1c8ea1110cf1936f639a2a9401396bec30fe2328eb5e57b9ab699c35b"
+	const want = "63e24bf1c68404ca9d9dbbe89f584720f857c25b13276eb21c95f40b08f5f29b"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

@@ -110,13 +110,16 @@ func NewGraph(m *pgas.Machine, k int) *Graph {
 	if k%2 == 0 {
 		panic(fmt.Sprintf("dbg: k=%d is even; the graph needs odd k", k))
 	}
-	return &Graph{K: k, Entries: dht.NewMap[seq.Kmer, Entry](m, seq.Kmer.Hash, 24)}
+	return &Graph{K: k, Entries: dht.NewMapOwnedBy[seq.Kmer, Entry](m, seq.Kmer.Hash, seq.Kmer.Minimizer, 24)}
 }
 
 // Build classifies the k-mer counts into graph entries. It is collective:
-// each rank classifies the counts it owns (the entries land on the same
-// owner, so the phase is purely local). Returns the same graph on all ranks,
-// frozen: traversal only reads it.
+// each rank classifies the counts it owns and stores each entry with
+// SetLocal, which does not check ownership. That is right only because the
+// graph owns a k-mer as the counts table does, by its minimizer
+// (kmeranalysis.NewCountsMap), so the phase is purely local; a graph owned
+// differently would misplace every vertex silently. Returns the same graph
+// on all ranks, frozen: traversal only reads it.
 func Build(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], k int, topts ThresholdOptions) *Graph {
 	var g *Graph
 	if r.ID() == 0 {
@@ -241,7 +244,10 @@ func keyByte(km seq.Kmer, shift uint) byte {
 // rank's nodes (index 2i+o for local[i] in orientation o), found with one
 // claim exchange instead of one Get per node. Every node whose observed right
 // extension is a base c claims its successor obs[1:]+c, carrying its own
-// first base b and its ID; the claim goes to the successor's owner. A node
+// first base b and its ID; the claim goes to the successor's owner. The
+// graph owns a k-mer by its minimizer, so most successors share their
+// predecessor's owner: such a claim is resolved in place, not routed through
+// the exchange, which would charge nothing for it but hold it resident. A node
 // whose observed left extension is the base b has an agreeing predecessor
 // exactly when it received a claim carrying b: the predecessor exists (it
 // sent the claim) and its right extension points back here (that is what it
@@ -249,35 +255,46 @@ func keyByte(km seq.Kmer, shift uint) byte {
 // predecessor, and the node starts as {ptr: predecessor, dist: -1}. A node
 // without one is a path start, {ptr: its own ID, dist: 0}. Collective.
 func (g *Graph) markPredecessors(r *pgas.Rank, local []vertex) []node {
-	claims := make([]claim, 0, 2*len(local))
-	for i, v := range local {
-		if code, ok := seq.CharToBase(v.e.Ext.Right); ok {
-			claims = append(claims, newClaim(v.km, code, dist.ID(r.ID(), 2*i)))
-		}
-		if code, ok := seq.CharToBase(v.e.Ext.Left); ok {
-			claims = append(claims, newClaim(v.km.ReverseComplement(), seq.ComplementCode(code), dist.ID(r.ID(), 2*i+1)))
+	me := r.ID()
+	var own, claims []claim
+	var dests []int
+	add := func(c claim) {
+		if d := g.Entries.Owner(c.key); d != me {
+			claims, dests = append(claims, c), append(dests, d)
+		} else {
+			own = append(own, c)
 		}
 	}
-	r.Compute(float64(len(claims)))
+	for i, v := range local {
+		if code, ok := seq.CharToBase(v.e.Ext.Right); ok {
+			add(newClaim(v.km, code, dist.ID(me, 2*i)))
+		}
+		if code, ok := seq.CharToBase(v.e.Ext.Left); ok {
+			add(newClaim(v.km.ReverseComplement(), seq.ComplementCode(code), dist.ID(me, 2*i+1)))
+		}
+	}
+	r.Compute(float64(len(claims) + len(own)))
 	received := pgas.ExchangeFunc(r, claims,
-		func(_ int, c claim) int { return g.Entries.Owner(c.key) },
+		func(i int, _ claim) int { return dests[i] },
 		func(claim) int { return claimWireSize })
 	// Resolving a claim is one owner-local probe, the charge of the local
 	// Get it replaces.
-	r.Compute(float64(len(received)))
+	r.Compute(float64(len(received) + len(own)))
 	nodes := make([]node, 2*len(local))
 	for i := range nodes {
-		nodes[i] = node{ptr: dist.ID(r.ID(), i)}
+		nodes[i] = node{ptr: dist.ID(me, i)}
 	}
 	index := newVertexIndex(local)
-	for _, c := range received {
-		i := index.find(local, c.key)
-		if i < 0 {
-			continue
-		}
-		o := int(c.bits & 1)
-		if leftBaseIs(observedExt(local[i].e, o == 0), c.bits>>1) {
-			nodes[2*i+o] = node{ptr: c.from, dist: -1}
+	for _, in := range [][]claim{received, own} {
+		for _, c := range in {
+			i := index.find(local, c.key)
+			if i < 0 {
+				continue
+			}
+			o := int(c.bits & 1)
+			if leftBaseIs(observedExt(local[i].e, o == 0), c.bits>>1) {
+				nodes[2*i+o] = node{ptr: c.from, dist: -1}
+			}
 		}
 	}
 	r.ReleaseResident(len(received) * claimWireSize)
@@ -314,8 +331,7 @@ func newVertexIndex(local []vertex) vertexIndex {
 	return ix
 }
 
-// home is km's first slot: the top bits of its hash times φ64, since the low
-// bits of the hash are the owner's, the same for every key of a rank.
+// home is km's first slot: the top bits of its hash times φ64.
 func (ix vertexIndex) home(km seq.Kmer) int {
 	return int(km.Hash() * 0x9E3779B97F4A7C15 >> ix.shift)
 }

@@ -34,6 +34,47 @@ func TestBuildFreezesGraph(t *testing.T) {
 	})
 }
 
+// TestGraphOwnedAsCounts pins the invariant Build's SetLocal relies on: the
+// graph owns every k-mer where the counts table does, so a vertex is stored
+// on the rank Owner names.
+func TestGraphOwnedAsCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, p := range []int{1, 3, 16, 64} {
+		m := pgas.NewMachine(pgas.Config{Ranks: p})
+		counts := kmeranalysis.NewCountsMap(m)
+		for _, k := range []int{5, 15, 21, 33, 63} {
+			g := NewGraph(m, k)
+			for i := 0; i < 500; i++ {
+				km := seq.Kmer{Hi: rng.Uint64(), Lo: rng.Uint64(), K: uint8(k)}.AppendBase(0) // masked to k
+				if g.Entries.Owner(km) != counts.Owner(km) {
+					t.Fatalf("P=%d k=%d: graph owns %s on rank %d, counts on %d", p, k, km, g.Entries.Owner(km), counts.Owner(km))
+				}
+			}
+		}
+	}
+	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 2, MeanGenomeLen: 3000, Seed: 42})
+	reads := sim.SimulateReads(comm, sim.ReadConfig{ReadLen: 80, InsertSize: 200, ErrorRate: 0.01, Coverage: 8, Seed: 43})
+	const p, k = 8, 21
+	var g *Graph
+	pgas.NewMachine(pgas.Config{Ranks: p}).Run(func(r *pgas.Rank) {
+		lo, hi := r.BlockRange(len(reads))
+		res := kmeranalysis.Run(r, reads[lo:hi], kmeranalysis.DefaultOptions(k), nil)
+		if built := Build(r, res.Counts, k, defaultThresholds()); r.ID() == 0 {
+			g = built
+		}
+	})
+	for rank := 0; rank < p; rank++ {
+		g.Entries.RangeLocal(rank, func(km seq.Kmer, _ Entry) {
+			if g.Entries.Owner(km) != rank {
+				t.Fatalf("vertex %s stored on rank %d, owned by %d", km, rank, g.Entries.Owner(km))
+			}
+		})
+	}
+	if g.Entries.Len() == 0 {
+		t.Fatal("empty graph")
+	}
+}
+
 // buildFromReads runs k-mer analysis and graph construction over the reads
 // on a machine with the given rank count, returning the contigs.
 func buildFromReads(t *testing.T, reads []seq.Read, k, ranks int, topts ThresholdOptions) []Contig {

@@ -3,7 +3,10 @@
 // the MetaHipMer paper.
 //
 // A Map partitions its entries over the ranks of a virtual PGAS machine by
-// hashing each key to an owner rank (the key hash modulo the rank count).
+// hashing each key to an owner rank: the key hash modulo the rank count, or,
+// for a map built with NewMapOwnedBy, a separate owner hash modulo the rank
+// count (the k-mer tables own a k-mer by its minimizer and probe by its
+// hash).
 // A rank's partition is one hash table with one writer, its owner: every
 // update reaches the owner by an owner-routed exchange and the owner applies
 // it, so a partition needs no lock, and a table's contents and iteration
@@ -45,12 +48,15 @@ type Map[K comparable, V any] struct {
 	machine    *pgas.Machine
 	hash       func(K) uint64
 	entryBytes int
+	// ownerHash, when set, chooses a key's owner (ownerHash % P) in place
+	// of hash; the partitions are still probed with hash.
+	ownerHash func(K) uint64
 
-	// parts holds one partition per rank: a hashtab.Table probed with the
-	// hash that already chose the owner, written only by its owner. An empty
-	// partition holds no slots. Its layout, and so every iteration order, is
-	// a function of the rank count and the insertion history only — never
-	// of the host.
+	// parts holds one partition per rank: a hashtab.Table probed with hash
+	// (which also chose the owner, unless ownerHash did), written only by
+	// its owner. An empty partition holds no slots. Its layout, and so every
+	// iteration order, is a function of the rank count and the insertion
+	// history only — never of the host.
 	parts []hashtab.Table[K, V]
 
 	// frozen flips the whole map into the read-only phase: every rank may
@@ -74,6 +80,17 @@ func NewMap[K comparable, V any](m *pgas.Machine, hash func(K) uint64, entryByte
 	}
 }
 
+// NewMapOwnedBy creates a distributed map whose keys are owned by
+// ownerHash(key) modulo the rank count and probed with hash. Only Owner, Get
+// and Updater.Update evaluate ownerHash; the owner-local calls (UpdateLocal,
+// SetLocal, DeleteLocal, Restore) probe with hash alone, so a costly owner
+// rule is paid once per routed key, not once per local write.
+func NewMapOwnedBy[K comparable, V any](m *pgas.Machine, hash, ownerHash func(K) uint64, entryBytes int) *Map[K, V] {
+	dm := NewMap[K, V](m, hash, entryBytes)
+	dm.ownerHash = ownerHash
+	return dm
+}
+
 // NewMapCollective creates a distributed map from inside an SPMD region:
 // rank 0 allocates the map and every rank receives the same instance.
 func NewMapCollective[K comparable, V any](r *pgas.Rank, hash func(K) uint64, entryBytes int) *Map[K, V] {
@@ -85,11 +102,28 @@ func NewMapCollective[K comparable, V any](r *pgas.Rank, hash func(K) uint64, en
 }
 
 // Owner returns the rank that owns the given key.
-func (m *Map[K, V]) Owner(key K) int { return m.ownerOf(m.hash(key)) }
+func (m *Map[K, V]) Owner(key K) int {
+	if m.ownerHash != nil {
+		return m.OwnerOfHash(m.ownerHash(key))
+	}
+	return m.OwnerOfHash(m.hash(key))
+}
 
-// ownerOf returns the owner rank of a key hash. One hash evaluation serves
-// owner selection and the table probe.
-func (m *Map[K, V]) ownerOf(h uint64) int { return int(h % uint64(m.machine.Ranks())) }
+// OwnerOfHash returns the rank that owns the keys whose owner hash is h: the
+// key hash, or ownerHash's value for a map built with NewMapOwnedBy. A caller
+// that already holds the owner hash of a batch of keys (k-mer analysis
+// routes a supermer by its minimizer) routes it without re-evaluating it.
+func (m *Map[K, V]) OwnerOfHash(h uint64) int { return int(h % uint64(m.machine.Ranks())) }
+
+// place returns key's owner and its probe hash. Without an owner hash, one
+// hash evaluation serves owner selection and the table probe.
+func (m *Map[K, V]) place(key K) (owner int, h uint64) {
+	h = m.hash(key)
+	if m.ownerHash != nil {
+		return m.OwnerOfHash(m.ownerHash(key)), h
+	}
+	return m.OwnerOfHash(h), h
+}
 
 // read reads key from owner's partition on behalf of rank r. A rank may read
 // its own partition at any time, another rank's only once the map is frozen:
@@ -118,8 +152,7 @@ func (m *Map[K, V]) LocalLen(rank int) int { return m.parts[rank].Len() }
 // appropriate communication cost to the calling rank. A key another rank
 // owns may only be read once the map is frozen.
 func (m *Map[K, V]) Get(r *pgas.Rank, key K) (V, bool) {
-	h := m.hash(key)
-	owner := m.ownerOf(h)
+	owner, h := m.place(key)
 	if owner == r.ID() {
 		r.Compute(1)
 	} else {
@@ -156,8 +189,11 @@ func (m *Map[K, V]) UpdateLocal(r *pgas.Rank, key K, f func(v *V, found bool) bo
 	}
 }
 
-// SetLocal stores a value into the calling rank's partition directly (the key
-// must hash to this rank; this is not checked to keep the hot path cheap).
+// SetLocal stores a value into the calling rank's partition directly. The
+// calling rank must own the key; this is not checked, to keep the hot path
+// cheap, so a caller that copies one map's keys into another (dbg.Build
+// classifies the counts table into the graph) must give both the same owner
+// rule, or every key lands silently on a rank that Owner does not name.
 func (m *Map[K, V]) SetLocal(r *pgas.Rank, key K, val V) {
 	m.mutable(r.ID()).Put(m.hash(key), key, val)
 	r.Compute(1)
@@ -180,7 +216,7 @@ func (m *Map[K, V]) RangeLocal(rank int, f func(K, V)) {
 // charging the cost model. It is the checkpoint-restore path: the simulated
 // cost of building the table was paid by the original run and is carried in
 // the restored rank clocks, so re-materializing the entries must be free.
-// The key must hash to rank (not checked, mirroring SetLocal), and the call
+// The key must be owned by rank (not checked, mirroring SetLocal), and the call
 // must come from the coordinator or from rank itself.
 func (m *Map[K, V]) Restore(rank int, key K, val V) {
 	m.mutable(rank).Put(m.hash(key), key, val)

@@ -56,6 +56,54 @@ func TestMapOwnerPartitioning(t *testing.T) {
 	}
 }
 
+// TestMapOwnedBy checks a map owned by a function other than its probe
+// hash: Owner, the Updater's routing and Get all follow the owner hash, and
+// the owner-local calls find what was routed.
+func TestMapOwnedBy(t *testing.T) {
+	const p = 5
+	m := pgas.NewMachine(pgas.Config{Ranks: p})
+	byTens := func(k int) uint64 { return uint64(k / 10) } // ten consecutive keys share an owner
+	dm := NewMapOwnedBy[int, int](m, intHash, byTens, 16)
+	for k := 0; k < 200; k++ {
+		if got, want := dm.Owner(k), k/10%p; got != want {
+			t.Fatalf("Owner(%d) = %d, want %d", k, got, want)
+		}
+		if dm.OwnerOfHash(byTens(k)) != dm.Owner(k) {
+			t.Fatalf("OwnerOfHash disagrees with Owner at %d", k)
+		}
+	}
+	m.Run(func(r *pgas.Rank) {
+		u := dm.NewUpdater(r, func(old, upd int, found bool) int { return old + upd }, 0, true)
+		for k := 0; k < 200; k++ {
+			u.Update(k, 1)
+		}
+		u.Flush()
+		for k := 0; k < 200; k++ {
+			if dm.Owner(k) == r.ID() {
+				dm.UpdateLocal(r, k, func(v *int, found bool) bool {
+					if !found || *v != p {
+						t.Errorf("rank %d: key %d = %d (found %v), want %d", r.ID(), k, *v, found, p)
+					}
+					return true
+				})
+			}
+		}
+	})
+	dm.Freeze()
+	m.Run(func(r *pgas.Rank) {
+		for k := r.ID(); k < 200; k += p {
+			if v, ok := dm.Get(r, k); !ok || v != p {
+				t.Errorf("Get(%d) = %d, %v; want %d", k, v, ok, p)
+			}
+		}
+	})
+	for rank := 0; rank < p; rank++ {
+		if n := dm.LocalLen(rank); n != 40 {
+			t.Errorf("rank %d holds %d keys, want 40", rank, n)
+		}
+	}
+}
+
 func TestMapDelete(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 2})
 	dm := NewMap[int, int](m, intHash, 16)

@@ -2,13 +2,14 @@ package dht
 
 import "mhmgo/internal/pgas"
 
-// kvPair is the unit buffered by an Updater. The key's hash is computed once
-// at Update time and travels with the update, so that the owner probes its
-// table without re-hashing.
+// kvPair is the unit buffered by an Updater. The key's hash and owner are
+// computed once at Update time and travel with the update, so that the owner
+// probes its table without re-hashing.
 type kvPair[K comparable, V any] struct {
-	key  K
-	val  V
-	hash uint64
+	key   K
+	val   V
+	hash  uint64
+	owner int
 }
 
 // Updater implements the "Global Update-Only" phase: commutative updates are
@@ -38,11 +39,11 @@ func (m *Map[K, V]) NewUpdater(r *pgas.Rank, combine func(existing V, update V, 
 
 // Update buffers one commutative update for key.
 func (u *Updater[K, V]) Update(key K, val V) {
-	h := u.m.hash(key)
-	if u.m.ownerOf(h) == u.r.ID() {
+	owner, h := u.m.place(key)
+	if owner == u.r.ID() {
 		u.local++
 	}
-	u.pending = append(u.pending, kvPair[K, V]{key: key, val: val, hash: h})
+	u.pending = append(u.pending, kvPair[K, V]{key: key, val: val, hash: h, owner: owner})
 }
 
 // Flush applies all buffered updates. It is collective: every rank calls it,
@@ -56,7 +57,7 @@ func (u *Updater[K, V]) Update(key K, val V) {
 func (u *Updater[K, V]) Flush() {
 	m, r := u.m, u.r
 	part := m.mutable(r.ID())
-	owner := func(_ int, kv kvPair[K, V]) int { return m.ownerOf(kv.hash) }
+	owner := func(_ int, kv kvPair[K, V]) int { return kv.owner }
 	if !u.aggregate {
 		pgas.ChargeUnaggregated(r, u.pending, owner)
 	}

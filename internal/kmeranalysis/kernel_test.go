@@ -57,10 +57,11 @@ func appendObservationsByteLoop(dst []Observation, read seq.Read, opts Options) 
 	return out
 }
 
-// TestAppendObservationsMatchesByteLoop drives the rolling extraction and
-// the historical byte-loop extraction over random reads — including reads
-// with ambiguous bases, reads shorter than k, and reads without quality
-// strings — and requires identical observation streams.
+// TestAppendObservationsMatchesByteLoop drives the supermer extraction
+// (reads cut into supermers, each decoded as its owner decodes it) and the
+// historical byte-loop extraction over random reads — including reads with
+// ambiguous bases, reads shorter than k, and reads without quality strings —
+// and requires identical observation streams.
 func TestAppendObservationsMatchesByteLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	var codes []byte
@@ -87,10 +88,11 @@ func TestAppendObservationsMatchesByteLoop(t *testing.T) {
 }
 
 // BenchmarkKernelKmerExtract measures observation extraction for one
-// 150-base read per op. The rolling variant reuses the caller's observation
-// and codes buffers and must be allocation-free once warm; the byte-loop
-// baseline allocates a k-mer iterator per read and re-decodes every
-// neighbour base from ASCII.
+// 150-base read per op. The packed variant (supermers cut and decoded, the
+// pipeline's path) reuses the caller's observation and codes buffers and
+// must be allocation-free once warm; the perkmer variant is the per-k-mer
+// rolling extraction it replaced; the byte-loop baseline allocates a k-mer
+// iterator per read and re-decodes every neighbour base from ASCII.
 func BenchmarkKernelKmerExtract(b *testing.B) {
 	r := rand.New(rand.NewSource(62))
 	read := randRead(r, 150, false)
@@ -109,7 +111,17 @@ func BenchmarkKernelKmerExtract(b *testing.B) {
 			dst, codes = AppendObservations(dst[:0], codes, read, opts)
 		})
 		if allocs != 0 {
-			b.Fatalf("rolling extraction with warm buffers: %v allocs/op, want 0", allocs)
+			b.Fatalf("supermer extraction with warm buffers: %v allocs/op, want 0", allocs)
+		}
+	})
+	b.Run("perkmer", func(b *testing.B) {
+		var dst []Observation
+		var codes []byte
+		dst, codes = refObservations(dst, codes, read, opts)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst, codes = refObservations(dst[:0], codes, read, opts)
 		}
 	})
 	b.Run("ascii", func(b *testing.B) {

@@ -1,12 +1,18 @@
 // Package kmeranalysis implements the first stage of the MetaHipMer
 // pipeline (Section II-B of the paper): parallel k-mer analysis.
 //
-// Input reads are split into overlapping k-mers; every k-mer occurrence is
-// routed to its owner rank together with the bases observed immediately
-// before and after it. Owners accumulate a distributed histogram of counts
-// and extension observations ("Local Reads & Writes" phase on top of an
-// aggregated all-to-all exchange) and use a Bloom filter to keep erroneous
-// singleton k-mers out of the hash table.
+// A canonical k-mer is owned by its minimizer (seq.Kmer.Minimizer): the
+// smallest hash of its canonical m-mers. Consecutive k-mers of a read mostly
+// share their minimizer, so each read is cut into supermers, maximal runs of
+// valid k-mers with one minimizer, and each supermer ships once, packed two
+// bits per base with one flank base on each side and one quality bit per
+// base, to that minimizer's owner. The owner decodes the supermer into its
+// k-mers and their extension bases, and accumulates a distributed histogram
+// of counts and extension observations ("Local Reads & Writes" phase on top
+// of an aggregated all-to-all exchange), using a Bloom filter to keep
+// erroneous singleton k-mers out of the hash table. The exchange runs in
+// rounds of a fixed wire-byte budget per rank, so no rank materializes its
+// whole inbound stream at once.
 package kmeranalysis
 
 import (
@@ -48,11 +54,21 @@ const (
 	qualThreshold = 5
 	// bloomFPRate is the target false positive rate of the prefilter.
 	bloomFPRate = 0.01
-	// streamChunk bounds how many observations a rank routes per exchange
-	// round: the observation stream is processed in passes (as the real
-	// system does for memory), so no rank ever materializes its full
-	// inbound observation stream at once.
-	streamChunk = 1024
+	// roundBytes bounds the supermer wire bytes a rank routes per exchange
+	// round: the stream is processed in passes (as the real system does for
+	// memory), so no rank ever materializes its full inbound stream at once.
+	// It is the budget of the per-k-mer records this stage shipped before
+	// supermers, 1,024 of 22 bytes.
+	roundBytes = 1024 * 22
+	// maxSupermerBases caps a supermer's bases, its two flanks included. A
+	// longer run of k-mers that share a minimizer (a repeat, a poly-A tract)
+	// is cut into pieces, which all go to the same owner.
+	maxSupermerBases = 128
+	// qualBit marks, in the per-read code scratch, a base that passes the
+	// quality filter.
+	qualBit = 4
+	// noBase marks an ambiguous base in the per-read code scratch.
+	noBase = 0xFF
 )
 
 // Result is the outcome of a k-mer analysis pass.
@@ -64,10 +80,12 @@ type Result struct {
 	DistinctKmers int
 }
 
-// Observation is one k-mer occurrence shipped to its owner rank. It is
+// Observation is one k-mer occurrence as its owner folds it: the canonical
+// k-mer, whether the read held its reverse complement, and the read's
+// neighbouring bases where they are valid and pass the quality filter. It is
 // exported (with AppendObservations) for the benchmark program's
-// kmeranalysis.extract_ns_per_read probe; the pipeline produces and consumes
-// it internally.
+// kmeranalysis.extract_ns_per_read probe; the pipeline decodes it from the
+// supermers it receives.
 type Observation struct {
 	Kmer     seq.Kmer
 	Left     byte
@@ -77,13 +95,246 @@ type Observation struct {
 	WasRC    bool
 }
 
-// observationWireSize is the wire bytes of one routed observation: the
-// packed k-mer (two words plus k), the two extension bases and three flags.
-const observationWireSize = 22
+// supermer is a read's maximal run of valid k-mers that share one minimizer,
+// cut at maxSupermerBases, as it travels to the minimizer's owner. It holds
+// the run's bases with one flank base on each side (the bases just before
+// the first k-mer and just after the last, code 0 where the read has none),
+// and for each base one bit: valid and passing the quality filter, that is,
+// usable as an extension. Interior bases are always valid; their bits carry
+// quality only. It is a pointer-free value.
+type supermer struct {
+	codes  [maxSupermerBases / 32]uint64 // base i at bits 2(i%32) of word i/32
+	usable [maxSupermerBases / 64]uint64 // bit i%64 of word i/64: base i is usable
+	n      uint8                         // bases held, flanks included
+	// minimizer routes the supermer; the owner does not need it, so it is
+	// not on the wire.
+	minimizer uint64
+}
 
-// NewCountsMap creates the distributed k-mer counts table.
+// wireSize is the wire bytes of a supermer: the length byte, two bits per
+// base and one usable bit per base.
+func (sm supermer) wireSize() int {
+	n := int(sm.n)
+	return 1 + (2*n+7)/8 + (n+7)/8
+}
+
+// kmers returns the number of k-mers of length k the supermer holds.
+func (sm *supermer) kmers(k int) int { return int(sm.n) - k - 1 }
+
+// code returns the 2-bit code of base i.
+func (sm *supermer) code(i int) byte { return byte(sm.codes[i>>5] >> (2 * uint(i&31)) & 3) }
+
+// usableAt reports whether base i is valid and passes the quality filter.
+func (sm *supermer) usableAt(i int) bool { return sm.usable[i>>6]>>(uint(i&63))&1 != 0 }
+
+// wordAt returns the 32 bases starting at base off, in seq.Packed's layout,
+// with bases past the capacity reading as zero.
+func (sm *supermer) wordAt(off int) uint64 {
+	wi, sh := off>>5, 2*uint(off&31)
+	if wi >= len(sm.codes) {
+		return 0
+	}
+	v := sm.codes[wi] >> sh
+	if sh > 0 && wi+1 < len(sm.codes) {
+		v |= sm.codes[wi+1] << (64 - sh)
+	}
+	return v
+}
+
+// fill packs the n bases of br starting at position q.
+func (sm *supermer) fill(br *baseRing, q, n int) {
+	*sm = supermer{n: uint8(n), minimizer: sm.minimizer}
+	for wi := 0; 32*wi < n; wi++ {
+		sm.codes[wi] = br.codeWord(q + 32*wi)
+	}
+	for wi := 0; 64*wi < n; wi++ {
+		sm.usable[wi] = br.usableWord(q + 64*wi)
+	}
+	// Clear what the last words hold past the supermer's last base.
+	if r := n & 31; r != 0 {
+		sm.codes[n>>5] &= 1<<(2*uint(r)) - 1
+	}
+	if r := n & 63; r != 0 {
+		sm.usable[n>>6] &= 1<<uint(r) - 1
+	}
+}
+
+// baseRing holds the last 2·maxSupermerBases bases of a read, packed as in
+// a supermer one position to the right: position q holds read base q-1, so
+// position 0 is the missing left flank of a run at the read's start.
+// Ambiguous bases are held as unusable zeros. A supermer spans at most half
+// the ring, so its bases are all still held when it closes, and packing it
+// copies words instead of bases.
+type baseRing struct {
+	codes  [2 * maxSupermerBases / 32]uint64
+	usable [2 * maxSupermerBases / 64]uint64
+}
+
+// set stores position q from a code-scratch byte. Positions are set in
+// order, so entering a word clears what it held a lap ago.
+func (br *baseRing) set(q int, c byte) {
+	cw, uw := &br.codes[q>>5&(len(br.codes)-1)], &br.usable[q>>6&(len(br.usable)-1)]
+	if q&31 == 0 {
+		*cw = 0
+	}
+	if q&63 == 0 {
+		*uw = 0
+	}
+	if c != noBase {
+		*cw |= uint64(c&3) << (2 * uint(q&31))
+		*uw |= uint64(c>>2&1) << uint(q&63)
+	}
+}
+
+// codeWord returns the 32 bases starting at position q.
+func (br *baseRing) codeWord(q int) uint64 {
+	w, sh := q>>5, 2*uint(q&31)
+	v := br.codes[w&(len(br.codes)-1)] >> sh
+	if sh != 0 {
+		v |= br.codes[(w+1)&(len(br.codes)-1)] << (64 - sh)
+	}
+	return v
+}
+
+// usableWord returns the usable bits of the 64 bases starting at position q.
+func (br *baseRing) usableWord(q int) uint64 {
+	w, sh := q>>6, uint(q&63)
+	v := br.usable[w&(len(br.usable)-1)] >> sh
+	if sh != 0 {
+		v |= br.usable[(w+1)&(len(br.usable)-1)] << (64 - sh)
+	}
+	return v
+}
+
+// appendObservations decodes the supermer's k-mers of length k, in read
+// order, and appends their observations to dst. The k-mer ending at base j
+// has its left extension at base j-k and its right one at base j+1, so every
+// k-mer's neighbours travel once, shared with the overlapping k-mers.
+func (sm *supermer) appendObservations(dst []Observation, k int) []Observation {
+	fwd, rc := seq.KmersFromWords(sm.wordAt(1), sm.wordAt(33), k)
+	for j := k; j < int(sm.n)-1; j++ {
+		if j > k {
+			c := sm.code(j)
+			fwd = fwd.AppendBase(c)
+			rc = rc.PrependBase(seq.ComplementCode(c))
+		}
+		var o Observation
+		if rc.Less(fwd) {
+			o.Kmer, o.WasRC = rc, true
+		} else {
+			o.Kmer = fwd
+		}
+		if l := j - k; sm.usableAt(l) {
+			o.Left, o.HasLeft = sm.code(l), true
+		}
+		if sm.usableAt(j + 1) {
+			o.Right, o.HasRight = sm.code(j+1), true
+		}
+		dst = append(dst, o)
+	}
+	return dst
+}
+
+// cutSupermers cuts one read into supermers for k-mers of length k, in read
+// order, handing each to emit, and returns the code scratch for reuse.
+//
+// Each base character is decoded once into codes (with qualBit set when the
+// base passes the quality filter). The scan rolls the forward and
+// reverse-complement m-mer ending at each base, ranks it with seq.MerRank,
+// and keeps the minimum over the last k-m+1 ranks in a ring: the minimizer
+// of the k-mer ending there, the same value seq.Kmer.Minimizer computes. A
+// supermer closes where the minimizer changes, at an ambiguous base, at the
+// read's end, or at maxSupermerBases.
+func cutSupermers(codes []byte, read seq.Read, k int, emit func(supermer)) []byte {
+	n := len(read.Seq)
+	if n < k {
+		return codes
+	}
+	if cap(codes) < n {
+		codes = make([]byte, n)
+	} else {
+		codes = codes[:n]
+	}
+	for i, c := range read.Seq {
+		code, valid := seq.CharToBase(c)
+		switch {
+		case !valid:
+			code = noBase
+		case qualOK(read, i):
+			code |= qualBit
+		}
+		codes[i] = code
+	}
+	m := seq.MinimizerWidth(k)
+	w := k - m + 1 // m-mers per k-mer
+	mmask := uint64(1)<<(2*uint(m)) - 1
+	maxKmers := maxSupermerBases - k - 1
+	var ring [seq.MaxK]uint64 // the last w m-mer ranks, by position mod MaxK
+	var bases baseRing
+	var fm, rm uint64
+	var sm supermer
+	valid := 0
+	open, start := false, 0
+	var best uint64 // the current window's minimum rank
+	bestAt := 0     // the position of its last occurrence
+	// A run whose first k-mer starts at read base start packs from bases'
+	// position start, its left flank.
+	bases.set(0, noBase)
+	for i := 0; i < n; i++ {
+		code := codes[i]
+		bases.set(i+1, code)
+		if code == noBase {
+			if open {
+				sm.fill(&bases, start, i-start+2)
+				emit(sm)
+				open = false
+			}
+			valid = 0
+			continue
+		}
+		b := uint64(code & 3)
+		fm = (fm<<2 | b) & mmask
+		rm = rm>>2 | (3-b)<<(2*uint(m-1))
+		valid++
+		if valid >= m {
+			ring[i%seq.MaxK] = seq.MerRank(fm, rm)
+		}
+		if valid < k {
+			continue
+		}
+		if valid == k || bestAt <= i-w {
+			// A fresh window, or its minimum just left it: rescan.
+			best = ^uint64(0)
+			for j := i - w + 1; j <= i; j++ {
+				if r := ring[j%seq.MaxK]; r <= best {
+					best, bestAt = r, j
+				}
+			}
+		} else if r := ring[i%seq.MaxK]; r <= best {
+			best, bestAt = r, i
+		}
+		off := i - k + 1
+		if open && best == sm.minimizer && off-start < maxKmers {
+			continue
+		}
+		if open {
+			sm.fill(&bases, start, off-start+k+1)
+			emit(sm)
+		}
+		open, start, sm.minimizer = true, off, best
+	}
+	if open {
+		bases.set(n+1, noBase) // the missing right flank
+		sm.fill(&bases, start, n-start+2)
+		emit(sm)
+	}
+	return codes
+}
+
+// NewCountsMap creates the distributed k-mer counts table: owned by
+// minimizer, probed by seq.Kmer.Hash.
 func NewCountsMap(m *pgas.Machine) *dht.Map[seq.Kmer, seq.KmerCount] {
-	return dht.NewMap[seq.Kmer, seq.KmerCount](m, seq.Kmer.Hash, 40)
+	return dht.NewMapOwnedBy[seq.Kmer, seq.KmerCount](m, seq.Kmer.Hash, seq.Kmer.Minimizer, 40)
 }
 
 // Run performs k-mer analysis over the calling rank's block of reads. It is
@@ -97,40 +348,50 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	if opts.MinCount == 0 {
 		opts.MinCount = 2
 	}
+	k := opts.K
 	if counts == nil {
-		counts = dht.NewMapCollective[seq.Kmer, seq.KmerCount](r, seq.Kmer.Hash, 40)
+		if r.ID() == 0 {
+			counts = NewCountsMap(r.Machine())
+		}
+		counts = pgas.Broadcast(r, counts)
 	}
 
-	// Phase 1: extract observations from local reads and route them to the
-	// owners of their canonical k-mers with one aggregated exchange.
-	// A read of n bases yields at most n-k+1 observations (fewer around
-	// non-ACGT bases), so the per-rank buffer is sized once.
-	maxObs := 0
-	for _, read := range reads {
-		maxObs += max(0, len(read.Seq)-opts.K+1)
-	}
-	local := make([]Observation, 0, maxObs)
+	// Phase 1: cut the local reads into supermers, charging one op per base,
+	// and pack them into rounds of at most roundBytes wire bytes each.
+	var local []supermer
 	var codes []byte
+	occurrences := 0
 	for _, read := range reads {
-		// Append-style extraction fills the one per-rank buffer instead of
-		// allocating (and then copying) a fresh observation slice per read,
-		// and reuses one codes scratch across the whole read set.
-		local, codes = AppendObservations(local, codes, read, opts)
+		codes = cutSupermers(codes, read, k, func(sm supermer) {
+			local = append(local, sm)
+			occurrences += sm.kmers(k)
+		})
 		r.Compute(float64(len(read.Seq)))
 	}
-	totalLocal := int64(len(local))
+	var ends []int // ends[i] is the end of round i in local
+	for i, bytes := 0, 0; i < len(local); i++ {
+		sz := local[i].wireSize()
+		if bytes > 0 && bytes+sz > roundBytes {
+			ends = append(ends, i)
+			bytes = 0
+		}
+		bytes += sz
+	}
+	if len(local) > 0 {
+		ends = append(ends, len(local))
+	}
 
-	// Phases 1b+2, streamed: the observations are routed to their owners and
-	// folded into the purely local table (use case 4) in bounded chunks —
-	// every rank participates in the same number of exchange rounds, and
-	// each round's inbound payload is transient (dist.Exchange releases its
-	// resident charge, and the fold charges none), so no rank ever
-	// materializes its full observation stream.
+	// Phases 1b+2, streamed: the supermers are routed to their minimizers'
+	// owners and their k-mers folded into the purely local table (use case
+	// 4) round by round — every rank takes part in the same number of
+	// rounds, and each round's inbound payload is transient (dist.Exchange
+	// releases its resident charge, and the fold charges none), so no rank
+	// ever materializes its full inbound stream.
 	// The Bloom prefilter is sized by the rank's expected INBOUND stream
-	// (the global observation count over the ranks): the k-mer hash keeps
-	// the inbound side balanced whatever the outbound counts are, and an
-	// undersized filter would leak erroneous singletons into the table.
-	totalObs := pgas.AllReduce(r, totalLocal, pgas.ReduceSum)
+	// (the global k-mer occurrence count over the ranks): the minimizer hash
+	// keeps the inbound side balanced whatever the outbound counts are, and
+	// an undersized filter would leak erroneous singletons into the table.
+	totalObs := pgas.AllReduce(r, int64(occurrences), pgas.ReduceSum)
 	var filter *bloom.Filter
 	if opts.UseBloom {
 		expected := uint64(totalObs) / uint64(r.NRanks())
@@ -139,47 +400,65 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 		}
 		filter = bloom.NewWithEstimates(expected, bloomFPRate)
 	}
-	rounds := pgas.AllReduce(r, (len(local)+streamChunk-1)/streamChunk, pgas.ReduceMax)
+	owner := func(sm supermer) int { return counts.OwnerOfHash(sm.minimizer) }
+	var dests []int
+	var obs []Observation
+	rounds := pgas.AllReduce(r, len(ends), pgas.ReduceMax)
 	for ci := 0; ci < rounds; ci++ {
-		lo := min(ci*streamChunk, len(local))
-		hi := min(lo+streamChunk, len(local))
-		part := local[lo:hi]
-		owner := func(o Observation) int { return counts.Owner(o.Kmer) }
-		if !opts.Aggregate {
-			// Unaggregated ablation: the same exchange, but each remote
-			// observation is charged as its own message (the data movement
-			// is identical, only the message count differs).
-			pgas.ChargeUnaggregated(r, part, func(_ int, o Observation) int { return owner(o) })
-		}
-		routed := dist.Exchange(r, part, owner, func(Observation) int { return observationWireSize })
-		for i := range routed {
-			o := &routed[i]
-			if filter != nil {
-				// The owner's lookup that decides whether the Bloom filter is
-				// consulted; the update below charges the write, if any.
-				r.Compute(1)
+		var part []supermer
+		if ci < len(ends) {
+			lo := 0
+			if ci > 0 {
+				lo = ends[ci-1]
 			}
-			counts.UpdateLocal(r, o.Kmer, func(kc *seq.KmerCount, found bool) bool {
-				if !found {
-					absorbed := uint32(0)
-					if filter != nil {
-						if !filter.TestAndAdd(o.Kmer.Hash()) {
-							// First sighting: remember it in the filter only.
-							return false
-						}
-						// Second sighting: credit the occurrence the filter absorbed.
-						absorbed = 1
-					}
-					*kc = seq.KmerCount{Kmer: o.Kmer, Count: absorbed}
+			part = local[lo:ends[ci]]
+		}
+		if !opts.Aggregate {
+			// Unaggregated ablation: the same exchange, but each remote k-mer
+			// occurrence is charged as its own message (the data movement is
+			// identical, only the message count differs).
+			dests = dests[:0]
+			for i := range part {
+				for d, n := owner(part[i]), part[i].kmers(k); n > 0; n-- {
+					dests = append(dests, d)
 				}
-				kc.Observe(o.Left, o.Right, o.HasLeft, o.HasRight, o.WasRC)
-				return true
-			})
+			}
+			pgas.ChargeUnaggregated(r, dests, func(_ int, d int) int { return d })
+		}
+		routed := dist.Exchange(r, part, owner, supermer.wireSize)
+		for i := range routed {
+			sm := &routed[i]
+			r.Compute(float64(sm.n)) // decoding: one op per base
+			obs = sm.appendObservations(obs[:0], k)
+			for j := range obs {
+				o := &obs[j]
+				if filter != nil {
+					// The owner's lookup that decides whether the Bloom filter
+					// is consulted; the update below charges the write, if any.
+					r.Compute(1)
+				}
+				counts.UpdateLocal(r, o.Kmer, func(kc *seq.KmerCount, found bool) bool {
+					if !found {
+						absorbed := uint32(0)
+						if filter != nil {
+							if !filter.TestAndAdd(o.Kmer.Hash()) {
+								// First sighting: remember it in the filter only.
+								return false
+							}
+							// Second sighting: credit the occurrence the filter absorbed.
+							absorbed = 1
+						}
+						*kc = seq.KmerCount{Kmer: o.Kmer, Count: absorbed}
+					}
+					kc.Observe(o.Left, o.Right, o.HasLeft, o.HasRight, o.WasRC)
+					return true
+				})
+			}
 		}
 	}
-	r.Barrier()
 
-	// Phase 3: drop k-mers below the minimum count from the local shard.
+	// Phase 3: drop k-mers below the minimum count from the local shard. It
+	// touches only the rank's own partition, so no barrier orders it.
 	var toDelete []seq.Kmer
 	counts.ForEachLocal(r, func(km seq.Kmer, kc seq.KmerCount) {
 		if kc.Count < opts.MinCount {
@@ -189,84 +468,23 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	for _, km := range toDelete {
 		counts.DeleteLocal(r, km)
 	}
-	r.Barrier()
 
 	// Phase 4: count the retained k-mers across ranks.
-	res := Result{Counts: counts, DistinctKmers: pgas.AllReduce(r, counts.LocalLen(r.ID()), pgas.ReduceSum)}
-	r.Barrier()
-	return res
+	return Result{Counts: counts, DistinctKmers: pgas.AllReduce(r, counts.LocalLen(r.ID()), pgas.ReduceSum)}
 }
 
-// AppendObservations splits one read into canonical k-mer observations and
-// appends them to dst, returning the extended slices. The append form (same
-// discipline as seq.AppendCanonicalKmers) lets the caller accumulate a whole
-// read set into one per-rank buffer with no per-read allocation; codes is a
-// reusable scratch the read's bases are decoded into.
-//
-// The extraction rolls two packed windows: each base character is decoded
-// to its 2-bit code exactly once into codes, the forward k-mer is
-// maintained by shifting that code in (seq.Kmer.AppendBase) while its
-// reverse complement is maintained by prepending the complement code — so
-// canonicalization is a 128-bit compare instead of the O(k)
-// ReverseComplement rebuild Kmer.Canonical performs per window. The
-// byte-loop version this replaces additionally re-decoded every neighbour
-// character from ASCII.
+// AppendObservations splits one read into canonical k-mer observations, in
+// read order, and appends them to dst, returning the extended slices. It
+// runs the pipeline's own path: the read is cut into supermers and each is
+// decoded as its owner decodes it. The append form (same discipline as
+// seq.AppendCanonicalKmers) lets the caller accumulate a whole read set into
+// one buffer with no per-read allocation; codes is a reusable scratch the
+// read's bases are decoded into.
 func AppendObservations(dst []Observation, codes []byte, read seq.Read, opts Options) ([]Observation, []byte) {
-	k := opts.K
-	n := len(read.Seq)
-	if n < k {
-		return dst, codes
-	}
-	if cap(codes) < n {
-		codes = make([]byte, n)
-	} else {
-		codes = codes[:n]
-	}
-	for i, c := range read.Seq {
-		code, valid := seq.CharToBase(c)
-		if !valid {
-			code = 0xFF
-		}
-		codes[i] = code
-	}
-	out := dst
-	km := seq.Kmer{K: uint8(k)}
-	rcKm := seq.Kmer{K: uint8(k)}
-	valid := 0
-	for i := 0; i < n; i++ {
-		code := codes[i]
-		if code == 0xFF {
-			valid = 0
-			continue
-		}
-		km = km.AppendBase(code)
-		rcKm = rcKm.PrependBase(seq.ComplementCode(code))
-		valid++
-		if valid < k {
-			continue
-		}
-		off := i - k + 1
-		var o Observation
-		if rcKm.Less(km) {
-			o.Kmer, o.WasRC = rcKm, true
-		} else {
-			o.Kmer, o.WasRC = km, false
-		}
-		if off > 0 {
-			if lc := codes[off-1]; lc != 0xFF && qualOK(read, off-1) {
-				o.Left = lc
-				o.HasLeft = true
-			}
-		}
-		if i+1 < n {
-			if rc := codes[i+1]; rc != 0xFF && qualOK(read, i+1) {
-				o.Right = rc
-				o.HasRight = true
-			}
-		}
-		out = append(out, o)
-	}
-	return out, codes
+	codes = cutSupermers(codes, read, opts.K, func(sm supermer) {
+		dst = sm.appendObservations(dst, opts.K)
+	})
+	return dst, codes
 }
 
 // qualOK reports whether the base at position i passes the quality filter
@@ -338,6 +556,7 @@ func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], co
 		}
 		r.Compute(float64(len(cs)))
 	}
+	// No barrier: the next stage, dbg.Build, opens with a Broadcast, and
+	// each owner has folded what it received by the time Flush returns.
 	u.Flush()
-	r.Barrier()
 }

@@ -1,9 +1,15 @@
 package kmeranalysis
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"mhmgo/internal/bloom"
+	"mhmgo/internal/dht"
+	"mhmgo/internal/dist"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
 	"mhmgo/internal/sim"
@@ -310,17 +316,18 @@ func TestUnaggregatedMatchesAggregatedContent(t *testing.T) {
 	}
 
 	// Only the message count differs: every byte moves once either way, and
-	// the unaggregated run sends one message per remote observation. Every
-	// put is an observation exchange's; the collectives' messages are the
-	// rest, the same in both runs.
+	// the unaggregated run sends one message per remote k-mer occurrence,
+	// not one per supermer. Every put is a supermer exchange's; the
+	// collectives' messages are the rest, the same in both runs.
 	remote := 0
+	owners := NewCountsMap(pgas.NewMachine(pgas.Config{Ranks: ranks}))
 	for rank := 0; rank < ranks; rank++ {
 		var obs []Observation
 		for _, read := range splitReads(reads, rank, ranks) {
 			obs, _ = AppendObservations(obs, nil, read, opts)
 		}
 		for _, o := range obs {
-			if int(o.Kmer.Hash()%ranks) != rank {
+			if owners.Owner(o.Kmer) != rank {
 				remote++
 			}
 		}
@@ -335,9 +342,303 @@ func TestUnaggregatedMatchesAggregatedContent(t *testing.T) {
 		}
 	}
 	if w.RemotePuts != uint64(remote) {
-		t.Errorf("unaggregated run sent %d exchange messages, want one per remote observation (%d)", w.RemotePuts, remote)
+		t.Errorf("unaggregated run sent %d exchange messages, want one per remote k-mer occurrence (%d)", w.RemotePuts, remote)
 	}
 	if a.Messages-a.RemotePuts != w.Messages-w.RemotePuts {
 		t.Errorf("collective messages differ: %d aggregated, %d unaggregated", a.Messages-a.RemotePuts, w.Messages-w.RemotePuts)
+	}
+}
+
+// refChunk and refWireSize are the per-k-mer path's round size, in
+// observations, and the wire bytes of one observation: the packed k-mer (two
+// words plus k), the two extension bases and three flags.
+const (
+	refChunk    = 1024
+	refWireSize = 22
+)
+
+// refObservations is the per-k-mer extraction the supermer path replaced,
+// the oracle of AppendObservations: it rolls the forward k-mer and its
+// reverse complement over the read's 2-bit codes and emits one observation
+// per valid k-mer.
+func refObservations(dst []Observation, codes []byte, read seq.Read, opts Options) ([]Observation, []byte) {
+	k := opts.K
+	n := len(read.Seq)
+	if n < k {
+		return dst, codes
+	}
+	if cap(codes) < n {
+		codes = make([]byte, n)
+	} else {
+		codes = codes[:n]
+	}
+	for i, c := range read.Seq {
+		code, valid := seq.CharToBase(c)
+		if !valid {
+			code = 0xFF
+		}
+		codes[i] = code
+	}
+	out := dst
+	km := seq.Kmer{K: uint8(k)}
+	rcKm := seq.Kmer{K: uint8(k)}
+	valid := 0
+	for i := 0; i < n; i++ {
+		code := codes[i]
+		if code == 0xFF {
+			valid = 0
+			continue
+		}
+		km = km.AppendBase(code)
+		rcKm = rcKm.PrependBase(seq.ComplementCode(code))
+		valid++
+		if valid < k {
+			continue
+		}
+		off := i - k + 1
+		var o Observation
+		if rcKm.Less(km) {
+			o.Kmer, o.WasRC = rcKm, true
+		} else {
+			o.Kmer, o.WasRC = km, false
+		}
+		if off > 0 {
+			if lc := codes[off-1]; lc != 0xFF && qualOK(read, off-1) {
+				o.Left = lc
+				o.HasLeft = true
+			}
+		}
+		if i+1 < n {
+			if rc := codes[i+1]; rc != 0xFF && qualOK(read, i+1) {
+				o.Right = rc
+				o.HasRight = true
+			}
+		}
+		out = append(out, o)
+	}
+	return out, codes
+}
+
+// refRun is the per-k-mer k-mer analysis the supermer path replaced: every
+// observation travels on its own to the owner of its k-mer's hash, in rounds
+// of refChunk observations, and is folded by the same rules. With the Bloom
+// filter off its table holds what Run's holds, whatever either owns by.
+func refRun(r *pgas.Rank, reads []seq.Read, opts Options) Result {
+	counts := dht.NewMapCollective[seq.Kmer, seq.KmerCount](r, seq.Kmer.Hash, 40)
+	var local []Observation
+	var codes []byte
+	for _, read := range reads {
+		local, codes = refObservations(local, codes, read, opts)
+		r.Compute(float64(len(read.Seq)))
+	}
+	totalObs := pgas.AllReduce(r, int64(len(local)), pgas.ReduceSum)
+	var filter *bloom.Filter
+	if opts.UseBloom {
+		filter = bloom.NewWithEstimates(max(uint64(totalObs)/uint64(r.NRanks()), 1024), bloomFPRate)
+	}
+	rounds := pgas.AllReduce(r, (len(local)+refChunk-1)/refChunk, pgas.ReduceMax)
+	for ci := 0; ci < rounds; ci++ {
+		lo := min(ci*refChunk, len(local))
+		part := local[lo:min(lo+refChunk, len(local))]
+		owner := func(o Observation) int { return counts.Owner(o.Kmer) }
+		if !opts.Aggregate {
+			pgas.ChargeUnaggregated(r, part, func(_ int, o Observation) int { return owner(o) })
+		}
+		for _, o := range dist.Exchange(r, part, owner, func(Observation) int { return refWireSize }) {
+			counts.UpdateLocal(r, o.Kmer, func(kc *seq.KmerCount, found bool) bool {
+				if !found {
+					absorbed := uint32(0)
+					if filter != nil {
+						if !filter.TestAndAdd(o.Kmer.Hash()) {
+							return false
+						}
+						absorbed = 1
+					}
+					*kc = seq.KmerCount{Kmer: o.Kmer, Count: absorbed}
+				}
+				kc.Observe(o.Left, o.Right, o.HasLeft, o.HasRight, o.WasRC)
+				return true
+			})
+		}
+	}
+	r.Barrier()
+	var toDelete []seq.Kmer
+	counts.ForEachLocal(r, func(km seq.Kmer, kc seq.KmerCount) {
+		if kc.Count < opts.MinCount {
+			toDelete = append(toDelete, km)
+		}
+	})
+	for _, km := range toDelete {
+		counts.DeleteLocal(r, km)
+	}
+	r.Barrier()
+	return Result{Counts: counts, DistinctKmers: pgas.AllReduce(r, counts.LocalLen(r.ID()), pgas.ReduceSum)}
+}
+
+// oracleReads is the oracle test's read set: reads of a random genome on
+// both strands, with ambiguous bases, low-quality bases, reads without
+// qualities, reads shorter than the k-mers, and reads inside a poly-A tract
+// longer than a supermer may be.
+func oracleReads(seed int64) []seq.Read {
+	r := rand.New(rand.NewSource(seed))
+	g := []byte(randRead(r, 3000, false).Seq)
+	copy(g[1200:], strings.Repeat("A", 400))
+	var reads []seq.Read
+	for i := 0; i < 240; i++ {
+		n := 40 + r.Intn(260)
+		switch i % 8 {
+		case 0:
+			n = 1 + r.Intn(60) // shorter than most k
+		case 1:
+			reads = append(reads, seq.Read{ID: "polyA", Seq: g[1200 : 1200+n%400]})
+			continue
+		}
+		lo := r.Intn(len(g) - n)
+		rd := randRead(r, n, i%3 == 0) // random qualities, maybe one N
+		copy(rd.Seq, g[lo:lo+n])
+		if i%3 == 0 {
+			rd.Seq[r.Intn(n)] = 'N'
+		}
+		if i%5 == 0 {
+			rd.Seq = seq.ReverseComplement(rd.Seq)
+		}
+		if i%7 == 0 {
+			rd.Qual = nil
+		}
+		reads = append(reads, rd)
+		if i%2 == 0 {
+			reads = append(reads, rd) // coverage, so counts clear MinCount
+		}
+	}
+	return reads
+}
+
+// TestRunMatchesPerKmerOracle requires Run's table to equal the per-k-mer
+// oracle's: the same k-mers with the same counts and extension histograms.
+// Without the Bloom filter fold order does not matter, so any rank count
+// must agree; with it, which sighting the filter absorbs depends on the fold
+// order, which only one rank shares with the oracle.
+func TestRunMatchesPerKmerOracle(t *testing.T) {
+	reads := oracleReads(23)
+	capped := false
+	for _, k := range []int{5, 21, 33, 63} {
+		var codes []byte
+		for _, rd := range reads {
+			codes = cutSupermers(codes, rd, k, func(sm supermer) { capped = capped || sm.n == maxSupermerBases })
+		}
+		for _, tc := range []struct {
+			p     int
+			bloom bool
+		}{{1, false}, {3, false}, {16, false}, {1, true}} {
+			for _, agg := range []bool{true, false} {
+				t.Run(fmt.Sprintf("k=%d/P=%d/bloom=%v/agg=%v", k, tc.p, tc.bloom, agg), func(t *testing.T) {
+					opts := DefaultOptions(k)
+					opts.UseBloom, opts.Aggregate = tc.bloom, agg
+					var got, want Result
+					pgas.NewMachine(pgas.Config{Ranks: tc.p}).Run(func(r *pgas.Rank) {
+						res := Run(r, splitReads(reads, r.ID(), tc.p), opts, nil)
+						if r.ID() == 0 {
+							got = res
+						}
+					})
+					pgas.NewMachine(pgas.Config{Ranks: tc.p}).Run(func(r *pgas.Rank) {
+						res := refRun(r, splitReads(reads, r.ID(), tc.p), opts)
+						if r.ID() == 0 {
+							want = res
+						}
+					})
+					if got.DistinctKmers != want.DistinctKmers || got.DistinctKmers == 0 {
+						t.Fatalf("DistinctKmers = %d, oracle %d", got.DistinctKmers, want.DistinctKmers)
+					}
+					if g, w := got.Counts.Snapshot(), want.Counts.Snapshot(); !maps.Equal(g, w) {
+						for km, kc := range w {
+							if g[km] != kc {
+								t.Fatalf("k-mer %s: %+v, oracle %+v", km, g[km], kc)
+							}
+						}
+						t.Fatal("tables differ")
+					}
+				})
+			}
+		}
+	}
+	if !capped {
+		t.Error("no supermer reached maxSupermerBases; the poly-A reads do not exercise the cap")
+	}
+}
+
+// TestSupermerKmersOwnedByDestination checks the routing invariant: every
+// k-mer decoded from a supermer is owned, in the counts table, by the rank
+// the supermer is sent to.
+func TestSupermerKmersOwnedByDestination(t *testing.T) {
+	reads := oracleReads(29)
+	for _, p := range []int{3, 16, 64} {
+		counts := NewCountsMap(pgas.NewMachine(pgas.Config{Ranks: p}))
+		for _, k := range []int{5, 15, 21, 33, 63, 64} {
+			var codes []byte
+			var obs []Observation
+			for _, rd := range reads {
+				codes = cutSupermers(codes, rd, k, func(sm supermer) {
+					dest := counts.OwnerOfHash(sm.minimizer)
+					obs = sm.appendObservations(obs[:0], k)
+					for _, o := range obs {
+						if counts.Owner(o.Kmer) != dest {
+							t.Fatalf("P=%d k=%d: k-mer %s owned by %d, supermer sent to %d", p, k, o.Kmer, counts.Owner(o.Kmer), dest)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunAndMergeBarriersP8 pins the per-rank barrier count of Run plus
+// MergeContigKmers at P=8. Run passes 8 + 3 per round: the counts table's
+// broadcast (2), three all-reduces (2 each) and one exchange (3) per round;
+// no barrier follows the rounds, the pruning or the last all-reduce. The
+// merge passes its flush's exchange (3) and no closing barrier. It also pins
+// the point of supermers: at the same per-round byte budget, the rounds fall
+// at least fivefold from the per-k-mer path's.
+func TestRunAndMergeBarriersP8(t *testing.T) {
+	const p, k = 8, 21
+	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 3, MeanGenomeLen: 8000, Seed: 31})
+	reads := sim.SimulateReads(comm, sim.ReadConfig{ReadLen: 100, InsertSize: 250, ErrorRate: 0.01, Coverage: 20, Seed: 32})
+	rounds, refRounds := 0, 0
+	for rank := 0; rank < p; rank++ {
+		var codes []byte
+		n, bytes, kmers := 0, 0, 0
+		for _, rd := range splitReads(reads, rank, p) {
+			codes = cutSupermers(codes, rd, k, func(sm supermer) {
+				kmers += sm.kmers(k)
+				if bytes == 0 || bytes+sm.wireSize() > roundBytes {
+					n, bytes = n+1, 0
+				}
+				bytes += sm.wireSize()
+			})
+		}
+		rounds, refRounds = max(rounds, n), max(refRounds, (kmers+refChunk-1)/refChunk)
+	}
+	t.Logf("%d supermer rounds, %d per-k-mer rounds", rounds, refRounds)
+	if rounds*5 > refRounds {
+		t.Errorf("%d supermer rounds, %d per-k-mer rounds; want at least a fivefold drop", rounds, refRounds)
+	}
+	contigs := [][]byte{comm.Genomes[0].Seq[:2000], comm.Genomes[1].Seq[:1500]}
+	var runBarriers, mergeBarriers [p]uint64
+	pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 4}).Run(func(r *pgas.Rank) {
+		s0 := r.Stats()
+		res := Run(r, splitReads(reads, r.ID(), p), DefaultOptions(k), nil)
+		s1 := r.Stats()
+		lo, hi := r.BlockRange(len(contigs))
+		MergeContigKmers(r, res.Counts, contigs[lo:hi], k, 3)
+		s2 := r.Stats()
+		runBarriers[r.ID()], mergeBarriers[r.ID()] = s1.Barriers-s0.Barriers, s2.Barriers-s1.Barriers
+	})
+	for rank := 0; rank < p; rank++ {
+		if want := uint64(8 + 3*rounds); runBarriers[rank] != want {
+			t.Errorf("rank %d: Run passed %d barriers, want %d (%d rounds)", rank, runBarriers[rank], want, rounds)
+		}
+		if mergeBarriers[rank] != 3 {
+			t.Errorf("rank %d: MergeContigKmers passed %d barriers, want 3", rank, mergeBarriers[rank])
+		}
 	}
 }

@@ -232,3 +232,13 @@ func AppendReverseComplement(dst, s []byte) []byte {
 	}
 	return dst
 }
+
+// KmersFromWords returns the k-mer whose k bases are packed in lo and hi in
+// Packed's layout (base i at bits 2i of the 128-bit value hi:lo; bits past
+// 2k are ignored), and its reverse complement. Complementing the words gives
+// the reverse complement in Kmer's layout directly, so both cost O(1)
+// instead of k rolling steps.
+func KmersFromWords(lo, hi uint64, k int) (fwd, rc Kmer) {
+	rc = Kmer{Hi: ^hi & hiMask(k), Lo: ^lo & loMask(k), K: uint8(k)}
+	return rc.ReverseComplement(), rc
+}
