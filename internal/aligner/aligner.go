@@ -352,7 +352,7 @@ func (idx *Index) hitsOf(r *pgas.Rank, key seq.Kmer) []SeedHit {
 // exported (with NewScratch and BeginRead) so the benchmark program's
 // aligner.extend_ns probe can drive the extend kernel directly.
 type Scratch struct {
-	tried map[[3]int]bool // (contig, diagonal, strand) triples already extended
+	tried map[[3]int]bool // (contig, projected start, strand) triples already extended
 
 	readFwd seq.Packed // packed current read (valid when readOK)
 	readRC  seq.Packed // packed reverse complement of the current read
@@ -436,7 +436,7 @@ func alignRead(r *pgas.Rank, creader *dist.Reader[dbg.Contig], read seq.Read, se
 			// of (read seed canonicalization, contig seed canonicalization)
 			// flipped orientation.
 			reverse := s.rc != h.Reverse
-			key := [3]int{h.ContigID, h.Pos - off, boolToInt(reverse)}
+			key := [3]int{h.ContigID, projectedStart(len(read.Seq), h, off, reverse, opts), boolToInt(reverse)}
 			if tried[key] {
 				continue
 			}
@@ -489,6 +489,18 @@ func boolToInt(b bool) int {
 	return 0
 }
 
+// projectedStart returns where the oriented read, whose seed at seedOff hit
+// the contig at hit.Pos, starts on the contig's forward strand. On the
+// reverse strand the seed sits at readLen-seedOff-SeedLen of the oriented
+// read. Every seed of a read on one diagonal projects the same start, so the
+// start, not hit.Pos-seedOff, names the candidate alignment.
+func projectedStart(readLen int, hit SeedHit, seedOff int, reverse bool, opts Options) int {
+	if reverse {
+		return hit.Pos + seedOff + opts.SeedLen - readLen
+	}
+	return hit.Pos - seedOff
+}
+
 // extend performs ungapped extension of a seed match and scores it. When the
 // read and the contig are both strict ACGT (the overwhelmingly common case)
 // the comparison runs word-at-a-time over the packed forms — 32 bases per
@@ -512,13 +524,10 @@ func extend(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, reverse
 // one byte at a time.
 func extendPacked(readLen int, cp seq.Packed, contig dbg.Contig, hit SeedHit, seedOff int, reverse bool, opts Options, s *Scratch) (Alignment, bool) {
 	rp := &s.readFwd
-	off := seedOff
 	if reverse {
 		rp = &s.readRC
-		off = readLen - seedOff - opts.SeedLen
 	}
-	// Projected start of the read on the contig's forward strand.
-	start := hit.Pos - off
+	start := projectedStart(readLen, hit, seedOff, reverse, opts)
 	lo := 0
 	if start < 0 {
 		lo = -start
@@ -554,7 +563,6 @@ func extendPacked(readLen int, cp seq.Packed, contig dbg.Contig, hit SeedHit, se
 // most once per read, into the scratch buffer.
 func extendBytes(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, reverse bool, opts Options, s *Scratch) (Alignment, bool) {
 	oriented := readSeq
-	off := seedOff
 	if reverse {
 		switch {
 		case s == nil:
@@ -566,10 +574,8 @@ func extendBytes(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, re
 			s.rcValid = true
 			oriented = s.rcBytes
 		}
-		off = len(readSeq) - seedOff - opts.SeedLen
 	}
-	// Projected start of the read on the contig's forward strand.
-	start := hit.Pos - off
+	start := projectedStart(len(readSeq), hit, seedOff, reverse, opts)
 	matches, mismatches, alignLen := 0, 0, 0
 	for i := 0; i < len(oriented); i++ {
 		cpos := start + i

@@ -182,6 +182,39 @@ func TestAlignRejectsLowIdentity(t *testing.T) {
 	})
 }
 
+// TestOneExtensionPerDiagonal aligns a read and its reverse complement, each
+// alone, against one contig they cover with several seeds on one diagonal.
+// Each must be extended once, so charged one extension: at P=1 AlignReads
+// charges three ops per seed (taking it, the owner-local hit-list probe and
+// the local contig fetch) and AlignLen per extension. Keying the extensions
+// tried by hit.Pos-seedOff, the forward strand's diagonal, would extend the
+// reverse-strand read once per seed.
+func TestOneExtensionPerDiagonal(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	contig := dbg.Contig{Seq: randBases(rng, 300), Depth: 10}
+	fwd := contig.Seq[60:160]
+	for _, read := range []seq.Read{{ID: "fwd", Seq: fwd}, {ID: "rev", Seq: seq.ReverseComplement(fwd)}} {
+		pgas.NewMachine(pgas.Config{Ranks: 1}).Run(func(r *pgas.Rank) {
+			cs, _ := distributeTestContigs(r, []dbg.Contig{contig}, nil)
+			opts := DefaultOptions(21)
+			idx := BuildIndex(r, cs, opts)
+			before := r.Stats().ComputeOps
+			got, stats := AlignReads(r, idx, []seq.Read{read}, 0, opts)
+			ops := r.Stats().ComputeOps - before
+			if stats.SeedLookups < 5 || len(got) != 1 {
+				t.Fatalf("%s: %d seeds, %d alignments; want at least 5 seeds and one alignment", read.ID, stats.SeedLookups, len(got))
+			}
+			a := got[0]
+			if a.ContigPos != 60 || a.AlignLen != len(fwd) || a.Matches != len(fwd) || a.Reverse != (read.ID == "rev") {
+				t.Fatalf("%s: aligned as %+v", read.ID, a)
+			}
+			if extension := ops - 3*float64(stats.SeedLookups); extension != float64(a.AlignLen) {
+				t.Errorf("%s: %d seeds on one diagonal charged %v extension ops, want one extension, %d", read.ID, stats.SeedLookups, extension, a.AlignLen)
+			}
+		})
+	}
+}
+
 func TestSoftwareCacheReducesCommunication(t *testing.T) {
 	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 2, MeanGenomeLen: 4000, Seed: 31, StrainFraction: 0})
 	contigs := make([]dbg.Contig, len(comm.Genomes))

@@ -148,7 +148,13 @@ func TestDistributedOwnershipLean(t *testing.T) {
 		// other ranks, most path-start claims stay on their rank without
 		// entering the exchange, and the worst rank's peak is now the
 		// contig k-mers k-mer merge's flush delivers to it.
-		wantPeak = 74307
+		// It rose (from 74307) when de Bruijn traversal began emitting each
+		// path at the start first by (index, owner) instead of at the
+		// smaller ID, which handed every path to the lower of its two
+		// starts' ranks: the worst rank's peak is again the pieces it
+		// receives for the paths it emits, now on rank 63 at k=33, which
+		// under ID order emitted only paths with both starts on it.
+		wantPeak = 105140
 		// What the same input peaked at, at commit ed1df1b, with every
 		// pipeline collection charged as a gather-to-all — the last commit
 		// that could still run that pattern (as a Config switch, since

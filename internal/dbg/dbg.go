@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"mhmgo/internal/dht"
@@ -167,9 +168,12 @@ type vertex struct {
 // when y's mirror precedes x's mirror: the nodes form simple paths and
 // cycles, and the mirror of a path is a path.
 //
-// node is a node's list-ranking state. While dist < 0, ptr is the ID of its
-// 2^j-th predecessor before round j; once dist >= 0, ptr is the ID of its
-// path's start and dist its distance from that start.
+// node is a node's list-ranking state. While dist < 0, ptr is the ID of a
+// node before it on its path and -dist the number of steps from that node to
+// this one: its predecessor, one step back, until rankPaths runs; then, for a
+// segment head before doubling round j, the tail of the segment 2^j segments
+// back. Once dist >= 0, ptr is the ID of its path's start and dist its
+// distance from that start.
 type node struct {
 	ptr  int
 	dist int32
@@ -361,11 +365,15 @@ type TraverseOptions struct{}
 // aggregated exchanges and reads the graph only owner-locally:
 //
 //  1. markPredecessors: one claim exchange gives every node its
-//     predecessor's ID, or marks it a path start. A node's successor is its
-//     mirror's predecessor, mirrored, so no second exchange is needed.
-//  2. rankPaths: ⌈log₂ maxSteps⌉+1 rounds of pointer doubling, one exchange
-//     each, after which every path node knows its start and its distance
-//     from it.
+//     predecessor's ID, or marks it a path start; a claim whose successor
+//     the claimant's rank owns, as most are under minimizer ownership, is
+//     resolved in place. A node's successor is its mirror's predecessor,
+//     mirrored, so no second exchange is needed.
+//  2. rankPaths: each rank chains its nodes into segments, maximal runs of
+//     consecutive path nodes it owns, with no exchange; ⌈log₂ maxSteps⌉+1
+//     rounds of weighted pointer doubling over the segment heads, one
+//     exchange each, give every head its start and distance, and a last
+//     local pass gives them to every other node of its segment.
 //  3. assemble: one exchange sends each vertex's base and depth to the start
 //     that emits its path, which places them by distance.
 //
@@ -390,8 +398,8 @@ func Traverse(r *pgas.Rank, g *Graph, _ TraverseOptions) []Contig {
 	return out
 }
 
-// jump is one pointer-doubling record: the sender's state, for the node that
-// sits 2^j nodes after it.
+// jump is one pointer-doubling record: a segment head's state advanced to its
+// segment's tail, for the head that sits 2^j segments after it.
 type jump struct {
 	to int
 	node
@@ -406,60 +414,119 @@ func nodeOwner(id int) int {
 	return owner
 }
 
-// rankPaths runs ⌈log₂ maxSteps⌉+1 pointer-doubling rounds over the calling
-// rank's nodes: enough for a path of 2·maxSteps nodes, and no path has more
-// than twice as many nodes as the graph has vertices. In round j a node x
-// whose path goes on for at least 2^j more nodes — exactly when its mirror
-// has not finished — sends its state to its 2^j-th successor, which is its
-// mirror's pointer, mirrored. The
-// receiver sat 2^j nodes after x: it takes over x's pointer, now 2^(j+1)
-// back, or, if x has finished, finishes at x's distance plus 2^j. Every
-// unfinished node receives exactly one record per round, and a node sends at
-// most one, so a round is one exchange of at most one record per node. After
-// round j every node fewer than 2^(j+1) nodes from its start has finished;
-// nodes of start-less cycles never do. Collective.
+// rankPaths gives every node on a path its start and its distance from it,
+// in three steps. Collective.
+//
+//  1. chainSegments links, on this rank alone, each node to the nodes after
+//     it that this rank also owns. A segment is a maximal run of consecutive
+//     path nodes on one rank; its head is a path start or a node whose
+//     predecessor another rank owns, and its tail a path end or a node whose
+//     successor another rank owns. The mirror of a segment is a segment, whose
+//     head mirrors this one's tail.
+//  2. ⌈log₂ maxSteps⌉+1 rounds of weighted push-form pointer doubling over
+//     the heads only (pushRound), one exchange each: enough for a path of 2·maxSteps
+//     segments, and no path has more than twice as many nodes as the graph
+//     has vertices.
+//  3. Every other node of a segment whose head finished takes the head's
+//     start, and the head's distance plus its offset in the segment.
 func rankPaths(r *pgas.Rank, nodes []node, maxSteps int) {
-	rounds := bits.Len(uint(maxSteps-1)) + 1
-	// live holds the forward node index 2i of every vertex i with a node
-	// that has not finished; a node sends while its mirror has not.
-	var live []int
-	for f := 0; f < len(nodes); f += 2 {
-		if nodes[f].dist < 0 || nodes[f+1].dist < 0 {
-			live = append(live, f)
+	order, segs := chainSegments(r, nodes)
+	live := slices.Clone(segs)
+	for range bits.Len(uint(maxSteps-1)) + 1 {
+		live = pushRound(r, nodes, order, live)
+	}
+	for _, s := range segs {
+		h := nodes[order[s.lo]]
+		if h.dist < 0 {
+			continue // a start-less cycle: its nodes stay unfinished
+		}
+		for o, x := range order[s.lo+1 : s.hi] {
+			nodes[x] = node{ptr: h.ptr, dist: h.dist + int32(o) + 1}
 		}
 	}
-	var out []jump
-	for round := 0; round < rounds; round++ {
-		out = out[:0]
-		kept := live[:0]
-		for _, f := range live {
-			fwd, rev := nodes[f], nodes[f+1]
-			if rev.dist < 0 {
-				out = append(out, jump{to: rev.ptr ^ 1, node: fwd})
-			}
-			if fwd.dist < 0 {
-				out = append(out, jump{to: fwd.ptr ^ 1, node: rev})
-			}
-			if fwd.dist < 0 || rev.dist < 0 {
-				kept = append(kept, f)
-			}
+	r.Compute(float64(len(order) - len(segs)))
+}
+
+// segment is a run of order (see chainSegments): order[lo] is its head and
+// order[hi-1] its tail.
+type segment struct{ lo, hi int32 }
+
+// chainSegments returns the calling rank's nodes that lie on segments, each
+// segment's in path order, and the segments. It reads the nodes as
+// markPredecessors left them: a node's successor is its mirror's
+// predecessor, mirrored, and is on this rank exactly when that predecessor
+// is. The nodes of a start-less cycle wholly on this rank have no head and
+// are left out.
+func chainSegments(r *pgas.Rank, nodes []node) ([]int32, []segment) {
+	me := r.ID()
+	hasLocalPred := func(n node) bool { return n.dist < 0 && nodeOwner(n.ptr) == me }
+	order := make([]int32, 0, len(nodes))
+	var segs []segment
+	for head := range nodes {
+		if hasLocalPred(nodes[head]) {
+			continue
 		}
-		live = kept
-		r.Compute(float64(len(out)))
-		in := pgas.ExchangeFunc(r, out,
-			func(_ int, j jump) int { return nodeOwner(j.to) },
-			func(jump) int { return jumpWireSize })
-		r.Compute(float64(len(in)))
-		step := int32(1) << round
-		for _, j := range in {
-			_, i := dist.Locate(j.to)
-			nodes[i].ptr = j.ptr
-			if j.dist >= 0 {
-				nodes[i].dist = j.dist + step
+		lo := int32(len(order))
+		for x := head; ; {
+			order = append(order, int32(x))
+			m := nodes[x^1]
+			if !hasLocalPred(m) {
+				break
 			}
+			_, i := dist.Locate(m.ptr)
+			x = i ^ 1
 		}
-		r.ReleaseResident(len(in) * jumpWireSize)
+		segs = append(segs, segment{lo: lo, hi: int32(len(order))})
 	}
+	r.Compute(float64(len(nodes)))
+	return order, segs
+}
+
+// pushRound runs one doubling round j over the live segments and returns
+// those that stay live. A head h whose path goes on for at least 2^j more
+// segments — exactly when its mirror segment's head has not finished — sends
+// its state, advanced to its own tail, to the head 2^j segments after it,
+// which is that mirror head's pointer, mirrored. The receiver's pointer names
+// h's tail: it takes over h's pointer and adds the two weights, or, if h has
+// finished, finishes at the tail's distance plus its own weight. Every
+// unfinished head receives exactly one record per round and a head sends at
+// most one, so a round is one exchange of at most one record per segment.
+// After round j every head fewer than 2^(j+1) segments from its start has
+// finished; heads of start-less cycles never do. Collective.
+func pushRound(r *pgas.Rank, nodes []node, order []int32, live []segment) []segment {
+	out := make([]jump, 0, len(live))
+	kept := live[:0]
+	for _, s := range live {
+		m := nodes[order[s.hi-1]^1]
+		if m.dist >= 0 {
+			continue
+		}
+		kept = append(kept, s)
+		h, span := nodes[order[s.lo]], s.hi-s.lo-1
+		if h.dist >= 0 {
+			h.dist += span
+		} else {
+			h.dist -= span
+		}
+		out = append(out, jump{to: m.ptr ^ 1, node: h})
+	}
+	r.Compute(float64(len(out)))
+	in := pgas.ExchangeFunc(r, out,
+		func(_ int, j jump) int { return nodeOwner(j.to) },
+		func(jump) int { return jumpWireSize })
+	r.Compute(float64(len(in)))
+	for _, j := range in {
+		_, i := dist.Locate(j.to)
+		n := &nodes[i]
+		if j.dist >= 0 {
+			n.dist = j.dist - n.dist
+		} else {
+			n.dist += j.dist
+		}
+		n.ptr = j.ptr
+	}
+	r.ReleaseResident(len(in) * jumpWireSize)
+	return kept
 }
 
 // piece is one vertex's contribution to the contig of its path: the base
@@ -498,14 +565,14 @@ func lastBase(km seq.Kmer, o int) byte {
 
 // assemble builds the contigs of the paths this rank emits, after rankPaths.
 // A path P from start S to end E has a mirror path from E's mirror to S's
-// mirror, which carries the reverse complement of its sequence; the smaller
-// of the two start IDs emits, in canonical orientation. Every vertex of P is
-// one node of P and one of its mirror, so each vertex sends one piece, from
-// the node with the smaller (start, distance), to that start's owner. A
-// start learns all it needs without a message: its mirror is the last node
-// of the mirror path, so the mirror's pointer is the other start and its
-// distance the path's last position L, which lays out the pieces by count
-// and offset, with no sort.
+// mirror, which carries the reverse complement of its sequence; the start
+// that emitsBefore the other emits, in canonical orientation. Every vertex of
+// P is one node of P and one of its mirror, so each vertex sends one piece,
+// from its node on the emitted path (on a hairpin, the one nearer the
+// start), to that start's owner. A start learns all it needs without a
+// message: its mirror is the last node of the mirror path, so the mirror's
+// pointer is the other start and its distance the path's last position L,
+// which lays out the pieces by count and offset, with no sort.
 //
 // A hairpin path is its own mirror: S's mirror is E, both orientations of
 // each vertex lie on it, at distances d and L-d, and the one start receives
@@ -519,7 +586,7 @@ func (g *Graph) assemble(r *pgas.Rank, local []vertex, nodes []node, maxSteps in
 		if at.dist < 0 {
 			continue // a start-less cycle
 		}
-		if b := nodes[2*i+1]; b.ptr < at.ptr || (b.ptr == at.ptr && b.dist < at.dist) {
+		if b := nodes[2*i+1]; emitsBefore(b.ptr, at.ptr) || (b.ptr == at.ptr && b.dist < at.dist) {
 			o, at = 1, b
 		}
 		if at.dist > 0 {
@@ -546,7 +613,7 @@ func (g *Graph) assemble(r *pgas.Rank, local []vertex, nodes []node, maxSteps in
 		}
 		id, mirror := dist.ID(r.ID(), s), nodes[s^1]
 		hairpin := mirror.ptr == id
-		if hairpin || id < mirror.ptr {
+		if hairpin || emitsBefore(id, mirror.ptr) {
 			first[s] = total
 			paths = append(paths, emitted{s: s, first: total, hairpin: hairpin})
 			total += received(int(mirror.dist), hairpin)
@@ -601,6 +668,18 @@ func (g *Graph) assemble(r *pgas.Rank, local []vertex, nodes []node, maxSteps in
 		out = append(out, Contig{Seq: contigSeq, Depth: seq.MeanDepthFromCounts(depths)})
 	}
 	return out
+}
+
+// emitsBefore reports whether the path start a comes before the start b in
+// the order that picks which of a path's two starts emits it: by index in the
+// owner's nodes, then by owner. ID order is owner-major: it would hand every
+// path to the lower of its starts' ranks, so rank 0 would emit about twice
+// its share and the last rank almost nothing. Ordered by index first, the
+// emitting work spreads over the ranks.
+func emitsBefore(a, b int) bool {
+	ra, ia := dist.Locate(a)
+	rb, ib := dist.Locate(b)
+	return ia < ib || (ia == ib && ra < rb)
 }
 
 // received returns how many pieces the start of a path whose last node is at

@@ -11,8 +11,10 @@ import (
 	"testing"
 
 	"mhmgo/internal/dist"
+	"mhmgo/internal/kmeranalysis"
 	"mhmgo/internal/pgas"
 	"mhmgo/internal/seq"
+	"mhmgo/internal/sim"
 )
 
 // The traversal Traverse replaced is kept here as its oracle: a walk from
@@ -223,7 +225,8 @@ func randomGraphEntries(rng *rand.Rand, k int) map[seq.Kmer]Entry {
 // early: genomes carrying a hairpin, short or long, whole genomes that are their own reverse
 // complement (one hairpin path through every vertex, long enough that the
 // step bound cuts it), circular genomes with and without a linear tail
-// running into them, and forks where two genomes share a core.
+// running into them, forks where two genomes share a core, and a poly-C
+// self-loop.
 func hairpinAndCycleEntries(rng *rand.Rand, k int) map[seq.Kmer]Entry {
 	b := newGraphBuilder(rng, k)
 	switch rng.Intn(6) {
@@ -249,6 +252,12 @@ func hairpinAndCycleEntries(rng *rand.Rand, k int) map[seq.Kmer]Entry {
 	}
 	if rng.Intn(3) == 0 {
 		b.addSequence(b.randomBases(rng.Intn(20))+b.hairpin()+b.randomBases(rng.Intn(20)), rng.Intn(2) == 0)
+	}
+	// Poly-C, unless a genome already holds it, is a self-loop: a cycle on
+	// one rank at any P. It draws nothing from rng, so the shapes above stay
+	// the ones the seed was chosen for.
+	if polyC := seq.MustKmer(strings.Repeat("C", k)); b.entries[polyC] == (Entry{}) {
+		b.entries[polyC] = Entry{Count: 1, Ext: seq.ExtPair{Left: 'C', Right: 'C'}}
 	}
 	return b.entries
 }
@@ -287,7 +296,8 @@ func diffContigs(got, want []Contig) string {
 }
 
 // rankCoverage records what the list-ranking oracle met: the round counts the
-// longest paths needed, against the fixed bound Traverse runs.
+// longest paths needed, against the fixed bound Traverse runs, and the
+// segment shapes met at each rank count.
 type rankCoverage struct {
 	mu        sync.Mutex
 	needed    map[int]bool // rounds some graph's longest path needed
@@ -295,6 +305,102 @@ type rankCoverage struct {
 	cycles    int          // nodes on start-less cycles
 	hairpins  int          // paths that are their own mirror
 	truncated int          // hairpin paths the step bound cuts
+	shapes    map[int]*[numShapes]int
+}
+
+func newRankCoverage() *rankCoverage {
+	return &rankCoverage{needed: map[int]bool{}, shapes: map[int]*[numShapes]int{}}
+}
+
+// The segment shapes rankPaths must rank right.
+const (
+	hairpinInOneSegment = iota // a hairpin path that is one segment, its own mirror
+	hairpinAcrossRanks         // a hairpin path over several ranks; its middle segment is its own mirror
+	oneNodeSegment             // a segment of one node
+	cycleOnOneRank             // a start-less cycle wholly on one rank: no segment
+	cycleAcrossRanks           // a start-less cycle over several ranks: segments that never finish
+	numShapes
+)
+
+var shapeNames = [numShapes]string{"hairpin in one segment", "hairpin across ranks", "one-node segment", "cycle on one rank", "cycle across ranks"}
+
+// countShapes adds the calling rank's segment shapes to cov at P ranks, from
+// its segments and its nodes after ranking.
+func (cov *rankCoverage) countShapes(p int, nodes []node, order []int32, segs []segment) {
+	var n [numShapes]int
+	n[cycleOnOneRank] = len(nodes) - len(order)
+	for _, s := range segs {
+		head, tail := order[s.lo], order[s.hi-1]
+		if s.hi-s.lo == 1 {
+			n[oneNodeSegment]++
+		}
+		switch h := nodes[head]; {
+		case h.dist < 0:
+			n[cycleAcrossRanks]++
+		case tail^1 == head && h.dist == 0:
+			n[hairpinInOneSegment]++
+		case tail^1 == head:
+			n[hairpinAcrossRanks]++
+		}
+	}
+	cov.mu.Lock()
+	defer cov.mu.Unlock()
+	if cov.shapes[p] == nil {
+		cov.shapes[p] = new([numShapes]int)
+	}
+	for i, c := range n {
+		cov.shapes[p][i] += c
+	}
+}
+
+// checkShapes fails t unless every shape was met at every rank count in ps
+// where it can occur: the cross-rank ones need P > 1.
+func (cov *rankCoverage) checkShapes(t *testing.T, ps []int) {
+	t.Helper()
+	for _, p := range ps {
+		got := cov.shapes[p]
+		t.Logf("P=%d segment shapes: %v", p, *got)
+		for i, c := range got {
+			if c == 0 && (p > 1 || (i != hairpinAcrossRanks && i != cycleAcrossRanks)) {
+				t.Errorf("P=%d: no %s met", p, shapeNames[i])
+			}
+		}
+	}
+}
+
+// checkSegments holds chainSegments to its definition on the calling rank:
+// the nodes as markPredecessors left them, every segment a run of nodes each
+// preceded by the one before it, a head without a predecessor on this rank,
+// a tail without a successor on it, every node in at most one segment, and
+// only nodes with a predecessor on this rank (a cycle wholly on it) in none.
+func checkSegments(t *testing.T, r *pgas.Rank, marked []node, order []int32, segs []segment) {
+	t.Helper()
+	me := r.ID()
+	localPred := func(x int32) bool { return marked[x].dist < 0 && nodeOwner(marked[x].ptr) == me }
+	in := make([]bool, len(marked))
+	for _, s := range segs {
+		if localPred(order[s.lo]) {
+			t.Errorf("rank %d: head %d has a predecessor on its rank", me, order[s.lo])
+		}
+		if tail := order[s.hi-1]; localPred(tail ^ 1) {
+			t.Errorf("rank %d: tail %d has a successor on its rank", me, tail)
+		}
+		for i := s.lo; i < s.hi; i++ {
+			x := order[i]
+			if in[x] {
+				t.Errorf("rank %d: node %d is in two segments", me, x)
+			}
+			in[x] = true
+			if i > s.lo && marked[x].ptr != dist.ID(me, int(order[i-1])) {
+				t.Errorf("rank %d: node %d follows %d in its segment, but its predecessor is %d", me, x, order[i-1], marked[x].ptr)
+			}
+		}
+	}
+	for x := range marked {
+		if !in[x] && !localPred(int32(x)) {
+			t.Errorf("rank %d: node %d is in no segment and has no predecessor on its rank", me, x)
+		}
+	}
 }
 
 // checkRanks holds rankPaths to walks: every node reachable from a path start
@@ -373,11 +479,17 @@ func checkRanks(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked 
 }
 
 // rankAll runs markPredecessors and rankPaths as Traverse does, publishing
-// every rank's vertices and nodes, and checks them on rank 0. Collective.
+// every rank's vertices and nodes, and checks them on rank 0. Each rank
+// checks its segments (chainSegments, on a copy of its marked nodes) and
+// counts their shapes. Collective.
 func rankAll(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked [][]node, cov *rankCoverage) {
 	local := g.sortedLocalVertices(r)
 	nodes := g.markPredecessors(r, local)
+	marked := slices.Clone(nodes)
+	order, segs := chainSegments(r, marked)
+	checkSegments(t, r, marked, order, segs)
 	rankPaths(r, nodes, g.vertexCount()+1)
+	cov.countShapes(r.NRanks(), nodes, order, segs)
 	locals[r.ID()], ranked[r.ID()] = local, nodes
 	r.Barrier()
 	if r.ID() == 0 {
@@ -392,7 +504,9 @@ func rankAll(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked [][
 //
 //   - the claim exchange finds the path starts the one-Get probe finds, node
 //     by node, and names each other node's predecessor;
-//   - list ranking gives every path node its start and distance (checkRanks);
+//   - every rank's segments are maximal runs of its own nodes
+//     (checkSegments), and list ranking gives every path node its start and
+//     distance (checkRanks);
 //   - the contig set after DistributeContigs is the oracle's, sequence and
 //     depth. Which rank emits a path is Traverse's own business, so the sets
 //     are compared, not the ranks' lists.
@@ -401,7 +515,7 @@ func rankAll(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked [][
 func TestPathStartsMatchProbeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var nonStarts, starts int
-	cov := &rankCoverage{needed: map[int]bool{}}
+	cov := newRankCoverage()
 	for trial := 0; trial < 120; trial++ {
 		k := []int{3, 4, 5, 6, 11, 12, 33, 40}[trial%8]
 		if k%2 == 0 {
@@ -482,6 +596,7 @@ func TestPathStartsMatchProbeOracle(t *testing.T) {
 		t.Errorf("random graphs met %d non-start and %d start orientations and %d cycle nodes; want all > 0",
 			nonStarts, starts, cov.cycles)
 	}
+	cov.checkShapes(t, []int{1, 3, 16})
 }
 
 func sortedKeys(m map[int]bool) []int {
@@ -500,10 +615,14 @@ func sortedKeys(m map[int]bool) []int {
 // with and without a tail, and forks, at k = 3, 5, 7, 11 and 21 and P = 1, 3
 // and 16. Workers = 1 and 4 must give the same contigs on every rank and the
 // same simulated seconds. The seeds are chosen so that the longest paths need
-// every round count from 1 up to the fixed bound, and some need the bound.
+// every round count from 1 up to the fixed bound, and some need the bound,
+// and so that every rank count meets every segment shape it can: a hairpin
+// path that is one segment, its own mirror; a hairpin path across ranks,
+// whose middle segment is its own mirror; one-node segments; a cycle on one
+// rank; and, at P > 1, a cycle across ranks.
 func TestHairpinAndCycleMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	cov := &rankCoverage{needed: map[int]bool{}}
+	cov := newRankCoverage()
 	maxBound := 0
 	for trial := 0; trial < 300; trial++ {
 		k := []int{3, 5, 7, 11, 21}[trial%5]
@@ -521,7 +640,7 @@ func TestHairpinAndCycleMatchOracle(t *testing.T) {
 				locals, ranked := make([][]vertex, ranks), make([][]node, ranks)
 				c := cov
 				if workers != 1 {
-					c = &rankCoverage{needed: map[int]bool{}}
+					c = newRankCoverage()
 				}
 				res := m.Run(func(r *pgas.Rank) {
 					loadGraph(r, g, entries)
@@ -554,5 +673,58 @@ func TestHairpinAndCycleMatchOracle(t *testing.T) {
 	if cov.atBound == 0 || cov.cycles == 0 || cov.hairpins == 0 || cov.truncated == 0 {
 		t.Errorf("met %d graphs at the round bound, %d cycle nodes, %d hairpin paths, %d cut by the step bound; want all > 0",
 			cov.atBound, cov.cycles, cov.hairpins, cov.truncated)
+	}
+	cov.checkShapes(t, []int{1, 3, 16})
+}
+
+// TestTraverseBarriersAndJumpsP8 pins Traverse's per-rank barrier count at
+// P=8 on a simulated community at k=21: 3 + 3 per doubling round + 3 + 1 (the
+// claim exchange, one exchange per round, the piece exchange and the closing
+// barrier). It also pins the point of segments: with the graph owned by
+// minimizer, at most a third of a rank's nodes head a segment, and each
+// doubling round, driven here one at a time as rankPaths does, sends at most
+// one jump per head and receives at most one (its charged records, one op
+// each) and puts at most one jump per head on the wire.
+func TestTraverseBarriersAndJumpsP8(t *testing.T) {
+	const p, k = 8, 21
+	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 3, MeanGenomeLen: 8000, Seed: 31})
+	reads := sim.SimulateReads(comm, sim.ReadConfig{ReadLen: 100, InsertSize: 250, ErrorRate: 0.01, Coverage: 20, Seed: 32})
+	var barriers [p]uint64
+	rounds := 0
+	pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 4}).Run(func(r *pgas.Rank) {
+		lo, hi := r.BlockRange(len(reads))
+		res := kmeranalysis.Run(r, reads[lo:hi], kmeranalysis.DefaultOptions(k), nil)
+		g := Build(r, res.Counts, k, defaultThresholds())
+		s0 := r.Stats()
+		Traverse(r, g, TraverseOptions{})
+		barriers[r.ID()] = r.Stats().Barriers - s0.Barriers
+		n := bits.Len(uint(g.vertexCount())) + 1
+		if r.ID() == 0 {
+			rounds = n
+		}
+
+		nodes := g.markPredecessors(r, g.sortedLocalVertices(r))
+		order, segs := chainSegments(r, nodes)
+		heads := len(segs)
+		if heads*3 > len(nodes) {
+			t.Errorf("rank %d: %d of %d nodes head a segment; want at most a third", r.ID(), heads, len(nodes))
+		}
+		live := slices.Clone(segs)
+		for round := range n {
+			before := r.Stats()
+			live = pushRound(r, nodes, order, live)
+			after := r.Stats()
+			if records := after.ComputeOps - before.ComputeOps; records > float64(2*heads) {
+				t.Errorf("rank %d round %d: %v jumps sent and received, %d heads", r.ID(), round, records, heads)
+			}
+			if wire := after.BytesSent - before.BytesSent; wire > uint64(heads*jumpWireSize) {
+				t.Errorf("rank %d round %d: %d jump bytes sent, %d heads", r.ID(), round, wire, heads)
+			}
+		}
+	})
+	for rank, b := range barriers {
+		if want := uint64(3*rounds + 7); b != want {
+			t.Errorf("rank %d: Traverse passed %d barriers, want %d (%d rounds)", rank, b, want, rounds)
+		}
 	}
 }
