@@ -1,11 +1,11 @@
 // Package dbg implements the de Bruijn graph construction and traversal
 // stage of the pipeline (Section II-C of the paper).
 //
-// The graph is stored implicitly in a distributed hash table: each vertex is
-// a canonical k-mer and its value is a two-letter extension code giving the
-// unique base that precedes and follows it in the read set (or a fork /
-// dead-end marker). Contigs are maximal paths of k-mers whose consecutive
-// extensions agree in both directions ("UU contigs").
+// Each vertex is a canonical k-mer with a two-letter extension code giving
+// the unique base that precedes and follows it in the read set (or a fork /
+// dead-end marker); the vertices live in per-rank sorted shards (Graph), not
+// in the paper's distributed hash table. Contigs are maximal paths of k-mers
+// whose consecutive extensions agree in both directions ("UU contigs").
 //
 // The key metagenome-specific change relative to HipMer is the
 // depth-dependent high-quality-extension threshold: a k-mer with depth d is
@@ -83,62 +83,66 @@ func (t ThresholdOptions) THQFor(depth uint32) uint32 {
 	return dyn
 }
 
-// Graph is the distributed de Bruijn graph. Every rank holds the same
-// pointer; a Graph must not be copied.
+// Graph is the distributed de Bruijn graph: shards[p] holds the vertices
+// rank p owns by the counts table's owner rule, in sorted k-mer order
+// (seq.Kmer.Less). Build writes each shard on its own rank, and no rank reads
+// another's. Every rank holds the same pointer; a Graph must not be copied.
 type Graph struct {
-	K       int
-	Entries *dht.Map[seq.Kmer, Entry]
+	K      int
+	owner  func(seq.Kmer) int // the counts table's Owner; routes the claims
+	shards [][]vertex
 
-	// vertices memoizes Entries.Len() for Traverse's default step bound.
-	// Len visits every partition, so P ranks each calling it is O(P²) host
-	// work; the first rank to need it counts for all (the
-	// table is complete, and not mutated, by the time a traversal starts).
+	// vertices memoizes the vertex count for Traverse's step bound: the
+	// first rank to need it sums the P shard sizes for all.
 	vertices     int
 	verticesOnce sync.Once
 }
 
-// vertexCount returns the number of vertices as of the first traversal.
+// vertexCount returns the number of vertices.
 func (g *Graph) vertexCount() int {
-	g.verticesOnce.Do(func() { g.vertices = g.Entries.Len() })
+	g.verticesOnce.Do(func() {
+		for _, s := range g.shards {
+			g.vertices += len(s)
+		}
+	})
 	return g.vertices
 }
 
-// NewGraph creates an empty graph for k-mers of length k, which must be odd:
-// an even k-mer can be its own reverse complement, a vertex whose two
-// orientations are one node (see node). core.Config.KValues never asks for
-// an even k.
-func NewGraph(m *pgas.Machine, k int) *Graph {
+// newGraph returns an empty graph on ranks shards for k-mers of length k
+// owned by owner. k must be odd: an even k-mer can be its own reverse
+// complement, a vertex whose two orientations are one node (see node).
+// core.Config.KValues never asks for an even k.
+func newGraph(k int, owner func(seq.Kmer) int, ranks int) *Graph {
 	if k%2 == 0 {
 		panic(fmt.Sprintf("dbg: k=%d is even; the graph needs odd k", k))
 	}
-	return &Graph{K: k, Entries: dht.NewMapOwnedBy[seq.Kmer, Entry](m, seq.Kmer.Hash, seq.Kmer.Minimizer, 24)}
+	return &Graph{K: k, owner: owner, shards: make([][]vertex, ranks)}
 }
 
-// Build classifies the k-mer counts into graph entries. It is collective:
-// each rank classifies the counts it owns and stores each entry with
-// SetLocal, which does not check ownership. That is right only because the
-// graph owns a k-mer as the counts table does, by its minimizer
-// (kmeranalysis.NewCountsMap), so the phase is purely local; a graph owned
-// differently would misplace every vertex silently. Returns the same graph
-// on all ranks, frozen: traversal only reads it.
+// Build classifies the k-mer counts into graph vertices. It is collective:
+// each rank classifies the counts it owns into its own shard and sorts it,
+// so the phase is purely local and the graph is owned as the counts are.
+// Returns the same graph on all ranks.
 func Build(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], k int, topts ThresholdOptions) *Graph {
 	var g *Graph
 	if r.ID() == 0 {
-		g = NewGraph(r.Machine(), k)
+		g = newGraph(k, counts.Owner, r.NRanks())
 	}
 	g = pgas.Broadcast(r, g)
 	if topts.MinCount == 0 {
 		topts.MinCount = 1
 	}
+	local := make([]vertex, 0, counts.LocalLen(r.ID()))
 	counts.ForEachLocal(r, func(km seq.Kmer, kc seq.KmerCount) {
 		thq := topts.THQFor(kc.Count)
 		e := Entry{Count: kc.Count}
 		e.Ext.Left = kc.Left.Classify(topts.MinCount, thq)
 		e.Ext.Right = kc.Right.Classify(topts.MinCount, thq)
-		g.Entries.SetLocal(r, km, e)
+		local = append(local, vertex{km: km, e: e})
+		r.Compute(1) // one op per vertex stored; one Compute(n) would round differently
 	})
+	g.shards[r.ID()] = sortVertices(local, k)
 	r.Barrier()
-	g.Entries.Freeze()
 	return g
 }
 
@@ -151,7 +155,7 @@ func observedExt(e Entry, forward bool) seq.ExtPair {
 	return e.Ext.Swap()
 }
 
-// vertex is one locally owned vertex during a traversal.
+// vertex is one vertex of a rank's shard.
 type vertex struct {
 	km seq.Kmer
 	e  Entry
@@ -161,7 +165,7 @@ type vertex struct {
 // (orientation 0) or as the reverse complement (orientation 1). With odd k no
 // k-mer is its own reverse complement, so the two are always distinct. The
 // node's ID is dist.ID(owner, 2i+o), where i is the vertex's index in its
-// owner's sortedLocalVertices: the owner reaches a node by index, without a
+// owner's shard: the owner reaches a node by index, without a
 // hash probe, and a node's mirror — the same vertex read the other way — is
 // ID^1. Links between nodes are mutually agreeing extensions, so every node
 // has at most one predecessor and one successor, and x precedes y exactly
@@ -196,26 +200,22 @@ const claimWireSize = 26
 // newClaim returns the claim of node from, read as obs, whose observed right
 // extension is the base code.
 func newClaim(obs seq.Kmer, code byte, from int) claim {
-	next := obs.AppendBase(code)
-	key, orient := next, uint8(0)
-	if rc := next.ReverseComplement(); rc.Less(next) {
-		key, orient = rc, 1
+	key, wasRC := obs.AppendBase(code).Canonical()
+	var orient uint8
+	if wasRC {
+		orient = 1
 	}
 	return claim{key: key, bits: obs.FirstBase()<<1 | orient, from: from}
 }
 
-// sortedLocalVertices returns the vertices the calling rank owns, in sorted
-// k-mer order (seq.Kmer.Less). The order is an LSD radix sort over the 2k
-// key bits, one byte per pass: stable, O(passes · vertices), and without the
-// indirect comparator calls that made a comparison sort a third of the
-// traversal's host time.
-func (g *Graph) sortedLocalVertices(r *pgas.Rank) []vertex {
-	local := make([]vertex, 0, g.Entries.LocalLen(r.ID()))
-	g.Entries.ForEachLocal(r, func(km seq.Kmer, e Entry) {
-		local = append(local, vertex{km: km, e: e})
-	})
+// sortVertices sorts distinct k-mers of length k into seq.Kmer.Less order and
+// returns them, reusing local's storage or a buffer of its size. The order
+// is an LSD radix sort over the 2k key bits, one byte per pass: stable,
+// O(passes · vertices), and without the indirect comparator calls that made
+// a comparison sort a third of the traversal's host time.
+func sortVertices(local []vertex, k int) []vertex {
 	tmp := make([]vertex, len(local))
-	for shift := uint(0); shift < 2*uint(g.K); shift += 8 {
+	for shift := uint(0); shift < 2*uint(k); shift += 8 {
 		var next [256]int
 		for i := range local {
 			next[keyByte(local[i].km, shift)]++
@@ -248,8 +248,8 @@ func keyByte(km seq.Kmer, shift uint) byte {
 // rank's nodes (index 2i+o for local[i] in orientation o), found with one
 // claim exchange instead of one Get per node. Every node whose observed right
 // extension is a base c claims its successor obs[1:]+c, carrying its own
-// first base b and its ID; the claim goes to the successor's owner. The
-// graph owns a k-mer by its minimizer, so most successors share their
+// first base b and its ID; the claim goes to the successor's owner, g.owner
+// (the counts table's minimizer rule), so most successors share their
 // predecessor's owner: such a claim is resolved in place, not routed through
 // the exchange, which would charge nothing for it but hold it resident. A node
 // whose observed left extension is the base b has an agreeing predecessor
@@ -263,7 +263,7 @@ func (g *Graph) markPredecessors(r *pgas.Rank, local []vertex) []node {
 	var own, claims []claim
 	var dests []int
 	add := func(c claim) {
-		if d := g.Entries.Owner(c.key); d != me {
+		if d := g.owner(c.key); d != me {
 			claims, dests = append(claims, c), append(dests, d)
 		} else {
 			own = append(own, c)
@@ -385,12 +385,13 @@ type TraverseOptions struct{}
 // than twice as many nodes as the graph has vertices, fewer than
 // 2^rounds.
 //
-// Claims, records and contigs are generated in sorted k-mer order, not
-// map-iteration order, so the same charges fold into the clock in the same
-// order every run.
+// Claims, records and contigs are generated in shard order, sorted by
+// k-mer, so the same charges fold into the clock in the same order every
+// run.
 func Traverse(r *pgas.Rank, g *Graph, _ TraverseOptions) []Contig {
 	maxSteps := g.vertexCount() + 1
-	local := g.sortedLocalVertices(r)
+	local := g.shards[r.ID()]
+	r.Compute(float64(len(local))) // one op per vertex read
 	nodes := g.markPredecessors(r, local)
 	rankPaths(r, nodes, maxSteps)
 	out := g.assemble(r, local, nodes, maxSteps)

@@ -14,64 +14,40 @@ import (
 	"mhmgo/internal/sim"
 )
 
-// TestBuildFreezesGraph: traversal only reads the graph, so Build hands it
-// over in dht's read-only phase and a late write is a phase-discipline panic.
-func TestBuildFreezesGraph(t *testing.T) {
-	reads := coverWithReads("ACGTTGCAAGCTTACGGATCCGTAAACTGGTCCATTGGCA", 20, 2, 3)
-	m := pgas.NewMachine(pgas.Config{Ranks: 2})
-	opts := kmeranalysis.DefaultOptions(11)
-	opts.UseBloom = false
-	m.Run(func(r *pgas.Rank) {
-		lo, hi := r.BlockRange(len(reads))
-		res := kmeranalysis.Run(r, reads[lo:hi], opts, nil)
-		g := Build(r, res.Counts, 11, defaultThresholds())
-		defer func() {
-			if recover() == nil {
-				t.Errorf("rank %d: SetLocal on a built graph did not panic", r.ID())
-			}
-		}()
-		g.Entries.SetLocal(r, seq.MustKmer("ACGTTGCAAGC"), Entry{})
-	})
-}
-
-// TestGraphOwnedAsCounts pins the invariant Build's SetLocal relies on: the
-// graph owns every k-mer where the counts table does, so a vertex is stored
-// on the rank Owner names.
+// TestGraphOwnedAsCounts pins Build's layout: every vertex sits in the shard
+// of the rank that owns its k-mer in the counts table, each shard is strictly
+// increasing under seq.Kmer.Less, and the shards hold every distinct k-mer.
 func TestGraphOwnedAsCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, p := range []int{1, 3, 16, 64} {
-		m := pgas.NewMachine(pgas.Config{Ranks: p})
-		counts := kmeranalysis.NewCountsMap(m)
-		for _, k := range []int{5, 15, 21, 33, 63} {
-			g := NewGraph(m, k)
-			for i := 0; i < 500; i++ {
-				km := seq.Kmer{Hi: rng.Uint64(), Lo: rng.Uint64(), K: uint8(k)}.AppendBase(0) // masked to k
-				if g.Entries.Owner(km) != counts.Owner(km) {
-					t.Fatalf("P=%d k=%d: graph owns %s on rank %d, counts on %d", p, k, km, g.Entries.Owner(km), counts.Owner(km))
-				}
-			}
-		}
-	}
 	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 2, MeanGenomeLen: 3000, Seed: 42})
 	reads := sim.SimulateReads(comm, sim.ReadConfig{ReadLen: 80, InsertSize: 200, ErrorRate: 0.01, Coverage: 8, Seed: 43})
-	const p, k = 8, 21
-	var g *Graph
-	pgas.NewMachine(pgas.Config{Ranks: p}).Run(func(r *pgas.Rank) {
-		lo, hi := r.BlockRange(len(reads))
-		res := kmeranalysis.Run(r, reads[lo:hi], kmeranalysis.DefaultOptions(k), nil)
-		if built := Build(r, res.Counts, k, defaultThresholds()); r.ID() == 0 {
-			g = built
-		}
-	})
-	for rank := 0; rank < p; rank++ {
-		g.Entries.RangeLocal(rank, func(km seq.Kmer, _ Entry) {
-			if g.Entries.Owner(km) != rank {
-				t.Fatalf("vertex %s stored on rank %d, owned by %d", km, rank, g.Entries.Owner(km))
+	for _, p := range []int{1, 3, 8, 16} {
+		for _, k := range []int{21, 33} {
+			var g *Graph
+			var owner func(seq.Kmer) int
+			var distinct int
+			pgas.NewMachine(pgas.Config{Ranks: p}).Run(func(r *pgas.Rank) {
+				lo, hi := r.BlockRange(len(reads))
+				res := kmeranalysis.Run(r, reads[lo:hi], kmeranalysis.DefaultOptions(k), nil)
+				if built := Build(r, res.Counts, k, defaultThresholds()); r.ID() == 0 {
+					g, owner, distinct = built, res.Counts.Owner, res.DistinctKmers
+				}
+			})
+			total := 0
+			for rank, shard := range g.shards {
+				for i, v := range shard {
+					if o := owner(v.km); o != rank {
+						t.Fatalf("P=%d k=%d: vertex %s in rank %d's shard, owned by %d", p, k, v.km, rank, o)
+					}
+					if i > 0 && !shard[i-1].km.Less(v.km) {
+						t.Fatalf("P=%d k=%d rank %d: vertex %d (%s) does not sort before %s", p, k, rank, i-1, shard[i-1].km, v.km)
+					}
+				}
+				total += len(shard)
 			}
-		})
-	}
-	if g.Entries.Len() == 0 {
-		t.Fatal("empty graph")
+			if total != distinct || total == 0 {
+				t.Errorf("P=%d k=%d: shards hold %d vertices, %d distinct k-mers", p, k, total, distinct)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -18,8 +19,9 @@ import (
 )
 
 // The traversal Traverse replaced is kept here as its oracle: a walk from
-// every path start that reads the graph one Get per step, with every start
-// found by probing its predecessor with one more Get.
+// every path start that looks up one vertex per step, with every start found
+// by looking up its predecessor. A lookup reads the vertex's owner's shard
+// directly, as no rank of Traverse does.
 
 // oriented is a k-mer as observed during a walk: the canonical key plus the
 // strand we are reading it on (true = canonical orientation).
@@ -36,25 +38,30 @@ func (o oriented) observed() seq.Kmer {
 	return o.key.ReverseComplement()
 }
 
-// lookup fetches the entry of the canonical form of km with one Get,
-// returning the oriented view and whether it exists. With odd k the
-// orientation is never ambiguous.
-func (g *Graph) lookup(r *pgas.Rank, km seq.Kmer) (oriented, Entry, bool) {
+// lookup finds the entry of the canonical form of km by binary search in its
+// owner's shard, returning the oriented view and whether it exists. With odd
+// k the orientation is never ambiguous.
+func (g *Graph) lookup(km seq.Kmer) (oriented, Entry, bool) {
 	canon, wasRC := km.Canonical()
-	e, ok := g.Entries.Get(r, canon)
-	return oriented{key: canon, forward: !wasRC}, e, ok
+	shard := g.shards[g.owner(canon)]
+	i := sort.Search(len(shard), func(i int) bool { return !shard[i].km.Less(canon) })
+	o := oriented{key: canon, forward: !wasRC}
+	if i == len(shard) || shard[i].km != canon {
+		return o, Entry{}, false
+	}
+	return o, shard[i].e, true
 }
 
 // successor returns the next oriented k-mer of a walk, or ok=false if the
 // walk must stop (no extension, fork, missing vertex, or mutual-agreement
 // failure).
-func (g *Graph) successor(r *pgas.Rank, cur oriented, e Entry) (oriented, Entry, byte, bool) {
+func (g *Graph) successor(cur oriented, e Entry) (oriented, Entry, byte, bool) {
 	code, ok := seq.CharToBase(observedExt(e, cur.forward).Right)
 	if !ok {
 		return oriented{}, Entry{}, 0, false
 	}
 	obs := cur.observed()
-	next, ne, ok := g.lookup(r, obs.AppendBase(code))
+	next, ne, ok := g.lookup(obs.AppendBase(code))
 	if !ok {
 		return oriented{}, Entry{}, 0, false
 	}
@@ -67,16 +74,16 @@ func (g *Graph) successor(r *pgas.Rank, cur oriented, e Entry) (oriented, Entry,
 }
 
 // isPathStart reports whether the oriented k-mer has no valid predecessor,
-// i.e. a contig starts here when walking in this orientation. It pays one
-// Get per probe: the predicate markPredecessors' claim exchange computes for
-// a whole rank at once.
-func (g *Graph) isPathStart(r *pgas.Rank, cur oriented, e Entry) bool {
+// i.e. a contig starts here when walking in this orientation. It looks up
+// one vertex per probe: the predicate markPredecessors' claim exchange
+// computes for a whole rank at once.
+func (g *Graph) isPathStart(cur oriented, e Entry) bool {
 	code, ok := seq.CharToBase(observedExt(e, cur.forward).Left)
 	if !ok {
 		return true
 	}
 	obs := cur.observed()
-	prev, pe, ok := g.lookup(r, obs.PrependBase(code))
+	prev, pe, ok := g.lookup(obs.PrependBase(code))
 	if !ok {
 		return true
 	}
@@ -100,7 +107,7 @@ func (g *Graph) walk(r *pgas.Rank, start oriented, e Entry, maxSteps int, ws *wa
 	ws.counts = append(ws.counts, e.Count)
 	cur, ce := start, e
 	for steps := 0; steps < maxSteps; steps++ {
-		next, ne, code, ok := g.successor(r, cur, ce)
+		next, ne, code, ok := g.successor(cur, ce)
 		if !ok || next.key == start.key {
 			break
 		}
@@ -118,10 +125,10 @@ func traverseByProbe(r *pgas.Rank, g *Graph) []Contig {
 	maxSteps := g.vertexCount() + 1
 	var out []Contig
 	ws := &walkScratch{}
-	for _, v := range g.sortedLocalVertices(r) {
+	for _, v := range g.shards[r.ID()] {
 		for _, forward := range []bool{true, false} {
 			cur := oriented{key: v.km, forward: forward}
-			if !g.isPathStart(r, cur, v.e) {
+			if !g.isPathStart(cur, v.e) {
 				continue
 			}
 			g.walk(r, cur, v.e, maxSteps, ws)
@@ -262,16 +269,19 @@ func hairpinAndCycleEntries(rng *rand.Rand, k int) map[seq.Kmer]Entry {
 	return b.entries
 }
 
-// loadGraph stores the entries each rank owns and freezes the graph, as
-// Build does. Collective.
-func loadGraph(r *pgas.Rank, g *Graph, entries map[seq.Kmer]Entry) {
+// graphOf returns the graph of the entries on m's ranks, laid out as Build
+// lays it out: each vertex in the shard of the rank that owns its k-mer in
+// the counts table, and every shard sorted.
+func graphOf(m *pgas.Machine, k int, entries map[seq.Kmer]Entry) *Graph {
+	g := newGraph(k, kmeranalysis.NewCountsMap(m).Owner, m.Ranks())
 	for km, e := range entries {
-		if g.Entries.Owner(km) == r.ID() {
-			g.Entries.SetLocal(r, km, e)
-		}
+		p := g.owner(km)
+		g.shards[p] = append(g.shards[p], vertex{km: km, e: e})
 	}
-	r.Barrier()
-	g.Entries.Freeze()
+	for p, shard := range g.shards {
+		g.shards[p] = sortVertices(shard, k)
+	}
+	return g
 }
 
 // emitAll returns the contig set that DistributeContigs makes of every rank's
@@ -429,7 +439,7 @@ func checkRanks(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked 
 		for i, v := range local {
 			for o := 0; o < 2; o++ {
 				cur := oriented{key: v.km, forward: o == 0}
-				if !g.isPathStart(r, cur, v.e) {
+				if !g.isPathStart(cur, v.e) {
 					continue
 				}
 				start := dist.ID(rank, 2*i+o)
@@ -442,7 +452,7 @@ func checkRanks(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked 
 							cur.observed(), d, v.km, got, start, d)
 					}
 					maxDist = max(maxDist, d)
-					next, ne, _, ok := g.successor(r, cur, ce)
+					next, ne, _, ok := g.successor(cur, ce)
 					if !ok {
 						break
 					}
@@ -483,7 +493,7 @@ func checkRanks(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked 
 // checks its segments (chainSegments, on a copy of its marked nodes) and
 // counts their shapes. Collective.
 func rankAll(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked [][]node, cov *rankCoverage) {
-	local := g.sortedLocalVertices(r)
+	local := g.shards[r.ID()]
 	nodes := g.markPredecessors(r, local)
 	marked := slices.Clone(nodes)
 	order, segs := chainSegments(r, marked)
@@ -511,7 +521,7 @@ func rankAll(t *testing.T, r *pgas.Rank, g *Graph, locals [][]vertex, ranked [][
 //     depth. Which rank emits a path is Traverse's own business, so the sets
 //     are compared, not the ranks' lists.
 //
-// Even k is refused: NewGraph panics, so those trials pin the refusal.
+// Even k is refused: newGraph panics, so those trials pin the refusal.
 func TestPathStartsMatchProbeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var nonStarts, starts int
@@ -523,10 +533,10 @@ func TestPathStartsMatchProbeOracle(t *testing.T) {
 				t.Run(fmt.Sprintf("trial=%d/k=%d/P=%d", trial, k, ranks), func(t *testing.T) {
 					defer func() {
 						if recover() == nil {
-							t.Errorf("NewGraph accepted even k=%d", k)
+							t.Errorf("newGraph accepted even k=%d", k)
 						}
 					}()
-					NewGraph(pgas.NewMachine(pgas.Config{Ranks: ranks}), k)
+					newGraph(k, nil, ranks)
 				})
 			}
 			continue
@@ -535,15 +545,11 @@ func TestPathStartsMatchProbeOracle(t *testing.T) {
 		for _, ranks := range []int{1, 3, 16, 64} {
 			t.Run(fmt.Sprintf("trial=%d/k=%d/P=%d", trial, k, ranks), func(t *testing.T) {
 				m := pgas.NewMachine(pgas.Config{Ranks: ranks})
-				g := NewGraph(m, k)
+				g := graphOf(m, k, entries)
 				locals, ranked := make([][]vertex, ranks), make([][]node, ranks)
 				perRank := make([][2]int, ranks)
 				m.Run(func(r *pgas.Rank) {
-					loadGraph(r, g, entries)
-					local := g.sortedLocalVertices(r)
-					if len(local) != g.Entries.LocalLen(r.ID()) {
-						t.Errorf("rank %d: %d sorted vertices, %d owned", r.ID(), len(local), g.Entries.LocalLen(r.ID()))
-					}
+					local := g.shards[r.ID()]
 					for i := 1; i < len(local); i++ {
 						if !local[i-1].km.Less(local[i].km) {
 							t.Errorf("rank %d: vertex %d (%s) does not sort before %s", r.ID(), i-1, local[i-1].km, local[i].km)
@@ -556,7 +562,7 @@ func TestPathStartsMatchProbeOracle(t *testing.T) {
 						for o, forward := range []bool{true, false} {
 							n := nodes[2*i+o]
 							cur := oriented{key: v.km, forward: forward}
-							if want := g.isPathStart(r, cur, v.e); (n.dist == 0) != want {
+							if want := g.isPathStart(cur, v.e); (n.dist == 0) != want {
 								t.Errorf("%s (ext %s) forward=%v: claim exchange says start=%v, probe says %v",
 									v.km, v.e.Ext, forward, n.dist == 0, want)
 								continue
@@ -635,7 +641,7 @@ func TestHairpinAndCycleMatchOracle(t *testing.T) {
 			var first *outcome
 			for _, workers := range []int{1, 4} {
 				m := pgas.NewMachine(pgas.Config{Ranks: ranks, Workers: workers})
-				g := NewGraph(m, k)
+				g := graphOf(m, k, entries)
 				got := outcome{perRank: make([][]Contig, ranks)}
 				locals, ranked := make([][]vertex, ranks), make([][]node, ranks)
 				c := cov
@@ -643,7 +649,6 @@ func TestHairpinAndCycleMatchOracle(t *testing.T) {
 					c = newRankCoverage()
 				}
 				res := m.Run(func(r *pgas.Rank) {
-					loadGraph(r, g, entries)
 					rankAll(t, r, g, locals, ranked, c)
 					local := Traverse(r, g, TraverseOptions{})
 					got.perRank[r.ID()] = local
@@ -703,7 +708,7 @@ func TestTraverseBarriersAndJumpsP8(t *testing.T) {
 			rounds = n
 		}
 
-		nodes := g.markPredecessors(r, g.sortedLocalVertices(r))
+		nodes := g.markPredecessors(r, g.shards[r.ID()])
 		order, segs := chainSegments(r, nodes)
 		heads := len(segs)
 		if heads*3 > len(nodes) {

@@ -30,8 +30,8 @@
 //     immutable snapshot), and Get then reads any partition.
 //   - Use case 4, "Local Reads & Writes": dist.Exchange ships items to their
 //     owner rank with a single all-to-all exchange, and the owner applies
-//     them to its own partition with UpdateLocal/SetLocal/DeleteLocal,
-//     purely locally.
+//     them to its own partition with UpdateLocal/DeleteLocal, purely
+//     locally.
 package dht
 
 import (
@@ -83,8 +83,8 @@ func NewMap[K comparable, V any](m *pgas.Machine, hash func(K) uint64, entryByte
 // NewMapOwnedBy creates a distributed map whose keys are owned by
 // ownerHash(key) modulo the rank count and probed with hash. Only Owner, Get
 // and Updater.Update evaluate ownerHash; the owner-local calls (UpdateLocal,
-// SetLocal, DeleteLocal, Restore) probe with hash alone, so a costly owner
-// rule is paid once per routed key, not once per local write.
+// DeleteLocal, Restore) probe with hash alone, so a costly owner rule is paid
+// once per routed key, not once per local write.
 func NewMapOwnedBy[K comparable, V any](m *pgas.Machine, hash, ownerHash func(K) uint64, entryBytes int) *Map[K, V] {
 	dm := NewMap[K, V](m, hash, entryBytes)
 	dm.ownerHash = ownerHash
@@ -189,16 +189,6 @@ func (m *Map[K, V]) UpdateLocal(r *pgas.Rank, key K, f func(v *V, found bool) bo
 	}
 }
 
-// SetLocal stores a value into the calling rank's partition directly. The
-// calling rank must own the key; this is not checked, to keep the hot path
-// cheap, so a caller that copies one map's keys into another (dbg.Build
-// classifies the counts table into the graph) must give both the same owner
-// rule, or every key lands silently on a rank that Owner does not name.
-func (m *Map[K, V]) SetLocal(r *pgas.Rank, key K, val V) {
-	m.mutable(r.ID()).Put(m.hash(key), key, val)
-	r.Compute(1)
-}
-
 // RangeLocal iterates over the entries owned by the given rank without
 // charging the cost model, for coordinators and the checkpoint writer, which
 // must observe the table without perturbing the simulated clocks. Iteration
@@ -216,8 +206,8 @@ func (m *Map[K, V]) RangeLocal(rank int, f func(K, V)) {
 // charging the cost model. It is the checkpoint-restore path: the simulated
 // cost of building the table was paid by the original run and is carried in
 // the restored rank clocks, so re-materializing the entries must be free.
-// The key must be owned by rank (not checked, mirroring SetLocal), and the call
-// must come from the coordinator or from rank itself.
+// The key must be owned by rank (not checked), and the call must come from
+// the coordinator or from rank itself.
 func (m *Map[K, V]) Restore(rank int, key K, val V) {
 	m.mutable(rank).Put(m.hash(key), key, val)
 }

@@ -23,6 +23,12 @@ func store[K comparable, V any](dm *Map[K, V], key K, val V) {
 	dm.Restore(dm.Owner(key), key, val)
 }
 
+// setLocal stores val for key with UpdateLocal, the charged owner-local
+// write, from inside Machine.Run on the key's owner rank.
+func setLocal[K comparable, V any](r *pgas.Rank, dm *Map[K, V], key K, val V) {
+	dm.UpdateLocal(r, key, func(v *V, _ bool) bool { *v = val; return true })
+}
+
 func TestMapOwnerPartitioning(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 8})
 	dm := NewMap[int, int](m, intHash, 16)
@@ -39,7 +45,7 @@ func TestMapOwnerPartitioning(t *testing.T) {
 	m.Run(func(r *pgas.Rank) {
 		for k := 0; k < 1000; k++ {
 			if dm.Owner(k) == r.ID() {
-				dm.SetLocal(r, k, k*2)
+				setLocal(r, dm, k, k*2)
 			}
 		}
 	})
@@ -134,7 +140,7 @@ func TestNewMapCollective(t *testing.T) {
 		}
 		for i := 0; i < 4; i++ {
 			if dm.Owner(i) == r.ID() {
-				dm.SetLocal(r, i, i)
+				setLocal(r, dm, i, i)
 			}
 		}
 		r.Barrier()
@@ -407,7 +413,7 @@ func TestFreeze(t *testing.T) {
 	m.Run(func(r *pgas.Rank) {
 		for k := 0; k < 400; k++ {
 			if dm.Owner(k) == r.ID() {
-				dm.SetLocal(r, k, k*3)
+				setLocal(r, dm, k, k*3)
 			}
 		}
 		r.Barrier()
@@ -438,7 +444,6 @@ func TestFreeze(t *testing.T) {
 	// panic. The recover has to live inside the rank body: panics do not
 	// cross goroutines.
 	for name, mutate := range map[string]func(r *pgas.Rank){
-		"SetLocal":    func(r *pgas.Rank) { dm.SetLocal(r, 12345, 1) },
 		"UpdateLocal": func(r *pgas.Rank) { dm.UpdateLocal(r, 12345, func(*int, bool) bool { return true }) },
 		"DeleteLocal": func(r *pgas.Rank) { dm.DeleteLocal(r, 7) },
 		"Restore":     func(r *pgas.Rank) { dm.Restore(r.ID(), 12345, 1) },
@@ -532,7 +537,7 @@ func TestSingleOwnerStress(t *testing.T) {
 			u.Update(key, 1)
 			for ; dm.Owner(k) != r.ID(); k += ranks {
 			}
-			dm.SetLocal(r, k, 1)
+			setLocal(r, dm, k, 1)
 			k += ranks
 		}
 		u.Flush()

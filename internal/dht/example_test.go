@@ -25,7 +25,10 @@ func ExampleMap() {
 		// The key's hash picks the owner rank; each rank stores what it owns.
 		for k := 0; k < 4; k++ {
 			if dm.Owner(k) == r.ID() {
-				dm.SetLocal(r, k, fmt.Sprintf("entry %d", k))
+				dm.UpdateLocal(r, k, func(v *string, _ bool) bool {
+					*v = fmt.Sprintf("entry %d", k)
+					return true
+				})
 			}
 		}
 		r.Barrier()

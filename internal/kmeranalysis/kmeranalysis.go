@@ -476,10 +476,11 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 // AppendObservations splits one read into canonical k-mer observations, in
 // read order, and appends them to dst, returning the extended slices. It
 // runs the pipeline's own path: the read is cut into supermers and each is
-// decoded as its owner decodes it. The append form (same discipline as
-// seq.AppendCanonicalKmers) lets the caller accumulate a whole read set into
-// one buffer with no per-read allocation; codes is a reusable scratch the
-// read's bases are decoded into.
+// decoded as its owner decodes it (cutSupermers, then
+// supermer.appendObservations). The append form, the discipline of
+// appendObservations itself, lets the caller accumulate a whole read set
+// into one buffer with no per-read allocation; codes is a reusable scratch
+// the read's bases are decoded into.
 func AppendObservations(dst []Observation, codes []byte, read seq.Read, opts Options) ([]Observation, []byte) {
 	codes = cutSupermers(codes, read, opts.K, func(sm supermer) {
 		dst = sm.appendObservations(dst, opts.K)
