@@ -14,6 +14,35 @@ import (
 	"mhmgo/internal/sim"
 )
 
+// TestBuildFreezesGraph: traversal only reads the graph, so Build hands it
+// over finished. Traverse leaves every shard as Build sorted it, and a second
+// traversal of the same graph emits the same contigs on every rank.
+func TestBuildFreezesGraph(t *testing.T) {
+	reads := coverWithReads("ACGTTGCAAGCTTACGGATCCGTAAACTGGTCCATTGGCA", 20, 2, 3)
+	m := pgas.NewMachine(pgas.Config{Ranks: 2})
+	opts := kmeranalysis.DefaultOptions(11)
+	opts.UseBloom = false
+	m.Run(func(r *pgas.Rank) {
+		lo, hi := r.BlockRange(len(reads))
+		res := kmeranalysis.Run(r, reads[lo:hi], opts, nil)
+		g := Build(r, res.Counts, 11, defaultThresholds())
+		built := slices.Clone(g.shards[r.ID()])
+		first := Traverse(r, g, TraverseOptions{})
+		second := Traverse(r, g, TraverseOptions{})
+		if !slices.Equal(g.shards[r.ID()], built) {
+			t.Errorf("rank %d: Traverse wrote the graph's shard", r.ID())
+		}
+		if !slices.EqualFunc(first, second, func(a, b Contig) bool {
+			return a.ID == b.ID && a.Depth == b.Depth && string(a.Seq) == string(b.Seq)
+		}) {
+			t.Errorf("rank %d: a second traversal emitted %d contigs, the first %d, or different ones", r.ID(), len(second), len(first))
+		}
+		if r.ID() == 0 && g.vertexCount() == 0 {
+			t.Error("empty graph")
+		}
+	})
+}
+
 // TestGraphOwnedAsCounts pins Build's layout: every vertex sits in the shard
 // of the rank that owns its k-mer in the counts table, each shard is strictly
 // increasing under seq.Kmer.Less, and the shards hold every distinct k-mer.
