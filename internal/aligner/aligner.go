@@ -140,14 +140,8 @@ func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 	}
 	u := idx.Seeds.NewUpdater(r, combine, 512, true)
 	contigs.ForEachLocal(r, func(_ int, c dbg.Contig) {
-		it := seq.NewKmerIter(c.Seq, opts.SeedLen)
-		for {
-			km, off, ok := it.Next()
-			if !ok {
-				break
-			}
-			canon, wasRC := km.Canonical()
-			u.Update(canon, []SeedHit{{ContigID: c.ID, Pos: off, Reverse: wasRC}})
+		for canon, at := range seq.CanonicalKmers(c.Seq, opts.SeedLen) {
+			u.Update(canon, []SeedHit{{ContigID: c.ID, Pos: at.Off, Reverse: at.RC}})
 		}
 		r.Compute(float64(len(c.Seq)))
 	})
@@ -238,14 +232,12 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 	var slots hashtab.Table[seq.Kmer, int32]
 	from := int32(r.ID())
 	for j, i := range selected {
-		it := seq.NewKmerIter(reads[i].Seq, opts.SeedLen)
 		nextSeedAt := 0
-		for km, off, ok := it.Next(); ok; km, off, ok = it.Next() {
-			if off < nextSeedAt {
+		for canon, at := range seq.CanonicalKmers(reads[i].Seq, opts.SeedLen) {
+			if at.Off < nextSeedAt {
 				continue
 			}
-			nextSeedAt = off + seedStride
-			canon, readRC := km.Canonical()
+			nextSeedAt = at.Off + seedStride
 			slot := int32(len(answers))
 			if idx.Seeds.Owner(canon) == r.ID() {
 				// A seed the rank owns is answered from its own partition,
@@ -269,7 +261,7 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 					asks = append(asks, seedAsk{key: canon, slot: slot, from: from})
 				}
 			}
-			refs = append(refs, seedRef{off: int32(off), slot: slot, rc: readRC})
+			refs = append(refs, seedRef{off: int32(at.Off), slot: slot, rc: at.RC})
 		}
 		ends[j] = len(refs)
 	}

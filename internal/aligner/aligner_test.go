@@ -69,9 +69,8 @@ func TestBuildIndexCoversAllSeeds(t *testing.T) {
 	seeds := idx.Seeds.Snapshot()
 	for _, c := range contigs {
 		id := ids[string(c.Seq)]
-		it := seq.NewKmerIter(c.Seq, 15)
-		for km, off, ok := it.Next(); ok; km, off, ok = it.Next() {
-			canon, _ := km.Canonical()
+		for canon, at := range seq.CanonicalKmers(c.Seq, 15) {
+			off := at.Off
 			hits, ok := seeds[canon]
 			if !ok {
 				t.Fatalf("seed at contig %d offset %d missing", id, off)
@@ -327,18 +326,13 @@ func refAlignOne(r *pgas.Rank, seeds *dht.Map[seq.Kmer, []SeedHit], creader *dis
 	scratch.BeginRead(read.Seq)
 	tried := scratch.tried
 	clear(tried)
-	it := seq.NewKmerIter(read.Seq, opts.SeedLen)
 	nextSeedAt := 0
-	for {
-		km, off, ok := it.Next()
-		if !ok {
-			break
-		}
+	for canon, at := range seq.CanonicalKmers(read.Seq, opts.SeedLen) {
+		off, readRC := at.Off, at.RC
 		if off < nextSeedAt {
 			continue
 		}
 		nextSeedAt = off + seedStride
-		canon, readRC := km.Canonical()
 		hits, ok := seeds.Get(r, canon)
 		if !ok || len(hits) > maxHitsPerSeed {
 			continue

@@ -583,6 +583,13 @@ func TestPathStartsMatchProbeOracle(t *testing.T) {
 						}
 					}
 					rankAll(t, r, g, locals, ranked, cov)
+					// Every check so far ends before rankAll's closing
+					// barrier, so all ranks read the same verdict here and
+					// skip together: Traverse on an inconsistent ranking
+					// could panic instead of reporting.
+					if t.Failed() {
+						return
+					}
 					got, want := emitAll(r, Traverse(r, g, TraverseOptions{})), emitAll(r, traverseByProbe(r, g))
 					if d := diffContigs(got, want); d != "" {
 						t.Error(d)

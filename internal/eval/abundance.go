@@ -57,13 +57,7 @@ func buildAsmIndex(assembly [][]byte) asmIndex {
 	// whose phase happens to line up, silently dropping most localizations.
 	idx := make(asmIndex)
 	for si, s := range assembly {
-		it := seq.NewKmerIter(s, seedLen)
-		for {
-			km, _, ok := it.Next()
-			if !ok {
-				break
-			}
-			canon, _ := km.Canonical()
+		for canon := range seq.CanonicalKmers(s, seedLen) {
 			hs := idx[canon]
 			if len(hs) > 0 && hs[len(hs)-1] == int32(si) {
 				continue // one vote per sequence per seed
@@ -79,18 +73,12 @@ func buildAsmIndex(assembly [][]byte) asmIndex {
 // sequence index, keeping the report deterministic).
 func (idx asmIndex) localize(rd []byte) int {
 	votes := map[int32]int{}
-	it := seq.NewKmerIter(rd, seedLen)
 	nextAt := 0
-	for {
-		km, off, ok := it.Next()
-		if !ok {
-			break
-		}
-		if off < nextAt {
+	for canon, at := range seq.CanonicalKmers(rd, seedLen) {
+		if at.Off < nextAt {
 			continue
 		}
-		nextAt = off + seedStride
-		canon, _ := km.Canonical()
+		nextAt = at.Off + seedStride
 		hs := idx[canon]
 		if len(hs) == 0 || len(hs) > maxSeedHits {
 			continue

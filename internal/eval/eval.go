@@ -93,14 +93,8 @@ type refHit struct {
 func buildRefIndex(comm *sim.Community) refIndex {
 	idx := make(refIndex)
 	for gi, g := range comm.Genomes {
-		it := seq.NewKmerIter(g.Seq, seedLen)
-		for {
-			km, off, ok := it.Next()
-			if !ok {
-				break
-			}
-			canon, rc := km.Canonical()
-			idx[canon] = append(idx[canon], refHit{Genome: gi, Pos: off, Reverse: rc})
+		for canon, at := range seq.CanonicalKmers(g.Seq, seedLen) {
+			idx[canon] = append(idx[canon], refHit{Genome: gi, Pos: at.Off, Reverse: at.RC})
 		}
 	}
 	return idx
@@ -132,24 +126,19 @@ func alignBlocks(s []byte, idx refIndex) []block {
 		refPos  int
 	}
 	var anchors []anchor
-	it := seq.NewKmerIter(s, seedLen)
 	nextAt := 0
-	for {
-		km, off, ok := it.Next()
-		if !ok {
-			break
-		}
+	for canon, at := range seq.CanonicalKmers(s, seedLen) {
+		off := at.Off
 		if off < nextAt {
 			continue
 		}
 		nextAt = off + seedStride
-		canon, rc := km.Canonical()
 		hits := idx[canon]
 		if len(hits) == 0 || len(hits) > maxSeedHits {
 			continue
 		}
 		for _, h := range hits {
-			reverse := rc != h.Reverse
+			reverse := at.RC != h.Reverse
 			var diag int
 			if !reverse {
 				diag = h.Pos - off

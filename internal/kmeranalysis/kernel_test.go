@@ -23,23 +23,17 @@ func randRead(r *rand.Rand, n int, withN bool) seq.Read {
 }
 
 // appendObservationsByteLoop is the oracle and baseline of AppendObservations:
-// a fresh k-mer iterator per read and an ASCII decode per neighbour lookup.
+// the seq.CanonicalKmers walk of each read and an ASCII decode per neighbour
+// lookup, independent of cutSupermers.
 func appendObservationsByteLoop(dst []Observation, read seq.Read, opts Options) []Observation {
 	k := opts.K
 	if len(read.Seq) < k {
 		return dst
 	}
 	out := dst
-	it := seq.NewKmerIter(read.Seq, k)
-	for {
-		km, off, ok := it.Next()
-		if !ok {
-			break
-		}
-		var o Observation
-		canon, wasRC := km.Canonical()
-		o.Kmer = canon
-		o.WasRC = wasRC
+	for canon, at := range seq.CanonicalKmers(read.Seq, k) {
+		o := Observation{Kmer: canon, WasRC: at.RC}
+		off := at.Off
 		if off > 0 {
 			if code, valid := seq.CharToBase(read.Seq[off-1]); valid && qualOK(read, off-1) {
 				o.Left = code
@@ -91,8 +85,8 @@ func TestAppendObservationsMatchesByteLoop(t *testing.T) {
 // 150-base read per op. The packed variant (supermers cut and decoded, the
 // pipeline's path) reuses the caller's observation and codes buffers and
 // must be allocation-free once warm; the perkmer variant is the per-k-mer
-// rolling extraction it replaced; the byte-loop baseline allocates a k-mer
-// iterator per read and re-decodes every neighbour base from ASCII.
+// rolling extraction it replaced; the byte-loop baseline walks each read
+// with seq.CanonicalKmers and re-decodes every neighbour base from ASCII.
 func BenchmarkKernelKmerExtract(b *testing.B) {
 	r := rand.New(rand.NewSource(62))
 	read := randRead(r, 150, false)

@@ -239,12 +239,10 @@ func (sm *supermer) appendObservations(dst []Observation, k int) []Observation {
 // order, handing each to emit, and returns the code scratch for reuse.
 //
 // Each base character is decoded once into codes (with qualBit set when the
-// base passes the quality filter). The scan rolls the forward and
-// reverse-complement m-mer ending at each base, ranks it with seq.MerRank,
-// and keeps the minimum over the last k-m+1 ranks in a ring: the minimizer
-// of the k-mer ending there, the same value seq.Kmer.Minimizer computes. A
-// supermer closes where the minimizer changes, at an ambiguous base, at the
-// read's end, or at maxSupermerBases.
+// base passes the quality filter) and pushed into a seq.MinimizerWindow,
+// which yields the minimizer of the k-mer ending at each base, the value
+// seq.Kmer.Minimizer computes per key. A supermer closes where the minimizer
+// changes, at an ambiguous base, at the read's end, or at maxSupermerBases.
 func cutSupermers(codes []byte, read seq.Read, k int, emit func(supermer)) []byte {
 	n := len(read.Seq)
 	if n < k {
@@ -265,18 +263,11 @@ func cutSupermers(codes []byte, read seq.Read, k int, emit func(supermer)) []byt
 		}
 		codes[i] = code
 	}
-	m := seq.MinimizerWidth(k)
-	w := k - m + 1 // m-mers per k-mer
-	mmask := uint64(1)<<(2*uint(m)) - 1
 	maxKmers := maxSupermerBases - k - 1
-	var ring [seq.MaxK]uint64 // the last w m-mer ranks, by position mod MaxK
+	win := seq.NewMinimizerWindow(k)
 	var bases baseRing
-	var fm, rm uint64
 	var sm supermer
-	valid := 0
 	open, start := false, 0
-	var best uint64 // the current window's minimum rank
-	bestAt := 0     // the position of its last occurrence
 	// A run whose first k-mer starts at read base start packs from bases'
 	// position start, its left flank.
 	bases.set(0, noBase)
@@ -289,29 +280,12 @@ func cutSupermers(codes []byte, read seq.Read, k int, emit func(supermer)) []byt
 				emit(sm)
 				open = false
 			}
-			valid = 0
+			win.Reset()
 			continue
 		}
-		b := uint64(code & 3)
-		fm = (fm<<2 | b) & mmask
-		rm = rm>>2 | (3-b)<<(2*uint(m-1))
-		valid++
-		if valid >= m {
-			ring[i%seq.MaxK] = seq.MerRank(fm, rm)
-		}
-		if valid < k {
+		best, full := win.Push(code & 3)
+		if !full {
 			continue
-		}
-		if valid == k || bestAt <= i-w {
-			// A fresh window, or its minimum just left it: rescan.
-			best = ^uint64(0)
-			for j := i - w + 1; j <= i; j++ {
-				if r := ring[j%seq.MaxK]; r <= best {
-					best, bestAt = r, j
-				}
-			}
-		} else if r := ring[i%seq.MaxK]; r <= best {
-			best, bestAt = r, i
 		}
 		off := i - k + 1
 		if open && best == sm.minimizer && off-start < maxKmers {
@@ -450,7 +424,7 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 						}
 						*kc = seq.KmerCount{Kmer: o.Kmer, Count: absorbed}
 					}
-					kc.Observe(o.Left, o.Right, o.HasLeft, o.HasRight, o.WasRC)
+					kc.Observe(o.Left, o.Right, o.HasLeft, o.HasRight, o.WasRC, 1)
 					return true
 				})
 			}
@@ -498,10 +472,12 @@ func qualOK(read seq.Read, i int) bool {
 }
 
 // MergeContigKmers implements the k-mer set merge of Section II-H: the
-// (k)-mers of the previous iteration's contigs are inserted into the counts
-// table as error-free k-mers with unique high-quality extensions, using the
-// aggregated update-only phase. pseudoCount is the count credited to each
-// contig k-mer (it only needs to clear MinCount).
+// (k)-mers of the previous iteration's contigs, walked by
+// seq.CanonicalKmers, are inserted into the counts table as error-free
+// k-mers with unique high-quality extensions, using the aggregated
+// update-only phase. pseudoCount is the weight each contig k-mer is observed
+// with, its neighbours included, so they dominate noise when classified (it
+// only needs to clear MinCount).
 func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], contigSeqs [][]byte, k int, pseudoCount uint32) {
 	if pseudoCount == 0 {
 		pseudoCount = 2
@@ -521,38 +497,17 @@ func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], co
 		if len(cs) < k {
 			continue
 		}
-		it := seq.NewKmerIter(cs, k)
-		for {
-			km, off, ok := it.Next()
-			if !ok {
-				break
-			}
-			canon, wasRC := km.Canonical()
-			kc := seq.KmerCount{Kmer: canon, Count: pseudoCount}
+		for canon, at := range seq.CanonicalKmers(cs, k) {
 			var left, right byte
 			var hasLeft, hasRight bool
-			if off > 0 {
-				if code, valid := seq.CharToBase(cs[off-1]); valid {
-					left, hasLeft = code, true
-				}
+			if at.Off > 0 {
+				left, hasLeft = seq.CharToBase(cs[at.Off-1])
 			}
-			if off+k < len(cs) {
-				if code, valid := seq.CharToBase(cs[off+k]); valid {
-					right, hasRight = code, true
-				}
+			if end := at.Off + k; end < len(cs) {
+				right, hasRight = seq.CharToBase(cs[end])
 			}
-			// Credit the extensions with the pseudo count so they dominate
-			// noise when classified.
-			if wasRC {
-				hasLeft, hasRight = hasRight, hasLeft
-				left, right = seq.ComplementCode(right), seq.ComplementCode(left)
-			}
-			if hasLeft {
-				kc.Left.AddN(left, pseudoCount)
-			}
-			if hasRight {
-				kc.Right.AddN(right, pseudoCount)
-			}
+			kc := seq.KmerCount{Kmer: canon}
+			kc.Observe(left, right, hasLeft, hasRight, at.RC, pseudoCount)
 			u.Update(canon, kc)
 		}
 		r.Compute(float64(len(cs)))

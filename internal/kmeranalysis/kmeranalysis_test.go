@@ -138,9 +138,7 @@ func TestRunDropsSingletons(t *testing.T) {
 // of appearance: the oracle the counted table is checked against.
 func canonicalKmersOf(s []byte, k int) []seq.Kmer {
 	var out []seq.Kmer
-	it := seq.NewKmerIter(s, k)
-	for km, _, ok := it.Next(); ok; km, _, ok = it.Next() {
-		canon, _ := km.Canonical()
+	for canon := range seq.CanonicalKmers(s, k) {
 		out = append(out, canon)
 	}
 	return out
@@ -456,7 +454,7 @@ func refRun(r *pgas.Rank, reads []seq.Read, opts Options) Result {
 					}
 					*kc = seq.KmerCount{Kmer: o.Kmer, Count: absorbed}
 				}
-				kc.Observe(o.Left, o.Right, o.HasLeft, o.HasRight, o.WasRC)
+				kc.Observe(o.Left, o.Right, o.HasLeft, o.HasRight, o.WasRC, 1)
 				return true
 			})
 		}

@@ -2,6 +2,10 @@
 // assembler: 2-bit base codes, packed k-mers (k <= 64), reverse complements,
 // canonical forms, reads, and extension bookkeeping.
 //
+// A sequence's k-mers are walked one way, by CanonicalKmers, and a k-mer's
+// minimizer owner rule is written once: Kmer.Minimizer is its per-key form
+// and MinimizerWindow its rolling form over a read.
+//
 // Every higher-level module (k-mer analysis, de Bruijn graph traversal,
 // alignment, local assembly, scaffolding) is built on these types, so they
 // are designed to be small, allocation-free values that are safe to use as

@@ -153,19 +153,26 @@ func TestExtPairSwap(t *testing.T) {
 func TestKmerCountObserve(t *testing.T) {
 	km := MustKmer("ACG")
 	kc := KmerCount{Kmer: km}
-	kc.Observe(BaseT, BaseA, true, true, false)
+	kc.Observe(BaseT, BaseA, true, true, false, 1)
 	if kc.Count != 1 || kc.Left[BaseT] != 1 || kc.Right[BaseA] != 1 {
 		t.Errorf("forward observe wrong: %+v", kc)
 	}
 	// Reverse-complement observation: neighbours swap sides and complement.
-	kc.Observe(BaseT, BaseA, true, true, true)
+	kc.Observe(BaseT, BaseA, true, true, true, 1)
 	if kc.Left[BaseT] != 2 || kc.Right[BaseA] != 2 {
 		t.Errorf("rc observe wrong: %+v", kc)
 	}
 	// Missing neighbours are not recorded.
-	kc.Observe(BaseC, BaseC, false, false, false)
+	kc.Observe(BaseC, BaseC, false, false, false, 1)
 	if kc.Count != 3 || kc.Left.Total() != 2 || kc.Right.Total() != 2 {
 		t.Errorf("missing-neighbour observe wrong: %+v", kc)
+	}
+	// A weighted observation counts n times, neighbours included, and the
+	// orientation rule still applies: the left G of the reverse complement
+	// is a right C of the canonical form.
+	kc.Observe(BaseG, BaseA, true, false, true, 3)
+	if kc.Count != 6 || kc.Left.Total() != 2 || kc.Right[BaseC] != 3 || kc.Right.Total() != 5 {
+		t.Errorf("weighted observe wrong: %+v", kc)
 	}
 }
 

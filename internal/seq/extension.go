@@ -102,21 +102,22 @@ type KmerCount struct {
 	Right ExtCounts
 }
 
-// Observe records one occurrence of the canonical k-mer with the given
-// neighbouring bases. hasLeft/hasRight indicate whether a neighbour existed
+// Observe records n occurrences of the canonical k-mer with the given
+// neighbouring bases (a read's k-mer is one; a contig's k-mer weighs a
+// pseudo count). hasLeft/hasRight indicate whether a neighbour existed
 // (k-mers at the very ends of reads have none). If the observed orientation
 // was the reverse complement of the canonical form, wasRC must be true and
 // the neighbours are swapped/complemented accordingly.
-func (kc *KmerCount) Observe(leftCode, rightCode byte, hasLeft, hasRight, wasRC bool) {
-	kc.Count++
+func (kc *KmerCount) Observe(leftCode, rightCode byte, hasLeft, hasRight, wasRC bool, n uint32) {
+	kc.Count += n
 	if wasRC {
 		hasLeft, hasRight = hasRight, hasLeft
 		leftCode, rightCode = ComplementCode(rightCode), ComplementCode(leftCode)
 	}
 	if hasLeft {
-		kc.Left.Add(leftCode)
+		kc.Left.AddN(leftCode, n)
 	}
 	if hasRight {
-		kc.Right.Add(rightCode)
+		kc.Right.AddN(rightCode, n)
 	}
 }

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 )
 
@@ -184,36 +185,48 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// KmerIter iterates over the valid k-mers of a sequence, skipping windows
-// that contain ambiguous bases.
-type KmerIter struct {
-	seq   []byte
-	k     int
-	pos   int
-	valid int // number of consecutive valid bases ending just before pos
-	cur   Kmer
+// KmerAt is where CanonicalKmers found a k-mer in a sequence.
+type KmerAt struct {
+	Off int  // the offset of the k-mer's first base
+	RC  bool // the sequence holds the canonical form's reverse complement
 }
 
-// NewKmerIter returns an iterator over the k-mers of s.
-func NewKmerIter(s []byte, k int) *KmerIter {
-	return &KmerIter{seq: s, k: k, cur: Kmer{K: uint8(k)}}
-}
-
-// Next advances the iterator. It returns the next k-mer, the offset of its
-// first base within the sequence, and false when the sequence is exhausted.
-func (it *KmerIter) Next() (Kmer, int, bool) {
-	for it.pos < len(it.seq) {
-		code, ok := CharToBase(it.seq[it.pos])
-		it.pos++
-		if !ok {
-			it.valid = 0
-			continue
-		}
-		it.cur = it.cur.appendUnchecked(code)
-		it.valid++
-		if it.valid >= it.k {
-			return it.cur, it.pos - it.k, true
+// CanonicalKmers walks the valid k-mers of s in order, skipping windows that
+// hold an ambiguous base, and yields each one's canonical form, as
+// Kmer.Canonical picks it, with where it was found. It rolls the forward
+// and reverse-complement words together, one base at a time, so no k-mer is
+// reverse-complemented whole.
+func CanonicalKmers(s []byte, k int) iter.Seq2[Kmer, KmerAt] {
+	return func(yield func(Kmer, KmerAt) bool) {
+		fwd, rc := Kmer{K: uint8(k)}, Kmer{K: uint8(k)}
+		lo, hi := loMask(k), hiMask(k)
+		top := 2 * uint(k-1) // where a base enters rc
+		valid := 0
+		for i, c := range s {
+			code, ok := CharToBase(c)
+			if !ok {
+				valid = 0
+				continue
+			}
+			// AppendBase and PrependBase, with the masks and the entry bit
+			// computed once per walk; a shift by 64 or more is 0, so the
+			// complement lands in whichever word holds bit top.
+			b := uint64(code)
+			fwd.Hi, fwd.Lo = (fwd.Hi<<2|fwd.Lo>>62)&hi, (fwd.Lo<<2|b)&lo
+			rc.Hi, rc.Lo = rc.Hi>>2|(3-b)<<(top-64), rc.Lo>>2|rc.Hi<<62|(3-b)<<top
+			if valid++; valid < k {
+				continue
+			}
+			// Two yielded values, not one struct: the compiler keeps a struct
+			// of up to four fields in registers, and a k-mer with its
+			// position has five.
+			canon, at := fwd, KmerAt{Off: i - k + 1}
+			if rc.Less(fwd) {
+				canon, at.RC = rc, true
+			}
+			if !yield(canon, at) {
+				return
+			}
 		}
 	}
-	return Kmer{}, 0, false
 }

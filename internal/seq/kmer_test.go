@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"iter"
 	"math/rand"
 	"strings"
 	"testing"
@@ -201,20 +202,24 @@ func TestKmerHashDistribution(t *testing.T) {
 	}
 }
 
-// kmersOf collects what a KmerIter yields over s: all valid k-mers in order
+// kmersOf collects the k-mers CanonicalKmers yields over s, each turned
+// back to the strand s holds, with their offsets: all valid k-mers in order
 // of appearance.
-func kmersOf(s []byte, k int) []Kmer {
-	var out []Kmer
-	it := NewKmerIter(s, k)
-	for km, _, ok := it.Next(); ok; km, _, ok = it.Next() {
-		out = append(out, km)
+func kmersOf(s []byte, k int) ([]Kmer, []int) {
+	var kms []Kmer
+	var offs []int
+	for km, at := range CanonicalKmers(s, k) {
+		if at.RC {
+			km = km.ReverseComplement()
+		}
+		kms, offs = append(kms, km), append(offs, at.Off)
 	}
-	return out
+	return kms, offs
 }
 
 func TestKmersOf(t *testing.T) {
 	s := []byte("ACGTACGT")
-	kms := kmersOf(s, 4)
+	kms, _ := kmersOf(s, 4)
 	want := []string{"ACGT", "CGTA", "GTAC", "TACG", "ACGT"}
 	if len(kms) != len(want) {
 		t.Fatalf("got %d k-mers, want %d", len(kms), len(want))
@@ -228,10 +233,10 @@ func TestKmersOf(t *testing.T) {
 
 func TestKmersOfSkipsAmbiguous(t *testing.T) {
 	s := []byte("ACGTNACGT")
-	kms := kmersOf(s, 4)
+	kms, offs := kmersOf(s, 4)
 	// Only windows entirely before or after the N are valid.
-	if len(kms) != 2 {
-		t.Fatalf("got %d k-mers, want 2 (windows containing N must be skipped)", len(kms))
+	if len(kms) != 2 || offs[0] != 0 || offs[1] != 5 {
+		t.Fatalf("got %d k-mers at %v, want 2 at [0 5] (windows containing N must be skipped)", len(kms), offs)
 	}
 	for _, km := range kms {
 		if km.String() != "ACGT" {
@@ -240,32 +245,110 @@ func TestKmersOfSkipsAmbiguous(t *testing.T) {
 	}
 }
 
-func TestKmerIterOffsets(t *testing.T) {
+func TestCanonicalKmersOffsets(t *testing.T) {
 	s := []byte("AACCGGTT")
-	it := NewKmerIter(s, 3)
-	offsets := []int{}
-	for {
-		km, off, ok := it.Next()
-		if !ok {
-			break
-		}
-		if km.String() != string(s[off:off+3]) {
-			t.Errorf("kmer at offset %d = %q, want %q", off, km.String(), s[off:off+3])
-		}
-		offsets = append(offsets, off)
+	kms, offs := kmersOf(s, 3)
+	if len(offs) != 6 {
+		t.Fatalf("got %d k-mers, want 6", len(offs))
 	}
-	if len(offsets) != 6 {
-		t.Fatalf("got %d k-mers, want 6", len(offsets))
-	}
-	for i, off := range offsets {
+	for i, off := range offs {
 		if off != i {
 			t.Errorf("offset %d = %d, want %d", i, off, i)
+		}
+		if kms[i].String() != string(s[off:off+3]) {
+			t.Errorf("kmer at offset %d = %q, want %q", off, kms[i], s[off:off+3])
 		}
 	}
 }
 
+// walkKs are the k-mer lengths the walker and the window are checked at:
+// both sides of the minimizer length and of the 32-base word boundary.
+var walkKs = []int{1, 5, 10, 11, 12, 21, 31, 33, 63, 64}
+
+// messySeq returns a random sequence of length n with runs of ambiguous
+// bases and of lower-case bases.
+func messySeq(r *rand.Rand, n int) []byte {
+	s := []byte(randomSeq(r, n))
+	for i := 0; i < n; i += 1 + r.Intn(40) {
+		run := s[i:min(n, i+1+r.Intn(8))]
+		switch r.Intn(3) {
+		case 0:
+			for j := range run {
+				run[j] = "NnRx-"[r.Intn(5)]
+			}
+		case 1:
+			for j := range run {
+				run[j] |= 'a' - 'A' // lower case, idempotent
+			}
+		}
+	}
+	return s
+}
+
+// checkWalkAgainstBytes holds CanonicalKmers and MinimizerWindow over s to
+// their per-key references at every position: the walker must yield exactly
+// the windows KmerFromBytes packs, in order, as Kmer.Canonical picks their
+// form, and the window must report Kmer.Minimizer of each k-mer ending at a
+// base it is pushed.
+func checkWalkAgainstBytes(t *testing.T, s []byte, k int) {
+	t.Helper()
+	next, stop := iter.Pull2(CanonicalKmers(s, k))
+	defer stop()
+	for off := 0; off+k <= len(s); off++ {
+		ref, err := KmerFromBytes(s[off:], k)
+		if err != nil {
+			continue
+		}
+		want, wantRC := ref.Canonical()
+		got, at, ok := next()
+		if !ok || got != want || at != (KmerAt{Off: off, RC: wantRC}) {
+			t.Fatalf("k=%d %q: walker yields %s %+v (%v), want %s rc=%v at %d", k, s, got, at, ok, want, wantRC, off)
+		}
+	}
+	if got, at, ok := next(); ok {
+		t.Fatalf("k=%d %q: walker yields %s %+v past the last valid k-mer", k, s, got, at)
+	}
+
+	w := NewMinimizerWindow(k)
+	for i, c := range s {
+		code, valid := CharToBase(c)
+		if !valid {
+			w.Reset()
+			continue
+		}
+		got, full := w.Push(code)
+		ref, err := KmerFromBytes(s[max(0, i-k+1):], k)
+		if full != (i >= k-1 && err == nil) {
+			t.Fatalf("k=%d %q: window full=%v at base %d, KmerFromBytes err=%v", k, s, full, i, err)
+		}
+		if full && got != ref.Minimizer() {
+			t.Fatalf("k=%d %q: window minimizer %#x at base %d, want %#x", k, s, got, i, ref.Minimizer())
+		}
+	}
+}
+
+// TestWalkMatchesBytes checks the walker and the window against their
+// per-key references on random sequences with ambiguous and lower-case runs.
+func TestWalkMatchesBytes(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, k := range walkKs {
+		for trial := 0; trial < 30; trial++ {
+			checkWalkAgainstBytes(t, messySeq(r, r.Intn(300)), k)
+		}
+	}
+}
+
+// FuzzWalk runs the same references on arbitrary bytes and k.
+func FuzzWalk(f *testing.F) {
+	f.Add([]byte("ACGTNACGTacgtAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), uint8(31))
+	f.Add([]byte("GGATCCnnGTAAACTGGTCCAT"), uint8(4))
+	f.Fuzz(func(t *testing.T, s []byte, k uint8) {
+		checkWalkAgainstBytes(t, s, 1+int(k)%MaxK)
+	})
+}
+
 func TestCanonicalKmersOf(t *testing.T) {
-	kms := kmersOf([]byte("ACGTAC"), 3)
+	kms, _ := kmersOf([]byte("ACGTAC"), 3)
 	if len(kms) != 4 {
 		t.Fatalf("got %d k-mers, want 4", len(kms))
 	}
@@ -281,28 +364,22 @@ func TestCanonicalKmersOf(t *testing.T) {
 }
 
 func TestKmersOfEdgeCases(t *testing.T) {
-	if got := kmersOf([]byte("AC"), 3); got != nil {
+	if got, _ := kmersOf([]byte("AC"), 3); got != nil {
 		t.Errorf("sequence shorter than k should yield nothing, got %v", got)
 	}
-	if got := kmersOf([]byte("NNNN"), 3); got != nil {
+	if got, _ := kmersOf([]byte("NNNN"), 3); got != nil {
 		t.Errorf("all-ambiguous sequence should yield nothing, got %v", got)
 	}
-	if got := kmersOf([]byte("ACG"), 3); len(got) != 1 || got[0].String() != "ACG" {
+	if got, _ := kmersOf([]byte("ACG"), 3); len(got) != 1 || got[0].String() != "ACG" {
 		t.Errorf("sequence of exactly k bases should yield itself, got %v", got)
 	}
 }
 
-func BenchmarkKmerIter(b *testing.B) {
+func BenchmarkCanonicalKmers(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	s := []byte(randomSeq(r, 10000))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := NewKmerIter(s, 31)
-		for {
-			_, _, ok := it.Next()
-			if !ok {
-				break
-			}
+	for b.Loop() {
+		for range CanonicalKmers(s, 31) {
 		}
 	}
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // minimizerOf is the string oracle of Kmer.Minimizer: every m-mer of the
-// k-mer's bases packed on its own, ranked by MerRank.
+// k-mer's bases packed on its own, ranked by merRank.
 func minimizerOf(s string) uint64 {
-	m := MinimizerWidth(len(s))
+	m := minimizerWidth(len(s))
 	best := ^uint64(0)
 	for i := 0; i+m <= len(s); i++ {
 		f := MustKmer(s[i : i+m])
-		best = min(best, MerRank(f.Lo, f.ReverseComplement().Lo))
+		best = min(best, merRank(f.Lo, f.ReverseComplement().Lo))
 	}
 	return best
 }
@@ -42,7 +42,7 @@ func TestMinimizerMatchesStringOracle(t *testing.T) {
 // k-mer holding it and send them all to one owner.
 func TestMinimizerSpreadsPolyA(t *testing.T) {
 	all := MustKmer(strings.Repeat("A", MinimizerLen))
-	polyA := MerRank(all.Lo, all.ReverseComplement().Lo)
+	polyA := merRank(all.Lo, all.ReverseComplement().Lo)
 	if got := MustKmer(strings.Repeat("A", 31)).Minimizer(); got != polyA {
 		t.Fatalf("poly-A 31-mer minimizer %#x, want its one m-mer's rank %#x", got, polyA)
 	}
@@ -51,7 +51,7 @@ func TestMinimizerSpreadsPolyA(t *testing.T) {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		f := MustKmer(randomSeq(r, MinimizerLen))
-		if MerRank(f.Lo, f.ReverseComplement().Lo) < polyA {
+		if merRank(f.Lo, f.ReverseComplement().Lo) < polyA {
 			below++
 		}
 	}

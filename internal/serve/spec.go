@@ -13,8 +13,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -164,14 +162,9 @@ func DecodeSpec(data []byte) (JobSpec, error) {
 // decodeJSON is the strict JSON half of DecodeSpec: no unknown fields, no
 // trailing data, nothing normalized or validated yet.
 func decodeJSON(data []byte) (JobSpec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s JobSpec
-	if err := dec.Decode(&s); err != nil {
+	if err := strictUnmarshal(data, &s); err != nil {
 		return JobSpec{}, &SpecError{Field: "(json)", Msg: err.Error()}
-	}
-	if dec.More() {
-		return JobSpec{}, &SpecError{Field: "(json)", Msg: "trailing data after the job spec"}
 	}
 	return s, nil
 }
