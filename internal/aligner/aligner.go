@@ -115,11 +115,13 @@ func DefaultOptions(seedLen int) Options {
 }
 
 // Index is the distributed seed index over a distributed contig set. Neither
-// the seeds nor the contig sequences are replicated. A seed's owner keeps its
-// hit list sorted and answers the ranks that ask for it by exchange, so the
-// seed table is only ever read by its owner and is never frozen; contig
-// fetches go through the set's owner-side lookup, fronted by a per-rank
-// software cache during alignment.
+// the seeds nor the contig sequences are replicated. A seed is owned by its
+// minimizer, the owner rule of the k-mer counts table, so a contig's
+// consecutive seeds mostly share an owner and its rank sends to few ranks. The
+// owner keeps the seed's hit list sorted and answers the ranks that ask for
+// it by exchange, so the seed table is only ever read by its owner and is
+// never frozen; contig fetches go through the set's owner-side lookup,
+// fronted by a per-rank software cache during alignment.
 type Index struct {
 	SeedLen int
 	Seeds   *dht.Map[seq.Kmer, []SeedHit]
@@ -128,20 +130,38 @@ type Index struct {
 
 // BuildIndex constructs the distributed seed index. Collective: each rank
 // indexes its own shard of the contig set using the aggregated update-only
-// phase, then sorts the hit lists of the seeds it owns.
+// phase, routing each seed to its minimizer's owner with the minimizer
+// taken from one rolling window per contig (seq.Minimizers), then sorts the
+// hit lists of the seeds it owns.
 func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 	if opts.SeedLen <= 0 || opts.SeedLen > seq.MaxK {
 		opts.SeedLen = 31
 	}
 	idx := &Index{SeedLen: opts.SeedLen, Contigs: contigs}
-	idx.Seeds = dht.NewMapCollective[seq.Kmer, []SeedHit](r, seq.Kmer.Hash, 24)
+	var seeds *dht.Map[seq.Kmer, []SeedHit]
+	if r.ID() == 0 {
+		seeds = dht.NewMapOwnedBy[seq.Kmer, []SeedHit](r.Machine(), seq.Kmer.Hash, seq.Kmer.Minimizer, 24)
+	}
+	idx.Seeds = pgas.Broadcast(r, seeds)
+	// Each update is a one-hit window, of capacity one, into an array of its
+	// contig's hits, and a seed's first update is stored as it came: a
+	// second hit then appends into a list of the owner's own. That is one
+	// allocation per contig where a fresh slice per update and per first
+	// store made two per seed.
 	combine := func(existing, update []SeedHit, found bool) []SeedHit {
+		if !found {
+			return update
+		}
 		return append(existing, update...)
 	}
 	u := idx.Seeds.NewUpdater(r, combine, 512, true)
+	var mins []uint64
 	contigs.ForEachLocal(r, func(_ int, c dbg.Contig) {
+		mins = seq.Minimizers(mins, c.Seq, opts.SeedLen)
+		hits := make([]SeedHit, len(mins))
 		for canon, at := range seq.CanonicalKmers(c.Seq, opts.SeedLen) {
-			u.Update(canon, []SeedHit{{ContigID: c.ID, Pos: at.Off, Reverse: at.RC}})
+			hits[at.Off] = SeedHit{ContigID: c.ID, Pos: at.Off, Reverse: at.RC}
+			u.UpdateWithOwnerHash(canon, mins[at.Off], hits[at.Off:at.Off+1:at.Off+1])
 		}
 		r.Compute(float64(len(c.Seq)))
 	})
@@ -171,11 +191,14 @@ type AlignStats struct {
 }
 
 // seedAsk asks a seed's owner for its hit list: slot names the answer on
-// the asking rank, from is the asking rank.
+// the asking rank, from is the asking rank. owner is where the ask goes,
+// taken from the read's minimizer window when the seed was; it routes the
+// ask and is not on the wire.
 type seedAsk struct {
-	key  seq.Kmer
-	slot int32
-	from int32
+	key   seq.Kmer
+	slot  int32
+	from  int32
+	owner int32
 }
 
 // seedAnswer is an owner's answer to one seedAsk: the ask's slot and
@@ -230,16 +253,19 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 	asks := make([]seedAsk, 0, maxSeeds)      // one per slot another rank answers
 	ends := make([]int, len(selected))        // refs[ends[j-1]:ends[j]] are selected[j]'s seeds
 	var slots hashtab.Table[seq.Kmer, int32]
+	var mins []uint64
 	from := int32(r.ID())
 	for j, i := range selected {
 		nextSeedAt := 0
+		mins = seq.Minimizers(mins, reads[i].Seq, opts.SeedLen)
 		for canon, at := range seq.CanonicalKmers(reads[i].Seq, opts.SeedLen) {
 			if at.Off < nextSeedAt {
 				continue
 			}
 			nextSeedAt = at.Off + seedStride
 			slot := int32(len(answers))
-			if idx.Seeds.Owner(canon) == r.ID() {
+			owner := idx.Seeds.OwnerOfHash(mins[at.Off])
+			if owner == r.ID() {
 				// A seed the rank owns is answered from its own partition,
 				// without an ask.
 				answers = append(answers, idx.hitsOf(r, canon))
@@ -258,7 +284,7 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 					stats.SeedCacheHits++
 				} else {
 					answers = append(answers, nil)
-					asks = append(asks, seedAsk{key: canon, slot: slot, from: from})
+					asks = append(asks, seedAsk{key: canon, slot: slot, from: from, owner: int32(owner)})
 				}
 			}
 			refs = append(refs, seedRef{off: int32(at.Off), slot: slot, rc: at.RC})
@@ -307,7 +333,7 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 // consumed them. Collective. With aggregate false every ask is charged as
 // its own message.
 func answerSeeds(r *pgas.Rank, idx *Index, asks []seedAsk, answers [][]SeedHit, aggregate bool) int {
-	owner := func(_ int, a seedAsk) int { return idx.Seeds.Owner(a.key) }
+	owner := func(_ int, a seedAsk) int { return int(a.owner) }
 	if !aggregate {
 		pgas.ChargeUnaggregated(r, asks, owner)
 	}
@@ -326,11 +352,11 @@ func answerSeeds(r *pgas.Rank, idx *Index, asks []seedAsk, answers [][]SeedHit, 
 	return resident
 }
 
-// hitsOf answers one seed from the calling rank's own partition: its stored
-// hit list, or none for a seed that is absent or repeats more than
+// hitsOf answers one seed the calling rank owns from its own partition: its
+// stored hit list, or none for a seed that is absent or repeats more than
 // maxHitsPerSeed times.
 func (idx *Index) hitsOf(r *pgas.Rank, key seq.Kmer) []SeedHit {
-	hits, _ := idx.Seeds.Get(r, key)
+	hits, _ := idx.Seeds.GetLocal(r, key)
 	if len(hits) > maxHitsPerSeed {
 		return nil
 	}

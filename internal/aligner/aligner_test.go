@@ -47,45 +47,132 @@ func distributeTestContigs(r *pgas.Rank, contigs []dbg.Contig, slots []map[strin
 	return cs, ids
 }
 
-func TestBuildIndexCoversAllSeeds(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 3})
-	contigs := testContigs()
-	opts := DefaultOptions(15)
+// seedOracle is the seed index BuildIndex must build: every stride-1 seed
+// of every contig, packed by KmerFromBytes, under its canonical form, with
+// one hit per occurrence under the contig's distributed ID, each hit list in
+// compareHits order.
+func seedOracle(contigs []dbg.Contig, ids map[string]int, k int) map[seq.Kmer][]SeedHit {
+	want := map[seq.Kmer][]SeedHit{}
+	for _, c := range contigs {
+		for off := 0; off+k <= len(c.Seq); off++ {
+			km, err := seq.KmerFromBytes(c.Seq[off:], k)
+			if err != nil {
+				continue
+			}
+			canon, rc := km.Canonical()
+			want[canon] = append(want[canon], SeedHit{ContigID: ids[string(c.Seq)], Pos: off, Reverse: rc})
+		}
+	}
+	for _, hits := range want {
+		slices.SortFunc(hits, compareHits)
+	}
+	return want
+}
+
+// buildSeedIndex distributes contigs over p ranks, builds their seed index
+// and returns it with the sequence-to-ID map.
+func buildSeedIndex(t *testing.T, contigs []dbg.Contig, p int, opts Options) (*Index, map[string]int) {
+	t.Helper()
+	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 2})
 	var idx *Index
-	ids := map[string]int{}
-	slots := make([]map[string]int, 3)
-	m.Run(func(r *pgas.Rank) {
+	var ids map[string]int
+	slots := make([]map[string]int, p)
+	res := m.Run(func(r *pgas.Rank) {
 		cs, idMap := distributeTestContigs(r, contigs, slots)
 		got := BuildIndex(r, cs, opts)
 		if r.ID() == 0 {
-			idx = got
-			for k, v := range idMap {
-				ids[k] = v
-			}
+			idx, ids = got, idMap
 		}
 	})
-	// Every seed of every contig must be present in the index, under the
-	// contig's distributed ID.
-	seeds := idx.Seeds.Snapshot()
-	for _, c := range contigs {
-		id := ids[string(c.Seq)]
-		for canon, at := range seq.CanonicalKmers(c.Seq, 15) {
-			off := at.Off
-			hits, ok := seeds[canon]
-			if !ok {
-				t.Fatalf("seed at contig %d offset %d missing", id, off)
-			}
-			found := false
-			for _, h := range hits {
-				if h.ContigID == id && h.Pos == off {
-					found = true
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	return idx, ids
+}
+
+// TestBuildIndexCoversAllSeeds: the index holds exactly the oracle's seeds,
+// each with every one of its hits.
+func TestBuildIndexCoversAllSeeds(t *testing.T) {
+	contigs := testContigs()
+	idx, ids := buildSeedIndex(t, contigs, 3, DefaultOptions(15))
+	want := seedOracle(contigs, ids, 15)
+	if got := idx.Seeds.Snapshot(); !maps.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("index holds %d seeds, oracle %d, or their hits differ", len(got), len(want))
+	}
+}
+
+// TestSeedIndexOwnedByMinimizer: every seed sits in the partition of its
+// minimizer's owner, the counts table's rule, and the partitions together
+// are the oracle's index, at P in {1, 3, 16}. At P=256 a rank holding one
+// long contig flushes its seeds to one destination per distinct minimizer
+// owner, not to nearly every rank as hash ownership did.
+func TestSeedIndexOwnedByMinimizer(t *testing.T) {
+	for _, fixture := range []int64{5, 6} {
+		contigs, _ := oracleFixture(fixture)
+		for _, k := range []int{15, 21, 31} {
+			for _, p := range []int{1, 3, 16} {
+				idx, ids := buildSeedIndex(t, contigs, p, DefaultOptions(k))
+				union := map[seq.Kmer][]SeedHit{}
+				for rank := range p {
+					idx.Seeds.RangeLocal(rank, func(key seq.Kmer, hits []SeedHit) {
+						if owner := int(key.Minimizer() % uint64(p)); owner != rank {
+							t.Fatalf("fixture=%d k=%d P=%d: seed %s in rank %d's partition, its minimizer's owner is %d", fixture, k, p, key, rank, owner)
+						}
+						union[key] = slices.SortedFunc(slices.Values(hits), compareHits)
+					})
 				}
-			}
-			if !found {
-				t.Fatalf("seed at contig %d offset %d has no hit entry", id, off)
+				if want := seedOracle(contigs, ids, k); !maps.EqualFunc(union, want, slices.Equal) {
+					t.Fatalf("fixture=%d k=%d P=%d: partitions hold %d seeds, oracle %d, or their hits differ", fixture, k, p, len(union), len(want))
+				}
 			}
 		}
 	}
+
+	const p, k = 256, 31
+	contig := dbg.Contig{Seq: randBases(rand.New(rand.NewSource(4)), 3000), Depth: 10}
+	owners := map[uint64]bool{}
+	distinct := map[uint64]bool{}
+	for key := range seedOracle([]dbg.Contig{contig}, nil, k) {
+		distinct[key.Minimizer()] = true
+		owners[key.Minimizer()%p] = true
+	}
+	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 16})
+	flushMsgs := make([]uint64, p) // messages of a build with the contig minus those of one without
+	holder := -1
+	res := m.Run(func(r *pgas.Rank) {
+		var local []dbg.Contig
+		if r.ID() == 0 {
+			local = []dbg.Contig{contig}
+		}
+		for pass, in := range [][]dbg.Contig{local, nil} {
+			cs := dbg.DistributeContigs(r, in, dist.Distributed)
+			if cs.Len(r) > 0 {
+				holder = r.ID()
+			}
+			before := r.Stats().Messages
+			BuildIndex(r, cs, DefaultOptions(k))
+			if pass == 0 {
+				flushMsgs[r.ID()] += r.Stats().Messages - before
+			} else {
+				flushMsgs[r.ID()] -= r.Stats().Messages - before
+			}
+		}
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if holder < 0 {
+		t.Fatal("no rank holds the contig")
+	}
+	got := flushMsgs[holder]
+	want := uint64(len(owners))
+	if owners[uint64(holder)] {
+		want-- // the holder's own seeds are no message
+	}
+	if got != want || got > uint64(len(distinct)) || got > (p-1)*3/4 {
+		t.Fatalf("the holder of a %d-base contig sends its seeds to %d ranks, want %d: one per distinct minimizer owner other than itself (%d distinct minimizers, P=%d)", len(contig.Seq), got, want, len(distinct), p)
+	}
+	t.Logf("a %d-base contig's seeds go to %d of %d ranks (%d distinct minimizers)", len(contig.Seq), got, p-1, len(distinct))
 }
 
 func TestAlignPerfectRead(t *testing.T) {

@@ -842,6 +842,9 @@ func TestRankStateRecords(t *testing.T) {
 // reverse-strand read once per seed and de Bruijn traversal began doubling
 // over segments and emitting each path at its start first by (index, owner):
 // the same shards, but every rank clock after the first traversal moved.
+// It was re-captured (from 5122744d…) when the aligner's seed index came to
+// be owned by minimizer instead of by Kmer.Hash: the same shards, but every
+// rank clock after the first alignment moved.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -849,7 +852,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "5122744d155f97f510c605bb2914d5be173cd2a0ebe624c0b8dce111f992dd56"
+	const want = "d7388d482269a2a932731853e52ea461c9e121221d4e14538c2c483c825e8f88"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

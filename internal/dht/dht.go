@@ -5,8 +5,8 @@
 // A Map partitions its entries over the ranks of a virtual PGAS machine by
 // hashing each key to an owner rank: the key hash modulo the rank count, or,
 // for a map built with NewMapOwnedBy, a separate owner hash modulo the rank
-// count (the k-mer tables own a k-mer by its minimizer and probe by its
-// hash).
+// count (the k-mer counts and the aligner's seed index own a k-mer by its
+// minimizer and probe by its hash).
 // A rank's partition is one hash table with one writer, its owner: every
 // update reaches the owner by an owner-routed exchange and the owner applies
 // it, so a partition needs no lock, and a table's contents and iteration
@@ -82,9 +82,11 @@ func NewMap[K comparable, V any](m *pgas.Machine, hash func(K) uint64, entryByte
 
 // NewMapOwnedBy creates a distributed map whose keys are owned by
 // ownerHash(key) modulo the rank count and probed with hash. Only Owner, Get
-// and Updater.Update evaluate ownerHash; the owner-local calls (UpdateLocal,
-// DeleteLocal, Restore) probe with hash alone, so a costly owner rule is paid
-// once per routed key, not once per local write.
+// and Updater.Update evaluate ownerHash. The owner-local calls (GetLocal,
+// UpdateLocal, DeleteLocal, Restore) probe with hash alone, and
+// Updater.UpdateWithOwnerHash takes the owner hash from the caller, so a
+// costly owner rule is paid at most once per routed key, and not at all by a
+// caller that derives it more cheaply (a rolling minimizer window).
 func NewMapOwnedBy[K comparable, V any](m *pgas.Machine, hash, ownerHash func(K) uint64, entryBytes int) *Map[K, V] {
 	dm := NewMap[K, V](m, hash, entryBytes)
 	dm.ownerHash = ownerHash
@@ -159,6 +161,15 @@ func (m *Map[K, V]) Get(r *pgas.Rank, key K) (V, bool) {
 		r.ChargeGet(owner, m.entryBytes, 1)
 	}
 	return m.read(r, owner, h, key)
+}
+
+// GetLocal reads the entry for key, which must be owned by the calling rank,
+// from its own partition, probing with hash alone, and charges one unit of
+// compute, as Get does for a key the caller owns. The partition's owner may
+// read it at any time, frozen or not.
+func (m *Map[K, V]) GetLocal(r *pgas.Rank, key K) (V, bool) {
+	r.Compute(1)
+	return m.parts[r.ID()].Get(m.hash(key), key)
 }
 
 // DeleteLocal removes the entry for key, which must be owned by the calling

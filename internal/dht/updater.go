@@ -40,6 +40,20 @@ func (m *Map[K, V]) NewUpdater(r *pgas.Rank, combine func(existing V, update V, 
 // Update buffers one commutative update for key.
 func (u *Updater[K, V]) Update(key K, val V) {
 	owner, h := u.m.place(key)
+	u.add(owner, h, key, val)
+}
+
+// UpdateWithOwnerHash buffers one commutative update for key, whose owner
+// hash (see OwnerOfHash) the caller already holds: a caller that walks a
+// sequence's k-mers takes their minimizers from one rolling window instead
+// of a scan per key. ownerHash must be the value the map's owner rule gives
+// key, or the update lands on a rank that does not own it.
+func (u *Updater[K, V]) UpdateWithOwnerHash(key K, ownerHash uint64, val V) {
+	u.add(u.m.OwnerOfHash(ownerHash), u.m.hash(key), key, val)
+}
+
+// add buffers an update for key, owned by owner and probed with h.
+func (u *Updater[K, V]) add(owner int, h uint64, key K, val V) {
 	if owner == u.r.ID() {
 		u.local++
 	}

@@ -475,9 +475,11 @@ func qualOK(read seq.Read, i int) bool {
 // (k)-mers of the previous iteration's contigs, walked by
 // seq.CanonicalKmers, are inserted into the counts table as error-free
 // k-mers with unique high-quality extensions, using the aggregated
-// update-only phase. pseudoCount is the weight each contig k-mer is observed
-// with, its neighbours included, so they dominate noise when classified (it
-// only needs to clear MinCount).
+// update-only phase. counts must be owned by minimizer (NewCountsMap): each
+// k-mer is routed by the minimizer seq.Minimizers takes from the contig's
+// rolling window, not by a scan per k-mer. pseudoCount is the weight each
+// contig k-mer is observed with, its neighbours included, so they dominate
+// noise when classified (it only needs to clear MinCount).
 func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], contigSeqs [][]byte, k int, pseudoCount uint32) {
 	if pseudoCount == 0 {
 		pseudoCount = 2
@@ -493,10 +495,12 @@ func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], co
 		return existing
 	}
 	u := counts.NewUpdater(r, combine, 1024, true)
+	var mins []uint64
 	for _, cs := range contigSeqs {
 		if len(cs) < k {
 			continue
 		}
+		mins = seq.Minimizers(mins, cs, k)
 		for canon, at := range seq.CanonicalKmers(cs, k) {
 			var left, right byte
 			var hasLeft, hasRight bool
@@ -508,7 +512,7 @@ func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], co
 			}
 			kc := seq.KmerCount{Kmer: canon}
 			kc.Observe(left, right, hasLeft, hasRight, at.RC, pseudoCount)
-			u.Update(canon, kc)
+			u.UpdateWithOwnerHash(canon, mins[at.Off], kc)
 		}
 		r.Compute(float64(len(cs)))
 	}

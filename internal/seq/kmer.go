@@ -50,7 +50,7 @@ func KmerFromBytes(s []byte, k int) (Kmer, error) {
 		if !ok {
 			return Kmer{}, fmt.Errorf("seq: ambiguous base %q at position %d", s[i], i)
 		}
-		km = km.appendUnchecked(code)
+		km = km.AppendBase(code)
 	}
 	return km, nil
 }
@@ -70,9 +70,9 @@ func MustKmer(s string) Kmer {
 	return km
 }
 
-// appendUnchecked shifts the k-mer left by one base and appends code, masking
-// to the k-mer length stored in km.K. The caller must ensure km.K is set.
-func (km Kmer) appendUnchecked(code byte) Kmer {
+// AppendBase returns the k-mer obtained by dropping the first base and
+// appending code at the end (a forward step in the de Bruijn graph).
+func (km Kmer) AppendBase(code byte) Kmer {
 	k := int(km.K)
 	km.Hi = (km.Hi << 2) | (km.Lo >> 62)
 	km.Lo = (km.Lo << 2) | uint64(code&3)
@@ -81,24 +81,15 @@ func (km Kmer) appendUnchecked(code byte) Kmer {
 	return km
 }
 
-// AppendBase returns the k-mer obtained by dropping the first base and
-// appending code at the end (a forward step in the de Bruijn graph).
-func (km Kmer) AppendBase(code byte) Kmer { return km.appendUnchecked(code) }
-
 // PrependBase returns the k-mer obtained by dropping the last base and
-// prepending code at the front (a backward step in the de Bruijn graph).
+// prepending code at the front (a backward step in the de Bruijn graph). A
+// right shift of a well-formed k-mer needs no mask, and a shift by 64 or
+// more is 0, so the base lands in whichever word holds bit 2(k-1) without a
+// branch, as CanonicalKmers rolls its reverse-complement word.
 func (km Kmer) PrependBase(code byte) Kmer {
-	k := int(km.K)
-	km.Lo = (km.Lo >> 2) | (km.Hi << 62)
-	km.Hi >>= 2
-	pos := uint(2 * (k - 1))
-	if pos < 64 {
-		km.Lo |= uint64(code&3) << pos
-	} else {
-		km.Hi |= uint64(code&3) << (pos - 64)
-	}
-	km.Lo &= loMask(k)
-	km.Hi &= hiMask(k)
+	top := 2*uint(km.K) - 2
+	b := uint64(code & 3)
+	km.Hi, km.Lo = km.Hi>>2|b<<(top-64), km.Lo>>2|km.Hi<<62|b<<top
 	return km
 }
 

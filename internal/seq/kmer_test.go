@@ -3,6 +3,7 @@ package seq
 import (
 	"iter"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,10 +82,13 @@ func TestKmerAppendPrepend(t *testing.T) {
 	}
 }
 
+// TestKmerAppendPrependLong checks both steps against the string oracle at
+// the lengths where a base enters or leaves a word edge: one base, a full
+// low word, one base into the high word, and both words full.
 func TestKmerAppendPrependLong(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		k := 33 + r.Intn(32)
+	for trial := 0; trial < 300; trial++ {
+		k := []int{1, 31, 32, 33, 63, 64}[trial%6]
 		s := randomSeq(r, k)
 		km := MustKmer(s)
 		b := byte(r.Intn(4))
@@ -285,24 +289,36 @@ func messySeq(r *rand.Rand, n int) []byte {
 	return s
 }
 
-// checkWalkAgainstBytes holds CanonicalKmers and MinimizerWindow over s to
-// their per-key references at every position: the walker must yield exactly
-// the windows KmerFromBytes packs, in order, as Kmer.Canonical picks their
-// form, and the window must report Kmer.Minimizer of each k-mer ending at a
-// base it is pushed.
+// checkWalkAgainstBytes holds CanonicalKmers, MinimizerWindow and
+// Minimizers over s to their per-key references at every position: the
+// walker must yield exactly the windows KmerFromBytes packs, in order, as
+// Kmer.Canonical picks their form, Minimizers must give Kmer.Minimizer of
+// each k-mer at the offset the walker yields it, and the window must report
+// Kmer.Minimizer of each k-mer ending at a base it is pushed.
 func checkWalkAgainstBytes(t *testing.T, s []byte, k int) {
 	t.Helper()
 	next, stop := iter.Pull2(CanonicalKmers(s, k))
 	defer stop()
+	// A dirty buffer: Minimizers must overwrite or zero every element.
+	mins := Minimizers(slices.Repeat([]uint64{42}, len(s)), s, k)
+	if want := max(0, len(s)-k+1); len(mins) != want {
+		t.Fatalf("k=%d %q: Minimizers returns %d values, want %d", k, s, len(mins), want)
+	}
 	for off := 0; off+k <= len(s); off++ {
 		ref, err := KmerFromBytes(s[off:], k)
 		if err != nil {
+			if mins[off] != 0 {
+				t.Fatalf("k=%d %q: Minimizers gives %#x at offset %d, whose k-mer is ambiguous", k, s, mins[off], off)
+			}
 			continue
 		}
 		want, wantRC := ref.Canonical()
 		got, at, ok := next()
 		if !ok || got != want || at != (KmerAt{Off: off, RC: wantRC}) {
 			t.Fatalf("k=%d %q: walker yields %s %+v (%v), want %s rc=%v at %d", k, s, got, at, ok, want, wantRC, off)
+		}
+		if mins[at.Off] != got.Minimizer() {
+			t.Fatalf("k=%d %q: Minimizers gives %#x at offset %d, want %#x", k, s, mins[at.Off], at.Off, got.Minimizer())
 		}
 	}
 	if got, at, ok := next(); ok {

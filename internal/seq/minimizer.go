@@ -1,5 +1,7 @@
 package seq
 
+import "slices"
+
 // MinimizerLen is the minimizer length M: a k-mer's minimizer is taken over
 // its m-mers with m = min(MinimizerLen, k). It was chosen from {11, 13, 15}
 // by the k-mer analysis stage's load balance and simulated time (DESIGN.md
@@ -97,6 +99,35 @@ func (w *MinimizerWindow) rescan() {
 			w.best, w.bestAt = r, j
 		}
 	}
+}
+
+// Minimizers returns the minimizer of every k-mer of s, by offset, in dst's
+// storage: element off is Kmer.Minimizer of the k-mer at offset off, the one
+// CanonicalKmers(s, k) yields with KmerAt.Off == off, and 0 where that k-mer
+// holds an ambiguous base (no k-mer's minimizer is 0: mix64 is a bijection
+// that maps only 0 to 0, and no m-mer equals minimizerSalt). It pushes s through one MinimizerWindow and
+// resets it at an ambiguous base, as k-mer analysis cuts reads into
+// supermers, so a caller that owns k-mers by minimizer takes each owner from
+// the window at about one hash per base, not k-m+1 per k-mer.
+func Minimizers(dst []uint64, s []byte, k int) []uint64 {
+	n := len(s) - k + 1
+	if n <= 0 {
+		return dst[:0]
+	}
+	dst = slices.Grow(dst[:0], n)[:n]
+	clear(dst)
+	w := NewMinimizerWindow(k)
+	for i, c := range s {
+		code, ok := CharToBase(c)
+		if !ok {
+			w.Reset()
+			continue
+		}
+		if mz, full := w.Push(code); full {
+			dst[i-k+1] = mz
+		}
+	}
+	return dst
 }
 
 // bitsFrom returns the low 64 bits of the 128-bit packed value shifted right

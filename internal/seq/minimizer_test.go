@@ -59,3 +59,12 @@ func TestMinimizerSpreadsPolyA(t *testing.T) {
 		t.Errorf("only %d of %d random m-mers rank below poly-A", below, n)
 	}
 }
+
+func BenchmarkMinimizers(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	s := []byte(randomSeq(r, 2000))
+	var dst []uint64
+	for b.Loop() {
+		dst = Minimizers(dst, s, 31)
+	}
+}
