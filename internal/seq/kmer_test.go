@@ -83,12 +83,12 @@ func TestKmerAppendPrepend(t *testing.T) {
 }
 
 // TestKmerAppendPrependLong checks both steps against the string oracle at
-// the lengths where a base enters or leaves a word edge: one base, a full
-// low word, one base into the high word, and both words full.
+// every length, so also where a base enters or leaves a word edge: one
+// base, a full low word, one base into the high word, and both words full.
 func TestKmerAppendPrependLong(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 300; trial++ {
-		k := []int{1, 31, 32, 33, 63, 64}[trial%6]
+	for trial := 0; trial < 8*MaxK; trial++ {
+		k := trial%MaxK + 1
 		s := randomSeq(r, k)
 		km := MustKmer(s)
 		b := byte(r.Intn(4))

@@ -105,10 +105,11 @@ func (w *MinimizerWindow) rescan() {
 // storage: element off is Kmer.Minimizer of the k-mer at offset off, the one
 // CanonicalKmers(s, k) yields with KmerAt.Off == off, and 0 where that k-mer
 // holds an ambiguous base (no k-mer's minimizer is 0: mix64 is a bijection
-// that maps only 0 to 0, and no m-mer equals minimizerSalt). It pushes s through one MinimizerWindow and
-// resets it at an ambiguous base, as k-mer analysis cuts reads into
-// supermers, so a caller that owns k-mers by minimizer takes each owner from
-// the window at about one hash per base, not k-m+1 per k-mer.
+// that maps only 0 to 0, and no m-mer equals minimizerSalt). It pushes s
+// through one MinimizerWindow and resets it at an ambiguous base, as k-mer
+// analysis cuts reads into supermers, so a caller that owns k-mers by
+// minimizer takes each owner from the window at about one hash per base,
+// not k-m+1 per k-mer.
 func Minimizers(dst []uint64, s []byte, k int) []uint64 {
 	n := len(s) - k + 1
 	if n <= 0 {
