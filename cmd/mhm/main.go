@@ -139,6 +139,11 @@ func parseSampleReads(s string) ([]sampleReadsSpec, error) {
 	return specs, nil
 }
 
+// printLengths prints one length-summary line of the report.
+func printLengths(head, noun string, s seq.LengthStats) {
+	fmt.Printf("%s: %s=%d bases=%d max=%d N50=%d\n", head, noun, s.Count, s.TotalBases, s.MaxLen, s.N50)
+}
+
 func main() {
 	var (
 		in           = flag.String("reads", "", "interleaved paired-end FASTQ/FASTA file(s), comma-separated, one per library (required unless -sample-reads)")
@@ -343,8 +348,8 @@ func main() {
 		log.Fatalf("mhm: writing %s: %v", *out, err)
 	}
 
-	fmt.Printf("assembly finished: %s\n", res.ScaffoldStats.String())
-	fmt.Printf("contigs: %s\n", res.ContigStats.String())
+	printLengths("assembly finished", "scaffolds", res.ScaffoldStats)
+	printLengths("contigs", "contigs", res.ContigStats)
 	fmt.Printf("aligned read fraction: %.3f\n", res.AlignedReadFrac)
 	for _, rs := range res.ScaffoldRounds {
 		fmt.Printf("scaffolding round %-20s insert=%d contigs_in=%d scaffolds=%d links=%d\n",

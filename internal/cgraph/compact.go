@@ -157,8 +157,7 @@ func (g *graph) compact(r *pgas.Rank) *dbg.ContigSet {
 				r.Compute(1)
 			}
 			// Emit each chain once, in canonical orientation.
-			rc := seq.ReverseComplement(merged)
-			if string(merged) > string(rc) {
+			if seq.GreaterThanRC(merged) {
 				continue
 			}
 			localOut = append(localOut, dbg.Contig{

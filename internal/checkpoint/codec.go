@@ -90,7 +90,7 @@ func KmerCountFields(c *Codec, kc *seq.KmerCount) {
 		if k < 1 || k > seq.MaxK {
 			return fmt.Errorf("k-mer length %d out of range [1,%d]", k, seq.MaxK)
 		}
-		if rt, err := seq.KmerFromBytes(kc.Kmer.Bytes(), k); err != nil || rt != kc.Kmer {
+		if rt, err := seq.KmerFromBytes(kc.Kmer.AppendBases(nil), k); err != nil || rt != kc.Kmer {
 			return fmt.Errorf("k-mer packing carries bits outside the k=%d mask", k)
 		}
 		return nil

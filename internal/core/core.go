@@ -319,8 +319,8 @@ type Result struct {
 	// Per-stage substatistics.
 	TotalReads      int
 	AlignedReadFrac float64
-	ContigStats     dbg.Stats
-	ScaffoldStats   scaffold.Stats
+	ContigStats     seq.LengthStats
+	ScaffoldStats   seq.LengthStats
 	// ScaffoldRounds records one entry per scaffolding round, in execution
 	// order (ascending library insert size). A single-library assembly has
 	// exactly one round.
@@ -493,9 +493,18 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 	res.Scaffolds = out.scaffolds
 	res.ScaffoldRounds = out.rounds
 	res.AlignedReadFrac = out.alignedFrac
-	res.ContigStats = dbg.ComputeStats(res.Contigs)
-	res.ScaffoldStats = scaffold.ComputeStats(res.Scaffolds)
+	res.ContigStats = lengthStats(res.Contigs)
+	res.ScaffoldStats = lengthStats(res.Scaffolds)
 	return res, nil
+}
+
+// lengthStats summarizes the lengths of a contig or scaffold list.
+func lengthStats[T interface{ Len() int }](xs []T) seq.LengthStats {
+	lengths := make([]int, len(xs))
+	for i, x := range xs {
+		lengths[i] = x.Len()
+	}
+	return seq.SummarizeLengths(lengths)
 }
 
 // stage is one entry of the pipeline's schedule. The table below is the only

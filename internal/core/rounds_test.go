@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"mhmgo/internal/scaffold"
 	"mhmgo/internal/seq"
 	"mhmgo/internal/sim"
 )
@@ -141,8 +140,8 @@ func TestMultiLibraryImprovesScaffolding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	baseN50 := scaffold.ComputeStats(baseRes.Scaffolds).N50
-	bothN50 := scaffold.ComputeStats(bothRes.Scaffolds).N50
+	baseN50 := baseRes.ScaffoldStats.N50
+	bothN50 := bothRes.ScaffoldStats.N50
 	t.Logf("scaffold N50: single-library=%d two-library=%d (scaffolds %d vs %d)",
 		baseN50, bothN50, len(baseRes.Scaffolds), len(bothRes.Scaffolds))
 	if bothN50 < baseN50 {

@@ -628,7 +628,7 @@ func (g *Graph) assemble(r *pgas.Rank, local []vertex, nodes []node, maxSteps in
 	r.ReleaseResident(len(in) * pieceWireSize)
 
 	var out []Contig
-	var path, rc seq.Packed
+	var path []byte
 	var depths []uint32
 	for _, e := range paths {
 		// A walk from the start keeps the path up to its last node, at
@@ -642,30 +642,30 @@ func (g *Graph) assemble(r *pgas.Rank, local []vertex, nodes []node, maxSteps in
 		last = min(last, maxSteps)
 		v := local[e.s/2]
 		own := slots[e.first : e.first+received(L, e.hairpin)]
-		path.Reset()
-		path.AppendKmer(observedKmer(v.km, e.s&1))
+		path = observedKmer(v.km, e.s&1).AppendBases(path[:0])
 		depths = append(depths[:0], v.e.Count)
 		for d := 1; d <= last; d++ {
 			if d <= len(own) {
-				path.AppendCode(own[d-1].base)
+				path = append(path, seq.BaseToChar(own[d-1].base))
 				depths = append(depths, own[d-1].count)
 				continue
 			}
 			// The hairpin's second half: node d is node L-d read the other
 			// way, so its last base complements base L-d of the sequence.
-			path.AppendCode(seq.ComplementCode(path.Code(L - d)))
+			path = append(path, seq.ComplementChar(path[L-d]))
 			depths = append(depths, own[L-d-1].count)
 		}
 		r.Compute(float64(last))
-		emit := &path
-		if path.GreaterThanRC() {
-			if e.hairpin {
-				continue
-			}
-			rc.SetReverseComplementOf(path)
-			emit = &rc
+		flip := seq.GreaterThanRC(path)
+		if flip && e.hairpin {
+			continue
 		}
-		contigSeq := emit.AppendUnpack(make([]byte, 0, emit.Len()))
+		contigSeq := make([]byte, 0, len(path))
+		if flip {
+			contigSeq = seq.AppendReverseComplement(contigSeq, path)
+		} else {
+			contigSeq = append(contigSeq, path...)
+		}
 		out = append(out, Contig{Seq: contigSeq, Depth: seq.MeanDepthFromCounts(depths)})
 	}
 	return out
@@ -710,16 +710,11 @@ func ContigOwner(c Contig) int {
 	return int(h.Sum64() & (1<<63 - 1))
 }
 
-// ContigLess is the deterministic contig ordering used within each shard
-// (descending length, then sequence). It depends only on content, never on
+// ContigLess is the deterministic contig ordering used within each shard:
+// seq.LongerFirst on the sequences. It depends only on content, never on
 // IDs, so shard order — and everything downstream of it — is independent of
 // the rank count.
-func ContigLess(a, b Contig) bool {
-	if len(a.Seq) != len(b.Seq) {
-		return len(a.Seq) > len(b.Seq)
-	}
-	return string(a.Seq) < string(b.Seq)
-}
+func ContigLess(a, b Contig) bool { return seq.LongerFirst(a.Seq, b.Seq) }
 
 // DistributeContigs builds the distributed contig set from the contigs each
 // rank emitted, in one owner-routed exchange and with no gather anywhere:
@@ -744,33 +739,4 @@ func DistributeContigs(r *pgas.Rank, local []Contig, _ dist.Mode) *ContigSet {
 // (filtering, compaction), storing the new ID into each contig. Collective.
 func RenumberContigs(r *pgas.Rank, s *ContigSet) {
 	s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
-}
-
-// Stats summarizes a contig set.
-type Stats struct {
-	Count      int
-	TotalBases int
-	MaxLen     int
-	N50        int
-}
-
-// ComputeStats returns summary statistics of a contig set.
-func ComputeStats(contigs []Contig) Stats {
-	var s Stats
-	s.Count = len(contigs)
-	lengths := make([]int, 0, len(contigs))
-	for _, c := range contigs {
-		s.TotalBases += c.Len()
-		if c.Len() > s.MaxLen {
-			s.MaxLen = c.Len()
-		}
-		lengths = append(lengths, c.Len())
-	}
-	s.N50 = seq.N50(lengths)
-	return s
-}
-
-// String renders the stats in a single line.
-func (s Stats) String() string {
-	return fmt.Sprintf("contigs=%d bases=%d max=%d N50=%d", s.Count, s.TotalBases, s.MaxLen, s.N50)
 }

@@ -234,54 +234,27 @@ func TestDepthDependentThresholdHelpsHighCoverage(t *testing.T) {
 	metaTopts := ThresholdOptions{TBase: 2, ErrorRate: 0.025, MinCount: 1}
 	globalTopts := ThresholdOptions{GlobalTHQ: 1, MinCount: 1}
 
-	meta := ComputeStats(buildFromReads(t, reads, k, 4, metaTopts))
-	global := ComputeStats(buildFromReads(t, reads, k, 4, globalTopts))
+	meta := contigN50(buildFromReads(t, reads, k, 4, metaTopts))
+	global := contigN50(buildFromReads(t, reads, k, 4, globalTopts))
 
-	if meta.N50 <= global.N50 {
+	if meta <= global {
 		t.Errorf("depth-dependent threshold should give longer contigs on high-coverage data: N50 %d vs %d",
-			meta.N50, global.N50)
+			meta, global)
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	contigs := []Contig{
-		{Seq: make([]byte, 100)},
-		{Seq: make([]byte, 50)},
-		{Seq: make([]byte, 10)},
+// contigN50 returns the N50 of a contig list.
+func contigN50(contigs []Contig) int {
+	lengths := make([]int, len(contigs))
+	for i, c := range contigs {
+		lengths[i] = c.Len()
 	}
-	s := ComputeStats(contigs)
-	if s.Count != 3 || s.TotalBases != 160 || s.MaxLen != 100 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.N50 != 100 {
-		t.Errorf("N50 = %d, want 100", s.N50)
-	}
-	if !strings.Contains(s.String(), "N50=100") {
-		t.Errorf("String() = %q", s.String())
-	}
-	empty := ComputeStats(nil)
-	if empty.Count != 0 || empty.N50 != 0 {
-		t.Errorf("empty stats = %+v", empty)
-	}
-}
-
-// greaterThanRC reports whether s sorts strictly after its reverse
-// complement: the byte-wise definition seq.Packed.GreaterThanRC, Traverse's
-// emit-orientation check, is held to.
-func greaterThanRC(s []byte) bool {
-	for i := range s {
-		c := seq.ComplementChar(s[len(s)-1-i])
-		if s[i] != c {
-			return s[i] > c
-		}
-	}
-	return false
+	return seq.SummarizeLengths(lengths).N50
 }
 
 // canonicalSeq returns the lexicographically smaller of a sequence and its
 // reverse complement, materializing the complement: the definition the
-// in-place orientation checks (greaterThanRC, seq.Packed.GreaterThanRC) are
-// held to.
+// in-place orientation check seq.GreaterThanRC is held to.
 func canonicalSeq(s []byte) []byte {
 	rc := seq.ReverseComplement(s)
 	if string(rc) < string(s) {
@@ -302,8 +275,8 @@ func TestCanonicalSeq(t *testing.T) {
 		}
 		// A walk is kept unless it sorts after its reverse complement, that is
 		// unless it is the non-canonical orientation.
-		if got, want := greaterThanRC(s), string(c) != string(s); got != want {
-			t.Errorf("%s: greaterThanRC = %v, canonical form is %s", s, got, c)
+		if got, want := seq.GreaterThanRC(s), string(c) != string(s); got != want {
+			t.Errorf("%s: seq.GreaterThanRC = %v, canonical form is %s", s, got, c)
 		}
 	}
 }

@@ -91,9 +91,9 @@ func (g *Graph) isPathStart(cur oriented, e Entry) bool {
 	return !ok || fwdCode != obs.BaseAt(g.K-1)
 }
 
-// walkScratch holds a walk's packed path sequence and per-vertex depths.
+// walkScratch holds a walk's path sequence and per-vertex depths.
 type walkScratch struct {
-	seq    seq.Packed
+	seq    []byte
 	counts []uint32
 }
 
@@ -101,17 +101,15 @@ type walkScratch struct {
 // dead end, missing vertex, the start's own vertex (a hairpin) or the step
 // bound, filling the scratch buffers.
 func (g *Graph) walk(r *pgas.Rank, start oriented, e Entry, maxSteps int, ws *walkScratch) {
-	ws.seq.Reset()
-	ws.counts = ws.counts[:0]
-	ws.seq.AppendKmer(start.observed())
-	ws.counts = append(ws.counts, e.Count)
+	ws.seq = start.observed().AppendBases(ws.seq[:0])
+	ws.counts = append(ws.counts[:0], e.Count)
 	cur, ce := start, e
 	for steps := 0; steps < maxSteps; steps++ {
 		next, ne, code, ok := g.successor(cur, ce)
 		if !ok || next.key == start.key {
 			break
 		}
-		ws.seq.AppendCode(code)
+		ws.seq = append(ws.seq, seq.BaseToChar(code))
 		ws.counts = append(ws.counts, ne.Count)
 		cur, ce = next, ne
 		r.Compute(1)
@@ -132,14 +130,13 @@ func traverseByProbe(r *pgas.Rank, g *Graph) []Contig {
 				continue
 			}
 			g.walk(r, cur, v.e, maxSteps, ws)
-			n := ws.seq.Len()
-			if n < g.K {
+			if len(ws.seq) < g.K {
 				continue
 			}
-			if ws.seq.GreaterThanRC() {
+			if string(ws.seq) > string(seq.ReverseComplement(ws.seq)) {
 				continue
 			}
-			out = append(out, Contig{Seq: ws.seq.AppendUnpack(nil), Depth: seq.MeanDepthFromCounts(ws.counts)})
+			out = append(out, Contig{Seq: slices.Clone(ws.seq), Depth: seq.MeanDepthFromCounts(ws.counts)})
 		}
 	}
 	r.Barrier()

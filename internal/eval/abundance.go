@@ -103,17 +103,7 @@ func attributeToGenomes(assembly [][]byte, comm *sim.Community) []int {
 	idx := buildRefIndex(comm)
 	owner := make([]int, len(assembly))
 	for si, s := range assembly {
-		aligned := map[int]int{}
-		for _, b := range alignBlocks(s, idx) {
-			aligned[b.Genome] += b.seqLen()
-		}
-		bestGenome, bestAligned := -1, 0
-		for g, v := range aligned {
-			if v > bestAligned || (v == bestAligned && (bestGenome < 0 || g < bestGenome)) {
-				bestGenome, bestAligned = g, v
-			}
-		}
-		owner[si] = bestGenome
+		owner[si] = bestGenomeOf(alignBlocks(s, idx))
 	}
 	return owner
 }

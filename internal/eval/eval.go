@@ -213,11 +213,8 @@ func abs(x int) int {
 // sequences) against the simulated community it was assembled from.
 func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options) Report {
 	rep := Report{Assembler: name, LenAtLeast: make(map[int]int)}
-	rep.NumSeqs = len(assembly)
-
 	lengths := make([]int, 0, len(assembly))
 	for _, s := range assembly {
-		rep.TotalLen += len(s)
 		lengths = append(lengths, len(s))
 		for _, thr := range opts.LengthThresholds {
 			if len(s) >= thr {
@@ -225,7 +222,8 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 			}
 		}
 	}
-	rep.N50 = seq.N50(lengths)
+	st := seq.SummarizeLengths(lengths)
+	rep.NumSeqs, rep.TotalLen, rep.N50 = st.Count, st.TotalBases, st.N50
 
 	idx := buildRefIndex(comm)
 	covered := make([][]bool, len(comm.Genomes))
@@ -242,8 +240,6 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 			continue
 		}
 		// Coverage and per-genome block lengths.
-		alignedPerGenome := make(map[int]int)
-		totalAligned := 0
 		for _, b := range blocks {
 			g := comm.Genomes[b.Genome]
 			lo, hi := b.RefStart, b.RefEnd
@@ -257,8 +253,6 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 				covered[b.Genome][p] = true
 			}
 			blockLens[b.Genome] = append(blockLens[b.Genome], b.seqLen())
-			alignedPerGenome[b.Genome] += b.seqLen()
-			totalAligned += b.seqLen()
 		}
 		// Misassembly detection. Like metaQUAST, pick the best-explaining
 		// reference genome for the sequence; the sequence is misassembled if
@@ -267,13 +261,7 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 		// best genome's own blocks imply a rearrangement. Conserved regions
 		// shared between genomes (e.g. rRNA) overlap the best genome's
 		// blocks and are therefore not penalized.
-		bestGenome, bestAligned := -1, 0
-		for g, v := range alignedPerGenome {
-			if v > bestAligned || (v == bestAligned && (bestGenome < 0 || g < bestGenome)) {
-				bestGenome, bestAligned = g, v
-			}
-		}
-		if bestGenome >= 0 {
+		if bestGenome := bestGenomeOf(blocks); bestGenome >= 0 {
 			coveredByBest := make([]bool, len(s))
 			for _, b := range blocks {
 				if b.Genome != bestGenome {
@@ -294,7 +282,6 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 					}
 				}
 			}
-			_ = totalAligned
 			if foreignUncovered >= 2*minBlockLen {
 				rep.Misassemblies++
 			} else if sameGenomeInconsistent(blocks, bestGenome) {
@@ -305,7 +292,6 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 
 	// Per-genome reports. Strain genomes share most of their sequence with
 	// their parents; they are still evaluated independently.
-	var fracSum float64
 	totalRefBases, totalCovered := 0, 0
 	for gi, g := range comm.Genomes {
 		cov := 0
@@ -318,21 +304,36 @@ func Evaluate(name string, assembly [][]byte, comm *sim.Community, opts Options)
 		if len(g.Seq) > 0 {
 			gr.GenomeFraction = float64(cov) / float64(len(g.Seq))
 		}
-		gr.NGA50 = nga50(blockLens[gi], len(g.Seq))
+		gr.NGA50 = seq.NG50(blockLens[gi], len(g.Seq))
 		rep.PerGenome = append(rep.PerGenome, gr)
-		fracSum += gr.GenomeFraction
 		totalRefBases += len(g.Seq)
 		totalCovered += cov
 	}
 	if totalRefBases > 0 {
 		rep.GenomeFraction = float64(totalCovered) / float64(totalRefBases)
 	}
-	_ = fracSum
 
 	if opts.RRNAProfile != nil {
 		rep.RRNACount = opts.RRNAProfile.CountHits(assembly)
 	}
 	return rep
+}
+
+// bestGenomeOf returns the genome that explains the most aligned bases of
+// one sequence's blocks, the lowest index on a tie, or -1 if there are no
+// blocks.
+func bestGenomeOf(blocks []block) int {
+	aligned := map[int]int{}
+	for _, b := range blocks {
+		aligned[b.Genome] += b.seqLen()
+	}
+	best, bestAligned := -1, 0
+	for g, v := range aligned {
+		if v > bestAligned || (v == bestAligned && (best < 0 || g < best)) {
+			best, bestAligned = g, v
+		}
+	}
+	return best
 }
 
 // sameGenomeInconsistent reports whether two large blocks of the chosen
@@ -356,25 +357,6 @@ func sameGenomeInconsistent(blocks []block, genome int) bool {
 		}
 	}
 	return false
-}
-
-// nga50 computes the NGA50 of the aligned block lengths relative to the
-// reference genome length: the block length at which the cumulative aligned
-// length reaches half the genome length (0 if it never does).
-func nga50(blockLens []int, genomeLen int) int {
-	if genomeLen == 0 || len(blockLens) == 0 {
-		return 0
-	}
-	sorted := append([]int(nil), blockLens...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	acc := 0
-	for _, l := range sorted {
-		acc += l
-		if acc*2 >= genomeLen {
-			return l
-		}
-	}
-	return 0
 }
 
 // FormatTable renders a set of reports as the paper's Table I layout.

@@ -4,9 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"mhmgo/internal/dbg"
 	"mhmgo/internal/hmm"
-	"mhmgo/internal/scaffold"
 	"mhmgo/internal/seq"
 	"mhmgo/internal/sim"
 )
@@ -163,40 +161,38 @@ func TestReverseComplementContigStillCovers(t *testing.T) {
 	}
 }
 
-func TestNGA50Helper(t *testing.T) {
-	if nga50(nil, 1000) != 0 {
-		t.Error("empty block list should give 0")
+// TestEvaluateSummarizesLengths: the report's sequence count, total length
+// and N50 are the assembly's seq.SummarizeLengths, N50 included on an odd
+// total, where half the total is not a whole number of bases. For lengths
+// {3, 2, 2} the 3-base sequence holds less than half of 7, so N50 is 2.
+func TestEvaluateSummarizesLengths(t *testing.T) {
+	var assembly [][]byte
+	for _, n := range []int{3, 2, 2} {
+		assembly = append(assembly, []byte(strings.Repeat("A", n)))
 	}
-	if nga50([]int{600, 300, 200}, 1000) != 600 {
-		t.Error("nga50 of dominant block wrong")
-	}
-	if nga50([]int{100, 100}, 1000) != 0 {
-		t.Error("blocks not reaching half the genome should give 0")
+	rep := Evaluate("odd", assembly, testCommunity(), DefaultOptions())
+	if rep.NumSeqs != 3 || rep.TotalLen != 7 || rep.N50 != 2 {
+		t.Errorf("Evaluate: %d sequences, %d bases, N50 %d; want 3, 7, 2", rep.NumSeqs, rep.TotalLen, rep.N50)
 	}
 }
 
-// TestN50AgreesAcrossReports: the assembler's contig and scaffold summaries
-// and the evaluator report the same N50 on an odd total, where half the
-// total is not a whole number of bases. For lengths {3, 2, 2} the 3-base
-// sequence holds less than half of 7, so N50 is 2.
-func TestN50AgreesAcrossReports(t *testing.T) {
-	lengths := []int{3, 2, 2}
-	var assembly [][]byte
-	var contigs []dbg.Contig
-	var scaffolds []scaffold.Scaffold
-	for _, n := range lengths {
-		s := []byte(strings.Repeat("A", n))
-		assembly = append(assembly, s)
-		contigs = append(contigs, dbg.Contig{Seq: s})
-		scaffolds = append(scaffolds, scaffold.Scaffold{Seq: s})
-	}
-	if got := dbg.ComputeStats(contigs).N50; got != 2 {
-		t.Errorf("dbg.ComputeStats N50 = %d, want 2", got)
-	}
-	if got := scaffold.ComputeStats(scaffolds).N50; got != 2 {
-		t.Errorf("scaffold.ComputeStats N50 = %d, want 2", got)
-	}
-	if got := Evaluate("odd", assembly, testCommunity(), DefaultOptions()).N50; got != 2 {
-		t.Errorf("Evaluate N50 = %d, want 2", got)
+// TestBestGenomeOf pins the one best-genome rule Evaluate's misassembly
+// check and the abundance rollup share: most aligned bases, summed over a
+// genome's blocks, wins; a tie goes to the lower genome index.
+func TestBestGenomeOf(t *testing.T) {
+	b := func(genome, n int) block { return block{Genome: genome, SeqEnd: n} }
+	for _, tc := range []struct {
+		blocks []block
+		want   int
+	}{
+		{nil, -1},
+		{[]block{b(3, 0)}, 3},
+		{[]block{b(2, 100), b(1, 60), b(1, 60)}, 1},
+		{[]block{b(2, 100), b(1, 100)}, 1},
+		{[]block{b(0, 50), b(3, 80), b(2, 80)}, 2},
+	} {
+		if got := bestGenomeOf(tc.blocks); got != tc.want {
+			t.Errorf("bestGenomeOf(%v) = %d, want %d", tc.blocks, got, tc.want)
+		}
 	}
 }

@@ -207,22 +207,15 @@ func ceilLog2(n int) int {
 // Each endpoint counts only its outbound bytes toward OffNodeBytes, so
 // summed over ranks every byte crossing a node boundary is counted once.
 func (r *Rank) chargeDuplexHop(partner, sendBytes, recvBytes int) {
-	c := r.machine.cfg.Cost
 	off := !r.SameNode(partner)
 	r.stats.Messages++
 	r.stats.BytesSent += uint64(sendBytes)
 	r.stats.BytesReceived += uint64(recvBytes)
-	wire := sendBytes
-	if recvBytes > wire {
-		wire = recvBytes
-	}
 	if off {
 		r.stats.OffNodeMessages++
 		r.stats.OffNodeBytes += uint64(sendBytes)
-		r.clock += c.LatencyOffNode + float64(wire)*c.ByteOffNode
-	} else {
-		r.clock += c.LatencyOnNode + float64(wire)*c.ByteOnNode
 	}
+	r.clock += r.machine.cfg.Cost.hop(off, 1, max(sendBytes, recvBytes))
 }
 
 // chargeRecvHop charges a receive-only hop: bytes arriving from src with no
@@ -233,17 +226,14 @@ func (r *Rank) chargeDuplexHop(partner, sendBytes, recvBytes int) {
 // accounting, mirroring ChargeGet, so the bytes are still counted exactly
 // once.
 func (r *Rank) chargeRecvHop(src, bytes int) {
-	c := r.machine.cfg.Cost
 	off := !r.SameNode(src)
 	r.stats.Messages++
 	r.stats.BytesReceived += uint64(bytes)
 	if off {
 		r.stats.OffNodeMessages++
 		r.stats.OffNodeBytes += uint64(bytes)
-		r.clock += c.LatencyOffNode + float64(bytes)*c.ByteOffNode
-	} else {
-		r.clock += c.LatencyOnNode + float64(bytes)*c.ByteOnNode
 	}
+	r.clock += r.machine.cfg.Cost.hop(off, 1, bytes)
 }
 
 // chargeAllReduceTree charges the recursive-doubling all-reduce schedule:
@@ -272,7 +262,6 @@ func (r *Rank) chargeAllReduceTree(bytes int) {
 // latency of waiting for them.
 func (r *Rank) chargeBroadcastTree(bytes int) {
 	p := r.machine.cfg.Ranks
-	c := r.machine.cfg.Cost
 	rounds := ceilLog2(p)
 	for k := 0; k < rounds; k++ {
 		span := 1 << k
@@ -285,14 +274,8 @@ func (r *Rank) chargeBroadcastTree(bytes int) {
 			// This rank receives its copy in round k from id XOR 2^k. The
 			// sender already counted the message; the receiver accounts the
 			// incoming bytes and pays the wire time.
-			src := r.id ^ span
-			off := !r.SameNode(src)
 			r.stats.BytesReceived += uint64(bytes)
-			if off {
-				r.clock += c.LatencyOffNode + float64(bytes)*c.ByteOffNode
-			} else {
-				r.clock += c.LatencyOnNode + float64(bytes)*c.ByteOnNode
-			}
+			r.clock += r.machine.cfg.Cost.hop(!r.SameNode(r.id^span), 1, bytes)
 		}
 	}
 }

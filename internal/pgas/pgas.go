@@ -50,6 +50,17 @@ type CostModel struct {
 	BarrierCost float64
 }
 
+// hop returns the price of msgs point-to-point messages carrying bytes bytes
+// in all, on-node or off-node: one latency per message plus the per-byte
+// cost. Every point-to-point charge, one-sided or a collective's round, is
+// priced by it.
+func (c CostModel) hop(off bool, msgs, bytes int) float64 {
+	if off {
+		return float64(msgs)*c.LatencyOffNode + float64(bytes)*c.ByteOffNode
+	}
+	return float64(msgs)*c.LatencyOnNode + float64(bytes)*c.ByteOnNode
+}
+
 // DefaultCostModel returns the calibration used by the experiments.
 func DefaultCostModel() CostModel {
 	return CostModel{
@@ -422,7 +433,6 @@ func (r *Rank) ChargeSend(dest int, bytes int, msgs int) {
 	if msgs <= 0 {
 		return
 	}
-	c := r.machine.cfg.Cost
 	off := !r.SameNode(dest)
 	r.stats.Messages += uint64(msgs)
 	r.stats.BytesSent += uint64(bytes)
@@ -430,10 +440,8 @@ func (r *Rank) ChargeSend(dest int, bytes int, msgs int) {
 	if off {
 		r.stats.OffNodeMessages += uint64(msgs)
 		r.stats.OffNodeBytes += uint64(bytes)
-		r.clock += float64(msgs)*c.LatencyOffNode + float64(bytes)*c.ByteOffNode
-	} else {
-		r.clock += float64(msgs)*c.LatencyOnNode + float64(bytes)*c.ByteOnNode
 	}
+	r.clock += r.machine.cfg.Cost.hop(off, msgs, bytes)
 }
 
 // ChargeGet charges the cost of fetching bytes bytes from the source rank
@@ -443,7 +451,6 @@ func (r *Rank) ChargeGet(src int, bytes int, msgs int) {
 	if msgs <= 0 {
 		return
 	}
-	c := r.machine.cfg.Cost
 	off := !r.SameNode(src)
 	r.stats.Messages += uint64(msgs)
 	r.stats.RemoteGets += uint64(msgs)
@@ -451,10 +458,8 @@ func (r *Rank) ChargeGet(src int, bytes int, msgs int) {
 	if off {
 		r.stats.OffNodeMessages += uint64(msgs)
 		r.stats.OffNodeBytes += uint64(bytes)
-		r.clock += float64(msgs)*c.LatencyOffNode + float64(bytes)*c.ByteOffNode
-	} else {
-		r.clock += float64(msgs)*c.LatencyOnNode + float64(bytes)*c.ByteOnNode
 	}
+	r.clock += r.machine.cfg.Cost.hop(off, msgs, bytes)
 }
 
 // ChargeResident records that bytes bytes of collective payload are now

@@ -28,7 +28,6 @@ package scaffold
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -508,12 +507,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 	res.Local = sset.Local(r)
 	merged := sset.Emit(r)
 	if merged != nil {
-		sort.Slice(merged, func(i, j int) bool {
-			if len(merged[i].Seq) != len(merged[j].Seq) {
-				return len(merged[i].Seq) > len(merged[j].Seq)
-			}
-			return string(merged[i].Seq) < string(merged[j].Seq)
-		})
+		sort.Slice(merged, func(i, j int) bool { return seq.LongerFirst(merged[i].Seq, merged[j].Seq) })
 		for i := range merged {
 			merged[i].ID = i
 		}
@@ -713,33 +707,4 @@ func spliceOverlap(a, b []byte, minOverlap, maxOverlap int) ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Stats summarizes a scaffold set.
-type Stats struct {
-	Count      int
-	TotalBases int
-	MaxLen     int
-	N50        int
-}
-
-// ComputeStats returns scaffold summary statistics.
-func ComputeStats(scaffolds []Scaffold) Stats {
-	var s Stats
-	s.Count = len(scaffolds)
-	lengths := make([]int, 0, len(scaffolds))
-	for _, sc := range scaffolds {
-		s.TotalBases += sc.Len()
-		if sc.Len() > s.MaxLen {
-			s.MaxLen = sc.Len()
-		}
-		lengths = append(lengths, sc.Len())
-	}
-	s.N50 = seq.N50(lengths)
-	return s
-}
-
-// String renders the stats in one line.
-func (s Stats) String() string {
-	return fmt.Sprintf("scaffolds=%d bases=%d max=%d N50=%d", s.Count, s.TotalBases, s.MaxLen, s.N50)
 }

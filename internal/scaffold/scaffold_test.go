@@ -252,14 +252,7 @@ func TestScaffoldRankIndependence(t *testing.T) {
 	}
 }
 
-func TestComputeStatsAndSplice(t *testing.T) {
-	s := ComputeStats([]Scaffold{{Seq: make([]byte, 200)}, {Seq: make([]byte, 100)}})
-	if s.Count != 2 || s.TotalBases != 300 || s.N50 != 200 || s.MaxLen != 200 {
-		t.Errorf("stats = %+v", s)
-	}
-	if !strings.Contains(s.String(), "N50=200") {
-		t.Errorf("String() = %q", s.String())
-	}
+func TestSpliceOverlap(t *testing.T) {
 	if _, ok := spliceOverlap([]byte("AAACGT"), []byte("ACGTTT"), 3, 10); !ok {
 		t.Error("overlap of 4 should splice")
 	}

@@ -63,13 +63,34 @@ func ComplementChar(c byte) byte {
 }
 
 // ReverseComplement returns the reverse complement of a DNA sequence given
-// as ASCII bases. Non-ACGT characters are preserved as 'N'.
+// as ASCII bases. Non-ACGT characters become 'N'.
 func ReverseComplement(s []byte) []byte {
-	out := make([]byte, len(s))
-	for i, c := range s {
-		out[len(s)-1-i] = ComplementChar(c)
+	return AppendReverseComplement(make([]byte, 0, len(s)), s)
+}
+
+// AppendReverseComplement appends the reverse complement of an ASCII
+// sequence to dst and returns the extended slice: the buffer-reusing form of
+// ReverseComplement for hot loops (the aligner's byte-path fallback reverse
+// complements each read once into a per-rank scratch buffer through this).
+func AppendReverseComplement(dst, s []byte) []byte {
+	for i := len(s) - 1; i >= 0; i-- {
+		dst = append(dst, ComplementChar(s[i]))
 	}
-	return out
+	return dst
+}
+
+// GreaterThanRC reports whether s sorts strictly after its reverse
+// complement as ReverseComplement spells it, byte by byte, without
+// materializing the complement. It is the orientation test of every emitted
+// sequence: a de Bruijn path or a compacted chain is kept in whichever
+// orientation sorts first.
+func GreaterThanRC(s []byte) bool {
+	for i, j := 0, len(s)-1; i < len(s); i, j = i+1, j-1 {
+		if c := ComplementChar(s[j]); s[i] != c {
+			return s[i] > c
+		}
+	}
+	return false
 }
 
 // Read is a single sequencing read: an identifier, a nucleotide sequence and

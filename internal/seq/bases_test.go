@@ -50,11 +50,66 @@ func TestReverseComplement(t *testing.T) {
 		"ACGT":   "ACGT",
 		"AAACCC": "GGGTTT",
 		"ACGNT":  "ANCGT",
+		"acgR":   "NCGT",
 	}
 	for in, want := range cases {
 		if got := string(ReverseComplement([]byte(in))); got != want {
 			t.Errorf("ReverseComplement(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+func TestAppendReverseComplement(t *testing.T) {
+	if got := string(AppendReverseComplement([]byte("xy"), []byte("AACGN"))); got != "xyNCGTT" {
+		t.Fatalf("AppendReverseComplement = %s, want xyNCGTT", got)
+	}
+	s := []byte("ACGTNACGT")
+	buf := make([]byte, 0, 32)
+	buf = AppendReverseComplement(buf[:0], s)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendReverseComplement(buf[:0], s)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendReverseComplement with warm buffer: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestGreaterThanRC holds GreaterThanRC to its definition, the string
+// comparison with the materialized reverse complement: on every string of up
+// to four bases over an alphabet with N, an IUPAC code and lower case
+// (palindromes and the empty string among them), then on random ones.
+func TestGreaterThanRC(t *testing.T) {
+	const alphabet = "ACGTNRat"
+	check := func(s []byte) {
+		t.Helper()
+		if got, want := GreaterThanRC(s), string(s) > string(ReverseComplement(s)); got != want {
+			t.Fatalf("GreaterThanRC(%q) = %v, want %v", s, got, want)
+		}
+	}
+	var all func(s []byte)
+	all = func(s []byte) {
+		check(s)
+		if len(s) == 4 {
+			return
+		}
+		for i := range alphabet {
+			all(append(s, alphabet[i]))
+		}
+	}
+	all(nil)
+	for _, s := range []string{"ACGT", "GAATTC", "AATT", "NN", "acgt", "TTAA"} {
+		check([]byte(s))
+	}
+	r := rand.New(rand.NewSource(13))
+	for i := 0; i < 500; i++ {
+		s := make([]byte, r.Intn(80))
+		for j := range s {
+			s[j] = alphabet[r.Intn(4+4*(i&1))]
+		}
+		check(s)
+		// An ACGT sequence followed by its reverse complement is a
+		// palindrome, which does not sort after its complement.
+		check(append(s, ReverseComplement(s)...))
 	}
 }
 

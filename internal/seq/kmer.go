@@ -108,22 +108,16 @@ func (km Kmer) FirstBase() byte { return km.BaseAt(0) }
 
 // String renders the k-mer as an ACGT string.
 func (km Kmer) String() string {
-	k := int(km.K)
-	out := make([]byte, k)
-	for i := 0; i < k; i++ {
-		out[i] = BaseToChar(km.BaseAt(i))
-	}
-	return string(out)
+	return string(km.AppendBases(make([]byte, 0, km.K)))
 }
 
-// Bytes renders the k-mer as ACGT bytes.
-func (km Kmer) Bytes() []byte {
-	k := int(km.K)
-	out := make([]byte, k)
-	for i := 0; i < k; i++ {
-		out[i] = BaseToChar(km.BaseAt(i))
+// AppendBases appends the k-mer's bases as ACGT to dst and returns the
+// extended slice.
+func (km Kmer) AppendBases(dst []byte) []byte {
+	for i := 0; i < int(km.K); i++ {
+		dst = append(dst, BaseToChar(km.BaseAt(i)))
 	}
-	return out
+	return dst
 }
 
 // ReverseComplement returns the reverse complement k-mer: the 128-bit value

@@ -41,6 +41,22 @@ func TestKmerFromStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKmerAppendBases checks AppendBases against the bytes a k-mer was
+// packed from, at every length, appending after a prefix.
+func TestKmerAppendBases(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for k := 1; k <= MaxK; k++ {
+		s := []byte(randomSeq(r, k))
+		km, err := KmerFromBytes(s, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(km.AppendBases([]byte(">"))); got != ">"+string(s) {
+			t.Fatalf("k=%d: AppendBases = %s, want >%s", k, got, s)
+		}
+	}
+}
+
 func TestKmerFromBytesErrors(t *testing.T) {
 	if _, err := KmerFromBytes([]byte("ACGT"), 0); err == nil {
 		t.Error("k=0 should fail")

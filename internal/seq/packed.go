@@ -8,12 +8,14 @@ import "math/bits"
 // high bits of the last word are always zero — WordAt and MismatchCount rely
 // on that to treat past-the-end bases as zero padding.
 //
-// Packed is the word-at-a-time representation behind the three hot kernels:
-// the aligner's extend compares 32 bases per XOR+popcount step
-// (MismatchCount), de Bruijn walks append 2-bit codes and unpack to ASCII
-// once per emitted contig, and k-mer extraction rolls a packed window
-// instead of re-reading bytes. A Packed value with retained capacity (Reset
-// keeps the word buffer) is allocation-free in steady state.
+// Packed is the word-at-a-time representation of the aligner's extend
+// kernel: a read and each candidate contig are packed once, and
+// MismatchCount compares 32 bases per XOR+popcount step, on either strand
+// (SetReverseComplementOf). K-mer analysis decodes its supermers in the same
+// layout (KmersFromWords). Sequences built base by base, such as de Bruijn
+// paths and compacted chains, are built as ASCII bytes, not packed. A Packed
+// value that is set again keeps its word buffer, so it is allocation-free in
+// steady state.
 type Packed struct {
 	w []uint64
 	n int
@@ -56,43 +58,16 @@ func PackASCII(s []byte) (Packed, bool) {
 	return p, ok
 }
 
-// Len returns the sequence length in bases.
-func (p Packed) Len() int { return p.n }
-
-// Reset truncates the sequence to length zero, retaining the word buffer.
-func (p *Packed) Reset() {
-	p.w = p.w[:0]
-	p.n = 0
-}
-
-// AppendCode appends one 2-bit base code.
-func (p *Packed) AppendCode(code byte) {
-	if p.n&31 == 0 {
-		p.w = append(p.w, uint64(code&3))
-	} else {
-		p.w[p.n>>5] |= uint64(code&3) << (2 * uint(p.n&31))
-	}
-	p.n++
-}
-
-// AppendKmer appends the bases of a packed k-mer.
-func (p *Packed) AppendKmer(km Kmer) {
-	for i := 0; i < int(km.K); i++ {
-		p.AppendCode(km.BaseAt(i))
-	}
-}
-
 // SetASCII replaces the sequence with the packing of s, retaining the word
 // buffer. It reports ok=false — leaving the Packed empty — if s contains any
 // character other than upper-case ACGT.
 func (p *Packed) SetASCII(s []byte) bool {
-	p.Reset()
-	w := p.w
+	w := p.w[:0]
 	var cur uint64
 	for i, c := range s {
 		code := strictBaseCodes[c]
 		if code == 0xFF {
-			p.Reset()
+			p.w, p.n = w, 0
 			return false
 		}
 		cur |= uint64(code) << (2 * uint(i&31))
@@ -108,15 +83,9 @@ func (p *Packed) SetASCII(s []byte) bool {
 	return true
 }
 
-// Code returns the 2-bit code of base i.
-func (p Packed) Code(i int) byte {
-	return byte(p.w[i>>5]>>(2*uint(i&31))) & 3
-}
-
 // WordAt returns 64 bits (up to 32 bases) of the sequence starting at base
 // offset off, with bases past the end reading as zero. This is the
-// word-iteration primitive: MismatchCount, Slice and SetReverseComplementOf
-// are all built on it.
+// word-iteration primitive MismatchCount is built on.
 func (p Packed) WordAt(off int) uint64 {
 	wi, sh := off>>5, 2*uint(off&31)
 	if wi < 0 || wi >= len(p.w) {
@@ -127,15 +96,6 @@ func (p Packed) WordAt(off int) uint64 {
 		v |= p.w[wi+1] << (64 - sh)
 	}
 	return v
-}
-
-// AppendUnpack appends the sequence as ASCII bases to dst and returns the
-// extended slice. Walks unpack once per emitted contig through this.
-func (p Packed) AppendUnpack(dst []byte) []byte {
-	for i := 0; i < p.n; i++ {
-		dst = append(dst, baseChars[p.Code(i)])
-	}
-	return dst
 }
 
 // revComp64 reverses the 32 2-bit base groups of a word and complements each
@@ -154,9 +114,9 @@ func revComp64(w uint64) uint64 {
 // read's packed reverse complement once per read through this and reuses it
 // across every reverse-strand candidate.
 func (p *Packed) SetReverseComplementOf(src Packed) {
-	p.Reset()
 	n := src.n
 	if n == 0 {
+		p.w, p.n = p.w[:0], 0
 		return
 	}
 	nw := (n + 31) / 32
@@ -188,20 +148,6 @@ func (p *Packed) SetReverseComplementOf(src Packed) {
 	p.n = n
 }
 
-// GreaterThanRC reports whether the sequence sorts strictly after its
-// reverse complement. For upper-case ACGT this equals the ASCII string
-// comparison (A<C<G<T in both orders); de Bruijn walks use it to emit each
-// path from exactly one end without materializing the complement.
-func (p Packed) GreaterThanRC() bool {
-	for i, j := 0, p.n-1; i < p.n; i, j = i+1, j-1 {
-		c := 3 - p.Code(j)
-		if ci := p.Code(i); ci != c {
-			return ci > c
-		}
-	}
-	return false
-}
-
 // MismatchCount returns the number of positions where bases [aOff, aOff+n)
 // of a differ from bases [bOff, bOff+n) of b. Both ranges must be in
 // bounds. Each 64-bit step compares 32 bases: XOR the windows, fold each
@@ -219,18 +165,6 @@ func MismatchCount(a, b Packed, aOff, bOff, n int) int {
 		mm += bits.OnesCount64(x)
 	}
 	return mm
-}
-
-// AppendReverseComplement appends the reverse complement of an ASCII
-// sequence to dst and returns the extended slice: the buffer-reusing form of
-// ReverseComplement for hot loops (the aligner's byte-path fallback reverse
-// complements each read once into a per-rank scratch buffer through this).
-// Non-ACGT characters are preserved as 'N', as in ReverseComplement.
-func AppendReverseComplement(dst, s []byte) []byte {
-	for i := len(s) - 1; i >= 0; i-- {
-		dst = append(dst, ComplementChar(s[i]))
-	}
-	return dst
 }
 
 // KmersFromWords returns the k-mer whose k bases are packed in lo and hi in

@@ -5,12 +5,28 @@ import (
 	"testing"
 )
 
+// code returns the 2-bit code of base i of p, read through WordAt.
+func code(p Packed, i int) byte { return byte(p.WordAt(i)) & 3 }
+
+// unpack returns p's bases as ASCII, read one word at a time through WordAt.
+func unpack(p Packed) []byte {
+	out := make([]byte, 0, p.n)
+	for off := 0; off < p.n; off += 32 {
+		w := p.WordAt(off)
+		for i := off; i < min(off+32, p.n); i++ {
+			out = append(out, BaseToChar(byte(w)))
+			w >>= 2
+		}
+	}
+	return out
+}
+
 // naiveMismatchCount is the per-base reference MismatchCount is checked
 // against: compare codes one position at a time.
 func naiveMismatchCount(a, b Packed, aOff, bOff, n int) int {
 	mm := 0
 	for i := 0; i < n; i++ {
-		if a.Code(aOff+i) != b.Code(bOff+i) {
+		if code(a, aOff+i) != code(b, bOff+i) {
 			mm++
 		}
 	}
@@ -25,16 +41,16 @@ func TestPackedRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("n=%d: PackASCII refused a pure-ACGT sequence", n)
 		}
-		if p.Len() != n {
-			t.Fatalf("n=%d: Len() = %d", n, p.Len())
+		if p.n != n {
+			t.Fatalf("n=%d: length %d", n, p.n)
 		}
-		if got := string(p.AppendUnpack(nil)); got != string(s) {
+		if got := string(unpack(p)); got != string(s) {
 			t.Fatalf("n=%d: round trip mismatch\n got %s\nwant %s", n, got, s)
 		}
 		for i := 0; i < n; i++ {
 			want, _ := CharToBase(s[i])
-			if p.Code(i) != want {
-				t.Fatalf("n=%d: Code(%d) = %d, want %d", n, i, p.Code(i), want)
+			if code(p, i) != want {
+				t.Fatalf("n=%d: code %d = %d, want %d", n, i, code(p, i), want)
 			}
 		}
 	}
@@ -47,8 +63,8 @@ func TestPackedRejectsAmbiguousAndLowercase(t *testing.T) {
 		}
 		var p Packed
 		p.SetASCII([]byte("ACGT")) // pre-populate, then fail: must leave p empty
-		if p.SetASCII([]byte(bad)) || p.Len() != 0 {
-			t.Errorf("SetASCII(%q) = ok or left residue (len %d)", bad, p.Len())
+		if p.SetASCII([]byte(bad)) || p.n != 0 || len(p.w) != 0 {
+			t.Errorf("SetASCII(%q) = ok or left residue (len %d, %d words)", bad, p.n, len(p.w))
 		}
 	}
 }
@@ -61,27 +77,15 @@ func TestPackedReverseComplementMatchesASCII(t *testing.T) {
 		p, _ := PackASCII(s)
 		rc.SetReverseComplementOf(p)
 		want := string(ReverseComplement(s))
-		if got := string(rc.AppendUnpack(nil)); got != want {
+		if got := string(unpack(rc)); got != want {
 			t.Fatalf("n=%d: packed RC\n got %s\nwant %s", n, got, want)
 		}
 		// The retained buffer must not leak stale bits into a shorter RC.
 		short, _ := PackASCII(s[:n/2+1])
 		rc.SetReverseComplementOf(short)
 		want = string(ReverseComplement(s[:n/2+1]))
-		if got := string(rc.AppendUnpack(nil)); got != want {
+		if got := string(unpack(rc)); got != want {
 			t.Fatalf("n=%d: reused-buffer RC\n got %s\nwant %s", n, got, want)
-		}
-	}
-}
-
-func TestPackedGreaterThanRC(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for i := 0; i < 200; i++ {
-		s := []byte(randomSeq(r, 1+r.Intn(80)))
-		p, _ := PackASCII(s)
-		want := string(s) > string(ReverseComplement(s))
-		if got := p.GreaterThanRC(); got != want {
-			t.Fatalf("GreaterThanRC(%s) = %v, want %v", s, got, want)
 		}
 	}
 }
@@ -108,27 +112,14 @@ func TestPackedWordAt(t *testing.T) {
 	}
 }
 
-func TestPackedAppendKmerAndCodes(t *testing.T) {
-	km := MustKmer("ACGTTGCAAGCTTACGGATCCGTAAACTGGTCC")
-	var p Packed
-	p.AppendKmer(km)
-	if got := string(p.AppendUnpack(nil)); got != km.String() {
-		t.Fatalf("AppendKmer = %s, want %s", got, km.String())
-	}
-	p.AppendCode(BaseT)
-	if got := p.Code(p.Len() - 1); got != BaseT {
-		t.Fatalf("AppendCode tail = %d, want %d", got, BaseT)
-	}
-}
-
 func TestMismatchCountMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 300; trial++ {
 		a, _ := PackASCII([]byte(randomSeq(r, 1+r.Intn(300))))
 		b, _ := PackASCII([]byte(randomSeq(r, 1+r.Intn(300))))
-		aOff := r.Intn(a.Len())
-		bOff := r.Intn(b.Len())
-		maxN := min(a.Len()-aOff, b.Len()-bOff)
+		aOff := r.Intn(a.n)
+		bOff := r.Intn(b.n)
+		maxN := min(a.n-aOff, b.n-bOff)
 		n := r.Intn(maxN + 1)
 		got := MismatchCount(a, b, aOff, bOff, n)
 		want := naiveMismatchCount(a, b, aOff, bOff, n)
@@ -136,22 +127,6 @@ func TestMismatchCountMatchesNaive(t *testing.T) {
 			t.Fatalf("MismatchCount(aOff=%d, bOff=%d, n=%d) = %d, want %d",
 				aOff, bOff, n, got, want)
 		}
-	}
-}
-
-func TestAppendReverseComplement(t *testing.T) {
-	s := []byte("ACGTNACGT")
-	want := string(ReverseComplement(s))
-	if got := string(AppendReverseComplement(nil, s)); got != want {
-		t.Fatalf("AppendReverseComplement = %s, want %s", got, want)
-	}
-	buf := make([]byte, 0, 32)
-	buf = AppendReverseComplement(buf[:0], s)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = AppendReverseComplement(buf[:0], s)
-	})
-	if allocs != 0 {
-		t.Errorf("AppendReverseComplement with warm buffer: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -176,24 +151,21 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		if !ok {
 			t.Fatal("PackASCII refused a sanitized sequence")
 		}
-		if got := string(a.AppendUnpack(nil)); got != string(sa) {
+		if got := string(unpack(a)); got != string(sa) {
 			t.Fatalf("round trip: got %s, want %s", got, sa)
 		}
 		var rc Packed
 		rc.SetReverseComplementOf(a)
-		if got, want := string(rc.AppendUnpack(nil)), string(ReverseComplement(sa)); got != want {
+		if got, want := string(unpack(rc)), string(ReverseComplement(sa)); got != want {
 			t.Fatalf("reverse complement: got %s, want %s", got, want)
 		}
-		if got, want := a.GreaterThanRC(), string(sa) > string(ReverseComplement(sa)); got != want {
-			t.Fatalf("GreaterThanRC = %v, want %v", got, want)
-		}
 		b, _ := PackASCII(sb)
-		if a.Len() == 0 || b.Len() == 0 {
+		if a.n == 0 || b.n == 0 {
 			return
 		}
-		ao := int(aOff) % a.Len()
-		bo := int(bOff) % b.Len()
-		nn := int(n) % (min(a.Len()-ao, b.Len()-bo) + 1)
+		ao := int(aOff) % a.n
+		bo := int(bOff) % b.n
+		nn := int(n) % (min(a.n-ao, b.n-bo) + 1)
 		got := MismatchCount(a, b, ao, bo, nn)
 		if want := naiveMismatchCount(a, b, ao, bo, nn); got != want {
 			t.Fatalf("MismatchCount(%d, %d, %d) = %d, want %d", ao, bo, nn, got, want)
