@@ -274,14 +274,14 @@ func decodeRankState(data []byte) (*rankState, error) {
 	return st, nil
 }
 
-// ckptWriter coordinates checkpoint writes across the rank goroutines. Every
+// ckptWriter coordinates checkpoint writes across the ranks. Every
 // rank calls record between the stage-end barrier and the next barrier; the
 // rank whose deposit completes a step appends the manifest step and saves the
 // manifest. The coordination is a plain mutex, not PGAS collectives:
 // checkpoint I/O must not advance the simulated clocks, or a checkpointed run
 // would diverge from an uncheckpointed one. No rank waits for another's
-// deposit, so no rank holds its worker-pool slot across a wait outside the
-// pgas runtime.
+// deposit, so no rank holds its worker across a wait outside the pgas
+// runtime.
 //
 // Every rank deposits before its next barrier arrival, so no rank can record
 // step S+1 before the last deposit of step S has chained it — even under a

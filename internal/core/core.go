@@ -45,11 +45,11 @@ type Config struct {
 	// CostSet uses Cost verbatim even when it is the zero model (the
 	// free-communication ablation); see pgas.Config.CostSet.
 	CostSet bool
-	// Workers bounds how many simulated ranks run concurrently as OS
-	// threads (see pgas.Config.Workers). It is an execution knob, not a
-	// simulation parameter: results, simulated time, and checkpoint
-	// identity (configHash) are independent of it, so a run checkpointed
-	// under one worker count can resume under another.
+	// Workers is the number of worker goroutines that run the simulated
+	// ranks, each a block of them (see pgas.Config.Workers). It is an
+	// execution knob, not a simulation parameter: results, simulated time,
+	// and checkpoint identity (configHash) are independent of it, so a run
+	// checkpointed under one worker count can resume under another.
 	Workers int
 
 	// Iterative contig generation: k runs from KMin to KMax in steps of
@@ -395,7 +395,7 @@ func Assemble(reads []seq.Read, cfg Config) (*Result, error) {
 // call returns an error wrapping pgas.ErrAborted together with the context's
 // cause. Cancellation is prompt — collectives are barrier-synchronized, so
 // no rank can block waiting for a peer that already unwound — and clean: the
-// machine's worker pool drains, no goroutines leak, and checkpoints written
+// machine's workers return, no goroutines leak, and checkpoints written
 // before the abort remain durable and resumable. This is the serving layer's
 // entry point: each job runs on its own machine under its own context.
 func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result, error) {

@@ -13,11 +13,13 @@ import (
 	"mhmgo/internal/sim"
 )
 
-// The pooled scheduler (pgas.Config.Workers) is an execution knob: it decides
-// how many rank goroutines run concurrently, never what they compute. These
-// tests pin that contract two ways: against golden values captured from the
-// pre-scheduler goroutine-per-rank engine at P=8, and against each other at
-// P=1024 where the pool actually multiplexes many parked ranks per worker.
+// The worker count (pgas.Config.Workers) is an execution knob: it decides
+// which worker goroutine runs each rank, and so how many run concurrently,
+// never what they compute. These tests pin that contract two ways: against
+// golden values captured from the pre-scheduler goroutine-per-rank engine at
+// P=8, and against each other at P=1024 where each worker multiplexes many
+// parked ranks. Both include a worker count that does not divide P (3) and
+// one worker per rank (P), the edge cases of block ownership.
 
 // resultFingerprint hashes the assembled sequences (each prefixed with its
 // little-endian uint64 length, so the digest is injective over the sequence
@@ -33,9 +35,9 @@ func resultFingerprint(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestSchedulerGoldenP8 pins the pooled scheduler's output — simulated
-// seconds and the exact assembled sequences — to golden values captured from
-// the pre-refactor goroutine-per-rank engine, for every pool size. Any drift
+// TestSchedulerGoldenP8 pins the scheduler's output — simulated seconds and
+// the exact assembled sequences — to golden values captured from the
+// pre-refactor goroutine-per-rank engine, for every worker count. Any drift
 // means the scheduler changed simulation semantics, not just wall-clock.
 //
 // wantSim was re-captured once (from 0.056517040799970962) when de Bruijn
@@ -183,7 +185,7 @@ func TestSchedulerGoldenP8(t *testing.T) {
 	if len(reads) != 2962 {
 		t.Fatalf("workload drifted: %d reads, want 2962", len(reads))
 	}
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+	for _, workers := range []int{1, 3, 4, 8, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := DefaultConfig(8)
 			cfg.RanksPerNode = 4
@@ -211,7 +213,7 @@ func TestSchedulerGoldenP8(t *testing.T) {
 
 // TestLargePSmokeP1024 runs the full pipeline at P=1024 — far more ranks than
 // hardware threads, so most ranks are parked at any moment — and asserts the
-// result is bit-identical across pool sizes. Skipped under -race (goroutine
+// result is bit-identical across worker counts. Skipped under -race (goroutine
 // shadow memory makes P=1024 prohibitively slow); the P=8 golden above and
 // the pgas package's own race tests cover the same code paths.
 func TestLargePSmokeP1024(t *testing.T) {
@@ -235,7 +237,7 @@ func TestLargePSmokeP1024(t *testing.T) {
 		hash string
 	}
 	var first *outcome
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+	for _, workers := range []int{1, 3, 4, 1024, runtime.GOMAXPROCS(0)} {
 		cfg := DefaultConfig(1024)
 		cfg.RanksPerNode = 16
 		cfg.Workers = workers

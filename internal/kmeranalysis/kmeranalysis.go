@@ -127,20 +127,6 @@ func (sm *supermer) code(i int) byte { return byte(sm.codes[i>>5] >> (2 * uint(i
 // usableAt reports whether base i is valid and passes the quality filter.
 func (sm *supermer) usableAt(i int) bool { return sm.usable[i>>6]>>(uint(i&63))&1 != 0 }
 
-// wordAt returns the 32 bases starting at base off, in seq.Packed's layout,
-// with bases past the capacity reading as zero.
-func (sm *supermer) wordAt(off int) uint64 {
-	wi, sh := off>>5, 2*uint(off&31)
-	if wi >= len(sm.codes) {
-		return 0
-	}
-	v := sm.codes[wi] >> sh
-	if sh > 0 && wi+1 < len(sm.codes) {
-		v |= sm.codes[wi+1] << (64 - sh)
-	}
-	return v
-}
-
 // fill packs the n bases of br starting at position q.
 func (sm *supermer) fill(br *baseRing, q, n int) {
 	*sm = supermer{n: uint8(n), minimizer: sm.minimizer}
@@ -211,7 +197,7 @@ func (br *baseRing) usableWord(q int) uint64 {
 // has its left extension at base j-k and its right one at base j+1, so every
 // k-mer's neighbours travel once, shared with the overlapping k-mers.
 func (sm *supermer) appendObservations(dst []Observation, k int) []Observation {
-	fwd, rc := seq.KmersFromWords(sm.wordAt(1), sm.wordAt(33), k)
+	fwd, rc := seq.KmersFromWords(seq.WordAt(sm.codes[:], 1), seq.WordAt(sm.codes[:], 33), k)
 	for j := k; j < int(sm.n)-1; j++ {
 		if j > k {
 			c := sm.code(j)

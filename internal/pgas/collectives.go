@@ -22,7 +22,7 @@
 //
 // Large-P discipline: a collective allocates O(1) per rank per call, never
 // O(P). The shared result (reduced value, exclusive-scan prefix table) is
-// computed exactly once per call — by the rank that completes the entry
+// computed exactly once per call — by the worker that completes the entry
 // barrier, under the barrier lock (Rank.barrierOn) — and every rank reads the
 // same object between the entry and exit barriers. Exchanges deposit only
 // non-empty batches into per-destination mailboxes (exchInbox), so a sparse
@@ -282,8 +282,8 @@ func (r *Rank) chargeBroadcastTree(bytes int) {
 
 // AllReduce combines one value per rank with the given reduction and returns
 // the combined value on every rank. The reduction is exact in T's native
-// arithmetic — folded once, in ascending rank order, by the rank completing
-// the entry barrier — and its cost is the log2(P)-round tree schedule.
+// arithmetic — folded once, in ascending rank order, by the worker
+// completing the entry barrier — and its cost is the log2(P)-round tree schedule.
 func AllReduce[T Number](r *Rank, x T, op ReduceOp) T {
 	m := r.machine
 	m.slots[r.id] = x

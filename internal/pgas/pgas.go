@@ -3,12 +3,13 @@
 //
 // The original MetaHipMer is written in Unified Parallel C and runs on a Cray
 // supercomputer. Here the same SPMD programming model is reproduced inside a
-// single process: a Machine hosts P ranks, each with its own goroutine,
-// grouped into virtual nodes, with a pooled scheduler (see scheduler.go)
-// admitting only Config.Workers of them as runnable at a time so P can reach
-// into the thousands. Ranks communicate through the higher-level data
-// structures (distributed hash tables, all-to-all exchanges, global atomics)
-// which are all built on the primitives in this package.
+// single process: a Machine hosts P ranks grouped into virtual nodes, each
+// rank a coroutine owned by one of Config.Workers worker goroutines (see
+// scheduler.go), so P can reach into the tens of thousands while the Go
+// runtime schedules only the workers. Ranks communicate through the
+// higher-level data structures (distributed hash tables, all-to-all
+// exchanges, global atomics) which are all built on the primitives in this
+// package.
 //
 // Every remote operation is metered. A configurable cost model converts the
 // metered operations into a deterministic *simulated* execution time per
@@ -16,15 +17,17 @@
 // shapes of the paper's strong/weak scaling results (communication costs,
 // aggregation benefits, off-node vs on-node locality, load imbalance) without
 // requiring thousands of physical cores. Real wall-clock time is also
-// tracked, and the ranks really do run concurrently, so the distributed data
-// structures are exercised under true parallelism.
+// tracked, and the workers really do run concurrently, so the distributed
+// data structures are exercised under true parallelism.
 package pgas
 
 import (
 	"context"
 	"errors"
+	"iter"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -81,11 +84,13 @@ type Config struct {
 	// RanksPerNode groups ranks into virtual nodes; communication between
 	// ranks on the same node is cheaper. Defaults to Ranks (single node).
 	RanksPerNode int
-	// Workers bounds how many rank goroutines are runnable at once (the
-	// pooled scheduler's slot count). Defaults to GOMAXPROCS and is clamped
-	// to Ranks. Workers is an execution knob, not a simulation parameter:
-	// simulated seconds, outputs and statistics are bit-identical for every
-	// value, only wall-clock time and memory pressure change.
+	// Workers is the number of worker goroutines that run the ranks, as
+	// coroutines, one at a time per worker: each owns a contiguous block of
+	// ranks (BlockRange) and, once it has started them, takes the unstarted
+	// ranks of other blocks. Defaults to GOMAXPROCS and is clamped to Ranks.
+	// Workers is an execution knob, not a simulation parameter: simulated
+	// seconds, outputs and statistics are bit-identical for every value,
+	// only wall-clock time and memory pressure change.
 	Workers int
 	// Cost is the simulated cost model. The zero value means DefaultCostModel
 	// unless CostSet is true.
@@ -171,13 +176,12 @@ func (s *CommStats) Add(other CommStats) {
 type Machine struct {
 	cfg Config
 
-	barrier  *clockBarrier
-	sched    *scheduler
+	barrier  machineBarrier
 	inboxes  []exchInbox // per-destination mailboxes of the exchanges
 	outboxes [][2]outbox // per-sender *exchOutbox[T] of the exchanges, by epoch parity
 	slots    []any       // one deposit slot per rank, shared by the scalar collectives
 
-	// Shared collective result: written once per collective by the rank
+	// Shared collective result: written once per collective by the worker
 	// that completes the entry barrier (under the barrier lock, see
 	// Rank.barrierOn) and read by every rank between the entry and exit
 	// barriers. Replaces the historical fresh make([]T, P) per call per
@@ -187,8 +191,10 @@ type Machine struct {
 	atomicMu sync.Mutex
 	atomics  []int64
 
-	// Abort state: once set, every rank unwinds at its next barrier (see
-	// Abort). trapBarrier/trapErr arm the fault-injection hook before Run.
+	// Abort state: once aborted is set, every rank unwinds at its next
+	// barrier (see Abort). trapBarrier/trapErr arm the fault-injection hook
+	// before Run.
+	aborted     atomic.Bool
 	abortMu     sync.Mutex
 	abortErr    error
 	trapBarrier uint64
@@ -200,16 +206,15 @@ type Machine struct {
 // mid-flight instead of completing.
 var ErrAborted = errors.New("pgas: run aborted")
 
-// abortPanic is the sentinel panic value a rank goroutine unwinds with when
-// the machine has been aborted; Machine.Run recovers it.
+// abortPanic is the sentinel panic value a rank unwinds with when the
+// machine has been aborted; its worker recovers it.
 type abortPanic struct{}
 
 // NewMachine creates a virtual machine with the given configuration.
 func NewMachine(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	m := &Machine{cfg: cfg}
-	m.barrier = newClockBarrier(cfg.Ranks)
-	m.sched = newScheduler(cfg.Workers)
+	m.barrier.cond.L = &m.barrier.mu
 	m.inboxes = make([]exchInbox, cfg.Ranks)
 	m.outboxes = make([][2]outbox, cfg.Ranks)
 	m.slots = make([]any, cfg.Ranks)
@@ -250,7 +255,8 @@ type RunResult struct {
 
 // Abort kills the current run: the given cause is recorded (first caller
 // wins) and every rank unwinds with a recovered panic at its next barrier
-// arrival, including ranks already blocked inside the barrier. Collectives
+// arrival; a rank already parked at a barrier unwinds when that barrier's
+// round ends, once every other rank has arrived or unwound. Collectives
 // are barrier-synchronized, so no rank can deadlock waiting for a peer that
 // aborted. The machine must not be reused for further runs after an abort.
 func (m *Machine) Abort(cause error) {
@@ -262,10 +268,7 @@ func (m *Machine) Abort(cause error) {
 		m.abortErr = cause
 	}
 	m.abortMu.Unlock()
-	// Poison the barrier before unbounding the pool: a rank woken by the
-	// scheduler's abort drain must already observe the aborted barrier.
-	m.barrier.abort()
-	m.sched.abort()
+	m.aborted.Store(true)
 }
 
 // AbortErr returns the cause recorded by Abort, or nil if the machine was
@@ -327,42 +330,47 @@ func (m *Machine) InjectBarrierFailure(n uint64, cause error) {
 // has returned. It may be called multiple times on the same machine; the
 // returned result covers only this run.
 func (m *Machine) Run(body func(r *Rank)) RunResult {
-	ranks := make([]*Rank, m.cfg.Ranks)
+	p, nw := m.cfg.Ranks, m.cfg.Workers
+	ranks := make([]*Rank, p)
 	for i := range ranks {
-		ranks[i] = &Rank{machine: m, id: i, node: m.NodeOf(i), token: newParkToken()}
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(len(ranks))
-	for _, r := range ranks {
-		go func(r *Rank) {
-			defer wg.Done()
+		r := &Rank{machine: m, id: i, node: m.NodeOf(i)}
+		r.next, r.stop = iter.Pull(func(yield func(struct{}) bool) {
+			r.yield = yield
 			// A rank that hits an aborted barrier unwinds with the
 			// abortPanic sentinel; swallow it so the run as a whole can
 			// report the abort. Any other panic is a real bug: re-raise.
 			defer func() {
-				if p := recover(); p != nil {
-					if _, ok := p.(abortPanic); ok {
-						return
+				if v := recover(); v != nil {
+					if _, ok := v.(abortPanic); !ok {
+						panic(v)
 					}
-					panic(p)
 				}
 			}()
-			// Give the slot back on every exit path (return, abort unwind,
-			// real panic); barrier waits release it themselves and reclaim
-			// it on wake, tracked by hasSlot.
-			defer func() {
-				if r.hasSlot {
-					r.hasSlot = false
-					m.sched.release()
-				}
-			}()
-			m.sched.acquire(r.token)
-			r.hasSlot = true
 			body(r)
-		}(r)
+		})
+		ranks[i] = r
+	}
+	workers := make([]worker, nw)
+	for j := range workers {
+		lo, hi := BlockRange(p, nw, j)
+		workers[j].ranks = ranks[lo:hi]
+	}
+	m.barrier.workers, m.barrier.live, m.barrier.done = workers, nw, false
+	start := time.Now()
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for j := range workers {
+		go func() {
+			defer wg.Done()
+			workers[j].run(m, j)
+		}()
 	}
 	wg.Wait()
+	// Finish every coroutine: a rank left parked at a barrier by a worker
+	// that exited early sees its yield fail and unwinds.
+	for _, r := range ranks {
+		r.stop()
+	}
 
 	var res RunResult
 	res.Wall = time.Since(start)
@@ -378,7 +386,8 @@ func (m *Machine) Run(body func(r *Rank)) RunResult {
 	return res
 }
 
-// Rank is the per-goroutine handle of one SPMD rank.
+// Rank is the handle of one SPMD rank, used only by the rank's own
+// coroutine.
 type Rank struct {
 	machine  *Machine
 	id       int
@@ -387,11 +396,15 @@ type Rank struct {
 	resident uint64
 	stats    CommStats
 
-	// Pooled-scheduler state: the rank's parking token and whether it
-	// currently holds a worker slot. Touched only by the rank's own
-	// goroutine.
-	token   *parkToken
-	hasSlot bool
+	// The rank's coroutine: a worker resumes it with next, Run finishes it
+	// with stop, and the rank gives the worker back with yield at each
+	// barrier. worker is the worker resuming it this round; done is set once
+	// body has returned.
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	worker *worker
+	done   bool
 
 	// Key buffers of ExchangeFunc's destination grouping, kept across
 	// exchanges (see sortExchKeys), and the number of exchanges this rank
@@ -539,13 +552,32 @@ func (r *Rank) AtomicFetchAdd(handle int, delta int64) int64 {
 func (r *Rank) Barrier() { r.barrierOn(nil) }
 
 // barrierOn is Barrier with an optional completion hook: onComplete runs
-// exactly once per barrier epoch, on the goroutine of the last-arriving
-// rank, under the barrier lock, before any waiter wakes. The collectives use
-// it to compute their shared result once instead of once per rank.
+// exactly once per barrier epoch, on the worker that completes the machine
+// barrier, under the barrier lock, before any rank resumes. The collectives
+// use it to compute their shared result once instead of once per rank.
+//
+// The arrival is counted on the worker running the rank and the rank yields
+// to it (see scheduler.go); when a worker resumes it, the epoch is complete
+// and the machine barrier's result holds the maximum clock. A rank that
+// arrives at, or is resumed from, an aborted barrier unwinds with the
+// abortPanic sentinel.
 func (r *Rank) barrierOn(onComplete func()) {
 	m := r.machine
 	r.countBarrier()
-	r.clock = m.barrier.await(r, r.clock, onComplete) + m.cfg.Cost.BarrierCost
+	if m.aborted.Load() {
+		panic(abortPanic{})
+	}
+	w := r.worker
+	if r.clock > w.maxClock {
+		w.maxClock = r.clock
+	}
+	if onComplete != nil {
+		w.onComplete = onComplete
+	}
+	if !r.yield(struct{}{}) || m.aborted.Load() {
+		panic(abortPanic{})
+	}
+	r.clock = m.barrier.result + m.cfg.Cost.BarrierCost
 }
 
 // chargeBarrier accounts a barrier that is priced but not run, for a caller
@@ -622,109 +654,4 @@ func BlockRange(n, p, rank int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// clockBarrier is a reusable barrier that also synchronizes the simulated
-// clocks of the participating ranks to the maximum value. It is integrated
-// with the pooled scheduler: a waiting rank hands its worker slot to the
-// ranks still short of the barrier and reclaims one when the epoch
-// completes, so a Workers=1 pool still drains every barrier.
-type clockBarrier struct {
-	mu       sync.Mutex
-	n        int
-	count    int
-	maxClock float64
-	// waiters are the parked arrivals of the current epoch; spare is the
-	// previous epoch's list, recycled to avoid an O(P) allocation per
-	// barrier.
-	waiters []*parkToken
-	spare   []*parkToken
-	// aborted poisons the barrier: every current and future participant
-	// unwinds with the abortPanic sentinel instead of synchronizing.
-	aborted bool
-}
-
-func newClockBarrier(n int) *clockBarrier {
-	return &clockBarrier{n: n}
-}
-
-func (b *clockBarrier) isAborted() bool {
-	b.mu.Lock()
-	a := b.aborted
-	b.mu.Unlock()
-	return a
-}
-
-// await blocks until all n participants have arrived and returns the maximum
-// clock value among them. The last arriver runs onComplete (if any) under
-// the barrier lock before publishing the result and waking the waiters; a
-// non-last arriver releases its worker slot while parked and wakes already
-// holding one (the wake-up and the slot grant are fused, see
-// scheduler.unparkGranting). If the barrier is (or becomes) aborted, await
-// unwinds with the abortPanic sentinel instead, without holding a slot
-// (Run's cleanup consults Rank.hasSlot).
-func (b *clockBarrier) await(r *Rank, clock float64, onComplete func()) float64 {
-	b.mu.Lock()
-	if b.aborted {
-		b.mu.Unlock()
-		panic(abortPanic{})
-	}
-	if clock > b.maxClock {
-		b.maxClock = clock
-	}
-	b.count++
-	if b.count == b.n {
-		if onComplete != nil {
-			onComplete()
-		}
-		result := b.maxClock
-		b.maxClock = 0
-		b.count = 0
-		waiters := b.waiters
-		// Recycle the arrays: next epoch's arrivals append to the other
-		// one (the run queue keeps its own copies of the token pointers,
-		// so reusing the array is safe even while some of these ranks are
-		// still parked waiting for a slot grant).
-		b.waiters, b.spare = b.spare[:0], b.waiters
-		b.mu.Unlock()
-		for _, w := range waiters {
-			w.result = result
-		}
-		// Wake the epoch's waiters with their slot grants fused in: each
-		// waiter parks exactly once and wakes already holding a slot.
-		r.machine.sched.unparkGranting(waiters)
-		return result
-	}
-	t := r.token
-	b.waiters = append(b.waiters, t)
-	b.mu.Unlock()
-	// Hand the worker slot to a rank still short of the barrier; the
-	// release must come *after* registering, and the one-element channel
-	// absorbs a completion signal that lands in between.
-	r.hasSlot = false
-	r.machine.sched.release()
-	<-t.wake
-	if b.isAborted() {
-		// The wake-up came from (or was overtaken by) an abort, so it
-		// carries no slot grant: unwind without marking a slot held.
-		panic(abortPanic{})
-	}
-	r.hasSlot = true
-	return t.result
-}
-
-// abort poisons the barrier and wakes every waiter.
-func (b *clockBarrier) abort() {
-	b.mu.Lock()
-	if b.aborted {
-		b.mu.Unlock()
-		return
-	}
-	b.aborted = true
-	waiters := b.waiters
-	b.waiters = nil
-	b.mu.Unlock()
-	for _, w := range waiters {
-		w.wake <- struct{}{}
-	}
 }

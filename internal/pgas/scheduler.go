@@ -1,157 +1,191 @@
-// Pooled rank scheduler: the bounded worker pool behind Machine.Run.
+// Worker-owned ranks: the execution engine behind Machine.Run.
 //
-// The machine still materializes one goroutine per rank — SPMD code keeps its
-// natural blocking style, stacks and all — but only Workers of them are
-// admitted as *runnable* at any moment. The rest are parked on a FIFO run
-// queue, each waiting on its own one-element channel, which costs a parked
-// goroutine and nothing else: no spinning, no timer wheel, no thundering
-// herd. This is what makes the rank count a simulation parameter instead of a
-// hardware limit — at P=4096 the Go runtime juggles Workers runnable
-// goroutines, not 4096, and a barrier hand-off moves ranks between the
-// barrier's waiter list and the run queue in O(1) per rank.
+// Run starts Config.Workers worker goroutines. Worker j owns the contiguous
+// block BlockRange(P, Workers, j) of ranks, so node-mates share a worker, and
+// each rank is a coroutine (iter.Pull): SPMD code keeps its natural blocking
+// style, stacks and all, but a rank only ever runs when a worker resumes it,
+// and it gives the worker back only at a barrier. This is what makes the rank
+// count a simulation parameter instead of a hardware limit — at P=65,536 the
+// Go runtime schedules Workers goroutines, not 65,536.
 //
-// Determinism: the pool changes only *when* a rank goroutine physically runs,
-// never what it observes. Simulated clocks, barrier results and collective
-// outputs are functions of the deposited values alone, so sim-seconds and
+// A barrier epoch is one round. Each worker resumes the ranks of its block in
+// order, each until it reaches the barrier or returns; a worker that runs out
+// of its own ranks takes the unstarted ones of other blocks, so a block with
+// more work does not hold the round up. An arrival is counted on the worker
+// that ran the rank (the epoch's maximum clock and completion hook) and the
+// rank yields, with no lock and no channel. A worker with nothing left to
+// start folds its count into the machine barrier under one mutex; the last
+// worker to arrive runs the completion hook, publishes the maximum and
+// broadcasts, and the next round begins. A barrier costs two coroutine
+// switches and one uncontended atomic claim per rank, and one lock per
+// worker.
+//
+// Determinism: ownership changes only *when* and where a rank physically
+// runs, never what it observes. Simulated clocks, barrier results and
+// collective outputs are functions of the deposited values alone (the
+// maximum of the clocks, a fold over the slots in rank order), so the order
+// in which ranks and workers arrive cannot reach them, and sim-seconds and
 // outputs are bit-identical for every Workers setting (pinned by the
 // scheduler golden tests in internal/core).
 //
-// Protocol invariants, relied on throughout:
-//
-//  1. A parkToken sits in at most one waiter list at a time (the scheduler's
-//     run queue or a barrier's waiter list), and every signal sent to its
-//     channel is consumed before the token re-enters a list. A buffered send
-//     therefore never blocks and a wake-up is never lost. A barrier epoch's
-//     completion moves its waiters from the barrier's list into the run
-//     queue (unparkGranting) in one step, so the invariant holds across the
-//     hand-over.
-//  2. slots > 0 implies an empty run queue: release hands a freed slot
-//     directly to the queue head instead of incrementing the count.
-//  3. After abort the pool is unlimited — acquire returns immediately and
-//     release is a no-op — so unwinding ranks can never deadlock on a slot.
+// SPMD discipline: every rank takes part in every barrier. A rank that
+// returns (or calls runtime.Goexit) while another rank waits at a barrier
+// would leave that barrier one arrival short for ever; the machine aborts
+// the run with errBarrierMismatch instead.
 
 package pgas
 
-import "sync"
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+)
 
-// parkToken is a rank's parking spot: the one-element channel both the
-// scheduler (slot grants) and the barrier (completion wake-ups) signal, plus
-// the barrier result, published before the completion wake-up.
-type parkToken struct {
-	wake   chan struct{}
+// errBarrierMismatch is the abort cause of a run in which some ranks stopped
+// while others waited at a barrier.
+var errBarrierMismatch = errors.New("pgas: a rank stopped while other ranks wait at a barrier")
+
+// worker runs ranks as coroutines on one goroutine. Its counters are the
+// local level of the barrier: written by the ranks it runs and read by the
+// worker, all on the worker's goroutine, so they need no lock.
+type worker struct {
+	ranks []*Rank // the block it owns
+	// next is the index in ranks of the block's next rank to start this
+	// round; any worker may claim it.
+	next atomic.Int64
+	// maxClock and onComplete gather the arrivals of the ranks the worker
+	// ran this round; parked and finished count them.
+	maxClock         float64
+	onComplete       func()
+	parked, finished int
+	_                [64]byte // keep next off the neighbouring worker's line
+}
+
+// machineBarrier is the machine level of the barrier: one arrival per worker
+// per round.
+type machineBarrier struct {
+	mu               sync.Mutex
+	cond             sync.Cond
+	workers          []worker
+	live             int // workers still running rounds
+	arrived          int // workers arrived in the current round
+	parked, finished int // ranks parked and returned in the current round
+	epoch            uint64
+	maxClock         float64
+	onComplete       func()
+	// result is the maximum clock of the last completed round. Resumed
+	// ranks read it without the lock: it is rewritten only once every
+	// worker has arrived again, after they all have.
 	result float64
+	done   bool // the last round ended with every rank returned
 }
 
-func newParkToken() *parkToken {
-	return &parkToken{wake: make(chan struct{}, 1)}
-}
-
-// scheduler is the bounded worker pool. It is a FIFO counting semaphore with
-// direct hand-off: a released slot goes to the longest-parked rank, so no
-// rank can be starved and barrier epochs drain in bounded time.
-type scheduler struct {
-	mu      sync.Mutex
-	slots   int
-	queue   []*parkToken // ring: live entries are queue[head:]
-	head    int
-	aborted bool
-}
-
-func newScheduler(slots int) *scheduler {
-	if slots < 1 {
-		slots = 1
-	}
-	return &scheduler{slots: slots}
-}
-
-// acquire blocks until a worker slot is free and claims it. After abort it
-// returns immediately; the caller is expected to observe the abort at its
-// next barrier and unwind.
-func (s *scheduler) acquire(t *parkToken) {
-	s.mu.Lock()
-	if s.aborted {
-		s.mu.Unlock()
-		return
-	}
-	if s.slots > 0 {
-		s.slots--
-		s.mu.Unlock()
-		return
-	}
-	s.queue = append(s.queue, t)
-	s.mu.Unlock()
-	<-t.wake
-}
-
-// release frees the caller's slot, handing it directly to the head of the
-// run queue when anyone is parked there.
-func (s *scheduler) release() {
-	s.mu.Lock()
-	if s.aborted {
-		s.mu.Unlock()
-		return
-	}
-	if s.head < len(s.queue) {
-		t := s.queue[s.head]
-		s.queue[s.head] = nil
-		s.head++
-		if s.head == len(s.queue) {
-			s.queue = s.queue[:0]
-			s.head = 0
+// claim returns a rank for worker self to resume this round, or nil once
+// every block has been started: the worker's own block first, then the
+// others'.
+func (b *machineBarrier) claim(self int) *Rank {
+	ws := b.workers
+	for i := range ws {
+		v := &ws[(self+i)%len(ws)]
+		for {
+			k := int(v.next.Add(1) - 1)
+			if k >= len(v.ranks) {
+				break
+			}
+			if r := v.ranks[k]; !r.done {
+				return r
+			}
 		}
-		s.mu.Unlock()
-		t.wake <- struct{}{}
-		return
 	}
-	s.slots++
-	s.mu.Unlock()
+	return nil
 }
 
-// unparkGranting wakes a batch of parked ranks, granting each a worker slot
-// with its wake-up: free slots are handed out immediately and the rest of the
-// batch joins the run queue in arrival order, to be granted as slots free up.
-// The barrier uses it to wake an epoch's waiters — fusing the wake with the
-// slot grant means a waiter parks exactly once per epoch (on its token)
-// instead of twice (once for the completion signal, once to reacquire a
-// slot), which halves the scheduling hand-offs on the barrier-heavy
-// collective paths. After abort every token is woken immediately; the wake
-// then means "observe the abort and unwind", not a grant.
-func (s *scheduler) unparkGranting(tokens []*parkToken) {
-	s.mu.Lock()
-	if s.aborted {
-		s.mu.Unlock()
-		for _, t := range tokens {
-			t.wake <- struct{}{}
+// run executes rounds until a round ends with every rank returned. Each
+// round the worker resumes every rank it can claim until the rank reaches
+// its next barrier or returns, then waits at the machine barrier.
+func (w *worker) run(m *Machine, self int) {
+	b := &m.barrier
+	// A worker that exits while ranks remain — a rank panicked or called
+	// runtime.Goexit — aborts the run and leaves the barrier, so the other
+	// workers' rounds still complete and their ranks unwind.
+	clean := false
+	defer func() {
+		if clean {
+			return
 		}
-		return
-	}
-	granted := 0
-	for granted < len(tokens) && s.slots > 0 {
-		s.slots--
-		granted++
-	}
-	s.queue = append(s.queue, tokens[granted:]...)
-	s.mu.Unlock()
-	for _, t := range tokens[:granted] {
-		t.wake <- struct{}{}
+		m.Abort(errBarrierMismatch)
+		b.mu.Lock()
+		b.live--
+		if b.arrived == b.live {
+			m.completeRound()
+		}
+		b.mu.Unlock()
+	}()
+	for {
+		for r := b.claim(self); r != nil; r = b.claim(self) {
+			r.worker = w
+			if _, ok := r.next(); ok {
+				w.parked++
+			} else {
+				r.done = true
+				w.finished++
+			}
+		}
+		if m.arrive(w) {
+			clean = true
+			return
+		}
 	}
 }
 
-// abort makes the pool unlimited and wakes everyone parked on the run queue,
-// so every rank can reach its next barrier (where it observes the poisoned
-// barrier and unwinds) regardless of slot accounting.
-func (s *scheduler) abort() {
-	s.mu.Lock()
-	if s.aborted {
-		s.mu.Unlock()
-		return
+// arrive folds the worker's round into the machine barrier and blocks until
+// every worker has arrived. The last worker to arrive runs the round's
+// completion hook under the lock before publishing the maximum clock. It
+// reports whether the run is over: no rank is left to resume.
+func (m *Machine) arrive(w *worker) bool {
+	b := &m.barrier
+	b.mu.Lock()
+	if w.maxClock > b.maxClock {
+		b.maxClock = w.maxClock
 	}
-	s.aborted = true
-	parked := s.queue[s.head:]
-	s.queue = nil
-	s.head = 0
-	s.mu.Unlock()
-	for _, t := range parked {
-		t.wake <- struct{}{}
+	if w.onComplete != nil {
+		b.onComplete = w.onComplete
 	}
+	b.parked += w.parked
+	b.finished += w.finished
+	b.arrived++
+	if b.arrived == b.live {
+		m.completeRound()
+	} else {
+		for e := b.epoch; b.epoch == e; {
+			b.cond.Wait()
+		}
+	}
+	done := b.done
+	b.mu.Unlock()
+	w.maxClock, w.onComplete, w.parked, w.finished = 0, nil, 0, 0
+	return done
+}
+
+// completeRound ends a round, under the barrier lock: it runs the epoch's
+// completion hook, publishes the maximum clock, aborts a run whose ranks
+// disagree on the barrier, rewinds every block for the next round and wakes
+// the waiting workers.
+func (m *Machine) completeRound() {
+	b := &m.barrier
+	if b.parked > 0 && b.finished > 0 {
+		m.Abort(errBarrierMismatch)
+	}
+	if b.onComplete != nil && !m.aborted.Load() {
+		b.onComplete()
+	}
+	b.result = b.maxClock
+	b.done = b.parked == 0
+	b.maxClock, b.onComplete = 0, nil
+	b.arrived, b.parked, b.finished = 0, 0, 0
+	for i := range b.workers {
+		b.workers[i].next.Store(0)
+	}
+	b.epoch++
+	b.cond.Broadcast()
 }

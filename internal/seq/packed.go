@@ -86,14 +86,20 @@ func (p *Packed) SetASCII(s []byte) bool {
 // WordAt returns 64 bits (up to 32 bases) of the sequence starting at base
 // offset off, with bases past the end reading as zero. This is the
 // word-iteration primitive MismatchCount is built on.
-func (p Packed) WordAt(off int) uint64 {
+func (p Packed) WordAt(off int) uint64 { return WordAt(p.w, off) }
+
+// WordAt returns the 32 bases starting at base off of words packed in
+// Packed's layout, with bases past the last word reading as zero. It is the
+// one two-word read rule of every packed buffer: Packed's and k-mer
+// analysis' supermers.
+func WordAt(words []uint64, off int) uint64 {
 	wi, sh := off>>5, 2*uint(off&31)
-	if wi < 0 || wi >= len(p.w) {
+	if wi < 0 || wi >= len(words) {
 		return 0
 	}
-	v := p.w[wi] >> sh
-	if sh > 0 && wi+1 < len(p.w) {
-		v |= p.w[wi+1] << (64 - sh)
+	v := words[wi] >> sh
+	if sh > 0 && wi+1 < len(words) {
+		v |= words[wi+1] << (64 - sh)
 	}
 	return v
 }
