@@ -365,75 +365,59 @@ func (idx *Index) hitsOf(r *pgas.Rank, key seq.Kmer) []SeedHit {
 
 // Scratch holds the per-rank buffers reused across the reads of one
 // AlignReads pass: the extension dedup map, the packed forms of the current
-// read (forward and reverse complement, refreshed by BeginRead), the ASCII
-// reverse-complement fallback buffer, and the packed-contig cache. It is
-// exported (with NewScratch and BeginRead) so the benchmark program's
-// aligner.extend_ns probe can drive the extend kernel directly.
+// read (forward and reverse complement, refreshed by BeginRead) and the
+// packed-contig cache. It is exported (with NewScratch and BeginRead) so the
+// benchmark program's aligner.extend_ns probe can drive the extend kernel
+// directly.
 type Scratch struct {
 	tried map[[3]int]bool // (contig, projected start, strand) triples already extended
 
-	readFwd seq.Packed // packed current read (valid when readOK)
+	readFwd seq.Packed // packed current read
 	readRC  seq.Packed // packed reverse complement of the current read
-	readOK  bool       // read is strict upper-case ACGT: packed compare == ASCII compare
-	rcBytes []byte     // ASCII reverse complement, for the byte-path fallback
-	rcValid bool       // rcBytes holds the current read's reverse complement
 
 	// packs caches the packed form of every contig this pass has extended
 	// against, keyed by contig ID — the packed side of the seed index. A
 	// contig is packed once per pass on first use and reused by every read
 	// that seeds on it (read localization clusters a rank's reads by contig,
-	// so most reads hit the same few contigs). ok=false records the rare
-	// non-ACGT contig so the byte path is chosen without re-probing it. The
-	// last-used entry is memoized outside the map: a seed's sorted hit list
-	// clusters candidates by contig, so most lookups are repeats of the
-	// previous one.
-	packs     map[int]packedContig
+	// so most reads hit the same few contigs). The last-used entry is
+	// memoized outside the map: a seed's sorted hit list clusters candidates
+	// by contig, so most lookups are repeats of the previous one.
+	packs     map[int]seq.Packed
 	lastID    int
-	lastPack  packedContig
+	lastPack  seq.Packed
 	lastValid bool
-}
-
-type packedContig struct {
-	p  seq.Packed
-	ok bool
 }
 
 // NewScratch returns an empty Scratch ready for BeginRead.
 func NewScratch() *Scratch {
 	return &Scratch{
 		tried: make(map[[3]int]bool),
-		packs: make(map[int]packedContig),
+		packs: make(map[int]seq.Packed),
 	}
 }
 
 // BeginRead points the scratch at a new read: the packed forward form and
 // its reverse complement are computed once here and reused across every
-// candidate extension of the read (the reverse-strand candidates previously
-// allocated a fresh ASCII reverse complement each). A read that is not
-// strict upper-case ACGT stays on the byte path (readOK=false), where the
-// reverse complement is still computed at most once per read, into rcBytes.
+// candidate extension of the read.
 func (s *Scratch) BeginRead(readSeq []byte) {
-	s.rcValid = false
-	s.readOK = s.readFwd.SetASCII(readSeq)
-	if s.readOK {
-		s.readRC.SetReverseComplementOf(s.readFwd)
-	}
+	s.readFwd.SetASCII(readSeq)
+	s.readRC.SetReverseComplementOf(s.readFwd)
 }
 
 // packedFor returns the cached packed form of the contig, packing it on
-// first use.
-func (s *Scratch) packedFor(contig dbg.Contig) (seq.Packed, bool) {
+// first use. The pointer is to the memoized last entry, so it holds until
+// the next call.
+func (s *Scratch) packedFor(contig dbg.Contig) *seq.Packed {
 	if s.lastValid && s.lastID == contig.ID {
-		return s.lastPack.p, s.lastPack.ok
+		return &s.lastPack
 	}
-	pc, cached := s.packs[contig.ID]
+	p, cached := s.packs[contig.ID]
 	if !cached {
-		p, ok := seq.PackASCII(contig.Seq)
-		pc = packedContig{p: p, ok: ok}
-		s.packs[contig.ID] = pc
+		p = seq.PackASCII(contig.Seq)
+		s.packs[contig.ID] = p
 	}
-	s.lastID, s.lastPack, s.lastValid = contig.ID, pc, true
-	return pc.p, pc.ok
+	s.lastID, s.lastPack, s.lastValid = contig.ID, p, true
+	return &s.lastPack
 }
 
 // alignRead extends one read against the answers to its seeds, in the order
@@ -519,32 +503,19 @@ func projectedStart(readLen int, hit SeedHit, seedOff int, reverse bool, opts Op
 	return hit.Pos - seedOff
 }
 
-// extend performs ungapped extension of a seed match and scores it. When the
-// read and the contig are both strict ACGT (the overwhelmingly common case)
-// the comparison runs word-at-a-time over the packed forms — 32 bases per
-// XOR+popcount — against the read orientation precomputed by BeginRead;
-// anything else falls back to the byte loop, which is bit-identical to the
-// packed path on the inputs both can handle.
+// extend performs ungapped extension of a seed match and scores it
+// word-at-a-time: seq.MismatchCount compares 32 bases per XOR+popcount step
+// between the contig's packed form and the read orientation precomputed by
+// BeginRead, and an ambiguous base on either side (a read's N, a scaffold
+// gap's N run) is a mismatch. The ungapped alignment covers the contiguous
+// read positions whose contig projection start+i lands inside the contig, so
+// alignLen is an interval length and matches = alignLen − mismatches.
 func extend(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, reverse bool, opts Options, s *Scratch) (Alignment, bool) {
-	if s != nil && s.readOK {
-		if cp, ok := s.packedFor(contig); ok {
-			return extendPacked(len(readSeq), cp, contig, hit, seedOff, reverse, opts, s)
-		}
-	}
-	return extendBytes(readSeq, contig, hit, seedOff, reverse, opts, s)
-}
-
-// extendPacked scores the overlap of the oriented read projection with the
-// contig using seq.MismatchCount. The ungapped alignment covers the
-// contiguous read positions whose contig projection start+i lands inside the
-// contig, so alignLen is an interval length and matches = alignLen −
-// mismatches; the per-base loop this replaces counted the same quantities
-// one byte at a time.
-func extendPacked(readLen int, cp seq.Packed, contig dbg.Contig, hit SeedHit, seedOff int, reverse bool, opts Options, s *Scratch) (Alignment, bool) {
 	rp := &s.readFwd
 	if reverse {
 		rp = &s.readRC
 	}
+	readLen := len(readSeq)
 	start := projectedStart(readLen, hit, seedOff, reverse, opts)
 	lo := 0
 	if start < 0 {
@@ -557,55 +528,8 @@ func extendPacked(readLen int, cp seq.Packed, contig dbg.Contig, hit SeedHit, se
 	matches, mismatches, alignLen := 0, 0, 0
 	if hi > lo {
 		alignLen = hi - lo
-		mismatches = seq.MismatchCount(*rp, cp, lo, start+lo, alignLen)
+		mismatches = seq.MismatchCount(rp, s.packedFor(contig), lo, start+lo, alignLen)
 		matches = alignLen - mismatches
-	}
-	a := Alignment{
-		ContigID:  contig.ID,
-		ContigLen: len(contig.Seq),
-		ContigPos: start,
-		Reverse:   reverse,
-		Matches:   matches,
-		Mismatch:  mismatches,
-		AlignLen:  alignLen,
-	}
-	if alignLen < minAlignLen || a.Identity() < minIdentity {
-		return a, false
-	}
-	return a, true
-}
-
-// extendBytes is the byte-at-a-time extension used when the read or contig
-// contains non-ACGT characters (whose comparison semantics the 2-bit packing
-// cannot represent). The read's reverse complement is still materialized at
-// most once per read, into the scratch buffer.
-func extendBytes(readSeq []byte, contig dbg.Contig, hit SeedHit, seedOff int, reverse bool, opts Options, s *Scratch) (Alignment, bool) {
-	oriented := readSeq
-	if reverse {
-		switch {
-		case s == nil:
-			oriented = seq.ReverseComplement(readSeq)
-		case s.rcValid:
-			oriented = s.rcBytes
-		default:
-			s.rcBytes = seq.AppendReverseComplement(s.rcBytes[:0], readSeq)
-			s.rcValid = true
-			oriented = s.rcBytes
-		}
-	}
-	start := projectedStart(len(readSeq), hit, seedOff, reverse, opts)
-	matches, mismatches, alignLen := 0, 0, 0
-	for i := 0; i < len(oriented); i++ {
-		cpos := start + i
-		if cpos < 0 || cpos >= len(contig.Seq) {
-			continue
-		}
-		alignLen++
-		if oriented[i] == contig.Seq[cpos] {
-			matches++
-		} else {
-			mismatches++
-		}
 	}
 	a := Alignment{
 		ContigID:  contig.ID,

@@ -70,8 +70,8 @@ func ReverseComplement(s []byte) []byte {
 
 // AppendReverseComplement appends the reverse complement of an ASCII
 // sequence to dst and returns the extended slice: the buffer-reusing form of
-// ReverseComplement for hot loops (the aligner's byte-path fallback reverse
-// complements each read once into a per-rank scratch buffer through this).
+// ReverseComplement (de Bruijn traversal copies a path out through this
+// when its reverse complement is the orientation kept).
 func AppendReverseComplement(dst, s []byte) []byte {
 	for i := len(s) - 1; i >= 0; i-- {
 		dst = append(dst, ComplementChar(s[i]))

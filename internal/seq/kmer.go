@@ -121,11 +121,11 @@ func (km Kmer) AppendBases(dst []byte) []byte {
 }
 
 // ReverseComplement returns the reverse complement k-mer: the 128-bit value
-// is reversed and complemented two bits at a time (revComp64 on each word,
+// is complemented and reversed two bits at a time (reverseBases on each word,
 // words swapped), which leaves the result in the top 2k bits, then shifted
 // down into place.
 func (km Kmer) ReverseComplement() Kmer {
-	hi, lo := revComp64(km.Lo), revComp64(km.Hi)
+	hi, lo := reverseBases(^km.Lo), reverseBases(^km.Hi)
 	if s := 128 - 2*uint(km.K); s >= 64 {
 		hi, lo = 0, hi>>(s-64)
 	} else {
