@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,6 +152,17 @@ func TestShardReadWrite(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Errorf("ReadShard = %q, want %q", got, payload)
 	}
+	// The hash WriteShard streams is the hash of the bytes it wrote.
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := HashBytes(file); hash != want {
+		t.Errorf("WriteShard returned %s, the file read back hashes to %s", hash, want)
+	}
+	if want := shardMagic + string(payload); string(file) != want {
+		t.Errorf("shard file = %q, want %q", file, want)
+	}
 
 	if _, err := ReadShard(ShardPath(dir, 0, "kmer_analysis", 2), hash); !errors.Is(err, ErrMissingShard) {
 		t.Errorf("missing shard = %v, want ErrMissingShard", err)
@@ -165,6 +177,71 @@ func TestShardReadWrite(t *testing.T) {
 	}
 	if _, err := ReadShard(path, hash); !errors.Is(err, ErrCorruptShard) {
 		t.Errorf("corrupted shard = %v, want ErrCorruptShard", err)
+	}
+}
+
+// TestReadShards pins the content-addressed read shard: it is named by the
+// hash of its file, written once whatever the number of writers, read back
+// as the same reads, and refused when missing, misnamed or altered.
+func TestReadShards(t *testing.T) {
+	dir := t.TempDir()
+	reads := []seq.Read{
+		{ID: "p1/1", Seq: []byte("ACGTACGT"), Qual: []byte("IIIIIIII"), LibID: 1, SampleID: 2},
+		{ID: "p1/2", Seq: []byte("TTGCA"), Qual: []byte{}},
+	}
+	hash, err := WriteReads(dir, reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := ReadsPath(dir, hash)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := HashBytes(file); got != hash {
+		t.Errorf("read shard %s hashes to %s", hash, got)
+	}
+	var e Enc
+	Slice(e.Codec(), &reads, ReadFields)
+	if want := shardMagic + string(e.Bytes()); string(file) != want {
+		t.Error("read shard is not the magic followed by the reads' Slice encoding")
+	}
+	got, err := LoadReads(dir, hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, reads) {
+		t.Errorf("LoadReads = %+v, want %+v", got, reads)
+	}
+
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := WriteReads(dir, slices.Clone(reads)); err != nil || again != hash {
+		t.Fatalf("rewriting the same reads = %s, %v; want %s", again, err, hash)
+	}
+	if after, err := os.Stat(path); err != nil || !os.SameFile(before, after) {
+		t.Error("an existing read shard was written again")
+	}
+	if other, err := WriteReads(dir, reads[:1]); err != nil || other == hash {
+		t.Errorf("another read set = %s, %v; want a second name", other, err)
+	}
+
+	if _, err := LoadReads(t.TempDir(), hash); !errors.Is(err, ErrMissingShard) {
+		t.Errorf("missing read shard = %v, want ErrMissingShard", err)
+	}
+	for _, name := range []string{"", "../" + hash[3:], strings.ToUpper(hash), hash[:62]} {
+		if _, err := LoadReads(dir, name); !errors.Is(err, ErrCorruptShard) {
+			t.Errorf("read shard name %q = %v, want ErrCorruptShard", name, err)
+		}
+	}
+	file[len(file)-1] ^= 0x01
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadReads(dir, hash); !errors.Is(err, ErrCorruptShard) {
+		t.Errorf("flipped read shard byte = %v, want ErrCorruptShard", err)
 	}
 }
 

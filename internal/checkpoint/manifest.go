@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
+
+	"mhmgo/internal/seq"
 )
 
 // Sentinel errors of resume validation. Each failure mode is distinct so a
@@ -44,6 +47,9 @@ const (
 	ManifestFile = "MANIFEST.json"
 	// shardMagic opens every shard file.
 	shardMagic = "MHMCKPT1"
+	// readsDir is the subdirectory of a checkpoint directory that holds the
+	// read shards, each named by its content hash.
+	readsDir = "reads"
 )
 
 // Step records one completed pipeline stage in the manifest: which stage of
@@ -208,14 +214,11 @@ func Load(dir string) (*Manifest, error) {
 // the write can never leave a torn manifest — the directory holds either the
 // previous manifest or the new one.
 func (m *Manifest) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(dir, ManifestFile), data)
+	return writeAtomic(filepath.Join(dir, ManifestFile), nil, data)
 }
 
 // ShardPath returns the shard file path of (step seq, stage, rank) inside a
@@ -227,17 +230,60 @@ func ShardPath(dir string, seq int, stage string, rank int) string {
 // WriteShard writes payload as a shard file (magic header + payload),
 // atomically, creating the step directory as needed, and returns the content
 // hash of the complete file — the value the manifest records for this shard.
+// The header and payload are streamed into the file and the hash together,
+// never copied into one buffer.
 func WriteShard(path string, payload []byte) (hash string, err error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	h := sha256.New()
+	if err := writeAtomic(path, h, []byte(shardMagic), payload); err != nil {
 		return "", err
 	}
-	data := make([]byte, 0, len(shardMagic)+len(payload))
-	data = append(data, shardMagic...)
-	data = append(data, payload...)
-	if err := writeAtomic(path, data); err != nil {
-		return "", err
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// ReadsPath returns the path of the read shard with content hash hash inside
+// a checkpoint directory. A rank's read set changes only at the input and at
+// each read localization, so it is written once per distinct set, named by
+// its content, and every rank-state shard over it carries the hash.
+func ReadsPath(dir, hash string) string {
+	return filepath.Join(dir, readsDir, hash+".ckpt")
+}
+
+// WriteReads writes reads as a read shard (magic header + their Slice
+// encoding) under its content hash in dir, unless a file of that name is
+// already there, and returns the hash. The file is the one WriteShard would
+// write, so ReadShard and LoadReads check it the same way.
+func WriteReads(dir string, reads []seq.Read) (hash string, err error) {
+	var e Enc
+	Slice(e.Codec(), &reads, ReadFields)
+	h := sha256.New()
+	io.WriteString(h, shardMagic)
+	h.Write(e.Bytes())
+	hash = hex.EncodeToString(h.Sum(nil))
+	path := ReadsPath(dir, hash)
+	if _, err := os.Stat(path); err == nil {
+		return hash, nil
 	}
-	return HashBytes(data), nil
+	return hash, writeAtomic(path, nil, []byte(shardMagic), e.Bytes())
+}
+
+// LoadReads reads back the read shard named hash in dir. A missing file is
+// ErrMissingShard; a malformed name, bytes that do not hash to it or that do
+// not decode to a read set are ErrCorruptShard.
+func LoadReads(dir, hash string) ([]seq.Read, error) {
+	if b, err := hex.DecodeString(hash); err != nil || len(b) != sha256.Size || hex.EncodeToString(b) != hash {
+		return nil, fmt.Errorf("%w: read shard name %q is not a SHA-256", ErrCorruptShard, hash)
+	}
+	payload, err := ReadShard(ReadsPath(dir, hash), hash)
+	if err != nil {
+		return nil, err
+	}
+	var reads []seq.Read
+	d := NewDec(payload)
+	Slice(d.Codec(), &reads, ReadFields)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("%w: read shard %.12s…: %v", ErrCorruptShard, hash, err)
+	}
+	return reads, nil
 }
 
 // ReadShard reads a shard file back and returns its payload. A missing file
@@ -260,16 +306,25 @@ func ReadShard(path, wantHash string) ([]byte, error) {
 	return data[len(shardMagic):], nil
 }
 
-// writeAtomic writes data to path via a temp file and rename.
-func writeAtomic(path string, data []byte) error {
+// writeAtomic writes chunks to path via a temp file and rename, creating the
+// directory as needed, and feeds them to h as well when h is not nil.
+func writeAtomic(path string, h hash.Hash, chunks ...[]byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	for _, c := range chunks {
+		if h != nil {
+			h.Write(c)
+		}
+		if _, err := tmp.Write(c); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return err
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())

@@ -11,9 +11,11 @@
 //     list is the format in both directions. Every decode path is
 //     bounds-checked and reports an error — corrupted or truncated
 //     checkpoint bytes must never panic and never silently resume.
-//   - Shard files: one file per (step, rank), written atomically
-//     (temp + rename) under a magic header, read back only against the
-//     content hash the manifest recorded for them.
+//   - Shard files: one rank-state file per (step, rank) and one read
+//     shard per distinct read set, named by its content hash, each written
+//     atomically (temp + rename) under a magic header and read back only
+//     against the content hash the manifest, or a rank-state shard it
+//     commits to, recorded for it.
 //   - The manifest: a JSON document whose steps form a Merkle-style hash
 //     chain rooted in the content hashes of the run's configuration and
 //     input reads, so a resume can refuse to continue from state that was

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"os"
 	"sync"
 
 	"mhmgo/internal/aligner"
@@ -125,8 +125,12 @@ type rankState struct {
 
 	// reads is the rank's current (possibly localized) read set;
 	// shippedReadBytes the resident bytes charged for it, released when the
-	// next localization round replaces it.
+	// next localization round replaces it. readsHash names the read shard
+	// that holds reads, the one place a checkpoint keeps them: the rank-state
+	// shard carries the hash instead. It is empty until the set first reaches
+	// a checkpointed boundary, and cleared wherever reads is assigned.
 	reads            []seq.Read
+	readsHash        string
 	readOffset       int
 	shippedReadBytes int
 
@@ -187,11 +191,12 @@ func (st *rankState) atBoundary(r *pgas.Rank, it, stage int, alignsLive bool) *r
 // rankStateMagic versions the per-rank shard format. v2 widened the read
 // record with the SampleID tag; v3 dropped four pipeline scalars, the
 // scaffolding counters and each rank's own scaffold shard, none of which a
-// resumed run reads, and added rank 0's step records. An older shard is
-// refused at decode — its magic no longer matches — so an old checkpoint
-// surfaces as ErrCorruptShard instead of mis-decoding the fields after the
-// first one that moved.
-const rankStateMagic = "mhm-rank-state-v3"
+// resumed run reads, and added rank 0's step records; v4 moved the reads out
+// to a content-addressed read shard and carries its hash in their place. An
+// older shard is refused at decode — its magic no longer matches — so an old
+// checkpoint surfaces as ErrCorruptShard instead of mis-decoding the fields
+// after the first one that moved.
+const rankStateMagic = "mhm-rank-state-v4"
 
 // fields is the shard layout of a rankState: the one list encodeRankState
 // and decodeRankState both walk. Decoding refuses a foreign magic and a stage
@@ -219,7 +224,7 @@ func (st *rankState) fields(c *checkpoint.Codec) {
 	c.U64(&st.resident)
 	c.Int(&st.readOffset)
 	c.Int(&st.shippedReadBytes)
-	checkpoint.Slice(c, &st.reads, checkpoint.ReadFields)
+	c.Str(&st.readsHash)
 	c.F64(&st.alignedFrac)
 	if c.Bool(&st.hasAligns) {
 		checkpoint.Slice(c, &st.aligns, checkpoint.AlignmentFields)
@@ -305,6 +310,30 @@ func newCkptWriter(dir string, ranks int, man *checkpoint.Manifest) (*ckptWriter
 		return nil, fmt.Errorf("core: writing checkpoint manifest: %w", err)
 	}
 	return &ckptWriter{dir: dir, ranks: ranks, man: man, cur: make(map[int]string)}, nil
+}
+
+// putReads makes sure the checkpoint directory holds the read shard of st's
+// read set and stamps its hash on st. A read set is encoded and hashed when
+// it first reaches a boundary; after that a boundary costs a stat, and the
+// shard is written again only if this directory lacks it — as it does when
+// a run resumed from one directory checkpoints into another. A write error
+// is latched like record's.
+func (w *ckptWriter) putReads(st *rankState) {
+	if st.readsHash != "" {
+		if _, err := os.Stat(checkpoint.ReadsPath(w.dir, st.readsHash)); err == nil {
+			return
+		}
+	}
+	hash, err := checkpoint.WriteReads(w.dir, st.reads)
+	if err != nil {
+		w.mu.Lock()
+		if w.err == nil {
+			w.err = err
+		}
+		w.mu.Unlock()
+		hash = ""
+	}
+	st.readsHash = hash
 }
 
 // record writes one rank's shard for the step (iteration, stage) and stores
@@ -397,6 +426,9 @@ func loadResume(dir string, reads []seq.Read, cfg Config, ks []int, machine *pga
 			return nil, fmt.Errorf("%w: rank %d shard header (P=%d rank=%d it=%d stage=%d) does not match manifest step (P=%d rank=%d it=%d stage=%d)",
 				checkpoint.ErrCorruptShard, p, st.ranks, st.rank, st.it, st.stage, cfg.Ranks, p, last.Iteration, stage)
 		}
+		if st.reads, err = checkpoint.LoadReads(dir, st.readsHash); err != nil {
+			return nil, fmt.Errorf("rank %d reads: %w", p, err)
+		}
 		rs.states[p] = *st
 	}
 
@@ -457,10 +489,16 @@ func (c *ckptRun) done(it, stage int) bool {
 
 // collectCounts snapshots one rank's partition of the counts table, sorted
 // by k-mer: the table's iteration order is unspecified, and checkpoint
-// shards must be deterministic bytes.
+// shards must be deterministic bytes. The table holds one k, so the radix
+// sort runs over that k's key bits.
 func collectCounts(counts *dht.Map[seq.Kmer, seq.KmerCount], rank int) []seq.KmerCount {
-	var out []seq.KmerCount
+	out := make([]seq.KmerCount, 0, counts.LocalLen(rank))
 	counts.RangeLocal(rank, func(_ seq.Kmer, v seq.KmerCount) { out = append(out, v) })
-	sort.Slice(out, func(i, j int) bool { return out[i].Kmer.Less(out[j].Kmer) })
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return seq.SortByKmer(out, int(out[0].Kmer.K), countKmer)
 }
+
+// countKmer is a count's sort key: its k-mer.
+func countKmer(kc *seq.KmerCount) seq.Kmer { return kc.Kmer }

@@ -398,6 +398,21 @@ func TestResumeRefused(t *testing.T) {
 	}
 	denseDir, rank1First := denseIDs(t)
 
+	// lastReadShard returns the path of the read shard rank p's shard of the
+	// last step names, in a copy of the checkpoint.
+	lastReadShard := func(t *testing.T, p int) (dir, path string) {
+		dir = copyCheckpointDir(t, srcDir)
+		payload, err := checkpoint.ReadShard(checkpoint.ShardPath(dir, last.Seq, last.Stage, p), last.ShardHashes[p])
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := decodeRankState(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, checkpoint.ReadsPath(dir, st.readsHash)
+	}
+
 	cases := []struct {
 		name    string
 		prepare func(t *testing.T) (dir string, reads []seq.Read, cfg Config)
@@ -464,6 +479,35 @@ func TestResumeRefused(t *testing.T) {
 				return dir, reads, cfg
 			},
 			want: checkpoint.ErrCorruptShard,
+		},
+		{
+			name: "missing read shard",
+			prepare: func(t *testing.T) (string, []seq.Read, Config) {
+				dir, path := lastReadShard(t, 2)
+				if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+				return dir, reads, cfg
+			},
+			want:    checkpoint.ErrMissingShard,
+			wantMsg: "rank 2 reads",
+		},
+		{
+			name: "corrupted read shard bytes",
+			prepare: func(t *testing.T) (string, []seq.Read, Config) {
+				dir, path := lastReadShard(t, 0)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)/2] ^= 0x01
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return dir, reads, cfg
+			},
+			want:    checkpoint.ErrCorruptShard,
+			wantMsg: "rank 0 reads",
 		},
 		{
 			name: "contig IDs dense in rank order",
@@ -543,6 +587,144 @@ func TestResumeRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReadShardWrittenOncePerReadSet pins the content-addressed read shards:
+// a checkpointed P=3 run at k = 21, 33 holds each rank's input block through
+// iteration 0 and its localized reads through iteration 1, so it leaves one
+// read shard per rank per read set — six — and every rank-state shard names
+// its rank's current set. A resume into the same directory writes no read
+// shard, new or again.
+func TestReadShardWrittenOncePerReadSet(t *testing.T) {
+	reads := ckptReads(t)
+	cfg := testConfig(3)
+	dir := t.TempDir()
+	kcfg := cfg
+	kcfg.CheckpointDir, kcfg.FailAfterStage, kcfg.FailAtIteration = dir, StageAlignment, 1
+	if _, err := Assemble(reads, kcfg); !errors.Is(err, ErrFaultInjected) {
+		t.Fatalf("killed run returned %v, want ErrFaultInjected", err)
+	}
+	readShards := func() map[string]fs.FileInfo {
+		entries, err := os.ReadDir(filepath.Dir(checkpoint.ReadsPath(dir, "")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]fs.FileInfo)
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = info
+		}
+		return files
+	}
+	killed := readShards()
+	rcfg := cfg
+	rcfg.CheckpointDir, rcfg.ResumeFrom = dir, dir
+	if _, err := Assemble(reads, rcfg); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	resumed := readShards()
+	if len(resumed) != len(killed) {
+		t.Errorf("the resume left %d read shards, the killed run %d", len(resumed), len(killed))
+	}
+	for name, info := range killed {
+		if again, ok := resumed[name]; !ok || !os.SameFile(info, again) {
+			t.Errorf("the resume removed or rewrote read shard %s", name)
+		}
+	}
+
+	man, err := checkpoint.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := make([]map[string]bool, cfg.Ranks) // rank -> read shards its steps name
+	localized := 0
+	for _, step := range man.Steps {
+		for p := range cfg.Ranks {
+			payload, err := checkpoint.ReadShard(checkpoint.ShardPath(dir, step.Seq, step.Stage, p), step.ShardHashes[p])
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := decodeRankState(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := checkpoint.LoadReads(dir, st.readsHash)
+			if err != nil {
+				t.Fatalf("step %d rank %d: %v", step.Seq, p, err)
+			}
+			lo, hi := pgas.PairBlockRange(len(reads), cfg.Ranks, p)
+			block := checkpoint.HashSlice(got, checkpoint.ReadFields) == checkpoint.HashSlice(reads[lo:hi], checkpoint.ReadFields)
+			if block != (step.Iteration == 0) {
+				t.Errorf("step %d (iteration %d) rank %d names its input block = %v", step.Seq, step.Iteration, p, block)
+			}
+			if step.Iteration == 1 && step.Stage == StageKmerAnalysis {
+				localized += len(got)
+			}
+			if named[p] == nil {
+				named[p] = make(map[string]bool)
+			}
+			named[p][st.readsHash+".ckpt"] = true
+		}
+	}
+	if localized != len(reads) {
+		t.Errorf("the localized read shards hold %d reads, want %d", localized, len(reads))
+	}
+	total := 0
+	for p, names := range named {
+		if len(names) != 2 {
+			t.Errorf("rank %d's steps name %d read shards, want 2", p, len(names))
+		}
+		for name := range names {
+			if _, ok := resumed[name]; !ok {
+				t.Errorf("rank %d names read shard %s, which is not in the directory", p, name)
+			}
+		}
+		total += len(names)
+	}
+	if len(resumed) != total {
+		t.Errorf("%d read shards in the directory, %d named by rank-state shards", len(resumed), total)
+	}
+}
+
+// TestResumeIntoFreshDirectory resumes a killed run from its directory into
+// an empty one, which must reproduce the uninterrupted run; then resumes from
+// the new directory alone, with the first one deleted. The new directory has
+// no read shard until the resumed run writes the ones its rank-state shards
+// name, so the second resume proves it does.
+func TestResumeIntoFreshDirectory(t *testing.T) {
+	reads := ckptReads(t)
+	cfg := testConfig(3)
+	bcfg := cfg
+	bcfg.CheckpointDir = t.TempDir()
+	base, err := Assemble(reads, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killedDir, freshDir := t.TempDir(), t.TempDir()
+	kcfg := cfg
+	kcfg.CheckpointDir, kcfg.FailAfterStage, kcfg.FailAtIteration = killedDir, StageAlignment, 1
+	if _, err := Assemble(reads, kcfg); !errors.Is(err, ErrFaultInjected) {
+		t.Fatalf("killed run returned %v, want ErrFaultInjected", err)
+	}
+	rcfg := cfg
+	rcfg.ResumeFrom, rcfg.CheckpointDir = killedDir, freshDir
+	res, err := Assemble(reads, rcfg)
+	if err != nil {
+		t.Fatalf("resume into a fresh directory: %v", err)
+	}
+	assertSameRun(t, base, res)
+
+	if err := os.RemoveAll(killedDir); err != nil {
+		t.Fatal(err)
+	}
+	rcfg.ResumeFrom = freshDir
+	if res, err = Assemble(reads, rcfg); err != nil {
+		t.Fatalf("resume from the fresh directory alone: %v", err)
+	}
+	assertSameRun(t, base, res)
 }
 
 // TestResumedFaultValidated pins fault validation against the resume point:
@@ -663,11 +845,7 @@ func fullRankState(t testing.TB) rankState {
 	return rankState{
 		ranks: 5, rank: 3, it: 2, stage: stageIdx(t, StageScaffolding),
 		clock: 0.3141592653589793, resident: 987654321,
-		reads: []seq.Read{
-			{ID: "p7/1", Seq: []byte("ACGTTGCAAC"), Qual: []byte("IIIIHHHH##"), LibID: 1, SampleID: 2},
-			{ID: "p7/2", Seq: []byte("GGTTAACCGN"), Qual: []byte("##HHHHIIII"), LibID: 1, SampleID: 2},
-			{ID: "solo", Seq: []byte("TTTT"), Qual: []byte{}}, // the decoder yields empty, not nil
-		},
+		readsHash:  checkpoint.HashBytes([]byte("p7/1 p7/2 solo")),
 		readOffset: 14, shippedReadBytes: 212,
 		alignedFrac: 0.9375,
 		hasAligns:   true,
@@ -704,13 +882,15 @@ func fullRankState(t testing.TB) rankState {
 // rank state must encode to a captured SHA-256, so "shard bytes unchanged" —
 // which cross-commit resume depends on — is checked, not promised. A
 // deliberate format change bumps rankStateMagic and re-captures the literal.
-// It was last re-captured (from 978 bytes, 207eaec2…) for format v3, which
+// It was re-captured (from 978 bytes, 207eaec2…) for format v3, which
 // dropped the unread pipeline scalars, the scaffolding counters and the
-// per-rank scaffold shard, and added rank 0's step records.
+// per-rank scaffold shard, and added rank 0's step records. It was last
+// re-captured (from 949 bytes, f7e29426…) for format v4, which carries the
+// hash of the rank's read shard in place of its reads.
 func TestRankStateShardPin(t *testing.T) {
 	st := fullRankState(t)
 	data := encodeRankState(&st)
-	const wantLen, wantSHA = 949, "f7e294266053481789e8229dbb2cd0c05d670649e6fe9908acf78288519a3cab"
+	const wantLen, wantSHA = 879, "28042f069dcac12f08118bd66a118b6301085ffefd1bda30523d98522224087a"
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantSHA {
 		t.Errorf("shard = %d bytes, sha256 %s; want %d bytes, sha256 %s", len(data), got, wantLen, wantSHA)
@@ -845,6 +1025,9 @@ func TestRankStateRecords(t *testing.T) {
 // It was re-captured (from 5122744d…) when the aligner's seed index came to
 // be owned by minimizer instead of by Kmer.Hash: the same shards, but every
 // rank clock after the first alignment moved.
+// It was re-captured (from d7388d48…) for shard format v4: the same run and
+// clocks, but every rank-state shard carries its read shard's hash in place
+// of the reads.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -852,7 +1035,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "d7388d482269a2a932731853e52ea461c9e121221d4e14538c2c483c825e8f88"
+	const want = "ae2cf096b75738782be8adf75a7c759cfa3194a3366441dead62f4b18f5ac1bf"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}
@@ -876,10 +1059,7 @@ func FuzzRankStateDecode(f *testing.F) {
 	full := rankState{
 		ranks: 3, rank: 1, it: 1, stage: stageIdx(f, StageAlignment),
 		clock: 12.375, resident: 4096,
-		reads: []seq.Read{
-			{ID: "pair1/1", Seq: []byte("ACGTACGTA"), Qual: []byte("IIIIIIIII"), LibID: 0, SampleID: 1},
-			{ID: "pair1/2", Seq: []byte("TTGCAACGT"), Qual: []byte("IIIIIIIII"), LibID: 0, SampleID: 1},
-		},
+		readsHash:  checkpoint.HashBytes([]byte("two reads")),
 		readOffset: 2, shippedReadBytes: 96,
 		alignedFrac: 0.875,
 		hasAligns:   true,
@@ -892,7 +1072,7 @@ func FuzzRankStateDecode(f *testing.F) {
 	counts := rankState{
 		ranks: 1, rank: 0, it: 0, stage: stageIdx(f, StageKmerAnalysis),
 		clock: 1.5, resident: 128,
-		reads:     []seq.Read{{ID: "r", Seq: []byte("ACGT"), SampleID: 3}},
+		readsHash: checkpoint.HashBytes([]byte("one read")),
 		hasCounts: true,
 		counts:    []seq.KmerCount{{Kmer: seq.MustKmer("ACGTACGTACGTACGTACGTA"), Count: 3}},
 	}
@@ -901,7 +1081,7 @@ func FuzzRankStateDecode(f *testing.F) {
 	scaf := rankState{
 		ranks: 2, rank: 0, it: 1, stage: stageIdx(f, StageScaffolding),
 		clock: 99.25, resident: 1 << 20,
-		reads:     []seq.Read{{ID: "r", Seq: []byte("ACGT")}},
+		readsHash: checkpoint.HashBytes(nil),
 		scaffolds: []scaffold.Scaffold{{ID: 0, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{1, 0}, Gaps: 1}},
 		rounds:    []RoundStats{{Library: "pe", InsertSize: 220, InputContigs: 4, Scaffolds: 2, AcceptedLinks: 3}},
 		steps:     []ProgressEvent{{Stage: StageScaffolding, Iteration: 1, K: 33, Seconds: 0.5, SimSeconds: 99.25, ResidentBytes: 1 << 20}},
@@ -910,7 +1090,8 @@ func FuzzRankStateDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("mhm-rank-state-v1")) // pre-SampleID shard magic: must be rejected, never mis-decoded
 	f.Add([]byte("mhm-rank-state-v2")) // pre-v3 shard magic: the same
-	f.Add([]byte("mhm-rank-state-v3"))
+	f.Add([]byte("mhm-rank-state-v3")) // pre-v4 shard magic, reads inline: the same
+	f.Add([]byte(rankStateMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeRankState(data)

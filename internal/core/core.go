@@ -603,7 +603,8 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 		st = &ck.resume.states[r.ID()]
 		r.RestoreState(st.clock, st.resident)
 	} else {
-		// Initial block distribution of the reads, in whole pairs.
+		// Initial block distribution of the reads, in whole pairs. No read
+		// shard holds them yet: readsHash starts empty.
 		lo, hi := r.PairBlockRange(len(allReads))
 		st = &rankState{reads: allReads[lo:hi], readOffset: lo}
 	}
@@ -639,6 +640,7 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 			}
 		}
 		if ck.writer != nil {
+			ck.writer.putReads(st)
 			alignsLive := sg.alignsLive != nil && sg.alignsLive(cfg, it, nIter)
 			ck.writer.record(r.ID(), it, sg.name, k, encodeRankState(st.atBoundary(r, it, si, alignsLive)))
 		}
@@ -667,6 +669,7 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 			// exchange: return their resident charge before re-charging.
 			r.ReleaseResident(st.shippedReadBytes)
 			st.reads, st.readOffset, st.shippedReadBytes = localizePairs(r, st.reads, st.readOffset, st.aligns)
+			st.readsHash = "" // a new read set: the next boundary writes its shard
 			st.aligns = nil
 		}
 	}

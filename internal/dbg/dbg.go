@@ -141,7 +141,7 @@ func Build(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], k int, topts 
 		local = append(local, vertex{km: km, e: e})
 		r.Compute(1) // one op per vertex stored; one Compute(n) would round differently
 	})
-	g.shards[r.ID()] = sortVertices(local, k)
+	g.shards[r.ID()] = seq.SortByKmer(local, k, vertexKmer)
 	r.Barrier()
 	return g
 }
@@ -208,41 +208,8 @@ func newClaim(obs seq.Kmer, code byte, from int) claim {
 	return claim{key: key, bits: obs.FirstBase()<<1 | orient, from: from}
 }
 
-// sortVertices sorts distinct k-mers of length k into seq.Kmer.Less order and
-// returns them, reusing local's storage or a buffer of its size. The order
-// is an LSD radix sort over the 2k key bits, one byte per pass: stable,
-// O(passes · vertices), and without the indirect comparator calls that made
-// a comparison sort a third of the traversal's host time.
-func sortVertices(local []vertex, k int) []vertex {
-	tmp := make([]vertex, len(local))
-	for shift := uint(0); shift < 2*uint(k); shift += 8 {
-		var next [256]int
-		for i := range local {
-			next[keyByte(local[i].km, shift)]++
-		}
-		pos := 0
-		for b, n := range next {
-			next[b] = pos
-			pos += n
-		}
-		for i := range local {
-			d := keyByte(local[i].km, shift)
-			tmp[next[d]] = local[i]
-			next[d]++
-		}
-		local, tmp = tmp, local
-	}
-	return local
-}
-
-// keyByte returns the byte of km's 128-bit packed value at bit shift (a
-// multiple of 8, so the byte never straddles the two words).
-func keyByte(km seq.Kmer, shift uint) byte {
-	if shift >= 64 {
-		return byte(km.Hi >> (shift - 64))
-	}
-	return byte(km.Lo >> shift)
-}
+// vertexKmer is a vertex's sort key: its canonical k-mer.
+func vertexKmer(v *vertex) seq.Kmer { return v.km }
 
 // markPredecessors returns the initial list-ranking state of the calling
 // rank's nodes (index 2i+o for local[i] in orientation o), found with one

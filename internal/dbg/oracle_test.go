@@ -276,7 +276,7 @@ func graphOf(m *pgas.Machine, k int, entries map[seq.Kmer]Entry) *Graph {
 		g.shards[p] = append(g.shards[p], vertex{km: km, e: e})
 	}
 	for p, shard := range g.shards {
-		g.shards[p] = sortVertices(shard, k)
+		g.shards[p] = seq.SortByKmer(shard, k, vertexKmer)
 	}
 	return g
 }
