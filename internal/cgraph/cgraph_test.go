@@ -709,13 +709,16 @@ func TestRefineMatchesOneSidedOracle(t *testing.T) {
 // the members its chain walks take in (the oracle, which walks the same
 // chains from the same ranks, counts them). On distinct depths there are no
 // ties, so compaction off reads nothing remote at all. The barrier count of
-// a rank over Refine is pinned too: the index build (broadcast 2, flush 3),
-// one push and one tombstone exchange per pass (3 each), prune's two
-// all-reduces (2 each, the second per round; this input takes one round),
-// and then renumbering (1), or compaction's link exchange, member barrier,
-// redistribution and release (3+1+7+2).
+// a rank over Refine is pinned too, with an exchange counting one barrier:
+// the index build (a broadcast and the flush's exchange), one push and one
+// tombstone exchange per pass, prune's two all-reduces (the second per round;
+// this input takes one round), and then renumbering (1), or compaction's link
+// exchange, member barrier, redistribution (a broadcast, an exchange, a
+// barrier and a renumbering) and release (2).
 func TestRefineRemoteReadsOnlyChainWalk(t *testing.T) {
 	const p, k = 8, 7
+	const bcast, allReduce, exchange = 2, 2, 1 // barriers per collective
+	const passes = bcast + exchange + 3*2*exchange + 2*allReduce
 	rng := rand.New(rand.NewSource(7))
 	var seqs []string
 	for len(seqs) < 300 {
@@ -726,7 +729,9 @@ func TestRefineRemoteReadsOnlyChainWalk(t *testing.T) {
 		distinct bool
 		barriers map[bool]uint64 // by Compact
 	}{
-		{"distinct depths", true, map[bool]uint64{false: 28, true: 40}},
+		{"distinct depths", true, map[bool]uint64{
+			false: passes + 1,
+			true:  passes + exchange + 1 + (bcast + exchange + 1 + 1) + 2}},
 		{"tied depths", false, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

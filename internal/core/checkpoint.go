@@ -192,11 +192,12 @@ func (st *rankState) atBoundary(r *pgas.Rank, it, stage int, alignsLive bool) *r
 // record with the SampleID tag; v3 dropped four pipeline scalars, the
 // scaffolding counters and each rank's own scaffold shard, none of which a
 // resumed run reads, and added rank 0's step records; v4 moved the reads out
-// to a content-addressed read shard and carries its hash in their place. An
+// to a content-addressed read shard and carries its hash in their place; v5
+// added each step record's traffic columns. An
 // older shard is refused at decode — its magic no longer matches — so an old
 // checkpoint surfaces as ErrCorruptShard instead of mis-decoding the fields
 // after the first one that moved.
-const rankStateMagic = "mhm-rank-state-v4"
+const rankStateMagic = "mhm-rank-state-v5"
 
 // fields is the shard layout of a rankState: the one list encodeRankState
 // and decodeRankState both walk. Decoding refuses a foreign magic and a stage
@@ -258,6 +259,12 @@ func progressEventFields(c *checkpoint.Codec, ev *ProgressEvent) {
 	c.F64(&ev.Seconds)
 	c.F64(&ev.SimSeconds)
 	c.U64(&ev.ResidentBytes)
+	c.U64(&ev.Messages)
+	c.U64(&ev.OffNodeMessages)
+	c.U64(&ev.BytesSent)
+	c.U64(&ev.OffNodeBytes)
+	c.U64(&ev.RemoteGets)
+	c.U64(&ev.Barriers)
 }
 
 // encodeRankState serializes a rankState into the checkpoint wire format.
@@ -304,25 +311,76 @@ type ckptWriter struct {
 
 // newCkptWriter creates the checkpoint directory, saves the (possibly
 // resumed) manifest immediately — so the run identity is durable before the
-// first stage completes — and returns the writer.
-func newCkptWriter(dir string, ranks int, man *checkpoint.Manifest) (*ckptWriter, error) {
+// first stage completes — and returns the writer. A run resumed from another
+// directory first copies the resume point there (adoptResumePoint), so the
+// manifest never names a step whose shards the directory lacks.
+func newCkptWriter(dir string, ranks int, man *checkpoint.Manifest, resumeDir string, rs *resumeState) (*ckptWriter, error) {
+	if rs != nil && !sameDir(resumeDir, dir) {
+		if err := adoptResumePoint(resumeDir, dir, rs); err != nil {
+			return nil, fmt.Errorf("core: copying the resume point into %s: %w", dir, err)
+		}
+	}
 	if err := man.Save(dir); err != nil {
 		return nil, fmt.Errorf("core: writing checkpoint manifest: %w", err)
 	}
 	return &ckptWriter{dir: dir, ranks: ranks, man: man, cur: make(map[int]string)}, nil
 }
 
+// adoptResumePoint copies the last step's rank-state shards of the manifest
+// rs resumed, and the read shards they name, from src into dst. Those are
+// the files loadResume reads, so dst then resumes on its own from any later
+// kill point; the writer adds every later shard itself. Each file is checked
+// against its hash on the way.
+func adoptResumePoint(src, dst string, rs *resumeState) error {
+	last := rs.man.Steps[len(rs.man.Steps)-1]
+	copied := make(map[string]bool)
+	for p, st := range rs.states {
+		if err := copyShard(checkpoint.ShardPath(src, last.Seq, last.Stage, p),
+			checkpoint.ShardPath(dst, last.Seq, last.Stage, p), last.ShardHashes[p]); err != nil {
+			return err
+		}
+		if !copied[st.readsHash] {
+			copied[st.readsHash] = true
+			if err := copyShard(checkpoint.ReadsPath(src, st.readsHash), checkpoint.ReadsPath(dst, st.readsHash), st.readsHash); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// copyShard copies the shard file at src, which must hash to hash, to dst.
+func copyShard(src, dst, hash string) error {
+	payload, err := checkpoint.ReadShard(src, hash)
+	if err != nil {
+		return err
+	}
+	if got, err := checkpoint.WriteShard(dst, payload); err != nil {
+		return err
+	} else if got != hash {
+		return fmt.Errorf("%w: %s copied to a file of another hash", checkpoint.ErrCorruptShard, src)
+	}
+	return nil
+}
+
+// sameDir reports whether a and b name one existing directory.
+func sameDir(a, b string) bool {
+	sa, err := os.Stat(a)
+	if err != nil {
+		return false
+	}
+	sb, err := os.Stat(b)
+	return err == nil && os.SameFile(sa, sb)
+}
+
 // putReads makes sure the checkpoint directory holds the read shard of st's
-// read set and stamps its hash on st. A read set is encoded and hashed when
-// it first reaches a boundary; after that a boundary costs a stat, and the
-// shard is written again only if this directory lacks it — as it does when
-// a run resumed from one directory checkpoints into another. A write error
-// is latched like record's.
+// read set and stamps its hash on st. A read set is encoded, hashed and
+// written when it first reaches a boundary; after that a boundary costs
+// nothing, since the directory already holds the shard (a resumed set's was
+// copied in by adoptResumePoint). A write error is latched like record's.
 func (w *ckptWriter) putReads(st *rankState) {
 	if st.readsHash != "" {
-		if _, err := os.Stat(checkpoint.ReadsPath(w.dir, st.readsHash)); err == nil {
-			return
-		}
+		return
 	}
 	hash, err := checkpoint.WriteReads(w.dir, st.reads)
 	if err != nil {

@@ -184,14 +184,13 @@ func TestCheckpointWorkersIndependent(t *testing.T) {
 // middle of a collective, not a clean stage boundary — and requires that the
 // checkpoints already on disk still resume to a bit-identical result. The
 // manifest's atomic write discipline means a mid-collective kill can never
-// tear a recorded step. Barriers 9 and 10 are the first exchange's drain and
-// reset barriers, which are charged and counted but not run, so the trap
-// must fire on them too. The other barriers are picked so that every stage
-// of the schedule is killed at least once (the test checks it): rank 0
-// passes barriers 2-15 in iteration 0's kmer_analysis, 18-76 in
-// dbg_traversal, 79-118 in contig_refine, 121-135 in alignment, 138-150 in
-// local_assembly, 182-184 in iteration 1's kmer_merge, 250-289 in its
-// contig_refine and 324-381 in scaffolding.
+// tear a recorded step. The barriers are picked so that every stage of the
+// schedule is killed at least once (the test checks it), and one kill lands
+// between the stage windows, in read localization: rank 0 passes barriers
+// 2-12 in iteration 0's kmer_analysis, 14-39 in dbg_traversal, 41-63 in
+// contig_refine, 65-74 in alignment, 76-85 in local_assembly, 86-93 between
+// the windows, 106-107 in iteration 1's kmer_merge, 138-160 in its
+// contig_refine and 184-224 in scaffolding.
 func TestMidCollectiveKillResume(t *testing.T) {
 	reads := ckptReads(t)
 	cfg := testConfig(3)
@@ -209,7 +208,7 @@ func TestMidCollectiveKillResume(t *testing.T) {
 	}
 	killed := map[string]bool{} // the stages a kill interrupted
 
-	for _, n := range []int{1, 9, 10, 60, 100, 130, 145, 183, 250, 350} {
+	for _, n := range []int{1, 8, 30, 50, 70, 80, 90, 107, 150, 200} {
 		n := n
 		t.Run(fmt.Sprintf("barrier=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
@@ -689,11 +688,13 @@ func TestReadShardWrittenOncePerReadSet(t *testing.T) {
 	}
 }
 
-// TestResumeIntoFreshDirectory resumes a killed run from its directory into
-// an empty one, which must reproduce the uninterrupted run; then resumes from
-// the new directory alone, with the first one deleted. The new directory has
-// no read shard until the resumed run writes the ones its rank-state shards
-// name, so the second resume proves it does.
+// TestResumeIntoFreshDirectory resumes a killed run from its directory A
+// into an empty directory B, deletes A, and resumes from B alone, which must
+// reproduce the uninterrupted run. The resume into B either runs to the end
+// or is killed again at its first barrier or inside its first step, before B
+// records a step of its own: B's manifest names A's last step from the
+// start, so B must hold that step's rank-state shards and the read shards
+// they name before its first barrier.
 func TestResumeIntoFreshDirectory(t *testing.T) {
 	reads := ckptReads(t)
 	cfg := testConfig(3)
@@ -703,28 +704,41 @@ func TestResumeIntoFreshDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	killedDir, freshDir := t.TempDir(), t.TempDir()
-	kcfg := cfg
-	kcfg.CheckpointDir, kcfg.FailAfterStage, kcfg.FailAtIteration = killedDir, StageAlignment, 1
-	if _, err := Assemble(reads, kcfg); !errors.Is(err, ErrFaultInjected) {
-		t.Fatalf("killed run returned %v, want ErrFaultInjected", err)
-	}
-	rcfg := cfg
-	rcfg.ResumeFrom, rcfg.CheckpointDir = killedDir, freshDir
-	res, err := Assemble(reads, rcfg)
-	if err != nil {
-		t.Fatalf("resume into a fresh directory: %v", err)
-	}
-	assertSameRun(t, base, res)
+	for _, n := range []int{0, 1, 3} { // the resumed run's kill barrier; 0: none
+		t.Run(fmt.Sprintf("barrier=%d", n), func(t *testing.T) {
+			killedDir, freshDir := t.TempDir(), t.TempDir()
+			kcfg := cfg
+			kcfg.CheckpointDir, kcfg.FailAfterStage, kcfg.FailAtIteration = killedDir, StageAlignment, 1
+			if _, err := Assemble(reads, kcfg); !errors.Is(err, ErrFaultInjected) {
+				t.Fatalf("killed run returned %v, want ErrFaultInjected", err)
+			}
+			rcfg := cfg
+			rcfg.ResumeFrom, rcfg.CheckpointDir, rcfg.FailAtBarrier = killedDir, freshDir, n
+			res, err := Assemble(reads, rcfg)
+			if n == 0 {
+				if err != nil {
+					t.Fatalf("resume into a fresh directory: %v", err)
+				}
+				assertSameRun(t, base, res)
+			} else if !errors.Is(err, ErrFaultInjected) {
+				t.Fatalf("resume into a fresh directory killed at barrier %d returned %v, want ErrFaultInjected", n, err)
+			}
+			if man, err := checkpoint.Load(freshDir); err != nil {
+				t.Fatal(err)
+			} else if n > 0 && len(man.Steps) != 10 {
+				t.Fatalf("the kill at barrier %d left %d steps in the fresh directory, want the 10 it resumed", n, len(man.Steps))
+			}
 
-	if err := os.RemoveAll(killedDir); err != nil {
-		t.Fatal(err)
+			if err := os.RemoveAll(killedDir); err != nil {
+				t.Fatal(err)
+			}
+			rcfg.ResumeFrom, rcfg.FailAtBarrier = freshDir, 0
+			if res, err = Assemble(reads, rcfg); err != nil {
+				t.Fatalf("resume from the fresh directory alone: %v", err)
+			}
+			assertSameRun(t, base, res)
+		})
 	}
-	rcfg.ResumeFrom = freshDir
-	if res, err = Assemble(reads, rcfg); err != nil {
-		t.Fatalf("resume from the fresh directory alone: %v", err)
-	}
-	assertSameRun(t, base, res)
 }
 
 // TestResumedFaultValidated pins fault validation against the resume point:
@@ -872,8 +886,10 @@ func fullRankState(t testing.TB) rankState {
 			{Library: "mp", LibIndex: 0, InsertSize: 1500, InputContigs: 12, Scaffolds: 5, AcceptedLinks: 4},
 		},
 		steps: []ProgressEvent{
-			{Stage: StageKmerAnalysis, K: 21, Seconds: 0.125, SimSeconds: 0.125, ResidentBytes: 4096},
-			{Stage: StageScaffolding, Iteration: 2, K: 45, Seconds: 0.0625, SimSeconds: 0.3141592653589793, ResidentBytes: 987654321},
+			{Stage: StageKmerAnalysis, K: 21, Seconds: 0.125, SimSeconds: 0.125, ResidentBytes: 4096,
+				Messages: 56, OffNodeMessages: 32, BytesSent: 70000, OffNodeBytes: 40000, Barriers: 24},
+			{Stage: StageScaffolding, Iteration: 2, K: 45, Seconds: 0.0625, SimSeconds: 0.3141592653589793, ResidentBytes: 987654321,
+				Messages: 1 << 40, OffNodeMessages: 3, BytesSent: 1<<64 - 1, OffNodeBytes: 5, RemoteGets: 77, Barriers: 123},
 		},
 	}
 }
@@ -884,13 +900,15 @@ func fullRankState(t testing.TB) rankState {
 // deliberate format change bumps rankStateMagic and re-captures the literal.
 // It was re-captured (from 978 bytes, 207eaec2…) for format v3, which
 // dropped the unread pipeline scalars, the scaffolding counters and the
-// per-rank scaffold shard, and added rank 0's step records. It was last
+// per-rank scaffold shard, and added rank 0's step records. It was
 // re-captured (from 949 bytes, f7e29426…) for format v4, which carries the
-// hash of the rank's read shard in place of its reads.
+// hash of the rank's read shard in place of its reads. It was last
+// re-captured (from 879 bytes, 28042f06…) for format v5, which adds six
+// traffic columns, 48 bytes, to each of the two step records.
 func TestRankStateShardPin(t *testing.T) {
 	st := fullRankState(t)
 	data := encodeRankState(&st)
-	const wantLen, wantSHA = 879, "28042f069dcac12f08118bd66a118b6301085ffefd1bda30523d98522224087a"
+	const wantLen, wantSHA = 975, "8a375e36515b9949cfb2d79edb36b730fb64e4a2f4ff5f9294e2b26f9a8b637f"
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantSHA {
 		t.Errorf("shard = %d bytes, sha256 %s; want %d bytes, sha256 %s", len(data), got, wantLen, wantSHA)
@@ -965,7 +983,8 @@ func TestRankStateRecords(t *testing.T) {
 	})
 	t.Run("step record", func(t *testing.T) {
 		checkRecord(t, progressEventFields,
-			ProgressEvent{Stage: StageAlignment, Iteration: 1, K: 33, Seconds: 0.0125, SimSeconds: 0.035, ResidentBytes: 123456})
+			ProgressEvent{Stage: StageAlignment, Iteration: 1, K: 33, Seconds: 0.0125, SimSeconds: 0.035, ResidentBytes: 123456,
+				Messages: 90, OffNodeMessages: 60, BytesSent: 4321, OffNodeBytes: 2100, RemoteGets: 12, Barriers: 30})
 	})
 	t.Run("rank state", func(t *testing.T) {
 		checkRecord(t, func(c *checkpoint.Codec, st *rankState) { st.fields(c) }, fullRankState(t))
@@ -1028,6 +1047,10 @@ func TestRankStateRecords(t *testing.T) {
 // It was re-captured (from d7388d48…) for shard format v4: the same run and
 // clocks, but every rank-state shard carries its read shard's hash in place
 // of the reads.
+// It was re-captured (from ae2cf096…) for two changes together: an exchange
+// charges the one barrier it runs, so every rank clock after the first
+// k-mer analysis moved, and shard format v5 gives rank 0's step records their
+// traffic columns.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -1035,7 +1058,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "ae2cf096b75738782be8adf75a7c759cfa3194a3366441dead62f4b18f5ac1bf"
+	const want = "5d823a6126ba53889ba6048adff99d65092d77a05854f5e9f17e40aeea27fa66"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}
@@ -1084,13 +1107,15 @@ func FuzzRankStateDecode(f *testing.F) {
 		readsHash: checkpoint.HashBytes(nil),
 		scaffolds: []scaffold.Scaffold{{ID: 0, Seq: []byte("ACGTNNNACGT"), ContigIDs: []int{1, 0}, Gaps: 1}},
 		rounds:    []RoundStats{{Library: "pe", InsertSize: 220, InputContigs: 4, Scaffolds: 2, AcceptedLinks: 3}},
-		steps:     []ProgressEvent{{Stage: StageScaffolding, Iteration: 1, K: 33, Seconds: 0.5, SimSeconds: 99.25, ResidentBytes: 1 << 20}},
+		steps: []ProgressEvent{{Stage: StageScaffolding, Iteration: 1, K: 33, Seconds: 0.5, SimSeconds: 99.25, ResidentBytes: 1 << 20,
+			Messages: 14, OffNodeMessages: 6, BytesSent: 900, OffNodeBytes: 300, RemoteGets: 2, Barriers: 18}},
 	}
 	f.Add(encodeRankState(&scaf))
 	f.Add([]byte{})
 	f.Add([]byte("mhm-rank-state-v1")) // pre-SampleID shard magic: must be rejected, never mis-decoded
 	f.Add([]byte("mhm-rank-state-v2")) // pre-v3 shard magic: the same
 	f.Add([]byte("mhm-rank-state-v3")) // pre-v4 shard magic, reads inline: the same
+	f.Add([]byte("mhm-rank-state-v4")) // pre-v5 shard magic, step records without traffic: the same
 	f.Add([]byte(rankStateMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -275,7 +275,7 @@ func (c Config) KValues() []int {
 // ends, returned in order as Result.Steps, carried in rank 0's checkpoint
 // shard and embedded in the server's event stream. Seconds, SimSeconds and
 // ResidentBytes are rank 0's view at the step-end barrier (the clock is
-// identical on every rank there).
+// identical on every rank there); the traffic columns are machine-wide.
 type ProgressEvent struct {
 	// Stage is the completed stage's name (the Stage* constants).
 	Stage string `json:"stage,omitempty"`
@@ -291,6 +291,15 @@ type ProgressEvent struct {
 	// ResidentBytes is rank 0's resident collective-payload meter at the
 	// boundary (see pgas.CommStats.PeakResidentBytes for the run-wide peak).
 	ResidentBytes uint64 `json:"resident_bytes,omitempty"`
+	// The step's traffic: the pgas.CommStats counters of the same names,
+	// summed over every rank, counted from the barrier that opens the step's
+	// window (excluded) to the one that closes it (included).
+	Messages        uint64 `json:"messages,omitempty"`
+	OffNodeMessages uint64 `json:"off_node_messages,omitempty"`
+	BytesSent       uint64 `json:"bytes_sent,omitempty"`
+	OffNodeBytes    uint64 `json:"off_node_bytes,omitempty"`
+	RemoteGets      uint64 `json:"remote_gets,omitempty"`
+	Barriers        uint64 `json:"barriers,omitempty"`
 }
 
 // StageTime is one stage's simulated seconds summed over its steps.
@@ -443,7 +452,7 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 			// identical to an uninterrupted run's.
 			man = ck.resume.man
 		}
-		w, err := newCkptWriter(cfg.CheckpointDir, cfg.Ranks, man)
+		w, err := newCkptWriter(cfg.CheckpointDir, cfg.Ranks, man, cfg.ResumeFrom, ck.resume)
 		if err != nil {
 			return nil, err
 		}
@@ -615,6 +624,7 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 	// before the resume point — their effects live in the restored state —
 	// are skipped. It is the only code that times a step: a barrier on each
 	// side of the body makes the measured duration identical on every rank,
+	// the machine-wide statistics both barriers sum give the step's traffic,
 	// and rank 0 appends the step's record to its state (so the checkpoint
 	// carries it) before handing it to the Progress hook, outside simulated
 	// time. The checkpoint deposit sits between the step-end barrier and the
@@ -627,13 +637,16 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 			return false
 		}
 		k := ks[it]
-		r.Barrier()
+		s0 := r.BarrierStats()
 		t0 := r.Clock()
 		sg.run(r, cfg, k, st)
-		r.Barrier()
+		s1 := r.BarrierStats()
 		if r.ID() == 0 {
 			ev := ProgressEvent{Stage: sg.name, Iteration: it, K: k,
-				Seconds: r.Clock() - t0, SimSeconds: r.Clock(), ResidentBytes: r.Resident()}
+				Seconds: r.Clock() - t0, SimSeconds: r.Clock(), ResidentBytes: r.Resident(),
+				Messages: s1.Messages - s0.Messages, OffNodeMessages: s1.OffNodeMessages - s0.OffNodeMessages,
+				BytesSent: s1.BytesSent - s0.BytesSent, OffNodeBytes: s1.OffNodeBytes - s0.OffNodeBytes,
+				RemoteGets: s1.RemoteGets - s0.RemoteGets, Barriers: s1.Barriers - s0.Barriers}
 			st.steps = append(st.steps, ev)
 			if cfg.Progress != nil {
 				cfg.Progress(ev)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -295,6 +296,58 @@ func TestMinContigLenFilter(t *testing.T) {
 	for _, c := range res.Contigs {
 		if len(c.Seq) < 500 {
 			t.Errorf("contig of length %d survived the MinContigLen filter", len(c.Seq))
+		}
+	}
+}
+
+// TestStepTrafficColumns: each step record carries the step's machine-wide
+// traffic as integer sums over the ranks, so the columns must not depend on
+// Workers. Every step runs a collective, and every rank counts each barrier;
+// the steps' sums stay within the run's totals (localization and the final
+// emit run between the windows); and on one virtual node nothing is
+// off-node. Equality across a kill and resume is assertSameRun's, which
+// compares every step record.
+func TestStepTrafficColumns(t *testing.T) {
+	_, reads := smallCommunity(t, 2, 8)
+	const p = 4
+	traffic := func(ev ProgressEvent) [6]uint64 {
+		return [6]uint64{ev.Messages, ev.OffNodeMessages, ev.BytesSent, ev.OffNodeBytes, ev.RemoteGets, ev.Barriers}
+	}
+	for _, perNode := range []int{2, p} {
+		var first []ProgressEvent
+		for _, workers := range []int{1, 4} {
+			cfg := testConfig(p)
+			cfg.RanksPerNode, cfg.Workers = perNode, workers
+			res, err := Assemble(reads, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum [6]uint64
+			for _, ev := range res.Steps {
+				if ev.Barriers == 0 || ev.Barriers%p != 0 || ev.Messages == 0 || ev.OffNodeMessages > ev.Messages {
+					t.Errorf("%d ranks per node, Workers=%d: step %d:%s has traffic %+v", perNode, workers, ev.Iteration, ev.Stage, ev)
+				}
+				if perNode == p && (ev.OffNodeMessages != 0 || ev.OffNodeBytes != 0) {
+					t.Errorf("one node, Workers=%d: step %d:%s went off-node: %+v", workers, ev.Iteration, ev.Stage, ev)
+				}
+				for i, v := range traffic(ev) {
+					sum[i] += v
+				}
+			}
+			s := res.Stats
+			total := traffic(ProgressEvent{Messages: s.Messages, OffNodeMessages: s.OffNodeMessages, BytesSent: s.BytesSent,
+				OffNodeBytes: s.OffNodeBytes, RemoteGets: s.RemoteGets, Barriers: s.Barriers})
+			for i := range sum {
+				if sum[i] > total[i] {
+					t.Errorf("%d ranks per node, Workers=%d: the steps' traffic %v exceeds the run's %v", perNode, workers, sum, total)
+					break
+				}
+			}
+			if first == nil {
+				first = res.Steps
+			} else if !reflect.DeepEqual(res.Steps, first) {
+				t.Errorf("%d ranks per node: Workers=%d steps %+v\n!= Workers=1 steps %+v", perNode, workers, res.Steps, first)
+			}
 		}
 	}
 }

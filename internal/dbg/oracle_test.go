@@ -687,9 +687,9 @@ func TestHairpinAndCycleMatchOracle(t *testing.T) {
 }
 
 // TestTraverseBarriersAndJumpsP8 pins Traverse's per-rank barrier count at
-// P=8 on a simulated community at k=21: 3 + 3 per doubling round + 3 + 1 (the
-// claim exchange, one exchange per round, the piece exchange and the closing
-// barrier). It also pins the point of segments: with the graph owned by
+// P=8 on a simulated community at k=21: the claim exchange, one exchange per
+// doubling round, the piece exchange and the closing barrier, with an
+// exchange counting one barrier. It also pins the point of segments: with the graph owned by
 // minimizer, at most a third of a rank's nodes head a segment, and each
 // doubling round, driven here one at a time as rankPaths does, sends at most
 // one jump per head and receives at most one (its charged records, one op
@@ -732,7 +732,8 @@ func TestTraverseBarriersAndJumpsP8(t *testing.T) {
 		}
 	})
 	for rank, b := range barriers {
-		if want := uint64(3*rounds + 7); b != want {
+		const exchange = 1 // barriers per exchange
+		if want := uint64(exchange + rounds*exchange + exchange + 1); b != want {
 			t.Errorf("rank %d: Traverse passed %d barriers, want %d (%d rounds)", rank, b, want, rounds)
 		}
 	}

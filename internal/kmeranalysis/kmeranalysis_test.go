@@ -591,10 +591,11 @@ func TestSupermerKmersOwnedByDestination(t *testing.T) {
 }
 
 // TestRunAndMergeBarriersP8 pins the per-rank barrier count of Run plus
-// MergeContigKmers at P=8. Run passes 8 + 3 per round: the counts table's
-// broadcast (2), three all-reduces (2 each) and one exchange (3) per round;
-// no barrier follows the rounds, the pruning or the last all-reduce. The
-// merge passes its flush's exchange (3) and no closing barrier. It also pins
+// MergeContigKmers at P=8, with an exchange counting one barrier. Run passes
+// the counts table's broadcast (2), three all-reduces (2 each) and one
+// exchange per round; no barrier follows the rounds, the pruning or the last
+// all-reduce. The merge passes its flush's exchange and no closing barrier.
+// It also pins
 // the point of supermers: at the same per-round byte budget, the rounds fall
 // at least fivefold from the per-k-mer path's.
 func TestRunAndMergeBarriersP8(t *testing.T) {
@@ -631,12 +632,13 @@ func TestRunAndMergeBarriersP8(t *testing.T) {
 		s2 := r.Stats()
 		runBarriers[r.ID()], mergeBarriers[r.ID()] = s1.Barriers-s0.Barriers, s2.Barriers-s1.Barriers
 	})
+	const bcast, allReduce, exchange = 2, 2, 1 // barriers per collective
 	for rank := 0; rank < p; rank++ {
-		if want := uint64(8 + 3*rounds); runBarriers[rank] != want {
+		if want := uint64(bcast + 3*allReduce + rounds*exchange); runBarriers[rank] != want {
 			t.Errorf("rank %d: Run passed %d barriers, want %d (%d rounds)", rank, runBarriers[rank], want, rounds)
 		}
-		if mergeBarriers[rank] != 3 {
-			t.Errorf("rank %d: MergeContigKmers passed %d barriers, want 3", rank, mergeBarriers[rank])
+		if mergeBarriers[rank] != exchange {
+			t.Errorf("rank %d: MergeContigKmers passed %d barriers, want %d", rank, mergeBarriers[rank], exchange)
 		}
 	}
 }

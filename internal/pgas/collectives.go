@@ -370,17 +370,14 @@ func Broadcast[T any](r *Rank, x T) T {
 // order; received batches are accounted to BytesReceived and the resident
 // meter. One call routes fewer than 2^32 items.
 //
-// Three barriers are charged (deposit / drain / reset): every exchange-based
-// stage was calibrated against that count. One is run. The drain and reset
-// barriers only kept a sender from reusing its buffers while receivers still
-// read them; instead, the published buffers and the mailboxes are
-// double-buffered by the parity of the rank's exchange count. A sender
+// One barrier is counted, priced and run: the deposit barrier. No drain or
+// reset barrier is needed to keep a sender from reusing its buffers while
+// receivers still read them, because the published buffers and the mailboxes
+// are double-buffered by the parity of the rank's exchange count. A sender
 // rewrites the buffers of exchange e in exchange e+2, and it cannot get there
 // before every rank has arrived at exchange e+1's barrier, that is, has
-// finished reading exchange e. The two barriers not run are still counted,
-// priced and subject to the fault-injection trap (chargeBarrier): after the
-// deposit barrier every rank's clock is equal and nothing else is charged, so
-// running them would have given every rank the same clock they do.
+// finished reading exchange e. The same holds on a machine with real one-sided
+// transfers, so the simulated clock charges the one barrier the host runs.
 //
 // The published copy of a rank's items stays on the host until that rank's
 // next exchange passes its barrier, which zeroes it (exchOutbox.release): at
@@ -440,8 +437,6 @@ func ExchangeFunc[T any](r *Rank, items []T, destOf func(i int, item T) int, siz
 			merged = append(merged, m.outboxes[b.src][parity].(*exchOutbox[T]).items[b.lo:b.hi]...)
 		}
 	}
-	r.chargeBarrier()
-	r.chargeBarrier()
 	return merged
 }
 

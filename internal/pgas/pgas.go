@@ -188,6 +188,11 @@ type Machine struct {
 	// rank, which made a collective round O(P²) transient allocation.
 	collResult any
 
+	// The ranks of the current run, and the machine-wide sum of their
+	// statistics that the last BarrierStats took (see there).
+	ranks    []*Rank
+	statsSum CommStats
+
 	atomicMu sync.Mutex
 	atomics  []int64
 
@@ -350,6 +355,7 @@ func (m *Machine) Run(body func(r *Rank)) RunResult {
 		})
 		ranks[i] = r
 	}
+	m.ranks = ranks
 	workers := make([]worker, nw)
 	for j := range workers {
 		lo, hi := BlockRange(p, nw, j)
@@ -371,6 +377,7 @@ func (m *Machine) Run(body func(r *Rank)) RunResult {
 	for _, r := range ranks {
 		r.stop()
 	}
+	m.ranks = nil
 
 	var res RunResult
 	res.Wall = time.Since(start)
@@ -551,6 +558,27 @@ func (r *Rank) AtomicFetchAdd(handle int, delta int64) int64 {
 // fact that a stage ends only when its slowest rank finishes.
 func (r *Rank) Barrier() { r.barrierOn(nil) }
 
+// BarrierStats is Barrier that also returns the machine-wide sum of every
+// rank's statistics as the barrier completes, this barrier's arrivals
+// included. The sum is taken once, by the barrier's completion hook while
+// every rank is parked, so it sends nothing and charges nothing: the clock
+// and the counts move exactly as Barrier moves them.
+func (r *Rank) BarrierStats() CommStats {
+	m := r.machine
+	r.barrierOn(m.sumStats)
+	return m.statsSum
+}
+
+// sumStats is BarrierStats' completion hook. Each rank wrote its statistics
+// before its worker arrived under the barrier lock, which the hook holds.
+func (m *Machine) sumStats() {
+	var s CommStats
+	for _, r := range m.ranks {
+		s.Add(r.stats)
+	}
+	m.statsSum = s
+}
+
 // barrierOn is Barrier with an optional completion hook: onComplete runs
 // exactly once per barrier epoch, on the worker that completes the machine
 // barrier, under the barrier lock, before any rank resumes. The collectives
@@ -578,15 +606,6 @@ func (r *Rank) barrierOn(onComplete func()) {
 		panic(abortPanic{})
 	}
 	r.clock = m.barrier.result + m.cfg.Cost.BarrierCost
-}
-
-// chargeBarrier accounts a barrier that is priced but not run, for a caller
-// whose ranks all hold the same clock and that needs no synchronization
-// (ExchangeFunc's drain and reset): it counts, prices and can trap exactly
-// like Barrier, which would have returned that same clock plus BarrierCost.
-func (r *Rank) chargeBarrier() {
-	r.countBarrier()
-	r.clock += r.machine.cfg.Cost.BarrierCost
 }
 
 // countBarrier counts one barrier arrival and fires the fault-injection trap

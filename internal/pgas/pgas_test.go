@@ -314,22 +314,23 @@ func TestExchangeFuncRepeated(t *testing.T) {
 	})
 }
 
-// TestExchangeFuncOneHostBarrier: an exchange runs one host barrier and
-// charges three, so a rank leaves it while others may still be copying what
-// it published, and the buffers alternate by exchange parity. Back-to-back
+// TestExchangeFuncOneHostBarrier: an exchange counts, prices and runs one
+// barrier, so a rank leaves it while others may still be copying what it
+// published, and the buffers alternate by exchange parity. Back-to-back
 // exchanges whose caller truncates, refills and then scribbles over one items
 // slice, interleaved with AllReduce and Broadcast, must each deliver exactly
 // that round's items in source order; clocks and counts must not depend on
-// Workers, and every exchange still counts three barriers. Run it under
-// -race: a receiver reading a buffer its sender has moved on to reuse is a
-// data race.
+// Workers. Only barriers are priced (at one second each), so the clock counts
+// the barriers each rank paid for, and the machine's barrier epochs count the
+// ones it ran. Run it under -race: a receiver reading a buffer its sender has
+// moved on to reuse is a data race.
 func TestExchangeFuncOneHostBarrier(t *testing.T) {
 	type msg struct{ round, src, dest, seq int }
 	const rounds = 12
 	for _, p := range []int{3, 64} {
 		var first RunResult
 		for _, workers := range []int{1, 4} {
-			m := NewMachine(Config{Ranks: p, RanksPerNode: 2, Workers: workers})
+			m := NewMachine(Config{Ranks: p, RanksPerNode: 2, Workers: workers, Cost: CostModel{BarrierCost: 1}, CostSet: true})
 			dest := func(round, src, seq int) int { return (src + round + 7*seq) % p }
 			collectives := 0
 			res := m.Run(func(r *Rank) {
@@ -370,8 +371,17 @@ func TestExchangeFuncOneHostBarrier(t *testing.T) {
 					}
 				}
 			})
-			if want := uint64(p * (3*rounds + 2*collectives)); res.Stats.Barriers != want {
-				t.Errorf("P=%d workers=%d: %d barriers counted, want %d (three per exchange)", p, workers, res.Stats.Barriers, want)
+			// One barrier per exchange, two per AllReduce or Broadcast.
+			perRank := rounds + 2*collectives
+			if want := uint64(p * perRank); res.Stats.Barriers != want {
+				t.Errorf("P=%d workers=%d: %d barriers counted, want %d (one per exchange)", p, workers, res.Stats.Barriers, want)
+			}
+			if res.SimSeconds != float64(perRank) {
+				t.Errorf("P=%d workers=%d: %v barrier-seconds priced, want %d (one per exchange)", p, workers, res.SimSeconds, perRank)
+			}
+			// The last epoch is the round in which every rank returned.
+			if ran := int(m.barrier.epoch) - 1; ran != perRank {
+				t.Errorf("P=%d workers=%d: %d barriers run, want %d (one per exchange)", p, workers, ran, perRank)
 			}
 			res.Wall = 0
 			if workers == 1 {
@@ -383,31 +393,34 @@ func TestExchangeFuncOneHostBarrier(t *testing.T) {
 	}
 }
 
-// TestExchangeFuncTrapOnChargedBarrier: the drain and reset barriers an
-// exchange charges but does not run still count toward the fault-injection
-// trap. Armed on either, rank 0 aborts there, the run reports the cause, and
-// every other rank unwinds at its next barrier instead of finishing.
-func TestExchangeFuncTrapOnChargedBarrier(t *testing.T) {
-	// Barriers 1 and 4 are the exchanges' deposit barriers, which run; 2, 3,
-	// 5 and 6 are charged only.
-	for _, n := range []uint64{2, 3, 5, 6} {
-		for _, workers := range []int{1, 4} {
-			cause := errors.New("injected")
-			m := NewMachine(Config{Ranks: 5, Workers: workers})
-			m.InjectBarrierFailure(n, cause)
-			var finished atomic.Int32
-			res := m.Run(func(r *Rank) {
-				for i := 0; i < 3; i++ {
-					ExchangeFunc(r, []int{i}, func(int, int) int { return r.ID() + 1 }, func(int) int { return 8 })
-				}
-				finished.Add(1)
-			})
-			if !errors.Is(res.Err, ErrAborted) || !errors.Is(res.Err, cause) {
-				t.Errorf("trap at barrier %d, workers=%d: Err = %v, want ErrAborted joined with the cause", n, workers, res.Err)
+// TestBarrierStats: BarrierStats returns, on every rank, the sum of every
+// rank's statistics at that barrier, its own arrivals included, and moves
+// clocks and counts exactly as Barrier does.
+func TestBarrierStats(t *testing.T) {
+	const p = 7
+	work := func(r *Rank) {
+		r.Compute(float64(100 * r.ID()))
+		r.ChargeSend((r.ID()+1)%p, 10*r.ID(), 1)
+	}
+	for _, workers := range []int{1, 3} {
+		cfg := Config{Ranks: p, RanksPerNode: 2, Workers: workers}
+		var got [p]CommStats
+		res := NewMachine(cfg).Run(func(r *Rank) {
+			work(r)
+			got[r.ID()] = r.BarrierStats()
+		})
+		ref := NewMachine(cfg).Run(func(r *Rank) {
+			work(r)
+			r.Barrier()
+		})
+		for rank, s := range got {
+			if s != res.Stats {
+				t.Errorf("workers=%d rank %d: BarrierStats = %+v, want the run's total %+v", workers, rank, s, res.Stats)
 			}
-			if got := finished.Load(); got != 0 {
-				t.Errorf("trap at barrier %d, workers=%d: %d ranks finished an aborted run", n, workers, got)
-			}
+		}
+		res.Wall, ref.Wall = 0, 0
+		if res != ref {
+			t.Errorf("workers=%d: with BarrierStats %+v, with Barrier %+v", workers, res, ref)
 		}
 	}
 }
