@@ -361,12 +361,16 @@ func main() {
 	for _, st := range res.Stages() {
 		fmt.Printf("  %-16s %.4f\n", st.Name, st.Seconds)
 	}
-	fmt.Println("steps (simulated seconds; traffic summed over ranks):")
-	fmt.Printf("  %2s %3s %-16s %8s %9s %9s %12s %12s %8s %9s\n",
-		"it", "k", "stage", "seconds", "msgs", "off-node", "bytes", "off-node", "gets", "barriers")
+	fmt.Println("steps (simulated seconds; wait averaged and traffic summed over ranks):")
+	fmt.Printf("  %2s %3s %-16s %8s %8s %5s %9s %9s %12s %12s %8s %9s\n",
+		"it", "k", "stage", "seconds", "wait", "wait%", "msgs", "off-node", "bytes", "off-node", "gets", "barriers")
 	for _, ev := range res.Steps {
-		fmt.Printf("  %2d %3d %-16s %8.4f %9d %9d %12d %12d %8d %9d\n", ev.Iteration, ev.K, ev.Stage, ev.Seconds,
-			ev.Messages, ev.OffNodeMessages, ev.BytesSent, ev.OffNodeBytes, ev.RemoteGets, ev.Barriers)
+		waitPct := 0.0
+		if ev.Seconds > 0 {
+			waitPct = 100 * ev.BarrierWait / ev.Seconds
+		}
+		fmt.Printf("  %2d %3d %-16s %8.4f %8.4f %5.1f %9d %9d %12d %12d %8d %9d\n", ev.Iteration, ev.K, ev.Stage, ev.Seconds,
+			ev.BarrierWait, waitPct, ev.Messages, ev.OffNodeMessages, ev.BytesSent, ev.OffNodeBytes, ev.RemoteGets, ev.Barriers)
 	}
 	s := res.Stats
 	fmt.Printf("communication: %d msgs (%d off-node), %.1f MB sent, %.1f MB received, %.1f MB off-node\n",

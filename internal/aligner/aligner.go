@@ -128,11 +128,12 @@ type Index struct {
 	Contigs *dbg.ContigSet
 }
 
-// BuildIndex constructs the distributed seed index. Collective: each rank
-// indexes its own shard of the contig set using the aggregated update-only
-// phase, routing each seed to its minimizer's owner with the minimizer
-// taken from one rolling window per contig (seq.Minimizers), then sorts the
-// hit lists of the seeds it owns.
+// BuildIndex constructs the distributed seed index. Collective: the contigs
+// are cut into pieces and dealt out evenly (dbg.DealPieces), so each rank
+// indexes about its share of the set's seeds whatever contigs it owns. A
+// rank routes each seed of its pieces to its minimizer's owner with the
+// aggregated update-only phase, the minimizer taken from one rolling window
+// per piece (seq.Minimizers), then sorts the hit lists of the seeds it owns.
 func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 	if opts.SeedLen <= 0 || opts.SeedLen > seq.MaxK {
 		opts.SeedLen = 31
@@ -143,10 +144,11 @@ func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 		seeds = dht.NewMapOwnedBy[seq.Kmer, []SeedHit](r.Machine(), seq.Kmer.Hash, seq.Kmer.Minimizer, 24)
 	}
 	idx.Seeds = pgas.Broadcast(r, seeds)
-	// Each update is a one-hit window, of capacity one, into an array of its
-	// contig's hits, and a seed's first update is stored as it came: a
-	// second hit then appends into a list of the owner's own. That is one
-	// allocation per contig where a fresh slice per update and per first
+	pieces := dbg.DealPieces(r, contigs, opts.SeedLen)
+	// Each update is a one-hit window, of capacity one, into one array of
+	// every hit the rank sends, and a seed's first update is stored as it
+	// came: a second hit then appends into a list of the owner's own. That is
+	// one allocation per build where a fresh slice per update and per first
 	// store made two per seed.
 	combine := func(existing, update []SeedHit, found bool) []SeedHit {
 		if !found {
@@ -155,20 +157,25 @@ func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 		return append(existing, update...)
 	}
 	u := idx.Seeds.NewUpdater(r, combine, 512, true)
+	n := 0
+	for _, pc := range pieces {
+		n += len(pc.Seq) - opts.SeedLen + 1
+	}
+	hits := make([]SeedHit, n)
 	var mins []uint64
-	contigs.ForEachLocal(r, func(_ int, c dbg.Contig) {
-		mins = seq.Minimizers(mins, c.Seq, opts.SeedLen)
-		hits := make([]SeedHit, len(mins))
-		for canon, at := range seq.CanonicalKmers(c.Seq, opts.SeedLen) {
-			hits[at.Off] = SeedHit{ContigID: c.ID, Pos: at.Off, Reverse: at.RC}
+	for _, pc := range pieces {
+		mins = seq.Minimizers(mins, pc.Seq, opts.SeedLen)
+		for canon, at := range seq.CanonicalKmers(pc.Seq, opts.SeedLen) {
+			hits[at.Off] = SeedHit{ContigID: pc.ContigID, Pos: int(pc.Off) + at.Off, Reverse: at.RC}
 			u.UpdateWithOwnerHash(canon, mins[at.Off], hits[at.Off:at.Off+1:at.Off+1])
 		}
-		r.Compute(float64(len(c.Seq)))
-	})
+		hits = hits[len(mins):]
+		r.Compute(float64(len(pc.Seq)))
+	}
 	u.Flush()
 	// A hit list accumulates in the Updater's fold order, which depends on
-	// the rank count. Sorting it once here makes the sequence of charged
-	// contig fetches during alignment a function of the reads and the
+	// the rank count and the deal. Sorting it once here makes the sequence of
+	// charged contig fetches during alignment a function of the reads and the
 	// contigs alone. Repeat seeds are never answered, so stay unsorted.
 	idx.Seeds.RangeLocal(r.ID(), func(_ seq.Kmer, hits []SeedHit) {
 		if len(hits) > 1 && len(hits) <= maxHitsPerSeed {

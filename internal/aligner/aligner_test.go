@@ -104,8 +104,10 @@ func TestBuildIndexCoversAllSeeds(t *testing.T) {
 // TestSeedIndexOwnedByMinimizer: every seed sits in the partition of its
 // minimizer's owner, the counts table's rule, and the partitions together
 // are the oracle's index, at P in {1, 3, 16}. At P=256 a rank holding one
-// long contig flushes its seeds to one destination per distinct minimizer
-// owner, not to nearly every rank as hash ownership did.
+// long contig no longer flushes its seeds alone: it deals the contig's
+// pieces out, one message to each rank but itself, and flushes the seeds of
+// the one piece it keeps, one message per distinct minimizer owner of that
+// piece; every seed still lands on its minimizer's owner.
 func TestSeedIndexOwnedByMinimizer(t *testing.T) {
 	for _, fixture := range []int64{5, 6} {
 		contigs, _ := oracleFixture(fixture)
@@ -130,15 +132,12 @@ func TestSeedIndexOwnedByMinimizer(t *testing.T) {
 
 	const p, k = 256, 31
 	contig := dbg.Contig{Seq: randBases(rand.New(rand.NewSource(4)), 3000), Depth: 10}
-	owners := map[uint64]bool{}
-	distinct := map[uint64]bool{}
-	for key := range seedOracle([]dbg.Contig{contig}, nil, k) {
-		distinct[key.Minimizer()] = true
-		owners[key.Minimizer()%p] = true
-	}
+	kmers := len(contig.Seq) - k + 1
+	pieces := (kmers + dbg.PieceKmers - 1) / dbg.PieceKmers
 	m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 16})
 	flushMsgs := make([]uint64, p) // messages of a build with the contig minus those of one without
 	holder := -1
+	var idx *Index
 	res := m.Run(func(r *pgas.Rank) {
 		var local []dbg.Contig
 		if r.ID() == 0 {
@@ -150,9 +149,12 @@ func TestSeedIndexOwnedByMinimizer(t *testing.T) {
 				holder = r.ID()
 			}
 			before := r.Stats().Messages
-			BuildIndex(r, cs, DefaultOptions(k))
+			built := BuildIndex(r, cs, DefaultOptions(k))
 			if pass == 0 {
 				flushMsgs[r.ID()] += r.Stats().Messages - before
+				if r.ID() == 0 {
+					idx = built
+				}
 			} else {
 				flushMsgs[r.ID()] -= r.Stats().Messages - before
 			}
@@ -164,15 +166,34 @@ func TestSeedIndexOwnedByMinimizer(t *testing.T) {
 	if holder < 0 {
 		t.Fatal("no rank holds the contig")
 	}
-	got := flushMsgs[holder]
-	want := uint64(len(owners))
+	// The holder keeps the first piece, the contig's first PieceKmers seeds.
+	owners, allOwners := map[uint64]bool{}, map[uint64]bool{}
+	for key, at := range seq.CanonicalKmers(contig.Seq, k) {
+		if at.Off < dbg.PieceKmers {
+			owners[key.Minimizer()%p] = true
+		}
+		allOwners[key.Minimizer()%p] = true
+	}
+	want := uint64(pieces - 1 + len(owners))
 	if owners[uint64(holder)] {
 		want-- // the holder's own seeds are no message
 	}
-	if got != want || got > uint64(len(distinct)) || got > (p-1)*3/4 {
-		t.Fatalf("the holder of a %d-base contig sends its seeds to %d ranks, want %d: one per distinct minimizer owner other than itself (%d distinct minimizers, P=%d)", len(contig.Seq), got, want, len(distinct), p)
+	if got := flushMsgs[holder]; got != want {
+		t.Fatalf("the holder of a %d-base contig sends %d messages, want %d: %d pieces dealt to other ranks and one per distinct minimizer owner of the piece it keeps (P=%d)", len(contig.Seq), got, want, pieces-1, p)
 	}
-	t.Logf("a %d-base contig's seeds go to %d of %d ranks (%d distinct minimizers)", len(contig.Seq), got, p-1, len(distinct))
+	seeds := 0
+	for rank := range p {
+		idx.Seeds.RangeLocal(rank, func(key seq.Kmer, hits []SeedHit) {
+			seeds++
+			if owner := int(key.Minimizer() % p); owner != rank {
+				t.Fatalf("P=%d: seed %s in rank %d's partition, its minimizer's owner is %d", p, key, rank, owner)
+			}
+		})
+	}
+	if want := len(seedOracle([]dbg.Contig{contig}, nil, k)); seeds != want {
+		t.Fatalf("P=%d: the index holds %d seeds, the oracle %d", p, seeds, want)
+	}
+	t.Logf("the holder of a %d-base contig sends %d messages (%d pieces); the whole contig's seeds have %d owners", len(contig.Seq), flushMsgs[holder], pieces, len(allOwners))
 }
 
 func TestAlignPerfectRead(t *testing.T) {

@@ -135,6 +135,11 @@ type rankState struct {
 	shippedReadBytes int
 
 	alignedFrac float64
+	// totalReads is the run's read count, the one every rank deals its
+	// initial block from. Read localization keeps every read, so it is also
+	// the number an alignment pass aligns. Not part of a shard: the input
+	// gives it.
+	totalReads int
 
 	// aligns is the latest alignment stage's output, serialized only at
 	// boundaries where a later step still consumes it (hasAligns; see
@@ -193,11 +198,11 @@ func (st *rankState) atBoundary(r *pgas.Rank, it, stage int, alignsLive bool) *r
 // scaffolding counters and each rank's own scaffold shard, none of which a
 // resumed run reads, and added rank 0's step records; v4 moved the reads out
 // to a content-addressed read shard and carries its hash in their place; v5
-// added each step record's traffic columns. An
+// added each step record's traffic columns and v6 its barrier wait. An
 // older shard is refused at decode — its magic no longer matches — so an old
 // checkpoint surfaces as ErrCorruptShard instead of mis-decoding the fields
 // after the first one that moved.
-const rankStateMagic = "mhm-rank-state-v5"
+const rankStateMagic = "mhm-rank-state-v6"
 
 // fields is the shard layout of a rankState: the one list encodeRankState
 // and decodeRankState both walk. Decoding refuses a foreign magic and a stage
@@ -265,6 +270,7 @@ func progressEventFields(c *checkpoint.Codec, ev *ProgressEvent) {
 	c.U64(&ev.OffNodeBytes)
 	c.U64(&ev.RemoteGets)
 	c.U64(&ev.Barriers)
+	c.F64(&ev.BarrierWait)
 }
 
 // encodeRankState serializes a rankState into the checkpoint wire format.

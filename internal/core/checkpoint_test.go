@@ -887,9 +887,9 @@ func fullRankState(t testing.TB) rankState {
 		},
 		steps: []ProgressEvent{
 			{Stage: StageKmerAnalysis, K: 21, Seconds: 0.125, SimSeconds: 0.125, ResidentBytes: 4096,
-				Messages: 56, OffNodeMessages: 32, BytesSent: 70000, OffNodeBytes: 40000, Barriers: 24},
+				Messages: 56, OffNodeMessages: 32, BytesSent: 70000, OffNodeBytes: 40000, Barriers: 24, BarrierWait: 0.03125},
 			{Stage: StageScaffolding, Iteration: 2, K: 45, Seconds: 0.0625, SimSeconds: 0.3141592653589793, ResidentBytes: 987654321,
-				Messages: 1 << 40, OffNodeMessages: 3, BytesSent: 1<<64 - 1, OffNodeBytes: 5, RemoteGets: 77, Barriers: 123},
+				Messages: 1 << 40, OffNodeMessages: 3, BytesSent: 1<<64 - 1, OffNodeBytes: 5, RemoteGets: 77, Barriers: 123, BarrierWait: 1e-7},
 		},
 	}
 }
@@ -904,11 +904,13 @@ func fullRankState(t testing.TB) rankState {
 // re-captured (from 949 bytes, f7e29426…) for format v4, which carries the
 // hash of the rank's read shard in place of its reads. It was last
 // re-captured (from 879 bytes, 28042f06…) for format v5, which adds six
-// traffic columns, 48 bytes, to each of the two step records.
+// traffic columns, 48 bytes, to each of the two step records. It was last
+// re-captured (from 975 bytes, 8a375e36…) for format v6, which adds the
+// barrier-wait column, 8 bytes, to each of the two step records.
 func TestRankStateShardPin(t *testing.T) {
 	st := fullRankState(t)
 	data := encodeRankState(&st)
-	const wantLen, wantSHA = 975, "8a375e36515b9949cfb2d79edb36b730fb64e4a2f4ff5f9294e2b26f9a8b637f"
+	const wantLen, wantSHA = 991, "a5a0dd053e9528d0cd10b82a5d35ed0ca11077b2e099b4ae9930f0a9e5be33ad"
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); len(data) != wantLen || got != wantSHA {
 		t.Errorf("shard = %d bytes, sha256 %s; want %d bytes, sha256 %s", len(data), got, wantLen, wantSHA)
@@ -1051,6 +1053,12 @@ func TestRankStateRecords(t *testing.T) {
 // charges the one barrier it runs, so every rank clock after the first
 // k-mer analysis moved, and shard format v5 gives rank 0's step records their
 // traffic columns.
+// It was re-captured (from 5d823a61…) for three changes together: the seed
+// index and the k-mer merge cut their k-mers from contig pieces dealt out
+// round-robin (one more exchange each, other senders), and the alignment
+// stage no longer all-reduces the read count, so every rank clock after the
+// first alignment moved; and shard format v6 gives rank 0's step records
+// their barrier-wait column. The shards' contents did not move.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -1058,7 +1066,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "5d823a6126ba53889ba6048adff99d65092d77a05854f5e9f17e40aeea27fa66"
+	const want = "fc1db2748e4ca336fe90d835185b6e7c0647901e0fa4db4de30d3e384c8bb0df"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

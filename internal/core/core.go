@@ -300,6 +300,11 @@ type ProgressEvent struct {
 	OffNodeBytes    uint64 `json:"off_node_bytes,omitempty"`
 	RemoteGets      uint64 `json:"remote_gets,omitempty"`
 	Barriers        uint64 `json:"barriers,omitempty"`
+	// BarrierWait is the simulated seconds a rank spent waiting in the
+	// step's barriers (pgas.CommStats.BarrierWaitNs), over the same window
+	// and averaged over the ranks: the part of Seconds the step's imbalance
+	// costs.
+	BarrierWait float64 `json:"barrier_wait,omitempty"`
 }
 
 // StageTime is one stage's simulated seconds summed over its steps.
@@ -617,6 +622,7 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 		lo, hi := r.PairBlockRange(len(allReads))
 		st = &rankState{reads: allReads[lo:hi], readOffset: lo}
 	}
+	st.totalReads = len(allReads)
 	nIter := len(ks)
 
 	// step runs stage si of iteration it and reports whether the injected
@@ -646,7 +652,8 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 				Seconds: r.Clock() - t0, SimSeconds: r.Clock(), ResidentBytes: r.Resident(),
 				Messages: s1.Messages - s0.Messages, OffNodeMessages: s1.OffNodeMessages - s0.OffNodeMessages,
 				BytesSent: s1.BytesSent - s0.BytesSent, OffNodeBytes: s1.OffNodeBytes - s0.OffNodeBytes,
-				RemoteGets: s1.RemoteGets - s0.RemoteGets, Barriers: s1.Barriers - s0.Barriers}
+				RemoteGets: s1.RemoteGets - s0.RemoteGets, Barriers: s1.Barriers - s0.Barriers,
+				BarrierWait: float64(s1.BarrierWaitNs-s0.BarrierWaitNs) / 1e9 / float64(r.NRanks())}
 			st.steps = append(st.steps, ev)
 			if cfg.Progress != nil {
 				cfg.Progress(ev)
@@ -710,12 +717,11 @@ func runKmerAnalysis(r *pgas.Rank, cfg Config, k int, st *rankState) {
 }
 
 // runKmerMerge merges the previous iteration's contig k-mers (Section II-H)
-// so low-coverage organisms keep their assembled regions. The contigs are
-// owner-distributed, so each rank merges its own shard.
+// so low-coverage organisms keep their assembled regions. Each rank merges
+// the pieces of the contigs it is dealt, not its own shard, so the rank that
+// owns a long contig does not walk it alone.
 func runKmerMerge(r *pgas.Rank, cfg Config, k int, st *rankState) {
-	var seqs [][]byte
-	st.cset.ForEachLocal(r, func(_ int, c dbg.Contig) { seqs = append(seqs, c.Seq) })
-	kmeranalysis.MergeContigKmers(r, st.kmers, seqs, k, cfg.MinKmerCount+1)
+	kmeranalysis.MergeContigKmers(r, st.kmers, dbg.DealPieces(r, st.cset, k), k, cfg.MinKmerCount+1)
 }
 
 // runDBGTraversal builds and traverses the de Bruijn graph. The emitted
@@ -753,11 +759,10 @@ func runAlignment(r *pgas.Rank, cfg Config, k int, st *rankState) {
 	idx := aligner.BuildIndex(r, st.cset, aopts)
 	aligns, astats := aligner.AlignReads(r, idx, st.reads, st.readOffset, aopts)
 	st.aligns = aligns
+	// The pass aligns every read, and every rank knows how many there are,
+	// so only the aligned count is reduced.
 	alignedAll := pgas.AllReduce(r, int64(astats.ReadsAligned), pgas.ReduceSum)
-	totalAll := pgas.AllReduce(r, int64(astats.ReadsTotal), pgas.ReduceSum)
-	if totalAll > 0 {
-		st.alignedFrac = float64(alignedAll) / float64(totalAll)
-	}
+	st.alignedFrac = float64(alignedAll) / float64(st.totalReads)
 }
 
 // runLocalAssembly extends contigs by mer-walking with work sharing; the

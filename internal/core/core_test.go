@@ -302,7 +302,8 @@ func TestMinContigLenFilter(t *testing.T) {
 
 // TestStepTrafficColumns: each step record carries the step's machine-wide
 // traffic as integer sums over the ranks, so the columns must not depend on
-// Workers. Every step runs a collective, and every rank counts each barrier;
+// Workers; nor may the mean barrier wait, which lies between 0 and the
+// step's seconds. Every step runs a collective, and every rank counts each barrier;
 // the steps' sums stay within the run's totals (localization and the final
 // emit run between the windows); and on one virtual node nothing is
 // off-node. Equality across a kill and resume is assertSameRun's, which
@@ -323,16 +324,26 @@ func TestStepTrafficColumns(t *testing.T) {
 				t.Fatal(err)
 			}
 			var sum [6]uint64
+			waited := false
 			for _, ev := range res.Steps {
 				if ev.Barriers == 0 || ev.Barriers%p != 0 || ev.Messages == 0 || ev.OffNodeMessages > ev.Messages {
 					t.Errorf("%d ranks per node, Workers=%d: step %d:%s has traffic %+v", perNode, workers, ev.Iteration, ev.Stage, ev)
 				}
+				// A rank's waits are part of its clock's advance over the
+				// window, so their mean is too.
+				if ev.BarrierWait < 0 || ev.BarrierWait > ev.Seconds {
+					t.Errorf("%d ranks per node, Workers=%d: step %d:%s waits %v of its %v seconds", perNode, workers, ev.Iteration, ev.Stage, ev.BarrierWait, ev.Seconds)
+				}
+				waited = waited || ev.BarrierWait > 0
 				if perNode == p && (ev.OffNodeMessages != 0 || ev.OffNodeBytes != 0) {
 					t.Errorf("one node, Workers=%d: step %d:%s went off-node: %+v", workers, ev.Iteration, ev.Stage, ev)
 				}
 				for i, v := range traffic(ev) {
 					sum[i] += v
 				}
+			}
+			if !waited {
+				t.Errorf("%d ranks per node, Workers=%d: no step waited at a barrier", perNode, workers)
 			}
 			s := res.Stats
 			total := traffic(ProgressEvent{Messages: s.Messages, OffNodeMessages: s.OffNodeMessages, BytesSent: s.BytesSent,
@@ -348,6 +359,44 @@ func TestStepTrafficColumns(t *testing.T) {
 			} else if !reflect.DeepEqual(res.Steps, first) {
 				t.Errorf("%d ranks per node: Workers=%d steps %+v\n!= Workers=1 steps %+v", perNode, workers, res.Steps, first)
 			}
+		}
+	}
+}
+
+// TestAlignedReadFracPinned: the aligned fraction divides the all-reduced
+// aligned count by the run's read count, which every rank knows, where it
+// used to all-reduce each rank's count of the reads it aligned. Both counts
+// are the whole input: read localization keeps every read, the trailing
+// unpaired one of an odd count included. The fraction is pinned to the bits
+// the second all-reduce gave (841 of 853 reads) at P in {1, 3, 8}, and a run
+// killed after the last iteration's k-mer analysis, so that the resume runs
+// the last alignment, gives the same bits.
+func TestAlignedReadFracPinned(t *testing.T) {
+	const want = 0.9859320046893317
+	_, reads := smallCommunity(t, 2, 8)
+	reads = reads[:len(reads)-1] // an odd count
+	for _, p := range []int{1, 3, 8} {
+		res, err := Assemble(reads, testConfig(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AlignedReadFrac != want {
+			t.Errorf("P=%d: aligned read fraction %v, want %v", p, res.AlignedReadFrac, want)
+		}
+		cfg := testConfig(p)
+		cfg.CheckpointDir = t.TempDir()
+		cfg.FailAfterStage, cfg.FailAtIteration = StageKmerAnalysis, 1
+		if _, err := Assemble(reads, cfg); !errors.Is(err, ErrFaultInjected) {
+			t.Fatalf("P=%d: the kill returned %v", p, err)
+		}
+		cfg.FailAfterStage, cfg.FailAtIteration = "", 0
+		cfg.ResumeFrom = cfg.CheckpointDir
+		resumed, err := Assemble(reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.AlignedReadFrac != want {
+			t.Errorf("P=%d: resumed aligned read fraction %v, want %v", p, resumed.AlignedReadFrac, want)
 		}
 	}
 }

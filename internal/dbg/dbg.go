@@ -707,3 +707,53 @@ func DistributeContigs(r *pgas.Rank, local []Contig, _ dist.Mode) *ContigSet {
 func RenumberContigs(r *pgas.Rank, s *ContigSet) {
 	s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
 }
+
+// PieceKmers is the most k-mers DealPieces puts in one piece. Smaller pieces
+// spread a long contig over more ranks but ship k-1 more bases and a header
+// per piece and re-walk k-1 bases at its start; larger ones leave the
+// holder of a long contig more of its walk and its fan-out. Measured
+// (benchmark sim_s, seed 1) at 64, 128, 256, 512 and 1024: wide_p4096
+// 0.00781, 0.00748, 0.00741, 0.00762, 0.00816; mg18k_p16 0.024274,
+// 0.024232, 0.024210, 0.024232, 0.024272. 256 is the least on both.
+const PieceKmers = 256
+
+// DealPieces cuts the calling rank's contigs into pieces of at most
+// PieceKmers k-mers (seq.Piece) and deals them out round-robin, starting
+// with the rank itself: piece j of rank p goes to rank (p+j) mod P. It
+// returns the pieces the rank was dealt, in source-rank order. A contig
+// shorter than k yields none; ambiguous bases stay in the pieces, so their
+// k-mers are skipped by whoever walks them, as in the whole contig.
+//
+// A stage that cuts every k-mer of the set and routes it by the k-mer alone
+// (the seed index, the k-mer merge) does the same work from the pieces as
+// from the contigs, but no rank waits on the one that holds a long contig:
+// each rank walks about its share of the set's k-mers. The deal is one
+// exchange, charged at seq.Piece.WireSize per piece. Collective.
+func DealPieces(r *pgas.Rank, cs *ContigSet, k int) []seq.Piece {
+	var pieces []seq.Piece
+	for _, c := range cs.Local(r) {
+		n := len(c.Seq) - k + 1 // the contig's k-mers
+		for off := 0; off < n; off += PieceKmers {
+			end := min(off+PieceKmers, n) + k - 1
+			pc := seq.Piece{ContigID: c.ID, Off: int32(off), Seq: c.Seq[off:end]}
+			if off > 0 {
+				pc.Left = c.Seq[off-1]
+			}
+			if end < len(c.Seq) {
+				pc.Right = c.Seq[end]
+			}
+			pieces = append(pieces, pc)
+		}
+	}
+	r.Compute(float64(len(pieces)))
+	me := r.ID()
+	dealt := pgas.ExchangeFunc(r, pieces, func(j int, _ seq.Piece) int { return me + j }, seq.Piece.WireSize)
+	// The pieces are views of the dealing ranks' contigs: the receiver holds
+	// them only while it walks them, as with dist.Exchange.
+	received := 0
+	for _, pc := range dealt {
+		received += pc.WireSize()
+	}
+	r.ReleaseResident(received)
+	return dealt
+}

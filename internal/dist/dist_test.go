@@ -287,7 +287,8 @@ func TestExchangeNegativeOwner(t *testing.T) {
 // re-captured again when an exchange came to charge the one barrier it runs:
 // the barrier count follows from the operations below, and the clock fell by
 // the four charge-only barriers of the two exchanges (6e-5 s); no other
-// figure moved.
+// figure moved. BarrierWaitNs was captured when it was added, with every
+// other figure unchanged.
 func TestChargesPinnedP8(t *testing.T) {
 	m := pgas.NewMachine(pgas.Config{Ranks: 8, RanksPerNode: 4})
 	res := m.Run(func(r *pgas.Rank) {
@@ -317,6 +318,7 @@ func TestChargesPinnedP8(t *testing.T) {
 		// counts one barrier.
 		Barriers:  8 * (2 + 1 + 1 + 1 + 1 + 2 + 2),
 		CacheHits: 32, CacheMisses: 238, PeakResidentBytes: 604,
+		BarrierWaitNs: 327116,
 	}
 	if res.Stats != want {
 		t.Errorf("stats moved:\n got %+v\nwant %+v", res.Stats, want)

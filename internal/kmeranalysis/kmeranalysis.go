@@ -458,15 +458,16 @@ func qualOK(read seq.Read, i int) bool {
 }
 
 // MergeContigKmers implements the k-mer set merge of Section II-H: the
-// (k)-mers of the previous iteration's contigs, walked by
-// seq.CanonicalKmers, are inserted into the counts table as error-free
-// k-mers with unique high-quality extensions, using the aggregated
-// update-only phase. counts must be owned by minimizer (NewCountsMap): each
-// k-mer is routed by the minimizer seq.Minimizers takes from the contig's
-// rolling window, not by a scan per k-mer. pseudoCount is the weight each
-// contig k-mer is observed with, its neighbours included, so they dominate
-// noise when classified (it only needs to clear MinCount).
-func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], contigSeqs [][]byte, k int, pseudoCount uint32) {
+// k-mers of the previous iteration's contigs, walked by seq.CanonicalKmers
+// over the pieces dbg.DealPieces dealt the calling rank, are inserted into
+// the counts table as error-free k-mers with unique high-quality extensions,
+// using the aggregated update-only phase. A k-mer at a piece's edge takes its
+// neighbour base from the piece's flank. counts must be owned by minimizer
+// (NewCountsMap): each k-mer is routed by the minimizer seq.Minimizers takes
+// from the piece's rolling window, not by a scan per k-mer. pseudoCount is
+// the weight each contig k-mer is observed with, its neighbours included, so
+// they dominate noise when classified (it only needs to clear MinCount).
+func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], pieces []seq.Piece, k int, pseudoCount uint32) {
 	if pseudoCount == 0 {
 		pseudoCount = 2
 	}
@@ -482,25 +483,16 @@ func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], co
 	}
 	u := counts.NewUpdater(r, combine, 1024, true)
 	var mins []uint64
-	for _, cs := range contigSeqs {
-		if len(cs) < k {
-			continue
-		}
-		mins = seq.Minimizers(mins, cs, k)
-		for canon, at := range seq.CanonicalKmers(cs, k) {
-			var left, right byte
-			var hasLeft, hasRight bool
-			if at.Off > 0 {
-				left, hasLeft = seq.CharToBase(cs[at.Off-1])
-			}
-			if end := at.Off + k; end < len(cs) {
-				right, hasRight = seq.CharToBase(cs[end])
-			}
+	for _, pc := range pieces {
+		mins = seq.Minimizers(mins, pc.Seq, k)
+		for canon, at := range seq.CanonicalKmers(pc.Seq, k) {
+			left, hasLeft := seq.CharToBase(pc.At(at.Off - 1))
+			right, hasRight := seq.CharToBase(pc.At(at.Off + k))
 			kc := seq.KmerCount{Kmer: canon}
 			kc.Observe(left, right, hasLeft, hasRight, at.RC, pseudoCount)
 			u.UpdateWithOwnerHash(canon, mins[at.Off], kc)
 		}
-		r.Compute(float64(len(cs)))
+		r.Compute(float64(len(pc.Seq)))
 	}
 	// No barrier: the next stage, dbg.Build, opens with a Broadcast, and
 	// each owner has folded what it received by the time Flush returns.

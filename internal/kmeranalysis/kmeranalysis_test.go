@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"mhmgo/internal/bloom"
+	"mhmgo/internal/dbg"
 	"mhmgo/internal/dht"
 	"mhmgo/internal/dist"
 	"mhmgo/internal/pgas"
@@ -236,52 +238,95 @@ func TestQualityFilteringSkipsLowQualityExtensions(t *testing.T) {
 	}
 }
 
+// refMerge is the per-contig merge the pieces replaced, the oracle of
+// TestMergeContigKmers: every k-mer of every whole contig, its neighbours
+// read from the contig, folded into want with pseudoCount.
+func refMerge(want map[seq.Kmer]seq.KmerCount, contigs []dbg.Contig, k int, pseudoCount uint32) {
+	for _, c := range contigs {
+		for canon, at := range seq.CanonicalKmers(c.Seq, k) {
+			var left, right byte
+			var hasLeft, hasRight bool
+			if at.Off > 0 {
+				left, hasLeft = seq.CharToBase(c.Seq[at.Off-1])
+			}
+			if end := at.Off + k; end < len(c.Seq) {
+				right, hasRight = seq.CharToBase(c.Seq[end])
+			}
+			kc, ok := want[canon]
+			if !ok {
+				kc = seq.KmerCount{Kmer: canon}
+			}
+			kc.Observe(left, right, hasLeft, hasRight, at.RC, pseudoCount)
+			want[canon] = kc
+		}
+	}
+}
+
+// mergeContigs is the test fixture of TestMergeContigKmers: contigs shorter
+// than k, of exactly one piece, of one piece and one k-mer, and of several
+// pieces with an N run and lower-case bases, plus one contig's reverse
+// complement alone and behind three more bases, so that the same k-mers
+// come from pieces cut at other offsets, on other ranks.
+func mergeContigs(k int) []dbg.Contig {
+	rng := rand.New(rand.NewSource(9))
+	bases := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "ACGT"[rng.Intn(4)]
+		}
+		return b
+	}
+	long := bases(1700)
+	for i := 400; i < 412; i++ {
+		long[i] = 'N'
+	}
+	for i := 900; i < 960; i++ {
+		long[i] += 'a' - 'A'
+	}
+	out := []dbg.Contig{{Seq: bases(k - 1)}, {Seq: bases(k)}, {Seq: bases(dbg.PieceKmers + k - 1)}, {Seq: bases(dbg.PieceKmers + k)}, {Seq: long}}
+	rc := seq.ReverseComplement(out[3].Seq)
+	return append(out, dbg.Contig{Seq: rc}, dbg.Contig{Seq: append(bases(3), rc...)})
+}
+
+// TestMergeContigKmers: the counts table after merging the pieces dealt out
+// from a distributed contig set is the per-contig oracle's, k-mer by k-mer,
+// at P in {1, 3, 16}; merging again on top of those entries doubles every
+// count.
 func TestMergeContigKmers(t *testing.T) {
-	m := pgas.NewMachine(pgas.Config{Ranks: 2})
-	counts := NewCountsMap(m)
-	contig := []byte("ACGTTGCAAGCTTACGGATCCGTAAACTGG")
-	m.Run(func(r *pgas.Rank) {
-		var local [][]byte
-		if r.ID() == 0 {
-			local = [][]byte{contig}
-		}
-		MergeContigKmers(r, counts, local, 11, 3)
-	})
-	snap := counts.Snapshot()
-	wantKmers := canonicalKmersOf(contig, 11)
-	distinct := map[string]bool{}
-	for _, km := range wantKmers {
-		distinct[km.String()] = true
-	}
-	if len(snap) != len(distinct) {
-		t.Fatalf("merged %d k-mers, want %d", len(snap), len(distinct))
-	}
-	for km, kc := range snap {
-		if kc.Count < 3 {
-			t.Errorf("contig k-mer %s count %d, want >= 3", km.String(), kc.Count)
-		}
-	}
-	// Merging again on top of existing entries must not lose anything.
-	m.Run(func(r *pgas.Rank) {
-		var local [][]byte
-		if r.ID() == 1 {
-			local = [][]byte{contig}
-		}
-		MergeContigKmers(r, counts, local, 11, 3)
-	})
-	snap2 := counts.Snapshot()
-	if len(snap2) != len(snap) {
-		t.Errorf("re-merge changed distinct count: %d vs %d", len(snap2), len(snap))
-	}
-	for km, kc := range snap2 {
-		if kc.Count < 6 {
-			t.Errorf("re-merged k-mer %s count %d, want >= 6", km.String(), kc.Count)
+	for _, k := range []int{11, 21} {
+		contigs := mergeContigs(k)
+		want := map[seq.Kmer]seq.KmerCount{}
+		refMerge(want, contigs, k, 3)
+		for _, p := range []int{1, 3, 16} {
+			m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 4})
+			counts := NewCountsMap(m)
+			merge := func() {
+				res := m.Run(func(r *pgas.Rank) {
+					lo, hi := r.BlockRange(len(contigs))
+					cs := dbg.DistributeContigs(r, slices.Clone(contigs[lo:hi]), dist.Distributed)
+					MergeContigKmers(r, counts, dbg.DealPieces(r, cs, k), k, 3)
+				})
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+			}
+			merge()
+			if got := counts.Snapshot(); !maps.Equal(got, want) {
+				t.Fatalf("k=%d P=%d: merged %d k-mers, the per-contig oracle %d, or their counts differ", k, p, len(got), len(want))
+			}
+			merge()
+			for km, kc := range counts.Snapshot() {
+				w := want[km]
+				w.Count *= 2
+				for i := range w.Left {
+					w.Left[i], w.Right[i] = 2*w.Left[i], 2*w.Right[i]
+				}
+				if kc != w {
+					t.Fatalf("k=%d P=%d: re-merged k-mer %s is %+v, want %+v", k, p, km, kc, w)
+				}
+			}
 		}
 	}
-	// Contigs shorter than k are ignored without error.
-	m.Run(func(r *pgas.Rank) {
-		MergeContigKmers(r, counts, [][]byte{[]byte("ACG")}, 11, 3)
-	})
 }
 
 func TestUnaggregatedMatchesAggregatedContent(t *testing.T) {
@@ -594,7 +639,8 @@ func TestSupermerKmersOwnedByDestination(t *testing.T) {
 // MergeContigKmers at P=8, with an exchange counting one barrier. Run passes
 // the counts table's broadcast (2), three all-reduces (2 each) and one
 // exchange per round; no barrier follows the rounds, the pruning or the last
-// all-reduce. The merge passes its flush's exchange and no closing barrier.
+// all-reduce. The merge passes the exchange that deals the contig pieces
+// out, its flush's exchange and no closing barrier.
 // It also pins
 // the point of supermers: at the same per-round byte budget, the rounds fall
 // at least fivefold from the per-k-mer path's.
@@ -621,24 +667,26 @@ func TestRunAndMergeBarriersP8(t *testing.T) {
 	if rounds*5 > refRounds {
 		t.Errorf("%d supermer rounds, %d per-k-mer rounds; want at least a fivefold drop", rounds, refRounds)
 	}
-	contigs := [][]byte{comm.Genomes[0].Seq[:2000], comm.Genomes[1].Seq[:1500]}
+	contigs := []dbg.Contig{{Seq: comm.Genomes[0].Seq[:2000]}, {Seq: comm.Genomes[1].Seq[:1500]}}
 	var runBarriers, mergeBarriers [p]uint64
 	pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 4}).Run(func(r *pgas.Rank) {
 		s0 := r.Stats()
 		res := Run(r, splitReads(reads, r.ID(), p), DefaultOptions(k), nil)
 		s1 := r.Stats()
 		lo, hi := r.BlockRange(len(contigs))
-		MergeContigKmers(r, res.Counts, contigs[lo:hi], k, 3)
+		cs := dbg.DistributeContigs(r, slices.Clone(contigs[lo:hi]), dist.Distributed)
 		s2 := r.Stats()
-		runBarriers[r.ID()], mergeBarriers[r.ID()] = s1.Barriers-s0.Barriers, s2.Barriers-s1.Barriers
+		MergeContigKmers(r, res.Counts, dbg.DealPieces(r, cs, k), k, 3)
+		s3 := r.Stats()
+		runBarriers[r.ID()], mergeBarriers[r.ID()] = s1.Barriers-s0.Barriers, s3.Barriers-s2.Barriers
 	})
 	const bcast, allReduce, exchange = 2, 2, 1 // barriers per collective
 	for rank := 0; rank < p; rank++ {
 		if want := uint64(bcast + 3*allReduce + rounds*exchange); runBarriers[rank] != want {
 			t.Errorf("rank %d: Run passed %d barriers, want %d (%d rounds)", rank, runBarriers[rank], want, rounds)
 		}
-		if mergeBarriers[rank] != exchange {
-			t.Errorf("rank %d: MergeContigKmers passed %d barriers, want %d", rank, mergeBarriers[rank], exchange)
+		if mergeBarriers[rank] != 2*exchange {
+			t.Errorf("rank %d: dealing and merging the contig pieces passed %d barriers, want %d", rank, mergeBarriers[rank], 2*exchange)
 		}
 	}
 }

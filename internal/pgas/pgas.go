@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -141,6 +142,14 @@ type CommStats struct {
 	Barriers        uint64
 	CacheHits       uint64
 	CacheMisses     uint64
+	// BarrierWaitNs is the simulated time the rank spent waiting in
+	// barriers, in whole nanoseconds: at each barrier, the clock the barrier
+	// releases the ranks at (the latest arrival) minus the rank's own arrival
+	// clock, rounded (waitNs). It moves no clock; summed over the ranks and
+	// divided by P it is, barrier by barrier, the latest arrival minus the
+	// mean one. An integer so that a difference of two sums is exact, and
+	// equal however long the run has been going.
+	BarrierWaitNs uint64
 	// PeakResidentBytes is the high-water mark of collective payload bytes
 	// materialized by a rank at one time: collectives charge the payloads
 	// they deliver (an all-to-all charges the batches actually received)
@@ -166,6 +175,7 @@ func (s *CommStats) Add(other CommStats) {
 	s.Barriers += other.Barriers
 	s.CacheHits += other.CacheHits
 	s.CacheMisses += other.CacheMisses
+	s.BarrierWaitNs += other.BarrierWaitNs
 	if other.PeakResidentBytes > s.PeakResidentBytes {
 		s.PeakResidentBytes = other.PeakResidentBytes
 	}
@@ -559,10 +569,10 @@ func (r *Rank) AtomicFetchAdd(handle int, delta int64) int64 {
 func (r *Rank) Barrier() { r.barrierOn(nil) }
 
 // BarrierStats is Barrier that also returns the machine-wide sum of every
-// rank's statistics as the barrier completes, this barrier's arrivals
-// included. The sum is taken once, by the barrier's completion hook while
-// every rank is parked, so it sends nothing and charges nothing: the clock
-// and the counts move exactly as Barrier moves them.
+// rank's statistics as the barrier completes, this barrier's arrivals and
+// waits included. The sum is taken once, by the barrier's completion hook
+// while every rank is parked, so it sends nothing and charges nothing: the
+// clock and the counts move exactly as Barrier moves them.
 func (r *Rank) BarrierStats() CommStats {
 	m := r.machine
 	r.barrierOn(m.sumStats)
@@ -570,13 +580,25 @@ func (r *Rank) BarrierStats() CommStats {
 }
 
 // sumStats is BarrierStats' completion hook. Each rank wrote its statistics
-// before its worker arrived under the barrier lock, which the hook holds.
+// before its worker arrived under the barrier lock, which the hook holds. A
+// parked rank's clock is still its arrival clock and the round's maximum is
+// the clock the barrier releases it at, so the hook counts for each rank the
+// wait the rank adds itself once resumed (barrierOn): the sum equals the
+// ranks' own figures after the barrier.
 func (m *Machine) sumStats() {
 	var s CommStats
+	release := m.barrier.maxClock
 	for _, r := range m.ranks {
 		s.Add(r.stats)
+		s.BarrierWaitNs += waitNs(release, r.clock)
 	}
 	m.statsSum = s
+}
+
+// waitNs is the wait, in whole nanoseconds, of a rank that arrives at a
+// barrier at clock arrival and is released at clock release.
+func waitNs(release, arrival float64) uint64 {
+	return uint64(math.Round((release - arrival) * 1e9))
 }
 
 // barrierOn is Barrier with an optional completion hook: onComplete runs
@@ -605,6 +627,7 @@ func (r *Rank) barrierOn(onComplete func()) {
 	if !r.yield(struct{}{}) || m.aborted.Load() {
 		panic(abortPanic{})
 	}
+	r.stats.BarrierWaitNs += waitNs(m.barrier.result, r.clock)
 	r.clock = m.barrier.result + m.cfg.Cost.BarrierCost
 }
 

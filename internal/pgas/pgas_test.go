@@ -540,3 +540,32 @@ func TestAbortOnCancelStopDisarms(t *testing.T) {
 	stop2 := m.AbortOnCancel(context.Background())
 	stop2()
 }
+
+// TestBarrierWait: at each barrier a rank counts the clock the barrier
+// releases it at, the latest arrival, minus its own arrival clock, and
+// BarrierStats' sum includes the waits of the barrier it completes. Rank i
+// arrives after 1000·i ops of 6 ns, so it waits 6 µs for each rank after it.
+func TestBarrierWait(t *testing.T) {
+	const p = 5
+	for _, workers := range []int{1, 3} {
+		var own [p]uint64
+		var sum [p]CommStats
+		res := NewMachine(Config{Ranks: p, Workers: workers}).Run(func(r *Rank) {
+			r.Compute(float64(1000 * r.ID()))
+			sum[r.ID()] = r.BarrierStats()
+			own[r.ID()] = r.Stats().BarrierWaitNs
+			r.Barrier() // every rank arrives at the same clock: no wait
+		})
+		for rank := range p {
+			if want := uint64(6000 * (p - 1 - rank)); own[rank] != want {
+				t.Errorf("workers=%d: rank %d waited %d ns, want %d", workers, rank, own[rank], want)
+			}
+			if sum[rank].BarrierWaitNs != 6000*(4+3+2+1) {
+				t.Errorf("workers=%d: BarrierStats summed %d ns of waits, want 60000", workers, sum[rank].BarrierWaitNs)
+			}
+		}
+		if res.Stats.BarrierWaitNs != 60000 {
+			t.Errorf("workers=%d: the run waited %d ns, want 60000", workers, res.Stats.BarrierWaitNs)
+		}
+	}
+}

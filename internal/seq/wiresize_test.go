@@ -24,3 +24,12 @@ func TestReadWireSize(t *testing.T) {
 			rd.WireSize(), tagged.WireSize())
 	}
 }
+
+// TestPieceWireSize: the charged 16-byte piece header stays an upper bound on
+// the packed encoding.
+func TestPieceWireSize(t *testing.T) {
+	pc := Piece{ContigID: 1 << 40, Off: 1 << 20, Seq: []byte("ACGTACGTACGTACGTACGTA"), Left: 'G', Right: 'T'}
+	if got, min := pc.WireSize(), pgas.WireSizeOf(pc); got < min {
+		t.Errorf("Piece.WireSize() = %d < encoded size %d", got, min)
+	}
+}

@@ -156,6 +156,7 @@ func TestEventWirePin(t *testing.T) {
 		`{"seq":2,"type":"stage","k":-3}`,
 		`{"seq":2,"type":"stage","seconds":-0.5}`,
 		`{"seq":2,"type":"stage","sim_seconds":-1e-9}`,
+		`{"seq":2,"type":"stage","barrier_wait":-1e-9}`,
 	} {
 		if ev, err := DecodeEvent([]byte(bad)); err == nil {
 			t.Errorf("DecodeEvent(%s) = %+v, want a negative-value error", bad, ev)

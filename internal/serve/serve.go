@@ -72,8 +72,8 @@ func DecodeEvent(data []byte) (Event, error) {
 	if ev.Iteration < 0 || ev.K < 0 {
 		return Event{}, fmt.Errorf("serve: negative stage coordinates (%d, %d)", ev.Iteration, ev.K)
 	}
-	if ev.Seconds < 0 || ev.SimSeconds < 0 {
-		return Event{}, fmt.Errorf("serve: negative stage seconds (%v, %v)", ev.Seconds, ev.SimSeconds)
+	if ev.Seconds < 0 || ev.SimSeconds < 0 || ev.BarrierWait < 0 {
+		return Event{}, fmt.Errorf("serve: negative stage seconds (%v, %v, %v)", ev.Seconds, ev.SimSeconds, ev.BarrierWait)
 	}
 	return ev, nil
 }
