@@ -355,22 +355,24 @@ func main() {
 		fmt.Printf("scaffolding round %-20s insert=%d contigs_in=%d scaffolds=%d links=%d\n",
 			rs.Library, rs.InsertSize, rs.InputContigs, rs.Scaffolds, rs.AcceptedLinks)
 	}
-	fmt.Printf("simulated parallel time: %.3fs on %d ranks (%d virtual nodes); wall time %.3fs\n",
+	// Simulated times keep microseconds: at thousands of ranks a step takes
+	// well under a millisecond, and seconds to four places show one digit.
+	fmt.Printf("simulated parallel time: %.6fs on %d ranks (%d virtual nodes); wall time %.3fs\n",
 		res.SimSeconds, *ranks, (*ranks+*ranksPerNode-1)/(*ranksPerNode), res.WallSeconds)
-	fmt.Println("stage breakdown (simulated seconds):")
+	fmt.Println("stage breakdown (simulated microseconds):")
 	for _, st := range res.Stages() {
-		fmt.Printf("  %-16s %.4f\n", st.Name, st.Seconds)
+		fmt.Printf("  %-16s %11.1f\n", st.Name, st.Seconds*1e6)
 	}
-	fmt.Println("steps (simulated seconds; wait averaged and traffic summed over ranks):")
-	fmt.Printf("  %2s %3s %-16s %8s %8s %5s %9s %9s %12s %12s %8s %9s\n",
-		"it", "k", "stage", "seconds", "wait", "wait%", "msgs", "off-node", "bytes", "off-node", "gets", "barriers")
+	fmt.Println("steps (simulated microseconds; wait averaged and traffic summed over ranks):")
+	fmt.Printf("  %2s %3s %-16s %11s %11s %5s %9s %9s %12s %12s %8s %9s\n",
+		"it", "k", "stage", "time_us", "wait_us", "wait%", "msgs", "off-node", "bytes", "off-node", "gets", "barriers")
 	for _, ev := range res.Steps {
 		waitPct := 0.0
 		if ev.Seconds > 0 {
 			waitPct = 100 * ev.BarrierWait / ev.Seconds
 		}
-		fmt.Printf("  %2d %3d %-16s %8.4f %8.4f %5.1f %9d %9d %12d %12d %8d %9d\n", ev.Iteration, ev.K, ev.Stage, ev.Seconds,
-			ev.BarrierWait, waitPct, ev.Messages, ev.OffNodeMessages, ev.BytesSent, ev.OffNodeBytes, ev.RemoteGets, ev.Barriers)
+		fmt.Printf("  %2d %3d %-16s %11.1f %11.1f %5.1f %9d %9d %12d %12d %8d %9d\n", ev.Iteration, ev.K, ev.Stage, ev.Seconds*1e6,
+			ev.BarrierWait*1e6, waitPct, ev.Messages, ev.OffNodeMessages, ev.BytesSent, ev.OffNodeBytes, ev.RemoteGets, ev.Barriers)
 	}
 	s := res.Stats
 	fmt.Printf("communication: %d msgs (%d off-node), %.1f MB sent, %.1f MB received, %.1f MB off-node\n",

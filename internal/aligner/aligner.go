@@ -139,11 +139,9 @@ func BuildIndex(r *pgas.Rank, contigs *dbg.ContigSet, opts Options) *Index {
 		opts.SeedLen = 31
 	}
 	idx := &Index{SeedLen: opts.SeedLen, Contigs: contigs}
-	var seeds *dht.Map[seq.Kmer, []SeedHit]
-	if r.ID() == 0 {
-		seeds = dht.NewMapOwnedBy[seq.Kmer, []SeedHit](r.Machine(), seq.Kmer.Hash, seq.Kmer.Minimizer, 24)
-	}
-	idx.Seeds = pgas.Broadcast(r, seeds)
+	idx.Seeds = pgas.Shared(r, func() *dht.Map[seq.Kmer, []SeedHit] {
+		return dht.NewMapOwnedBy[seq.Kmer, []SeedHit](r.Machine(), seq.Kmer.Hash, seq.Kmer.Minimizer, 24)
+	})
 	pieces := dbg.DealPieces(r, contigs, opts.SeedLen)
 	// Each update is a one-hit window, of capacity one, into one array of
 	// every hit the rank sends, and a seed's first update is stored as it

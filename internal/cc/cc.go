@@ -34,11 +34,7 @@ type Edge struct {
 // slots of the vertices it owns, and every rank hooks and compresses through
 // any partition with atomics.
 func Parallel(r *pgas.Rank, nLocal int, localEdges []Edge) (comp []int, total int) {
-	var parts [][]atomic.Int64
-	if r.ID() == 0 {
-		parts = make([][]atomic.Int64, r.NRanks())
-	}
-	parts = pgas.Broadcast(r, parts)
+	parts := pgas.Shared(r, func() [][]atomic.Int64 { return make([][]atomic.Int64, r.NRanks()) })
 	mine := make([]atomic.Int64, nLocal)
 	for i := range mine {
 		mine[i].Store(int64(dist.ID(r.ID(), i)))
@@ -121,8 +117,10 @@ func Parallel(r *pgas.Rank, nLocal int, localEdges []Edge) (comp []int, total in
 			next++
 		}
 	}
-	// The all-reduce's barriers publish the numbers before any rank reads a
-	// remote representative's slot.
+	// The all-reduce's host barriers publish the numbers before any rank
+	// reads a remote representative's slot. They are unpriced, but this fence
+	// needs one: a change to one host barrier per collective must keep it
+	// (ROADMAP 21(c)).
 	total = pgas.AllReduce(r, reps, pgas.ReduceSum)
 	comp = make([]int, nLocal)
 	for i := range mine {

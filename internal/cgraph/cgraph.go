@@ -147,8 +147,8 @@ type graph struct {
 	creader *dist.Reader[dbg.Contig]
 }
 
-// shared is what the ranks of one Refine share, allocated by rank 0 and
-// broadcast once: the junction index, whose partitions only their owners
+// shared is what the ranks of one Refine share, allocated once by
+// pgas.Shared: the junction index, whose partitions only their owners
 // touch, and the per-owner chain members compaction's walks fetch.
 type shared struct {
 	junction *dht.Map[seq.Kmer, []endRef]
@@ -271,18 +271,17 @@ func (g *graph) bury(r *pgas.Rank, dying []int) {
 // set. Collective: every rank passes the shared set, and Result.Set is the
 // refined (filtered or compacted, renumbered) set.
 func Refine(r *pgas.Rank, cs *dbg.ContigSet, opts Options) Result {
-	var sh *shared
-	if r.ID() == 0 {
-		sh = &shared{
+	sh := pgas.Shared(r, func() *shared {
+		return &shared{
 			junction: dht.NewMap[seq.Kmer, []endRef](r.Machine(), seq.Kmer.Hash, entryWireSize),
 			members:  make([][]member, r.NRanks()),
 		}
-	}
+	})
 	g := &graph{
 		k:         opts.K,
 		cs:        cs,
 		aggregate: opts.Aggregate,
-		shared:    pgas.Broadcast(r, sh),
+		shared:    sh,
 		dead:      make([]bool, cs.Len(r)),
 		creader:   cs.NewReader(r, 1<<16),
 	}

@@ -289,11 +289,7 @@ type refGraph struct {
 // refRefine runs the oracle over cs and returns the refined set and the
 // number of members the calling rank's chain walks took in. Collective.
 func refRefine(r *pgas.Rank, cs *dbg.ContigSet, opts Options) (*dbg.ContigSet, int) {
-	var alive [][]bool
-	if r.ID() == 0 {
-		alive = make([][]bool, r.NRanks())
-	}
-	alive = pgas.Broadcast(r, alive)
+	alive := pgas.Shared(r, func() [][]bool { return make([][]bool, r.NRanks()) })
 	shard := make([]bool, cs.Len(r))
 	for i := range shard {
 		shard[i] = true
@@ -709,16 +705,17 @@ func TestRefineMatchesOneSidedOracle(t *testing.T) {
 // the members its chain walks take in (the oracle, which walks the same
 // chains from the same ranks, counts them). On distinct depths there are no
 // ties, so compaction off reads nothing remote at all. The barrier count of
-// a rank over Refine is pinned too, with an exchange counting one barrier:
-// the index build (a broadcast and the flush's exchange), one push and one
-// tombstone exchange per pass, prune's two all-reduces (the second per round;
-// this input takes one round), and then renumbering (1), or compaction's link
-// exchange, member barrier, redistribution (a broadcast, an exchange, a
-// barrier and a renumbering) and release (2).
+// a rank over Refine is pinned too, with an exchange and a pgas.Shared
+// counting one barrier and an all-reduce none: the index build (a Shared and
+// the flush's exchange), one push and one tombstone exchange per pass,
+// prune's two all-reduces (the second per round; this input takes one
+// round), and then renumbering (1), or compaction's link exchange, member
+// barrier, redistribution (a Shared, an exchange, a barrier and a
+// renumbering) and release (2).
 func TestRefineRemoteReadsOnlyChainWalk(t *testing.T) {
 	const p, k = 8, 7
-	const bcast, allReduce, exchange = 2, 2, 1 // barriers per collective
-	const passes = bcast + exchange + 3*2*exchange + 2*allReduce
+	const shared, allReduce, exchange = 1, 0, 1 // barriers counted per collective
+	const passes = shared + exchange + 3*2*exchange + 2*allReduce
 	rng := rand.New(rand.NewSource(7))
 	var seqs []string
 	for len(seqs) < 300 {
@@ -731,7 +728,7 @@ func TestRefineRemoteReadsOnlyChainWalk(t *testing.T) {
 	}{
 		{"distinct depths", true, map[bool]uint64{
 			false: passes + 1,
-			true:  passes + exchange + 1 + (bcast + exchange + 1 + 1) + 2}},
+			true:  passes + exchange + 1 + (shared + exchange + 1 + 1) + 2}},
 		{"tied depths", false, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

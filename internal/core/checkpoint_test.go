@@ -184,13 +184,17 @@ func TestCheckpointWorkersIndependent(t *testing.T) {
 // middle of a collective, not a clean stage boundary — and requires that the
 // checkpoints already on disk still resume to a bit-identical result. The
 // manifest's atomic write discipline means a mid-collective kill can never
-// tear a recorded step. The barriers are picked so that every stage of the
-// schedule is killed at least once (the test checks it), and one kill lands
-// between the stage windows, in read localization: rank 0 passes barriers
-// 2-12 in iteration 0's kmer_analysis, 14-39 in dbg_traversal, 41-63 in
-// contig_refine, 65-74 in alignment, 76-85 in local_assembly, 86-93 between
-// the windows, 106-107 in iteration 1's kmer_merge, 138-160 in its
-// contig_refine and 184-224 in scaffolding.
+// tear a recorded step. The barriers are rank 0's host arrivals, the
+// unpriced ones inside AllReduce and ExScan included, and are picked so that
+// every stage of the schedule is killed at least once (the test checks it),
+// most of them inside a collective, and one kill lands between the stage
+// windows, in read localization. Rank 0 passes barriers 2-10 in iteration
+// 0's kmer_analysis (4 is an AllReduce's exit), 13-35 in dbg_traversal,
+// 38-57 in contig_refine (48 an AllReduce's entry), 60-66 in alignment (66
+// an AllReduce's exit), 69-76 in local_assembly (75 an AllReduce's exit),
+// 78-82 between the windows (80 is localization's ExScan's exit), 95-96 in
+// iteration 1's kmer_merge, 126-145 in its contig_refine (137 an
+// AllReduce's exit) and 167-203 in scaffolding (188 an AllReduce's exit).
 func TestMidCollectiveKillResume(t *testing.T) {
 	reads := ckptReads(t)
 	cfg := testConfig(3)
@@ -208,7 +212,7 @@ func TestMidCollectiveKillResume(t *testing.T) {
 	}
 	killed := map[string]bool{} // the stages a kill interrupted
 
-	for _, n := range []int{1, 8, 30, 50, 70, 80, 90, 107, 150, 200} {
+	for _, n := range []int{1, 4, 30, 48, 66, 75, 80, 96, 137, 188} {
 		n := n
 		t.Run(fmt.Sprintf("barrier=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
@@ -217,10 +221,8 @@ func TestMidCollectiveKillResume(t *testing.T) {
 			kcfg.FailAtBarrier = n
 			_, err := Assemble(reads, kcfg)
 			if err == nil {
-				// Every rank arrives at every barrier, so a rank's count is
-				// the total over ranks divided by P.
-				if perRank := base.Stats.Barriers / 3; uint64(n) <= perRank {
-					t.Fatalf("run completed although rank 0 arrives at %d barriers; the trap at %d did not fire", perRank, n)
+				if base.HostBarriers >= uint64(n) {
+					t.Fatalf("run completed although rank 0 arrives at %d barriers; the trap at %d did not fire", base.HostBarriers, n)
 				}
 				t.Skipf("run completed before barrier %d; nothing to kill", n)
 			}
@@ -688,6 +690,83 @@ func TestReadShardWrittenOncePerReadSet(t *testing.T) {
 	}
 }
 
+// TestLocalizedBlocksFromInputCount: read localization sizes its blocks from
+// the input's pair count, which every rank knows, not from a reduction of the
+// pairs the ranks hold. On the two-library input at P ∈ {1, 3, 8}, run
+// uninterrupted and resumed from a kill before the first localization, every
+// rank-state shard written after a localization holds the reads of block
+// ceil(pairs/P) at that block's offset: the figures the reduction gave.
+func TestLocalizedBlocksFromInputCount(t *testing.T) {
+	_, reads := twoLibraryCommunity(t)
+	pairs := len(reads) / 2
+	for _, p := range []int{1, 3, 8} {
+		cfg := twoLibraryConfig(p)
+		cfg.ReadLocalization = true
+		block := max(1, (pairs+p-1)/p)
+		check := func(run, dir string) {
+			man, err := checkpoint.Load(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			localized := 0
+			for _, step := range man.Steps {
+				if step.Iteration == 0 {
+					continue // the input block, before any localization
+				}
+				localized++
+				for rank := range p {
+					payload, err := checkpoint.ReadShard(checkpoint.ShardPath(dir, step.Seq, step.Stage, rank), step.ShardHashes[rank])
+					if err != nil {
+						t.Fatal(err)
+					}
+					st, err := decodeRankState(payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := checkpoint.LoadReads(dir, st.readsHash)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lo, hi := min(rank*block, pairs), min((rank+1)*block, pairs)
+					want := 2 * (hi - lo)
+					if rank == p-1 {
+						want += len(reads) % 2
+					}
+					if st.readOffset != 2*lo || len(got) != want {
+						t.Errorf("P=%d %s step %d rank %d: %d reads at offset %d, want %d at %d", p, run, step.Seq, rank, len(got), st.readOffset, want, 2*lo)
+					}
+				}
+			}
+			if localized == 0 {
+				t.Fatalf("P=%d %s: no step follows a localization", p, run)
+			}
+		}
+		full := t.TempDir()
+		fcfg := cfg
+		fcfg.CheckpointDir = full
+		base, err := Assemble(reads, fcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("uninterrupted", full)
+
+		dir := t.TempDir()
+		kcfg := cfg
+		kcfg.CheckpointDir, kcfg.FailAfterStage, kcfg.FailAtIteration = dir, StageAlignment, 0
+		if _, err := Assemble(reads, kcfg); !errors.Is(err, ErrFaultInjected) {
+			t.Fatalf("P=%d: killed run returned %v, want ErrFaultInjected", p, err)
+		}
+		rcfg := cfg
+		rcfg.CheckpointDir, rcfg.ResumeFrom = dir, dir
+		res, err := Assemble(reads, rcfg)
+		if err != nil {
+			t.Fatalf("P=%d: resume: %v", p, err)
+		}
+		assertSameRun(t, base, res)
+		check("resumed", dir)
+	}
+}
+
 // TestResumeIntoFreshDirectory resumes a killed run from its directory A
 // into an empty directory B, deletes A, and resumes from B alone, which must
 // reproduce the uninterrupted run. The resume into B either runs to the end
@@ -1059,6 +1138,12 @@ func TestRankStateRecords(t *testing.T) {
 // stage no longer all-reduces the read count, so every rank clock after the
 // first alignment moved; and shard format v6 gives rank 0's step records
 // their barrier-wait column. The shards' contents did not move.
+// It was re-captured (from fc1db274…) when AllReduce and ExScan stopped
+// pricing their host barriers, pgas.Shared replaced Broadcast and read
+// localization stopped all-reducing the pair count: every rank clock after
+// the first k-mer analysis's first all-reduce moved, and with it the clocks
+// and step records in the shards. Their reads, counts and contigs did not
+// move.
 func TestManifestHeadPin(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.CheckpointDir = t.TempDir()
@@ -1066,7 +1151,7 @@ func TestManifestHeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "fc1db2748e4ca336fe90d835185b6e7c0647901e0fa4db4de30d3e384c8bb0df"
+	const want = "243b7db5effd7f3b3551cddd6163cfa46b49e471d28ccb91719786e4d31c881c"
 	if res.ManifestHead != want {
 		t.Errorf("manifest head = %s, want %s", res.ManifestHead, want)
 	}

@@ -138,9 +138,11 @@ type Config struct {
 	// iteration FailAtIteration completed and its checkpoint was written; a
 	// pair that names no step of the run's schedule is refused up front.
 	// FailAtBarrier > 0 kills the run abruptly in the middle of rank 0's n-th
-	// barrier entry — mid-collective, the worst possible moment. Neither knob
-	// participates in the configuration hash: a resume with the fault cleared
-	// must still match the killed run's identity.
+	// barrier entry on the host (the count Result.HostBarriers reports, the
+	// unpriced barriers inside AllReduce and ExScan included) —
+	// mid-collective, the worst possible moment. Neither knob participates in
+	// the configuration hash: a resume with the fault cleared must still match
+	// the killed run's identity.
 	FailAfterStage  string
 	FailAtIteration int
 	FailAtBarrier   int
@@ -330,6 +332,11 @@ type Result struct {
 	Steps []ProgressEvent
 	// Stats aggregates communication statistics over all ranks.
 	Stats pgas.CommStats
+	// HostBarriers is the number of barriers rank 0 arrived at on the host,
+	// in the part of the run this process executed: those Stats counts and
+	// the unpriced ones inside AllReduce and ExScan. It is the count
+	// Config.FailAtBarrier counts.
+	HostBarriers uint64
 	// Per-stage substatistics.
 	TotalReads      int
 	AlignedReadFrac float64
@@ -502,6 +509,7 @@ func AssembleContext(ctx context.Context, reads []seq.Read, cfg Config) (*Result
 	res.WallSeconds = runRes.Wall.Seconds()
 	res.Steps = out.steps
 	res.Stats = runRes.Stats
+	res.HostBarriers = runRes.HostBarriers
 
 	res.Contigs = out.emitted
 	res.Scaffolds = out.scaffolds
@@ -688,7 +696,7 @@ func runPipeline(r *pgas.Rank, allReads []seq.Read, cfg Config, ks []int, ck *ck
 			// The previous round's shipped reads are superseded by this
 			// exchange: return their resident charge before re-charging.
 			r.ReleaseResident(st.shippedReadBytes)
-			st.reads, st.readOffset, st.shippedReadBytes = localizePairs(r, st.reads, st.readOffset, st.aligns)
+			st.reads, st.readOffset, st.shippedReadBytes = localizePairs(r, st.reads, st.readOffset, st.totalReads/2, st.aligns)
 			st.readsHash = "" // a new read set: the next boundary writes its shard
 			st.aligns = nil
 		}
@@ -884,14 +892,16 @@ const unaligned = math.MaxInt
 // unaligned pairs are a pseudo-contig it owns itself, sorting after its real
 // contigs. Owner-naming IDs sort owner-major, so the order is owner by owner:
 // one count exchange to the contigs' owners, one ExScan over the owners'
-// totals and one reply exchange number every (contig, source) run, and one
-// AllReduce sizes the blocks.
+// totals and one reply exchange number every (contig, source) run. The blocks
+// are sized by totalPairs, the run's pair count, which every rank knows from
+// the input: the ranks hold whole pairs, but for the last rank's trailing
+// unpaired read.
 //
 // It returns the rank's new reads in slot order, its new global read offset
 // (pairs stay intact, so mate indices remain 2i / 2i+1), and the resident
 // bytes the exchange charged for the received pairs — the caller releases
 // them when the read set is next replaced.
-func localizePairs(r *pgas.Rank, reads []seq.Read, readOffset int, aligns []aligner.Alignment) ([]seq.Read, int, int) {
+func localizePairs(r *pgas.Rank, reads []seq.Read, readOffset, totalPairs int, aligns []aligner.Alignment) ([]seq.Read, int, int) {
 	nPairs := len(reads) / 2
 	contig := make([]int, nPairs)
 	for i := range contig {
@@ -938,7 +948,6 @@ func localizePairs(r *pgas.Rank, reads []seq.Read, readOffset int, aligns []alig
 	// The replies arrive in owner order, each owner's in contig order: that
 	// is contig order, the order runs was built in, so reply j answers run j.
 	firsts := dist.Exchange(r, owned, func(c contigRun) int { return c.Src }, contigRun.WireSize)
-	totalPairs := pgas.AllReduce(r, nPairs, pgas.ReduceSum)
 	block := max(1, (totalPairs+r.NRanks()-1)/r.NRanks())
 
 	msgs := make([]pairMsg, 0, nPairs)

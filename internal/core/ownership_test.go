@@ -223,7 +223,7 @@ func TestLocalizePairsBalancesContigRuns(t *testing.T) {
 						aligns = append(aligns, aligner.Alignment{ReadIdx: g, ContigID: contigID(pick[g/2][m])})
 					}
 				}
-				held[r.ID()], offsets[r.ID()], _ = localizePairs(r, reads[lo:hi], lo, aligns)
+				held[r.ID()], offsets[r.ID()], _ = localizePairs(r, reads[lo:hi], lo, len(reads)/2, aligns)
 			})
 			return held, offsets
 		}

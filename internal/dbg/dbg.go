@@ -124,11 +124,7 @@ func newGraph(k int, owner func(seq.Kmer) int, ranks int) *Graph {
 // so the phase is purely local and the graph is owned as the counts are.
 // Returns the same graph on all ranks.
 func Build(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], k int, topts ThresholdOptions) *Graph {
-	var g *Graph
-	if r.ID() == 0 {
-		g = newGraph(k, counts.Owner, r.NRanks())
-	}
-	g = pgas.Broadcast(r, g)
+	g := pgas.Shared(r, func() *Graph { return newGraph(k, counts.Owner, r.NRanks()) })
 	if topts.MinCount == 0 {
 		topts.MinCount = 1
 	}

@@ -94,13 +94,10 @@ func NewMapOwnedBy[K comparable, V any](m *pgas.Machine, hash, ownerHash func(K)
 }
 
 // NewMapCollective creates a distributed map from inside an SPMD region:
-// rank 0 allocates the map and every rank receives the same instance.
+// the map is allocated once (pgas.Shared) and every rank receives the same
+// instance.
 func NewMapCollective[K comparable, V any](r *pgas.Rank, hash func(K) uint64, entryBytes int) *Map[K, V] {
-	var dm *Map[K, V]
-	if r.ID() == 0 {
-		dm = NewMap[K, V](r.Machine(), hash, entryBytes)
-	}
-	return pgas.Broadcast(r, dm)
+	return pgas.Shared(r, func() *Map[K, V] { return NewMap[K, V](r.Machine(), hash, entryBytes) })
 }
 
 // Owner returns the rank that owns the given key.

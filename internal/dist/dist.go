@@ -60,11 +60,7 @@ type Set[T any] struct {
 //
 // The last parameter is ignored: frozen benchmark/probes.go passes it (ROADMAP 2(b)).
 func New[T any](r *pgas.Rank, local []T, ownerOf func(T) int, wire func(T) int, _ Mode) *Set[T] {
-	var s *Set[T]
-	if r.ID() == 0 {
-		s = &Set[T]{wire: wire, shards: make([][]T, r.NRanks())}
-	}
-	s = pgas.Broadcast(r, s)
+	s := pgas.Shared(r, func() *Set[T] { return &Set[T]{wire: wire, shards: make([][]T, r.NRanks())} })
 
 	r.Compute(float64(len(local)))
 	s.shards[r.ID()] = pgas.ExchangeFunc(r, local,

@@ -310,10 +310,7 @@ func Run(r *pgas.Rank, reads []seq.Read, opts Options, counts *dht.Map[seq.Kmer,
 	}
 	k := opts.K
 	if counts == nil {
-		if r.ID() == 0 {
-			counts = NewCountsMap(r.Machine())
-		}
-		counts = pgas.Broadcast(r, counts)
+		counts = pgas.Shared(r, func() *dht.Map[seq.Kmer, seq.KmerCount] { return NewCountsMap(r.Machine()) })
 	}
 
 	// Phase 1: cut the local reads into supermers, charging one op per base,
@@ -494,7 +491,7 @@ func MergeContigKmers(r *pgas.Rank, counts *dht.Map[seq.Kmer, seq.KmerCount], pi
 		}
 		r.Compute(float64(len(pc.Seq)))
 	}
-	// No barrier: the next stage, dbg.Build, opens with a Broadcast, and
+	// No barrier: the next stage, dbg.Build, opens with pgas.Shared's, and
 	// each owner has folded what it received by the time Flush returns.
 	u.Flush()
 }

@@ -637,9 +637,9 @@ func TestSupermerKmersOwnedByDestination(t *testing.T) {
 
 // TestRunAndMergeBarriersP8 pins the per-rank barrier count of Run plus
 // MergeContigKmers at P=8, with an exchange counting one barrier. Run passes
-// the counts table's broadcast (2), three all-reduces (2 each) and one
-// exchange per round; no barrier follows the rounds, the pruning or the last
-// all-reduce. The merge passes the exchange that deals the contig pieces
+// the counts table's pgas.Shared (1), three all-reduces (which count none)
+// and one exchange per round; no barrier follows the rounds, the pruning or
+// the last all-reduce. The merge passes the exchange that deals the contig pieces
 // out, its flush's exchange and no closing barrier.
 // It also pins
 // the point of supermers: at the same per-round byte budget, the rounds fall
@@ -680,9 +680,9 @@ func TestRunAndMergeBarriersP8(t *testing.T) {
 		s3 := r.Stats()
 		runBarriers[r.ID()], mergeBarriers[r.ID()] = s1.Barriers-s0.Barriers, s3.Barriers-s2.Barriers
 	})
-	const bcast, allReduce, exchange = 2, 2, 1 // barriers per collective
+	const shared, allReduce, exchange = 1, 0, 1 // barriers counted per collective
 	for rank := 0; rank < p; rank++ {
-		if want := uint64(bcast + 3*allReduce + rounds*exchange); runBarriers[rank] != want {
+		if want := uint64(shared + 3*allReduce + rounds*exchange); runBarriers[rank] != want {
 			t.Errorf("rank %d: Run passed %d barriers, want %d (%d rounds)", rank, runBarriers[rank], want, rounds)
 		}
 		if mergeBarriers[rank] != 2*exchange {

@@ -141,11 +141,7 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 
 	counterHandle := -1
 	if opts.WorkStealing {
-		var h int
-		if r.ID() == 0 {
-			h = r.Machine().NewAtomic(0)
-		}
-		counterHandle = pgas.Broadcast(r, h)
+		counterHandle = pgas.Shared(r, func() int { return r.Machine().NewAtomic(0) })
 	} else {
 		r.Barrier()
 	}

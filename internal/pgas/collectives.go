@@ -2,31 +2,38 @@
 //
 // All collectives share one discipline: data moves through the machine's
 // shared buffers (the ranks really run concurrently, so barriers provide the
-// happens-before edges), while *cost* is charged as if the collective ran on
-// a tree network. A Cray-class machine executes reductions and broadcasts in
-// ceil(log2 P) rounds, not as P serialized messages to rank 0, so that is
-// what the cost model charges:
+// happens-before edges), while *cost* is charged for the schedule the modelled
+// machine runs. A Cray-class machine executes reductions in ceil(log2 P)
+// rounds, not as P serialized messages to rank 0, so that is what the cost
+// model charges:
 //
 //   - AllReduce / ExScan follow the recursive-doubling
 //     (hypercube) schedule: in round k each rank exchanges its accumulator
 //     with partner id XOR 2^k. With RanksPerNode a power of two the first
 //     log2(RanksPerNode) rounds stay on-node and only the remaining rounds
 //     pay off-node latency and bandwidth, so node-aware placement matters to
-//     collectives exactly as it does to point-to-point traffic.
-//   - Broadcast follows the binomial doubling schedule rooted at rank 0: in
-//     round k ranks below 2^k forward to id+2^k. Rank 0 sends every round,
-//     which makes its clock the ceil(log2 P)-hop critical path.
+//     collectives exactly as it does to point-to-point traffic. The tree
+//     synchronises by its own messages, so the two host barriers around it
+//     (Rank.hostBarrier) are neither counted nor priced; they still move the
+//     clock to the latest arrival, because the tree cannot finish before its
+//     last rank enters.
+//   - Shared is a symmetric allocation (OpenSHMEM's shmem_malloc): one
+//     counted and priced barrier, in whose completion hook the object is made
+//     once, and no data tree, since what every rank receives is a handle.
+//   - ExchangeFunc, the personalized all-to-all, charges one aggregated send
+//     per non-empty destination batch and the one barrier it runs.
 //
 // Scalar collectives charge scalarBytes per element. There is no all-gather:
 // no pipeline stage needs every rank to hold P values.
 //
 // Large-P discipline: a collective allocates O(1) per rank per call, never
-// O(P). The shared result (reduced value, exclusive-scan prefix table) is
-// computed exactly once per call — by the worker that completes the entry
-// barrier, under the barrier lock (Rank.barrierOn) — and every rank reads the
-// same object between the entry and exit barriers. Exchanges deposit only
-// non-empty batches into per-destination mailboxes (exchInbox), so a sparse
-// communication pattern costs O(messages), not O(P²) slots.
+// O(P). The shared result (reduced value, exclusive-scan prefix table, shared
+// handle) is computed exactly once per call — by the worker that completes
+// the entry barrier, under the barrier lock (Rank.hostBarrier) — and every
+// rank reads the same object after that barrier, before the next one
+// completes. Exchanges deposit only non-empty batches into per-destination
+// mailboxes (exchInbox), so a sparse communication pattern costs
+// O(messages), not O(P²) slots.
 package pgas
 
 import (
@@ -72,7 +79,7 @@ func combine[T Number](op ReduceOp, a, b T) T {
 }
 
 // scalarBytes is the wire size charged per element of the scalar collectives
-// (AllReduce, ExScan, Broadcast): one 8-byte word.
+// (AllReduce, ExScan): one 8-byte word.
 const scalarBytes = 8
 
 // exchBatch is one batch deposited into an exchange mailbox: the sending
@@ -191,7 +198,7 @@ func (r *Rank) sortExchKeys(keys []uint64, p int) []uint64 {
 	return keys
 }
 
-// ceilLog2 returns ceil(log2(n)) — the number of rounds of a binomial-tree
+// ceilLog2 returns ceil(log2(n)) — the number of rounds of a tree
 // collective over n participants.
 func ceilLog2(n int) int {
 	if n <= 1 {
@@ -256,38 +263,16 @@ func (r *Rank) chargeAllReduceTree(bytes int) {
 	}
 }
 
-// chargeBroadcastTree charges the binomial doubling broadcast rooted at rank
-// 0: in round k every rank with id < 2^k forwards the payload to id + 2^k.
-// Senders pay a message; receivers account the incoming bytes and the
-// latency of waiting for them.
-func (r *Rank) chargeBroadcastTree(bytes int) {
-	p := r.machine.cfg.Ranks
-	rounds := ceilLog2(p)
-	for k := 0; k < rounds; k++ {
-		span := 1 << k
-		switch {
-		case r.id < span:
-			if t := r.id | span; t < p {
-				r.chargeDuplexHop(t, bytes, 0)
-			}
-		case r.id < 2*span:
-			// This rank receives its copy in round k from id XOR 2^k. The
-			// sender already counted the message; the receiver accounts the
-			// incoming bytes and pays the wire time.
-			r.stats.BytesReceived += uint64(bytes)
-			r.clock += r.machine.cfg.Cost.hop(!r.SameNode(r.id^span), 1, bytes)
-		}
-	}
-}
-
 // AllReduce combines one value per rank with the given reduction and returns
 // the combined value on every rank. The reduction is exact in T's native
 // arithmetic — folded once, in ascending rank order, by the worker
-// completing the entry barrier — and its cost is the log2(P)-round tree schedule.
+// completing the entry barrier — and its cost is the log2(P)-round tree
+// schedule, started at the latest arrival. Its two host barriers are not
+// counted or priced (see the package comment).
 func AllReduce[T Number](r *Rank, x T, op ReduceOp) T {
 	m := r.machine
 	m.slots[r.id] = x
-	r.barrierOn(func() {
+	r.hostBarrier(func() {
 		acc := m.slots[0].(T)
 		for i := 1; i < m.cfg.Ranks; i++ {
 			acc = combine(op, acc, m.slots[i].(T))
@@ -296,7 +281,7 @@ func AllReduce[T Number](r *Rank, x T, op ReduceOp) T {
 	})
 	out := m.collResult.(T)
 	r.chargeAllReduceTree(scalarBytes)
-	r.Barrier()
+	r.hostBarrier(nil)
 	m.slots[r.id] = nil
 	return out
 }
@@ -313,7 +298,7 @@ func AllReduce[T Number](r *Rank, x T, op ReduceOp) T {
 func ExScan[T Number](r *Rank, x T, op ReduceOp) T {
 	m := r.machine
 	m.slots[r.id] = x
-	r.barrierOn(func() {
+	r.hostBarrier(func() {
 		prefix := make([]T, m.cfg.Ranks)
 		var acc T
 		for i := 1; i < m.cfg.Ranks; i++ {
@@ -329,27 +314,21 @@ func ExScan[T Number](r *Rank, x T, op ReduceOp) T {
 	})
 	out := m.collResult.([]T)[r.id]
 	r.chargeAllReduceTree(scalarBytes)
-	r.Barrier()
+	r.hostBarrier(nil)
 	m.slots[r.id] = nil
 	return out
 }
 
-// Broadcast returns rank 0's value of x on every rank, charged as a binomial
-// doubling tree rooted at rank 0. The broadcast payloads in this codebase
-// are handles (map pointers, atomic handles, shared slices), so the wire
-// size is one word.
-func Broadcast[T any](r *Rank, x T) T {
+// Shared returns, on every rank, the one object mk makes: the handle of
+// something all ranks share (a distributed map, a global atomic, a slice of
+// per-rank partitions). mk runs exactly once, in the completion hook of one
+// counted and priced barrier, while every rank is parked, so it must not
+// depend on which rank's mk it is. Like OpenSHMEM's symmetric shmem_malloc,
+// it costs that barrier and sends nothing: a handle is not data.
+func Shared[T any](r *Rank, mk func() T) T {
 	m := r.machine
-	if r.id == 0 {
-		m.slots[0] = x
-	}
-	r.Barrier()
-	out := m.slots[0].(T)
-	r.chargeBroadcastTree(scalarBytes)
-	r.Barrier()
-	if r.id == 0 {
-		m.slots[0] = nil
-	}
+	r.barrierOn(func() { m.collResult = mk() })
+	out, _ := m.collResult.(T)
 	return out
 }
 

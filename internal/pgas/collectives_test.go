@@ -2,6 +2,8 @@ package pgas
 
 import (
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -58,7 +60,7 @@ func TestCollectivesNodeAware(t *testing.T) {
 		m := NewMachine(Config{Ranks: p, RanksPerNode: rpn})
 		res := m.Run(func(r *Rank) {
 			AllReduce(r, int64(r.ID()), ReduceSum)
-			Broadcast(r, r.ID())
+			ExScan(r, r.ID(), ReduceSum)
 		})
 		return res.SimSeconds
 	}
@@ -73,23 +75,75 @@ func TestCollectivesNodeAware(t *testing.T) {
 	}
 }
 
-// TestBroadcastUsesRankZeroValue pins Broadcast semantics: only rank 0's
-// contribution is delivered, and the binomial tree sends exactly P-1
-// messages in total.
-func TestBroadcastUsesRankZeroValue(t *testing.T) {
-	const p = 7 // non-power-of-two exercises the clipped tree
-	m := NewMachine(Config{Ranks: p, RanksPerNode: 4})
-	res := m.Run(func(r *Rank) {
-		got := Broadcast(r, 100+r.ID())
-		if got != 100 {
-			t.Errorf("rank %d: broadcast = %d, want 100", r.ID(), got)
+// TestSharedMakesOnce pins Shared: mk runs exactly once, every rank gets the
+// identical object, and the call costs one counted and priced barrier with no
+// message and no byte, whatever the rank count and Workers.
+func TestSharedMakesOnce(t *testing.T) {
+	for _, p := range []int{1, 3, 16, 256} {
+		for _, workers := range []int{1, 4} {
+			m := NewMachine(Config{Ranks: p, RanksPerNode: 4, Workers: workers, Cost: CostModel{BarrierCost: 1}, CostSet: true})
+			var made atomic.Int64
+			got := make([]*[]int, p)
+			res := m.Run(func(r *Rank) {
+				got[r.ID()] = Shared(r, func() *[]int {
+					made.Add(1)
+					s := make([]int, r.NRanks())
+					return &s
+				})
+			})
+			if n := made.Load(); n != 1 {
+				t.Errorf("P=%d workers=%d: mk ran %d times, want 1", p, workers, n)
+			}
+			for id, h := range got {
+				if h == nil || h != got[0] || len(*h) != p {
+					t.Errorf("P=%d workers=%d rank %d: got handle %p, rank 0 got %p", p, workers, id, h, got[0])
+				}
+			}
+			if want := (CommStats{Barriers: uint64(p)}); res.Stats != want {
+				t.Errorf("P=%d workers=%d: stats %+v, want %+v (one barrier per rank, nothing sent)", p, workers, res.Stats, want)
+			}
+			if res.SimSeconds != 1 || res.HostBarriers != 1 {
+				t.Errorf("P=%d workers=%d: %v barrier-seconds priced, %d host barriers; want 1 and 1", p, workers, res.SimSeconds, res.HostBarriers)
+			}
 		}
-	})
-	if res.Stats.Messages != p-1 {
-		t.Errorf("broadcast sent %d messages, want %d", res.Stats.Messages, p-1)
 	}
-	if res.Stats.BytesReceived != uint64((p-1)*scalarBytes) {
-		t.Errorf("BytesReceived = %d, want %d", res.Stats.BytesReceived, (p-1)*scalarBytes)
+}
+
+// TestAllReduceUnevenArrivals: an AllReduce counts and prices no barrier, but
+// its tree cannot start before the last rank arrives, so every rank leaves at
+// the latest arrival plus the tree's rounds, and the entry wait is recorded.
+// Power-of-two P with RanksPerNode 4 gives every rank the same rounds: the
+// first two on-node, the rest off-node.
+func TestAllReduceUnevenArrivals(t *testing.T) {
+	for _, p := range []int{2, 8, 16} {
+		m := NewMachine(Config{Ranks: p, RanksPerNode: 4})
+		arrival := make([]float64, p)
+		leave := make([]float64, p)
+		res := m.Run(func(r *Rank) {
+			r.Compute(float64(1000*r.ID() + 7*(r.ID()%3)))
+			arrival[r.ID()] = r.Clock()
+			if got, want := AllReduce(r, r.ID(), ReduceSum), p*(p-1)/2; got != want {
+				t.Errorf("P=%d rank %d: AllReduce = %d, want %d", p, r.ID(), got, want)
+			}
+			leave[r.ID()] = r.Clock()
+		})
+		c := m.cfg.Cost
+		want := slices.Max(arrival)
+		for k := range ceilLog2(p) {
+			want += c.hop(k >= 2, 1, scalarBytes)
+		}
+		for id, l := range leave {
+			if l != want {
+				t.Errorf("P=%d rank %d: leaves at %v, want %v (latest arrival %v plus the tree)", p, id, l, want, slices.Max(arrival))
+			}
+		}
+		var wait uint64
+		for _, a := range arrival {
+			wait += waitNs(slices.Max(arrival), a)
+		}
+		if res.Stats.Barriers != 0 || res.Stats.BarrierWaitNs != wait || res.HostBarriers != 2 {
+			t.Errorf("P=%d: %d barriers counted, %d ns waited, %d host barriers; want 0, %d and 2", p, res.Stats.Barriers, res.Stats.BarrierWaitNs, res.HostBarriers, wait)
+		}
 	}
 }
 
@@ -107,7 +161,7 @@ func TestZeroCostModel(t *testing.T) {
 		r.ChargeGet(3, 1<<20, 5)
 		r.AtomicFetchAdd(h, 1)
 		AllReduce(r, int64(r.ID()), ReduceSum)
-		Broadcast(r, r.ID())
+		Shared(r, func() int { return 7 })
 		r.Barrier()
 	})
 	if res.SimSeconds != 0 {
@@ -128,7 +182,7 @@ func TestZeroCostModel(t *testing.T) {
 // shows up here as an explicit diff — update the constants deliberately.
 //
 // The sequence (per rank): one scalar ExScan, one int64 AllReduce, one
-// Broadcast, one ExchangeFunc of 2 24-byte items per destination. The
+// Shared, one ExchangeFunc of 2 24-byte items per destination. The
 // constants were captured by running this body on the code before the
 // all-gather collectives were deleted, then re-captured when the collective
 // that tree-merged a 1000-byte mergeable summary was deleted and its line
@@ -139,13 +193,20 @@ func TestZeroCostModel(t *testing.T) {
 // the clock fell by exactly two barrier costs (3e-5 s), the count by 16
 // barriers, and nothing else moved. BarrierWaitNs was added later, captured
 // from this body with every other figure unchanged: it observes the clocks
-// and charges nothing.
+// and charges nothing. Re-captured when AllReduce and ExScan stopped counting
+// and pricing their two host barriers and Shared replaced the line that
+// broadcast an int down a binomial tree: the clock fell by exactly four
+// barrier costs, one more for the broadcast's second barrier and the
+// broadcast's 3-round critical path (6e-5 + 1.5e-5 + 3.3096e-6 s); the counts
+// by 40 barriers, 7 messages (4 off-node) and 56 bytes (32 off-node); and the
+// wait to 0, since it was the broadcast tree's unequal charges waited out at
+// its second barrier. Nothing else moved.
 func TestCollectivesGolden(t *testing.T) {
 	m := NewMachine(Config{Ranks: 8, RanksPerNode: 4})
 	res := m.Run(func(r *Rank) {
 		ExScan(r, r.ID(), ReduceSum)
 		AllReduce(r, int64(r.ID()), ReduceSum)
-		Broadcast(r, r.ID())
+		Shared(r, func() int { return 0 })
 		var pairs []int
 		for d := 0; d < r.NRanks(); d++ {
 			pairs = append(pairs, r.ID(), d)
@@ -157,20 +218,20 @@ func TestCollectivesGolden(t *testing.T) {
 
 	// Simulated seconds: every charge is a deterministic float64 expression
 	// and barriers reduce by max, so the result is bit-exact run to run.
-	const wantSim = 0.0001263112
+	const wantSim = 4.80016e-05
 	if math.Abs(res.SimSeconds-wantSim) > wantSim*1e-9 {
 		t.Errorf("SimSeconds = %.17g, want %v", res.SimSeconds, wantSim)
 	}
 	want := CommStats{
-		Messages:          111,  // 3 tree rounds x 8 ranks x 2 recursive-doubling collectives + 7 broadcast + 56 exchange
-		OffNodeMessages:   52,   // 1 off-node round per rank per tree collective + 4 broadcast hops + 32 exchange
-		BytesSent:         3128, // 2688 of exchange items, 440 of scalar tree hops
-		BytesReceived:     3128, // every sent byte is received by its partner
-		OffNodeBytes:      1696,
-		RemotePuts:        56,   // ExchangeFunc charges per-destination batches as puts
-		Barriers:          56,   // 2 per tree collective x 3 + 1 for ExchangeFunc, x 8 ranks
-		PeakResidentBytes: 384,  // 8x48 exchange batches materialized
-		BarrierWaitNs:     4016, // the tree rounds' unequal hop charges, waited out at their barriers
+		Messages:          104,  // 3 tree rounds x 8 ranks x 2 recursive-doubling collectives + 56 exchange
+		OffNodeMessages:   48,   // 1 off-node round per rank per tree collective + 32 exchange
+		BytesSent:         3072, // 2688 of exchange items, 384 of scalar tree hops
+		BytesReceived:     3072, // every sent byte is received by its partner
+		OffNodeBytes:      1664,
+		RemotePuts:        56,  // ExchangeFunc charges per-destination batches as puts
+		Barriers:          16,  // 1 for Shared + 1 for ExchangeFunc, x 8 ranks; the tree collectives count none
+		PeakResidentBytes: 384, // 8x48 exchange batches materialized
+		BarrierWaitNs:     0,   // every rank's charges are equal at each barrier
 	}
 	got := res.Stats
 	got.ComputeOps = 0 // no compute charged in this sequence; keep the comparison total
@@ -199,7 +260,7 @@ func BenchmarkCollectiveTreeVsFlat(b *testing.B) {
 	}
 	c := m.cfg.Cost
 	// Flat centralized model: rank 0 ingests P-1 off-node words serially,
-	// then sends P-1 replies (ignoring the two barriers both models pay).
+	// then sends P-1 replies (neither model prices a barrier).
 	perMsg := c.LatencyOffNode + scalarBytes*c.ByteOffNode
 	flatSim := float64(reps) * 2 * float64(p-1) * perMsg
 	b.ReportMetric(treeSim/reps, "tree_sim_s/op")

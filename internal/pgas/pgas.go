@@ -193,8 +193,8 @@ type Machine struct {
 
 	// Shared collective result: written once per collective by the worker
 	// that completes the entry barrier (under the barrier lock, see
-	// Rank.barrierOn) and read by every rank between the entry and exit
-	// barriers. Replaces the historical fresh make([]T, P) per call per
+	// Rank.hostBarrier) and read by every rank before the next barrier
+	// completes. Replaces the historical fresh make([]T, P) per call per
 	// rank, which made a collective round O(P²) transient allocation.
 	collResult any
 
@@ -261,6 +261,10 @@ type RunResult struct {
 	Wall time.Duration
 	// Stats is the sum of all ranks' communication statistics.
 	Stats CommStats
+	// HostBarriers is the number of barriers rank 0 arrived at on the host:
+	// the priced ones Stats counts and the unpriced ones inside AllReduce and
+	// ExScan. It is the count InjectBarrierFailure's trap counts.
+	HostBarriers uint64
 	// Err is non-nil when the run was aborted (Abort or an armed
 	// InjectBarrierFailure fired) instead of running to completion; it wraps
 	// ErrAborted and the abort cause. The other fields then describe the
@@ -328,9 +332,10 @@ func (m *Machine) AbortOnCancel(ctx context.Context) (stop func()) {
 }
 
 // InjectBarrierFailure arms the mid-collective fault-injection hook: rank 0's
-// n-th Barrier arrival (1-based, counting every barrier it participates in,
-// including those inside collectives) calls Abort(cause) instead of entering
-// the barrier. Pinning the trap to one rank's own deterministic barrier
+// n-th barrier arrival on the host (1-based, counting every barrier it
+// participates in, the unpriced ones inside AllReduce and ExScan included:
+// RunResult.HostBarriers) calls Abort(cause) instead of entering the
+// barrier. Pinning the trap to one rank's own deterministic barrier
 // sequence makes the kill point — and therefore the set of checkpoints
 // durable at the kill — reproducible regardless of goroutine scheduling.
 // Must be called before Run.
@@ -387,7 +392,7 @@ func (m *Machine) Run(body func(r *Rank)) RunResult {
 	for _, r := range ranks {
 		r.stop()
 	}
-	m.ranks = nil
+	m.ranks, m.collResult = nil, nil
 
 	var res RunResult
 	res.Wall = time.Since(start)
@@ -400,6 +405,7 @@ func (m *Machine) Run(body func(r *Rank)) RunResult {
 			res.SimSeconds = r.clock
 		}
 	}
+	res.HostBarriers = ranks[0].hostBarriers
 	return res
 }
 
@@ -428,6 +434,11 @@ type Rank struct {
 	// has entered, whose parity picks the buffers an exchange uses.
 	exchKeys, exchTmp []uint64
 	exchCount         int
+
+	// hostBarriers counts the barriers the rank arrived at on the host,
+	// priced or not (see hostBarrier): the count InjectBarrierFailure's trap
+	// and RunResult.HostBarriers read.
+	hostBarriers uint64
 }
 
 // ID returns the rank index in [0, NRanks).
@@ -603,17 +614,35 @@ func waitNs(release, arrival float64) uint64 {
 
 // barrierOn is Barrier with an optional completion hook: onComplete runs
 // exactly once per barrier epoch, on the worker that completes the machine
-// barrier, under the barrier lock, before any rank resumes. The collectives
-// use it to compute their shared result once instead of once per rank.
+// barrier, under the barrier lock, before any rank resumes. It is the barrier
+// of the modelled machine: hostBarrier, counted in CommStats.Barriers and
+// priced at BarrierCost.
+func (r *Rank) barrierOn(onComplete func()) {
+	r.stats.Barriers++
+	r.hostBarrier(onComplete)
+	r.clock += r.machine.cfg.Cost.BarrierCost
+}
+
+// hostBarrier is barrierOn without the count and the price: a barrier the
+// host runs to publish and recycle shared buffers where the modelled machine
+// synchronises by its own messages (AllReduce and ExScan's tree). It still
+// moves the rank's clock to the latest arrival and records that wait in
+// BarrierWaitNs, since nothing the barrier guards can finish before the last
+// rank enters it.
 //
 // The arrival is counted on the worker running the rank and the rank yields
 // to it (see scheduler.go); when a worker resumes it, the epoch is complete
-// and the machine barrier's result holds the maximum clock. A rank that
-// arrives at, or is resumed from, an aborted barrier unwinds with the
+// and the machine barrier's result holds the maximum clock. Rank 0's armed
+// arrival fires the fault-injection trap (trapBarrier is armed, if at all,
+// before Run, so the unsynchronized read cannot race with the write). A rank
+// that arrives at, or is resumed from, an aborted barrier unwinds with the
 // abortPanic sentinel.
-func (r *Rank) barrierOn(onComplete func()) {
+func (r *Rank) hostBarrier(onComplete func()) {
 	m := r.machine
-	r.countBarrier()
+	r.hostBarriers++
+	if r.id == 0 && m.trapBarrier != 0 && r.hostBarriers == m.trapBarrier {
+		m.Abort(m.trapErr)
+	}
 	if m.aborted.Load() {
 		panic(abortPanic{})
 	}
@@ -628,19 +657,7 @@ func (r *Rank) barrierOn(onComplete func()) {
 		panic(abortPanic{})
 	}
 	r.stats.BarrierWaitNs += waitNs(m.barrier.result, r.clock)
-	r.clock = m.barrier.result + m.cfg.Cost.BarrierCost
-}
-
-// countBarrier counts one barrier arrival and fires the fault-injection trap
-// on rank 0's armed arrival. trapBarrier is armed (if at all) before Run, so
-// the unsynchronized read cannot race with the write.
-func (r *Rank) countBarrier() {
-	m := r.machine
-	r.stats.Barriers++
-	if r.id == 0 && m.trapBarrier != 0 && r.stats.Barriers == m.trapBarrier {
-		m.Abort(m.trapErr)
-		panic(abortPanic{})
-	}
+	r.clock = m.barrier.result
 }
 
 // RestoreState overwrites the rank's simulated clock and resident-bytes

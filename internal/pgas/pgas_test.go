@@ -318,12 +318,13 @@ func TestExchangeFuncRepeated(t *testing.T) {
 // barrier, so a rank leaves it while others may still be copying what it
 // published, and the buffers alternate by exchange parity. Back-to-back
 // exchanges whose caller truncates, refills and then scribbles over one items
-// slice, interleaved with AllReduce and Broadcast, must each deliver exactly
+// slice, interleaved with AllReduce and ExScan, must each deliver exactly
 // that round's items in source order; clocks and counts must not depend on
 // Workers. Only barriers are priced (at one second each), so the clock counts
-// the barriers each rank paid for, and the machine's barrier epochs count the
-// ones it ran. Run it under -race: a receiver reading a buffer its sender has
-// moved on to reuse is a data race.
+// the barriers each rank paid for: one per exchange, none for the
+// collectives. The machine's barrier epochs count the ones the host ran: the
+// exchanges' and two per collective. Run it under -race: a receiver reading a
+// buffer its sender has moved on to reuse is a data race.
 func TestExchangeFuncOneHostBarrier(t *testing.T) {
 	type msg struct{ round, src, dest, seq int }
 	const rounds = 12
@@ -362,8 +363,8 @@ func TestExchangeFuncOneHostBarrier(t *testing.T) {
 							t.Errorf("rank %d: AllReduce after round %d = %d", r.ID(), round, got)
 						}
 					case 1:
-						if got := Broadcast(r, round*100+r.ID()); got != round*100 {
-							t.Errorf("rank %d: Broadcast after round %d = %d", r.ID(), round, got)
+						if got, want := ExScan(r, round, ReduceSum), round*r.ID(); got != want {
+							t.Errorf("rank %d: ExScan after round %d = %d, want %d", r.ID(), round, got, want)
 						}
 					}
 					if r.ID() == 0 && round%3 != 2 {
@@ -371,17 +372,19 @@ func TestExchangeFuncOneHostBarrier(t *testing.T) {
 					}
 				}
 			})
-			// One barrier per exchange, two per AllReduce or Broadcast.
-			perRank := rounds + 2*collectives
-			if want := uint64(p * perRank); res.Stats.Barriers != want {
+			// Counted and priced: one barrier per exchange. Run on the host:
+			// those and two per AllReduce or ExScan.
+			exchanges := rounds
+			if want := uint64(p * exchanges); res.Stats.Barriers != want {
 				t.Errorf("P=%d workers=%d: %d barriers counted, want %d (one per exchange)", p, workers, res.Stats.Barriers, want)
 			}
-			if res.SimSeconds != float64(perRank) {
-				t.Errorf("P=%d workers=%d: %v barrier-seconds priced, want %d (one per exchange)", p, workers, res.SimSeconds, perRank)
+			if res.SimSeconds != float64(exchanges) {
+				t.Errorf("P=%d workers=%d: %v barrier-seconds priced, want %d (one per exchange)", p, workers, res.SimSeconds, exchanges)
 			}
+			host := exchanges + 2*collectives
 			// The last epoch is the round in which every rank returned.
-			if ran := int(m.barrier.epoch) - 1; ran != perRank {
-				t.Errorf("P=%d workers=%d: %d barriers run, want %d (one per exchange)", p, workers, ran, perRank)
+			if ran := int(m.barrier.epoch) - 1; ran != host || res.HostBarriers != uint64(host) {
+				t.Errorf("P=%d workers=%d: %d barriers run, rank 0 arrived at %d, want %d (one per exchange, two per collective)", p, workers, ran, res.HostBarriers, host)
 			}
 			res.Wall = 0
 			if workers == 1 {

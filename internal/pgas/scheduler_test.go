@@ -191,8 +191,8 @@ func TestWorkersStress(t *testing.T) {
 					if got, want := ExScan(r, v, ReduceSum), round*r.ID()*(r.ID()-1)/2+r.ID(); got != want {
 						t.Errorf("P=%d workers=%d round %d rank %d: ExScan = %d, want %d", p, workers, round, r.ID(), got, want)
 					}
-					if got := Broadcast(r, round*1000+r.ID()); got != round*1000 {
-						t.Errorf("P=%d workers=%d round %d: Broadcast = %d", p, workers, round, got)
+					if got := Shared(r, func() int { return round * 1000 }); got != round*1000 {
+						t.Errorf("P=%d workers=%d round %d: Shared = %d", p, workers, round, got)
 					}
 					in := ExchangeFunc(r, []int{r.ID(), round}, func(i, _ int) int { return r.ID() + i + round }, func(int) int { return 8 })
 					r.ReleaseResident(8 * len(in))
