@@ -3,11 +3,13 @@
 // over a distributed seed index. Seed lookups are aggregated (§II-A): each
 // rank walks its reads' seeds, asks the owner of every distinct seed it does
 // not own once per pass in one exchange, and gets the hit lists back in a
-// second. Candidate contigs are fetched one-sidedly through a per-rank
-// software cache. The read-localization optimization that redistributes
-// reads by the contig they align to, so that subsequent iterations hit that
-// cache instead of the network, consumes these alignments in
-// core.localizePairs.
+// second. Candidate contigs are read one-sidedly through a per-rank
+// software cache, filled before any read is extended: every contig the
+// answers name that another rank owns arrives with one vectored get per
+// owner, so a pass makes at most P-1 contig gets. The read-localization
+// optimization that redistributes reads by the contig they align to, so that
+// subsequent iterations hit that cache instead of the network, consumes these
+// alignments in core.localizePairs.
 package aligner
 
 import (
@@ -235,8 +237,10 @@ type seedRef struct {
 // Collective: the rank walks its reads' strided seeds and answers the ones
 // it owns from its own partition. It asks the owners of the others in one
 // exchange (each distinct seed once with UseCache, each occurrence as its
-// own message without), and the owners answer in a second. Each read is
-// then extended against its seeds' answers.
+// own message without), and the owners answer in a second. With UseCache
+// the contigs the answers name are then fetched with one vectored get per
+// owner; without it each read of a remote contig is its own get. Each read
+// is then extended against its seeds' answers.
 func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts Options) ([]Alignment, AlignStats) {
 	opts.SeedLen = idx.SeedLen
 	var stats AlignStats
@@ -309,6 +313,19 @@ func AlignReads(r *pgas.Rank, idx *Index, reads []seq.Read, readOffset int, opts
 		contigCache = cacheEntries
 	}
 	creader := idx.Contigs.NewReader(r, contigCache)
+	// The extensions below read exactly the contigs the answers name: fetch
+	// the remote ones up front, one vectored get per owner. A seed's hits
+	// cluster by contig, so skipping repeats of the previous ID keeps the
+	// list short.
+	var need []int
+	for _, hits := range answers {
+		for _, h := range hits {
+			if n := len(need); n == 0 || need[n-1] != h.ContigID {
+				need = append(need, h.ContigID)
+			}
+		}
+	}
+	creader.Prefetch(need)
 	var out []Alignment
 	// Per-rank scratch reused across every read aligned by this call: the
 	// extension dedup map, the packed read/reverse-complement buffers and

@@ -322,49 +322,84 @@ func TestOneExtensionPerDiagonal(t *testing.T) {
 	}
 }
 
+// TestSoftwareCacheReducesCommunication: with the caches on, seeds are asked
+// of their owners by exchange, never read one-sidedly, and the contigs the
+// extensions read are fetched up front with one vectored get per owner, so a
+// rank makes at most P-1 remote reads per pass while the alignments stay
+// the per-hit-Get oracle's (refAlignReads). The caches also lower the
+// simulated time against the ablation without them.
 func TestSoftwareCacheReducesCommunication(t *testing.T) {
 	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 2, MeanGenomeLen: 4000, Seed: 31, StrainFraction: 0})
-	contigs := make([]dbg.Contig, len(comm.Genomes))
-	for i, g := range comm.Genomes {
-		contigs[i] = dbg.Contig{ID: i, Seq: g.Seq, Depth: 20}
+	// Cut each genome into 400-base contigs, so a rank's reads land on
+	// many contigs of each owner.
+	var contigs []dbg.Contig
+	for _, g := range comm.Genomes {
+		for lo := 0; lo < len(g.Seq); lo += 400 {
+			contigs = append(contigs, dbg.Contig{Seq: g.Seq[lo:min(lo+400, len(g.Seq))], Depth: 20})
+		}
 	}
 	reads := sim.SimulateReads(comm, sim.ReadConfig{ReadLen: 80, InsertSize: 200, ErrorRate: 0.01, Coverage: 10, Seed: 32})
 
-	// remoteGets holds each rank's one-sided remote reads during AlignReads.
-	var remoteGets [4]uint64
-	run := func(useCache bool) (float64, AlignStats) {
-		m := pgas.NewMachine(pgas.Config{Ranks: 4, RanksPerNode: 1})
-		opts := DefaultOptions(21)
-		opts.UseCache = useCache
-		var stats AlignStats
-		res := m.Run(func(r *pgas.Rank) {
-			cs, _ := distributeTestContigs(r, contigs, nil)
-			idx := BuildIndex(r, cs, opts)
-			lo, hi := r.BlockRange(len(reads))
-			before := r.Stats().RemoteGets
-			_, s := AlignReads(r, idx, reads[lo:hi], lo, opts)
-			remoteGets[r.ID()] = r.Stats().RemoteGets - before
-			if r.ID() == 0 {
-				stats = s
+	for _, p := range []int{1, 3, 16} {
+		// run aligns each rank's block of reads and returns the simulated
+		// seconds, each rank's remote gets and contig items fetched during
+		// AlignReads, rank 0's statistics, and, with check, whether every
+		// rank's alignments equal the oracle's on the same index.
+		run := func(useCache, check bool) (float64, []uint64, []uint64, AlignStats) {
+			m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 1})
+			opts := DefaultOptions(21)
+			opts.UseCache = useCache
+			gets, items := make([]uint64, p), make([]uint64, p)
+			var stats AlignStats
+			res := m.Run(func(r *pgas.Rank) {
+				cs, _ := distributeTestContigs(r, contigs, nil)
+				idx := BuildIndex(r, cs, opts)
+				lo, hi := r.BlockRange(len(reads))
+				before := r.Stats()
+				got, s := AlignReads(r, idx, reads[lo:hi], lo, opts)
+				after := r.Stats()
+				gets[r.ID()] = after.RemoteGets - before.RemoteGets
+				items[r.ID()] = after.CacheMisses - before.CacheMisses
+				if r.ID() == 0 {
+					stats = s
+				}
+				if !check {
+					return
+				}
+				r.Barrier()
+				idx.Seeds.Freeze()
+				want, _ := refAlignReads(r, idx, reads[lo:hi], lo, opts)
+				if !slices.Equal(got, want) {
+					t.Errorf("P=%d rank %d: %d alignments differ from the per-hit-Get oracle's %d", p, r.ID(), len(got), len(want))
+				}
+			})
+			if res.Err != nil {
+				t.Fatal(res.Err)
 			}
-		})
-		return res.SimSeconds, stats
-	}
-	cachedTime, cachedStats := run(true)
-	// Seeds are asked of their owners by exchange, never read one-sidedly:
-	// with the contig cache on, a rank's only remote reads are the first
-	// fetch of each remote contig.
-	for rank, n := range remoteGets {
-		if n > uint64(len(contigs)) {
-			t.Errorf("rank %d made %d remote reads aligning against %d contigs", rank, n, len(contigs))
+			return res.SimSeconds, gets, items, stats
 		}
-	}
-	uncachedTime, _ := run(false)
-	if rate := float64(cachedStats.SeedCacheHits) / float64(cachedStats.SeedLookups); rate <= 0.1 {
-		t.Errorf("seed cache hit rate %v too low", rate)
-	}
-	if cachedTime >= uncachedTime {
-		t.Errorf("software cache should reduce simulated time: %v vs %v", cachedTime, uncachedTime)
+		cachedTime, gets, items, cachedStats := run(true, true)
+		var totalGets, totalItems uint64
+		for rank, n := range gets {
+			if n > uint64(p-1) {
+				t.Errorf("P=%d: rank %d made %d remote reads, want at most one per other rank", p, rank, n)
+			}
+			totalGets += n
+			totalItems += items[rank]
+		}
+		if p == 1 {
+			continue
+		}
+		if totalItems <= totalGets {
+			t.Errorf("P=%d: %d remote gets fetched %d contigs: no get carried more than one, the test exercises nothing", p, totalGets, totalItems)
+		}
+		// At P=16 a rank holds too few reads to repeat a seed often.
+		if rate := float64(cachedStats.SeedCacheHits) / float64(cachedStats.SeedLookups); p == 3 && rate <= 0.1 {
+			t.Errorf("P=%d: seed cache hit rate %v too low", p, rate)
+		}
+		if uncachedTime, _, _, _ := run(false, false); cachedTime >= uncachedTime {
+			t.Errorf("P=%d: software cache should reduce simulated time: %v vs %v", p, cachedTime, uncachedTime)
+		}
 	}
 }
 

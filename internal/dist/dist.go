@@ -9,12 +9,15 @@
 // memory is O(N/P) instead of the O(N) a gather-to-all materializes on every
 // rank. A global ID names its owner — ID(owner, index in the owner's shard) —
 // so any rank maps an ID back to its owner with arithmetic (Locate), without
-// a collective and without any O(P) table. Owner-side lookups by global ID
-// are charged as one-sided gets (with an optional per-rank software cache in
-// front), and final output is emitted rank by rank onto rank 0 only.
+// a collective and without any O(P) table. Lookups by global ID are
+// one-sided gets the requester pays for, through an optional per-rank
+// software cache that a pass which knows its whole read set up front fills
+// with one vectored get per owner (Reader.Prefetch); final output is emitted
+// rank by rank onto rank 0 only.
 package dist
 
 import (
+	"slices"
 	"sort"
 
 	"mhmgo/internal/pgas"
@@ -192,7 +195,11 @@ func (s *Set[T]) Renumber(r *pgas.Rank, assign func(i int, globalID int)) {
 
 // Reader fetches items by global ID through a per-rank software cache, for
 // read-only phases where the same remote items are fetched repeatedly (the
-// paper's §II-A use case 3 applied to record collections). Requires Renumber.
+// paper's §II-A use case 3 applied to record collections). Every fetch is
+// one-sided: the requesting rank pays for it and the owner does nothing. A
+// pass that knows every ID it will read before it reads them calls Prefetch
+// first, which moves the same bytes as the Gets would, in one message per
+// owner instead of one per item. Requires Renumber.
 type Reader[T any] struct {
 	s       *Set[T]
 	r       *pgas.Rank
@@ -227,11 +234,57 @@ func (rd *Reader[T]) Get(id int) T {
 			return hit
 		}
 	}
-	r.ChargeCacheMiss(owner, s.wire(item))
+	r.ChargeCacheMiss(owner, s.wire(item), 1)
 	if rd.cache != nil && len(rd.cache) < rd.entries {
 		rd.cache[id] = item
 	}
 	return item
+}
+
+// Prefetch puts into the cache the items of ids that Get would otherwise
+// fetch remotely one at a time. It drops the IDs the rank owns or has
+// cached, keeps the lowest distinct ones that fit in the cache, and fetches
+// them with one one-sided vectored get per owner, in ascending owner order:
+// one message and one latency per owner, carrying every byte the per-item
+// gets would. Later Gets of those IDs are cache hits; IDs beyond the cache's
+// capacity are left to per-item Gets. It charges nothing but the gets, and a
+// reader without a cache (zero entries) does nothing.
+func (rd *Reader[T]) Prefetch(ids []int) {
+	room := rd.entries - len(rd.cache)
+	if room <= 0 {
+		return
+	}
+	s, r := rd.s, rd.r
+	want := make([]int, 0, len(ids))
+	for _, id := range ids {
+		if owner, _ := Locate(id); owner == r.ID() {
+			continue
+		}
+		if _, ok := rd.cache[id]; ok {
+			continue
+		}
+		want = append(want, id)
+	}
+	// An ID names its owner in its high bits, so ascending IDs group by
+	// owner in ascending owner order.
+	slices.Sort(want)
+	want = slices.Compact(want)
+	want = want[:min(len(want), room)]
+	for lo := 0; lo < len(want); {
+		owner, _ := Locate(want[lo])
+		hi, bytes := lo, 0
+		for ; hi < len(want); hi++ {
+			o, idx := Locate(want[hi])
+			if o != owner {
+				break
+			}
+			item := s.shards[o][idx]
+			bytes += s.wire(item)
+			rd.cache[want[hi]] = item
+		}
+		r.ChargeCacheMiss(owner, bytes, hi-lo)
+		lo = hi
+	}
 }
 
 // Emit delivers the full, rank-by-rank-ordered item list to rank 0 (the

@@ -2,8 +2,10 @@ package dist
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mhmgo/internal/pgas"
@@ -329,5 +331,181 @@ func TestChargesPinnedP8(t *testing.T) {
 	}
 	if wantSim := 0.00023766460000000016; res.SimSeconds != wantSim {
 		t.Errorf("simulated seconds moved: got %v, want %v", res.SimSeconds, wantSim)
+	}
+}
+
+// TestReaderPrefetch: Prefetch fetches every remote ID a rank names, minus
+// the ones it owns or has cached, with one get per distinct owner that
+// carries exactly the bytes per-item Gets of the same IDs receive; a later
+// Get of a prefetched ID charges no get; a capped cache takes only what fits
+// and leaves the rest to per-item Gets; a reader without a cache is left as
+// it was. The charges are the same at every worker count.
+func TestReaderPrefetch(t *testing.T) {
+	for _, p := range []int{1, 3, 16} {
+		var first pgas.RunResult
+		for _, workers := range []int{1, 4} {
+			m := pgas.NewMachine(pgas.Config{Ranks: p, RanksPerNode: 2, Workers: workers})
+			res := m.Run(func(r *pgas.Rank) { checkPrefetch(t, r) })
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			if workers == 1 {
+				first = res
+			} else if res.Stats != first.Stats || res.SimSeconds != first.SimSeconds {
+				t.Errorf("P=%d: Workers=%d charged %+v (%v s), Workers=1 %+v (%v s)", p, workers, res.Stats, res.SimSeconds, first.Stats, first.SimSeconds)
+			}
+		}
+	}
+}
+
+// checkPrefetch runs TestReaderPrefetch's checks on one rank.
+func checkPrefetch(t *testing.T, r *pgas.Rank) {
+	p, me := r.NRanks(), r.ID()
+	s := New(r, buildRecs(me, 5+me%4), func(x rec) int { return len(x.Seq) + me }, recWire, Distributed)
+	s.Renumber(r, func(i, id int) { s.Local(r)[i].ID = id })
+	all := allIDs(s)
+	// A rank names every third item, some twice, in a rank-dependent order.
+	rng := rand.New(rand.NewSource(int64(me)))
+	var ids []int
+	for k := me % 3; k < len(all); k += 3 {
+		ids = append(ids, all[k])
+		if rng.Intn(3) == 0 {
+			ids = append(ids, all[k])
+		}
+	}
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+
+	precached := -1 // a remote ID Get caches before the prefetch
+	for _, id := range ids {
+		if owner, _ := Locate(id); owner != me {
+			precached = id
+			break
+		}
+	}
+	// remote holds the distinct remote IDs named, ascending; wantIDs is
+	// what the prefetch must fetch, those not already cached, and owners
+	// the ranks it must ask.
+	var remote []int
+	wantIDs := map[int]bool{}
+	owners := map[int]bool{}
+	for _, id := range ids {
+		if owner, _ := Locate(id); owner != me {
+			remote = append(remote, id)
+			if id != precached {
+				wantIDs[id] = true
+				owners[owner] = true
+			}
+		}
+	}
+	slices.Sort(remote)
+	remote = slices.Compact(remote)
+	item := func(id int) rec { owner, idx := Locate(id); return s.shards[owner][idx] }
+
+	// Per-item Gets of the same IDs, on a reader of its own.
+	perItem := s.NewReader(r, 1<<10)
+	if precached >= 0 {
+		perItem.Get(precached)
+	}
+	before := r.Stats()
+	for _, id := range remote {
+		if wantIDs[id] {
+			perItem.Get(id)
+		}
+	}
+	perItemStats := diffStats(r.Stats(), before)
+
+	rd := s.NewReader(r, 1<<10)
+	if precached >= 0 {
+		rd.Get(precached)
+	}
+	before = r.Stats()
+	rd.Prefetch(ids)
+	got := diffStats(r.Stats(), before)
+	if got.RemoteGets != uint64(len(owners)) || got.Messages != uint64(len(owners)) {
+		t.Errorf("P=%d rank %d: prefetch of %d remote items from %d owners charged %d gets, %d messages",
+			p, me, len(wantIDs), len(owners), got.RemoteGets, got.Messages)
+	}
+	if got.CacheMisses != uint64(len(wantIDs)) {
+		t.Errorf("P=%d rank %d: prefetch counted %d cache misses for %d items", p, me, got.CacheMisses, len(wantIDs))
+	}
+	if got.BytesReceived != perItemStats.BytesReceived || got.OffNodeBytes != perItemStats.OffNodeBytes {
+		t.Errorf("P=%d rank %d: prefetch received %d bytes (%d off-node), per-item gets %d (%d)",
+			p, me, got.BytesReceived, got.OffNodeBytes, perItemStats.BytesReceived, perItemStats.OffNodeBytes)
+	}
+	if got.ComputeOps != 0 || got.BytesSent != 0 || got.CacheHits != 0 {
+		t.Errorf("P=%d rank %d: prefetch charged more than its gets: %+v", p, me, got)
+	}
+	before = r.Stats()
+	for _, id := range ids {
+		if x := rd.Get(id); x != item(id) {
+			t.Errorf("P=%d rank %d: Get(%d) = %+v after prefetch, want %+v", p, me, id, x, item(id))
+		}
+	}
+	if after := diffStats(r.Stats(), before); after.RemoteGets != 0 {
+		t.Errorf("P=%d rank %d: Gets of prefetched IDs charged %d gets", p, me, after.RemoteGets)
+	}
+	// Everything named is cached or owned now: a second prefetch is free.
+	before = r.Stats()
+	rd.Prefetch(ids)
+	if again := diffStats(r.Stats(), before); again != (pgas.CommStats{}) {
+		t.Errorf("P=%d rank %d: prefetching cached IDs charged %+v", p, me, again)
+	}
+
+	// A cache of two entries takes the two lowest IDs; the others are
+	// fetched by Get, one get each.
+	const capped = 2
+	small := s.NewReader(r, capped)
+	small.Prefetch(ids)
+	kept := remote[:min(capped, len(remote))]
+	if !slices.Equal(slices.Sorted(maps.Keys(small.cache)), kept) {
+		t.Errorf("P=%d rank %d: a %d-entry cache holds %v after prefetch, want %v", p, me, capped, slices.Sorted(maps.Keys(small.cache)), kept)
+	}
+	before = r.Stats()
+	for _, id := range remote {
+		small.Get(id)
+	}
+	if gets := diffStats(r.Stats(), before).RemoteGets; gets != uint64(len(remote)-len(kept)) {
+		t.Errorf("P=%d rank %d: %d gets for the %d items the capped cache could not take", p, me, gets, len(remote)-len(kept))
+	}
+
+	// A reader without a cache ignores the prefetch and keeps its per-item
+	// gets: one per remote occurrence.
+	uncached := s.NewReader(r, 0)
+	before = r.Stats()
+	clock := r.Clock()
+	uncached.Prefetch(ids)
+	if r.Stats() != before || r.Clock() != clock || uncached.cache != nil {
+		t.Errorf("P=%d rank %d: prefetch on a zero-entry reader charged %+v", p, me, diffStats(r.Stats(), before))
+	}
+	reads := 0
+	for _, id := range ids {
+		uncached.Get(id)
+		if owner, _ := Locate(id); owner != me {
+			reads++
+		}
+	}
+	if gets := diffStats(r.Stats(), before).RemoteGets; gets != uint64(reads) {
+		t.Errorf("P=%d rank %d: zero-entry reader charged %d gets for %d remote reads", p, me, gets, reads)
+	}
+	r.Barrier()
+}
+
+// diffStats returns the counters a rank charged between two snapshots
+// (the peak-resident high-water mark is not a counter and is left out).
+func diffStats(after, before pgas.CommStats) pgas.CommStats {
+	return pgas.CommStats{
+		ComputeOps:      after.ComputeOps - before.ComputeOps,
+		Messages:        after.Messages - before.Messages,
+		OffNodeMessages: after.OffNodeMessages - before.OffNodeMessages,
+		BytesSent:       after.BytesSent - before.BytesSent,
+		BytesReceived:   after.BytesReceived - before.BytesReceived,
+		OffNodeBytes:    after.OffNodeBytes - before.OffNodeBytes,
+		RemoteGets:      after.RemoteGets - before.RemoteGets,
+		RemotePuts:      after.RemotePuts - before.RemotePuts,
+		AtomicOps:       after.AtomicOps - before.AtomicOps,
+		Barriers:        after.Barriers - before.Barriers,
+		CacheHits:       after.CacheHits - before.CacheHits,
+		CacheMisses:     after.CacheMisses - before.CacheMisses,
+		BarrierWaitNs:   after.BarrierWaitNs - before.BarrierWaitNs,
 	}
 }

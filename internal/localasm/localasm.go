@@ -138,6 +138,9 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
+	// The walk reads exactly these contigs: fetch the ones other ranks own
+	// up front, one vectored get per owner.
+	creader.Prefetch(ids)
 
 	counterHandle := -1
 	if opts.WorkStealing {
@@ -161,8 +164,8 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 			r.AtomicFetchAdd(counterHandle, int64(blockSize))
 			lastBlock = block
 		}
-		// The reader reads an owned contig locally and fetches any other
-		// one with a one-sided get.
+		// An owned contig is read locally, any other one from the cache
+		// the prefetch filled.
 		c := creader.Get(id)
 		// Sort for determinism: the exchange delivers the reads in source-rank
 		// order, but the walk must not depend on any arrival order at all.
@@ -174,10 +177,11 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 			extendedBases += added
 		}
 	}
-	r.Barrier()
 
 	// Step 3: route the extensions to the contigs' owners only — no rank
-	// materializes the full extension set — and apply them owner-side.
+	// materializes the full extension set — and apply them owner-side. The
+	// exchange's barrier holds every rank until all walks have read their
+	// contigs, so no owner rewrites one that is still being read.
 	got := dist.Exchange(r, exts,
 		func(e extRecord) int { owner, _ := dist.Locate(e.ID); return owner },
 		extRecord.WireSize)
@@ -188,11 +192,10 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		c.Seq = e.Seq
 		cs.SetLocal(r, idx, c)
 	}
-	r.Barrier()
 
-	res := Result{ExtendedBases: pgas.AllReduce(r, extendedBases, pgas.ReduceSum)}
-	r.Barrier()
-	return res
+	// The all-reduce's host barriers fence the owners' writes: no rank
+	// returns before every shard is updated.
+	return Result{ExtendedBases: pgas.AllReduce(r, extendedBases, pgas.ReduceSum)}
 }
 
 // extenderOf returns the rank that extends contig id on a P-rank machine:

@@ -36,16 +36,20 @@ func pairedReads(g string, readLen, frag, step int) []seq.Read {
 
 // asmOut is the scalar Result plus the extended contigs emitted to rank 0
 // (sorted by descending length, then sequence), the remote gets and atomics
-// Run charged over all ranks, how many distinct contigs received recruits on
-// a rank other than their owner, and how many distinct blocks of blockSize
-// contigs held a contig with recruits.
+// Run charged over all ranks, the barriers it counted per rank (equal on
+// every rank), how many distinct contigs received recruits on a rank other
+// than their owner, how many distinct (extender, owner) pairs those walks
+// span, and how many distinct blocks of blockSize contigs held a contig with
+// recruits.
 type asmOut struct {
 	Result
-	Contigs       []dbg.Contig
-	RemoteGets    uint64
-	AtomicOps     uint64
-	NonLocalWalks int
-	WalkedBlocks  int
+	Contigs         []dbg.Contig
+	RemoteGets      uint64
+	AtomicOps       uint64
+	Barriers        uint64
+	NonLocalWalks   int
+	NonLocalSources int
+	WalkedBlocks    int
 }
 
 func runLocalAssembly(t *testing.T, contigs []dbg.Contig, reads []seq.Read, ranks int, opts Options) asmOut {
@@ -66,11 +70,14 @@ func runLocalAssembly(t *testing.T, contigs []dbg.Contig, reads []seq.Read, rank
 		after := r.Stats()
 		gets[r.ID()] = after.RemoteGets - before.RemoteGets
 		atomics[r.ID()] = after.AtomicOps - before.AtomicOps
+		if r.ID() == 0 {
+			res.Barriers = after.Barriers - before.Barriers
+		}
 		recruited[r.ID()], _ = recruitReads(reads[plo:phi], plo, aligns, opts)
 		all := cs.Emit(r)
 		if r.ID() == 0 {
 			sort.Slice(all, func(i, j int) bool { return dbg.ContigLess(all[i], all[j]) })
-			res = asmOut{Result: got, Contigs: all}
+			res.Result, res.Contigs = got, all
 		}
 	})
 	walked := map[int]bool{}
@@ -82,14 +89,17 @@ func runLocalAssembly(t *testing.T, contigs []dbg.Contig, reads []seq.Read, rank
 		}
 	}
 	blocks := map[int]bool{}
+	sources := map[[2]int]bool{}
 	for id := range walked {
 		owner, idx := dist.Locate(id)
-		if extenderOf(id, ranks, opts.WorkStealing) != owner {
+		if ext := extenderOf(id, ranks, opts.WorkStealing); ext != owner {
 			res.NonLocalWalks++
+			sources[[2]int{ext, owner}] = true
 		}
 		blocks[dist.ID(owner, idx/blockSize)] = true
 	}
 	res.WalkedBlocks = len(blocks)
+	res.NonLocalSources = len(sources)
 	return res
 }
 
@@ -128,9 +138,9 @@ func TestNoReadsMeansNoExtension(t *testing.T) {
 
 // TestWorkStealingMatchesStatic: the work-sharing schedule extends every
 // contig exactly as the owners do, and its charges are what the schedule
-// needs and no more — one one-sided get per distinct contig walked on a rank
-// other than its owner and one counter atomic per block that holds work, so
-// a contig without recruits costs nothing.
+// needs and no more — one one-sided vectored get per distinct owner of the
+// contigs a rank walks for other ranks and one counter atomic per block that
+// holds work, so a contig without recruits costs nothing.
 func TestWorkStealingMatchesStatic(t *testing.T) {
 	// Contigs cut every 150 bases out of a random genome, with gaps for the
 	// walks to fill; on 2 ranks each owner holds several blocks, so work
@@ -164,10 +174,22 @@ func TestWorkStealingMatchesStatic(t *testing.T) {
 	if resDyn.NonLocalWalks == 0 {
 		t.Fatal("no contig was walked away from its owner: the test exercises nothing")
 	}
+	// Three barriers each: the two exchanges' and the counter's Shared
+	// under work sharing, the explicit barrier standing in for it without.
+	// The all-reduce that ends Run counts none.
 	for name, res := range map[string]asmOut{"work sharing": resDyn, "static": resStat} {
-		if res.RemoteGets != uint64(res.NonLocalWalks) {
-			t.Errorf("%s: %d remote gets for %d distinct contigs walked off their owner",
-				name, res.RemoteGets, res.NonLocalWalks)
+		if res.Barriers != 3 {
+			t.Errorf("%s: Run counted %d barriers per rank, want 3", name, res.Barriers)
+		}
+	}
+	if resDyn.NonLocalSources >= resDyn.NonLocalWalks {
+		t.Fatalf("%d contigs walked off their owner come from %d (extender, owner) pairs: the test cannot tell a get per owner from a get per contig",
+			resDyn.NonLocalWalks, resDyn.NonLocalSources)
+	}
+	for name, res := range map[string]asmOut{"work sharing": resDyn, "static": resStat} {
+		if res.RemoteGets != uint64(res.NonLocalSources) {
+			t.Errorf("%s: %d remote gets for %d distinct contigs walked off their owner, held by %d (extender, owner) pairs",
+				name, res.RemoteGets, res.NonLocalWalks, res.NonLocalSources)
 		}
 	}
 }

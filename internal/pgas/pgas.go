@@ -554,9 +554,12 @@ func (r *Rank) ChargeCacheHit() {
 	r.Compute(1)
 }
 
-// ChargeCacheMiss records a software-cache miss that had to go remote.
-func (r *Rank) ChargeCacheMiss(src int, bytes int) {
-	r.stats.CacheMisses++
+// ChargeCacheMiss records items software-cache misses served by one remote
+// get of bytes bytes from the source rank: one message, one RemoteGets, one
+// latency, and items CacheMisses. A vectored get (UPC's bupc_memget_vlist)
+// fetches many regions of one rank in a single message this way.
+func (r *Rank) ChargeCacheMiss(src, bytes, items int) {
+	r.stats.CacheMisses += uint64(items)
 	r.ChargeGet(src, bytes, 1)
 }
 

@@ -123,17 +123,21 @@ func TestChargeGetAndCacheStats(t *testing.T) {
 		if r.ID() == 0 {
 			r.ChargeGet(1, 64, 1)
 			r.ChargeCacheHit()
-			r.ChargeCacheMiss(1, 64)
+			r.ChargeCacheMiss(1, 64, 1)
+			r.ChargeCacheMiss(1, 192, 3)
 		}
 	})
-	if res.Stats.RemoteGets != 2 {
-		t.Errorf("RemoteGets = %d, want 2 (one get + one cache miss)", res.Stats.RemoteGets)
+	if res.Stats.RemoteGets != 3 {
+		t.Errorf("RemoteGets = %d, want 3 (one get + two cache-miss gets)", res.Stats.RemoteGets)
 	}
-	if res.Stats.CacheHits != 1 || res.Stats.CacheMisses != 1 {
-		t.Errorf("cache stats = %d/%d, want 1/1", res.Stats.CacheHits, res.Stats.CacheMisses)
+	if res.Stats.CacheHits != 1 || res.Stats.CacheMisses != 4 {
+		t.Errorf("cache stats = %d/%d, want 1/4 (a vectored get counts every item it fetched)", res.Stats.CacheHits, res.Stats.CacheMisses)
 	}
-	if res.Stats.OffNodeMessages != 2 {
-		t.Errorf("OffNodeMessages = %d, want 2", res.Stats.OffNodeMessages)
+	if res.Stats.BytesReceived != 64+64+192 {
+		t.Errorf("BytesReceived = %d, want %d", res.Stats.BytesReceived, 64+64+192)
+	}
+	if res.Stats.OffNodeMessages != 3 {
+		t.Errorf("OffNodeMessages = %d, want 3", res.Stats.OffNodeMessages)
 	}
 }
 

@@ -413,6 +413,14 @@ func Run(r *pgas.Rank, cs *dbg.ContigSet, reads []seq.Read, readOffset int, alig
 		hmmHit:    hmmHit,
 		opts:      opts,
 	}
+	// Traversal and gap closing read only the contigs of this rank's
+	// components (a link's two contigs share one): fetch the ones other
+	// ranks own up front, one vectored get per owner.
+	memberIDs := make([]int, len(myMembers))
+	for i, m := range myMembers {
+		memberIDs[i] = m.ContigID
+	}
+	creader.Prefetch(memberIDs)
 	// Candidate links are ordered deterministically by support, then gap,
 	// then the partner contig's content — never by the rank-count-dependent
 	// ID numbering, and never by the run-to-run-varying order the link

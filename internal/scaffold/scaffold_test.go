@@ -30,21 +30,36 @@ func makePairs(g string, readLen, insert, step int) []seq.Read {
 
 func runScaffold(t *testing.T, contigs []dbg.Contig, reads []seq.Read, ranks int, opts Options) Result {
 	t.Helper()
+	res, _ := runScaffoldStats(t, contigs, reads, ranks, opts)
+	return res
+}
+
+// runScaffoldStats is runScaffold that also returns what each rank charged
+// during Run.
+func runScaffoldStats(t *testing.T, contigs []dbg.Contig, reads []seq.Read, ranks int, opts Options) (Result, []pgas.CommStats) {
+	t.Helper()
 	m := pgas.NewMachine(pgas.Config{Ranks: ranks})
 	aopts := aligner.DefaultOptions(15)
 	var res Result
+	charged := make([]pgas.CommStats, ranks)
 	m.Run(func(r *pgas.Rank) {
 		clo, chi := r.BlockRange(len(contigs))
 		cs := dbg.DistributeContigs(r, contigs[clo:chi], dist.Distributed)
 		idx := aligner.BuildIndex(r, cs, aopts)
 		lo, hi := r.PairBlockRange(len(reads))
 		aligns, _ := aligner.AlignReads(r, idx, reads[lo:hi], lo, aopts)
+		before := r.Stats()
 		got := Run(r, cs, reads[lo:hi], lo, aligns, opts)
+		after := r.Stats()
+		charged[r.ID()] = pgas.CommStats{
+			RemoteGets:  after.RemoteGets - before.RemoteGets,
+			CacheMisses: after.CacheMisses - before.CacheMisses,
+		}
 		if r.ID() == 0 {
 			res = got
 		}
 	})
-	return res
+	return res, charged
 }
 
 // testGenome is long enough for several contigs and an insert of 60.
@@ -262,5 +277,47 @@ func TestSpliceOverlap(t *testing.T) {
 	joined, _ := spliceOverlap([]byte("AAACGT"), []byte("ACGTTT"), 3, 10)
 	if string(joined) != "AAACGTTT" {
 		t.Errorf("splice = %q", joined)
+	}
+}
+
+// TestRunRemoteGetsPerOwner: traversal and gap closing read the contigs of a
+// rank's components, fetched up front with one vectored get per owner, so
+// Run makes at most P-1 remote reads per rank however many contigs a
+// component spans, and the scaffolds are the single rank's.
+func TestRunRemoteGetsPerOwner(t *testing.T) {
+	comm := sim.GenerateCommunity(sim.CommunityConfig{NumGenomes: 1, MeanGenomeLen: 3000, Seed: 78, StrainFraction: 0})
+	g := string(comm.Genomes[0].Seq)
+	// 200-base contigs with 20-base gaps: one chain of over a dozen contigs.
+	var contigs []dbg.Contig
+	for lo := 0; lo+200 <= len(g); lo += 220 {
+		contigs = append(contigs, dbg.Contig{Seq: []byte(g[lo : lo+200]), Depth: 20})
+	}
+	reads := makePairs(g, 40, 100, 3)
+	opts := DefaultOptions(15, 100)
+	base := runScaffold(t, contigs, reads, 1, opts)
+	if len(base.Scaffolds) == 0 || len(base.Scaffolds[0].ContigIDs) < 3 {
+		t.Fatalf("P=1 built %d scaffolds, the longest joining fewer than 3 contigs: the test exercises no chain", len(base.Scaffolds))
+	}
+	for _, p := range []int{3, 8} {
+		res, charged := runScaffoldStats(t, contigs, reads, p, opts)
+		var totalGets, totalItems uint64
+		for rank, c := range charged {
+			if c.RemoteGets > uint64(p-1) {
+				t.Errorf("P=%d: rank %d made %d remote reads, want at most one per other rank", p, rank, c.RemoteGets)
+			}
+			totalGets += c.RemoteGets
+			totalItems += c.CacheMisses
+		}
+		if totalItems <= totalGets {
+			t.Errorf("P=%d: %d remote gets fetched %d contigs: no get carried more than one, the test exercises nothing", p, totalGets, totalItems)
+		}
+		if len(res.Scaffolds) != len(base.Scaffolds) {
+			t.Fatalf("P=%d: %d scaffolds vs %d at P=1", p, len(res.Scaffolds), len(base.Scaffolds))
+		}
+		for i := range res.Scaffolds {
+			if string(res.Scaffolds[i].Seq) != string(base.Scaffolds[i].Seq) {
+				t.Errorf("P=%d: scaffold %d differs from P=1's", p, i)
+			}
+		}
 	}
 }
